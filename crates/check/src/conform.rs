@@ -9,11 +9,15 @@
 //! 1. **Pipeline sanity** — stage transitions are monotone per
 //!    instruction and retirement is exactly program order.
 //! 2. **Execution dependences** (§IV) — no consumer takes effect before
-//!    its producers complete (`check_execution_deps`).
-//! 3. **Fence semantics** — `DSB SY` orders everything
-//!    (`check_full_fences`); `DMB ST` orders store visibility but *not*
-//!    persists (`check_store_fences` — the SU gap); `DMB SY` orders
-//!    memory accesses (`check_mem_fences`).
+//!    its producers complete, and nothing a `WAIT_*` holds back takes
+//!    effect before the wait completes.
+//! 3. **Fence semantics** — `DSB SY` orders everything; `DMB ST` orders
+//!    store visibility but *not* persists (the SU gap); `DMB SY` orders
+//!    memory accesses.
+//!
+//!    Axioms 2 and 3 are one check ([`ordering::check`]) over the edges
+//!    the explorer's `PersistDag` closes, so the two oracles cannot
+//!    drift apart.
 //! 4. **Same-address coherence** — per-address store-visibility sequences
 //!    equal the golden model's program-order sequences.
 //! 5. **Persist accounting** — per-line persist counts match the golden
@@ -29,9 +33,7 @@
 //! construction ([`gen::SLOTS`](crate::gen::SLOTS)).
 
 use crate::golden::GoldenRun;
-use ede_core::ordering::{
-    check_execution_deps, check_full_fences, check_mem_fences, check_store_fences, Violation,
-};
+use ede_core::ordering::{self, Axiom, OrderRelaxation};
 use ede_cpu::ptrace::PipeRecorder;
 use ede_mem::trace::nvm_image_at;
 use ede_sim::RunResult;
@@ -59,20 +61,18 @@ pub fn check_run(result: &RunResult, rec: &PipeRecorder, golden: &GoldenRun) -> 
     }
 
     // 2 & 3. Ordering axioms over observed timings.
-    let fmt_violation = |axiom: &str, v: &Violation| {
-        format!("{axiom}: {} (as {:?}) not honored before {}", v.producer, v.kind, v.consumer)
-    };
-    for v in check_execution_deps(program, &result.timings) {
-        diffs.push(fmt_violation("execution dependence", &v));
-    }
-    for v in check_full_fences(program, &result.timings) {
-        diffs.push(fmt_violation("DSB SY", &v));
-    }
-    for v in check_store_fences(program, &result.timings) {
-        diffs.push(fmt_violation("DMB ST", &v));
-    }
-    for v in check_mem_fences(program, &result.timings) {
-        diffs.push(fmt_violation("DMB SY", &v));
+    for v in ordering::check(program, &result.timings, OrderRelaxation::NONE) {
+        let axiom = match v.kind {
+            Axiom::Execution => "execution dependence",
+            Axiom::WaitBarrier => "WAIT barrier",
+            Axiom::FullFence => "DSB SY",
+            Axiom::StoreFence => "DMB ST",
+            Axiom::MemFence => "DMB SY",
+        };
+        diffs.push(format!(
+            "{axiom}: {} (as {:?}) not honored before {}",
+            v.producer, v.kind, v.consumer
+        ));
     }
 
     // 4. Same-address coherence: store-visibility value sequences.

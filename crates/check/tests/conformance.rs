@@ -7,10 +7,15 @@
 //! hunting an injected pipeline bug, must *fail* once that bug is
 //! re-injected, proving the axiom that caught it still catches it.
 
+use ede_check::explore::relaxation_for;
 use ede_check::fuzz::{diff_case, fuzz, FuzzOptions};
-use ede_check::gen::Cmd;
+use ede_check::gen::{cmds_strategy, concretize, Cmd};
+use ede_core::ordering::{check, OrderRelaxation};
 use ede_cpu::FaultInjection;
 use ede_isa::ArchConfig;
+use ede_sim::{raw_output, run_program, SimConfig};
+use ede_util::check::Strategy;
+use ede_util::rng::SmallRng;
 
 const CRASH_SAFE: [ArchConfig; 3] =
     [ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer];
@@ -166,5 +171,39 @@ fn injected_bug_shrinks_to_tiny_reproducer() {
             "{fault:?}: minimal program has {} instructions",
             failure.program.len()
         );
+    }
+}
+
+/// One edge enumeration feeds both oracles, so a fault's
+/// `OrderRelaxation` must describe what the faulted pipeline still
+/// honors. Under each statically modelable fault, every generated
+/// program's observed timing respects the relaxed edges: the explorer's
+/// relaxed `PersistDag`, which closes those edges, over-approximates the
+/// faulty pipeline. The full edges still catch the fault somewhere, so
+/// the relaxation only drops edges the fault really breaks.
+#[test]
+fn fault_relaxation_binds_the_faulty_pipeline() {
+    let strat = cmds_strategy(40);
+    for fault in [FaultInjection::DropEdeps, FaultInjection::WeakDsb] {
+        let relax = relaxation_for(Some(fault)).expect("statically modelable fault");
+        let mut sim = SimConfig::a72();
+        sim.cpu.fault = Some(fault);
+        let mut rng = SmallRng::seed_from_u64(0xEDE);
+        let mut caught = 0;
+        for case in 0..60 {
+            let program = concretize(&strat.generate(&mut rng).value);
+            for arch in CRASH_SAFE {
+                let r = run_program("relax", raw_output(program.clone()), arch, &sim)
+                    .unwrap_or_else(|e| panic!("{fault:?} case {case} on {arch}: {e}"));
+                let relaxed = check(&program, &r.timings, relax);
+                assert!(
+                    relaxed.is_empty(),
+                    "{fault:?} case {case} on {arch}: {relaxed:?}"
+                );
+                caught +=
+                    usize::from(!check(&program, &r.timings, OrderRelaxation::NONE).is_empty());
+            }
+        }
+        assert!(caught > 0, "{fault:?} never broke a full-axiom edge");
     }
 }

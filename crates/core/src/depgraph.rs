@@ -1,215 +1,17 @@
-//! Dependence graphs in the style of the paper's Figure 5.
+//! The persist partial order the exhaustive explorer enumerates.
 //!
-//! A [`DepGraph`] records, for a trace, the three dependence families an
-//! out-of-order processor must respect:
-//!
-//! * **register** dependences (gray arrows in Figure 5): definition → use;
-//! * **memory** dependences (dashed arrows): conflicting accesses to the
-//!   same cache line, chained in program order;
-//! * **execution** dependences (the red arrow EDE adds): producer →
-//!   consumer key links.
+//! A [`PersistDag`] closes the must-order edges of
+//! [`ordering::for_each_edge`](crate::ordering::for_each_edge) — the same
+//! edges conformance checks observed timings against — over a program's
+//! persist events.
 
-use crate::ordering::execution_deps;
-use ede_isa::{InstId, InstKind, Op, Program, Reg};
+use crate::ordering::{for_each_edge, OrderRelaxation};
+use ede_isa::{InstId, Op, Program};
 use std::collections::HashMap;
 
-/// Cache-line size used for memory-conflict detection, matching the cache
-/// hierarchy's 64-byte lines.
+/// Cache-line size used to match stores to the persist events of their
+/// line, matching the cache hierarchy's 64-byte lines.
 pub const LINE_BYTES: u64 = 64;
-
-/// The family a dependence edge belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum DepKind {
-    /// Register definition → use.
-    Register,
-    /// Same-line memory conflict (at least one side writes).
-    Memory,
-    /// EDE execution dependence.
-    Execution,
-}
-
-/// A directed dependence edge: `from` must precede `to`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct DepEdge {
-    /// The earlier instruction.
-    pub from: InstId,
-    /// The later instruction.
-    pub to: InstId,
-    /// The dependence family.
-    pub kind: DepKind,
-}
-
-/// A dependence graph over a trace.
-///
-/// # Example
-///
-/// ```
-/// use ede_core::depgraph::{DepGraph, DepKind};
-/// use ede_isa::{Edk, TraceBuilder};
-///
-/// let mut b = TraceBuilder::new();
-/// let k = Edk::new(1).unwrap();
-/// b.cvap_producing(0x1040, k);
-/// b.store_consuming(0x2080, 7, k);
-/// let g = DepGraph::build(&b.finish());
-/// assert!(g.edges().iter().any(|e| e.kind == DepKind::Execution));
-/// assert!(g.edges().iter().any(|e| e.kind == DepKind::Register));
-/// ```
-#[derive(Clone, Debug)]
-pub struct DepGraph {
-    edges: Vec<DepEdge>,
-    len: usize,
-}
-
-impl DepGraph {
-    /// Builds the full dependence graph for a trace.
-    pub fn build(program: &Program) -> DepGraph {
-        let mut edges = Vec::new();
-
-        // Register dependences: last definition of each register.
-        let mut last_def: HashMap<Reg, InstId> = HashMap::new();
-        for (id, inst) in program.iter() {
-            for src in inst.src_regs() {
-                if let Some(&def) = last_def.get(&src) {
-                    edges.push(DepEdge {
-                        from: def,
-                        to: id,
-                        kind: DepKind::Register,
-                    });
-                }
-            }
-            if let Some(dst) = inst.dst_reg() {
-                last_def.insert(dst, id);
-            }
-        }
-
-        // Memory dependences: chain conflicting accesses per cache line.
-        // We record the last access of each flavor per line and add edges
-        // for write→read, write→write and read→write conflicts.
-        let mut last_write: HashMap<u64, InstId> = HashMap::new();
-        let mut last_reads: HashMap<u64, Vec<InstId>> = HashMap::new();
-        for (id, inst) in program.iter() {
-            let Some(acc) = inst.mem_access() else {
-                continue;
-            };
-            let line = acc.addr / LINE_BYTES;
-            if acc.is_write {
-                if let Some(&w) = last_write.get(&line) {
-                    edges.push(DepEdge {
-                        from: w,
-                        to: id,
-                        kind: DepKind::Memory,
-                    });
-                }
-                for &r in last_reads.get(&line).into_iter().flatten() {
-                    edges.push(DepEdge {
-                        from: r,
-                        to: id,
-                        kind: DepKind::Memory,
-                    });
-                }
-                last_write.insert(line, id);
-                last_reads.remove(&line);
-            } else {
-                if let Some(&w) = last_write.get(&line) {
-                    edges.push(DepEdge {
-                        from: w,
-                        to: id,
-                        kind: DepKind::Memory,
-                    });
-                }
-                last_reads.entry(line).or_default().push(id);
-            }
-        }
-
-        // Execution dependences.
-        for (from, to) in execution_deps(program) {
-            edges.push(DepEdge {
-                from,
-                to,
-                kind: DepKind::Execution,
-            });
-        }
-
-        DepGraph {
-            edges,
-            len: program.len(),
-        }
-    }
-
-    /// All edges, unordered.
-    pub fn edges(&self) -> &[DepEdge] {
-        &self.edges
-    }
-
-    /// Edges of one family.
-    pub fn edges_of(&self, kind: DepKind) -> impl Iterator<Item = &DepEdge> {
-        self.edges.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Number of instructions the graph covers.
-    pub fn num_insts(&self) -> usize {
-        self.len
-    }
-
-    /// Renders the graph in Graphviz DOT format (register edges gray,
-    /// memory edges dashed, execution edges red — Figure 5's styling).
-    pub fn to_dot(&self, program: &Program) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph deps {\n  node [shape=box, fontname=monospace];\n");
-        for (id, inst) in program.iter() {
-            let _ = writeln!(
-                out,
-                "  n{} [label=\"{} {}\"];",
-                id.0,
-                id,
-                ede_isa::disasm::Disasm(inst)
-            );
-        }
-        for e in &self.edges {
-            let style = match e.kind {
-                DepKind::Register => "color=gray",
-                DepKind::Memory => "style=dashed",
-                DepKind::Execution => "color=red, penwidth=2",
-            };
-            let _ = writeln!(out, "  n{} -> n{} [{}];", e.from.0, e.to.0, style);
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Which must-order edge families a fault injection removes from the
-/// persist-order model.
-///
-/// The exhaustive explorer (`ede-sim explore`) enumerates persist
-/// linearizations admitted by a [`PersistDag`]; injected faults weaken the
-/// pipeline, so the model must be weakened the same way or the explorer
-/// would wrongly prove faulted runs impossible. Two faults are statically
-/// modelable:
-///
-/// * `drop_execution` — the `DropEdeps` fault clears execution dependences
-///   at dispatch and skips the `WAIT_KEY`/`WAIT_ALL_KEYS` tracker checks,
-///   so both the producer→consumer edges and the wait→younger-store
-///   barrier edges disappear;
-/// * `weak_dsb` — the `WeakDsb` fault lets a `DSB SY` retire without
-///   draining older persists, so the older→fence edges disappear (the
-///   fence still blocks younger dispatch, so fence→younger edges remain).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct OrderRelaxation {
-    /// Remove execution-dependence and wait-barrier edges (`DropEdeps`).
-    pub drop_execution: bool,
-    /// Remove older→`DSB SY` drain edges (`WeakDsb`).
-    pub weak_dsb: bool,
-}
-
-impl OrderRelaxation {
-    /// No relaxation: the full ordering axioms of a fault-free pipeline.
-    pub const NONE: OrderRelaxation = OrderRelaxation {
-        drop_execution: false,
-        weak_dsb: false,
-    };
-}
 
 /// Hard cap on persist events a [`PersistDag`] can model: predecessor sets
 /// are `u64` bitmasks, so programs with more persists than this are
@@ -217,9 +19,8 @@ impl OrderRelaxation {
 pub const MAX_PERSIST_EVENTS: usize = 64;
 
 /// A must-order partial order over a program's persist events, derived
-/// from the same axioms the conformance checker enforces (execution
-/// dependences, `DSB SY`/`DMB` windows, `WAIT_*` barriers) plus NVM
-/// same-line persist FIFO.
+/// from the ordering axioms conformance enforces plus NVM same-line
+/// persist FIFO.
 ///
 /// Event `i` is a *predecessor* of event `j` when every admissible
 /// execution persists `i`'s line image before `j`'s. Two events with no
@@ -228,8 +29,6 @@ pub const MAX_PERSIST_EVENTS: usize = 64;
 /// independence relation the explorer's sleep-set pruning exploits.
 #[derive(Clone, Debug)]
 pub struct PersistDag {
-    /// Persist events in program order: `(instruction, line address)`.
-    events: Vec<(InstId, u64)>,
     /// `preds[j]` bit `i` set ⇔ event `i` must persist before event `j`.
     /// Transitively closed; only bits `< j` can be set (all edge families
     /// point forward in program order).
@@ -242,27 +41,13 @@ impl PersistDag {
     /// pairs) under `relax`. Returns `None` when the program has more
     /// than [`MAX_PERSIST_EVENTS`] persists.
     ///
-    /// Edge families over *instructions*, each justified by a pipeline
-    /// invariant (`crates/cpu/src/core.rs`):
-    ///
-    /// 1. execution dependences (producer completes before consumer
-    ///    issues) — removed by `drop_execution`;
-    /// 2. `WAIT_KEY`/`WAIT_ALL_KEYS` → younger `Store`/`Writeback`
-    ///    (the wait retires only once its tracker side drains, and stores
-    ///    reach the write buffer only after retiring behind it in the
-    ///    in-order ROB) — removed by `drop_execution`;
-    /// 3. `DSB SY`: every older instruction → fence (retire-time persist
-    ///    drain; removed by `weak_dsb`) and fence → every younger
-    ///    instruction (dispatch block; never removed);
-    /// 4. `DMB SY`: older `Load`/`Store` → fence → younger
-    ///    `Load`/`Store`/`Writeback`;
-    /// 5. `DMB ST`: older `Store` → fence → younger `Store`;
-    /// 6. content edges: a store → the next persist event of its line
-    ///    (the cleaner snapshots the line after the store hit it).
-    ///
-    /// Event-level predecessors are forward reachability over those edges,
-    /// plus same-line persist FIFO (the persist buffer drains a line's
-    /// cleans in order), transitively closed.
+    /// The instruction-level edges are the ordering axioms
+    /// ([`for_each_edge`] under `relax`) plus *content* edges: a store →
+    /// the next persist event of its line (the cleaner snapshots the line
+    /// after the store hit it). Event-level predecessors are forward
+    /// reachability over those edges, plus same-line persist FIFO (the
+    /// persist buffer drains a line's cleans in order), transitively
+    /// closed.
     pub fn build(
         program: &Program,
         events: &[(InstId, u64)],
@@ -273,69 +58,12 @@ impl PersistDag {
         }
         let n = program.len();
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for_each_edge(program, relax, |e| {
+            adj[e.from.index()].push(e.to.index() as u32)
+        });
 
-        // Family 1: execution dependences.
-        if !relax.drop_execution {
-            for (p, c) in execution_deps(program) {
-                adj[p.index()].push(c.index() as u32);
-            }
-        }
-
-        // Families 2–5: fence and wait windows.
-        let kinds: Vec<InstKind> = program.iter().map(|(_, i)| i.kind()).collect();
-        let is_wait: Vec<bool> = program
-            .iter()
-            .map(|(_, i)| matches!(i.op, Op::WaitKey { .. } | Op::WaitAllKeys))
-            .collect();
-        for f in 0..n {
-            match kinds[f] {
-                InstKind::FenceFull => {
-                    if !relax.weak_dsb {
-                        for edges in adj.iter_mut().take(f) {
-                            edges.push(f as u32);
-                        }
-                    }
-                    for y in f + 1..n {
-                        adj[f].push(y as u32);
-                    }
-                }
-                InstKind::FenceMem => {
-                    for (o, k) in kinds.iter().enumerate().take(f) {
-                        if matches!(k, InstKind::Load | InstKind::Store) {
-                            adj[o].push(f as u32);
-                        }
-                    }
-                    for (y, k) in kinds.iter().enumerate().skip(f + 1) {
-                        if matches!(k, InstKind::Load | InstKind::Store | InstKind::Writeback) {
-                            adj[f].push(y as u32);
-                        }
-                    }
-                }
-                InstKind::FenceStore => {
-                    for (o, k) in kinds.iter().enumerate().take(f) {
-                        if *k == InstKind::Store {
-                            adj[o].push(f as u32);
-                        }
-                    }
-                    for (y, k) in kinds.iter().enumerate().skip(f + 1) {
-                        if *k == InstKind::Store {
-                            adj[f].push(y as u32);
-                        }
-                    }
-                }
-                InstKind::EdeControl if is_wait[f] && !relax.drop_execution => {
-                    for (y, k) in kinds.iter().enumerate().skip(f + 1) {
-                        if matches!(k, InstKind::Store | InstKind::Writeback) {
-                            adj[f].push(y as u32);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Family 6: content edges — each store feeds the next persist
-        // event of its line.
+        // Content edges: each store feeds the next persist event of its
+        // line.
         let line_of = |a: u64| a & !(LINE_BYTES - 1);
         let mut pending: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut next_event = 0usize;
@@ -409,22 +137,17 @@ impl PersistDag {
             preds[j] = mask;
         }
 
-        Some(PersistDag { events: events.to_vec(), preds })
+        Some(PersistDag { preds })
     }
 
     /// Number of persist events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.preds.len()
     }
 
     /// Whether the program persists nothing.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The persist events in program order: `(cvap instruction, line)`.
-    pub fn events(&self) -> &[(InstId, u64)] {
-        &self.events
+        self.preds.is_empty()
     }
 
     /// The transitively-closed predecessor mask of event `i`.
@@ -471,56 +194,11 @@ impl PersistDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ede_isa::{Edk, TraceBuilder};
-
-    #[test]
-    fn register_chain_detected() {
-        let mut b = TraceBuilder::new();
-        b.compute_chain(4);
-        let p = b.finish();
-        let g = DepGraph::build(&p);
-        assert_eq!(g.edges_of(DepKind::Register).count(), 3);
-        assert_eq!(g.num_insts(), 4);
-    }
-
-    #[test]
-    fn same_line_store_then_cvap_is_memory_dep() {
-        // Figure 5: stp → dc cvap on the same line (lines 6→7).
-        let mut b = TraceBuilder::new();
-        let base = b.lea(0x1040);
-        b.store_pair_to(base, 0x1040, [1, 2]);
-        b.cvap_to(base, 0x1040);
-        b.release(base);
-        let p = b.finish();
-        let g = DepGraph::build(&p);
-        let mem: Vec<&DepEdge> = g.edges_of(DepKind::Memory).collect();
-        assert_eq!(mem.len(), 1);
-        // stp is id 3 (lea, mov, mov, stp), cvap id 4.
-        assert_eq!(mem[0].from, InstId(3));
-        assert_eq!(mem[0].to, InstId(4));
-    }
-
-    #[test]
-    fn different_lines_no_memory_dep() {
-        let mut b = TraceBuilder::new();
-        b.store(0x1000, 1);
-        b.store(0x2000, 2);
-        let g = DepGraph::build(&b.finish());
-        assert_eq!(g.edges_of(DepKind::Memory).count(), 0);
-    }
-
-    #[test]
-    fn read_write_conflicts() {
-        let mut b = TraceBuilder::new();
-        b.load(0x40, 0); // read line 1
-        b.store(0x48, 5); // write same line: read→write edge
-        b.load(0x40, 5); // write→read edge
-        let g = DepGraph::build(&b.finish());
-        assert_eq!(g.edges_of(DepKind::Memory).count(), 2);
-    }
+    use ede_isa::{Edk, EdkPair, TraceBuilder};
 
     const LINE_A: u64 = 0x1_0000_0000;
     const LINE_B: u64 = 0x1_0000_0040;
+    const LINE_C: u64 = 0x1_0000_0080;
     const LINE_F: u64 = 0x1_0000_0800;
 
     /// Two stores + cvaps to distinct lines with no ordering between them.
@@ -543,6 +221,39 @@ mod tests {
         assert_eq!(dag.enabled(0), 0b11);
         assert!(dag.check_linearization(&[0, 1]).is_ok());
         assert!(dag.check_linearization(&[1, 0]).is_ok());
+    }
+
+    /// Figure 5's `stp → dc cvap`: a persist producing k1, then a store
+    /// pair consuming k1 to `pair_line`, then a cvap of `cvap_line`.
+    /// Returns the program and its two persist events.
+    fn stp_then_cvap(pair_line: u64, cvap_line: u64) -> (Program, Vec<(InstId, u64)>) {
+        let mut b = TraceBuilder::new();
+        let k = Edk::new(1).unwrap();
+        b.store(LINE_A, 1);
+        let p0 = b.cvap_producing(LINE_A, k);
+        let base = b.lea(pair_line);
+        b.store_pair_to_edk(base, pair_line, [1, 2], EdkPair::consumer(k));
+        b.release(base);
+        let p1 = b.cvap(cvap_line);
+        (b.finish(), vec![(p0, LINE_A), (p1, cvap_line)])
+    }
+
+    #[test]
+    fn same_line_store_then_cvap_is_memory_dep() {
+        // The store pair's content edge carries the execution dependence
+        // on to the persist of its line.
+        let (p, ev) = stp_then_cvap(LINE_B, LINE_B);
+        let dag = PersistDag::build(&p, &ev, OrderRelaxation::NONE).unwrap();
+        assert_eq!(dag.preds(1), 0b01);
+    }
+
+    #[test]
+    fn different_lines_no_memory_dep() {
+        // The store pair hits another line, so the cvap carries none of
+        // its content and the two persists commute.
+        let (p, ev) = stp_then_cvap(LINE_C, LINE_B);
+        let dag = PersistDag::build(&p, &ev, OrderRelaxation::NONE).unwrap();
+        assert!(dag.commutes(0, 1));
     }
 
     #[test]
@@ -674,19 +385,5 @@ mod tests {
         }
         let prog = b.finish();
         assert!(PersistDag::build(&prog, &ev, OrderRelaxation::NONE).is_none());
-    }
-
-    #[test]
-    fn execution_edges_present_and_dot_renders() {
-        let mut b = TraceBuilder::new();
-        let k = Edk::new(1).unwrap();
-        b.cvap_producing(0x1040, k);
-        b.store_consuming(0x2080, 7, k);
-        let p = b.finish();
-        let g = DepGraph::build(&p);
-        assert_eq!(g.edges_of(DepKind::Execution).count(), 1);
-        let dot = g.to_dot(&p);
-        assert!(dot.contains("color=red"));
-        assert!(dot.contains("dc cvap"));
     }
 }

@@ -13,12 +13,13 @@
 //! * [`EnforcementPoint`] — where the hardware enforces execution
 //!   dependences: the issue queue (*IQ*, §V-B1) or the write buffer
 //!   (*WB*, §V-B3).
-//! * [`ordering`] — an architectural validator: given observed completion
-//!   and visibility times, checks that every execution dependence the
-//!   program encodes was honored. Used as the master invariant in the
-//!   simulator's property tests.
-//! * [`depgraph`] — register/memory/execution dependence graphs in the
-//!   style of Figure 5.
+//! * [`ordering`] — the ordering axioms as one edge enumeration
+//!   (execution dependences, `WAIT_*` barriers, fence windows) and the
+//!   architectural validator built on it: given observed completion and
+//!   visibility times, checks that every edge was honored. Used as the
+//!   master invariant in the simulator's property tests.
+//! * [`depgraph`] — the persist partial order closing the same edges,
+//!   enumerated by the exhaustive explorer.
 //! * [`calling_convention`] — caller-/callee-saved key classes and the
 //!   static checks of §IX-B (Figure 13).
 //!

@@ -1,11 +1,20 @@
-//! Architectural ordering validator.
+//! The ordering axioms, enumerated once.
 //!
-//! Given an instruction trace and the *observed* timing of a simulated
-//! execution, this module checks that every ordering the trace encodes —
-//! EDE execution dependences and fences — was honored. It is the master
-//! invariant used by the simulator's tests: whatever the pipeline did, a
-//! producer must have completed before its consumer's effects became
-//! observable.
+//! [`for_each_edge`] enumerates every must-order edge an instruction
+//! trace encodes — EDE execution dependences, `WAIT_*` barriers, and the
+//! `DSB SY` / `DMB ST` / `DMB SY` fence windows. Both consumers read that
+//! one enumeration:
+//!
+//! * [`check`] — conformance: the *observed* timing of a simulated
+//!   execution must respect every edge. It is the master invariant used
+//!   by the simulator's tests and the fuzzer: whatever the pipeline did,
+//!   a producer must have completed before its consumer's effects became
+//!   observable.
+//! * [`PersistDag`](crate::depgraph::PersistDag) — the explorer's
+//!   persist partial order closes the same edges.
+//!
+//! An [`OrderRelaxation`] is applied here, at the enumerator, so an
+//! injected fault relaxes both consumers the same way.
 
 use ede_isa::{Edk, InstId, InstKind, Op, Program, NUM_EDKS};
 
@@ -22,32 +31,82 @@ pub struct InstTiming {
     pub complete: u64,
 }
 
-/// A violated ordering requirement.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Violation {
-    /// The instruction whose completion was required first.
-    pub producer: InstId,
-    /// The instruction whose effect had to wait.
-    pub consumer: InstId,
-    /// Which rule was violated.
-    pub kind: ViolationKind,
+/// The ordering axiom an [`Edge`] encodes (and a [`Violation`] breaks).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Axiom {
+    /// An EDE execution dependence (key link, `JOIN`, `WAIT_KEY`, or
+    /// `WAIT_ALL_KEYS`): producer → consumer.
+    Execution,
+    /// A `WAIT_KEY`/`WAIT_ALL_KEYS` barrier: the wait → every younger
+    /// store and writeback (the wait retires only once its tracker side
+    /// drains, and stores leave the write buffer only after retiring
+    /// behind it in the in-order ROB).
+    WaitBarrier,
+    /// A `DSB SY` window: every older instruction → fence → every younger
+    /// instruction (retire-time drain, dispatch block).
+    FullFence,
+    /// A `DMB ST` window: older store → fence → younger store. `DC CVAP`
+    /// persists are deliberately *not* covered — that is exactly the
+    /// unsafety of the SU configuration.
+    StoreFence,
+    /// A `DMB SY` window: older load/store → fence → younger
+    /// load/store/writeback. Writebacks are held on the younger side
+    /// (they issue behind the barrier) but not required on the older
+    /// side: requiring persist completion would make it a `DSB SY`.
+    MemFence,
 }
 
-/// The ordering rule a [`Violation`] breaks.
+impl Axiom {
+    /// The fence whose window this axiom describes, if any.
+    fn fence(self) -> Option<InstKind> {
+        match self {
+            Axiom::FullFence => Some(InstKind::FenceFull),
+            Axiom::StoreFence => Some(InstKind::FenceStore),
+            Axiom::MemFence => Some(InstKind::FenceMem),
+            Axiom::Execution | Axiom::WaitBarrier => None,
+        }
+    }
+}
+
+/// One must-order edge: `from` must be honored before `to` takes effect.
+/// All edges point forward in program order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ViolationKind {
-    /// An EDE execution dependence (key link, `JOIN`, `WAIT_KEY`, or
-    /// `WAIT_ALL_KEYS`).
-    Execution,
-    /// A `DSB SY` ordering (older instruction vs. younger instruction).
-    FullFence,
-    /// A `DMB ST` ordering (older store visible vs. younger store
-    /// visible). `DC CVAP` persists are deliberately *not* covered —
-    /// that is exactly the unsafety of the SU configuration.
-    StoreFence,
-    /// A `DMB SY` ordering (older memory access complete vs. younger
-    /// memory access effect).
-    MemFence,
+pub struct Edge {
+    /// The earlier instruction.
+    pub from: InstId,
+    /// The later instruction.
+    pub to: InstId,
+    /// The axiom the edge encodes.
+    pub axiom: Axiom,
+}
+
+/// Which must-order edges a fault injection removes.
+///
+/// Injected faults weaken the pipeline, so the axioms must be weakened
+/// the same way: otherwise the explorer (`ede-sim explore`) would wrongly
+/// prove faulted runs impossible. Two faults are statically modelable:
+///
+/// * `drop_execution` — the `DropEdeps` fault clears execution dependences
+///   at dispatch and skips the `WAIT_KEY`/`WAIT_ALL_KEYS` tracker checks,
+///   so both the [`Axiom::Execution`] and [`Axiom::WaitBarrier`] edges
+///   disappear;
+/// * `weak_dsb` — the `WeakDsb` fault lets a `DSB SY` retire without
+///   draining older persists, so the older→fence edges disappear (the
+///   fence still blocks younger dispatch, so fence→younger edges remain).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct OrderRelaxation {
+    /// Remove execution-dependence and wait-barrier edges (`DropEdeps`).
+    pub drop_execution: bool,
+    /// Remove older→`DSB SY` drain edges (`WeakDsb`).
+    pub weak_dsb: bool,
+}
+
+impl OrderRelaxation {
+    /// No relaxation: the full ordering axioms of a fault-free pipeline.
+    pub const NONE: OrderRelaxation = OrderRelaxation {
+        drop_execution: false,
+        weak_dsb: false,
+    };
 }
 
 /// Computes the execution dependences a trace encodes, in architectural
@@ -81,7 +140,10 @@ pub fn execution_deps(program: &Program) -> Vec<(InstId, InstId)> {
     // All EDE instructions, for WAIT_ALL_KEYS.
     let mut all_ede: Vec<InstId> = Vec::new();
 
-    let consume = |key: Edk, id: InstId, latest: &[Option<InstId>; NUM_EDKS], deps: &mut Vec<(InstId, InstId)>| {
+    let consume = |key: Edk,
+                   id: InstId,
+                   latest: &[Option<InstId>; NUM_EDKS],
+                   deps: &mut Vec<(InstId, InstId)>| {
         if let Some(p) = latest[key.index() as usize] {
             if !key.is_zero() {
                 deps.push((p, id));
@@ -125,144 +187,118 @@ pub fn execution_deps(program: &Program) -> Vec<(InstId, InstId)> {
     deps
 }
 
-/// Checks that every execution dependence in `program` was honored by an
-/// execution with the given per-instruction timing.
+/// Calls `visit` on every must-order edge of `program` that survives
+/// `relax`: first the [`execution_deps`], then, instruction by
+/// instruction, each fence's and wait's window — for a fence, the edges
+/// *into* it from the older instructions it orders before the edges *out*
+/// of it to the younger instructions it holds back.
+///
+/// The windows mirror the pipeline model (`crates/cpu/src/core.rs`):
+/// `DSB SY` orders everything except other `DSB SY`s, whose windows
+/// already cover the same instructions; `DMB ST` is an LSQ barrier for
+/// stores; `DMB SY` holds every memory operation at issue; a wait holds
+/// younger stores and writebacks at the write buffer.
+pub fn for_each_edge(program: &Program, relax: OrderRelaxation, mut visit: impl FnMut(Edge)) {
+    use InstKind::*;
+    if !relax.drop_execution {
+        for (from, to) in execution_deps(program) {
+            visit(Edge {
+                from,
+                to,
+                axiom: Axiom::Execution,
+            });
+        }
+    }
+    let kinds: Vec<InstKind> = program.iter().map(|(_, i)| i.kind()).collect();
+    type Orders = fn(InstKind) -> bool;
+    for (f, inst) in program.iter() {
+        let (axiom, older, younger): (Axiom, Orders, Orders) = match inst.op {
+            Op::DsbSy => (Axiom::FullFence, |k| k != FenceFull, |k| k != FenceFull),
+            Op::DmbSt => (Axiom::StoreFence, |k| k == Store, |k| k == Store),
+            Op::DmbSy => (
+                Axiom::MemFence,
+                |k| matches!(k, Load | Store),
+                |k| matches!(k, Load | Store | Writeback),
+            ),
+            Op::WaitKey { .. } | Op::WaitAllKeys if !relax.drop_execution => (
+                Axiom::WaitBarrier,
+                |_| false,
+                |k| matches!(k, Store | Writeback),
+            ),
+            _ => continue,
+        };
+        let drained = !(axiom == Axiom::FullFence && relax.weak_dsb);
+        for (o, &k) in kinds[..f.index()].iter().enumerate() {
+            if drained && older(k) {
+                visit(Edge {
+                    from: InstId(o as u64),
+                    to: f,
+                    axiom,
+                });
+            }
+        }
+        for (y, &k) in kinds.iter().enumerate().skip(f.index() + 1) {
+            if younger(k) {
+                visit(Edge {
+                    from: f,
+                    to: InstId(y as u64),
+                    axiom,
+                });
+            }
+        }
+    }
+}
+
+/// A violated ordering requirement.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Violation {
+    /// The instruction (or fence) that had to be honored first.
+    pub producer: InstId,
+    /// The instruction whose effect had to wait.
+    pub consumer: InstId,
+    /// Which axiom was violated.
+    pub kind: Axiom,
+}
+
+/// Checks that an execution with the given per-instruction timing
+/// respected every edge of `program` under `relax`: each edge's source
+/// must be *released* no later than its target's effect.
+///
+/// An instruction is released when it completes. A fence has no
+/// observable effect of its own, so its window passes through it: the
+/// fence is released once every instruction ordered into it has
+/// completed, and the edges into it only set that release time.
 ///
 /// `times[i]` describes instruction `InstId(i)`. Returns all violations
-/// (empty means the execution was correct).
+/// in consumer order per axiom (empty means the execution was correct).
 ///
 /// # Panics
 ///
 /// Panics if `times` is shorter than the program.
-pub fn check_execution_deps(program: &Program, times: &[InstTiming]) -> Vec<Violation> {
+pub fn check(program: &Program, times: &[InstTiming], relax: OrderRelaxation) -> Vec<Violation> {
     assert!(times.len() >= program.len(), "missing timing entries");
-    execution_deps(program)
-        .into_iter()
-        .filter(|&(p, c)| times[p.index()].complete > times[c.index()].effect)
-        .map(|(p, c)| Violation {
-            producer: p,
-            consumer: c,
-            kind: ViolationKind::Execution,
-        })
-        .collect()
-}
-
-/// Checks `DSB SY` semantics: no instruction younger than a DSB may have
-/// an effect before every older instruction completed.
-///
-/// To keep this O(n), the check uses running maxima/minima per DSB window
-/// rather than all pairs; a violation is reported against the offending
-/// DSB with the earliest-effect younger instruction.
-///
-/// # Panics
-///
-/// Panics if `times` is shorter than the program.
-pub fn check_full_fences(program: &Program, times: &[InstTiming]) -> Vec<Violation> {
-    assert!(times.len() >= program.len(), "missing timing entries");
+    let mut release = vec![0u64; program.len()];
     let mut violations = Vec::new();
-    let mut max_complete_before: u64 = 0;
-    // For each DSB, remember the completion high-water mark of everything
-    // older; scan younger instructions for an effect earlier than it.
-    let mut pending: Vec<(InstId, u64)> = Vec::new(); // (dsb, required floor)
-    for (id, inst) in program.iter() {
-        if inst.kind() == InstKind::FenceFull {
-            pending.push((id, max_complete_before));
-        } else {
-            let t = times[id.index()];
-            for &(dsb, floor) in &pending {
-                if t.effect < floor {
-                    violations.push(Violation {
-                        producer: dsb,
-                        consumer: id,
-                        kind: ViolationKind::FullFence,
-                    });
-                }
-            }
-            max_complete_before = max_complete_before.max(t.complete);
+    for_each_edge(program, relax, |e| {
+        let fence = e.axiom.fence();
+        if fence == Some(program[e.to].kind()) {
+            release[e.to.index()] = release[e.to.index()].max(times[e.from.index()].complete);
+            return;
         }
-    }
-    violations
-}
-
-/// Checks `DMB ST` semantics: no *store* younger than the barrier may
-/// become globally visible before every older store has. Only
-/// [`InstKind::Store`] instructions participate on either side: loads are
-/// unordered by `DMB ST`, and `DC CVAP` persists deliberately escape it
-/// (the SU configuration's documented unsafety), so a checker that
-/// included writebacks would reject architecturally-correct SU runs.
-///
-/// # Panics
-///
-/// Panics if `times` is shorter than the program.
-pub fn check_store_fences(program: &Program, times: &[InstTiming]) -> Vec<Violation> {
-    assert!(times.len() >= program.len(), "missing timing entries");
-    windowed_fence_check(program, times, InstKind::FenceStore, |kind| {
-        kind == InstKind::Store
-    })
-}
-
-/// Checks `DMB SY` semantics: no memory operation (load, store, or
-/// writeback) younger than the barrier may have an effect before every
-/// older *load and store* completed. Writebacks are held on the younger
-/// side (they are memory operations and issue behind the barrier) but not
-/// required on the older side: `DMB SY` orders accesses, and requiring
-/// persist completion would make it as strong as `DSB SY`.
-///
-/// # Panics
-///
-/// Panics if `times` is shorter than the program.
-pub fn check_mem_fences(program: &Program, times: &[InstTiming]) -> Vec<Violation> {
-    assert!(times.len() >= program.len(), "missing timing entries");
-    windowed_fence_check(program, times, InstKind::FenceMem, |kind| {
-        matches!(kind, InstKind::Load | InstKind::Store)
-    })
-}
-
-/// Shared engine for the windowed `DMB` checks: for every fence of
-/// `fence_kind`, the completion high-water mark of older instructions
-/// selected by `orders_older` must not exceed the effect time of any
-/// younger instruction the fence holds back.
-fn windowed_fence_check(
-    program: &Program,
-    times: &[InstTiming],
-    fence_kind: InstKind,
-    orders_older: impl Fn(InstKind) -> bool,
-) -> Vec<Violation> {
-    // Which younger instructions a fence holds back mirrors the pipeline
-    // model: DMB ST is an LSQ barrier for stores; DMB SY holds every
-    // memory operation at issue.
-    let held_younger = |kind: InstKind| match fence_kind {
-        InstKind::FenceStore => kind == InstKind::Store,
-        _ => matches!(kind, InstKind::Load | InstKind::Store | InstKind::Writeback),
-    };
-    let mut violations = Vec::new();
-    let mut max_complete_before: u64 = 0;
-    let mut pending: Vec<(InstId, u64)> = Vec::new(); // (fence, required floor)
-    for (id, inst) in program.iter() {
-        let kind = inst.kind();
-        if kind == fence_kind {
-            pending.push((id, max_complete_before));
+        let ready = if fence == Some(program[e.from].kind()) {
+            release[e.from.index()]
         } else {
-            let t = times[id.index()];
-            if held_younger(kind) {
-                for &(fence, floor) in &pending {
-                    if t.effect < floor {
-                        violations.push(Violation {
-                            producer: fence,
-                            consumer: id,
-                            kind: match fence_kind {
-                                InstKind::FenceStore => ViolationKind::StoreFence,
-                                _ => ViolationKind::MemFence,
-                            },
-                        });
-                    }
-                }
-            }
-            if orders_older(kind) {
-                max_complete_before = max_complete_before.max(t.complete);
-            }
+            times[e.from.index()].complete
+        };
+        if ready > times[e.to.index()].effect {
+            violations.push(Violation {
+                producer: e.from,
+                consumer: e.to,
+                kind: e.axiom,
+            });
         }
-    }
+    });
+    violations.sort_by_key(|v| (v.kind, v.consumer));
     violations
 }
 
@@ -273,6 +309,12 @@ mod tests {
 
     fn k(n: u8) -> Edk {
         Edk::new(n).unwrap()
+    }
+
+    fn edges(program: &Program, relax: OrderRelaxation) -> Vec<Edge> {
+        let mut out = Vec::new();
+        for_each_edge(program, relax, |e| out.push(e));
+        out
     }
 
     fn honored(effect_p: u64, complete_p: u64, effect_c: u64) -> bool {
@@ -289,7 +331,7 @@ mod tests {
             effect: effect_c,
             complete: effect_c + 1,
         };
-        check_execution_deps(&p, &times).is_empty()
+        check(&p, &times, OrderRelaxation::NONE).is_empty()
     }
 
     #[test]
@@ -362,9 +404,17 @@ mod tests {
                 complete: 60,
             };
         }
-        let v = check_full_fences(&p, &times);
-        assert!(!v.is_empty());
-        assert_eq!(v[0].kind, ViolationKind::FullFence);
+        let v = check(&p, &times, OrderRelaxation::NONE);
+        assert_eq!(v.len(), 3);
+        assert!(v
+            .iter()
+            .all(|x| x.kind == Axiom::FullFence && x.producer == InstId(3)));
+        // WeakDsb drops the drain edges, and with them every violation.
+        let weak = OrderRelaxation {
+            weak_dsb: true,
+            ..OrderRelaxation::NONE
+        };
+        assert!(check(&p, &times, weak).is_empty());
 
         // Fix the timing: younger effects at/after 100.
         for i in [4usize, 5, 6] {
@@ -373,7 +423,7 @@ mod tests {
                 complete: 120,
             };
         }
-        assert!(check_full_fences(&p, &times).is_empty());
+        assert!(check(&p, &times, OrderRelaxation::NONE).is_empty());
     }
 
     #[test]
@@ -401,9 +451,9 @@ mod tests {
             effect: 10,
             complete: 30,
         };
-        let v = check_store_fences(&p, &times);
+        let v = check(&p, &times, OrderRelaxation::NONE);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::StoreFence);
+        assert_eq!(v[0].kind, Axiom::StoreFence);
         assert_eq!(v[0].producer, InstId(3));
         assert_eq!(v[0].consumer, InstId(6));
 
@@ -412,7 +462,7 @@ mod tests {
             effect: 100,
             complete: 110,
         };
-        assert!(check_store_fences(&p, &times).is_empty());
+        assert!(check(&p, &times, OrderRelaxation::NONE).is_empty());
     }
 
     #[test]
@@ -438,16 +488,72 @@ mod tests {
             effect: 40,
             complete: 80,
         };
-        let v = check_mem_fences(&p, &times);
+        let v = check(&p, &times, OrderRelaxation::NONE);
         assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| x.kind == ViolationKind::MemFence));
+        assert!(v.iter().all(|x| x.kind == Axiom::MemFence));
         assert!(v.iter().any(|x| x.consumer == InstId(5)));
         assert!(v.iter().any(|x| x.consumer == InstId(7)));
 
         // Both at/after the floor: clean.
         times[5].effect = 100;
         times[7].effect = 100;
-        assert!(check_mem_fences(&p, &times).is_empty());
+        assert!(check(&p, &times, OrderRelaxation::NONE).is_empty());
+    }
+
+    #[test]
+    fn wait_barrier_holds_younger_stores_unless_dropped() {
+        let mut b = TraceBuilder::new();
+        b.cvap_producing(0x40, k(1)); // ids 0,1 (lea,cvap)
+        b.wait_all_keys(); // id 2
+        b.store(0x80, 2); // ids 3,4,5
+        let p = b.finish();
+        let mut times = vec![InstTiming::default(); p.len()];
+        times[1] = InstTiming {
+            effect: 10,
+            complete: 100,
+        };
+        // The wait completes behind its producer, but the younger store
+        // takes effect before the wait completes.
+        times[2] = InstTiming {
+            effect: 100,
+            complete: 100,
+        };
+        times[5] = InstTiming {
+            effect: 60,
+            complete: 70,
+        };
+        let v = check(&p, &times, OrderRelaxation::NONE);
+        assert_eq!(
+            v,
+            vec![Violation {
+                producer: InstId(2),
+                consumer: InstId(5),
+                kind: Axiom::WaitBarrier,
+            }]
+        );
+        let drop = OrderRelaxation {
+            drop_execution: true,
+            ..OrderRelaxation::NONE
+        };
+        assert!(check(&p, &times, drop).is_empty());
+        assert!(edges(&p, drop).is_empty());
+    }
+
+    #[test]
+    fn edges_point_forward_and_fences_pass_through() {
+        let mut b = TraceBuilder::new();
+        b.store(0x40, 1); // ids 0,1,2
+        b.dsb_sy(); // id 3
+        b.dsb_sy(); // id 4
+        b.store(0x80, 2); // ids 5,6,7
+        let p = b.finish();
+        let all = edges(&p, OrderRelaxation::NONE);
+        assert!(all.iter().all(|e| e.from < e.to));
+        // Neither DSB orders the other: their windows cover the same
+        // instructions.
+        assert!(!all.iter().any(|e| e.from == InstId(3) && e.to == InstId(4)));
+        assert_eq!(all.iter().filter(|e| e.to == InstId(4)).count(), 3);
+        assert_eq!(all.iter().filter(|e| e.from == InstId(3)).count(), 3);
     }
 
     #[test]
@@ -456,6 +562,6 @@ mod tests {
         let mut b = TraceBuilder::new();
         b.store(0x40, 1);
         let p = b.finish();
-        check_execution_deps(&p, &[]);
+        check(&p, &[], OrderRelaxation::NONE);
     }
 }

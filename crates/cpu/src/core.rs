@@ -1624,6 +1624,7 @@ impl<M: MemPort> Core<M> {
 mod tests {
     use super::*;
     use crate::port::FixedLatencyMem;
+    use ede_core::ordering::OrderRelaxation;
     use ede_isa::{Edk, TraceBuilder};
 
     const LOAD_LAT: u64 = 10;
@@ -1638,7 +1639,7 @@ mod tests {
     }
 
     fn check_exec_deps(program: &Program, stats: &RunStats) {
-        let v = ede_core::ordering::check_execution_deps(program, &stats.timings);
+        let v = ede_core::ordering::check(program, &stats.timings, OrderRelaxation::NONE);
         assert!(v.is_empty(), "execution-dependence violations: {v:?}");
     }
 
@@ -2281,7 +2282,7 @@ mod tests {
         let mem = FixedLatencyMem::new(LOAD_LAT, ACK_LAT);
         let mut core = Core::new(cfg, p.clone(), mem);
         let stats = core.run(1_000_000).expect("terminates");
-        let v = ede_core::ordering::check_execution_deps(&p, &stats.timings);
+        let v = ede_core::ordering::check(&p, &stats.timings, OrderRelaxation::NONE);
         assert_eq!(v.len(), 1, "exactly one violated dependence, got {v:?}");
     }
 

@@ -1,6 +1,6 @@
 //! Targeted pipeline edge cases beyond the randomized property tests.
 
-use ede_core::ordering::check_execution_deps;
+use ede_core::ordering::{check, OrderRelaxation};
 use ede_core::EnforcementPoint;
 use ede_cpu::{Core, CpuConfig, FixedLatencyMem};
 use ede_isa::{Edk, EdkPair, InstKind, Program, TraceBuilder};
@@ -123,7 +123,7 @@ fn completed_producer_imposes_no_stall_on_late_consumer() {
     // The consumer store issues without an execution-dependence stall:
     // its effect follows its own dependences promptly.
     assert!(t[consumer_at.index() + 2].effect > 0);
-    assert!(check_execution_deps(&p, t).is_empty());
+    assert!(check(&p, t, OrderRelaxation::NONE).is_empty());
 }
 
 #[test]
@@ -175,7 +175,7 @@ fn wb_mode_load_consumer_blocks_at_issue() {
     b.release(base2);
     let p = b.finish();
     let stats = run(&p, wb_cfg());
-    assert!(check_execution_deps(&p, &stats.timings).is_empty());
+    assert!(check(&p, &stats.timings, OrderRelaxation::NONE).is_empty());
 }
 
 #[test]
@@ -236,7 +236,7 @@ fn key_redefinition_in_flight_links_to_newest_producer() {
     let p = b.finish();
     for cfg in [iq_cfg(), wb_cfg()] {
         let stats = run(&p, cfg);
-        assert!(check_execution_deps(&p, &stats.timings).is_empty());
+        assert!(check(&p, &stats.timings, OrderRelaxation::NONE).is_empty());
         // The architectural dependence names the second cvap only.
         let deps = ede_core::ordering::execution_deps(&p);
         assert_eq!(deps.len(), 1);

@@ -6,7 +6,7 @@
 //! Ported from proptest to `ede_util::check`; the historical regression
 //! entry lives on as `regression_store_key0_then_wait_all`.
 
-use ede_core::ordering::{check_execution_deps, check_full_fences};
+use ede_core::ordering::{check, OrderRelaxation};
 use ede_core::EnforcementPoint;
 use ede_cpu::{Core, CpuConfig, FixedLatencyMem};
 use ede_isa::{Edk, EdkPair, Program, TraceBuilder};
@@ -129,10 +129,8 @@ fn check_run(program: &Program, enforcement: Option<EnforcementPoint>, full_mem:
             .expect("no deadlock with fixed-latency memory")
     };
     assert_eq!(stats.retired, program.len() as u64, "all instructions retire");
-    let v = check_execution_deps(program, &stats.timings);
-    assert!(v.is_empty(), "execution deps violated: {v:?}");
-    let f = check_full_fences(program, &stats.timings);
-    assert!(f.is_empty(), "DSB semantics violated: {f:?}");
+    let v = check(program, &stats.timings, OrderRelaxation::NONE);
+    assert!(v.is_empty(), "ordering axioms violated: {v:?}");
 }
 
 fn all_points_hold(steps: &[Step], full_mem: bool) {

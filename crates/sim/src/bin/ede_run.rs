@@ -101,7 +101,11 @@ fn main() {
         eprintln!("chrome timeline written to {path}");
     }
     if program.iter().any(|(_, i)| i.is_ede()) {
-        let v = ede_core::ordering::check_execution_deps(&program, &r.timings);
+        let v: Vec<_> = r
+            .ordering_violations()
+            .into_iter()
+            .filter(|v| v.kind == ede_core::ordering::Axiom::Execution)
+            .collect();
         if v.is_empty() {
             println!("execution dependences: all honored");
         } else {

@@ -2,7 +2,7 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use ede_core::ordering::{check_execution_deps, InstTiming, Violation};
+use ede_core::ordering::{self, InstTiming, OrderRelaxation, Violation};
 use ede_cpu::core::StallStats;
 use ede_cpu::ptrace::{PipeObserver, PipeRecorder};
 use ede_cpu::{Core, IssueHistogram, StallTable, Tracer, TracerConfig};
@@ -62,10 +62,11 @@ impl RunResult {
         }
     }
 
-    /// Validates that every EDE execution dependence in the trace was
-    /// honored by this run (empty = correct).
-    pub fn execution_violations(&self) -> Vec<Violation> {
-        check_execution_deps(&self.output.program, &self.timings)
+    /// Validates that every ordering axiom in the trace — execution
+    /// dependences, waits, and fences — was honored by this run (empty =
+    /// correct).
+    pub fn ordering_violations(&self) -> Vec<Violation> {
+        ordering::check(&self.output.program, &self.timings, OrderRelaxation::NONE)
     }
 
     /// Checks failure atomicity at `samples` crash instants spread over
@@ -330,7 +331,7 @@ mod tests {
         let sim = SimConfig::a72();
         for arch in [ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
             let r = run_workload(&Update, &params, arch, &sim).unwrap();
-            assert!(r.execution_violations().is_empty());
+            assert!(r.ordering_violations().is_empty());
         }
     }
 

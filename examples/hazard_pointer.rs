@@ -92,9 +92,7 @@ pub fn run() -> Vec<RunResult> {
     for arch in [ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
         let r = run_program("hazard-ede", raw_output(ede.clone()), arch, &sim)
             .expect("EDE run completes");
-        let violations =
-            ede_core::ordering::check_execution_deps(&r.output.program, &r.timings);
-        assert!(violations.is_empty(), "announcement ordering broken");
+        assert!(r.ordering_violations().is_empty(), "announcement ordering broken");
         println!(
             "EDE, {arch} hardware: {:>7} cycles  ({:.0}% faster, ordering verified)",
             r.cycles,

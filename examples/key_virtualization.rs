@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example key_virtualization`
 
 use ede_core::keyalloc::{KeyAllocator, VKey};
-use ede_core::ordering::check_execution_deps;
 use ede_core::EnforcementPoint;
 use ede_isa::TraceBuilder;
 use ede_sim::runner::{raw_output, run_program, RunResult};
@@ -57,7 +56,7 @@ pub fn run() -> Vec<RunResult> {
         let r = run_program("keyalloc", raw_output(program.clone()),
                             ede_isa::ArchConfig::WriteBuffer, &sim)
             .expect("run completes");
-        let ok = check_execution_deps(&program, &r.timings).is_empty();
+        let ok = r.ordering_violations().is_empty();
         println!(
             "  {label}:\n    {} instructions, {} spills (WAIT_KEYs), {} cycles, \
              orderings honored: {ok}",

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: workloads → code generation → core
 //! simulation → architectural validation.
 
-use ede_core::ordering::{check_execution_deps, check_full_fences};
+use ede_core::ordering::{for_each_edge, Axiom, OrderRelaxation};
 use ede_isa::ArchConfig;
 use ede_sim::{run_workload, SimConfig};
 use ede_workloads::{standard_suite, WorkloadParams};
@@ -46,10 +46,10 @@ fn execution_dependences_honored_everywhere() {
     for w in standard_suite() {
         for arch in [ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
             let r = run_workload(w.as_ref(), &params, arch, &sim).unwrap();
-            let v = check_execution_deps(&r.output.program, &r.timings);
+            let v = r.ordering_violations();
             assert!(
                 v.is_empty(),
-                "{} on {arch}: {} execution-dependence violations, first: {:?}",
+                "{} on {arch}: {} ordering violations, first: {:?}",
                 w.name(),
                 v.len(),
                 v.first()
@@ -64,10 +64,10 @@ fn dsb_semantics_honored_in_baseline() {
     let sim = SimConfig::a72();
     for w in standard_suite() {
         let r = run_workload(w.as_ref(), &params, ArchConfig::Baseline, &sim).unwrap();
-        let v = check_full_fences(&r.output.program, &r.timings);
+        let v = r.ordering_violations();
         assert!(
             v.is_empty(),
-            "{}: DSB violations, first: {:?}",
+            "{}: ordering violations, first: {:?}",
             w.name(),
             v.first()
         );
@@ -104,15 +104,21 @@ fn ede_removes_fences_and_shortens_traces() {
 
 #[test]
 fn dependence_graph_shows_execution_edges_only_under_ede() {
-    use ede_core::depgraph::{DepGraph, DepKind};
+    // EDE code trades the baseline's DSB windows for execution edges.
     let params = small_params();
     let w = &standard_suite()[0];
-    let b = DepGraph::build(&w.generate(&params, ArchConfig::Baseline).program);
-    assert_eq!(b.edges_of(DepKind::Execution).count(), 0);
-    let e = DepGraph::build(&w.generate(&params, ArchConfig::IssueQueue).program);
-    assert!(e.edges_of(DepKind::Execution).count() > 0);
-    assert!(e.edges_of(DepKind::Register).count() > 0);
-    assert!(e.edges_of(DepKind::Memory).count() > 0);
+    let count = |arch, axiom| {
+        let program = w.generate(&params, arch).program;
+        let mut n = 0;
+        for_each_edge(&program, OrderRelaxation::NONE, |e| {
+            n += usize::from(e.axiom == axiom)
+        });
+        n
+    };
+    assert_eq!(count(ArchConfig::Baseline, Axiom::Execution), 0);
+    assert!(count(ArchConfig::Baseline, Axiom::FullFence) > 0);
+    assert!(count(ArchConfig::IssueQueue, Axiom::Execution) > 0);
+    assert_eq!(count(ArchConfig::IssueQueue, Axiom::FullFence), 0);
 }
 
 #[test]
@@ -125,7 +131,7 @@ fn mispredictions_squash_and_recover_with_ede_state() {
     for arch in [ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
         let r = run_workload(standard_suite()[2].as_ref(), &params, arch, &sim).unwrap();
         assert!(r.squashes > 10, "{arch}: expected many squashes");
-        let v = check_execution_deps(&r.output.program, &r.timings);
+        let v = r.ordering_violations();
         assert!(v.is_empty(), "{arch}: EDM checkpointing broke deps: {v:?}");
     }
 }
