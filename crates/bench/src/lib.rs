@@ -28,11 +28,21 @@ use ede_sim::experiment::ExperimentConfig;
 use ede_sim::SimConfig;
 use ede_workloads::WorkloadParams;
 
+/// Reads `name` as a `u64`, `default` when unset.
+///
+/// # Panics
+///
+/// When the variable is set but not a number: a typo must fail the run
+/// loudly, not silently fall back to a full-length default.
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_u64_var(name, std::env::var(name).ok().as_deref(), default)
+}
+
+fn parse_u64_var(name: &str, value: Option<&str>, default: u64) -> u64 {
+    value.map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{name}={v} is not a non-negative integer"))
+    })
 }
 
 /// Builds the experiment configuration from the environment (see the
@@ -86,5 +96,17 @@ mod tests {
         assert_eq!(cfg.params.ops_per_tx, 100);
         let b = super::bench_experiment();
         assert!(b.params.ops <= cfg.params.ops);
+    }
+
+    #[test]
+    fn unset_variables_take_the_default_and_numbers_parse() {
+        assert_eq!(super::parse_u64_var("EDE_OPS", None, 1000), 1000);
+        assert_eq!(super::parse_u64_var("EDE_OPS", Some("250"), 1000), 250);
+    }
+
+    #[test]
+    #[should_panic(expected = "EDE_OPS=abc is not a non-negative integer")]
+    fn unparsable_variables_fail_loudly_with_their_name() {
+        super::parse_u64_var("EDE_OPS", Some("abc"), 1000);
     }
 }

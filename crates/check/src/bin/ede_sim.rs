@@ -66,13 +66,13 @@
 //! document, `--chrome` a `chrome://tracing` timeline. `validate-metrics`
 //! re-checks a written document's shape and conservation invariant.
 //!
-//! `--metrics PATH` on `fuzz`/`inject` writes a campaign metrics
-//! document: the deterministic sequential-replay registry for fuzz, the
-//! detection-matrix registry for inject. Both are byte-identical across
+//! `--metrics PATH` on a campaign writes its metrics document: the
+//! deterministic sequential-replay registry for fuzz, the matrix or
+//! ledger registry for the others. All are byte-identical across
 //! `--jobs` values.
 //!
-//! The three campaign subcommands share a resilient runtime.
-//! `--checkpoint PATH` with `--checkpoint-every N` flushes a versioned
+//! The four campaign subcommands share one flag parser, one resilient
+//! runtime, and one exit ladder. `--checkpoint PATH` with `--checkpoint-every N` flushes a versioned
 //! `ede.checkpoint.v1` document atomically (write-temp + rename) every
 //! N completed units and on shutdown; `--resume PATH` validates the
 //! checkpoint's options fingerprint (mismatch is a typed error, exit 2)
@@ -106,15 +106,17 @@ use ede_check::corrupt::{corrupt_campaign, CorruptOptions, CorruptionKind};
 use ede_check::fuzz::{campaign_metrics, fuzz_campaign, FuzzOptions};
 use ede_check::inject::{inject_campaign, InjectOptions};
 use ede_check::litmus;
-use ede_check::{explore_campaign, CaseOutcome, ExploreError, ExploreOptions, RuntimeOptions, Source};
+use ede_check::{
+    explore_campaign, CaseOutcome, ExploreError, ExploreOptions, RuntimeOptions, Source,
+};
 use ede_cpu::{FaultInjection, TracerConfig};
 use ede_isa::ArchConfig;
 use ede_sim::{
     chrome_trace_json, metrics_json, raw_output, run_program_observed, validate_metrics_json,
     SimConfig,
 };
-use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -157,55 +159,175 @@ fn write_or_die(path: &str, text: &str) {
     }
 }
 
-fn parse_archs(spec: &str) -> Option<Vec<ArchConfig>> {
-    spec.split(',')
-        .map(|label| ArchConfig::ALL.into_iter().find(|a| a.label() == label))
-        .collect()
+/// Parses `value` into `slot`; `false` (a usage error) when it does not
+/// parse.
+fn set<T: FromStr>(slot: &mut T, value: &str) -> bool {
+    value.parse().map(|v| *slot = v).is_ok()
 }
 
-fn parse_faults(spec: &str) -> Option<Vec<FaultInjection>> {
-    spec.split(',').map(FaultInjection::parse).collect()
+/// [`set`] for an optional setting.
+fn set_some<T: FromStr>(slot: &mut Option<T>, value: &str) -> bool {
+    value.parse().map(|v| *slot = Some(v)).is_ok()
 }
 
-/// Parses one resilient-runtime flag into `rt`. `None` means the flag
-/// is not a runtime flag at all; `Some(ok)` reports parse success.
-fn parse_runtime_flag(flag: &str, value: &str, rt: &mut RuntimeOptions) -> Option<bool> {
-    Some(match flag {
-        "--checkpoint" => {
-            rt.checkpoint_path = Some(PathBuf::from(value));
-            true
+/// Parses a comma-separated list with `item` into `slot`.
+fn set_list<T>(slot: &mut Vec<T>, value: &str, item: impl Fn(&str) -> Option<T>) -> bool {
+    value
+        .split(',')
+        .map(item)
+        .collect::<Option<_>>()
+        .map(|v| *slot = v)
+        .is_some()
+}
+
+fn parse_arch(label: &str) -> Option<ArchConfig> {
+    ArchConfig::ALL.into_iter().find(|a| a.label() == label)
+}
+
+/// The option fields every campaign subcommand shares, borrowed from
+/// its options struct (all four name them alike).
+struct Shared<'a> {
+    seed: &'a mut u64,
+    /// `None` for explore, whose `--cases` selects its program source.
+    cases: Option<&'a mut u32>,
+    archs: &'a mut Vec<ArchConfig>,
+    shrink_iters: &'a mut u32,
+    jobs: &'a mut usize,
+    self_test_panic: &'a mut Option<u32>,
+    fast_forward: &'a mut bool,
+    runtime: &'a mut RuntimeOptions,
+    metrics: &'a mut Option<String>,
+}
+
+macro_rules! shared {
+    ($opts:ident, $metrics:ident, $cases:expr) => {
+        Shared {
+            seed: &mut $opts.seed,
+            cases: $cases,
+            archs: &mut $opts.archs,
+            shrink_iters: &mut $opts.max_shrink_iters,
+            jobs: &mut $opts.jobs,
+            self_test_panic: &mut $opts.self_test_panic,
+            fast_forward: &mut $opts.fast_forward,
+            runtime: &mut $opts.runtime,
+            metrics: &mut $metrics,
         }
-        "--checkpoint-every" => value.parse().map(|v| rt.checkpoint_every = v).is_ok(),
-        "--resume" => {
-            rt.resume_from = Some(PathBuf::from(value));
-            true
-        }
-        "--max-wall-secs" => value.parse().map(|v| rt.max_wall_secs = Some(v)).is_ok(),
-        "--max-quarantined" => value.parse().map(|v| rt.max_quarantined = v).is_ok(),
-        "--stop-after" => value.parse().map(|v| rt.stop_after_units = Some(v)).is_ok(),
-        _ => return None,
-    })
+    };
 }
 
-/// Prints the report's quarantined harness panics to stdout; returns
-/// whether the count exceeds the `--max-quarantined` budget.
-fn report_quarantined(quarantined: &[CaseOutcome], rt: &RuntimeOptions) -> bool {
-    for q in quarantined {
+/// Parses a campaign subcommand's flags: the shared ones (plus the
+/// resilient-runtime flags) into `shared`, the rest through
+/// `extra(flag, value)`, where `value` is `None` exactly for the
+/// valueless flags listed in `bare`. `None` (a usage error) on an
+/// unknown flag, a missing value, or one that does not parse.
+fn parse_campaign(
+    args: &[String],
+    mut shared: Shared,
+    bare: &[&str],
+    mut extra: impl FnMut(&str, Option<&str>) -> bool,
+) -> Option<()> {
+    let mut it = args.iter().map(String::as_str);
+    while let Some(flag) = it.next() {
+        let ok = if flag == "--no-fast-forward" {
+            *shared.fast_forward = false;
+            true
+        } else if bare.contains(&flag) {
+            extra(flag, None)
+        } else {
+            let value = it.next()?;
+            let rt = &mut *shared.runtime;
+            match flag {
+                "--metrics" => set_some(shared.metrics, value),
+                "--seed" => set(shared.seed, value),
+                "--cases" if shared.cases.is_some() => {
+                    shared.cases.as_deref_mut().is_some_and(|c| set(c, value))
+                }
+                "--arch" => set_list(shared.archs, value, parse_arch),
+                "--shrink-iters" => set(shared.shrink_iters, value),
+                "--jobs" => set(shared.jobs, value),
+                "--self-test-panic" => set_some(shared.self_test_panic, value),
+                "--checkpoint" => set_some(&mut rt.checkpoint_path, value),
+                "--checkpoint-every" => set(&mut rt.checkpoint_every, value),
+                "--resume" => set_some(&mut rt.resume_from, value),
+                "--max-wall-secs" => set_some(&mut rt.max_wall_secs, value),
+                "--max-quarantined" => set(&mut rt.max_quarantined, value),
+                "--stop-after" => set_some(&mut rt.stop_after_units, value),
+                other => extra(other, Some(value)),
+            }
+        };
+        ok.then_some(())?;
+    }
+    Some(())
+}
+
+/// Reports the resolved worker count on stderr — stdout must stay
+/// byte-identical across `--jobs` values (CI diffs it). `shape`
+/// prefixes the count with the sweep's dimensions.
+fn announce_workers(kind: &str, shape: &str, jobs: usize) {
+    eprintln!(
+        "{kind}: {shape}{} worker(s)",
+        ede_util::pool::Pool::new(jobs).jobs()
+    );
+}
+
+/// A campaign runtime error (checkpoint/resume) is exit 2.
+fn runtime_error(kind: &str, e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{kind}: {e}");
+    ExitCode::from(2)
+}
+
+/// What a finished campaign tells the exit ladder.
+struct Verdict<'a> {
+    kind: &'a str,
+    /// A counterexample, silent corruption, or contract violation.
+    failed: bool,
+    interrupted: bool,
+    /// Units accounted for, out of `total`, and what a unit is called.
+    done: usize,
+    total: usize,
+    noun: &'a str,
+    quarantined: &'a [CaseOutcome],
+}
+
+/// The one exit ladder. Prints the quarantined harness panics, then:
+/// a failure is exit 2 (after `on_failure` prints it); an interrupt is
+/// exit 3 with a resume hint on stderr; a quarantine count over the
+/// `--max-quarantined` budget is exit 2; otherwise exit 0 (after
+/// `on_ok` prints the summary line).
+fn exit_ladder(
+    v: Verdict,
+    rt: &RuntimeOptions,
+    on_failure: impl FnOnce(),
+    on_ok: impl FnOnce(),
+) -> ExitCode {
+    for q in v.quarantined {
         if let CaseOutcome::HarnessPanic { payload, case } = q {
             println!("quarantined case {case}: {payload}");
         }
     }
-    if !quarantined.is_empty() {
-        println!("quarantined: {} harness panic(s)", quarantined.len());
+    if !v.quarantined.is_empty() {
+        println!("quarantined: {} harness panic(s)", v.quarantined.len());
     }
-    quarantined.len() as u64 > rt.max_quarantined
-}
-
-/// Tells the operator (on stderr, so stdout stays deterministic) where
-/// the checkpoint lives, when one is being written.
-fn resume_hint(kind: &str, rt: &RuntimeOptions) {
-    if let Some(p) = rt.checkpoint_path.as_ref().or(rt.resume_from.as_ref()) {
-        eprintln!("{kind}: resume with --resume {}", p.display());
+    if v.failed {
+        on_failure();
+        ExitCode::from(2)
+    } else if v.interrupted {
+        println!("INTERRUPTED: {} of {} {}(s) done", v.done, v.total, v.noun);
+        // stderr, so stdout stays deterministic.
+        if let Some(p) = rt.checkpoint_path.as_ref().or(rt.resume_from.as_ref()) {
+            eprintln!("{}: resume with --resume {}", v.kind, p.display());
+        }
+        ExitCode::from(3)
+    } else if v.quarantined.len() as u64 > rt.max_quarantined {
+        println!(
+            "QUARANTINE BUDGET EXCEEDED: {} harness panic(s), budget {}",
+            v.quarantined.len(),
+            rt.max_quarantined,
+        );
+        ExitCode::from(2)
+    } else {
+        on_ok();
+        ExitCode::SUCCESS
     }
 }
 
@@ -217,46 +339,23 @@ fn run_fuzz(args: &[String]) -> Option<ExitCode> {
         progress_every: 5000,
         ..FuzzOptions::default()
     };
-    let mut metrics_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--no-fast-forward" {
-            opts.fast_forward = false;
-            continue;
-        }
-        let value = it.next()?;
-        let ok = match flag.as_str() {
-            "--metrics" => {
-                metrics_path = Some(value.clone());
-                true
+    let mut metrics = None;
+    parse_campaign(
+        args,
+        shared!(opts, metrics, Some(&mut opts.cases)),
+        &[],
+        |flag, value| {
+            let value = value.unwrap_or_default();
+            match flag {
+                "--max-cmds" => set(&mut opts.max_cmds, value),
+                "--progress" => set(&mut opts.progress_every, value),
+                "--fault" => FaultInjection::parse(value)
+                    .map(|f| opts.fault = Some(f))
+                    .is_some(),
+                _ => false,
             }
-            "--seed" => value.parse().map(|v| opts.seed = v).is_ok(),
-            "--cases" => value.parse().map(|v| opts.cases = v).is_ok(),
-            "--max-cmds" => value.parse().map(|v| opts.max_cmds = v).is_ok(),
-            "--shrink-iters" => value.parse().map(|v| opts.max_shrink_iters = v).is_ok(),
-            "--jobs" => value.parse().map(|v| opts.jobs = v).is_ok(),
-            "--progress" => value.parse().map(|v| opts.progress_every = v).is_ok(),
-            "--arch" => match parse_archs(value) {
-                Some(archs) => {
-                    opts.archs = archs;
-                    true
-                }
-                None => false,
-            },
-            "--fault" => match FaultInjection::parse(value) {
-                Some(f) => {
-                    opts.fault = Some(f);
-                    true
-                }
-                None => false,
-            },
-            "--self-test-panic" => value.parse().map(|v| opts.self_test_panic = Some(v)).is_ok(),
-            other => parse_runtime_flag(other, value, &mut opts.runtime).unwrap_or(false),
-        };
-        if !ok {
-            return None;
-        }
-    }
+        },
+    )?;
 
     let arch_labels: Vec<&str> = opts.archs.iter().map(|a| a.label()).collect();
     println!(
@@ -270,398 +369,253 @@ fn run_fuzz(args: &[String]) -> Option<ExitCode> {
             None => String::new(),
         },
     );
-    // Worker-count info goes to stderr: stdout must stay byte-identical
-    // across --jobs values (CI diffs it).
-    eprintln!(
-        "fuzz: {} worker(s)",
-        ede_util::pool::Pool::new(opts.jobs).jobs()
-    );
+    announce_workers("fuzz", "", opts.jobs);
     let report = match fuzz_campaign(&opts) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("fuzz: {e}");
-            return Some(ExitCode::from(2));
-        }
+        Err(e) => return Some(runtime_error("fuzz", e)),
     };
-    if let Some(path) = &metrics_path {
+    if let Some(path) = &metrics {
         // Sampled sequential replay: byte-identical for every --jobs.
         let reg = campaign_metrics(&opts, report.cases_run, 16);
         write_or_die(path, &format!("{}\n", reg.to_json()));
         eprintln!("fuzz: campaign metrics written to {path}");
     }
-    let over_budget = report_quarantined(&report.quarantined, &opts.runtime);
-    Some(match report.failure {
-        None if report.interrupted => {
-            println!("INTERRUPTED: {} of {} case(s) done", report.cases_run, opts.cases);
-            resume_hint("fuzz", &opts.runtime);
-            ExitCode::from(3)
+    let verdict = Verdict {
+        kind: "fuzz",
+        failed: report.failure.is_some(),
+        interrupted: report.interrupted,
+        done: report.cases_run as usize,
+        total: opts.cases as usize,
+        noun: "case",
+        quarantined: &report.quarantined,
+    };
+    let on_failure = || {
+        let Some(f) = &report.failure else { return };
+        println!(
+            "FAILURE at case {} (case seed {:#x}) on {}: \
+             minimal program after {} shrink steps ({} instructions)",
+            f.case,
+            f.case_seed,
+            f.arch,
+            f.shrink_steps,
+            f.program.len(),
+        );
+        println!("commands: {:?}", f.cmds);
+        println!("{}", ede_isa::asm::listing_annotated(&f.program));
+        for d in &f.diffs {
+            println!("diff: {d}");
         }
-        None if over_budget => {
-            println!(
-                "QUARANTINE BUDGET EXCEEDED: {} harness panic(s), budget {}",
-                report.quarantined.len(),
-                opts.runtime.max_quarantined,
-            );
-            ExitCode::from(2)
-        }
-        None => {
-            println!("ok: {} cases, zero conformance diffs", report.cases_run);
-            ExitCode::SUCCESS
-        }
-        Some(f) => {
-            println!(
-                "FAILURE at case {} (case seed {:#x}) on {}: \
-                 minimal program after {} shrink steps ({} instructions)",
-                f.case,
-                f.case_seed,
-                f.arch,
-                f.shrink_steps,
-                f.program.len(),
-            );
-            println!("commands: {:?}", f.cmds);
-            println!("{}", ede_isa::asm::listing_annotated(&f.program));
-            for d in &f.diffs {
-                println!("diff: {d}");
-            }
-            println!(
-                "replay: ede-sim fuzz --seed {:#x} --cases {} --arch {}",
-                opts.seed,
-                f.case + 1,
-                f.arch.label(),
-            );
-            ExitCode::from(2)
-        }
-    })
+        println!(
+            "replay: ede-sim fuzz --seed {:#x} --cases {} --arch {}",
+            opts.seed,
+            f.case + 1,
+            f.arch.label(),
+        );
+    };
+    let on_ok = || println!("ok: {} cases, zero conformance diffs", report.cases_run);
+    Some(exit_ladder(verdict, &opts.runtime, on_failure, on_ok))
 }
 
 fn run_inject(args: &[String]) -> Option<ExitCode> {
     let mut opts = InjectOptions::default();
-    let mut metrics_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--disable-detectors" {
-            opts.detectors_enabled = false;
-            continue;
-        }
-        if flag == "--no-fast-forward" {
-            opts.fast_forward = false;
-            continue;
-        }
-        let value = it.next()?;
-        let ok = match flag.as_str() {
-            "--metrics" => {
-                metrics_path = Some(value.clone());
+    let mut metrics = None;
+    parse_campaign(
+        args,
+        shared!(opts, metrics, Some(&mut opts.cases)),
+        &["--disable-detectors"],
+        |flag, value| match (flag, value) {
+            ("--disable-detectors", None) => {
+                opts.detectors_enabled = false;
                 true
             }
-            "--seed" => value.parse().map(|v| opts.seed = v).is_ok(),
-            "--cases" => value.parse().map(|v| opts.cases = v).is_ok(),
-            "--max-cmds" => value.parse().map(|v| opts.max_cmds = v).is_ok(),
-            "--shrink-iters" => value.parse().map(|v| opts.max_shrink_iters = v).is_ok(),
-            "--jobs" => value.parse().map(|v| opts.jobs = v).is_ok(),
-            "--progress" => value.parse().map(|v| opts.progress_every = v).is_ok(),
-            "--arch" => match parse_archs(value) {
-                Some(archs) => {
-                    opts.archs = archs;
-                    true
-                }
-                None => false,
-            },
-            "--fault" => match parse_faults(value) {
-                Some(faults) => {
-                    opts.faults = faults;
-                    true
-                }
-                None => false,
-            },
-            "--self-test-panic" => value.parse().map(|v| opts.self_test_panic = Some(v)).is_ok(),
-            other => parse_runtime_flag(other, value, &mut opts.runtime).unwrap_or(false),
-        };
-        if !ok {
-            return None;
-        }
-    }
+            ("--max-cmds", Some(v)) => set(&mut opts.max_cmds, v),
+            ("--progress", Some(v)) => set(&mut opts.progress_every, v),
+            ("--fault", Some(v)) => set_list(&mut opts.faults, v, FaultInjection::parse),
+            _ => false,
+        },
+    )?;
 
-    eprintln!(
-        "inject: {} fault(s) × {} arch(es) × {} case(s), {} worker(s)",
+    let shape = format!(
+        "{} fault(s) × {} arch(es) × {} case(s), ",
         opts.faults.len(),
         opts.archs.len(),
-        opts.cases,
-        ede_util::pool::Pool::new(opts.jobs).jobs()
+        opts.cases
     );
+    announce_workers("inject", &shape, opts.jobs);
     let report = match inject_campaign(&opts) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("inject: {e}");
-            return Some(ExitCode::from(2));
-        }
+        Err(e) => return Some(runtime_error("inject", e)),
     };
-    if let Some(path) = &metrics_path {
+    if let Some(path) = &metrics {
         write_or_die(path, &format!("{}\n", report.metrics().to_json()));
         eprintln!("inject: campaign metrics written to {path}");
     }
     println!("{}", report.to_json());
-    let over_budget = report_quarantined(&report.quarantined, &opts.runtime);
-    Some(if report.all_covered() {
-        if report.interrupted {
-            println!(
-                "INTERRUPTED: {} of {} cell(s) done",
-                report.cells.len() + report.quarantined.len(),
-                opts.faults.len() * opts.archs.len(),
-            );
-            resume_hint("inject", &opts.runtime);
-            ExitCode::from(3)
-        } else if over_budget {
-            println!(
-                "QUARANTINE BUDGET EXCEEDED: {} harness panic(s), budget {}",
-                report.quarantined.len(),
-                opts.runtime.max_quarantined,
-            );
-            ExitCode::from(2)
-        } else {
-            ExitCode::SUCCESS
-        }
-    } else {
-        if let Some(f) = &report.failure {
-            println!(
-                "SILENT CORRUPTION: {} on {} at case {} (case seed {:#x}): \
-                 minimal program after {} shrink steps ({} instructions)",
-                f.fault.label(),
-                f.arch,
-                f.case,
-                f.case_seed,
-                f.shrink_steps,
-                f.program.len(),
-            );
-            println!("commands: {:?}", f.cmds);
-            println!("{}", ede_isa::asm::listing_annotated(&f.program));
-            println!(
-                "replay: ede-sim inject --seed {:#x} --fault {} --arch {}{}",
-                report.seed,
-                f.fault.label(),
-                f.arch.label(),
-                if report.detectors_enabled { "" } else { " --disable-detectors" },
-            );
-        }
-        ExitCode::from(2)
-    })
-}
-
-fn parse_kinds(spec: &str) -> Option<Vec<CorruptionKind>> {
-    spec.split(',').map(CorruptionKind::parse).collect()
+    let verdict = Verdict {
+        kind: "inject",
+        failed: !report.all_covered(),
+        interrupted: report.interrupted,
+        done: report.cells.len() + report.quarantined.len(),
+        total: opts.faults.len() * opts.archs.len(),
+        noun: "cell",
+        quarantined: &report.quarantined,
+    };
+    let on_failure = || {
+        let Some(f) = &report.failure else { return };
+        println!(
+            "SILENT CORRUPTION: {} on {} at case {} (case seed {:#x}): \
+             minimal program after {} shrink steps ({} instructions)",
+            f.fault.label(),
+            f.arch,
+            f.case,
+            f.case_seed,
+            f.shrink_steps,
+            f.program.len(),
+        );
+        println!("commands: {:?}", f.cmds);
+        println!("{}", ede_isa::asm::listing_annotated(&f.program));
+        println!(
+            "replay: ede-sim inject --seed {:#x} --fault {} --arch {}{}",
+            report.seed,
+            f.fault.label(),
+            f.arch.label(),
+            if report.detectors_enabled {
+                ""
+            } else {
+                " --disable-detectors"
+            },
+        );
+    };
+    Some(exit_ladder(verdict, &opts.runtime, on_failure, || {}))
 }
 
 fn run_corrupt(args: &[String]) -> Option<ExitCode> {
     let mut opts = CorruptOptions::default();
-    let mut metrics_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--no-fast-forward" {
-            opts.fast_forward = false;
-            continue;
-        }
-        let value = it.next()?;
-        let ok = match flag.as_str() {
-            "--metrics" => {
-                metrics_path = Some(value.clone());
-                true
+    let mut metrics = None;
+    parse_campaign(
+        args,
+        shared!(opts, metrics, Some(&mut opts.cases)),
+        &[],
+        |flag, value| {
+            let value = value.unwrap_or_default();
+            match flag {
+                "--progress" => set(&mut opts.progress_every, value),
+                "--kind" => set_list(&mut opts.kinds, value, CorruptionKind::parse),
+                _ => false,
             }
-            "--seed" => value.parse().map(|v| opts.seed = v).is_ok(),
-            "--cases" => value.parse().map(|v| opts.cases = v).is_ok(),
-            "--shrink-iters" => value.parse().map(|v| opts.max_shrink_iters = v).is_ok(),
-            "--jobs" => value.parse().map(|v| opts.jobs = v).is_ok(),
-            "--progress" => value.parse().map(|v| opts.progress_every = v).is_ok(),
-            "--arch" => match parse_archs(value) {
-                Some(archs) => {
-                    opts.archs = archs;
-                    true
-                }
-                None => false,
-            },
-            "--kind" => match parse_kinds(value) {
-                Some(kinds) => {
-                    opts.kinds = kinds;
-                    true
-                }
-                None => false,
-            },
-            "--self-test-panic" => value.parse().map(|v| opts.self_test_panic = Some(v)).is_ok(),
-            other => parse_runtime_flag(other, value, &mut opts.runtime).unwrap_or(false),
-        };
-        if !ok {
-            return None;
-        }
-    }
+        },
+    )?;
 
-    eprintln!(
-        "corrupt: {} kind(s) × {} arch(es) × {} case(s), {} worker(s)",
+    let shape = format!(
+        "{} kind(s) × {} arch(es) × {} case(s), ",
         opts.kinds.len(),
         opts.archs.len(),
-        opts.cases,
-        ede_util::pool::Pool::new(opts.jobs).jobs()
+        opts.cases
     );
+    announce_workers("corrupt", &shape, opts.jobs);
     let report = match corrupt_campaign(&opts) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("corrupt: {e}");
-            return Some(ExitCode::from(2));
-        }
+        Err(e) => return Some(runtime_error("corrupt", e)),
     };
-    if let Some(path) = &metrics_path {
+    if let Some(path) = &metrics {
         write_or_die(path, &format!("{}\n", report.metrics().to_json()));
         eprintln!("corrupt: campaign metrics written to {path}");
     }
     println!("{}", report.to_json());
-    let over_budget = report_quarantined(&report.quarantined, &opts.runtime);
-    Some(if report.contract_holds() {
-        if report.interrupted {
-            println!(
-                "INTERRUPTED: {} of {} cell(s) done",
-                report.cells.len() + report.quarantined.len(),
-                opts.kinds.len() * opts.archs.len(),
-            );
-            resume_hint("corrupt", &opts.runtime);
-            ExitCode::from(3)
-        } else if over_budget {
-            println!(
-                "QUARANTINE BUDGET EXCEEDED: {} harness panic(s), budget {}",
-                report.quarantined.len(),
-                opts.runtime.max_quarantined,
-            );
-            ExitCode::from(2)
-        } else {
-            ExitCode::SUCCESS
-        }
-    } else {
-        if let Some(f) = &report.failure {
-            println!(
-                "TRIAGE CONTRACT VIOLATION: {} on {} at case {} \
-                 (case seed {:#x}): {} (minimal after {} shrink steps)",
-                f.kind.spec(),
-                f.arch,
-                f.case,
-                f.case_seed,
-                f.detail,
-                f.shrink_steps,
-            );
-            println!("corruption ops: {:?}", f.ops);
-            println!(
-                "replay: ede-sim corrupt --seed {:#x} --kind {} --arch {} --cases {}",
-                report.seed,
-                f.kind.spec(),
-                f.arch.label(),
-                f.case + 1,
-            );
-        }
-        ExitCode::from(2)
-    })
+    let verdict = Verdict {
+        kind: "corrupt",
+        failed: !report.contract_holds(),
+        interrupted: report.interrupted,
+        done: report.cells.len() + report.quarantined.len(),
+        total: opts.kinds.len() * opts.archs.len(),
+        noun: "cell",
+        quarantined: &report.quarantined,
+    };
+    let on_failure = || {
+        let Some(f) = &report.failure else { return };
+        println!(
+            "TRIAGE CONTRACT VIOLATION: {} on {} at case {} \
+             (case seed {:#x}): {} (minimal after {} shrink steps)",
+            f.kind.spec(),
+            f.arch,
+            f.case,
+            f.case_seed,
+            f.detail,
+            f.shrink_steps,
+        );
+        println!("corruption ops: {:?}", f.ops);
+        println!(
+            "replay: ede-sim corrupt --seed {:#x} --kind {} --arch {} --cases {}",
+            report.seed,
+            f.kind.spec(),
+            f.arch.label(),
+            f.case + 1,
+        );
+    };
+    Some(exit_ladder(verdict, &opts.runtime, on_failure, || {}))
 }
 
 fn run_explore(args: &[String]) -> Option<ExitCode> {
     let mut opts = ExploreOptions::default();
-    let mut metrics_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--no-fast-forward" {
-            opts.fast_forward = false;
-            continue;
-        }
-        if flag == "--progress" {
-            opts.progress = true;
-            continue;
-        }
-        let value = it.next()?;
-        let ok = match flag.as_str() {
-            "--metrics" => {
-                metrics_path = Some(value.clone());
-                true
-            }
-            "--litmus" => {
-                opts.source = Source::Litmus(value.split(',').map(str::to_string).collect());
-                true
-            }
-            "--cases" => value
-                .parse()
-                .map(|cases| opts.source = Source::Generated { cases })
-                .is_ok(),
-            "--tx" => value
-                .parse()
-                .map(|cases| opts.source = Source::Tx { cases })
-                .is_ok(),
-            "--seed" => value.parse().map(|v| opts.seed = v).is_ok(),
-            "--max-cmds" => value.parse().map(|v| opts.max_cmds = v).is_ok(),
-            "--max-states" => value.parse().map(|v| opts.max_states = v).is_ok(),
-            "--max-events" => value.parse().map(|v| opts.max_events = v).is_ok(),
-            "--shrink-iters" => value.parse().map(|v| opts.max_shrink_iters = v).is_ok(),
-            "--jobs" => value.parse().map(|v| opts.jobs = v).is_ok(),
-            "--arch" => match parse_archs(value) {
-                Some(archs) => {
-                    opts.archs = archs;
+    let mut metrics = None;
+    parse_campaign(
+        args,
+        shared!(opts, metrics, None),
+        &["--progress"],
+        |flag, value| {
+            let Some(value) = value else {
+                // The one bare extra flag.
+                opts.progress = true;
+                return true;
+            };
+            match flag {
+                "--litmus" => {
+                    opts.source = Source::Litmus(value.split(',').map(str::to_string).collect());
                     true
                 }
-                None => false,
-            },
-            "--fault" => match FaultInjection::parse(value) {
-                Some(f) => {
-                    opts.fault = Some(f);
-                    true
-                }
-                None => false,
-            },
-            "--self-test-panic" => value.parse().map(|v| opts.self_test_panic = Some(v)).is_ok(),
-            other => parse_runtime_flag(other, value, &mut opts.runtime).unwrap_or(false),
-        };
-        if !ok {
-            return None;
-        }
-    }
+                "--cases" => value
+                    .parse()
+                    .map(|cases| opts.source = Source::Generated { cases })
+                    .is_ok(),
+                "--tx" => value
+                    .parse()
+                    .map(|cases| opts.source = Source::Tx { cases })
+                    .is_ok(),
+                "--max-cmds" => set(&mut opts.max_cmds, value),
+                "--max-states" => set(&mut opts.max_states, value),
+                "--max-events" => set(&mut opts.max_events, value),
+                "--fault" => FaultInjection::parse(value)
+                    .map(|f| opts.fault = Some(f))
+                    .is_some(),
+                _ => false,
+            }
+        },
+    )?;
 
-    // Worker count to stderr only: stdout (the ledger + summary) must
-    // stay byte-identical across --jobs values (CI diffs it).
-    eprintln!(
-        "explore: {} worker(s)",
-        ede_util::pool::Pool::new(opts.jobs).jobs()
-    );
+    announce_workers("explore", "", opts.jobs);
     let report = match explore_campaign(&opts) {
         Ok(report) => report,
         Err(ExploreError::Usage(e)) => {
             eprintln!("explore: {e}");
             return Some(ExitCode::from(1));
         }
-        Err(ExploreError::Resume(e)) => {
-            eprintln!("explore: {e}");
-            return Some(ExitCode::from(2));
-        }
+        Err(ExploreError::Resume(e)) => return Some(runtime_error("explore", e)),
     };
-    if let Some(path) = &metrics_path {
+    if let Some(path) = &metrics {
         write_or_die(path, &format!("{}\n", report.metrics().to_json()));
         eprintln!("explore: metrics written to {path}");
     }
     println!("{}", report.to_json());
-    let over_budget = report_quarantined(&report.quarantined, &opts.runtime);
-    Some(if report.all_proved() {
-        if report.interrupted {
-            println!(
-                "INTERRUPTED: {} of {} cell(s) done",
-                report.cells.len() + report.quarantined.len(),
-                report.planned_cells,
-            );
-            resume_hint("explore", &opts.runtime);
-            ExitCode::from(3)
-        } else if over_budget {
-            println!(
-                "QUARANTINE BUDGET EXCEEDED: {} harness panic(s), budget {}",
-                report.quarantined.len(),
-                opts.runtime.max_quarantined,
-            );
-            ExitCode::from(2)
-        } else {
-            println!(
-                "ok: {} cell(s) proved over every admissible crash state",
-                report.cells.len()
-            );
-            ExitCode::SUCCESS
-        }
-    } else {
+    let verdict = Verdict {
+        kind: "explore",
+        failed: !report.all_proved(),
+        interrupted: report.interrupted,
+        done: report.cells.len() + report.quarantined.len(),
+        total: report.planned_cells,
+        noun: "cell",
+        quarantined: &report.quarantined,
+    };
+    let on_failure = || {
         for c in &report.cells {
             if let Some(cx) = &c.counterexample {
                 println!(
@@ -688,8 +642,14 @@ fn run_explore(args: &[String]) -> Option<ExitCode> {
                 );
             }
         }
-        ExitCode::from(2)
-    })
+    };
+    let on_ok = || {
+        println!(
+            "ok: {} cell(s) proved over every admissible crash state",
+            report.cells.len()
+        );
+    };
+    Some(exit_ladder(verdict, &opts.runtime, on_failure, on_ok))
 }
 
 fn run_trace(args: &[String]) -> Option<ExitCode> {

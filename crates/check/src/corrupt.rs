@@ -41,6 +41,7 @@
 //! (the campaign runs on the shared resilient runtime:
 //! checkpoint/resume, wall-clock deadline, panic quarantine).
 
+use crate::campaign::{self, Campaign, Plan, Record};
 use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
 use ede_isa::ArchConfig;
 use ede_mem::trace::nvm_image_at;
@@ -51,11 +52,9 @@ use ede_nvm::triage::{triage_recover, triage_recover_redo, TriageReport};
 use ede_nvm::Layout;
 use ede_sim::{run_program, SimConfig};
 use ede_util::check::{minimize, shrinkable_vec};
-use ede_util::obs::{json, json_escape};
-use ede_util::pool::Pool;
 use ede_util::progress;
 use ede_util::rng::{mix64, SmallRng, SplitMix64};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One kind of at-rest media damage, applied to a crash image before
 /// recovery. Labels, `ALL`, and `parse` mirror the
@@ -271,6 +270,17 @@ pub struct CellReport {
     first_violation: Option<u32>,
 }
 
+/// The names of a cell's counters, in [`CellReport::counts`] order: the
+/// metrics registry's outcome keys and the checkpoint payload's.
+const COUNTERS: [&str; 6] = [
+    "clean",
+    "rolled_back",
+    "repaired_torn",
+    "quarantined",
+    "unrecoverable",
+    "violations",
+];
+
 impl CellReport {
     /// Total cases the cell ran.
     pub fn total(&self) -> u32 {
@@ -279,6 +289,18 @@ impl CellReport {
             + self.repaired_torn
             + self.quarantined
             + self.unrecoverable
+    }
+
+    /// The counters, in [`COUNTERS`] order.
+    fn counts(&self) -> [u32; 6] {
+        [
+            self.clean,
+            self.rolled_back,
+            self.repaired_torn,
+            self.quarantined,
+            self.unrecoverable,
+            self.violations,
+        ]
     }
 }
 
@@ -352,27 +374,7 @@ impl CorruptReport {
             ));
         }
         s.push_str("  ],\n");
-        // Emitted only when set, so a completed clean campaign's
-        // document is byte-identical to an uninterrupted one — the
-        // resume byte-identity contract and the CI diffs rely on it.
-        if self.interrupted {
-            s.push_str("  \"interrupted\": true,\n");
-        }
-        if !self.quarantined.is_empty() {
-            s.push_str("  \"quarantined\": [");
-            for (i, q) in self.quarantined.iter().enumerate() {
-                if let CaseOutcome::HarnessPanic { payload, case } = q {
-                    if i > 0 {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&format!(
-                        "{{\"cell\": {case}, \"payload\": {}}}",
-                        json_escape(payload)
-                    ));
-                }
-            }
-            s.push_str("],\n");
-        }
+        s.push_str(&campaign::runtime_json(self.interrupted, &self.quarantined));
         s.push_str(&format!("  \"contract_holds\": {}\n", self.contract_holds()));
         s.push('}');
         s
@@ -386,14 +388,7 @@ impl CorruptReport {
         let mut reg = ede_util::obs::Registry::new();
         for c in &self.cells {
             let cell = format!("corrupt.{}.{}", c.kind.label(), c.arch.label());
-            for (outcome, n) in [
-                ("clean", c.clean),
-                ("rolled_back", c.rolled_back),
-                ("repaired_torn", c.repaired_torn),
-                ("quarantined", c.quarantined),
-                ("unrecoverable", c.unrecoverable),
-                ("violations", c.violations),
-            ] {
+            for (outcome, n) in COUNTERS.into_iter().zip(c.counts()) {
                 reg.inc(&format!("{cell}.{outcome}"), u64::from(n));
             }
         }
@@ -768,18 +763,7 @@ fn run_cell(opts: &CorruptOptions, kind: CorruptionKind, arch: ArchConfig) -> Ce
 
 /// Serializes one cell's counters for the checkpoint payload store.
 fn cell_payload(c: &CellReport) -> String {
-    format!(
-        "{{\"clean\": {}, \"rolled_back\": {}, \"repaired_torn\": {}, \
-         \"quarantined\": {}, \"unrecoverable\": {}, \"violations\": {}, \
-         \"first_violation\": {}}}",
-        c.clean,
-        c.rolled_back,
-        c.repaired_torn,
-        c.quarantined,
-        c.unrecoverable,
-        c.violations,
-        c.first_violation.map_or("null".to_string(), |v| v.to_string()),
-    )
+    campaign::counters_payload(&COUNTERS, &c.counts(), "first_violation", c.first_violation)
 }
 
 /// Restores one cell from its checkpoint payload.
@@ -788,31 +772,16 @@ fn parse_cell_payload(
     kind: CorruptionKind,
     arch: ArchConfig,
 ) -> Result<CellReport, String> {
-    let doc = json::parse(data).map_err(|e| format!("cell payload: {e}"))?;
-    let counter = |key: &str| {
-        doc.get(key)
-            .and_then(json::Json::as_u64)
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| format!("cell payload lacks counter {key}"))
-    };
-    let first_violation = match doc.get("first_violation") {
-        Some(json::Json::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| "cell payload first_violation is not a case index".to_string())?,
-        ),
-        None => return Err("cell payload lacks first_violation".to_string()),
-    };
+    let (n, first_violation) = campaign::parse_counters(data, &COUNTERS, "first_violation")?;
     Ok(CellReport {
         kind,
         arch,
-        clean: counter("clean")?,
-        rolled_back: counter("rolled_back")?,
-        repaired_torn: counter("repaired_torn")?,
-        quarantined: counter("quarantined")?,
-        unrecoverable: counter("unrecoverable")?,
-        violations: counter("violations")?,
+        clean: n[0],
+        rolled_back: n[1],
+        repaired_torn: n[2],
+        quarantined: n[3],
+        unrecoverable: n[4],
+        violations: n[5],
         first_violation,
     })
 }
@@ -875,67 +844,62 @@ pub fn corrupt(opts: &CorruptOptions) -> CorruptReport {
 /// A [`ResumeError`] when the resume checkpoint is missing, malformed,
 /// or fingerprint-mismatched, or when a checkpoint flush failed.
 pub fn corrupt_campaign(opts: &CorruptOptions) -> Result<CorruptReport, ResumeError> {
-    let cells: Vec<(CorruptionKind, ArchConfig)> = opts
-        .kinds
-        .iter()
-        .flat_map(|&k| opts.archs.iter().map(move |&a| (k, a)))
-        .collect();
-    let driver = CampaignDriver::new(
-        "corrupt",
-        fingerprint(opts),
-        opts.seed,
-        cells.len() as u64,
-        &opts.runtime,
-    )?;
-    // Restore resumed cells up front: a corrupt payload must fail the
-    // session before any compute, not mid-assembly.
-    let mut restored: BTreeMap<usize, CellReport> = BTreeMap::new();
-    for (i, &(kind, arch)) in cells.iter().enumerate() {
-        if let Some(data) = driver.payload(i as u64) {
-            let cell = parse_cell_payload(&data, kind, arch)
-                .map_err(|detail| ResumeError::Corrupt { detail })?;
-            restored.insert(i, cell);
-        }
-    }
-    let pool = Pool::new(opts.jobs);
-    let outcomes = pool.run_quarantined(cells.len(), |i| {
-        if driver.is_done(i as u64) || driver.interrupted() {
-            return None;
-        }
-        if opts.self_test_panic == Some(i as u32) {
-            panic!("deliberate harness panic at cell {i}");
-        }
-        let (kind, arch) = cells[i];
-        let cell = run_cell(opts, kind, arch);
-        driver.complete(i as u64, Some(cell_payload(&cell)));
-        Some(cell)
-    });
-    let mut reports: Vec<(usize, CellReport)> = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(Some(cell)) => reports.push((i, cell)),
-            Ok(None) => {
-                if let Some(cell) = restored.remove(&i) {
-                    reports.push((i, cell));
-                }
-            }
-            Err(up) => driver.quarantine(i as u64, up.message.clone()),
-        }
-    }
-    let failure = reports.iter().find_map(|(_, r)| {
+    let sweep = campaign::run(opts)?;
+    let failure = sweep.units.iter().find_map(|(_, r)| {
         r.first_violation
             .map(|case| violation_failure(opts, r.kind, r.arch, case))
     });
-    let end = driver.finish()?;
-    let scanned = end.completed + end.quarantined.len() as u64;
     Ok(CorruptReport {
         seed: opts.seed,
         cases: opts.cases,
-        cells: reports.into_iter().map(|(_, r)| r).collect(),
+        cells: sweep.units.into_iter().map(|(_, r)| r).collect(),
         failure,
-        interrupted: end.interrupted && scanned < cells.len() as u64,
-        quarantined: end.quarantined,
+        interrupted: sweep.interrupted,
+        quarantined: sweep.quarantined,
     })
+}
+
+impl CorruptOptions {
+    /// Matrix cell `i` in sweep order: kinds outer, archs inner.
+    fn cell(&self, i: usize) -> (CorruptionKind, ArchConfig) {
+        (
+            self.kinds[i / self.archs.len()],
+            self.archs[i % self.archs.len()],
+        )
+    }
+}
+
+/// The triage matrix as a [`Campaign`]: one unit per (kind, arch)
+/// cell, whose counters are the checkpoint payload.
+impl Campaign for CorruptOptions {
+    type Unit = CellReport;
+
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            kind: "corrupt",
+            noun: "cell",
+            fingerprint: fingerprint(self),
+            seed: self.seed,
+            units: self.kinds.len() * self.archs.len(),
+            jobs: self.jobs,
+            runtime: &self.runtime,
+            self_test_panic: self.self_test_panic,
+        }
+    }
+
+    fn run_unit(&self, unit: usize, _: &CampaignDriver) -> Option<CellReport> {
+        let (kind, arch) = self.cell(unit);
+        Some(run_cell(self, kind, arch))
+    }
+
+    fn record(&self, cell: &CellReport) -> Record {
+        Record::Done(Some(cell_payload(cell)))
+    }
+
+    fn decode(&self, unit: usize, data: &str) -> Result<CellReport, String> {
+        let (kind, arch) = self.cell(unit);
+        parse_cell_payload(data, kind, arch)
+    }
 }
 
 #[cfg(test)]
@@ -1096,44 +1060,6 @@ mod tests {
         );
         assert!(!report.interrupted);
         assert!(report.to_json().contains("\"quarantined\": [{\"cell\": 0,"));
-    }
-
-    #[test]
-    fn interrupt_and_resume_restores_the_clean_matrix() {
-        let dir = std::env::temp_dir().join(format!("ede-corrupt-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("cp.json");
-        let base = CorruptOptions {
-            cases: 1,
-            kinds: vec![CorruptionKind::BitFlip { count: 1 }, CorruptionKind::Truncate],
-            archs: vec![ArchConfig::Baseline, ArchConfig::WriteBuffer],
-            jobs: 1,
-            ..CorruptOptions::default()
-        };
-        let clean = corrupt(&base);
-        let interrupted = corrupt(&CorruptOptions {
-            runtime: RuntimeOptions {
-                checkpoint_path: Some(path.clone()),
-                checkpoint_every: 1,
-                stop_after_units: Some(2),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        });
-        assert!(interrupted.interrupted);
-        assert!(interrupted.cells.len() < 4);
-        assert!(interrupted.to_json().contains("\"interrupted\": true"));
-        let resumed = corrupt(&CorruptOptions {
-            jobs: 2,
-            runtime: RuntimeOptions {
-                resume_from: Some(path.clone()),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        });
-        assert_eq!(resumed, clean);
-        assert_eq!(resumed.to_json(), clean.to_json());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

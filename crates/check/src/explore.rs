@@ -58,6 +58,7 @@
 //! vs. pruned, crash points checked, per-cell verdicts, and shrunk
 //! counterexamples in the fuzz-report command-list format.
 
+use crate::campaign::{self, Campaign, Plan, Record};
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig, GoldenRun};
 use crate::litmus;
@@ -71,10 +72,10 @@ use ede_nvm::CrashChecker;
 use ede_sim::{raw_output, run_program_traced, SimConfig};
 use ede_util::check::{minimize, shrinkable_vec, Strategy};
 use ede_util::obs::{json, json_escape, Registry};
-use ede_util::pool::{par_frontier, Pool};
+use ede_util::pool::par_frontier;
 use ede_util::progress;
 use ede_util::rng::{mix64, SmallRng, SplitMix64};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// What the explorer enumerates.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -379,28 +380,7 @@ impl ExploreReport {
             ));
         }
         s.push_str("  ],\n");
-        // Emitted only when set, so a completed clean session's ledger
-        // is byte-identical to the blessed `ede.explore.v1` snapshot —
-        // the resume byte-identity contract and the CI diffs rely on
-        // it.
-        if self.interrupted {
-            s.push_str("  \"interrupted\": true,\n");
-        }
-        if !self.quarantined.is_empty() {
-            s.push_str("  \"quarantined\": [");
-            for (i, q) in self.quarantined.iter().enumerate() {
-                if let CaseOutcome::HarnessPanic { payload, case } = q {
-                    if i > 0 {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&format!(
-                        "{{\"cell\": {case}, \"payload\": {}}}",
-                        json_escape(payload)
-                    ));
-                }
-            }
-            s.push_str("],\n");
-        }
+        s.push_str(&campaign::runtime_json(self.interrupted, &self.quarantined));
         s.push_str(&format!(
             "  \"verdicts\": {{\"proved\": {}, \"counterexample\": {}, \
              \"budget-exhausted\": {}}}\n",
@@ -1094,22 +1074,6 @@ pub fn explore_campaign(opts: &ExploreOptions) -> Result<ExploreReport, ExploreE
     let cells: Vec<(usize, ArchConfig)> = (0..specs.len())
         .flat_map(|s| opts.archs.iter().map(move |&a| (s, a)))
         .collect();
-    let driver = CampaignDriver::new(
-        "explore",
-        fingerprint(opts),
-        opts.seed,
-        cells.len() as u64,
-        &opts.runtime,
-    )
-    .map_err(ExploreError::Resume)?;
-    let mut restored: BTreeMap<usize, CellResult> = BTreeMap::new();
-    for (i, &(_, arch)) in cells.iter().enumerate() {
-        if let Some(data) = driver.payload(i as u64) {
-            let cell = parse_cell_payload(&data, arch)
-                .map_err(|detail| ExploreError::Resume(ResumeError::Corrupt { detail }))?;
-            restored.insert(i, cell);
-        }
-    }
     // One cell: give the workers to the state frontier. Many cells:
     // fan cells out and keep each frontier sequential (no nested
     // pools).
@@ -1118,22 +1082,64 @@ pub fn explore_campaign(opts: &ExploreOptions) -> Result<ExploreReport, ExploreE
     } else {
         (opts.jobs, 1)
     };
-    let pool = Pool::new(cell_jobs);
-    let outcomes = pool.run_quarantined(cells.len(), |i| {
-        if driver.is_done(i as u64) || driver.interrupted() {
-            return None;
+    let planned_cells = cells.len();
+    let sweep = campaign::run(&ExploreSweep {
+        opts,
+        specs,
+        cells,
+        relax,
+        cell_jobs,
+        frontier_jobs,
+    })
+    .map_err(ExploreError::Resume)?;
+    Ok(ExploreReport {
+        seed: opts.seed,
+        fault: opts.fault,
+        max_states: opts.max_states,
+        max_events: opts.max_events,
+        cells: sweep.units.into_iter().map(|(_, c)| c).collect(),
+        planned_cells,
+        interrupted: sweep.interrupted,
+        quarantined: sweep.quarantined,
+    })
+}
+
+/// The explorer as a [`Campaign`]: one unit per (program, arch) cell.
+/// Clean cells checkpoint their counters; cells with a counterexample
+/// or impl diff re-run on resume.
+struct ExploreSweep<'a> {
+    opts: &'a ExploreOptions,
+    specs: Vec<Spec>,
+    cells: Vec<(usize, ArchConfig)>,
+    relax: OrderRelaxation,
+    cell_jobs: usize,
+    frontier_jobs: usize,
+}
+
+impl Campaign for ExploreSweep<'_> {
+    type Unit = CellResult;
+
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            kind: "explore",
+            noun: "cell",
+            fingerprint: fingerprint(self.opts),
+            seed: self.opts.seed,
+            units: self.cells.len(),
+            jobs: self.cell_jobs,
+            runtime: &self.opts.runtime,
+            self_test_panic: self.opts.self_test_panic,
         }
-        if opts.self_test_panic == Some(i as u32) {
-            panic!("deliberate harness panic at cell {i}");
-        }
-        let (s, arch) = cells[i];
-        let cell = match &specs[s] {
+    }
+
+    fn run_unit(&self, unit: usize, _: &CampaignDriver) -> Option<CellResult> {
+        let (s, arch) = self.cells[unit];
+        let (opts, jobs, relax) = (self.opts, self.frontier_jobs, self.relax);
+        let cell = match &self.specs[s] {
             Spec::Cmds { name, cmds, case } => {
-                run_cmds_cell(opts, frontier_jobs, name, cmds, *case, arch, relax)
+                run_cmds_cell(opts, jobs, name, cmds, *case, arch, relax)
             }
-            Spec::Tx { name, case_seed } => {
-                run_tx_cell(opts, frontier_jobs, name, *case_seed, arch, relax)
-            }
+            Spec::Tx { name, case_seed } => run_tx_cell(opts, jobs, name, *case_seed, arch, relax),
         };
         if opts.progress {
             progress::stderr().line(&format!(
@@ -1145,35 +1151,20 @@ pub fn explore_campaign(opts: &ExploreOptions) -> Result<ExploreReport, ExploreE
                 cell.verdict.label(),
             ));
         }
-        if cell.counterexample.is_none() && cell.impl_diffs.is_empty() {
-            driver.complete(i as u64, Some(cell_payload(&cell)));
-        }
         Some(cell)
-    });
-    let mut results: Vec<(usize, CellResult)> = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(Some(cell)) => results.push((i, cell)),
-            Ok(None) => {
-                if let Some(cell) = restored.remove(&i) {
-                    results.push((i, cell));
-                }
-            }
-            Err(up) => driver.quarantine(i as u64, up.message.clone()),
+    }
+
+    fn record(&self, cell: &CellResult) -> Record {
+        if cell.counterexample.is_none() && cell.impl_diffs.is_empty() {
+            Record::Done(Some(cell_payload(cell)))
+        } else {
+            Record::Rerun
         }
     }
-    let end = driver.finish().map_err(ExploreError::Resume)?;
-    let covered = results.len() + end.quarantined.len();
-    Ok(ExploreReport {
-        seed: opts.seed,
-        fault: opts.fault,
-        max_states: opts.max_states,
-        max_events: opts.max_events,
-        cells: results.into_iter().map(|(_, c)| c).collect(),
-        planned_cells: cells.len(),
-        interrupted: end.interrupted && covered < cells.len(),
-        quarantined: end.quarantined,
-    })
+
+    fn decode(&self, unit: usize, data: &str) -> Result<CellResult, String> {
+        parse_cell_payload(data, self.cells[unit].1)
+    }
 }
 
 #[cfg(test)]
@@ -1325,43 +1316,6 @@ mod tests {
             }]
         );
         assert!(report.to_json().contains("\"quarantined\": [{\"cell\": 1,"));
-    }
-
-    #[test]
-    fn interrupt_and_resume_restores_the_clean_ledger() {
-        let dir = std::env::temp_dir().join(format!("ede-explore-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("cp.json");
-        let base = ExploreOptions {
-            jobs: 1,
-            ..litmus_opts(&["two_update", "hazard"])
-        };
-        let clean = explore(&base).expect("valid options");
-        let interrupted = explore(&ExploreOptions {
-            runtime: RuntimeOptions {
-                checkpoint_path: Some(path.clone()),
-                checkpoint_every: 1,
-                stop_after_units: Some(2),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        })
-        .expect("valid options");
-        assert!(interrupted.interrupted);
-        assert!(interrupted.cells.len() < interrupted.planned_cells);
-        assert!(interrupted.to_json().contains("\"interrupted\": true"));
-        let resumed = explore(&ExploreOptions {
-            jobs: 2,
-            runtime: RuntimeOptions {
-                resume_from: Some(path.clone()),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        })
-        .expect("valid options");
-        assert_eq!(resumed, clean);
-        assert_eq!(resumed.to_json(), clean.to_json());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

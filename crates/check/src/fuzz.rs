@@ -11,6 +11,7 @@
 //! `case` index identify the program exactly (the per-case seed is drawn
 //! from a `SplitMix64` stream over the base seed).
 
+use crate::campaign::{self, Campaign, Plan};
 use crate::conform::check_run;
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig};
@@ -282,106 +283,109 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
 /// A [`ResumeError`] when the resume checkpoint is missing, malformed,
 /// or fingerprint-mismatched, or when a checkpoint flush failed.
 pub fn fuzz_campaign(opts: &FuzzOptions) -> Result<FuzzReport, ResumeError> {
-    let pool = Pool::new(opts.jobs);
-    let driver = CampaignDriver::new(
-        "fuzz",
-        fingerprint(opts),
-        opts.seed,
-        u64::from(opts.cases),
-        &opts.runtime,
-    )?;
+    let jobs = Pool::new(opts.jobs).jobs();
     // "Virtual workers" partition the case range for progress
     // accounting exactly like the chunked scan used to, keeping the
     // pinned per-worker line format independent of pool scheduling.
-    let workers = pool.jobs().min(opts.cases.max(1) as usize).max(1) as u32;
-    let chunk = opts.cases.div_ceil(workers).max(1);
-    let counters: Vec<(AtomicU32, AtomicU32)> = (0..workers)
-        .map(|_| (AtomicU32::new(0), AtomicU32::new(0)))
-        .collect();
-    // Earliest failing case across all workers; u32::MAX = none yet.
-    // Workers past this index skip their cases — they could not change
-    // the verdict. A resumed failure seeds the cutoff.
-    let earliest = AtomicU32::new(
-        driver
-            .earliest_failure()
-            .map_or(u32::MAX, |u| u32::try_from(u).expect("case indices are u32")),
-    );
-    let outcomes = pool.run_quarantined(opts.cases as usize, |i| {
-        let case = i as u32;
-        if driver.is_done(u64::from(case)) || driver.interrupted() {
-            return;
-        }
-        if earliest.load(Ordering::Relaxed) < case {
-            return;
-        }
-        // The per-case seed is the master stream fast-forwarded to the
-        // case — the same seed a sequential scan would draw.
-        let mut seeds = SplitMix64::new(mix64(opts.seed));
-        seeds.jump(u64::from(case));
-        let case_seed = seeds.next_u64();
-        if opts.self_test_panic == Some(case) {
-            panic!("deliberate harness panic at case {case}");
-        }
-        let strat = cmds_strategy(opts.max_cmds);
-        let mut rng = SmallRng::seed_from_u64(case_seed);
-        let sh = strat.generate(&mut rng);
-        let failed = opts
-            .archs
-            .iter()
-            .any(|&arch| !diff_case_ff(&sh.value, arch, opts.fault, opts.fast_forward).is_empty());
-        let w = case / chunk;
-        let (done_ctr, viol_ctr) = &counters[w as usize];
-        let done = done_ctr.fetch_add(1, Ordering::Relaxed) + 1;
-        if failed {
-            viol_ctr.fetch_add(1, Ordering::Relaxed);
-            earliest.fetch_min(case, Ordering::Relaxed);
-            driver.record_failure(u64::from(case));
-        }
-        driver.complete(u64::from(case), None);
-        if !failed && opts.progress_every > 0 && done.is_multiple_of(opts.progress_every) {
-            let total = chunk.min(opts.cases - w * chunk);
-            progress::stderr().line(&progress_line(
-                w as usize,
-                done,
-                total,
-                viol_ctr.load(Ordering::Relaxed),
-            ));
-        }
-    });
-    for (i, outcome) in outcomes.iter().enumerate() {
-        if let Err(up) = outcome {
-            driver.quarantine(i as u64, up.message.clone());
-        }
-    }
+    let workers = jobs.min(opts.cases.max(1) as usize).max(1) as u32;
+    let scan = FuzzScan {
+        opts,
+        jobs,
+        chunk: opts.cases.div_ceil(workers).max(1),
+        counters: (0..workers)
+            .map(|_| (AtomicU32::new(0), AtomicU32::new(0)))
+            .collect(),
+    };
+    let sweep = campaign::run(&scan)?;
     if opts.progress_every > 0 {
         for w in 0..workers {
-            let total = chunk.min(opts.cases.saturating_sub(w * chunk));
-            let (done_ctr, viol_ctr) = &counters[w as usize];
-            progress::stderr().line(&progress_line(
-                w as usize,
-                done_ctr.load(Ordering::Relaxed),
-                total,
-                viol_ctr.load(Ordering::Relaxed),
-            ));
+            scan.progress(w, scan.counters[w as usize].0.load(Ordering::Relaxed));
         }
     }
-    let end = driver.finish()?;
-    let scanned = end.completed + end.quarantined.len() as u64;
-    let interrupted = end.interrupted && scanned < u64::from(opts.cases);
-    let failure = driver
-        .earliest_failure()
+    let failure = sweep
+        .earliest_failure
         .map(|case| case_failure(opts, u32::try_from(case).expect("case indices are u32")));
     let cases_run = match &failure {
         Some(f) => f.case + 1,
-        None if interrupted => u32::try_from(scanned).expect("case indices are u32"),
+        None if sweep.interrupted => u32::try_from(sweep.covered).expect("case indices are u32"),
         None => opts.cases,
     };
     Ok(FuzzReport {
         cases_run,
         failure,
-        interrupted,
-        quarantined: end.quarantined,
+        interrupted: sweep.interrupted,
+        quarantined: sweep.quarantined,
     })
+}
+
+/// The fuzz scan as a [`Campaign`]: one unit per case, no payloads —
+/// the verdict is the earliest failing case, which the driver records.
+struct FuzzScan<'a> {
+    opts: &'a FuzzOptions,
+    jobs: usize,
+    /// Cases per virtual worker.
+    chunk: u32,
+    /// Per virtual worker: (cases done, violations).
+    counters: Vec<(AtomicU32, AtomicU32)>,
+}
+
+impl FuzzScan<'_> {
+    /// Prints virtual worker `w`'s progress line at `done` cases.
+    fn progress(&self, w: u32, done: u32) {
+        progress::stderr().line(&progress_line(
+            w as usize,
+            done,
+            self.chunk.min(self.opts.cases.saturating_sub(w * self.chunk)),
+            self.counters[w as usize].1.load(Ordering::Relaxed),
+        ));
+    }
+}
+
+impl Campaign for FuzzScan<'_> {
+    type Unit = ();
+
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            kind: "fuzz",
+            noun: "case",
+            fingerprint: fingerprint(self.opts),
+            seed: self.opts.seed,
+            units: self.opts.cases as usize,
+            jobs: self.jobs,
+            runtime: &self.opts.runtime,
+            self_test_panic: self.opts.self_test_panic,
+        }
+    }
+
+    fn run_unit(&self, unit: usize, driver: &CampaignDriver) -> Option<()> {
+        let case = unit as u32;
+        // Cases past the earliest failure (a resumed one included)
+        // could not change the verdict: leave them unscanned.
+        if driver.earliest_failure().is_some_and(|e| e < u64::from(case)) {
+            return None;
+        }
+        let opts = self.opts;
+        // The per-case seed is the master stream fast-forwarded to the
+        // case — the same seed a sequential scan would draw.
+        let mut seeds = SplitMix64::new(mix64(opts.seed));
+        seeds.jump(u64::from(case));
+        let mut rng = SmallRng::seed_from_u64(seeds.next_u64());
+        let sh = cmds_strategy(opts.max_cmds).generate(&mut rng);
+        let failed = opts
+            .archs
+            .iter()
+            .any(|&arch| !diff_case_ff(&sh.value, arch, opts.fault, opts.fast_forward).is_empty());
+        let w = case / self.chunk;
+        let (done, violations) = &self.counters[w as usize];
+        let done = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if failed {
+            violations.fetch_add(1, Ordering::Relaxed);
+            driver.record_failure(u64::from(case));
+        } else if opts.progress_every > 0 && done.is_multiple_of(opts.progress_every) {
+            self.progress(w, done);
+        }
+        Some(())
+    }
 }
 
 #[cfg(test)]
@@ -470,40 +474,6 @@ mod tests {
                 case: 2,
             }]
         );
-    }
-
-    #[test]
-    fn stop_after_interrupts_and_resume_restores_the_clean_report() {
-        let dir = std::env::temp_dir().join(format!("ede-fuzz-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("cp.json");
-        let base = FuzzOptions {
-            cases: 8,
-            max_cmds: 12,
-            jobs: 1,
-            ..FuzzOptions::default()
-        };
-        let clean = fuzz(&base);
-        let interrupted = fuzz(&FuzzOptions {
-            runtime: RuntimeOptions {
-                checkpoint_path: Some(path.clone()),
-                checkpoint_every: 1,
-                stop_after_units: Some(3),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        });
-        assert!(interrupted.interrupted);
-        assert!(interrupted.cases_run < base.cases);
-        let resumed = fuzz(&FuzzOptions {
-            runtime: RuntimeOptions {
-                resume_from: Some(path.clone()),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        });
-        assert_eq!(resumed, clean);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! detector off — a self-test hook proving the campaign *does* fail
 //! (with a shrunk reproducer) when corruption goes unobserved.
 
+use crate::campaign::{self, Campaign, Plan, Record};
 use crate::conform::check_run;
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig};
@@ -50,8 +51,6 @@ use ede_nvm::recovery::NvmImage;
 use ede_nvm::{CrashChecker, Layout, TxOutput, TxWriter};
 use ede_sim::{raw_output, run_program, run_program_traced, RunResult, SimConfig};
 use ede_util::check::{minimize, Strategy};
-use ede_util::obs::{json, json_escape};
-use ede_util::pool::Pool;
 use ede_util::progress;
 use ede_util::rng::{mix64, SmallRng, SplitMix64};
 use std::collections::BTreeMap;
@@ -176,10 +175,33 @@ pub struct CellReport {
     first_silent: Option<u32>,
 }
 
+/// The names of a cell's counters, in [`CellReport::counts`] order: the
+/// metrics registry's outcome keys and the checkpoint payload's.
+const COUNTERS: [&str; 6] = [
+    "conformance",
+    "watchdog",
+    "cycle_limit",
+    "crash_checker",
+    "tolerated",
+    "silent",
+];
+
 impl CellReport {
     /// Total cases some detector caught.
     pub fn detected(&self) -> u32 {
         self.conformance + self.watchdog + self.cycle_limit + self.crash_checker
+    }
+
+    /// The counters, in [`COUNTERS`] order.
+    fn counts(&self) -> [u32; 6] {
+        [
+            self.conformance,
+            self.watchdog,
+            self.cycle_limit,
+            self.crash_checker,
+            self.tolerated,
+            self.silent,
+        ]
     }
 }
 
@@ -262,27 +284,7 @@ impl InjectReport {
             ));
         }
         s.push_str("  ],\n");
-        // Emitted only when set, so a completed clean campaign's
-        // document is byte-identical to the pre-runtime format — the
-        // resume byte-identity contract and the CI diffs rely on it.
-        if self.interrupted {
-            s.push_str("  \"interrupted\": true,\n");
-        }
-        if !self.quarantined.is_empty() {
-            s.push_str("  \"quarantined\": [");
-            for (i, q) in self.quarantined.iter().enumerate() {
-                if let CaseOutcome::HarnessPanic { payload, case } = q {
-                    if i > 0 {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&format!(
-                        "{{\"cell\": {case}, \"payload\": {}}}",
-                        json_escape(payload)
-                    ));
-                }
-            }
-            s.push_str("],\n");
-        }
+        s.push_str(&campaign::runtime_json(self.interrupted, &self.quarantined));
         s.push_str(&format!("  \"covered\": {}\n", self.all_covered()));
         s.push('}');
         s
@@ -296,14 +298,7 @@ impl InjectReport {
         let mut reg = ede_util::obs::Registry::new();
         for c in &self.cells {
             let cell = format!("inject.{}.{}", c.fault.label(), c.arch.label());
-            for (outcome, n) in [
-                ("conformance", c.conformance),
-                ("watchdog", c.watchdog),
-                ("cycle_limit", c.cycle_limit),
-                ("crash_checker", c.crash_checker),
-                ("tolerated", c.tolerated),
-                ("silent", c.silent),
-            ] {
+            for (outcome, n) in COUNTERS.into_iter().zip(c.counts()) {
                 reg.inc(&format!("{cell}.{outcome}"), u64::from(n));
             }
         }
@@ -570,17 +565,7 @@ fn run_cell(opts: &InjectOptions, cell_index: usize, fault: FaultInjection, arch
 
 /// Serializes one cell's counters for the checkpoint payload store.
 fn cell_payload(c: &CellReport) -> String {
-    format!(
-        "{{\"conformance\": {}, \"watchdog\": {}, \"cycle_limit\": {}, \
-         \"crash_checker\": {}, \"tolerated\": {}, \"silent\": {}, \"first_silent\": {}}}",
-        c.conformance,
-        c.watchdog,
-        c.cycle_limit,
-        c.crash_checker,
-        c.tolerated,
-        c.silent,
-        c.first_silent.map_or("null".to_string(), |v| v.to_string()),
-    )
+    campaign::counters_payload(&COUNTERS, &c.counts(), "first_silent", c.first_silent)
 }
 
 /// Restores one cell from its checkpoint payload.
@@ -589,31 +574,16 @@ fn parse_cell_payload(
     fault: FaultInjection,
     arch: ArchConfig,
 ) -> Result<CellReport, String> {
-    let doc = json::parse(data).map_err(|e| format!("cell payload: {e}"))?;
-    let counter = |key: &str| {
-        doc.get(key)
-            .and_then(json::Json::as_u64)
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| format!("cell payload lacks counter {key}"))
-    };
-    let first_silent = match doc.get("first_silent") {
-        Some(json::Json::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| "cell payload first_silent is not a case index".to_string())?,
-        ),
-        None => return Err("cell payload lacks first_silent".to_string()),
-    };
+    let (n, first_silent) = campaign::parse_counters(data, &COUNTERS, "first_silent")?;
     Ok(CellReport {
         fault,
         arch,
-        conformance: counter("conformance")?,
-        watchdog: counter("watchdog")?,
-        cycle_limit: counter("cycle_limit")?,
-        crash_checker: counter("crash_checker")?,
-        tolerated: counter("tolerated")?,
-        silent: counter("silent")?,
+        conformance: n[0],
+        watchdog: n[1],
+        cycle_limit: n[2],
+        crash_checker: n[3],
+        tolerated: n[4],
+        silent: n[5],
         first_silent,
     })
 }
@@ -677,70 +647,63 @@ pub fn inject(opts: &InjectOptions) -> InjectReport {
 /// A [`ResumeError`] when the resume checkpoint is missing, malformed,
 /// or fingerprint-mismatched, or when a checkpoint flush failed.
 pub fn inject_campaign(opts: &InjectOptions) -> Result<InjectReport, ResumeError> {
-    let cells: Vec<(FaultInjection, ArchConfig)> = opts
-        .faults
-        .iter()
-        .flat_map(|&f| opts.archs.iter().map(move |&a| (f, a)))
-        .collect();
-    let driver = CampaignDriver::new(
-        "inject",
-        fingerprint(opts),
-        opts.seed,
-        cells.len() as u64,
-        &opts.runtime,
-    )?;
-    // Restore resumed cells up front: a corrupt payload must fail the
-    // session before any compute, not mid-assembly.
-    let mut restored: BTreeMap<usize, CellReport> = BTreeMap::new();
-    for (i, &(fault, arch)) in cells.iter().enumerate() {
-        if let Some(data) = driver.payload(i as u64) {
-            let cell = parse_cell_payload(&data, fault, arch)
-                .map_err(|detail| ResumeError::Corrupt { detail })?;
-            restored.insert(i, cell);
-        }
-    }
-    let pool = Pool::new(opts.jobs);
-    let outcomes = pool.run_quarantined(cells.len(), |i| {
-        if driver.is_done(i as u64) || driver.interrupted() {
-            return None;
-        }
-        if opts.self_test_panic == Some(i as u32) {
-            panic!("deliberate harness panic at cell {i}");
-        }
-        let (fault, arch) = cells[i];
-        let cell = run_cell(opts, i, fault, arch);
-        driver.complete(i as u64, Some(cell_payload(&cell)));
-        Some(cell)
-    });
-    // Assemble in cell order: fresh results, resumed cells, and gaps
-    // for quarantined or interrupted cells (absent from the report).
-    let mut reports: Vec<(usize, CellReport)> = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(Some(cell)) => reports.push((i, cell)),
-            Ok(None) => {
-                if let Some(cell) = restored.remove(&i) {
-                    reports.push((i, cell));
-                }
-            }
-            Err(up) => driver.quarantine(i as u64, up.message.clone()),
-        }
-    }
-    let failure = reports.iter().find_map(|&(i, ref r)| {
+    let sweep = campaign::run(opts)?;
+    let failure = sweep.units.iter().find_map(|&(i, ref r)| {
         r.first_silent
             .map(|case| silent_failure(opts, i, r.fault, r.arch, case))
     });
-    let end = driver.finish()?;
-    let scanned = end.completed + end.quarantined.len() as u64;
     Ok(InjectReport {
         seed: opts.seed,
         cases: opts.cases,
         detectors_enabled: opts.detectors_enabled,
-        cells: reports.into_iter().map(|(_, r)| r).collect(),
+        cells: sweep.units.into_iter().map(|(_, r)| r).collect(),
         failure,
-        interrupted: end.interrupted && scanned < cells.len() as u64,
-        quarantined: end.quarantined,
+        interrupted: sweep.interrupted,
+        quarantined: sweep.quarantined,
     })
+}
+
+impl InjectOptions {
+    /// Matrix cell `i` in sweep order: faults outer, archs inner.
+    fn cell(&self, i: usize) -> (FaultInjection, ArchConfig) {
+        (
+            self.faults[i / self.archs.len()],
+            self.archs[i % self.archs.len()],
+        )
+    }
+}
+
+/// The detection matrix as a [`Campaign`]: one unit per (fault, arch)
+/// cell, whose counters are the checkpoint payload.
+impl Campaign for InjectOptions {
+    type Unit = CellReport;
+
+    fn plan(&self) -> Plan<'_> {
+        Plan {
+            kind: "inject",
+            noun: "cell",
+            fingerprint: fingerprint(self),
+            seed: self.seed,
+            units: self.faults.len() * self.archs.len(),
+            jobs: self.jobs,
+            runtime: &self.runtime,
+            self_test_panic: self.self_test_panic,
+        }
+    }
+
+    fn run_unit(&self, unit: usize, _: &CampaignDriver) -> Option<CellReport> {
+        let (fault, arch) = self.cell(unit);
+        Some(run_cell(self, unit, fault, arch))
+    }
+
+    fn record(&self, cell: &CellReport) -> Record {
+        Record::Done(Some(cell_payload(cell)))
+    }
+
+    fn decode(&self, unit: usize, data: &str) -> Result<CellReport, String> {
+        let (fault, arch) = self.cell(unit);
+        parse_cell_payload(data, fault, arch)
+    }
 }
 
 #[cfg(test)]
@@ -880,45 +843,6 @@ mod tests {
         );
         assert!(!report.interrupted);
         assert!(report.to_json().contains("\"quarantined\": [{\"cell\": 0,"));
-    }
-
-    #[test]
-    fn interrupt_and_resume_restores_the_clean_matrix() {
-        let dir = std::env::temp_dir().join(format!("ede-inject-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("cp.json");
-        let base = InjectOptions {
-            cases: 1,
-            max_cmds: 15,
-            faults: vec![FaultInjection::WeakDsb, FaultInjection::TornStp],
-            archs: vec![ArchConfig::Baseline, ArchConfig::WriteBuffer],
-            jobs: 1,
-            ..InjectOptions::default()
-        };
-        let clean = inject(&base);
-        let interrupted = inject(&InjectOptions {
-            runtime: RuntimeOptions {
-                checkpoint_path: Some(path.clone()),
-                checkpoint_every: 1,
-                stop_after_units: Some(2),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        });
-        assert!(interrupted.interrupted);
-        assert!(interrupted.cells.len() < 4);
-        assert!(interrupted.to_json().contains("\"interrupted\": true"));
-        let resumed = inject(&InjectOptions {
-            jobs: 2,
-            runtime: RuntimeOptions {
-                resume_from: Some(path.clone()),
-                ..RuntimeOptions::default()
-            },
-            ..base.clone()
-        });
-        assert_eq!(resumed, clean);
-        assert_eq!(resumed.to_json(), clean.to_json());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

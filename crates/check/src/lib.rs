@@ -48,7 +48,9 @@
 //!   flushed atomically at a configurable cadence, fingerprint-checked
 //!   `--resume` with byte-identical final output, per-unit panic
 //!   quarantine, and graceful `--max-wall-secs` deadline shutdown
-//!   (exit code 3).
+//!   (exit code 3). Fuzz, inject, explore, and corrupt each implement
+//!   one `Campaign` trait over it, and one runner (`campaign::run`)
+//!   owns the resume / quarantine / assembly protocol for all four.
 //!
 //! # Example
 //!
@@ -62,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod campaign;
 pub mod conform;
 pub mod corrupt;
 pub mod explore;

@@ -1,10 +1,12 @@
 //! The resilient campaign runtime: checkpoint/resume, panic
 //! quarantine bookkeeping, and graceful deadline shutdown.
 //!
-//! The fuzz, inject, and explore campaigns are long-running sampled or
-//! exhaustive sweeps; a worker panic, an OOM kill, or a CI wall-clock
-//! timeout used to discard every case already evaluated. This module
-//! treats the checker itself as a crash-prone process:
+//! The fuzz, inject, explore, and corrupt campaigns are long-running
+//! sampled or exhaustive sweeps; a worker panic, an OOM kill, or a CI
+//! wall-clock timeout used to discard every case already evaluated.
+//! This module treats the checker itself as a crash-prone process (the
+//! per-unit protocol that drives it lives once, in
+//! [`crate::campaign::run`]):
 //!
 //! * **Checkpointing** — a versioned [`CHECKPOINT_FORMAT`] document
 //!   records the campaign kind, an options [fingerprint], the master
@@ -135,7 +137,7 @@ impl std::error::Error for ResumeError {}
 /// needs to continue the sweep and reproduce the identical verdict.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Checkpoint {
-    /// The campaign subcommand (`fuzz`, `inject`, `explore`).
+    /// The campaign subcommand (`fuzz`, `inject`, `explore`, `corrupt`).
     pub kind: String,
     /// The canonical options fingerprint the campaign ran under.
     pub fingerprint: String,
@@ -151,7 +153,8 @@ pub struct Checkpoint {
     /// Quarantined harness panics: `(unit, payload)` in unit order.
     pub quarantined: Vec<(u64, String)>,
     /// Per-unit result payloads campaigns need back on resume (the
-    /// inject and explore cells), `(unit, serialized)` in unit order.
+    /// inject, explore, and corrupt cells), `(unit, serialized)` in
+    /// unit order.
     pub payloads: Vec<(u64, String)>,
 }
 

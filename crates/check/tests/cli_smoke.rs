@@ -2,7 +2,21 @@
 //! summary line shape, the progress-reporting format, the explore
 //! ledger's stdout contract, and the contract that stdout is
 //! byte-identical for every `--jobs` value.
+//!
+//! The `*_branches_are_pinned` tests record the full stdout and exit
+//! code of every campaign subcommand on each branch of its exit ladder
+//! (clean, failure, deadline, quarantine budget, resume mismatch, usage
+//! error) in `tests/golden/cli/`, plus a checkpoint each campaign wrote
+//! mid-run, which must still resume to the clean stdout. To regenerate
+//! after an *intentional* output change:
+//!
+//! ```sh
+//! EDE_BLESS=1 cargo test -p ede-check --test cli_smoke pinned
+//! git diff tests/golden/cli/   # review every changed line
+//! ```
 
+use ede_util::diff::unified_diff;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn ede_sim(args: &[&str]) -> Output {
@@ -286,9 +300,18 @@ fn harness_panics_are_quarantined_and_counted_against_the_budget() {
 
 #[test]
 fn env_deadline_zero_interrupts_every_campaign_with_exit_3() {
-    for sub in ["fuzz", "inject", "explore"] {
+    let shared = ["--seed", "0", "--cases", "4", "--jobs", "2"];
+    for (sub, extra) in [
+        ("fuzz", &["--max-cmds", "10"][..]),
+        ("inject", &["--max-cmds", "10"][..]),
+        ("explore", &["--max-cmds", "10"][..]),
+        // corrupt takes no --max-cmds (it simulates fixed tx programs).
+        ("corrupt", &[][..]),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ede-sim"))
-            .args([sub, "--seed", "0", "--cases", "4", "--max-cmds", "10", "--jobs", "2"])
+            .arg(sub)
+            .args(shared)
+            .args(extra)
             .env("EDE_DEADLINE_SECS", "0")
             .output()
             .expect("spawn ede-sim");
@@ -296,4 +319,238 @@ fn env_deadline_zero_interrupts_every_campaign_with_exit_3() {
         let stdout = String::from_utf8(out.stdout).unwrap();
         assert!(stdout.contains("INTERRUPTED: 0 of "), "{sub} stdout: {stdout}");
     }
+}
+
+/// Variant flags appended to a pinned scenario: every one must print
+/// the same stdout and exit with the same code.
+const JOBS_AND_PATHS: [&[&str]; 4] = [
+    &["--jobs", "1"],
+    &["--jobs", "4"],
+    &["--jobs", "1", "--no-fast-forward"],
+    &["--jobs", "4", "--no-fast-forward"],
+];
+/// Resuming keeps the checkpoint's fast-forward setting (it is part of
+/// the options fingerprint); only the worker count may change.
+const JOBS_ONLY: [&[&str]; 2] = [&["--jobs", "1"], &["--jobs", "4"]];
+/// `--stop-after` interrupts deterministically only on one worker.
+const SEQUENTIAL: [&[&str]; 2] = [&["--jobs", "1"], &["--jobs", "1", "--no-fast-forward"]];
+
+fn cli_golden_dir() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/cli"))
+}
+
+fn blessing() -> bool {
+    std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1")
+}
+
+/// Runs `ede-sim` with `args` (`{cp}` replaced by `cp`) and renders the
+/// exit code and full stdout as one pinned text.
+fn pinned_run(args: &[&str], cp: &Path, deadline_zero: bool) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ede-sim"));
+    for a in args {
+        if *a == "{cp}" {
+            cmd.arg(cp);
+        } else {
+            cmd.arg(a);
+        }
+    }
+    cmd.env_remove("EDE_DEADLINE_SECS");
+    if deadline_zero {
+        cmd.env("EDE_DEADLINE_SECS", "0");
+    }
+    let out = cmd.output().expect("spawn ede-sim");
+    format!(
+        "exit {}\n{}",
+        out.status.code().map_or("signal".to_string(), |c| c.to_string()),
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+    )
+}
+
+fn assert_matches_golden(golden: &Path, live: &str, what: &str) {
+    let want = std::fs::read_to_string(golden).unwrap_or_else(|e| {
+        panic!(
+            "missing pinned output {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
+             --test cli_smoke pinned` to create it",
+            golden.display()
+        )
+    });
+    assert!(
+        want == live,
+        "{what} differs from {}:\n{}",
+        golden.display(),
+        unified_diff(&want, live, "pinned", "live")
+    );
+}
+
+/// One pinned branch of a campaign subcommand.
+struct Scenario<'a> {
+    /// Golden file stem under `tests/golden/cli/` (`<sub>.<golden>.txt`).
+    golden: &'a str,
+    args: Vec<&'a str>,
+    deadline_zero: bool,
+    variants: &'a [&'a [&'a str]],
+    /// Seed `{cp}` with the pinned mid-run checkpoint before each run.
+    from_checkpoint: bool,
+}
+
+/// Pins every exit-ladder branch of campaign `sub`.
+///
+/// `base` is a small clean run; `panic_unit` a unit the self-test
+/// panic hits; `changed` differs from `base` in one fingerprinted
+/// option; `failure` (when the CLI can provoke one) fails the campaign.
+fn pin_campaign(sub: &str, base: &[&str], panic_unit: &str, changed: &[&str], failure: Option<&[&str]>) {
+    let dir = cli_golden_dir();
+    let fixture = dir.join(format!("{sub}.checkpoint.json"));
+    let tmp = std::env::temp_dir().join(format!("ede-cli-pin-{sub}-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let cp = tmp.join("cp.json");
+    let with = |extra: &[&'static str]| -> Vec<&str> {
+        let mut v = vec![sub];
+        v.extend_from_slice(base);
+        v.extend_from_slice(extra);
+        v
+    };
+    let mut scenarios = vec![
+        Scenario { golden: "clean", args: with(&[]), deadline_zero: false, variants: &JOBS_AND_PATHS, from_checkpoint: false },
+        Scenario { golden: "deadline", args: with(&[]), deadline_zero: true, variants: &JOBS_AND_PATHS, from_checkpoint: false },
+        Scenario {
+            golden: "panic-budget-0",
+            args: [with(&["--self-test-panic"]), vec![panic_unit]].concat(),
+            deadline_zero: false,
+            variants: &JOBS_AND_PATHS,
+            from_checkpoint: false,
+        },
+        Scenario {
+            golden: "panic-budget-1",
+            args: [with(&["--self-test-panic"]), vec![panic_unit, "--max-quarantined", "1"]].concat(),
+            deadline_zero: false,
+            variants: &JOBS_AND_PATHS,
+            from_checkpoint: false,
+        },
+        Scenario {
+            golden: "interrupted",
+            args: with(&["--checkpoint", "{cp}", "--checkpoint-every", "1", "--stop-after", "2"]),
+            deadline_zero: false,
+            variants: &SEQUENTIAL,
+            from_checkpoint: false,
+        },
+        // A checkpoint written mid-run resumes to the clean stdout.
+        Scenario { golden: "clean", args: with(&["--resume", "{cp}"]), deadline_zero: false, variants: &JOBS_ONLY, from_checkpoint: true },
+        Scenario {
+            golden: "resume-changed",
+            args: [vec![sub], changed.to_vec(), vec!["--resume", "{cp}"]].concat(),
+            deadline_zero: false,
+            variants: &JOBS_ONLY,
+            from_checkpoint: true,
+        },
+        Scenario { golden: "unknown-flag", args: vec![sub, "--bogus", "1"], deadline_zero: false, variants: &JOBS_AND_PATHS, from_checkpoint: false },
+    ];
+    if let Some(failure) = failure {
+        scenarios.push(Scenario {
+            golden: "failure",
+            args: [vec![sub], failure.to_vec()].concat(),
+            deadline_zero: false,
+            variants: &JOBS_AND_PATHS,
+            from_checkpoint: false,
+        });
+    }
+    for sc in &scenarios {
+        let golden = dir.join(format!("{sub}.{}.txt", sc.golden));
+        for (i, variant) in sc.variants.iter().enumerate() {
+            if sc.from_checkpoint {
+                std::fs::copy(&fixture, &cp).expect("seed the checkpoint fixture");
+            } else {
+                std::fs::remove_file(&cp).ok();
+            }
+            let args = [sc.args.clone(), variant.to_vec()].concat();
+            let live = pinned_run(&args, &cp, sc.deadline_zero);
+            let what = format!("`ede-sim {}`", args.join(" "));
+            // The resumed run reproduces the clean golden; never bless it.
+            let reproduces_clean = sc.from_checkpoint && sc.golden == "clean";
+            if i == 0 && blessing() && !reproduces_clean {
+                std::fs::create_dir_all(&dir).expect("create tests/golden/cli");
+                std::fs::write(&golden, &live).expect("bless pinned output");
+                if sc.golden == "interrupted" {
+                    std::fs::copy(&cp, &fixture).expect("bless checkpoint fixture");
+                }
+            }
+            assert_matches_golden(&golden, &live, &what);
+            if sc.golden == "interrupted" && i == 0 {
+                // The document a sequential interrupt writes is pinned
+                // too: kind, fingerprint and bitmap are a resume format.
+                let written = std::fs::read_to_string(&cp).expect("checkpoint written");
+                assert_matches_golden(&fixture, &written, &format!("checkpoint of {what}"));
+            }
+        }
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
+fn fuzz_branches_are_pinned() {
+    pin_campaign(
+        "fuzz",
+        &["--seed", "0", "--cases", "6", "--max-cmds", "10"],
+        "2",
+        &["--seed", "1", "--cases", "6", "--max-cmds", "10"],
+        Some(&["--seed", "0", "--cases", "4", "--fault", "drop-edeps"]),
+    );
+}
+
+#[test]
+fn inject_branches_are_pinned() {
+    pin_campaign(
+        "inject",
+        &["--seed", "1", "--cases", "1", "--max-cmds", "12", "--fault", "drop-edeps,weak-dsb"],
+        "1",
+        &["--seed", "2", "--cases", "1", "--max-cmds", "12", "--fault", "drop-edeps,weak-dsb"],
+        Some(&[
+            "--seed", "1", "--cases", "2", "--max-cmds", "20", "--fault", "torn-stp", "--arch",
+            "B", "--disable-detectors",
+        ]),
+    );
+}
+
+#[test]
+fn explore_branches_are_pinned() {
+    pin_campaign(
+        "explore",
+        &["--litmus", "hazard,join"],
+        "1",
+        &["--litmus", "hazard,join", "--seed", "1"],
+        Some(&["--litmus", "hazard", "--arch", "WB", "--fault", "drop-edeps"]),
+    );
+}
+
+#[test]
+fn corrupt_branches_are_pinned() {
+    // No CLI option provokes a triage-contract violation in a correct
+    // build, so corrupt pins every branch but the failure one.
+    pin_campaign(
+        "corrupt",
+        &["--seed", "2", "--cases", "1", "--kind", "torn-word,wipe-zero", "--arch", "B,WB"],
+        "1",
+        &["--seed", "3", "--cases", "1", "--kind", "torn-word,wipe-zero", "--arch", "B,WB"],
+        None,
+    );
+}
+
+#[test]
+fn each_subcommand_rejects_the_flags_it_does_not_take() {
+    // corrupt simulates fixed transaction programs; explore's --progress
+    // is a bare switch, the others' takes a count.
+    for args in [
+        &["corrupt", "--max-cmds", "5"][..],
+        &["corrupt", "--fault", "drop-edeps"][..],
+        &["corrupt", "--disable-detectors"][..],
+        &["fuzz", "--disable-detectors"][..],
+        &["fuzz", "--kind", "wipe-zero"][..],
+        &["explore", "--kind", "wipe-zero"][..],
+        &["inject", "--litmus", "hazard"][..],
+        &["fuzz", "--progress"][..],
+    ] {
+        assert_eq!(ede_sim(args).status.code(), Some(1), "`ede-sim {}`", args.join(" "));
+    }
+    let out = ede_sim(&["explore", "--litmus", "hazard", "--arch", "B", "--progress", "--jobs", "1"]);
+    assert_eq!(out.status.code(), Some(0), "explore --progress is a bare flag");
 }

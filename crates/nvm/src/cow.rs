@@ -606,12 +606,7 @@ impl CowChecker {
     ///
     /// The first violating `(cycle, violation)` pair.
     pub fn check_all_images(&self, trace: &PersistTrace) -> Result<(), (u64, CowViolation)> {
-        let mut cycles: Vec<u64> = trace.persists.iter().map(|p| p.cycle).collect();
-        cycles.push(0);
-        cycles.push(trace.horizon() + 1);
-        cycles.sort_unstable();
-        cycles.dedup();
-        for c in cycles {
+        for c in trace.persist_cycles() {
             if let Err(v) = self.check_at(trace, c) {
                 return Err((c, v));
             }

@@ -169,10 +169,11 @@ for cell in "hazard WB" "two_update IQ" "fenced_update B"; do
     diff "$out_dir/ff_fast_chrome.json" "$out_dir/ff_ref_chrome.json"
 done
 
-# Resilient-campaign smoke: interrupt a fuzz run mid-flight with the
-# deterministic --stop-after hook (exit 3, checkpoint flushed), resume
-# it on a different worker count, and require the resumed stdout to be
-# byte-identical to a run that never stopped. Then the panic-quarantine
+# Resilient-campaign smoke: interrupt a fuzz run (and a corrupt run)
+# mid-flight with the deterministic --stop-after hook (exit 3,
+# checkpoint flushed), resume it on a different worker count, and
+# require the resumed stdout to be byte-identical to a run that never
+# stopped. Then the panic-quarantine
 # self-test: a deliberately panicking case must be quarantined (exit 2
 # under the default zero budget, exit 0 once budgeted) instead of
 # aborting the campaign. See DESIGN.md "Resilient campaigns".
@@ -192,6 +193,23 @@ cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     fuzz --seed 5 --cases 60 --jobs 4 --resume "$out_dir/resil_cp.json" \
     2>/dev/null > "$out_dir/resil_res.out"
 diff "$out_dir/resil_clean.out" "$out_dir/resil_res.out"
+# The same interrupt + resume contract for a cell campaign, the path
+# inject, explore and corrupt share: stop corrupt after 5 of its 21
+# cells, resume on another worker count, and require the clean matrix
+# printed by the determinism check above.
+set +e
+cargo run --release --offline -q -p ede-check --bin ede-sim -- \
+    corrupt --seed 2 --cases 2 --jobs 2 \
+    --checkpoint "$out_dir/resil_corrupt_cp.json" --checkpoint-every 1 --stop-after 5 \
+    2>/dev/null > "$out_dir/resil_corrupt_int.out"
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "interrupted corrupt run exited $rc, want 3" >&2; exit 1; }
+grep -q 'INTERRUPTED: ' "$out_dir/resil_corrupt_int.out"
+cargo run --release --offline -q -p ede-check --bin ede-sim -- \
+    corrupt --seed 2 --cases 2 --jobs 4 --resume "$out_dir/resil_corrupt_cp.json" \
+    2>/dev/null > "$out_dir/resil_corrupt_res.json"
+diff "$out_dir/corrupt_j1.json" "$out_dir/resil_corrupt_res.json"
 set +e
 cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     fuzz --seed 5 --cases 30 --jobs 2 --self-test-panic 7 \

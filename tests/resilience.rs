@@ -1,21 +1,32 @@
 //! The resilient-campaign contract, end to end: a campaign interrupted
-//! mid-flight and resumed from its checkpoint must be **observably
-//! indistinguishable** from one that never stopped — same report, same
-//! rendered ledger, same metrics — for every `jobs` value and both
-//! simulation paths. And a worker panic must be quarantined, not fatal,
+//! mid-flight and resumed from its checkpoint — on a different worker
+//! count — must be **observably indistinguishable** from one that never
+//! stopped — same report, same rendered ledger, same metrics — for
+//! every `jobs` value and both simulation paths. And a worker panic must be quarantined, not fatal,
 //! with a record that is itself jobs-invariant and survives resume.
 
 use ede_check::fuzz::{campaign_metrics, fuzz, fuzz_campaign, FuzzOptions};
 use ede_check::{
-    explore_campaign, inject_campaign, CaseOutcome, ExploreOptions, InjectOptions,
-    RuntimeOptions, Source,
+    corrupt_campaign, explore_campaign, inject_campaign, CaseOutcome, CorruptOptions,
+    CorruptionKind, ExploreOptions, InjectOptions, RuntimeOptions, Source,
 };
+use ede_isa::ArchConfig;
 use ede_cpu::FaultInjection;
 use std::path::PathBuf;
 use std::sync::Once;
 
 /// (jobs, fast_forward) grid every scenario below must be invisible on.
 const GRID: [(usize, bool); 4] = [(1, true), (4, true), (1, false), (4, false)];
+
+/// The worker count a grid point's resumed leg runs on: the other one,
+/// since `jobs` is excluded from the checkpoint fingerprint.
+fn resume_jobs(jobs: usize) -> usize {
+    if jobs == 1 {
+        4
+    } else {
+        1
+    }
+}
 
 /// Silences the default panic hook for the *deliberate* self-test
 /// panics only — real panics still print. Installed once per process.
@@ -44,7 +55,9 @@ fn temp_checkpoint(tag: &str) -> PathBuf {
 }
 
 /// Interrupt after `stop_after` fresh units (checkpointing every unit),
-/// then resume; both runs reuse `base` options untouched.
+/// then resume; both runs reuse `base` options untouched. On a pool of
+/// `w` workers at most `w + stop_after - 1` units start before the
+/// deadline trips, so a sweep of more units than that is always cut.
 fn interrupt_then_resume(tag: &str, stop_after: u64) -> (RuntimeOptions, RuntimeOptions) {
     let path = temp_checkpoint(tag);
     let interrupt = RuntimeOptions {
@@ -76,8 +89,12 @@ fn fuzz_interrupt_and_resume_is_invisible_on_the_whole_grid() {
             .expect("interrupted run");
         assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
         assert!(interrupted.cases_run < base.cases, "interrupt truncated the scan");
-        let resumed = fuzz_campaign(&FuzzOptions { runtime: resume, ..base.clone() })
-            .expect("resumed run");
+        let resumed = fuzz_campaign(&FuzzOptions {
+            jobs: resume_jobs(jobs),
+            runtime: resume,
+            ..base.clone()
+        })
+        .expect("resumed run");
         assert_eq!(resumed, clean, "jobs={jobs} ff={fast_forward}");
         assert_eq!(
             campaign_metrics(&base, resumed.cases_run, 16).to_json(),
@@ -135,14 +152,18 @@ fn inject_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         };
         let clean = inject_campaign(&base).expect("clean run");
         let (interrupt, resume) =
-            interrupt_then_resume(&format!("inject-{jobs}-{fast_forward}"), 3);
+            interrupt_then_resume(&format!("inject-{jobs}-{fast_forward}"), 2);
         let interrupted = inject_campaign(&InjectOptions { runtime: interrupt, ..base.clone() })
             .expect("interrupted run");
         assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
         assert!(interrupted.cells.len() < clean.cells.len(), "truncated matrix");
         assert!(interrupted.to_json().contains("\"interrupted\": true"));
-        let resumed = inject_campaign(&InjectOptions { runtime: resume, ..base.clone() })
-            .expect("resumed run");
+        let resumed = inject_campaign(&InjectOptions {
+            jobs: resume_jobs(jobs),
+            runtime: resume,
+            ..base.clone()
+        })
+        .expect("resumed run");
         assert_eq!(resumed, clean, "jobs={jobs} ff={fast_forward}");
         assert_eq!(resumed.to_json(), clean.to_json(), "jobs={jobs} ff={fast_forward}");
         assert_eq!(
@@ -164,15 +185,58 @@ fn explore_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         };
         let clean = explore_campaign(&base).expect("clean run");
         let (interrupt, resume) =
-            interrupt_then_resume(&format!("explore-{jobs}-{fast_forward}"), 3);
+            interrupt_then_resume(&format!("explore-{jobs}-{fast_forward}"), 2);
         let interrupted = explore_campaign(&ExploreOptions { runtime: interrupt, ..base.clone() })
             .expect("interrupted run");
         assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
         assert!(interrupted.cells.len() < interrupted.planned_cells, "truncated ledger");
-        let resumed = explore_campaign(&ExploreOptions { runtime: resume, ..base.clone() })
-            .expect("resumed run");
+        let resumed = explore_campaign(&ExploreOptions {
+            jobs: resume_jobs(jobs),
+            runtime: resume,
+            ..base.clone()
+        })
+        .expect("resumed run");
         assert_eq!(resumed, clean, "jobs={jobs} ff={fast_forward}");
         assert_eq!(resumed.to_json(), clean.to_json(), "jobs={jobs} ff={fast_forward}");
+    }
+}
+
+#[test]
+fn corrupt_interrupt_and_resume_is_invisible_on_the_whole_grid() {
+    for (jobs, fast_forward) in GRID {
+        let base = CorruptOptions {
+            cases: 1,
+            kinds: vec![
+                CorruptionKind::TornWord { count: 1 },
+                CorruptionKind::WipeZero,
+                CorruptionKind::Truncate,
+            ],
+            archs: vec![ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer],
+            jobs,
+            fast_forward,
+            ..CorruptOptions::default()
+        };
+        let clean = corrupt_campaign(&base).expect("clean run");
+        let (interrupt, resume) =
+            interrupt_then_resume(&format!("corrupt-{jobs}-{fast_forward}"), 2);
+        let interrupted = corrupt_campaign(&CorruptOptions { runtime: interrupt, ..base.clone() })
+            .expect("interrupted run");
+        assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
+        assert!(interrupted.cells.len() < clean.cells.len(), "truncated matrix");
+        assert!(interrupted.to_json().contains("\"interrupted\": true"));
+        let resumed = corrupt_campaign(&CorruptOptions {
+            jobs: resume_jobs(jobs),
+            runtime: resume,
+            ..base.clone()
+        })
+        .expect("resumed run");
+        assert_eq!(resumed, clean, "jobs={jobs} ff={fast_forward}");
+        assert_eq!(resumed.to_json(), clean.to_json(), "jobs={jobs} ff={fast_forward}");
+        assert_eq!(
+            resumed.metrics().to_json(),
+            clean.metrics().to_json(),
+            "metrics jobs={jobs} ff={fast_forward}"
+        );
     }
 }
 
@@ -197,6 +261,34 @@ fn quarantine_records_are_jobs_invariant() {
     assert!(sequential.failure.is_none() && !sequential.interrupted);
     let parallel = fuzz(&FuzzOptions { jobs: 4, ..base.clone() });
     assert_eq!(parallel, sequential, "quarantine must not leak scheduling");
+}
+
+#[test]
+fn self_test_panic_past_the_failure_cutoff_is_still_quarantined() {
+    quiet_deliberate_panics();
+    // The runner fires the hook before fuzz's earliest-failure cutoff,
+    // so the quarantine record never depends on whether a worker
+    // reached the panicking case before the failure landed.
+    let run = |jobs| {
+        fuzz(&FuzzOptions {
+            cases: 6,
+            fault: Some(FaultInjection::DropEdeps),
+            self_test_panic: Some(4),
+            jobs,
+            ..FuzzOptions::default()
+        })
+    };
+    let sequential = run(1);
+    let failure = sequential.failure.as_ref().expect("drop-edeps fails early");
+    assert!(failure.case < 4, "failure at case {}", failure.case);
+    assert_eq!(
+        sequential.quarantined,
+        vec![CaseOutcome::HarnessPanic {
+            payload: "deliberate harness panic at case 4".to_string(),
+            case: 4,
+        }]
+    );
+    assert_eq!(run(4), sequential);
 }
 
 #[test]
