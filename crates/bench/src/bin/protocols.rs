@@ -4,8 +4,9 @@
 //! Usage: `EDE_OPS=500 cargo run --release -p ede-bench --bin protocols`
 
 use ede_isa::{ArchConfig, InstKind, Program};
-use ede_nvm::cow::{cow_update_kernel, CowChecker};
-use ede_nvm::redo::{recover_redo, redo_update_kernel};
+use ede_nvm::cow::cow_update_kernel;
+use ede_nvm::redo::redo_update_kernel;
+use ede_nvm::triage::Protocol;
 use ede_nvm::CrashChecker;
 use ede_sim::runner::run_program;
 use ede_sim::run_workload;
@@ -42,16 +43,15 @@ fn main() {
         let redo_out = redo_update_kernel(arch, ops, params.ops_per_tx, elems, params.seed);
         let redo_dsbs = dsbs(&redo_out.program);
         let redo = run_program("redo-update", redo_out, arch, &cfg.sim).expect("redo run");
-        let redo_safe = CrashChecker::with_recovery(&redo.output, recover_redo)
+        let redo_safe = CrashChecker::with_protocol(&redo.output, Protocol::Redo)
             .check_all_images(&redo.trace)
             .is_ok();
 
         // CoW pools reach 512 slots; keep the tree shallow.
         let (cow_out, meta) = cow_update_kernel(arch, ops, params.ops_per_tx, 512, params.seed);
         let cow_dsbs = dsbs(&cow_out.program);
-        let cow_checker_out = cow_out.clone();
         let cow = run_program("cow-update", cow_out, arch, &cfg.sim).expect("cow run");
-        let cow_safe = CowChecker::new(&cow_checker_out, meta)
+        let cow_safe = CrashChecker::with_protocol(&cow.output, Protocol::Cow(meta))
             .check_all_images(&cow.trace)
             .is_ok();
 

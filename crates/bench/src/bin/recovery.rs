@@ -21,7 +21,7 @@
 use ede_isa::ArchConfig;
 use ede_mem::trace::nvm_image_at;
 use ede_nvm::recovery::{recovery_trace, NvmImage};
-use ede_nvm::triage::{scrub, triage_recover};
+use ede_nvm::triage::{recover, scrub, Protocol};
 use ede_nvm::Layout;
 use ede_sim::run_workload;
 use ede_sim::runner::{raw_output, run_program};
@@ -123,19 +123,22 @@ fn main() {
         .sample_size(samples);
 
     eprintln!("\ntriage throughput ({samples} samples, host parallelism {host})…");
-    let scrub_clean = c.bench_measured("scrub/clean", |b| b.iter(|| scrub(&pristine, &layout)));
-    let scrub_corrupt =
-        c.bench_measured("scrub/corrupt", |b| b.iter(|| scrub(&corrupted, &layout)));
+    let scrub_clean = c.bench_measured("scrub/clean", |b| {
+        b.iter(|| scrub(&pristine, &layout, Protocol::Undo))
+    });
+    let scrub_corrupt = c.bench_measured("scrub/corrupt", |b| {
+        b.iter(|| scrub(&corrupted, &layout, Protocol::Undo))
+    });
     let recover_clean = c.bench_measured("triage-recover/clean", |b| {
         b.iter(|| {
             let mut image = pristine.clone();
-            triage_recover(&mut image, &layout)
+            recover(&mut image, &layout, Protocol::Undo)
         })
     });
     let recover_corrupt = c.bench_measured("triage-recover/corrupt", |b| {
         b.iter(|| {
             let mut image = corrupted.clone();
-            triage_recover(&mut image, &layout)
+            recover(&mut image, &layout, Protocol::Undo)
         })
     });
 

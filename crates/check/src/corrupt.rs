@@ -45,10 +45,9 @@ use crate::campaign::{self, Campaign, Plan, Record};
 use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
 use ede_isa::ArchConfig;
 use ede_mem::trace::nvm_image_at;
-use ede_nvm::log::decode_entry;
 use ede_nvm::recovery::NvmImage;
 use ede_nvm::redo::RedoTxWriter;
-use ede_nvm::triage::{triage_recover, triage_recover_redo, TriageReport};
+use ede_nvm::triage::{log_slots, recover, Protocol, TriageReport};
 use ede_nvm::Layout;
 use ede_sim::{run_program, SimConfig};
 use ede_util::check::{minimize, shrinkable_vec};
@@ -402,13 +401,6 @@ impl CorruptReport {
     }
 }
 
-/// Which logging protocol produced the crash image.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Protocol {
-    Undo,
-    Redo,
-}
-
 /// The redo-protocol twin of [`crate::inject::tx_case_program`]: the
 /// same seeded three-transaction shape through [`RedoTxWriter`].
 fn redo_case_program(seed: u64, arch: ArchConfig) -> ede_nvm::TxOutput {
@@ -451,13 +443,6 @@ struct CaseContext {
     golden_report: TriageReport,
     /// The seeded corruption for this case.
     ops: Vec<CorruptOp>,
-}
-
-fn run_triage(protocol: Protocol, image: &mut NvmImage, layout: &Layout) -> TriageReport {
-    match protocol {
-        Protocol::Undo => triage_recover(image, layout),
-        Protocol::Redo => triage_recover_redo(image, layout),
-    }
 }
 
 /// Lowers one corruption kind to a concrete op list against `image`.
@@ -567,12 +552,9 @@ fn witness_destroyed(
     layout: &Layout,
     dirty: &BTreeSet<u64>,
 ) -> bool {
-    let rd = |a: u64| pristine.get(&a).copied().unwrap_or(0);
-    (0..layout.log_slots).any(|i| {
-        let slot = layout.slot_addr(i);
-        decode_entry(slot, rd).is_some_and(|e| {
-            e.addr == addr && dirty.iter().any(|&d| (slot..slot + 64).contains(&d))
-        })
+    log_slots(pristine, layout).iter().any(|s| {
+        s.entry.is_some_and(|e| e.addr == addr)
+            && dirty.range(s.addr..s.addr + 64).next().is_some()
     })
 }
 
@@ -586,13 +568,11 @@ fn witness_destroyed(
 /// apart. Damage confined to the primary never qualifies: the surviving
 /// twin either heals it or outranks it.
 fn commit_witness_destroyed(ctx: &CaseContext, dirty: &BTreeSet<u64>) -> bool {
-    let offsets: &[u64] = match ctx.protocol {
-        Protocol::Undo => &[0],
-        Protocol::Redo => &[0, ede_nvm::redo::OFF_APPLIED],
-    };
-    offsets
+    let (_, twin) = ctx.protocol.superblock(&ctx.layout);
+    ctx.protocol
+        .marker_offsets()
         .iter()
-        .any(|&off| dirty.contains(&(ctx.layout.log_header_twin + off)))
+        .any(|&off| dirty.contains(&(twin + off)))
 }
 
 /// Evaluates the triage contract for one damaged image. `None` means
@@ -606,7 +586,7 @@ fn evaluate(ctx: &CaseContext, ops: &[CorruptOp]) -> Option<String> {
     }
     let (damaged, dirty) = apply_ops(&ctx.pristine, ops);
     let mut recovered = damaged.clone();
-    let report = run_triage(ctx.protocol, &mut recovered, &ctx.layout);
+    let report = recover(&mut recovered, &ctx.layout, ctx.protocol);
     let rd = |img: &NvmImage, a: u64| img.get(&a).copied().unwrap_or(0);
     // Contract B: a strong claim must match recovery of the undamaged
     // image — same committed id, same heap contents (modulo the
@@ -672,10 +652,10 @@ fn evaluate(ctx: &CaseContext, ops: &[CorruptOp]) -> Option<String> {
 /// and the seeded corruption ops.
 fn build_case(case_seed: u64, kind: CorruptionKind, arch: ArchConfig, ff: bool) -> CaseContext {
     let mut rng = SmallRng::seed_from_u64(mix64(case_seed ^ 0xC0_44_0F));
-    let protocol = if rng.gen_bool(0.5) { Protocol::Undo } else { Protocol::Redo };
-    let out = match protocol {
-        Protocol::Undo => crate::inject::tx_case_program(case_seed, arch),
-        Protocol::Redo => redo_case_program(case_seed, arch),
+    let (protocol, out) = if rng.gen_bool(0.5) {
+        (Protocol::Undo, crate::inject::tx_case_program(case_seed, arch))
+    } else {
+        (Protocol::Redo, redo_case_program(case_seed, arch))
     };
     let result = run_program("corrupt", out, arch, &corrupt_sim(ff))
         .expect("corruption-probe programs complete");
@@ -693,7 +673,7 @@ fn build_case(case_seed: u64, kind: CorruptionKind, arch: ArchConfig, ff: bool) 
         pristine.entry(a).or_insert(v);
     }
     let mut golden = pristine.clone();
-    let golden_report = run_triage(protocol, &mut golden, &layout);
+    let golden_report = recover(&mut golden, &layout, protocol);
     let ops = gen_ops(kind, &mut rng, &pristine, &layout);
     CaseContext {
         protocol,
@@ -736,7 +716,7 @@ fn run_cell(opts: &CorruptOptions, kind: CorruptionKind, arch: ArchConfig) -> Ce
         let ctx = build_case(case_seed, kind, arch, opts.fast_forward);
         let (damaged, _) = apply_ops(&ctx.pristine, &ctx.ops);
         let mut recovered = damaged;
-        let outcome = run_triage(ctx.protocol, &mut recovered, &ctx.layout).outcome;
+        let outcome = recover(&mut recovered, &ctx.layout, ctx.protocol).outcome;
         match outcome.label() {
             "clean" => report.clean += 1,
             "rolled-back" => report.rolled_back += 1,
@@ -970,7 +950,7 @@ mod tests {
         assert_eq!(evaluate(&ctx, &ops), None);
         let (damaged, _) = apply_ops(&ctx.pristine, &ops);
         let mut recovered = damaged;
-        let report = run_triage(ctx.protocol, &mut recovered, &ctx.layout);
+        let report = recover(&mut recovered, &ctx.layout, ctx.protocol);
         assert!(
             matches!(report.outcome, RecoveryOutcome::RepairedTorn { .. }),
             "{:?}",

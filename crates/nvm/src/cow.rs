@@ -37,12 +37,8 @@ use crate::codegen::{TxOutput, TxRecord};
 use crate::heap::BumpHeap;
 use crate::layout::Layout;
 use crate::memory::SimMemory;
-use crate::recovery::NvmImage;
 use ede_isa::{ArchConfig, Edk, EdkPair, TraceBuilder};
-use ede_mem::trace::nvm_image_at;
-use ede_mem::PersistTrace;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::collections::BTreeMap;
 
 /// Pointers per root block.
 const ROOT_FANOUT: u64 = 16;
@@ -95,25 +91,9 @@ pub fn decode_root(root: u64, word: u64) -> Option<u64> {
     }
 }
 
-/// Resolves `(root ptr, committed txid)` from the primary and twin root
-/// lines, each read as a `(root ptr, marker word)` pair. The validating
-/// copy with the newest transaction id wins; because commit persists
-/// the twin strictly before the primary, a torn primary is healed to
-/// *exactly* the committed state from the twin. If neither copy
-/// validates the raw primary pointer is returned with "nothing
-/// committed" (legacy images carry no marker and no twin).
-pub fn resolve_root(primary: (u64, u64), twin: (u64, u64)) -> (u64, u64) {
-    match (decode_root(primary.0, primary.1), decode_root(twin.0, twin.1)) {
-        (Some(a), Some(b)) if b > a => (twin.0, b),
-        (Some(a), _) => (primary.0, a),
-        (None, Some(b)) => (twin.0, b),
-        (None, None) => (primary.0, 0),
-    }
-}
-
 /// Addressing metadata for a CoW pool (needed to resolve logical
 /// addresses through a crash image).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CowMeta {
     /// Address of the root line: word 0 = root-block pointer, word 1 =
     /// the packed [`root_word`] marker (switched together by one `STP`).
@@ -127,12 +107,26 @@ pub struct CowMeta {
     pub slots: u64,
 }
 
+impl CowMeta {
+    /// The physical word holding logical address `logical` (`slot * 64 +
+    /// word * 8`) in the tree whose root block is `root`, reading the
+    /// table pointers through `read`.
+    pub fn physical(&self, root: u64, logical: u64, read: impl Fn(u64) -> u64) -> u64 {
+        let (slot, word) = (logical / 64, (logical % 64) / 8);
+        let leaf = read(root + (slot / LEAF_FANOUT) * 8);
+        let block = read(leaf + (slot % LEAF_FANOUT) * 8);
+        block + word * 8
+    }
+}
+
 /// Copy-on-write transaction writer; same lifecycle as
 /// [`TxWriter`](crate::TxWriter).
 ///
 /// Logical addresses in the produced [`TxRecord`]s are
-/// `slot * 64 + word * 8` in a virtual space; use [`CowChecker`] (not the
-/// undo/redo checker) to verify crash images.
+/// `slot * 64 + word * 8` in a virtual space; check crash images with
+/// [`CrashChecker::with_protocol`](crate::CrashChecker::with_protocol)
+/// and [`Protocol::Cow`](crate::triage::Protocol::Cow), which reads them
+/// through the recovered root.
 #[derive(Debug)]
 pub struct CowTxWriter {
     layout: Layout,
@@ -143,8 +137,10 @@ pub struct CowTxWriter {
     meta: CowMeta,
     txid: Option<u64>,
     next_txid: u64,
-    /// Logical slot → shadow block address, this transaction.
-    shadows: HashMap<u64, u64>,
+    /// Logical slot → shadow block address, this transaction. Ordered,
+    /// so commit persists the shadows in slot order and the emitted
+    /// program does not depend on the process's hash seed.
+    shadows: BTreeMap<u64, u64>,
     /// Leaf index → shadow leaf-table address, this transaction.
     leaf_shadows: BTreeMap<u64, u64>,
     key_rotor: u8,
@@ -206,7 +202,7 @@ impl CowTxWriter {
             meta: CowMeta { root_line, root_twin, slots },
             txid: None,
             next_txid: 1,
-            shadows: HashMap::new(),
+            shadows: BTreeMap::new(),
             leaf_shadows: BTreeMap::new(),
             key_rotor: 0,
             records: Vec::new(),
@@ -496,125 +492,6 @@ impl CowTxWriter {
     }
 }
 
-/// A failure-atomicity violation in a CoW crash image.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CowViolation {
-    /// Logical address (`slot * 64 + word * 8`).
-    pub logical: u64,
-    /// Expected value after the committed prefix.
-    pub expected: u64,
-    /// Value resolved through the crash image's tree.
-    pub found: u64,
-    /// Committed transaction id in the image.
-    pub committed: u64,
-}
-
-impl fmt::Display for CowViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "logical {:#x}: expected {} after {} transactions, resolved {}",
-            self.logical, self.expected, self.committed, self.found
-        )
-    }
-}
-
-/// Crash checker for CoW pools: resolves logical addresses through the
-/// (possibly old) tree the crash image's root points at. No recovery code
-/// runs — that is CoW's selling point.
-#[derive(Clone, Debug)]
-pub struct CowChecker {
-    meta: CowMeta,
-    initial: HashMap<u64, u64>,
-    records: Vec<TxRecord>,
-}
-
-impl CowChecker {
-    /// Builds a checker from the writer's output.
-    pub fn new(out: &TxOutput, meta: CowMeta) -> CowChecker {
-        CowChecker {
-            meta,
-            initial: out.init_writes.iter().copied().collect(),
-            records: out.records.clone(),
-        }
-    }
-
-    fn read_phys(&self, image: &NvmImage, addr: u64) -> u64 {
-        image
-            .get(&addr)
-            .copied()
-            .or_else(|| self.initial.get(&addr).copied())
-            .unwrap_or(0)
-    }
-
-    /// Checks one crash instant; returns the committed transaction id.
-    ///
-    /// # Errors
-    ///
-    /// The first [`CowViolation`] found.
-    pub fn check_at(&self, trace: &PersistTrace, cycle: u64) -> Result<u64, CowViolation> {
-        let image = nvm_image_at(trace, cycle, 64);
-        let (root, committed) = resolve_root(
-            (
-                self.read_phys(&image, self.meta.root_line),
-                self.read_phys(&image, self.meta.root_line + 8),
-            ),
-            (
-                self.read_phys(&image, self.meta.root_twin),
-                self.read_phys(&image, self.meta.root_twin + 8),
-            ),
-        );
-        // Expected logical state after the committed prefix.
-        let mut expected: HashMap<u64, u64> = HashMap::new();
-        for r in self.records.iter().take(committed as usize) {
-            for &(l, _, new) in &r.writes {
-                expected.insert(l, new);
-            }
-        }
-        // Every logical word any transaction ever touched must resolve to
-        // its expected value.
-        let mut touched: Vec<u64> = self
-            .records
-            .iter()
-            .flat_map(|r| r.writes.iter().map(|&(l, _, _)| l))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for l in touched {
-            let slot = l / 64;
-            let word = (l % 64) / 8;
-            let leaf = self.read_phys(&image, root + (slot / LEAF_FANOUT) * 8);
-            let block = self.read_phys(&image, leaf + (slot % LEAF_FANOUT) * 8);
-            let found = self.read_phys(&image, block + word * 8);
-            let want = expected.get(&l).copied().unwrap_or(0);
-            if found != want {
-                return Err(CowViolation {
-                    logical: l,
-                    expected: want,
-                    found,
-                    committed,
-                });
-            }
-        }
-        Ok(committed)
-    }
-
-    /// Exhaustively checks every distinct crash image (persist-event
-    /// instants, plus the boundaries).
-    ///
-    /// # Errors
-    ///
-    /// The first violating `(cycle, violation)` pair.
-    pub fn check_all_images(&self, trace: &PersistTrace) -> Result<(), (u64, CowViolation)> {
-        for c in trace.persist_cycles() {
-            if let Err(v) = self.check_at(trace, c) {
-                return Err((c, v));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Generates the `update` kernel over CoW (for the protocol comparison).
 pub fn cow_update_kernel(
     arch: ArchConfig,
@@ -651,6 +528,10 @@ pub fn cow_update_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::NvmImage;
+    use crate::triage::{recover, Protocol, RecoveryOutcome};
+    use crate::CrashChecker;
+    use ede_mem::PersistTrace;
 
     #[test]
     fn reads_see_writes_within_tx() {
@@ -709,7 +590,7 @@ mod tests {
     fn checker_passes_fully_persisted_image() {
         let (out, meta) =
             cow_update_kernel(ArchConfig::Baseline, 30, 10, 32, 11);
-        let checker = CowChecker::new(&out, meta);
+        let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
         // Synthesize an in-order, everything-persisted trace.
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
@@ -738,7 +619,7 @@ mod tests {
         tx.write(0, 0, 42);
         tx.commit_tx();
         let (out, meta) = tx.finish();
-        let checker = CowChecker::new(&out, meta);
+        let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
         // Only the root line's stores persist (a validating pair — the
@@ -751,11 +632,11 @@ mod tests {
             value: [new_root, root_word(new_root, 1)],
         });
         trace.record_persist(PersistEvent { cycle: 2, line: meta.root_line });
-        let v = checker
+        let err = checker
             .check_at(&trace, 2)
             .expect_err("torn tree must be detected");
-        assert_eq!(v.expected, 42);
-        assert!(v.to_string().contains("logical"));
+        let v = err.inconsistency().expect("a consistency violation");
+        assert_eq!((v.addr, v.expected, v.committed_txid), (0, 42, 1));
     }
 
     #[test]
@@ -810,15 +691,37 @@ mod tests {
     }
 
     #[test]
-    fn resolve_root_heals_torn_primary_from_twin() {
+    fn root_resolution_heals_torn_primary_from_twin() {
+        let meta = CowMeta {
+            root_line: 0x1_0000_0000,
+            root_twin: 0x1_0000_1000,
+            slots: 8,
+        };
+        let layout = Layout::standard();
+        let resolve = |primary: (u64, u64), twin: (u64, u64)| {
+            let mut image = NvmImage::new();
+            for (line, (ptr, marker)) in [(meta.root_line, primary), (meta.root_twin, twin)] {
+                image.insert(line, ptr);
+                image.insert(line + 8, marker);
+            }
+            let r = recover(&mut image, &layout, Protocol::Cow(meta));
+            (r.outcome, image[&meta.root_line], r.committed)
+        };
         let (old, new) = (0x9000u64, 0x9400u64);
         let twin = (new, root_word(new, 4));
         // Primary tore mid-STP: new pointer, stale marker half.
-        assert_eq!(resolve_root((new, root_word(old, 3)), twin), (new, 4));
+        let (outcome, root, txid) = resolve((new, root_word(old, 3)), twin);
+        assert_eq!((root, txid), (new, 4));
+        assert_eq!(outcome, RecoveryOutcome::RepairedTorn { entries: 1 });
         // Primary not yet switched: twin (persisted first) is newer.
-        assert_eq!(resolve_root((old, root_word(old, 3)), twin), (new, 4));
-        // Legacy image: no marker, no twin — raw primary pointer, txid 0.
-        assert_eq!(resolve_root((old, 0), (0, 0)), (old, 0));
+        assert_eq!(
+            resolve((old, root_word(old, 3)), twin),
+            (RecoveryOutcome::Clean, new, 4)
+        );
+        // No validating marker on either line: no root to resolve.
+        let (outcome, root, _) = resolve((old, 0), (0, 0));
+        assert!(matches!(outcome, RecoveryOutcome::Unrecoverable { .. }));
+        assert_eq!(root, old, "an unrecoverable image is left untouched");
     }
 
     #[test]
@@ -829,7 +732,7 @@ mod tests {
         tx.write(0, 0, 42);
         tx.commit_tx();
         let (out, meta) = tx.finish();
-        let checker = CowChecker::new(&out, meta);
+        let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
         let mut cycle = 1;
@@ -860,9 +763,11 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let (a, _) = cow_update_kernel(ArchConfig::IssueQueue, 20, 5, 16, 3);
-        let (b, _) = cow_update_kernel(ArchConfig::IssueQueue, 20, 5, 16, 3);
-        assert_eq!(a.program.len(), b.program.len());
+        // Large enough that several shadows commit per transaction, so a
+        // hash-ordered shadow set would reorder the persists between runs.
+        let (a, _) = cow_update_kernel(ArchConfig::Baseline, 200, 10, 512, 7);
+        let (b, _) = cow_update_kernel(ArchConfig::Baseline, 200, 10, 512, 7);
+        assert_eq!(a.program, b.program);
         assert_eq!(a.records, b.records);
     }
 }

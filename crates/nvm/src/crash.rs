@@ -2,8 +2,9 @@
 //!
 //! Given a simulation's [`PersistTrace`] and the transaction record from
 //! the code generator, [`CrashChecker`] can simulate a power failure at
-//! any instant: reconstruct the NVM image, run undo recovery, and check
-//! that the recovered state equals the functional state after exactly the
+//! any instant: reconstruct the NVM image, run the protocol's recovery
+//! ([`triage::recover`] — undo, redo or CoW), and check that the
+//! recovered state equals the functional state after exactly the
 //! committed prefix of transactions — failure atomicity *and* commit
 //! ordering in one predicate.
 //!
@@ -13,8 +14,8 @@
 
 use crate::codegen::{TxOutput, TxRecord};
 use crate::layout::Layout;
-use crate::log::{classify_marker, MarkerCopy};
-use crate::recovery::{recover, NvmImage};
+use crate::recovery::NvmImage;
+use crate::triage::{self, Protocol, RecoveryOutcome};
 use ede_mem::trace::nvm_image_at;
 use ede_mem::PersistTrace;
 use std::collections::HashMap;
@@ -23,7 +24,7 @@ use std::fmt;
 /// A failure-atomicity violation found at a crash point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ConsistencyError {
-    /// The inconsistent address.
+    /// The inconsistent address (logical, under CoW).
     pub addr: u64,
     /// The value the committed prefix implies.
     pub expected: u64,
@@ -55,9 +56,10 @@ pub enum CheckFailure {
     /// Recovery ran but the recovered state contradicts the committed
     /// prefix of transactions.
     Inconsistent(ConsistencyError),
-    /// The image's commit marker is unparseable on *both* header lines:
-    /// recovery has no trustworthy committed id to recover toward, so
-    /// no consistency claim is possible either way.
+    /// Recovery refused the image ([`RecoveryOutcome::Unrecoverable`]):
+    /// every copy of a commit marker (or of the superblock magic) is
+    /// destroyed, so there is no trustworthy committed id to recover
+    /// toward and no consistency claim is possible either way.
     Unrecoverable {
         /// What made the header unparseable.
         diagnosis: String,
@@ -94,17 +96,13 @@ impl From<ConsistencyError> for CheckFailure {
     }
 }
 
-/// A recovery procedure over a crash image (undo rollback by default;
-/// the redo module provides its replay counterpart).
-pub type RecoveryFn = fn(&mut NvmImage, &Layout) -> crate::recovery::RecoveryResult;
-
 /// Checks crash consistency of one simulated run.
 #[derive(Clone, Debug)]
 pub struct CrashChecker {
+    protocol: Protocol,
     layout: Layout,
     initial: HashMap<u64, u64>,
     records: Vec<TxRecord>,
-    recovery: RecoveryFn,
     jobs: usize,
 }
 
@@ -112,17 +110,20 @@ impl CrashChecker {
     /// Builds a checker from the code generator's output, using undo-log
     /// recovery.
     pub fn new(out: &TxOutput) -> CrashChecker {
-        CrashChecker::with_recovery(out, recover)
+        CrashChecker::with_protocol(out, Protocol::Undo)
     }
 
-    /// Builds a checker with a custom recovery procedure (e.g. redo
-    /// replay).
-    pub fn with_recovery(out: &TxOutput, recovery: RecoveryFn) -> CrashChecker {
+    /// Builds a checker that recovers through `protocol`: redo replay
+    /// for [`RedoTxWriter`](crate::redo::RedoTxWriter) output, or CoW
+    /// root resolution for
+    /// [`CowTxWriter`](crate::cow::CowTxWriter) output, whose records
+    /// carry logical addresses read through the recovered root.
+    pub fn with_protocol(out: &TxOutput, protocol: Protocol) -> CrashChecker {
         CrashChecker {
+            protocol,
             layout: out.layout,
             initial: out.init_writes.iter().copied().collect(),
             records: out.records.clone(),
-            recovery,
             jobs: 1,
         }
     }
@@ -137,28 +138,35 @@ impl CrashChecker {
         self
     }
 
-    /// The functional value every tracked address should hold after the
-    /// first `k` transactions.
-    fn expected_after(&self, k: u64) -> HashMap<u64, u64> {
-        let mut m = self.initial.clone();
+    /// The value every tracked address should hold after the first `k`
+    /// transactions, and the tracked addresses in check order. Undo and
+    /// redo track physical words, starting from the preloaded pool; CoW
+    /// tracks the logical words the transactions wrote, starting from
+    /// zero.
+    fn expected_after(&self, k: u64) -> (HashMap<u64, u64>, Vec<u64>) {
+        let writes = || {
+            self.records
+                .iter()
+                .flat_map(|r| r.writes.iter().map(|&(a, _, _)| a))
+        };
+        let (mut m, addrs) = match self.protocol {
+            Protocol::Cow(_) => {
+                let mut addrs: Vec<u64> = writes().collect();
+                addrs.sort_unstable();
+                addrs.dedup();
+                (HashMap::new(), addrs)
+            }
+            _ => (
+                self.initial.clone(),
+                self.initial.keys().copied().chain(writes()).collect(),
+            ),
+        };
         for r in self.records.iter().take(k as usize) {
             for &(a, _, new) in &r.writes {
                 m.insert(a, new);
             }
         }
-        m
-    }
-
-    /// Every data address any transaction (or init) touched.
-    fn tracked_addrs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.initial
-            .keys()
-            .copied()
-            .chain(
-                self.records
-                    .iter()
-                    .flat_map(|r| r.writes.iter().map(|&(a, _, _)| a)),
-            )
+        (m, addrs)
     }
 
     /// Simulates a crash at `cycle`, runs recovery, and checks failure
@@ -204,50 +212,41 @@ impl CrashChecker {
     /// # Errors
     ///
     /// The first [`CheckFailure`] found: [`CheckFailure::Unrecoverable`]
-    /// when both commit-marker copies are present but fail validation
-    /// (at-rest corruption destroyed the header beyond what the twin
-    /// can repair), otherwise the first
+    /// when recovery refuses the image (at-rest corruption destroyed
+    /// every copy of a marker), otherwise the first
     /// [`CheckFailure::Inconsistent`] violation.
     pub fn check_image(&self, mut image: NvmImage) -> Result<u64, CheckFailure> {
         // The at-rest media holds the preloaded pool contents wherever
-        // the run never persisted; merge them so recovery and header
-        // classification see what a real device would.
+        // the run never persisted; merge them so recovery sees what a
+        // real device would.
         for (&a, &v) in &self.initial {
             image.entry(a).or_insert(v);
         }
-        let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-        if classify_marker(rd(self.layout.log_header)) == MarkerCopy::Corrupt
-            && classify_marker(rd(self.layout.log_header_twin)) == MarkerCopy::Corrupt
-        {
-            return Err(CheckFailure::Unrecoverable {
-                diagnosis: "both commit-marker copies fail validation — \
-                            no committed id to recover toward"
-                    .into(),
-            });
+        let report = triage::recover(&mut image, &self.layout, self.protocol);
+        if let RecoveryOutcome::Unrecoverable { diagnosis } = report.outcome {
+            return Err(CheckFailure::Unrecoverable { diagnosis });
         }
-        let result = (self.recovery)(&mut image, &self.layout);
-        let k = result.committed_txid.min(self.records.len() as u64);
-        let expected = self.expected_after(k);
-        for addr in self.tracked_addrs() {
+        let committed = report.committed;
+        let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+        let read = |a: u64| match self.protocol {
+            Protocol::Cow(meta) => rd(meta.physical(rd(meta.root_line), a, rd)),
+            _ => rd(a),
+        };
+        let (expected, addrs) = self.expected_after(committed.min(self.records.len() as u64));
+        for addr in addrs {
             let want = expected.get(&addr).copied().unwrap_or(0);
-            // A word never persisted during the run still holds the
-            // pool's initial (preloaded) contents.
-            let got = image
-                .get(&addr)
-                .copied()
-                .or_else(|| self.initial.get(&addr).copied())
-                .unwrap_or(0);
+            let got = read(addr);
             if want != got {
                 return Err(ConsistencyError {
                     addr,
                     expected: want,
                     found: got,
-                    committed_txid: result.committed_txid,
+                    committed_txid: committed,
                 }
                 .into());
             }
         }
-        Ok(result.committed_txid)
+        Ok(committed)
     }
 
     /// Exhaustively checks every distinct crash image the run could leave
@@ -287,18 +286,6 @@ impl CrashChecker {
         .into_iter()
         .collect::<Result<Vec<u64>, _>>()
         .map(|_| ())
-    }
-
-    /// Checks a set of crash instants, returning every violation.
-    pub fn violations(
-        &self,
-        trace: &PersistTrace,
-        cycles: impl IntoIterator<Item = u64>,
-    ) -> Vec<(u64, CheckFailure)> {
-        cycles
-            .into_iter()
-            .filter_map(|c| self.check_at(trace, c).err().map(|e| (c, e)))
-            .collect()
     }
 }
 
@@ -405,6 +392,9 @@ mod tests {
             (a, 6, true), // data persisted with no log entry!
         ]);
         let checker = CrashChecker::new(&out);
+        // Only the horizon fails: the image with just the init persisted
+        // is consistent.
+        assert_eq!(checker.check_at(&trace, 101), Ok(0));
         let err = checker
             .check_at(&trace, trace.horizon())
             .expect_err("must detect the torn state");
@@ -437,13 +427,30 @@ mod tests {
         let (out, a) = simple_output();
         // Data persisted with no log entry: a violation exists.
         let trace = synthetic_trace(&[(a, 5, true), (a, 6, true)]);
-        let base = CrashChecker::new(&out).check_all_images(&trace);
-        assert!(base.is_err());
-        for jobs in [2, 4] {
-            let r = CrashChecker::new(&out)
-                .with_jobs(jobs)
-                .check_all_images(&trace);
-            assert_eq!(r, base, "jobs {jobs}");
+        // A CoW run whose root switch persisted before its shadow block:
+        // a torn tree under the CoW protocol.
+        let mut cow = crate::cow::CowTxWriter::new(Layout::standard(), ArchConfig::Unsafe, 8);
+        cow.finish_init();
+        cow.begin_tx();
+        cow.write(0, 0, 42);
+        cow.commit_tx();
+        let (cow_out, meta) = cow.finish();
+        let root = cow_out.memory.read(meta.root_line);
+        let cow_trace = synthetic_trace(&[
+            (meta.root_twin, root, false),
+            (meta.root_twin + 8, crate::cow::root_word(root, 1), true),
+        ]);
+        for (out, protocol, trace) in [
+            (&out, Protocol::Undo, &trace),
+            (&cow_out, Protocol::Cow(meta), &cow_trace),
+        ] {
+            let checker = CrashChecker::with_protocol(out, protocol);
+            let base = checker.check_all_images(trace);
+            assert!(base.is_err(), "{protocol:?}");
+            for jobs in [2, 4] {
+                let r = checker.clone().with_jobs(jobs).check_all_images(trace);
+                assert_eq!(r, base, "{protocol:?}, jobs {jobs}");
+            }
         }
     }
 
@@ -533,15 +540,5 @@ mod tests {
         let mut torn = NvmImage::new();
         torn.insert(a, 6);
         assert!(checker.check_image(torn).is_err());
-    }
-
-    #[test]
-    fn violations_collects_bad_cycles() {
-        let (out, a) = simple_output();
-        let trace = synthetic_trace(&[(a, 5, true), (a, 6, true)]);
-        let checker = CrashChecker::new(&out);
-        let v = checker.violations(&trace, [101, trace.horizon()]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].0, trace.horizon());
     }
 }

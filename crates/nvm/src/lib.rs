@@ -15,16 +15,18 @@
 //!
 //! The crate also owns the *crash side* of the story:
 //!
-//! * [`recovery`] implements undo-log recovery over a reconstructed NVM
-//!   image;
+//! * [`triage`] holds the one recovery entry point,
+//!   [`recover`](triage::recover), for each failure-atomicity
+//!   [`Protocol`] (undo, redo, CoW). It classifies every
+//!   image region, repairs torn superblocks from their twin line, and
+//!   reports through one [`RecoveryOutcome`]
+//!   taxonomy, whether the image came from a crash or rotted at rest;
 //! * [`crash`] replays a simulation's persist trace to an arbitrary crash
-//!   instant, runs recovery, and checks failure atomicity against the
-//!   transaction record — the test that separates the crash-safe
+//!   instant, runs that recovery, and checks failure atomicity against
+//!   the transaction record — the test that separates the crash-safe
 //!   configurations (B, IQ, WB) from the unsafe ones (SU, U);
-//! * [`triage`] hardens recovery against *at-rest corruption*: a scrub
-//!   pass classifies every image region, torn superblocks are repaired
-//!   from their twin line, and all three protocols report through one
-//!   [`RecoveryOutcome`](triage::RecoveryOutcome) taxonomy.
+//! * [`recovery`] prices undo recovery as an instruction trace on the
+//!   simulated machine.
 //!
 //! # Example
 //!
@@ -64,7 +66,7 @@ pub mod triage;
 
 pub use codegen::{TxOutput, TxRecord, TxWriter};
 pub use crash::{check_crash_consistency, CheckFailure, ConsistencyError, CrashChecker};
-pub use triage::{RecoveryOutcome, RegionClass, RegionReport, TriageReport};
+pub use triage::{Protocol, RecoveryOutcome, RegionClass, RegionReport, TriageReport};
 pub use heap::BumpHeap;
 pub use layout::Layout;
 pub use memory::SimMemory;

@@ -1,85 +1,15 @@
-//! Undo-log recovery.
+//! Crash images, and undo recovery as a simulated instruction trace.
+//!
+//! Recovery itself runs through [`triage::recover`], the one entry
+//! point per protocol; this module prices it on the simulated machine.
 
 use crate::layout::Layout;
-use crate::log::{decode_entry, resolve_marker, LogEntry};
+use crate::triage::{self, Protocol};
 use std::collections::HashMap;
 
 /// A reconstructed NVM image: 8-byte word address → value; absent words
 /// read as zero (fresh media).
 pub type NvmImage = HashMap<u64, u64>;
-
-/// What recovery did.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RecoveryResult {
-    /// The last committed transaction id found in the log header.
-    pub committed_txid: u64,
-    /// Undo entries applied (writes rolled back).
-    pub rolled_back: usize,
-}
-
-/// Runs undo recovery over a crash image, restoring every location
-/// written by uncommitted transactions to its pre-transaction value.
-///
-/// Valid entries (checksum match) with a transaction id newer than the
-/// header's committed id are applied newest-transaction-first, so when an
-/// uncommitted transaction and its (also uncommitted) successor both
-/// touched an address, the address ends at its oldest pre-image.
-///
-/// The committed id is resolved from *both* header copies through
-/// [`resolve_marker`]: the newest validating copy wins, so a torn or
-/// bit-flipped primary is healed from the twin, and an image where both
-/// copies are lost counts as "nothing committed" — every decodable
-/// entry is rolled back rather than trusting a corrupt id. Legacy
-/// images without a twin line behave exactly as before (an absent twin
-/// reads as zero).
-///
-/// # Example
-///
-/// ```
-/// use ede_nvm::recovery::{recover, NvmImage};
-/// use ede_nvm::log::{checksum, header_word, OFF_ADDR, OFF_OLD, OFF_TXID, OFF_CSUM};
-/// use ede_nvm::Layout;
-///
-/// let layout = Layout::standard();
-/// let mut image = NvmImage::new();
-/// // Header: tx 1 committed. A valid entry from uncommitted tx 2.
-/// image.insert(layout.log_header, header_word(1));
-/// let slot = layout.slot_addr(0);
-/// let (addr, old) = (layout.heap_base, 7u64);
-/// image.insert(slot + OFF_ADDR, addr);
-/// image.insert(slot + OFF_OLD, old);
-/// image.insert(slot + OFF_TXID, 2);
-/// image.insert(slot + OFF_CSUM, checksum(addr, old, 2));
-/// image.insert(addr, 99); // tx 2's (partially persisted) write
-///
-/// let r = recover(&mut image, &layout);
-/// assert_eq!(r.committed_txid, 1);
-/// assert_eq!(r.rolled_back, 1);
-/// assert_eq!(image[&addr], 7);
-/// ```
-pub fn recover(image: &mut NvmImage, layout: &Layout) -> RecoveryResult {
-    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-    let committed = resolve_marker(rd(layout.log_header), rd(layout.log_header_twin));
-    let mut entries: Vec<LogEntry> = (0..layout.log_slots)
-        .filter_map(|i| {
-            decode_entry(layout.slot_addr(i), |w| {
-                image.get(&w).copied().unwrap_or(0)
-            })
-        })
-        .filter(|e| e.txid > committed)
-        .collect();
-    // Newest transaction first: later pre-images are overwritten by
-    // earlier (older) ones, landing at the oldest consistent state.
-    entries.sort_by_key(|e| std::cmp::Reverse(e.txid));
-    let rolled_back = entries.len();
-    for e in &entries {
-        image.insert(e.addr, e.old);
-    }
-    RecoveryResult {
-        committed_txid: committed,
-        rolled_back,
-    }
-}
 
 /// Emits undo recovery as an instruction trace over a crash image: scan
 /// every log slot (the dominant cost — four loads and a compare per
@@ -87,18 +17,17 @@ pub fn recover(image: &mut NvmImage, layout: &Layout) -> RecoveryResult {
 /// fence. Running this trace on the simulated machine measures *recovery
 /// time*, an experiment the paper leaves implicit.
 ///
-/// The returned trace performs exactly what [`recover`] computes; the
-/// test suite checks the two agree.
+/// The rolled-back entries are [`triage::recovery_entries`] — exactly
+/// what [`triage::recover`] applies; the test suite checks the two
+/// agree.
 pub fn recovery_trace(image: &NvmImage, layout: &Layout) -> ede_isa::Program {
     use ede_isa::TraceBuilder;
     let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-    let committed = resolve_marker(rd(layout.log_header), rd(layout.log_header_twin));
     let mut b = TraceBuilder::new();
     // Load both marker copies and resolve them (resolve_marker).
     b.load(layout.log_header, rd(layout.log_header));
     b.load(layout.log_header_twin, rd(layout.log_header_twin));
     b.compute_chain(3);
-    let mut entries: Vec<crate::log::LogEntry> = Vec::new();
     for i in 0..layout.log_slots {
         let slot = layout.slot_addr(i);
         // The scan reads the entry fields and validates the checksum.
@@ -111,14 +40,8 @@ pub fn recovery_trace(image: &NvmImage, layout: &Layout) -> ede_isa::Program {
         let l = b.mov_imm(1);
         let r = b.mov_imm(1);
         b.cmp_branch(l, r, false);
-        if let Some(e) = decode_entry(slot, rd) {
-            if e.txid > committed {
-                entries.push(e);
-            }
-        }
     }
-    entries.sort_by_key(|e| std::cmp::Reverse(e.txid));
-    for e in &entries {
+    for e in triage::recovery_entries(image, layout, Protocol::Undo) {
         b.store(e.addr, e.old);
         b.cvap(e.addr);
     }
@@ -129,8 +52,19 @@ pub fn recovery_trace(image: &NvmImage, layout: &Layout) -> ede_isa::Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{OFF_ADDR, OFF_CSUM, OFF_OLD, OFF_TXID};
-    use crate::log::{checksum, header_word};
+    use crate::log::{
+        checksum, header_word, MAGIC, OFF_ADDR, OFF_CSUM, OFF_MAGIC, OFF_OLD, OFF_TXID,
+    };
+    use crate::triage::{recover, RecoveryOutcome, TriageReport};
+
+    /// A formatted pool: the superblock magic on both header lines, as
+    /// every writer leaves it.
+    fn formatted(layout: &Layout) -> NvmImage {
+        [layout.log_header, layout.log_header_twin]
+            .into_iter()
+            .map(|line| (line + OFF_MAGIC, MAGIC))
+            .collect()
+    }
 
     fn put_entry(image: &mut NvmImage, layout: &Layout, slot: u64, addr: u64, old: u64, txid: u64) {
         let s = layout.slot_addr(slot);
@@ -140,38 +74,44 @@ mod tests {
         image.insert(s + OFF_CSUM, checksum(addr, old, txid));
     }
 
+    fn undo(image: &mut NvmImage, layout: &Layout) -> TriageReport {
+        recover(image, layout, Protocol::Undo)
+    }
+
     #[test]
     fn empty_image_recovers_to_nothing() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
-        let r = recover(&mut image, &layout);
-        assert_eq!(r.committed_txid, 0);
-        assert_eq!(r.rolled_back, 0);
+        let mut image = formatted(&layout);
+        let r = undo(&mut image, &layout);
+        assert_eq!(r.committed, 0);
+        assert_eq!(r.outcome, RecoveryOutcome::Clean);
+        assert_eq!(image, formatted(&layout));
     }
 
     #[test]
     fn committed_entries_skipped() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         image.insert(layout.log_header, header_word(5));
+        image.insert(layout.log_header_twin, header_word(5));
         put_entry(&mut image, &layout, 0, layout.heap_base, 1, 5); // committed
         image.insert(layout.heap_base, 100);
-        let r = recover(&mut image, &layout);
-        assert_eq!(r.rolled_back, 0);
+        let r = undo(&mut image, &layout);
+        assert_eq!(r.outcome, RecoveryOutcome::Clean);
         assert_eq!(image[&layout.heap_base], 100);
     }
 
     #[test]
     fn two_uncommitted_txs_roll_back_to_oldest() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         let x = layout.heap_base;
         // No committed header. Tx1 wrote x: 0 → 10; tx2 wrote x: 10 → 20.
         put_entry(&mut image, &layout, 0, x, 0, 1);
         put_entry(&mut image, &layout, 1, x, 10, 2);
         image.insert(x, 20);
-        let r = recover(&mut image, &layout);
-        assert_eq!(r.rolled_back, 2);
+        let r = undo(&mut image, &layout);
+        assert_eq!(r.outcome, RecoveryOutcome::RolledBack { entries: 2 });
         assert_eq!(image[&x], 0);
     }
 
@@ -179,10 +119,11 @@ mod tests {
     fn recovery_trace_agrees_with_recover() {
         let mut layout = Layout::standard();
         layout.log_slots = 16; // keep the scan small for the test
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         let x = layout.heap_base;
         let y = layout.heap_base + 64;
         image.insert(layout.log_header, header_word(1)); // tx 1 committed
+        image.insert(layout.log_header_twin, header_word(1));
         put_entry(&mut image, &layout, 0, x, 11, 1); // committed: skipped
         put_entry(&mut image, &layout, 1, x, 22, 2); // uncommitted: applied
         put_entry(&mut image, &layout, 2, y, 33, 2); // uncommitted: applied
@@ -198,9 +139,8 @@ mod tests {
             }
         }
         let mut reference = image.clone();
-        recover(&mut reference, &layout);
-        assert_eq!(applied.get(&x), reference.get(&x));
-        assert_eq!(applied.get(&y), reference.get(&y));
+        undo(&mut reference, &layout);
+        assert_eq!(applied, reference);
         assert_eq!(applied[&x], 22);
         assert_eq!(applied[&y], 33);
         // The scan visited every slot.
@@ -218,13 +158,13 @@ mod tests {
         // the entry (and its checksum) persisted. The entry must be
         // rejected rather than rolled back to a corrupt value.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         let old_word = layout.slot_addr(0) + OFF_OLD;
         *image.get_mut(&old_word).unwrap() ^= 1 << 17;
         image.insert(layout.heap_base, 99);
-        let r = recover(&mut image, &layout);
-        assert_eq!(r.rolled_back, 0);
+        let r = undo(&mut image, &layout);
+        assert!(matches!(r.outcome, RecoveryOutcome::Quarantined { entries: 1, .. }));
         assert_eq!(image[&layout.heap_base], 99, "no rollback to a corrupt pre-image");
     }
 
@@ -234,13 +174,13 @@ mod tests {
         // checksum half tore off. Recovery must treat the transaction as
         // uncommitted and roll its entry back.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         image.insert(layout.log_header, 1); // raw id, no checksum half
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         image.insert(layout.heap_base, 99);
-        let r = recover(&mut image, &layout);
-        assert_eq!(r.committed_txid, 0);
-        assert_eq!(r.rolled_back, 1);
+        let r = undo(&mut image, &layout);
+        assert_eq!(r.committed, 0);
+        assert!(matches!(r.outcome, RecoveryOutcome::Quarantined { .. }));
         assert_eq!(image[&layout.heap_base], 7);
     }
 
@@ -250,29 +190,29 @@ mod tests {
         // (persisted first, so at least as new) survived: recovery must
         // see the commit and leave the committed write in place.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         image.insert(layout.log_header, header_word(5) ^ (1 << 40));
         image.insert(layout.log_header_twin, header_word(5));
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 5);
         image.insert(layout.heap_base, 99);
-        let r = recover(&mut image, &layout);
-        assert_eq!(r.committed_txid, 5);
-        assert_eq!(r.rolled_back, 0);
+        let r = undo(&mut image, &layout);
+        assert_eq!(r.committed, 5);
+        assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 0 });
         assert_eq!(image[&layout.heap_base], 99);
     }
 
     #[test]
     fn corrupt_entry_ignored() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         let s = layout.slot_addr(0);
         image.insert(s + OFF_ADDR, layout.heap_base);
         image.insert(s + OFF_OLD, 7);
         image.insert(s + OFF_TXID, 1);
         image.insert(s + OFF_CSUM, 12345); // wrong
         image.insert(layout.heap_base, 99);
-        let r = recover(&mut image, &layout);
-        assert_eq!(r.rolled_back, 0);
+        let r = undo(&mut image, &layout);
+        assert!(matches!(r.outcome, RecoveryOutcome::Quarantined { entries: 1, .. }));
         assert_eq!(image[&layout.heap_base], 99);
     }
 }

@@ -29,83 +29,24 @@
 use crate::codegen::{TxOutput, TxRecord};
 use crate::heap::BumpHeap;
 use crate::layout::Layout;
-use crate::log::{
-    checksum, decode_entry, header_word, resolve_marker, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID,
-};
+use crate::log::{checksum, header_word, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID};
 use crate::memory::SimMemory;
-use crate::recovery::{NvmImage, RecoveryResult};
 use ede_isa::{ArchConfig, Edk, EdkPair, TraceBuilder, VAddr};
 use std::collections::HashMap;
 
 /// Word offset of the *applied* transaction id in the log header line
-/// (the committed id lives at offset 0, as in the undo layout).
+/// (the committed id lives at offset 0, as in the undo layout). Both
+/// markers are self-validating [`header_word`]s stored on the primary
+/// and twin header lines; recovery resolves each through
+/// [`resolve_marker`](crate::log::resolve_marker).
 pub const OFF_APPLIED: u64 = 8;
-
-/// Redo-log recovery: replay committed-but-unapplied transactions.
-///
-/// Both the *committed* and *applied* markers are self-validating
-/// [`header_word`]s, stored twice (primary header line and twin), and
-/// resolved through [`resolve_marker`] — a torn copy of either marker
-/// is healed from its twin instead of silently skipping (or replaying)
-/// transactions.
-///
-/// # Example
-///
-/// ```
-/// use ede_nvm::layout::Layout;
-/// use ede_nvm::log::{checksum, header_word, OFF_ADDR, OFF_OLD, OFF_TXID, OFF_CSUM};
-/// use ede_nvm::recovery::NvmImage;
-/// use ede_nvm::redo::{recover_redo, OFF_APPLIED};
-///
-/// let layout = Layout::standard();
-/// let mut image = NvmImage::new();
-/// // Tx 1 committed but not applied; its redo entry carries the NEW value.
-/// image.insert(layout.log_header, header_word(1));
-/// let slot = layout.slot_addr(0);
-/// let (addr, new) = (layout.heap_base, 42u64);
-/// image.insert(slot + OFF_ADDR, addr);
-/// image.insert(slot + OFF_OLD, new);
-/// image.insert(slot + OFF_TXID, 1);
-/// image.insert(slot + OFF_CSUM, checksum(addr, new, 1));
-///
-/// let r = recover_redo(&mut image, &layout);
-/// assert_eq!(r.committed_txid, 1);
-/// assert_eq!(image[&addr], 42); // replayed forward
-/// # let _ = OFF_APPLIED;
-/// ```
-pub fn recover_redo(image: &mut NvmImage, layout: &Layout) -> RecoveryResult {
-    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-    let committed = resolve_marker(rd(layout.log_header), rd(layout.log_header_twin));
-    let applied = resolve_marker(
-        rd(layout.log_header + OFF_APPLIED),
-        rd(layout.log_header_twin + OFF_APPLIED),
-    );
-    let mut entries: Vec<crate::log::LogEntry> = (0..layout.log_slots)
-        .filter_map(|i| {
-            decode_entry(layout.slot_addr(i), |w| {
-                image.get(&w).copied().unwrap_or(0)
-            })
-        })
-        .filter(|e| e.txid > applied && e.txid <= committed)
-        .collect();
-    // Oldest transaction first: later transactions' values win.
-    entries.sort_by_key(|e| e.txid);
-    let replayed = entries.len();
-    for e in &entries {
-        // For redo entries the payload field carries the NEW value.
-        image.insert(e.addr, e.old);
-    }
-    RecoveryResult {
-        committed_txid: committed,
-        rolled_back: replayed,
-    }
-}
 
 /// Redo-logging counterpart of [`TxWriter`](crate::TxWriter): the same
 /// lifecycle, lowering per architecture configuration, producing the same
 /// [`TxOutput`] (so the crash checker and the simulator run unchanged —
-/// pair it with [`recover_redo`] via
-/// [`CrashChecker::with_recovery`](crate::CrashChecker::with_recovery)).
+/// check it with
+/// [`CrashChecker::with_protocol`](crate::CrashChecker::with_protocol)
+/// and [`Protocol::Redo`](crate::triage::Protocol::Redo)).
 #[derive(Debug)]
 pub struct RedoTxWriter {
     layout: Layout,
@@ -437,7 +378,17 @@ pub fn redo_update_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::NvmImage;
+    use crate::triage::{recover, Protocol, RecoveryOutcome};
     use ede_isa::{InstKind, Program};
+
+    /// A formatted pool: the superblock magic on both header lines.
+    fn formatted(layout: &Layout) -> NvmImage {
+        [layout.log_header, layout.log_header_twin]
+            .into_iter()
+            .map(|line| (line + OFF_MAGIC, MAGIC))
+            .collect()
+    }
 
     fn one_tx(arch: ArchConfig) -> TxOutput {
         let mut tx = RedoTxWriter::new(Layout::standard(), arch);
@@ -501,10 +452,12 @@ mod tests {
     #[test]
     fn recovery_replays_committed_unapplied() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         let a = layout.heap_base;
-        image.insert(layout.log_header, header_word(2)); // committed: 2
-        image.insert(layout.log_header + OFF_APPLIED, header_word(1)); // applied: 1
+        for line in [layout.log_header, layout.log_header_twin] {
+            image.insert(line, header_word(2)); // committed: 2
+            image.insert(line + OFF_APPLIED, header_word(1)); // applied: 1
+        }
         // Tx 2's entry (new value 77); in-place still old.
         let slot = layout.slot_addr(0);
         image.insert(slot + OFF_ADDR, a);
@@ -512,16 +465,16 @@ mod tests {
         image.insert(slot + OFF_TXID, 2);
         image.insert(slot + OFF_TXID + 8, checksum(a, 77, 2));
         image.insert(a, 5);
-        let r = recover_redo(&mut image, &layout);
-        assert_eq!(r.committed_txid, 2);
-        assert_eq!(r.rolled_back, 1);
+        let r = recover(&mut image, &layout, Protocol::Redo);
+        assert_eq!(r.committed, 2);
+        assert_eq!(r.outcome, RecoveryOutcome::RolledBack { entries: 1 });
         assert_eq!(image[&a], 77);
     }
 
     #[test]
     fn recovery_ignores_uncommitted_entries() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         let a = layout.heap_base;
         // No committed marker; an entry from tx 1 persisted.
         let slot = layout.slot_addr(0);
@@ -529,8 +482,8 @@ mod tests {
         image.insert(slot + OFF_ADDR + 8, 77);
         image.insert(slot + OFF_TXID, 1);
         image.insert(slot + OFF_TXID + 8, checksum(a, 77, 1));
-        let r = recover_redo(&mut image, &layout);
-        assert_eq!(r.rolled_back, 0);
+        let r = recover(&mut image, &layout, Protocol::Redo);
+        assert_eq!(r.outcome, RecoveryOutcome::Clean);
         assert!(!image.contains_key(&a), "in-place data untouched");
     }
 
@@ -539,7 +492,7 @@ mod tests {
         // The primary committed marker tore, the twin survived: the
         // committed-but-unapplied transaction must still be replayed.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = formatted(&layout);
         let a = layout.heap_base;
         image.insert(layout.log_header, header_word(2) ^ (1 << 50));
         image.insert(layout.log_header_twin, header_word(2));
@@ -549,8 +502,9 @@ mod tests {
         image.insert(slot + OFF_TXID, 2);
         image.insert(slot + OFF_TXID + 8, checksum(a, 77, 2));
         image.insert(a, 5);
-        let r = recover_redo(&mut image, &layout);
-        assert_eq!(r.committed_txid, 2);
+        let r = recover(&mut image, &layout, Protocol::Redo);
+        assert_eq!(r.committed, 2);
+        assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 1 });
         assert_eq!(image[&a], 77);
     }
 

@@ -1,17 +1,13 @@
-//! Recovery triage — self-healing recovery over arbitrarily corrupted
-//! at-rest images.
+//! Recovery — one entry point per failure-atomicity protocol, hardened
+//! against at-rest corruption.
 //!
-//! The plain recovery entry points ([`recover`](crate::recovery::recover),
-//! [`recover_redo`](crate::redo::recover_redo)) answer *"what state does
-//! this crash image roll forward/back to?"* and silently treat anything
-//! undecodable as "not committed". That is the right contract for crash
-//! images produced by the simulated machine, where every byte was written
-//! by our own code. It is the wrong contract for *at-rest corruption* —
-//! media bit rot, torn sectors, partial wipes — where recovery must say
-//! **what it found, what it repaired, and what it cannot vouch for**.
-//!
-//! This module unifies the three recovery paths (undo, redo, CoW) behind
-//! one taxonomy:
+//! [`recover`] runs a [`Protocol`]'s recovery over an NVM image (undo
+//! rollback, redo replay, or CoW root resolution) and reports **what it
+//! found, what it repaired, and what it cannot vouch for**. The same
+//! path serves crash images the simulated machine left behind (the crash
+//! checker, where every byte was written by our own code) and images
+//! damaged at rest by media bit rot, torn sectors or partial wipes (the
+//! `corrupt` campaign in `ede_check`). Every result uses one taxonomy:
 //!
 //! | outcome                    | meaning                                      |
 //! |----------------------------|----------------------------------------------|
@@ -23,8 +19,9 @@
 //!
 //! The first three are **strong claims**: the recovered image is
 //! byte-equal to what recovery of the uncorrupted image would have
-//! produced (the `corrupt` campaign in `ede_check` enforces this
-//! differentially). The last two are honest refusals with a diagnosis.
+//! produced (the `corrupt` campaign enforces this differentially). The
+//! last two are honest refusals with a diagnosis; the crash checker
+//! refuses only `Unrecoverable`.
 //!
 //! Repair is possible because the image format carries redundancy:
 //! every log entry is checksummed ([`decode_entry`]), the superblock
@@ -33,17 +30,53 @@
 //! ([`resolve_marker`]), and both header lines carry a [`MAGIC`] word so
 //! a wiped image is distinguishable from a fresh one.
 //!
-//! [`scrub`] walks an image without modifying it and classifies every
-//! region; [`triage_recover`] / [`triage_recover_redo`] /
-//! [`triage_cow`] additionally run the protocol's recovery and apply
-//! repairs in place.
+//! Undo and redo share the superblock triage and one walk over the log
+//! slots that hold stored words ([`log_slots`]); CoW resolves its
+//! twin root lines. [`scrub`] reports the same verdict without
+//! modifying the image.
 
 use crate::cow::{decode_root, CowMeta};
 use crate::layout::Layout;
-use crate::log::{classify_marker, decode_entry, MarkerCopy, MAGIC, OFF_MAGIC};
+use crate::log::{
+    classify_marker, decode_entry, resolve_marker, LogEntry, MarkerCopy, MAGIC, OFF_MAGIC,
+};
 use crate::recovery::NvmImage;
 use crate::redo::OFF_APPLIED;
 use std::fmt;
+
+/// The failure-atomicity protocol that wrote an image (§II-A), which
+/// picks the recovery [`recover`] runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Protocol {
+    /// Undo logging: roll back entries newer than the committed marker.
+    Undo,
+    /// Redo logging: replay entries committed but not yet applied.
+    Redo,
+    /// Copy-on-write: resolve the root line pair; no log to walk.
+    Cow(CowMeta),
+}
+
+impl Protocol {
+    /// The `(primary, twin)` superblock lines holding the commit point:
+    /// the log header pair for undo and redo, the root lines for CoW.
+    pub fn superblock(&self, layout: &Layout) -> (u64, u64) {
+        match self {
+            Protocol::Undo | Protocol::Redo => (layout.log_header, layout.log_header_twin),
+            Protocol::Cow(meta) => (meta.root_line, meta.root_twin),
+        }
+    }
+
+    /// Byte offsets, within each superblock line, of the words the
+    /// commit point is made of: the committed marker (plus redo's
+    /// applied marker), or CoW's `(root ptr, marker)` pair.
+    pub fn marker_offsets(&self) -> &'static [u64] {
+        match self {
+            Protocol::Undo => &[0],
+            Protocol::Redo => &[0, OFF_APPLIED],
+            Protocol::Cow(_) => &[0, 8],
+        }
+    }
+}
 
 /// What triage concluded about an image, strongest guarantee first.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -202,7 +235,138 @@ impl TriageReport {
     }
 }
 
-/// Superblock analysis shared by the undo and redo triage paths.
+/// One log slot holding at least one nonzero word, as the slot walk
+/// reads it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LogSlot {
+    /// Slot index, `0..layout.log_slots`.
+    pub index: u64,
+    /// First byte of the slot's 64-byte line.
+    pub addr: u64,
+    /// The entry, when its checksum validates.
+    pub entry: Option<LogEntry>,
+    /// Whether a word beyond the 32-byte entry is nonzero.
+    pub trailing_garbage: bool,
+}
+
+impl LogSlot {
+    /// Whether triage quarantines the slot: trailing garbage, or a
+    /// non-blank entry that fails its checksum.
+    fn is_damaged(&self) -> bool {
+        self.trailing_garbage || self.entry.is_none()
+    }
+
+    fn region(&self) -> RegionReport {
+        let (class, detail) = if self.trailing_garbage {
+            (
+                RegionClass::Quarantined,
+                format!("log slot {}: garbage beyond the 32-byte entry", self.index),
+            )
+        } else if let Some(e) = self.entry {
+            // Byte-identical slots are *not* flagged: the redo writer
+            // appends one entry per `write` call, so a transaction that
+            // stores the same value to the same word twice legitimately
+            // leaves two identical slots — and replaying (or rolling
+            // back) a duplicated entry is idempotent, so a copied slot
+            // line cannot change what recovery produces.
+            (
+                RegionClass::Valid,
+                format!("log entry tx {} for {:#x}", e.txid, e.addr),
+            )
+        } else {
+            (
+                RegionClass::Quarantined,
+                format!(
+                    "log slot {}: non-blank entry fails checksum validation",
+                    self.index
+                ),
+            )
+        };
+        RegionReport {
+            start: self.addr,
+            end: self.addr + 64,
+            class,
+            detail,
+        }
+    }
+}
+
+/// The log slots of `image` that hold a nonzero word, ascending by
+/// index. They are found from the image's keys, so the walk costs the
+/// size of the image rather than a probe of every slot.
+pub fn log_slots(image: &NvmImage, layout: &Layout) -> Vec<LogSlot> {
+    let slots_end = layout.log_base + layout.log_slots * 64;
+    let mut indices: Vec<u64> = image
+        .keys()
+        .filter(|&&a| (layout.log_base..slots_end).contains(&a))
+        .map(|&a| (a - layout.log_base) / 64)
+        .collect();
+    indices.sort_unstable();
+    indices.dedup();
+    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+    indices
+        .into_iter()
+        .filter_map(|index| {
+            let addr = layout.log_base + index * 64;
+            let words: [u64; 8] = std::array::from_fn(|w| rd(addr + w as u64 * 8));
+            // A slot whose stored words are all zero is blank.
+            if words.iter().all(|&w| w == 0) {
+                return None;
+            }
+            Some(LogSlot {
+                index,
+                addr,
+                entry: decode_entry(addr, |a| words[((a - addr) / 8) as usize]),
+                trailing_garbage: words[4..].iter().any(|&w| w != 0),
+            })
+        })
+        .collect()
+}
+
+/// The committed id and the entries `protocol`'s log recovery applies,
+/// in application order: undo rolls back entries newer than the
+/// committed marker, newest transaction first, so an address touched
+/// by several uncommitted transactions ends at its oldest pre-image;
+/// redo replays `applied < txid ≤ committed` oldest first, so later
+/// transactions' values win. Slot order breaks ties within a
+/// transaction. CoW has no log: empty.
+fn select_entries(
+    image: &NvmImage,
+    layout: &Layout,
+    protocol: Protocol,
+    slots: &[LogSlot],
+) -> (u64, Vec<LogEntry>) {
+    let marker = |off: u64| {
+        let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+        resolve_marker(rd(layout.log_header + off), rd(layout.log_header_twin + off))
+    };
+    let committed = marker(0);
+    let entries = slots.iter().filter_map(|s| s.entry);
+    let mut selected: Vec<LogEntry> = match protocol {
+        Protocol::Undo => entries.filter(|e| e.txid > committed).collect(),
+        Protocol::Redo => {
+            let applied = marker(OFF_APPLIED);
+            entries
+                .filter(|e| e.txid > applied && e.txid <= committed)
+                .collect()
+        }
+        Protocol::Cow(_) => Vec::new(),
+    };
+    match protocol {
+        Protocol::Undo => selected.sort_by_key(|e| std::cmp::Reverse(e.txid)),
+        _ => selected.sort_by_key(|e| e.txid),
+    }
+    (committed, selected)
+}
+
+/// The log entries [`recover`] applies to an image it accepts, in the
+/// order it applies them (each writes `old` to `addr`; for redo the
+/// payload field carries the *new* value). Empty for CoW.
+pub fn recovery_entries(image: &NvmImage, layout: &Layout, protocol: Protocol) -> Vec<LogEntry> {
+    select_entries(image, layout, protocol, &log_slots(image, layout)).1
+}
+
+/// Superblock analysis shared by the undo and redo paths.
 struct SuperblockTriage {
     unrecoverable: Option<String>,
     quarantine: Vec<String>,
@@ -317,56 +481,6 @@ fn triage_superblock(
     t
 }
 
-/// Classifies the log-slot array; returns the regions plus the number of
-/// quarantined slots.
-fn scrub_slots(image: &NvmImage, layout: &Layout) -> (Vec<RegionReport>, usize) {
-    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-    let mut regions = Vec::new();
-    let mut quarantined = 0;
-    for i in 0..layout.log_slots {
-        let slot = layout.log_base + i * 64;
-        let words: Vec<u64> = (0..8).map(|w| rd(slot + w * 8)).collect();
-        let trailing_garbage = words[4..].iter().any(|&w| w != 0);
-        let entry = decode_entry(slot, rd);
-        let (class, detail) = if words.iter().all(|&w| w == 0) {
-            // Nothing to report for a blank slot; keep the region list
-            // proportional to the image's interesting content.
-            continue;
-        } else if trailing_garbage {
-            (
-                RegionClass::Quarantined,
-                format!("log slot {i}: garbage beyond the 32-byte entry"),
-            )
-        } else if let Some(e) = entry {
-            // Byte-identical slots are *not* flagged: the redo writer
-            // appends one entry per `write` call, so a transaction that
-            // stores the same value to the same word twice legitimately
-            // leaves two identical slots — and replaying (or rolling
-            // back) a duplicated entry is idempotent, so a copied slot
-            // line cannot change what recovery produces.
-            (
-                RegionClass::Valid,
-                format!("log entry tx {} for {:#x}", e.txid, e.addr),
-            )
-        } else {
-            (
-                RegionClass::Quarantined,
-                format!("log slot {i}: non-blank entry fails checksum validation"),
-            )
-        };
-        if class == RegionClass::Quarantined {
-            quarantined += 1;
-        }
-        regions.push(RegionReport {
-            start: slot,
-            end: slot + 64,
-            class,
-            detail,
-        });
-    }
-    (regions, quarantined)
-}
-
 fn header_line_regions(
     layout: &Layout,
     sb: &SuperblockTriage,
@@ -453,8 +567,6 @@ fn unprotected_regions(image: &NvmImage, layout: &Layout) -> Vec<RegionReport> {
     regions
 }
 
-/// Whether a header-line quarantine (as opposed to a slot quarantine)
-/// is present.
 fn sort_regions(mut regions: Vec<RegionReport>) -> Vec<RegionReport> {
     regions.sort_by_key(|r| r.start);
     regions
@@ -465,12 +577,13 @@ fn build_report(
     layout: &Layout,
     sb: &SuperblockTriage,
     marker_offsets: &[u64],
+    slots: &[LogSlot],
     committed: u64,
     entries: usize,
 ) -> TriageReport {
-    let (slot_regions, slot_quarantined) = scrub_slots(image, layout);
+    let slot_quarantined = slots.iter().filter(|s| s.is_damaged()).count();
     let mut regions = header_line_regions(layout, sb, marker_offsets, image);
-    regions.extend(slot_regions);
+    regions.extend(slots.iter().map(LogSlot::region));
     regions.extend(unprotected_regions(image, layout));
     let regions = sort_regions(regions);
     let outcome = if let Some(diagnosis) = &sb.unrecoverable {
@@ -509,15 +622,15 @@ fn build_report(
     }
 }
 
-/// Read-only scrub: classifies every region of an undo/redo image and
-/// reports the outcome triage *would* reach, without modifying the image.
+/// Read-only [`recover`]: classifies every region of the image and
+/// reports the outcome recovery *would* reach, without modifying it.
 ///
 /// # Example
 ///
 /// ```
 /// use ede_nvm::log::{header_word, MAGIC, OFF_MAGIC};
 /// use ede_nvm::recovery::NvmImage;
-/// use ede_nvm::triage::{scrub, RecoveryOutcome};
+/// use ede_nvm::triage::{scrub, Protocol, RecoveryOutcome};
 /// use ede_nvm::Layout;
 ///
 /// let layout = Layout::standard();
@@ -526,51 +639,86 @@ fn build_report(
 ///     image.insert(line + OFF_MAGIC, MAGIC);
 ///     image.insert(line, header_word(1));
 /// }
-/// let report = scrub(&image, &layout);
+/// let report = scrub(&image, &layout, Protocol::Undo);
 /// assert_eq!(report.outcome, RecoveryOutcome::Clean);
 /// assert_eq!(report.committed, 1);
 /// ```
-pub fn scrub(image: &NvmImage, layout: &Layout) -> TriageReport {
+pub fn scrub(image: &NvmImage, layout: &Layout, protocol: Protocol) -> TriageReport {
     let mut clone = image.clone();
-    triage_recover(&mut clone, layout)
+    recover(&mut clone, layout, protocol)
 }
 
-/// Undo-log triage: scrub, repair what redundancy allows, then run undo
-/// recovery (unless the image is unrecoverable, which leaves it
-/// untouched). See the module docs for the outcome taxonomy.
-pub fn triage_recover(image: &mut NvmImage, layout: &Layout) -> TriageReport {
-    let sb = triage_superblock(image, layout, &[0]);
+/// Runs `protocol`'s recovery over `image` in place — the one recovery
+/// entry point. See the module docs for the outcome taxonomy.
+///
+/// Undo and redo first triage the superblock: the commit markers are
+/// resolved from both header copies through [`resolve_marker`] (the
+/// newest validating copy wins, so a torn primary is healed from the
+/// twin), and damage the twin can repair is repaired in place. One walk
+/// over the stored log slots ([`log_slots`]) then classifies each slot
+/// and decodes its entry, and the entries [`recovery_entries`] names
+/// are applied: undo rolls uncommitted writes back, redo replays
+/// committed-but-unapplied ones forward. CoW resolves its root line
+/// pair instead, healing a torn primary from the twin.
+///
+/// An `Unrecoverable` image is left untouched.
+///
+/// # Example
+///
+/// ```
+/// use ede_nvm::log::{
+///     checksum, header_word, MAGIC, OFF_ADDR, OFF_CSUM, OFF_MAGIC, OFF_OLD, OFF_TXID,
+/// };
+/// use ede_nvm::recovery::NvmImage;
+/// use ede_nvm::triage::{recover, Protocol, RecoveryOutcome};
+/// use ede_nvm::Layout;
+///
+/// let layout = Layout::standard();
+/// let mut image = NvmImage::new();
+/// for line in [layout.log_header, layout.log_header_twin] {
+///     image.insert(line + OFF_MAGIC, MAGIC);
+///     image.insert(line, header_word(1)); // tx 1 committed
+/// }
+/// // A valid undo entry from uncommitted tx 2.
+/// let slot = layout.slot_addr(0);
+/// let (addr, old) = (layout.heap_base, 7u64);
+/// image.insert(slot + OFF_ADDR, addr);
+/// image.insert(slot + OFF_OLD, old);
+/// image.insert(slot + OFF_TXID, 2);
+/// image.insert(slot + OFF_CSUM, checksum(addr, old, 2));
+/// image.insert(addr, 99); // tx 2's (partially persisted) write
+///
+/// let r = recover(&mut image, &layout, Protocol::Undo);
+/// assert_eq!(r.committed, 1);
+/// assert_eq!(r.outcome, RecoveryOutcome::RolledBack { entries: 1 });
+/// assert_eq!(image[&addr], 7);
+/// ```
+pub fn recover(image: &mut NvmImage, layout: &Layout, protocol: Protocol) -> TriageReport {
+    if let Protocol::Cow(meta) = protocol {
+        return recover_cow(image, &meta);
+    }
+    let offsets = protocol.marker_offsets();
+    let sb = triage_superblock(image, layout, offsets);
+    let slots = log_slots(image, layout);
     if sb.unrecoverable.is_some() {
-        return build_report(image, layout, &sb, &[0], 0, 0);
+        return build_report(image, layout, &sb, offsets, &slots, 0, 0);
     }
     for &(a, v) in &sb.heals {
         image.insert(a, v);
     }
-    let r = crate::recovery::recover(image, layout);
-    build_report(image, layout, &sb, &[0], r.committed_txid, r.rolled_back)
+    let (committed, entries) = select_entries(image, layout, protocol, &slots);
+    for e in &entries {
+        image.insert(e.addr, e.old);
+    }
+    build_report(image, layout, &sb, offsets, &slots, committed, entries.len())
 }
 
-/// Redo-log triage: like [`triage_recover`] but over both redo markers
-/// (*committed* at offset 0, *applied* at [`OFF_APPLIED`]) and replaying
-/// committed-but-unapplied transactions forward.
-pub fn triage_recover_redo(image: &mut NvmImage, layout: &Layout) -> TriageReport {
-    let offsets = [0, OFF_APPLIED];
-    let sb = triage_superblock(image, layout, &offsets);
-    if sb.unrecoverable.is_some() {
-        return build_report(image, layout, &sb, &offsets, 0, 0);
-    }
-    for &(a, v) in &sb.heals {
-        image.insert(a, v);
-    }
-    let r = crate::redo::recover_redo(image, layout);
-    build_report(image, layout, &sb, &offsets, r.committed_txid, r.rolled_back)
-}
-
-/// CoW triage: validates the packed `(root ptr, marker)` pairs on the
+/// CoW recovery: validates the packed `(root ptr, marker)` pairs on the
 /// primary and twin root lines ([`decode_root`]), heals a torn primary
 /// from the twin, and quarantines the sole-witness cases. CoW needs no
-/// log replay — recovery *is* resolving the root.
-pub fn triage_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
+/// log replay — recovery *is* resolving the root, which afterwards sits
+/// on the primary line.
+fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
     let rd = |image: &NvmImage, a: u64| image.get(&a).copied().unwrap_or(0);
     let p = (rd(image, meta.root_line), rd(image, meta.root_line + 8));
     let t = (rd(image, meta.root_twin), rd(image, meta.root_twin + 8));
@@ -664,15 +812,18 @@ pub fn triage_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
             (RecoveryOutcome::Clean, a.max(b))
         }
     };
-    let tree: Vec<u64> = image
+    let in_root_line = |a: u64| {
+        (meta.root_line..meta.root_line + 64).contains(&a)
+            || (meta.root_twin..meta.root_twin + 64).contains(&a)
+    };
+    let tree = image
         .keys()
         .copied()
-        .filter(|&a| {
-            !(meta.root_line..meta.root_line + 64).contains(&a)
-                && !(meta.root_twin..meta.root_twin + 64).contains(&a)
-        })
-        .collect();
-    if let (Some(&lo), Some(&hi)) = (tree.iter().min(), tree.iter().max()) {
+        .filter(|&a| !in_root_line(a))
+        .fold(None, |span: Option<(u64, u64)>, a| {
+            Some(span.map_or((a, a), |(lo, hi)| (lo.min(a), hi.max(a))))
+        });
+    if let Some((lo, hi)) = tree {
         regions.push(RegionReport {
             start: lo,
             end: hi + 8,
@@ -717,7 +868,7 @@ mod tests {
             image.insert(line, header_word(2));
         }
         put_entry(&mut image, &layout, 0, layout.heap_base, 1, 2); // committed
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert_eq!(r.outcome, RecoveryOutcome::Clean);
         assert_eq!(r.committed, 2);
         assert_eq!(r.count(RegionClass::Quarantined), 0);
@@ -729,7 +880,7 @@ mod tests {
         let mut image = formatted_image(&layout);
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1); // uncommitted
         image.insert(layout.heap_base, 99);
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert_eq!(r.outcome, RecoveryOutcome::RolledBack { entries: 1 });
         assert_eq!(image[&layout.heap_base], 7);
     }
@@ -740,7 +891,7 @@ mod tests {
         let mut image = formatted_image(&layout);
         image.insert(layout.log_header, header_word(3) ^ (1 << 33));
         image.insert(layout.log_header_twin, header_word(3));
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 0 });
         assert_eq!(r.committed, 3);
         assert_eq!(image[&layout.log_header], header_word(3), "healed in place");
@@ -754,7 +905,7 @@ mod tests {
         let mut image = formatted_image(&layout);
         image.insert(layout.log_header, header_word(3));
         image.insert(layout.log_header_twin, 0xDEAD_BEEF);
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert!(
             matches!(r.outcome, RecoveryOutcome::Quarantined { .. }),
             "sole repair witness destroyed: {:?}",
@@ -771,7 +922,7 @@ mod tests {
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         image.insert(layout.heap_base, 99);
         let before = image.clone();
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert!(matches!(r.outcome, RecoveryOutcome::Unrecoverable { .. }));
         assert_eq!(image, before, "an unrecoverable image is never modified");
     }
@@ -782,7 +933,7 @@ mod tests {
         let mut image = formatted_image(&layout);
         image.insert(layout.log_header, 0xBAD);
         image.insert(layout.log_header_twin, 0xBAD0);
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert!(matches!(r.outcome, RecoveryOutcome::Unrecoverable { .. }));
     }
 
@@ -793,7 +944,7 @@ mod tests {
         put_entry(&mut image, &layout, 2, layout.heap_base, 7, 1);
         let csum = layout.slot_addr(2) + OFF_CSUM;
         *image.get_mut(&csum).unwrap() ^= 1 << 9;
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         match &r.outcome {
             RecoveryOutcome::Quarantined { entries, reason } => {
                 assert_eq!(*entries, 1);
@@ -818,7 +969,7 @@ mod tests {
         let mut image = formatted_image(&layout);
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         put_entry(&mut image, &layout, 5, layout.heap_base, 7, 1); // same
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert!(matches!(r.outcome, RecoveryOutcome::RolledBack { .. }));
         assert_eq!(image.get(&layout.heap_base), Some(&7));
         let dup = r.region_covering(layout.slot_addr(5)).unwrap();
@@ -830,7 +981,7 @@ mod tests {
         let layout = Layout::standard();
         let mut image = formatted_image(&layout);
         image.insert(layout.slot_addr(1) + 40, 0x4141_4141);
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         assert!(matches!(r.outcome, RecoveryOutcome::Quarantined { .. }));
     }
 
@@ -839,7 +990,7 @@ mod tests {
         let layout = Layout::standard();
         let mut image = formatted_image(&layout);
         image.insert(layout.heap_base + 128, 42);
-        let r = triage_recover(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Undo);
         let region = r.region_covering(layout.heap_base + 128).unwrap();
         assert_eq!(region.class, RegionClass::Unprotected);
     }
@@ -851,8 +1002,41 @@ mod tests {
         image.insert(layout.log_header, header_word(3) ^ 1);
         image.insert(layout.log_header_twin, header_word(3));
         let before = image.clone();
-        let r = scrub(&image, &layout);
+        let r = scrub(&image, &layout, Protocol::Undo);
         assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 0 });
+        assert_eq!(image, before);
+    }
+
+    #[test]
+    fn scrub_does_not_modify_redo_or_cow_images() {
+        use crate::cow::root_word;
+        let layout = Layout::standard();
+        // Redo: a torn primary marker over a committed-but-unapplied
+        // entry — recovery would heal the marker and replay the entry.
+        let mut image = formatted_image(&layout);
+        image.insert(layout.log_header, header_word(1) ^ 1);
+        image.insert(layout.log_header_twin, header_word(1));
+        put_entry(&mut image, &layout, 0, layout.heap_base, 77, 1);
+        image.insert(layout.heap_base, 5);
+        let before = image.clone();
+        let r = scrub(&image, &layout, Protocol::Redo);
+        assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 1 });
+        assert_eq!(image, before);
+        // CoW: the primary root is one commit behind the twin — recovery
+        // would roll it forward.
+        let meta = CowMeta {
+            root_line: 0x1_0000_0000,
+            root_twin: 0x1_0000_1000,
+            slots: 8,
+        };
+        let mut image = NvmImage::new();
+        image.insert(meta.root_line, 0x9000);
+        image.insert(meta.root_line + 8, root_word(0x9000, 1));
+        image.insert(meta.root_twin, 0x9400);
+        image.insert(meta.root_twin + 8, root_word(0x9400, 2));
+        let before = image.clone();
+        let r = scrub(&image, &layout, Protocol::Cow(meta));
+        assert_eq!((r.outcome, r.committed), (RecoveryOutcome::Clean, 2));
         assert_eq!(image, before);
     }
 
@@ -870,7 +1054,7 @@ mod tests {
         image.insert(slot + OFF_TXID, 1);
         image.insert(slot + OFF_TXID + 8, checksum(a, 77, 1));
         image.insert(a, 5);
-        let r = triage_recover_redo(&mut image, &layout);
+        let r = recover(&mut image, &layout, Protocol::Redo);
         assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 1 });
         assert_eq!(image[&a], 77, "replayed forward after repair");
         assert_eq!(image[&layout.log_header], header_word(1));
@@ -889,7 +1073,7 @@ mod tests {
         image.insert(meta.root_line + 8, 1); // torn: raw id half only
         image.insert(meta.root_twin, 0x9000);
         image.insert(meta.root_twin + 8, root_word(0x9000, 1));
-        let r = triage_cow(&mut image, &meta);
+        let r = recover(&mut image, &Layout::standard(), Protocol::Cow(meta));
         assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 1 });
         assert_eq!(r.committed, 1);
         assert_eq!(image[&(meta.root_line + 8)], root_word(0x9000, 1));
@@ -907,7 +1091,7 @@ mod tests {
             slots: 8,
         };
         let mut image = NvmImage::new(); // zero everywhere: nothing validates
-        let r = triage_cow(&mut image, &meta);
+        let r = recover(&mut image, &Layout::standard(), Protocol::Cow(meta));
         assert!(matches!(r.outcome, RecoveryOutcome::Unrecoverable { .. }));
     }
 
@@ -925,7 +1109,7 @@ mod tests {
         image.insert(meta.root_line + 8, root_word(0x9000, 1));
         image.insert(meta.root_twin, 0x9400);
         image.insert(meta.root_twin + 8, root_word(0x9400, 2));
-        let r = triage_cow(&mut image, &meta);
+        let r = recover(&mut image, &Layout::standard(), Protocol::Cow(meta));
         assert_eq!(r.outcome, RecoveryOutcome::Clean);
         assert_eq!(r.committed, 2);
         assert_eq!(image[&meta.root_line], 0x9400);

@@ -1,10 +1,41 @@
 //! Property tests for undo logging and recovery.
 
 use ede_isa::ArchConfig;
-use ede_nvm::recovery::{recover, NvmImage};
+use ede_nvm::log::{
+    checksum, decode_entry, header_word, resolve_marker, LogEntry, MAGIC, OFF_ADDR, OFF_CSUM,
+    OFF_MAGIC, OFF_OLD, OFF_TXID,
+};
+use ede_nvm::recovery::NvmImage;
+use ede_nvm::redo::OFF_APPLIED;
+use ede_nvm::triage::{recover, Protocol, RecoveryOutcome};
 use ede_nvm::{CrashChecker, Layout, TxWriter};
 use ede_util::check::{self, any};
 use ede_util::{prop_assert, prop_assert_eq, prop_assume, property};
+
+/// Undo or redo recovery the slow way: resolve the markers, probe every
+/// slot of the array, select and order the entries, apply them.
+fn every_slot_reference(image: &NvmImage, layout: &Layout, protocol: Protocol) -> (u64, NvmImage) {
+    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+    let marker =
+        |off: u64| resolve_marker(rd(layout.log_header + off), rd(layout.log_header_twin + off));
+    let (committed, applied) = (marker(0), marker(OFF_APPLIED));
+    let mut entries: Vec<LogEntry> = (0..layout.log_slots)
+        .filter_map(|i| decode_entry(layout.slot_addr(i), rd))
+        .filter(|e| match protocol {
+            Protocol::Undo => e.txid > committed,
+            _ => e.txid > applied && e.txid <= committed,
+        })
+        .collect();
+    match protocol {
+        Protocol::Undo => entries.sort_by_key(|e| std::cmp::Reverse(e.txid)),
+        _ => entries.sort_by_key(|e| e.txid),
+    }
+    let mut out = image.clone();
+    for e in entries {
+        out.insert(e.addr, e.old);
+    }
+    (committed, out)
+}
 
 property! {
     /// Recovery is idempotent: running it twice gives the same image.
@@ -18,13 +49,83 @@ property! {
             .map(|(w, v)| (layout.nvm_base + w * 8, v))
             .collect();
         image.insert(layout.log_header, header);
+        for line in [layout.log_header, layout.log_header_twin] {
+            image.insert(line + OFF_MAGIC, MAGIC);
+        }
         let mut twice = image.clone();
-        let r1 = recover(&mut image, &layout);
-        let _ = recover(&mut twice, &layout);
-        let r2 = recover(&mut twice, &layout);
-        prop_assert_eq!(r1.committed_txid, r2.committed_txid);
+        let r1 = recover(&mut image, &layout, Protocol::Undo);
+        let _ = recover(&mut twice, &layout, Protocol::Undo);
+        let r2 = recover(&mut twice, &layout, Protocol::Undo);
+        prop_assert_eq!(r1.committed, r2.committed);
         prop_assert_eq!(&image, &twice);
-        prop_assert_eq!(r2.rolled_back, 0, "second pass has nothing to undo");
+        prop_assert!(
+            !matches!(
+                r2.outcome,
+                RecoveryOutcome::RolledBack { .. } | RecoveryOutcome::RepairedTorn { .. }
+            ),
+            "second pass has nothing to undo or repair: {}",
+            r2.outcome
+        );
+    }
+
+    /// The one-pass slot walk recovers exactly what probing every slot
+    /// does, for undo and redo. Slots may be partial, hold explicitly
+    /// stored zero words or trailing garbage, and share transaction ids;
+    /// slots 16 and 17 lie just past the 16-slot array and must be
+    /// ignored.
+    fn slot_walk_matches_every_slot_reference(
+        slots in check::vec((0u64..18, 1u64..5, any::<u64>(), 0u64..20), 0..24),
+        committed in 0u64..5,
+        applied in 0u64..5
+    ) {
+        let mut layout = Layout::standard();
+        layout.log_slots = 16;
+        let mut image = NvmImage::new();
+        for line in [layout.log_header, layout.log_header_twin] {
+            image.insert(line + OFF_MAGIC, MAGIC);
+            if committed > 0 {
+                image.insert(line, header_word(committed));
+            }
+            if applied > 0 {
+                image.insert(line + OFF_APPLIED, header_word(applied));
+            }
+        }
+        for (slot, txid, value, shape) in slots {
+            let (word, form) = (shape % 4, shape / 4);
+            let s = layout.log_base + slot * 64;
+            let addr = layout.heap_base + word * 8;
+            match form {
+                // Partial: the entry's first half only.
+                1 => {
+                    image.insert(s + OFF_ADDR, addr);
+                    image.insert(s + OFF_OLD, value);
+                }
+                // Explicitly stored zero words, nothing else.
+                2 => {
+                    image.insert(s + OFF_TXID, 0);
+                    image.insert(s + 48, 0);
+                }
+                _ => {
+                    image.insert(s + OFF_ADDR, addr);
+                    image.insert(s + OFF_OLD, value);
+                    image.insert(s + OFF_TXID, txid);
+                    image.insert(s + OFF_CSUM, checksum(addr, value, txid));
+                    match form {
+                        3 => image.insert(s + 40, 0),        // stored zero after the entry
+                        4 => image.insert(s + 56, value | 1), // trailing garbage
+                        _ => None,
+                    };
+                }
+            }
+            image.insert(addr, value.rotate_left(7));
+        }
+        for protocol in [Protocol::Undo, Protocol::Redo] {
+            let (want_committed, want) = every_slot_reference(&image, &layout, protocol);
+            let mut got = image.clone();
+            let report = recover(&mut got, &layout, protocol);
+            prop_assert_eq!(report.committed, want_committed, "{:?}", protocol);
+            prop_assert_eq!(&got, &want, "{:?}", protocol);
+        }
     }
 
     /// For any sequence of transactional writes, the final functional
@@ -68,9 +169,9 @@ property! {
         // Build a fully-persisted image: every functional word written
         // during the run, persisted at the end.
         let mut image: NvmImage = out.memory.iter().map(|(&a, &v)| (a, v)).collect();
-        let r = recover(&mut image, &layout);
-        prop_assert_eq!(r.committed_txid, out.records.len() as u64);
-        prop_assert_eq!(r.rolled_back, 0, "all transactions committed");
+        let r = recover(&mut image, &layout, Protocol::Undo);
+        prop_assert_eq!(r.committed, out.records.len() as u64);
+        prop_assert_eq!(r.outcome, RecoveryOutcome::Clean, "all transactions committed");
         for rec in &out.records {
             for &(addr, _, _) in &rec.writes {
                 prop_assert_eq!(image[&addr], out.memory.read(addr));

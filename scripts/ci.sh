@@ -19,6 +19,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test --offline (EDE_JOBS=2)"
 EDE_JOBS=2 cargo test --workspace -q --offline
 
+# The benchmark package is a standalone Cargo package outside the
+# workspace; it compiles against the library's public API, so build and
+# test it here to catch API drift.
+echo "==> cargo test ede-benchmark (standalone package)"
+cargo test --offline --release --manifest-path ede-benchmark/Cargo.toml
+
 # Lint when the toolchain ships clippy (optional component; skipped
 # silently where absent so the gate stays runnable on minimal installs).
 if cargo clippy --version >/dev/null 2>&1; then

@@ -8,8 +8,8 @@
 //! image a run can leave behind.
 
 use ede_isa::ArchConfig;
-use ede_nvm::CrashChecker;
-use ede_sim::{run_workload, SimConfig};
+use ede_nvm::{CheckFailure, CrashChecker, Protocol, TxOutput};
+use ede_sim::{run_program, run_workload, SimConfig};
 use ede_workloads::{standard_suite, update::Update, WorkloadParams};
 
 fn params() -> WorkloadParams {
@@ -140,53 +140,51 @@ fn recovery_rolls_back_partial_transactions() {
     );
 }
 
+/// Runs a protocol kernel's transactional program on `arch` and checks
+/// every crash image with that protocol's recovery.
+fn check_protocol_kernel(
+    name: &str,
+    arch: ArchConfig,
+    (out, protocol): (TxOutput, Protocol),
+) -> Result<(), (u64, CheckFailure)> {
+    let r = run_program(name, out, arch, &SimConfig::a72()).expect("run completes");
+    CrashChecker::with_protocol(&r.output, protocol).check_all_images(&r.trace)
+}
+
+fn redo_kernel(arch: ArchConfig, ops: usize, per_tx: usize, elems: u64) -> (TxOutput, Protocol) {
+    let out = ede_nvm::redo::redo_update_kernel(arch, ops, per_tx, elems, 7);
+    (out, Protocol::Redo)
+}
+
+fn cow_kernel(arch: ArchConfig, ops: usize, per_tx: usize) -> (TxOutput, Protocol) {
+    let (out, meta) = ede_nvm::cow::cow_update_kernel(arch, ops, per_tx, 64, 7);
+    (out, Protocol::Cow(meta))
+}
+
 #[test]
 fn redo_logging_is_crash_safe_on_safe_configs() {
-    use ede_nvm::redo::{recover_redo, redo_update_kernel};
-    use ede_sim::runner::run_program;
-    let sim = SimConfig::a72();
     for arch in ArchConfig::ALL.into_iter().filter(|a| a.is_crash_safe()) {
-        let out = redo_update_kernel(arch, 60, 20, 4096, 7);
-        let r = run_program("redo", out, arch, &sim).expect("redo run completes");
-        let checker = CrashChecker::with_recovery(&r.output, recover_redo);
-        checker
-            .check_all_images(&r.trace)
+        check_protocol_kernel("redo", arch, redo_kernel(arch, 60, 20, 4096))
             .unwrap_or_else(|(c, e)| panic!("redo on {arch}: crash at {c}: {e}"));
     }
 }
 
 #[test]
 fn redo_logging_unsafe_without_ordering() {
-    use ede_nvm::redo::{recover_redo, redo_update_kernel};
-    use ede_sim::runner::run_program;
-    let sim = SimConfig::a72();
-    let out = redo_update_kernel(ArchConfig::Unsafe, 90, 30, 16 * 1024, 7);
-    let r = run_program("redo-u", out, ArchConfig::Unsafe, &sim).expect("run completes");
-    let checker = CrashChecker::with_recovery(&r.output, recover_redo);
-    checker
-        .check_all_images(&r.trace)
+    let arch = ArchConfig::Unsafe;
+    check_protocol_kernel("redo-u", arch, redo_kernel(arch, 90, 30, 16 * 1024))
         .expect_err("U redo must admit an unrecoverable crash point");
 }
 
 #[test]
 fn cow_is_crash_safe_on_safe_configs_and_torn_under_u() {
-    use ede_nvm::cow::{cow_update_kernel, CowChecker};
-    use ede_sim::runner::run_program;
-    let sim = SimConfig::a72();
     for arch in ArchConfig::ALL.into_iter().filter(|a| a.is_crash_safe()) {
-        let (out, meta) = cow_update_kernel(arch, 40, 10, 64, 7);
-        let checker_out = out.clone();
-        let r = run_program("cow", out, arch, &sim).expect("cow run completes");
-        CowChecker::new(&checker_out, meta)
-            .check_all_images(&r.trace)
-            .unwrap_or_else(|(c, v)| panic!("cow on {arch}: crash at {c}: {v}"));
+        check_protocol_kernel("cow", arch, cow_kernel(arch, 40, 10))
+            .unwrap_or_else(|(c, e)| panic!("cow on {arch}: crash at {c}: {e}"));
     }
     // Unsafe: the root switch may persist before the shadow blocks.
-    let (out, meta) = cow_update_kernel(ArchConfig::Unsafe, 90, 30, 64, 7);
-    let checker_out = out.clone();
-    let r = run_program("cow-u", out, ArchConfig::Unsafe, &sim).expect("run completes");
-    CowChecker::new(&checker_out, meta)
-        .check_all_images(&r.trace)
+    let arch = ArchConfig::Unsafe;
+    check_protocol_kernel("cow-u", arch, cow_kernel(arch, 90, 30))
         .expect_err("U CoW must admit a torn tree");
 }
 

@@ -17,7 +17,7 @@ use ede_nvm::log::{
     OFF_OLD, OFF_TXID,
 };
 use ede_nvm::recovery::NvmImage;
-use ede_nvm::triage::{scrub, triage_recover};
+use ede_nvm::triage::{recover, scrub, Protocol};
 use ede_nvm::{Layout, RecoveryOutcome, RegionClass};
 use ede_sim::{run_workload, SimConfig};
 use ede_util::rng::{mix64, SmallRng};
@@ -103,7 +103,7 @@ fn arbitrary_corruption_never_panics() {
                         image.insert(addr, rng.gen::<u64>());
                     }
                 }
-                let report = triage_recover(&mut image, &layout);
+                let report = recover(&mut image, &layout, Protocol::Undo);
                 // The verdict is typed; its display never panics either.
                 let _ = format!("{} / {}", report.outcome, report.outcome.label());
             }
@@ -122,7 +122,7 @@ fn superblock_scribbles_with_one_surviving_copy_recover_exactly() {
         let mut rng = SmallRng::seed_from_u64(mix64(0x5B5C ^ arch as u64));
         for pristine in &images {
             let mut golden = pristine.clone();
-            let golden_report = triage_recover(&mut golden, &layout);
+            let golden_report = recover(&mut golden, &layout, Protocol::Undo);
             assert!(golden_report.outcome.is_strong_claim());
             for case in 0..40 {
                 // Alternate which copy takes the damage; the other line
@@ -138,7 +138,7 @@ fn superblock_scribbles_with_one_surviving_copy_recover_exactly() {
                     image.insert(line + w, rng.gen::<u64>());
                 }
                 let mut recovered = image;
-                let report = triage_recover(&mut recovered, &layout);
+                let report = recover(&mut recovered, &layout, Protocol::Undo);
                 if report.outcome.is_strong_claim() {
                     assert_eq!(report.committed, golden_report.committed, "{arch}");
                     for (&a, &v) in golden.iter().filter(|(&a, _)| a >= layout.heap_base) {
@@ -164,7 +164,7 @@ fn torn_single_header_is_always_repaired_from_the_twin() {
         let mut rng = SmallRng::seed_from_u64(mix64(0x7032 ^ arch as u64));
         for pristine in &images {
             let mut golden = pristine.clone();
-            let golden_report = triage_recover(&mut golden, &layout);
+            let golden_report = recover(&mut golden, &layout, Protocol::Undo);
             if golden_report.committed == 0 {
                 continue; // nothing committed yet: no marker to tear
             }
@@ -177,7 +177,7 @@ fn torn_single_header_is_always_repaired_from_the_twin() {
                 };
                 let mut recovered = pristine.clone();
                 recovered.insert(layout.log_header, torn);
-                let report = triage_recover(&mut recovered, &layout);
+                let report = recover(&mut recovered, &layout, Protocol::Undo);
                 assert!(
                     matches!(report.outcome, RecoveryOutcome::RepairedTorn { .. }),
                     "{arch}: torn primary {torn:#x} gave {:?}",
@@ -216,7 +216,7 @@ fn outcome_clean_on_an_undamaged_idle_image() {
     let mut image = formatted(&layout);
     image.insert(layout.log_header, header_word(2));
     image.insert(layout.log_header_twin, header_word(2));
-    let r = triage_recover(&mut image, &layout);
+    let r = recover(&mut image, &layout, Protocol::Undo);
     assert_eq!(r.outcome, RecoveryOutcome::Clean);
     assert_eq!(r.committed, 2);
 }
@@ -228,7 +228,7 @@ fn outcome_rolled_back_restores_the_pre_image() {
     let x = layout.heap_base;
     put_entry(&mut image, &layout, 0, x, 7, 1); // tx 1 never committed
     image.insert(x, 99);
-    let r = triage_recover(&mut image, &layout);
+    let r = recover(&mut image, &layout, Protocol::Undo);
     assert_eq!(r.outcome, RecoveryOutcome::RolledBack { entries: 1 });
     assert_eq!(image[&x], 7);
 }
@@ -239,7 +239,7 @@ fn outcome_repaired_torn_heals_in_place() {
     let mut image = formatted(&layout);
     image.insert(layout.log_header, header_word(3) ^ (1 << 50)); // bit rot
     image.insert(layout.log_header_twin, header_word(3));
-    let r = triage_recover(&mut image, &layout);
+    let r = recover(&mut image, &layout, Protocol::Undo);
     assert_eq!(r.outcome, RecoveryOutcome::RepairedTorn { entries: 0 });
     assert_eq!(r.committed, 3);
     assert_eq!(image[&layout.log_header], header_word(3));
@@ -251,7 +251,7 @@ fn outcome_quarantined_when_the_sole_witness_is_lost() {
     let mut image = formatted(&layout);
     image.insert(layout.log_header, header_word(3));
     image.insert(layout.log_header_twin, 0x0BAD_F00D); // twin destroyed
-    let r = triage_recover(&mut image, &layout);
+    let r = recover(&mut image, &layout, Protocol::Undo);
     match &r.outcome {
         RecoveryOutcome::Quarantined { entries, reason } => {
             assert!(*entries >= 1);
@@ -270,7 +270,7 @@ fn outcome_unrecoverable_leaves_the_image_untouched() {
     image.insert(layout.log_header_twin + OFF_MAGIC, 0x2222);
     image.insert(layout.heap_base, 42);
     let before = image.clone();
-    let r = triage_recover(&mut image, &layout);
+    let r = recover(&mut image, &layout, Protocol::Undo);
     match &r.outcome {
         RecoveryOutcome::Unrecoverable { diagnosis } => {
             assert!(diagnosis.contains("magic"), "{diagnosis}");
@@ -294,7 +294,7 @@ fn scrub_reports_byte_ranges_without_mutating() {
     image.insert(bad_slot + 40, 0xDEAD);
     let before = image.clone();
 
-    let r = scrub(&image, &layout);
+    let r = scrub(&image, &layout, Protocol::Undo);
     assert_eq!(image, before, "scrub must not write");
 
     // Every region is a well-formed byte range, and the garbage word is
