@@ -10,6 +10,9 @@ use ede_workloads::standard_suite;
 
 fn main() {
     let cfg = ede_bench::experiment_from_env();
+    // Optional multi-seed spread: EDE_SEEDS=<n> runs n seeds. Read up
+    // front so a typo fails before the sweep, not after it.
+    let n_seeds = ede_bench::env_u64("EDE_SEEDS", 1);
     eprintln!(
         "running fig9: {} ops x {} apps x 5 configs (EDE_OPS to change)…",
         cfg.params.ops,
@@ -22,11 +25,6 @@ fn main() {
     }
     print!("{}", report::fig9(&f));
 
-    // Optional multi-seed spread: EDE_SEEDS=<n> runs n seeds.
-    let n_seeds: u64 = std::env::var("EDE_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     if n_seeds > 1 {
         eprintln!("running {n_seeds} seeds for the spread…");
         let seeds: Vec<u64> = (0..n_seeds).map(|i| cfg.params.seed + i).collect();

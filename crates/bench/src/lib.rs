@@ -1,10 +1,11 @@
-//! Shared plumbing for the benchmark harness.
+//! Shared plumbing for the figure and experiment binaries.
 //!
-//! The binaries (`fig9`, `fig10`, `fig11`, `tables`) regenerate each
-//! artifact of the paper's evaluation section; the Criterion benches under
-//! `benches/` do the same per-configuration measurements through the
-//! Criterion harness (reporting *simulated cycles* as the measured
-//! quantity) plus ablations and component microbenchmarks.
+//! The binaries (`fig9`, `fig10`, `fig11`, `fig12`, `tables`) regenerate
+//! each artifact of the paper's evaluation section; `protocols`, `stats`,
+//! `sweep`, `recovery` and `ablation` print the extension experiments and
+//! ablations of EXPERIMENTS.md. Every number they print is simulated
+//! (cycles, occupancy, issue width); host wall-clock is measured only by
+//! the standalone `ede-benchmark` package.
 //!
 //! Run sizes are controlled by environment variables so the same binaries
 //! serve quick smoke runs and full-figure regeneration:
@@ -34,7 +35,7 @@ use ede_workloads::WorkloadParams;
 ///
 /// When the variable is set but not a number: a typo must fail the run
 /// loudly, not silently fall back to a full-length default.
-fn env_u64(name: &str, default: u64) -> u64 {
+pub fn env_u64(name: &str, default: u64) -> u64 {
     parse_u64_var(name, std::env::var(name).ok().as_deref(), default)
 }
 
@@ -69,33 +70,12 @@ pub fn experiment_from_env() -> ExperimentConfig {
     }
 }
 
-/// A reduced configuration for Criterion benches (kept small so the
-/// default `cargo bench` finishes quickly).
-pub fn bench_experiment() -> ExperimentConfig {
-    ExperimentConfig {
-        params: WorkloadParams {
-            ops: env_u64("EDE_OPS", 200) as usize,
-            ops_per_tx: env_u64("EDE_OPS_TX", 100) as usize,
-            seed: env_u64("EDE_SEED", 42),
-            array_elems: env_u64("EDE_ELEMS", 64 * 1024),
-            prepopulate: env_u64("EDE_PREPOP", 5_000) as usize,
-            ..WorkloadParams::default()
-        },
-        sim: SimConfig::a72(),
-        // Criterion timings must measure the simulator, not the pool, so
-        // the benches default to sequential unless EDE_JOBS says otherwise.
-        jobs: env_u64("EDE_JOBS", 1) as usize,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn env_defaults() {
         let cfg = super::experiment_from_env();
         assert_eq!(cfg.params.ops_per_tx, 100);
-        let b = super::bench_experiment();
-        assert!(b.params.ops <= cfg.params.ops);
     }
 
     #[test]

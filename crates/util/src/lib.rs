@@ -2,8 +2,8 @@
 //!
 //! The evaluation environment is hermetic: `cargo build` and `cargo test`
 //! must complete with no network access and no external registry
-//! dependencies. This crate supplies, in-repo, the three pieces of
-//! infrastructure the workspace previously pulled from crates.io:
+//! dependencies. This crate supplies, in-repo, the infrastructure the
+//! workspace would otherwise pull from crates.io:
 //!
 //! * [`rng`] — a seedable, deterministic PRNG (SplitMix64-seeded
 //!   xoshiro256++) with the `gen` / `gen_range` / `gen_bool` / `shuffle`
@@ -11,9 +11,6 @@
 //! * [`check`] — a minimal property-testing harness: generator
 //!   combinators, bounded shrinking, deterministic per-test seeding, and
 //!   `EDE_PROPTEST_CASES` / `EDE_PROPTEST_SEED` environment overrides;
-//! * [`bench`] — a small wall-clock benchmark harness with a
-//!   Criterion-like API (`bench_function`, `iter`, `iter_custom`,
-//!   benchmark groups) for the `benches/` targets;
 //! * [`pool`] — a scoped thread pool (std::thread + channels) with a
 //!   deterministic map-reduce layer: results come back in submission
 //!   order, so parallel runs are bit-identical to sequential ones
@@ -32,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod diff;
 pub mod obs;

@@ -45,23 +45,33 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Resolves a requested job count: any positive request is taken as-is;
-/// 0 means auto — `EDE_JOBS` if set, else the host's available
-/// parallelism, else 1.
+/// 0 means auto — `EDE_JOBS` if set to a positive count, else the host's
+/// available parallelism (`EDE_JOBS=0` asks for it explicitly), else 1.
 ///
 /// # Panics
 ///
-/// Panics if `EDE_JOBS` is set but is not a positive integer, so a typo
-/// in CI never silently serializes (or over-subscribes) a campaign.
+/// Panics if `EDE_JOBS` is set but is not a non-negative integer, so a
+/// typo in CI never silently serializes (or over-subscribes) a campaign.
 pub fn resolve_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    match std::env::var("EDE_JOBS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("EDE_JOBS={raw:?} is not a positive integer"),
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, usize::from),
+    auto_jobs(std::env::var("EDE_JOBS").ok().as_deref())
+}
+
+/// The auto job count for an `EDE_JOBS` value, kept apart from
+/// [`resolve_jobs`] so the parsing is testable without mutating the
+/// process environment.
+fn auto_jobs(env_jobs: Option<&str>) -> usize {
+    let jobs = env_jobs.map_or(0, |raw| {
+        raw.trim()
+            .parse::<usize>()
+            .unwrap_or_else(|_| panic!("EDE_JOBS={raw:?} is not a non-negative integer"))
+    });
+    if jobs > 0 {
+        jobs
+    } else {
+        std::thread::available_parallelism().map_or(1, usize::from)
     }
 }
 
@@ -525,6 +535,20 @@ mod tests {
     fn resolve_jobs_passthrough() {
         assert_eq!(resolve_jobs(1), 1);
         assert_eq!(resolve_jobs(7), 7);
+    }
+
+    #[test]
+    fn auto_jobs_read_ede_jobs_and_zero_means_host_parallelism() {
+        let host = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(auto_jobs(None), host);
+        assert_eq!(auto_jobs(Some("0")), host);
+        assert_eq!(auto_jobs(Some(" 3 ")), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "EDE_JOBS=\"abc\" is not a non-negative integer")]
+    fn unparsable_ede_jobs_fails_loudly() {
+        auto_jobs(Some("abc"));
     }
 
     /// A frontier step's (output, children) expansion.

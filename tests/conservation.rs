@@ -14,14 +14,17 @@
 //!   exactly `program.len()` instructions, squashes notwithstanding;
 //! * `persist events == PersistTrace length` — the registry's
 //!   `mem.persist_events` counter and the crash-reconstruction trace
-//!   must be two views of the same stream.
+//!   must be two views of the same stream;
+//! * attribution is conserved on every Table II application under every
+//!   configuration, not only on generated litmus programs.
 
 use ede_check::gen::{cmds_strategy, concretize};
 use ede_check::golden::{self, GoldenConfig};
 use ede_cpu::StageId;
 use ede_isa::ArchConfig;
-use ede_sim::{raw_output, run_program, SimConfig};
+use ede_sim::{raw_output, run_program, run_workload, SimConfig};
 use ede_util::{prop_assert, prop_assert_eq, property};
+use ede_workloads::{standard_suite, WorkloadParams};
 
 fn prop_sim() -> SimConfig {
     let mut sim = SimConfig::a72();
@@ -118,6 +121,28 @@ property! {
                 fast.metrics.to_json(),
                 reference.metrics.to_json(),
                 "metrics documents differ on {arch}"
+            );
+        }
+    }
+}
+
+#[test]
+fn attribution_is_conserved_on_every_application_and_arch() {
+    let params = WorkloadParams {
+        ops: 20,
+        array_elems: 256,
+        prepopulate: 200,
+        ..WorkloadParams::default()
+    };
+    let sim = SimConfig::a72();
+    for w in standard_suite() {
+        for arch in ArchConfig::ALL {
+            let r = run_workload(w.as_ref(), &params, arch, &sim)
+                .unwrap_or_else(|e| panic!("{} on {arch}: {e}", w.name()));
+            assert!(
+                r.attribution.conserved(r.cycles),
+                "{} on {arch}: unattributed stall cycles",
+                w.name()
             );
         }
     }

@@ -18,6 +18,8 @@
 //!   diagnosed at the same cycle with the same [`ede_sim::SimError`]
 //!   on both paths, and a `drop-persist` run must produce identical
 //!   outcomes;
+//! * the Figure 11 grid end to end: its JSON report, and the fenced
+//!   baseline's cycle counts on every Table II application, must match;
 //! * the kernel must actually engage (spans > 0) on idle-heavy runs —
 //!   a differential suite comparing two identical reference runs would
 //!   prove nothing.
@@ -27,11 +29,13 @@ use ede_check::litmus;
 use ede_cpu::TracerConfig;
 use ede_isa::{ArchConfig, Program};
 use ede_mem::FaultInjection;
+use ede_sim::experiment::{fig11, ExperimentConfig};
 use ede_sim::{
-    chrome_trace_json, metrics_json, raw_output, run_program, run_program_observed, RunResult,
-    SimConfig,
+    chrome_trace_json, metrics_json, raw_output, report, run_program, run_program_observed,
+    run_workload, RunResult, SimConfig,
 };
 use ede_util::{prop_assert, property};
+use ede_workloads::{standard_suite, WorkloadParams};
 
 const ARCHS: [ArchConfig; 3] = [
     ArchConfig::Baseline,
@@ -253,6 +257,47 @@ fn fuzz_diff_case_agrees_on_both_paths() {
             }
         }
     }
+}
+
+#[test]
+fn fig11_report_and_baseline_cycles_are_identical_on_both_paths() {
+    let experiment = |fast_forward| {
+        let mut sim = SimConfig::a72();
+        sim.cpu.fast_forward = fast_forward;
+        ExperimentConfig {
+            params: WorkloadParams {
+                ops: 20,
+                array_elems: 256,
+                prepopulate: 200,
+                ..WorkloadParams::default()
+            },
+            sim,
+            jobs: 1,
+        }
+    };
+    let (fast, reference) = (experiment(true), experiment(false));
+    assert_eq!(
+        report::fig11_json(&fig11(&fast).expect("fast path completes")),
+        report::fig11_json(&fig11(&reference).expect("reference path completes")),
+        "fast-forward and reference paths disagree on the fig11 report"
+    );
+    // The fenced baseline stalls the whole pipeline on every DSB SY for
+    // a full NVM round trip: the span population the kernel skips.
+    let baseline_cycles = |cfg: &ExperimentConfig| -> Vec<u64> {
+        standard_suite()
+            .iter()
+            .map(|w| {
+                run_workload(w.as_ref(), &cfg.params, ArchConfig::Baseline, &cfg.sim)
+                    .expect("baseline run completes")
+                    .cycles
+            })
+            .collect()
+    };
+    assert_eq!(
+        baseline_cycles(&fast),
+        baseline_cycles(&reference),
+        "fast-forward and reference paths disagree on baseline cycle counts"
+    );
 }
 
 #[test]
