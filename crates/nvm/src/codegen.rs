@@ -9,9 +9,10 @@
 
 use crate::heap::BumpHeap;
 use crate::layout::Layout;
-use crate::log::{checksum, header_word, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID};
+use crate::log::header_word;
 use crate::memory::SimMemory;
-use ede_isa::{ArchConfig, Edk, EdkPair, InstId, Program, TraceBuilder, VAddr};
+use crate::writer::WriterCore;
+use ede_isa::{ArchConfig, Edk, InstId, Program, VAddr};
 use std::collections::HashSet;
 
 /// What one transaction did: `(addr, old, new)` per write, in order.
@@ -37,8 +38,10 @@ pub struct TxOutput {
     /// The pool's initial contents (preloaded before the measured phase,
     /// like an existing PMDK pool file).
     pub init_writes: Vec<(u64, u64)>,
-    /// Trace position of the first transactional instruction; crash
-    /// checks are meaningful from the moment this point's `DSB` completed.
+    /// Trace position of the first transactional instruction. The
+    /// transaction phase starts when the instruction before it completes
+    /// (at cycle 0 when there is none); crash checks are meaningful from
+    /// then on.
     pub tx_phase_start: Option<InstId>,
 }
 
@@ -76,20 +79,9 @@ impl TxOutput {
 /// 3. [`finish`](Self::finish) to obtain the [`TxOutput`].
 #[derive(Debug)]
 pub struct TxWriter {
-    layout: Layout,
-    arch: ArchConfig,
-    mem: SimMemory,
-    builder: TraceBuilder,
-    heap: BumpHeap,
+    core: WriterCore,
     vheap: BumpHeap,
-    txid: Option<u64>,
-    next_txid: u64,
-    log_tail: u64,
     logged: HashSet<u64>,
-    key_rotor: u8,
-    records: Vec<TxRecord>,
-    init_writes: Vec<(u64, u64)>,
-    init_finished: bool,
     silent: bool,
     tx_phase_start: Option<InstId>,
 }
@@ -98,58 +90,18 @@ impl TxWriter {
     /// A writer over a fresh machine with the given layout and target
     /// configuration.
     pub fn new(layout: Layout, arch: ArchConfig) -> TxWriter {
-        let mut w = TxWriter {
-            layout,
-            arch,
-            mem: SimMemory::new(),
-            builder: TraceBuilder::new(),
-            heap: BumpHeap::new(layout.heap_base, 1 << 30),
+        TxWriter {
+            core: WriterCore::with_log(layout, arch),
             vheap: BumpHeap::new(layout.dram_scratch + 64, 1 << 28),
-            txid: None,
-            next_txid: 1,
-            log_tail: 0,
             logged: HashSet::new(),
-            key_rotor: 0,
-            records: Vec::new(),
-            init_writes: Vec::new(),
-            init_finished: false,
             silent: false,
             tx_phase_start: None,
-        };
-        // Format the superblock: the magic word on both header lines,
-        // preloaded like a pool file a previous run formatted. Triage
-        // uses it to tell a wiped header from genuinely fresh media.
-        // (The matching `init_writes` entries are appended in `finish`
-        // so the user's first `write_init` stays at index 0.)
-        for line in [layout.log_header, layout.log_header_twin] {
-            w.mem.write(line + OFF_MAGIC, MAGIC);
         }
-        w
-    }
-
-    /// The configuration code is being generated for.
-    pub fn arch(&self) -> ArchConfig {
-        self.arch
-    }
-
-    /// The layout in use.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// Direct access to the functional memory (for workload oracles).
-    pub fn memory(&self) -> &SimMemory {
-        &self.mem
     }
 
     /// Instructions emitted so far.
     pub fn trace_len(&self) -> usize {
-        self.builder.len()
-    }
-
-    fn next_key(&mut self) -> Edk {
-        self.key_rotor = if self.key_rotor >= 15 { 1 } else { self.key_rotor + 1 };
-        Edk::new(self.key_rotor).expect("rotor stays in 1..=15")
+        self.core.emit.len()
     }
 
     // ---- allocation ------------------------------------------------------
@@ -160,9 +112,7 @@ impl TxWriter {
     ///
     /// Panics when the heap is exhausted.
     pub fn heap_alloc(&mut self, size: u64, align: u64) -> VAddr {
-        self.heap
-            .alloc(size, align)
-            .expect("persistent heap exhausted")
+        self.core.heap_alloc(size, align)
     }
 
     /// Allocates volatile (DRAM) scratch space.
@@ -185,18 +135,15 @@ impl TxWriter {
     ///
     /// Panics if called after `finish_init`.
     pub fn write_init(&mut self, addr: VAddr, value: u64) {
-        assert!(!self.init_finished, "init phase is over");
-        self.mem.write(addr, value);
-        self.init_writes.push((addr, value));
+        self.core.write_init(addr, value);
     }
 
     /// Closes the pre-population phase and opens the measured transaction
     /// phase.
     pub fn finish_init(&mut self) {
-        assert!(!self.init_finished, "finish_init called twice");
-        self.init_finished = true;
+        self.core.finish_init();
         self.silent = false;
-        self.tx_phase_start = Some(self.builder.next_id());
+        self.tx_phase_start = Some(self.core.emit.next_id());
     }
 
     /// Switches the writer into *silent* mode (only valid before
@@ -210,7 +157,7 @@ impl TxWriter {
     ///
     /// Panics if the init phase is over.
     pub fn begin_prepopulate(&mut self) {
-        assert!(!self.init_finished, "init phase is over");
+        assert!(!self.core.init_finished, "init phase is over");
         self.silent = true;
     }
 
@@ -223,9 +170,9 @@ impl TxWriter {
 
     /// Reads a word, emitting an address materialization and a load.
     pub fn read(&mut self, addr: VAddr) -> u64 {
-        let value = self.mem.read(addr);
+        let value = self.core.mem.read(addr);
         if !self.silent {
-            self.builder.load(addr, value);
+            self.core.emit.load(addr, value);
         }
         value
     }
@@ -233,9 +180,9 @@ impl TxWriter {
     /// Reads through an already-materialized base register (cheaper inner
     /// loops for workloads that keep a node pointer live).
     pub fn read_via(&mut self, base: ede_isa::Reg, addr: VAddr) -> u64 {
-        let value = self.mem.read(addr);
+        let value = self.core.mem.read(addr);
         if !self.silent {
-            self.builder.load_from(base, addr, value);
+            self.core.emit.load_from(base, addr, value);
         }
         value
     }
@@ -243,12 +190,12 @@ impl TxWriter {
     /// Emits a materialized pointer for repeated access; release with
     /// [`release`](Self::release).
     pub fn lea(&mut self, addr: VAddr) -> ede_isa::Reg {
-        self.builder.lea(addr)
+        self.core.emit.lea(addr)
     }
 
     /// Releases a pinned pointer register.
     pub fn release(&mut self, reg: ede_isa::Reg) {
-        self.builder.release(reg);
+        self.core.emit.release(reg);
     }
 
     /// Emits comparison + branch (for search loops); `mispredicted` is the
@@ -257,15 +204,15 @@ impl TxWriter {
         if self.silent {
             return;
         }
-        let l = self.builder.mov_imm(lhs);
-        let r = self.builder.mov_imm(rhs);
-        self.builder.cmp_branch(l, r, mispredicted);
+        let l = self.core.emit.mov_imm(lhs);
+        let r = self.core.emit.mov_imm(rhs);
+        self.core.emit.cmp_branch(l, r, mispredicted);
     }
 
     /// Emits `n` dependent ALU instructions of bookkeeping work.
     pub fn compute(&mut self, n: usize) {
         if !self.silent {
-            self.builder.compute_chain(n);
+            self.core.emit.compute_chain(n);
         }
     }
 
@@ -277,18 +224,8 @@ impl TxWriter {
     ///
     /// Panics if a transaction is already open or init is not finished.
     pub fn begin_tx(&mut self) {
-        assert!(self.init_finished, "call finish_init first");
-        assert!(self.txid.is_none(), "transaction already open");
-        let id = self.next_txid;
-        self.next_txid += 1;
-        self.txid = Some(id);
+        self.core.begin_tx();
         self.logged.clear();
-        self.records.push(TxRecord {
-            txid: id,
-            writes: Vec::new(),
-        });
-        // tx_begin bookkeeping (PMDK does a bit of setup work).
-        self.builder.compute_chain(2);
     }
 
     /// A logged, persistent write inside the open transaction — the
@@ -297,124 +234,72 @@ impl TxWriter {
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open.
+    /// Panics if no transaction is open, or once the transaction has
+    /// logged more distinct words than the layout has log slots.
     pub fn write(&mut self, addr: VAddr, new: u64) {
         if self.silent {
             // Pre-population: the write lands directly in the initial
             // pool contents.
-            self.mem.write(addr, new);
-            self.init_writes.push((addr, new));
+            self.core.write_init(addr, new);
             return;
         }
-        let txid = self.txid.expect("no open transaction");
-        let old = self.mem.read(addr);
+        let old = self.core.mem.read(addr);
         let consumer_key = if self.logged.insert(addr) {
-            self.emit_log_value(addr, old, txid)
+            self.emit_log_value(addr, old)
         } else {
             None
         };
         self.emit_update_value(addr, new, consumer_key);
-        self.records
-            .last_mut()
-            .expect("record opened at begin_tx")
-            .writes
-            .push((addr, old, new));
-        self.mem.write(addr, new);
+        self.core.record(addr, old, new);
+        self.core.mem.write(addr, new);
     }
 
     /// An unlogged volatile write (DRAM scratch).
     pub fn write_volatile(&mut self, addr: VAddr, value: u64) {
-        self.mem.write(addr, value);
+        self.core.mem.write(addr, value);
         if !self.silent {
-            self.builder.store(addr, value);
+            self.core.emit.store(addr, value);
         }
     }
 
     /// `log_value` (Figure 2a / 7a): reserve a slot, store the entry,
-    /// persist it, and order the persist per configuration. Returns the
-    /// EDK the following `update_value` must consume, if any.
-    fn emit_log_value(&mut self, addr: VAddr, old: u64, txid: u64) -> Option<Edk> {
+    /// persist it, and order the persist before the data store. Returns
+    /// the EDK the following `update_value` must consume, if any.
+    fn emit_log_value(&mut self, addr: VAddr, old: u64) -> Option<Edk> {
+        let c = &mut self.core;
         // Figure 4, line 5: load the original value.
-        self.builder.load(addr, old);
+        c.emit.load(addr, old);
         // Framework bookkeeping, as PMDK's tx_add path performs before
         // touching the log: range-tracking lookup and list append over
         // volatile runtime state.
-        self.builder.compute_chain(4);
-        let rt = self.layout.dram_scratch + 8;
-        self.builder.load(rt, 0);
-        self.builder.compute_chain(3);
-        self.builder.store(rt + 8, addr);
-        // Reserve a slot: bump the volatile tail pointer.
-        let tail = self.log_tail;
-        self.log_tail += 1;
-        let tail_ptr = self.layout.log_tail_ptr;
-        self.builder.load(tail_ptr, tail);
-        self.builder.store(tail_ptr, tail + 1);
-        self.mem.write(tail_ptr, tail + 1);
-
-        let slot = self.layout.slot_addr(tail);
-        let csum = checksum(addr, old, txid);
-        let base = self.builder.lea(slot);
-        self.builder
-            .store_pair_to(base, slot + OFF_ADDR, [addr, old]);
-        self.builder
-            .store_pair_to(base, slot + OFF_TXID, [txid, csum]);
-        self.mem.write(slot + OFF_ADDR, addr);
-        self.mem.write(slot + OFF_ADDR + 8, old);
-        self.mem.write(slot + OFF_TXID, txid);
-        self.mem.write(slot + OFF_TXID + 8, csum);
-
-        let key = match self.arch {
-            ArchConfig::Baseline => {
-                self.builder.cvap_to(base, slot);
-                self.builder.dsb_sy();
-                None
-            }
-            ArchConfig::StoreBarrierUnsafe => {
-                self.builder.cvap_to(base, slot);
-                self.builder.dmb_st();
-                None
-            }
-            ArchConfig::IssueQueue | ArchConfig::WriteBuffer => {
-                let k = self.next_key();
-                self.builder
-                    .cvap_to_edk(base, slot, EdkPair::producer(k));
-                Some(k)
-            }
-            ArchConfig::Unsafe => {
-                self.builder.cvap_to(base, slot);
-                None
-            }
-        };
-        self.builder.release(base);
+        c.emit.compute_chain(4);
+        let rt = c.layout.dram_scratch + 8;
+        c.emit.load(rt, 0);
+        c.emit.compute_chain(3);
+        c.emit.store(rt + 8, addr);
+        let (slot, base) = c.append_log_entry(addr, old);
+        c.mem.write(c.layout.log_tail_ptr, c.log_tail);
+        let key = c.emit.persist_before_store(base, slot);
+        c.emit.release(base);
         key
     }
 
     /// `update_value` (Figure 2b / 7b): store the new value (consuming the
-    /// log key under EDE) and persist it.
+    /// log key under EDE) and persist it; under EDE the data persist
+    /// produces a key so the commit boundary covers it.
     fn emit_update_value(&mut self, addr: VAddr, new: u64, consumer_key: Option<Edk>) {
-        self.builder.compute_chain(2);
-        let base = self.builder.lea(addr);
-        let store_keys = match consumer_key {
-            Some(k) => EdkPair::consumer(k),
-            None => EdkPair::NONE,
-        };
-        self.builder.store_to_edk(base, addr, new, store_keys);
-        if self.arch.uses_ede() {
-            // The data persist produces a key so the commit-time
-            // WAIT_ALL_KEYS covers it.
-            let k = self.next_key();
-            self.builder.cvap_to_edk(base, addr, EdkPair::producer(k));
-        } else {
-            self.builder.cvap_to(base, addr);
-        }
-        self.builder.release(base);
+        let emit = &mut self.core.emit;
+        emit.compute_chain(2);
+        let base = emit.lea(addr);
+        emit.store_after(base, addr, new, consumer_key);
+        emit.persist(base, addr);
+        emit.release(base);
     }
 
     /// Commits the open transaction: ensure all data persists completed,
     /// then persist the transaction id into the log header — twin line
     /// first, primary second — which invalidates this transaction's undo
-    /// entries, ordered per the configuration.
+    /// entries, and make the primary durable.
     ///
     /// The twin-first order is the repair invariant the triage engine
     /// relies on: at every crash instant the twin marker is at least as
@@ -425,67 +310,17 @@ impl TxWriter {
     ///
     /// Panics if no transaction is open.
     pub fn commit_tx(&mut self) {
-        let txid = self.txid.take().expect("no open transaction");
-        let header = self.layout.log_header;
-        let twin = self.layout.log_header_twin;
+        let txid = self.core.end_tx();
+        let c = &mut self.core;
+        c.emit.boundary();
         // The marker is the self-validating header word, not the bare id:
         // a torn or bit-flipped header then reads as "nothing committed".
-        let marker = header_word(txid);
-        match self.arch {
-            ArchConfig::Baseline => {
-                self.builder.dsb_sy();
-                self.builder.store(twin, marker);
-                self.builder.cvap(twin);
-                self.builder.dsb_sy();
-                self.builder.store(header, marker);
-                self.builder.cvap(header);
-                self.builder.dsb_sy();
-            }
-            ArchConfig::StoreBarrierUnsafe => {
-                self.builder.dmb_st();
-                self.builder.store(twin, marker);
-                self.builder.cvap(twin);
-                self.builder.dmb_st();
-                self.builder.store(header, marker);
-                self.builder.cvap(header);
-                self.builder.dmb_st();
-            }
-            ArchConfig::IssueQueue | ArchConfig::WriteBuffer => {
-                self.builder.wait_all_keys();
-                let tb = self.builder.lea(twin);
-                self.builder.store_to(tb, twin, marker);
-                let kt = self.next_key();
-                self.builder.cvap_to_edk(tb, twin, EdkPair::producer(kt));
-                self.builder.release(tb);
-                // Twin-before-primary is an execution dependence, not a
-                // stall: the primary store consumes the twin persist's
-                // key, the EDE idiom for write ordering.
-                let base = self.builder.lea(header);
-                self.builder
-                    .store_to_edk(base, header, marker, EdkPair::consumer(kt));
-                let k = self.next_key();
-                self.builder
-                    .cvap_to_edk(base, header, EdkPair::producer(k));
-                self.builder.release(base);
-                // Commit durability: equal to the baseline's trailing DSB.
-                self.builder.wait_key(k);
-            }
-            ArchConfig::Unsafe => {
-                self.builder.store(twin, marker);
-                self.builder.cvap(twin);
-                self.builder.store(header, marker);
-                self.builder.cvap(header);
-            }
-        }
-        self.mem.write(twin, marker);
-        self.mem.write(header, marker);
+        let key = c.log_marker(0, header_word(txid));
+        c.emit.durable(key);
         // Truncate the undo log, as PMDK does at commit: the next
-        // transaction reuses the same (now cache-resident) slots. Entry
-        // validity is governed by the committed txid, so no slot writes
-        // are needed — just the volatile tail reset.
-        self.log_tail = 0;
-        self.builder.store(self.layout.log_tail_ptr, 0);
-        self.mem.write(self.layout.log_tail_ptr, 0);
+        // transaction reuses the same (now cache-resident) slots.
+        c.truncate_log();
+        c.mem.write(c.layout.log_tail_ptr, 0);
     }
 
     /// Ends code generation.
@@ -494,32 +329,21 @@ impl TxWriter {
     ///
     /// Panics if a transaction is still open.
     pub fn finish(self) -> TxOutput {
-        assert!(self.txid.is_none(), "transaction still open");
-        let mut init_writes = self.init_writes;
-        for line in [self.layout.log_header, self.layout.log_header_twin] {
-            init_writes.push((line + OFF_MAGIC, MAGIC));
-        }
-        TxOutput {
-            program: self.builder.finish(),
-            records: self.records,
-            memory: self.mem,
-            layout: self.layout,
-            init_writes,
-            tx_phase_start: self.tx_phase_start,
-        }
+        self.core.finish(self.tx_phase_start)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::{MAGIC, OFF_MAGIC};
     use ede_isa::InstKind;
 
     fn writer(arch: ArchConfig) -> TxWriter {
         TxWriter::new(Layout::standard(), arch)
     }
 
-    fn one_tx_program(arch: ArchConfig) -> Program {
+    fn one_tx(arch: ArchConfig) -> TxOutput {
         let mut tx = writer(arch);
         let a = tx.heap_alloc(8, 8);
         tx.write_init(a, 1);
@@ -527,7 +351,11 @@ mod tests {
         tx.begin_tx();
         tx.write(a, 2);
         tx.commit_tx();
-        tx.finish().program
+        tx.finish()
+    }
+
+    fn one_tx_program(arch: ArchConfig) -> Program {
+        one_tx(arch).program
     }
 
     fn count_kind(p: &Program, k: InstKind) -> usize {
@@ -598,14 +426,7 @@ mod tests {
     #[test]
     fn superblock_twin_and_magic_are_maintained() {
         for arch in ArchConfig::ALL {
-            let mut tx = writer(arch);
-            let a = tx.heap_alloc(8, 8);
-            tx.write_init(a, 1);
-            tx.finish_init();
-            tx.begin_tx();
-            tx.write(a, 2);
-            tx.commit_tx();
-            let out = tx.finish();
+            let out = one_tx(arch);
             let l = &out.layout;
             // Both header lines carry the magic, preloaded (no stores).
             assert_eq!(out.memory.read(l.log_header + OFF_MAGIC), MAGIC);
@@ -613,20 +434,15 @@ mod tests {
             assert!(out.init_writes.contains(&(l.log_header + OFF_MAGIC, MAGIC)));
             assert!(out.init_writes.contains(&(l.log_header_twin + OFF_MAGIC, MAGIC)));
             // Commit lands the same marker in both copies, and the twin
-            // store precedes the primary store in program order.
+            // persist is ordered before the primary store.
             assert_eq!(out.memory.read(l.log_header), header_word(1));
             assert_eq!(out.memory.read(l.log_header_twin), header_word(1));
-            let pos = |addr: u64| {
-                out.program
-                    .iter()
-                    .position(|(_, i)| match i.op {
-                        ede_isa::Op::Str { addr: a, .. } => a == addr,
-                        ede_isa::Op::Stp { addr: a, .. } => a == addr,
-                        _ => false,
-                    })
-                    .expect("marker store present")
-            };
-            assert!(pos(l.log_header_twin) < pos(l.log_header), "{arch:?}: twin first");
+            crate::lowering::assert_twin_ordered_before_primary(
+                &out.program,
+                arch,
+                l.log_header_twin,
+                l.log_header,
+            );
         }
     }
 
@@ -692,13 +508,25 @@ mod tests {
     }
 
     #[test]
-    fn key_rotor_cycles_through_live_keys() {
-        let mut tx = writer(ArchConfig::WriteBuffer);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..30 {
-            seen.insert(tx.next_key().index());
+    #[should_panic(expected = "transaction 2 needs more than the 16 log slots")]
+    fn log_overflow_within_one_transaction_panics() {
+        let layout = Layout {
+            log_slots: 16,
+            ..Layout::standard()
+        };
+        let mut tx = TxWriter::new(layout, ArchConfig::Baseline);
+        let a = tx.heap_alloc(17 * 8, 8);
+        tx.finish_init();
+        // Transaction 1 fills the log with sixteen distinct words, each
+        // written twice (a rewrite takes no new slot); transaction 2's
+        // seventeenth word overflows it.
+        for words in [16, 17] {
+            tx.begin_tx();
+            for i in 0..words {
+                tx.write(a + i * 8, 1);
+                tx.write(a + i * 8, 2);
+            }
+            tx.commit_tx();
         }
-        assert_eq!(seen.len(), 15);
-        assert!(!seen.contains(&0));
     }
 }

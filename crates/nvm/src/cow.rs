@@ -33,11 +33,11 @@
 //! Reads pay the two-level indirection (CoW's classic read cost); commit
 //! pays the table copies (why real systems use deep trees).
 
-use crate::codegen::{TxOutput, TxRecord};
-use crate::heap::BumpHeap;
+use crate::codegen::TxOutput;
 use crate::layout::Layout;
-use crate::memory::SimMemory;
-use ede_isa::{ArchConfig, Edk, EdkPair, TraceBuilder};
+use crate::lowering::Marker;
+use crate::writer::WriterCore;
+use ede_isa::ArchConfig;
 use std::collections::BTreeMap;
 
 /// Pointers per root block.
@@ -122,31 +122,21 @@ impl CowMeta {
 /// Copy-on-write transaction writer; same lifecycle as
 /// [`TxWriter`](crate::TxWriter).
 ///
-/// Logical addresses in the produced [`TxRecord`]s are
+/// Logical addresses in the produced [`TxRecord`](crate::TxRecord)s are
 /// `slot * 64 + word * 8` in a virtual space; check crash images with
 /// [`CrashChecker::with_protocol`](crate::CrashChecker::with_protocol)
 /// and [`Protocol::Cow`](crate::triage::Protocol::Cow), which reads them
 /// through the recovered root.
 #[derive(Debug)]
 pub struct CowTxWriter {
-    layout: Layout,
-    arch: ArchConfig,
-    mem: SimMemory,
-    builder: TraceBuilder,
-    heap: BumpHeap,
+    core: WriterCore,
     meta: CowMeta,
-    txid: Option<u64>,
-    next_txid: u64,
     /// Logical slot → shadow block address, this transaction. Ordered,
     /// so commit persists the shadows in slot order and the emitted
     /// program does not depend on the process's hash seed.
     shadows: BTreeMap<u64, u64>,
     /// Leaf index → shadow leaf-table address, this transaction.
     leaf_shadows: BTreeMap<u64, u64>,
-    key_rotor: u8,
-    records: Vec<TxRecord>,
-    init_writes: Vec<(u64, u64)>,
-    init_finished: bool,
 }
 
 impl CowTxWriter {
@@ -162,70 +152,42 @@ impl CowTxWriter {
             "two-level tree reaches at most {} slots",
             ROOT_FANOUT * LEAF_FANOUT
         );
-        let mut heap = BumpHeap::new(layout.heap_base, 1 << 30);
-        let mut mem = SimMemory::new();
-        let mut init_writes = Vec::new();
-        let preload = |mem: &mut SimMemory, init: &mut Vec<(u64, u64)>, a: u64, v: u64| {
-            mem.write(a, v);
-            init.push((a, v));
-        };
-
-        let root_line = heap.alloc(64, 64).expect("heap");
-        let root_block = heap.alloc(ROOT_FANOUT * 8, 64).expect("heap");
+        let mut core = WriterCore::new(layout, arch);
+        let root_line = core.heap_alloc(64, 64);
+        let root_block = core.heap_alloc(ROOT_FANOUT * 8, 64);
         let n_leaves = slots.div_ceil(LEAF_FANOUT);
         for l in 0..n_leaves {
-            let leaf = heap.alloc(LEAF_FANOUT * 8, 64).expect("heap");
-            preload(&mut mem, &mut init_writes, root_block + l * 8, leaf);
+            let leaf = core.heap_alloc(LEAF_FANOUT * 8, 64);
+            core.write_init(root_block + l * 8, leaf);
             let in_leaf = (slots - l * LEAF_FANOUT).min(LEAF_FANOUT);
             for e in 0..in_leaf {
-                let block = heap.alloc(BLOCK_WORDS * 8, 64).expect("heap");
-                preload(&mut mem, &mut init_writes, leaf + e * 8, block);
+                let block = core.heap_alloc(BLOCK_WORDS * 8, 64);
+                core.write_init(leaf + e * 8, block);
                 // Data blocks start zeroed: nothing to write.
             }
         }
         // The twin root line is allocated *after* the initial tree so
         // the primary and twin are never in the same media sector.
-        let root_twin = heap.alloc(64, 64).expect("heap");
+        let root_twin = core.heap_alloc(64, 64);
         for line in [root_line, root_twin] {
-            preload(&mut mem, &mut init_writes, line, root_block);
+            core.write_init(line, root_block);
             // txid 0, packed: nonzero on media, so a zero-wipe of the
             // root line is distinguishable from fresh state.
-            preload(&mut mem, &mut init_writes, line + 8, root_word(root_block, 0));
+            core.write_init(line + 8, root_word(root_block, 0));
         }
 
         CowTxWriter {
-            layout,
-            arch,
-            mem,
-            builder: TraceBuilder::new(),
-            heap,
+            core,
             meta: CowMeta { root_line, root_twin, slots },
-            txid: None,
-            next_txid: 1,
             shadows: BTreeMap::new(),
             leaf_shadows: BTreeMap::new(),
-            key_rotor: 0,
-            records: Vec::new(),
-            init_writes,
-            init_finished: false,
         }
-    }
-
-    /// The pool's addressing metadata (for the checker).
-    pub fn meta(&self) -> CowMeta {
-        self.meta
-    }
-
-    fn next_key(&mut self) -> Edk {
-        self.key_rotor = if self.key_rotor >= 15 { 1 } else { self.key_rotor + 1 };
-        Edk::new(self.key_rotor).expect("rotor stays in 1..=15")
     }
 
     /// Opens the measured phase (the preloaded tree needs no
     /// instructions).
     pub fn finish_init(&mut self) {
-        assert!(!self.init_finished, "finish_init called twice");
-        self.init_finished = true;
+        self.core.finish_init();
     }
 
     /// Opens a failure-atomic region.
@@ -234,37 +196,27 @@ impl CowTxWriter {
     ///
     /// Panics if one is already open.
     pub fn begin_tx(&mut self) {
-        assert!(self.init_finished, "call finish_init first");
-        assert!(self.txid.is_none(), "transaction already open");
-        let id = self.next_txid;
-        self.next_txid += 1;
-        self.txid = Some(id);
+        self.core.begin_tx();
         self.shadows.clear();
         self.leaf_shadows.clear();
-        self.records.push(TxRecord {
-            txid: id,
-            writes: Vec::new(),
-        });
-        self.builder.compute_chain(2);
     }
 
     /// The current *physical* block of a logical slot (shadow if this
     /// transaction already copied it).
-    fn block_of(&mut self, slot: u64, emit: bool) -> u64 {
+    fn block_of(&mut self, slot: u64) -> u64 {
         if let Some(&s) = self.shadows.get(&slot) {
             return s;
         }
         // Walk root → leaf → block, emitting the indirection loads.
-        let root_block = self.mem.read(self.meta.root_line);
+        let c = &mut self.core;
+        let root_block = c.mem.read(self.meta.root_line);
         let leaf_ptr_addr = root_block + (slot / LEAF_FANOUT) * 8;
-        let leaf = self.mem.read(leaf_ptr_addr);
+        let leaf = c.mem.read(leaf_ptr_addr);
         let entry_addr = leaf + (slot % LEAF_FANOUT) * 8;
-        let block = self.mem.read(entry_addr);
-        if emit {
-            self.builder.load(self.meta.root_line, root_block);
-            self.builder.load(leaf_ptr_addr, leaf);
-            self.builder.load(entry_addr, block);
-        }
+        let block = c.mem.read(entry_addr);
+        c.emit.load(self.meta.root_line, root_block);
+        c.emit.load(leaf_ptr_addr, leaf);
+        c.emit.load(entry_addr, block);
         block
     }
 
@@ -275,10 +227,9 @@ impl CowTxWriter {
     /// Panics on out-of-range slot/word.
     pub fn read(&mut self, slot: u64, word: u64) -> u64 {
         assert!(slot < self.meta.slots && word < BLOCK_WORDS);
-        let block = self.block_of(slot, true);
-        let addr = block + word * 8;
-        let v = self.mem.read(addr);
-        self.builder.load(addr, v);
+        let addr = self.block_of(slot) + word * 8;
+        let v = self.core.mem.read(addr);
+        self.core.emit.load(addr, v);
         v
     }
 
@@ -289,41 +240,36 @@ impl CowTxWriter {
     /// Panics outside a transaction or on out-of-range slot/word.
     pub fn write(&mut self, slot: u64, word: u64, value: u64) {
         assert!(slot < self.meta.slots && word < BLOCK_WORDS);
-        let txid = self.txid.expect("no open transaction");
-        let _ = txid;
         let logical = slot * 64 + word * 8;
-        let old_block = self.block_of(slot, true);
-        // block_of(_, true) already resolved to the shadow when one
-        // exists, so the same read covers both cases.
-        let old_logical_value = self.mem.read(old_block + word * 8);
+        // Resolves to the shadow when one exists, so the same read
+        // covers both cases.
+        let old_block = self.block_of(slot);
+        let c = &mut self.core;
+        let old_logical_value = c.mem.read(old_block + word * 8);
         let block = if let Some(&s) = self.shadows.get(&slot) {
             s
         } else {
             // Copy the block to a fresh shadow.
-            let shadow = self.heap.alloc(BLOCK_WORDS * 8, 64).expect("heap");
-            let sbase = self.builder.lea(shadow);
+            let shadow = c.heap_alloc(BLOCK_WORDS * 8, 64);
+            let sbase = c.emit.lea(shadow);
             for w in 0..BLOCK_WORDS {
-                let v = self.mem.read(old_block + w * 8);
-                self.builder.load(old_block + w * 8, v);
-                self.builder.store_to(sbase, shadow + w * 8, v);
-                self.mem.write(shadow + w * 8, v);
+                let v = c.mem.read(old_block + w * 8);
+                c.emit.load(old_block + w * 8, v);
+                c.emit.store_to(sbase, shadow + w * 8, v);
+                c.mem.write(shadow + w * 8, v);
             }
-            self.builder.release(sbase);
+            c.emit.release(sbase);
             self.shadows.insert(slot, shadow);
             shadow
         };
         let addr = block + word * 8;
-        self.builder.store(addr, value);
-        self.mem.write(addr, value);
-        self.records
-            .last_mut()
-            .expect("record opened at begin_tx")
-            .writes
-            .push((logical, old_logical_value, value));
+        c.emit.store(addr, value);
+        c.mem.write(addr, value);
+        c.record(logical, old_logical_value, value);
     }
 
-    /// Commits: persist shadows → copy + persist touched tables → atomic
-    /// root switch, ordered per configuration. The switch writes the
+    /// Commits: persist shadows → copy + persist touched tables →
+    /// boundary → atomic root switch, made durable. The switch writes the
     /// packed `(new root, [`root_word`])` pair twice — twin line first,
     /// persisted, then the primary — so a tear in either single `STP`
     /// leaves a validating copy behind.
@@ -332,142 +278,72 @@ impl CowTxWriter {
     ///
     /// Panics if no transaction is open.
     pub fn commit_tx(&mut self) {
-        let txid = self.txid.take().expect("no open transaction");
+        let txid = self.core.end_tx();
         if self.shadows.is_empty() {
             return;
         }
         // 1. Persist every shadow block.
-        let shadows: Vec<(u64, u64)> =
-            self.shadows.iter().map(|(&s, &b)| (s, b)).collect();
-        for &(_, block) in &shadows {
-            self.emit_persist_lines(block, BLOCK_WORDS * 8);
+        for &block in self.shadows.values() {
+            persist_lines(&mut self.core, block, BLOCK_WORDS * 8);
         }
 
         // 2. Copy touched leaf tables, pointing at the shadows.
-        let old_root = self.mem.read(self.meta.root_line);
+        let c = &mut self.core;
+        let old_root = c.mem.read(self.meta.root_line);
         let mut touched_leaves: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
-        for &(slot, block) in &shadows {
+        for (&slot, &block) in &self.shadows {
             touched_leaves
                 .entry(slot / LEAF_FANOUT)
                 .or_default()
                 .push((slot % LEAF_FANOUT, block));
         }
         for (leaf_idx, updates) in &touched_leaves {
-            let old_leaf = self.mem.read(old_root + leaf_idx * 8);
-            self.builder.load(old_root + leaf_idx * 8, old_leaf);
-            let new_leaf = self.heap.alloc(LEAF_FANOUT * 8, 64).expect("heap");
-            let base = self.builder.lea(new_leaf);
+            let old_leaf = c.mem.read(old_root + leaf_idx * 8);
+            c.emit.load(old_root + leaf_idx * 8, old_leaf);
+            let new_leaf = c.heap_alloc(LEAF_FANOUT * 8, 64);
+            let base = c.emit.lea(new_leaf);
             for e in 0..LEAF_FANOUT {
-                let v = self.mem.read(old_leaf + e * 8);
-                self.builder.load(old_leaf + e * 8, v);
-                self.builder.store_to(base, new_leaf + e * 8, v);
-                self.mem.write(new_leaf + e * 8, v);
+                let v = c.mem.read(old_leaf + e * 8);
+                c.emit.load(old_leaf + e * 8, v);
+                c.emit.store_to(base, new_leaf + e * 8, v);
+                c.mem.write(new_leaf + e * 8, v);
             }
             for &(entry, block) in updates {
-                self.builder.store_to(base, new_leaf + entry * 8, block);
-                self.mem.write(new_leaf + entry * 8, block);
+                c.emit.store_to(base, new_leaf + entry * 8, block);
+                c.mem.write(new_leaf + entry * 8, block);
             }
-            self.builder.release(base);
-            self.emit_persist_lines(new_leaf, LEAF_FANOUT * 8);
+            c.emit.release(base);
+            persist_lines(c, new_leaf, LEAF_FANOUT * 8);
             self.leaf_shadows.insert(*leaf_idx, new_leaf);
         }
 
         // 3. Copy the root block.
-        let new_root = self.heap.alloc(ROOT_FANOUT * 8, 64).expect("heap");
-        let base = self.builder.lea(new_root);
+        let new_root = c.heap_alloc(ROOT_FANOUT * 8, 64);
+        let base = c.emit.lea(new_root);
         for l in 0..ROOT_FANOUT {
-            let v = self.mem.read(old_root + l * 8);
-            self.builder.load(old_root + l * 8, v);
-            let v = self
-                .leaf_shadows
-                .get(&l)
-                .copied()
-                .unwrap_or(v);
-            self.builder.store_to(base, new_root + l * 8, v);
-            self.mem.write(new_root + l * 8, v);
+            let v = c.mem.read(old_root + l * 8);
+            c.emit.load(old_root + l * 8, v);
+            let v = self.leaf_shadows.get(&l).copied().unwrap_or(v);
+            c.emit.store_to(base, new_root + l * 8, v);
+            c.mem.write(new_root + l * 8, v);
         }
-        self.builder.release(base);
-        self.emit_persist_lines(new_root, ROOT_FANOUT * 8);
+        c.emit.release(base);
+        persist_lines(c, new_root, ROOT_FANOUT * 8);
 
         // 4. Everything persisted before the switch.
-        self.fence_boundary();
+        c.emit.boundary();
 
         // 5. The atomic commit point: root pointer + packed marker in
-        // one STP — twin line first, persisted before the primary, so
-        // the twin is always at least as new as the primary.
+        // one STP — twin line first, ordered before the primary, so the
+        // twin is always at least as new as the primary.
         let marker = root_word(new_root, txid);
-        if self.arch.uses_ede() {
-            // Ordering is an execution dependence: the primary STP
-            // consumes the key the twin's writeback produces.
-            let tbase = self.builder.lea(self.meta.root_twin);
-            self.builder
-                .store_pair_to(tbase, self.meta.root_twin, [new_root, marker]);
-            let kt = self.next_key();
-            self.builder
-                .cvap_to_edk(tbase, self.meta.root_twin, EdkPair::producer(kt));
-            self.builder.release(tbase);
-            let rbase = self.builder.lea(self.meta.root_line);
-            self.builder.store_pair_to_edk(
-                rbase,
-                self.meta.root_line,
-                [new_root, marker],
-                EdkPair::consumer(kt),
-            );
-            let k = self.next_key();
-            self.builder
-                .cvap_to_edk(rbase, self.meta.root_line, EdkPair::producer(k));
-            self.builder.release(rbase);
-            self.builder.wait_key(k);
-        } else {
-            let tbase = self.builder.lea(self.meta.root_twin);
-            self.builder
-                .store_pair_to(tbase, self.meta.root_twin, [new_root, marker]);
-            self.builder.cvap_to(tbase, self.meta.root_twin);
-            self.builder.release(tbase);
-            self.fence_boundary();
-            let rbase = self.builder.lea(self.meta.root_line);
-            self.builder
-                .store_pair_to(rbase, self.meta.root_line, [new_root, marker]);
-            self.builder.cvap_to(rbase, self.meta.root_line);
-            self.builder.release(rbase);
-            self.fence_boundary();
-        }
-        for line in [self.meta.root_twin, self.meta.root_line] {
-            self.mem.write(line, new_root);
-            self.mem.write(line + 8, marker);
-        }
-    }
-
-    fn fence_boundary(&mut self) {
-        match self.arch {
-            ArchConfig::Baseline => {
-                self.builder.dsb_sy();
-            }
-            ArchConfig::StoreBarrierUnsafe => {
-                self.builder.dmb_st();
-            }
-            ArchConfig::IssueQueue | ArchConfig::WriteBuffer => {
-                self.builder.wait_all_keys();
-            }
-            ArchConfig::Unsafe => {}
-        }
-    }
-
-    /// Persists `len` bytes starting at 64-byte-aligned `base`; under EDE
-    /// each line's writeback produces a key so the commit boundary's
-    /// `WAIT_ALL_KEYS` covers it.
-    fn emit_persist_lines(&mut self, base: u64, len: u64) {
-        let mut line = base & !63;
-        while line < base + len {
-            if self.arch.uses_ede() {
-                let k = self.next_key();
-                let b = self.builder.lea(line);
-                self.builder.cvap_to_edk(b, line, EdkPair::producer(k));
-                self.builder.release(b);
-            } else {
-                self.builder.cvap(line);
-            }
-            line += 64;
+        let (twin, primary) = (self.meta.root_twin, self.meta.root_line);
+        let pair = Marker::Pair([new_root, marker]);
+        let key = c.emit.marker_pair(twin, primary, pair);
+        c.emit.durable(key);
+        for line in [twin, primary] {
+            c.mem.write(line, new_root);
+            c.mem.write(line + 8, marker);
         }
     }
 
@@ -477,18 +353,18 @@ impl CowTxWriter {
     ///
     /// Panics with an open transaction.
     pub fn finish(self) -> (TxOutput, CowMeta) {
-        assert!(self.txid.is_none(), "transaction still open");
-        (
-            TxOutput {
-                program: self.builder.finish(),
-                records: self.records,
-                memory: self.mem,
-                layout: self.layout,
-                init_writes: self.init_writes,
-                tx_phase_start: None,
-            },
-            self.meta,
-        )
+        (self.core.finish(None), self.meta)
+    }
+}
+
+/// Persists `len` bytes starting at 64-byte-aligned `base`, one
+/// writeback per line; under EDE each produces a key the commit
+/// boundary covers.
+fn persist_lines(core: &mut WriterCore, base: u64, len: u64) {
+    for line in (base & !63..base + len).step_by(64) {
+        let b = core.emit.lea(line);
+        core.emit.persist(b, line);
+        core.emit.release(b);
     }
 }
 
@@ -533,6 +409,17 @@ mod tests {
     use crate::CrashChecker;
     use ede_mem::PersistTrace;
 
+    /// One transaction writing `value` to word 0 of slot 0 in an 8-slot
+    /// pool.
+    fn one_write(arch: ArchConfig, value: u64) -> (TxOutput, CowMeta) {
+        let mut tx = CowTxWriter::new(Layout::standard(), arch, 8);
+        tx.finish_init();
+        tx.begin_tx();
+        tx.write(0, 0, value);
+        tx.commit_tx();
+        tx.finish()
+    }
+
     #[test]
     fn reads_see_writes_within_tx() {
         let mut tx = CowTxWriter::new(Layout::standard(), ArchConfig::Baseline, 64);
@@ -559,9 +446,9 @@ mod tests {
         let mut tx = CowTxWriter::new(Layout::standard(), ArchConfig::Baseline, 8);
         tx.finish_init();
         // Find the original physical block for slot 0.
-        let root = tx.mem.read(tx.meta.root_line);
-        let leaf = tx.mem.read(root);
-        let old_block = tx.mem.read(leaf);
+        let root = tx.core.mem.read(tx.meta.root_line);
+        let leaf = tx.core.mem.read(root);
+        let old_block = tx.core.mem.read(leaf);
         tx.begin_tx();
         tx.write(0, 0, 7);
         tx.commit_tx();
@@ -571,13 +458,8 @@ mod tests {
 
     #[test]
     fn commit_emits_single_atomic_switch() {
-        let mut tx = CowTxWriter::new(Layout::standard(), ArchConfig::Baseline, 8);
-        let root_line = tx.meta.root_line;
-        tx.finish_init();
-        tx.begin_tx();
-        tx.write(0, 0, 7);
-        tx.commit_tx();
-        let (out, _) = tx.finish();
+        let (out, meta) = one_write(ArchConfig::Baseline, 7);
+        let root_line = meta.root_line;
         let stps_to_root = out
             .program
             .iter()
@@ -613,12 +495,7 @@ mod tests {
     fn checker_detects_root_switch_before_shadows() {
         // Adversarial image: root switched but shadow blocks never
         // persisted — the violation CoW ordering must prevent.
-        let mut tx = CowTxWriter::new(Layout::standard(), ArchConfig::Unsafe, 8);
-        tx.finish_init();
-        tx.begin_tx();
-        tx.write(0, 0, 42);
-        tx.commit_tx();
-        let (out, meta) = tx.finish();
+        let (out, meta) = one_write(ArchConfig::Unsafe, 42);
         let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
@@ -662,22 +539,12 @@ mod tests {
     #[test]
     fn twin_root_is_written_before_primary() {
         for arch in ArchConfig::ALL {
-            let mut tx = CowTxWriter::new(Layout::standard(), arch, 8);
-            let meta = tx.meta();
-            tx.finish_init();
-            tx.begin_tx();
-            tx.write(0, 0, 7);
-            tx.commit_tx();
-            let (out, _) = tx.finish();
-            let pos = |line: u64| {
-                out.program
-                    .iter()
-                    .position(|(_, i)| matches!(i.op, ede_isa::Op::Stp { addr, .. } if addr == line))
-                    .unwrap_or_else(|| panic!("{arch:?}: no STP to {line:#x}"))
-            };
-            assert!(
-                pos(meta.root_twin) < pos(meta.root_line),
-                "{arch:?}: twin switch must precede the primary switch"
+            let (out, meta) = one_write(arch, 7);
+            crate::lowering::assert_twin_ordered_before_primary(
+                &out.program,
+                arch,
+                meta.root_twin,
+                meta.root_line,
             );
         }
     }
@@ -726,12 +593,7 @@ mod tests {
 
     #[test]
     fn checker_heals_torn_primary_root_from_twin() {
-        let mut tx = CowTxWriter::new(Layout::standard(), ArchConfig::Baseline, 8);
-        tx.finish_init();
-        tx.begin_tx();
-        tx.write(0, 0, 42);
-        tx.commit_tx();
-        let (out, meta) = tx.finish();
+        let (out, meta) = one_write(ArchConfig::Baseline, 42);
         let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();

@@ -1,17 +1,13 @@
 //! A persistent-memory programming framework over the simulated machine.
 //!
 //! This crate plays the role PMDK plays in the paper's evaluation: it
-//! provides failure-atomic transactions over undo logging, and it *lowers*
+//! provides failure-atomic transactions over undo logging ([`TxWriter`]),
+//! redo logging ([`redo`]) and copy-on-write ([`cow`]), and it *lowers*
 //! every framework operation into the instruction sequences of Figures 2,
-//! 4 and 7 — with the fences or EDE annotations appropriate to each
-//! architecture configuration of Table III:
-//!
-//! | config | log persist ordering        | commit ordering            |
-//! |--------|-----------------------------|----------------------------|
-//! | B      | `DC CVAP` + `DSB SY`        | `DSB SY` around the marker |
-//! | SU     | `DC CVAP` + `DMB ST` (unsafe) | `DMB ST` (unsafe)        |
-//! | IQ/WB  | `DC CVAP (k,0)` → `STR (0,k)` | `WAIT_ALL_KEYS` + `WAIT_KEY` |
-//! | U      | nothing (unsafe)            | nothing (unsafe)           |
+//! 4 and 7. Each ordering a protocol needs becomes the fences or EDE
+//! annotations of the selected architecture configuration in one place,
+//! the crate-private `lowering` module (`src/lowering.rs`), which holds
+//! the per-configuration table of Table III.
 //!
 //! The crate also owns the *crash side* of the story:
 //!
@@ -59,10 +55,12 @@ pub mod crash;
 pub mod heap;
 pub mod layout;
 pub mod log;
+mod lowering;
 pub mod memory;
 pub mod recovery;
 pub mod redo;
 pub mod triage;
+mod writer;
 
 pub use codegen::{TxOutput, TxRecord, TxWriter};
 pub use crash::{check_crash_consistency, CheckFailure, ConsistencyError, CrashChecker};

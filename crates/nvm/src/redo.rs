@@ -23,15 +23,14 @@
 //!
 //! The protocol needs ordering only at commit, so the baseline pays two
 //! fence clusters per *transaction* instead of one per *write* — the
-//! comparison bench (`ablation` suite) quantifies how much of EDE's
+//! `protocols` bin compares undo, redo and CoW to show how much of EDE's
 //! advantage redo logging erodes, and what EDE still buys it.
 
-use crate::codegen::{TxOutput, TxRecord};
-use crate::heap::BumpHeap;
+use crate::codegen::TxOutput;
 use crate::layout::Layout;
-use crate::log::{checksum, header_word, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID};
-use crate::memory::SimMemory;
-use ede_isa::{ArchConfig, Edk, EdkPair, TraceBuilder, VAddr};
+use crate::log::header_word;
+use crate::writer::WriterCore;
+use ede_isa::{ArchConfig, VAddr};
 use std::collections::HashMap;
 
 /// Word offset of the *applied* transaction id in the log header line
@@ -49,53 +48,20 @@ pub const OFF_APPLIED: u64 = 8;
 /// and [`Protocol::Redo`](crate::triage::Protocol::Redo)).
 #[derive(Debug)]
 pub struct RedoTxWriter {
-    layout: Layout,
-    arch: ArchConfig,
-    mem: SimMemory,
-    builder: TraceBuilder,
-    heap: BumpHeap,
-    txid: Option<u64>,
-    next_txid: u64,
-    log_tail: u64,
+    core: WriterCore,
     write_set: HashMap<VAddr, u64>,
     write_order: Vec<VAddr>,
-    key_rotor: u8,
-    records: Vec<TxRecord>,
-    init_writes: Vec<(u64, u64)>,
-    init_finished: bool,
 }
 
 impl RedoTxWriter {
-    /// A writer over a fresh machine.
+    /// A writer over a fresh machine, its log superblock formatted as
+    /// [`TxWriter::new`](crate::TxWriter::new) formats it.
     pub fn new(layout: Layout, arch: ArchConfig) -> RedoTxWriter {
-        let mut w = RedoTxWriter {
-            layout,
-            arch,
-            mem: SimMemory::new(),
-            builder: TraceBuilder::new(),
-            heap: BumpHeap::new(layout.heap_base, 1 << 30),
-            txid: None,
-            next_txid: 1,
-            log_tail: 0,
+        RedoTxWriter {
+            core: WriterCore::with_log(layout, arch),
             write_set: HashMap::new(),
             write_order: Vec::new(),
-            key_rotor: 0,
-            records: Vec::new(),
-            init_writes: Vec::new(),
-            init_finished: false,
-        };
-        // Format the superblock (magic on both header lines), exactly as
-        // the undo writer does — see `TxWriter::new`. The `init_writes`
-        // entries are appended in `finish` so user writes stay first.
-        for line in [layout.log_header, layout.log_header_twin] {
-            w.mem.write(line + OFF_MAGIC, MAGIC);
         }
-        w
-    }
-
-    fn next_key(&mut self) -> Edk {
-        self.key_rotor = if self.key_rotor >= 15 { 1 } else { self.key_rotor + 1 };
-        Edk::new(self.key_rotor).expect("rotor stays in 1..=15")
     }
 
     /// Allocates persistent heap space.
@@ -104,7 +70,7 @@ impl RedoTxWriter {
     ///
     /// Panics when the heap is exhausted.
     pub fn heap_alloc(&mut self, size: u64, align: u64) -> VAddr {
-        self.heap.alloc(size, align).expect("heap exhausted")
+        self.core.heap_alloc(size, align)
     }
 
     /// Preloads initial pool contents (no instructions).
@@ -113,15 +79,12 @@ impl RedoTxWriter {
     ///
     /// Panics after `finish_init`.
     pub fn write_init(&mut self, addr: VAddr, value: u64) {
-        assert!(!self.init_finished, "init phase is over");
-        self.mem.write(addr, value);
-        self.init_writes.push((addr, value));
+        self.core.write_init(addr, value);
     }
 
     /// Opens the measured phase.
     pub fn finish_init(&mut self) {
-        assert!(!self.init_finished, "finish_init called twice");
-        self.init_finished = true;
+        self.core.finish_init();
     }
 
     /// Opens a failure-atomic region.
@@ -130,32 +93,27 @@ impl RedoTxWriter {
     ///
     /// Panics if one is already open.
     pub fn begin_tx(&mut self) {
-        assert!(self.init_finished, "call finish_init first");
-        assert!(self.txid.is_none(), "transaction already open");
-        let id = self.next_txid;
-        self.next_txid += 1;
-        self.txid = Some(id);
+        self.core.begin_tx();
         self.write_set.clear();
         self.write_order.clear();
-        self.records.push(TxRecord {
-            txid: id,
-            writes: Vec::new(),
-        });
-        self.builder.compute_chain(2);
     }
 
     /// A transactional read: consults the write set first (redo's read
     /// indirection), then memory.
     pub fn read(&mut self, addr: VAddr) -> u64 {
         // Write-set lookup cost (hash + compare).
-        self.builder.compute_chain(2);
-        let value = self
-            .write_set
+        self.core.emit.compute_chain(2);
+        let value = self.current(addr);
+        self.core.emit.load(addr, value);
+        value
+    }
+
+    /// The transaction's view of `addr`: its pending write, else memory.
+    fn current(&self, addr: VAddr) -> u64 {
+        self.write_set
             .get(&addr)
             .copied()
-            .unwrap_or_else(|| self.mem.read(addr));
-        self.builder.load(addr, value);
-        value
+            .unwrap_or_else(|| self.core.mem.read(addr))
     }
 
     /// A transactional write: appends a redo entry and persists it — no
@@ -163,152 +121,59 @@ impl RedoTxWriter {
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open.
+    /// Panics if no transaction is open, or once the transaction has
+    /// written more times than the layout has log slots (every write
+    /// takes a slot, repeated addresses included).
     pub fn write(&mut self, addr: VAddr, new: u64) {
-        let txid = self.txid.expect("no open transaction");
-        let old = self
-            .write_set
-            .get(&addr)
-            .copied()
-            .unwrap_or_else(|| self.mem.read(addr));
-        if !self.write_set.contains_key(&addr) {
+        let old = self.current(addr);
+        if self.write_set.insert(addr, new).is_none() {
             self.write_order.push(addr);
         }
-        self.write_set.insert(addr, new);
-        self.records
-            .last_mut()
-            .expect("record opened at begin_tx")
-            .writes
-            .push((addr, old, new));
-
-        // Append the entry.
-        let tail = self.log_tail;
-        self.log_tail += 1;
-        let tail_ptr = self.layout.log_tail_ptr;
-        self.builder.load(tail_ptr, tail);
-        self.builder.store(tail_ptr, tail + 1);
-
-        let slot = self.layout.slot_addr(tail);
-        let csum = checksum(addr, new, txid);
-        let base = self.builder.lea(slot);
-        self.builder.store_pair_to(base, slot + OFF_ADDR, [addr, new]);
-        self.builder
-            .store_pair_to(base, slot + OFF_TXID, [txid, csum]);
-        // Persist the entry; under EDE it produces a key so commit's
-        // WAIT_ALL_KEYS covers it. No fence in any configuration!
-        if self.arch.uses_ede() {
-            let k = self.next_key();
-            self.builder.cvap_to_edk(base, slot, EdkPair::producer(k));
-        } else {
-            self.builder.cvap_to(base, slot);
-        }
-        self.builder.release(base);
-        self.mem.write(slot + OFF_ADDR, addr);
-        self.mem.write(slot + OFF_ADDR + 8, new);
-        self.mem.write(slot + OFF_TXID, txid);
-        self.mem.write(slot + OFF_TXID + 8, csum);
+        self.core.record(addr, old, new);
+        // Append and persist the entry; under EDE the writeback produces
+        // a key so commit's boundary covers it. No ordering in any
+        // configuration!
+        let (slot, base) = self.core.append_log_entry(addr, new);
+        self.core.emit.persist(base, slot);
+        self.core.emit.release(base);
     }
 
     /// Commits: entries → *committed* marker → in-place apply →
-    /// *applied* marker, each boundary ordered per the configuration.
+    /// *applied* marker, with a boundary before and after each marker.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn commit_tx(&mut self) {
-        let txid = self.txid.take().expect("no open transaction");
+        let txid = self.core.end_tx();
         let marker = header_word(txid);
 
         // Boundary 1: all entries persisted before the committed marker.
-        self.fence_boundary();
-        self.emit_marker_pair(0, marker);
+        self.core.emit.boundary();
+        self.core.log_marker(0, marker);
         // Boundary 2: marker persisted before the in-place writes may
         // persist (otherwise a crash could leave applied data with no
         // replayable log and no marker — torn for *older* values).
-        self.fence_boundary();
+        self.core.emit.boundary();
 
         // Apply the write set in place and persist it.
-        let order = std::mem::take(&mut self.write_order);
-        for addr in &order {
-            let new = self.write_set[addr];
-            let base = self.builder.lea(*addr);
-            self.builder.store_to(base, *addr, new);
-            if self.arch.uses_ede() {
-                let k = self.next_key();
-                self.builder.cvap_to_edk(base, *addr, EdkPair::producer(k));
-            } else {
-                self.builder.cvap_to(base, *addr);
-            }
-            self.builder.release(base);
-            self.mem.write(*addr, new);
+        for addr in std::mem::take(&mut self.write_order) {
+            let new = self.write_set[&addr];
+            let c = &mut self.core;
+            let base = c.emit.lea(addr);
+            c.emit.store_to(base, addr, new);
+            c.emit.persist(base, addr);
+            c.emit.release(base);
+            c.mem.write(addr, new);
         }
         // Boundary 3: applied marker only after all in-place persists.
-        self.fence_boundary();
-        self.emit_marker_pair(OFF_APPLIED, marker);
-        self.fence_boundary();
+        self.core.emit.boundary();
+        self.core.log_marker(OFF_APPLIED, marker);
+        self.core.emit.boundary();
 
         // Truncate: slots reusable once applied.
-        self.log_tail = 0;
-        self.builder.store(self.layout.log_tail_ptr, 0);
+        self.core.truncate_log();
         self.write_set.clear();
-    }
-
-    /// Persists one marker word to both header lines, twin first — the
-    /// repair invariant (`log::resolve_marker`): at every crash instant
-    /// the twin copy is at least as new as the primary. Under EDE the
-    /// twin-before-primary order is an execution dependence (the primary
-    /// store consumes the twin persist's key); elsewhere it is one extra
-    /// fence between the two persists.
-    fn emit_marker_pair(&mut self, word_off: u64, marker: u64) {
-        let primary = self.layout.log_header + word_off;
-        let twin = self.layout.log_header_twin + word_off;
-        if self.arch.uses_ede() {
-            let tb = self.builder.lea(twin);
-            self.builder.store_to(tb, twin, marker);
-            let kt = self.next_key();
-            self.builder.cvap_to_edk(tb, twin, EdkPair::producer(kt));
-            self.builder.release(tb);
-            let pb = self.builder.lea(primary);
-            self.builder
-                .store_to_edk(pb, primary, marker, EdkPair::consumer(kt));
-            let k = self.next_key();
-            self.builder.cvap_to_edk(pb, primary, EdkPair::producer(k));
-            self.builder.release(pb);
-        } else {
-            self.builder.store(twin, marker);
-            self.emit_persist(twin);
-            self.fence_boundary();
-            self.builder.store(primary, marker);
-            self.emit_persist(primary);
-        }
-        self.mem.write(twin, marker);
-        self.mem.write(primary, marker);
-    }
-
-    fn fence_boundary(&mut self) {
-        match self.arch {
-            ArchConfig::Baseline => {
-                self.builder.dsb_sy();
-            }
-            ArchConfig::StoreBarrierUnsafe => {
-                self.builder.dmb_st();
-            }
-            ArchConfig::IssueQueue | ArchConfig::WriteBuffer => {
-                self.builder.wait_all_keys();
-            }
-            ArchConfig::Unsafe => {}
-        }
-    }
-
-    fn emit_persist(&mut self, addr: VAddr) {
-        if self.arch.uses_ede() {
-            let base = self.builder.lea(addr);
-            let k = self.next_key();
-            self.builder.cvap_to_edk(base, addr, EdkPair::producer(k));
-            self.builder.release(base);
-        } else {
-            self.builder.cvap(addr);
-        }
     }
 
     /// Ends code generation.
@@ -317,24 +182,7 @@ impl RedoTxWriter {
     ///
     /// Panics with an open transaction.
     pub fn finish(self) -> TxOutput {
-        assert!(self.txid.is_none(), "transaction still open");
-        let mut init_writes = self.init_writes;
-        for line in [self.layout.log_header, self.layout.log_header_twin] {
-            init_writes.push((line + OFF_MAGIC, MAGIC));
-        }
-        TxOutput {
-            program: self.builder.finish(),
-            records: self.records,
-            memory: self.mem,
-            layout: self.layout,
-            init_writes,
-            tx_phase_start: None,
-        }
-    }
-
-    /// Trace length so far (for fence-count comparisons).
-    pub fn trace_len(&self) -> usize {
-        self.builder.len()
+        self.core.finish(None)
     }
 }
 
@@ -378,6 +226,7 @@ pub fn redo_update_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::{checksum, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID};
     use crate::recovery::NvmImage;
     use crate::triage::{recover, Protocol, RecoveryOutcome};
     use ede_isa::{InstKind, Program};
@@ -535,6 +384,44 @@ mod tests {
         let p = one_tx(ArchConfig::WriteBuffer).program;
         assert_eq!(count(&p, InstKind::FenceFull), 0);
         assert!(count(&p, InstKind::EdeControl) >= 4);
+    }
+
+    #[test]
+    fn both_marker_pairs_order_the_twin_before_the_primary() {
+        for arch in ArchConfig::ALL {
+            let out = one_tx(arch);
+            let l = &out.layout;
+            for off in [0, OFF_APPLIED] {
+                crate::lowering::assert_twin_ordered_before_primary(
+                    &out.program,
+                    arch,
+                    l.log_header_twin + off,
+                    l.log_header + off,
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 2 needs more than the 16 log slots")]
+    fn log_overflow_within_one_transaction_panics() {
+        let layout = Layout {
+            log_slots: 16,
+            ..Layout::standard()
+        };
+        let mut tx = RedoTxWriter::new(layout, ArchConfig::Baseline);
+        let a = tx.heap_alloc(8, 8);
+        tx.finish_init();
+        // Every redo write takes a slot, even to an address already in
+        // the write set: transaction 1's sixteen writes fill the log,
+        // transaction 2's seventeenth overflows it.
+        for writes in [16, 17] {
+            tx.begin_tx();
+            for v in 0..writes {
+                tx.write(a, v);
+            }
+            tx.commit_tx();
+        }
     }
 
     #[test]

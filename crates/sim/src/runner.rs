@@ -93,7 +93,8 @@ impl RunResult {
         self.crash_consistent_sampled(64)
     }
 
-    /// The cycle at which the initialization phase's barrier completed.
+    /// The cycle at which the transaction phase starts: when the last
+    /// instruction before [`TxOutput::tx_phase_start`] completed.
     ///
     /// A phase marker pointing past the recorded timings (possible only
     /// for hand-built [`TxOutput`]s) counts as "no init phase" rather
@@ -101,7 +102,7 @@ impl RunResult {
     /// this fallback is belt-and-braces for results built by hand.
     pub fn tx_phase_start_cycle(&self) -> u64 {
         match self.output.tx_phase_start {
-            // The instruction before the phase start is the init DSB.
+            // No marker, or nothing before it: the phase opens at cycle 0.
             Some(InstId(0)) | None => 0,
             Some(id) => self.timings.get(id.index() - 1).map_or(0, |t| t.complete),
         }
