@@ -6,8 +6,8 @@
 //! ```
 
 use ede_cpu::ptrace::{render_pipeview, PipeRecorder};
-use ede_cpu::Core;
-use ede_isa::{asm, ArchConfig};
+use ede_cpu::{Core, CoreError};
+use ede_isa::{asm, ArchConfig, Program};
 use ede_mem::MemSystem;
 use ede_sim::SimConfig;
 use std::cell::RefCell;
@@ -40,23 +40,36 @@ fn main() {
         eprintln!("{name}: {e}");
         std::process::exit(1);
     });
+    let chart = pipeview(&name, &program, arch, width).unwrap_or_else(|e| {
+        eprintln!("simulation failed: {e}");
+        std::process::exit(1);
+    });
+    print!("{chart}");
+}
+
+/// Simulates `program` on `arch` and returns everything `pipeview`
+/// prints: a header, the stage legend and the lane chart `width`
+/// columns wide.
+pub fn pipeview(
+    name: &str,
+    program: &Program,
+    arch: ArchConfig,
+    width: usize,
+) -> Result<String, CoreError> {
     let sim = SimConfig::a72();
     let rec = Rc::new(RefCell::new(PipeRecorder::new()));
     let sink = Rc::clone(&rec);
     let mem = MemSystem::new(sim.mem.clone());
     let mut core = Core::new(sim.cpu_for(arch), program.clone(), mem);
     core.set_observer(Box::new(move |ev| sink.borrow_mut().push(ev)));
-    let stats = core.run(sim.max_cycles).unwrap_or_else(|e| {
-        eprintln!("simulation failed: {e}");
-        std::process::exit(1);
-    });
+    let stats = core.run(sim.max_cycles)?;
     drop(core);
     let rec = Rc::try_unwrap(rec).ok().expect("observer dropped").into_inner();
 
-    println!(
-        "== {name} on {arch} hardware — {} cycles ==",
-        stats.cycles
-    );
-    println!("D dispatch, I issue, X executed, R retire, W drain, C complete, ~ squash\n");
-    print!("{}", render_pipeview(&program, &rec, width));
+    Ok(format!(
+        "== {name} on {arch} hardware — {} cycles ==\n\
+         D dispatch, I issue, X executed, R retire, W drain, C complete, ~ squash\n\n{}",
+        stats.cycles,
+        render_pipeview(program, &rec, width)
+    ))
 }
