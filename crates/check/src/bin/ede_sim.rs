@@ -684,7 +684,7 @@ fn run_trace(args: &[String]) -> Option<ExitCode> {
     })?;
     let mut sim = SimConfig::a72();
     sim.cpu.fast_forward = fast_forward;
-    let (result, rec, tracer) = run_program_observed(
+    let (result, tracer) = run_program_observed(
         &name,
         raw_output(program.clone()),
         arch,
@@ -704,7 +704,7 @@ fn run_trace(args: &[String]) -> Option<ExitCode> {
         eprintln!("trace: metrics written to {path}");
     }
     if let Some(path) = &chrome_path {
-        write_or_die(path, &chrome_trace_json(&result, &rec));
+        write_or_die(path, &chrome_trace_json(&result, &tracer));
         eprintln!("trace: chrome timeline written to {path}");
     }
     Some(ExitCode::SUCCESS)

@@ -69,7 +69,7 @@ use ede_isa::{ArchConfig, InstId, Program};
 use ede_mem::trace::nvm_image_at;
 use ede_mem::FaultInjection;
 use ede_nvm::CrashChecker;
-use ede_sim::{raw_output, run_program_traced, SimConfig};
+use ede_sim::{raw_output, run_program, SimConfig};
 use ede_util::check::{minimize, shrinkable_vec, Strategy};
 use ede_util::obs::{json, json_escape, Registry};
 use ede_util::pool::par_frontier;
@@ -626,9 +626,8 @@ fn impl_check(
 ) -> Vec<String> {
     let mut diffs = Vec::new();
     let sim = explore_sim(None, fast_forward);
-    let result = match run_program_traced(program_name, raw_output(program.clone()), arch, &sim)
-    {
-        Ok((result, _)) => result,
+    let result = match run_program(program_name, raw_output(program.clone()), arch, &sim) {
+        Ok(result) => result,
         Err(e) => return vec![format!("pipeline did not complete: {e:?}")],
     };
     // Map each trace persist to the model event it must realize: the

@@ -180,7 +180,7 @@ pub fn diff_case_ff(
     };
     let sim = fuzz_sim(fault, fast_forward);
     match run_program_traced("fuzz", raw_output(program), arch, &sim) {
-        Ok((result, rec)) => check_run(&result, &rec, &golden),
+        Ok((result, tracer)) => check_run(&result, &tracer, &golden),
         Err(e) => vec![format!("pipeline did not complete: {e:?}")],
     }
 }

@@ -374,13 +374,12 @@ fn conformance_case(
     match faulty {
         Err(e) if e.is_deadlock() => Outcome::Watchdog,
         Err(_) => Outcome::CycleLimit,
-        Ok((result, rec)) => {
-            if detectors && !check_run(&result, &rec, &golden).is_empty() {
+        Ok((result, tracer)) => {
+            if detectors && !check_run(&result, &tracer, &golden).is_empty() {
                 return Outcome::Conformance;
             }
-            let (clean, _) =
-                run_program_traced("inject", raw_output(program), arch, &inject_sim(None, ff))
-                    .expect("fault-free probe programs complete");
+            let clean = run_program("inject", raw_output(program), arch, &inject_sim(None, ff))
+                .expect("fault-free probe programs complete");
             if projection(&result) == projection(&clean) {
                 Outcome::Tolerated
             } else {

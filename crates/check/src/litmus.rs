@@ -276,7 +276,7 @@ mod tests {
             let p = program(name).expect(name);
             assert!(!p.is_empty(), "{name} is empty");
             for arch in ArchConfig::ALL {
-                let (r, _, tr) = run_program_observed(
+                let (r, tr) = run_program_observed(
                     name,
                     raw_output(p.clone()),
                     arch,
@@ -322,7 +322,7 @@ mod tests {
         let p = program("hazard").unwrap();
         // The consumer store must actually wait on the producer's key
         // on EDE hardware (IQ holds it at issue; WB at drain).
-        let (_, _, tr) = run_program_observed(
+        let (_, tr) = run_program_observed(
             "hazard",
             raw_output(p.clone()),
             ArchConfig::IssueQueue,
@@ -341,7 +341,7 @@ mod tests {
     fn render_is_deterministic() {
         let p = program("two_update").unwrap();
         let render = || {
-            let (_, _, tr) = run_program_observed(
+            let (_, tr) = run_program_observed(
                 "two_update",
                 raw_output(p.clone()),
                 ArchConfig::WriteBuffer,

@@ -2,9 +2,8 @@
 
 use crate::config::{CpuConfig, FaultInjection};
 use crate::port::MemPort;
-use crate::ptrace::{PipeEvent, PipeObserver, PipeStage};
 use crate::stats::IssueHistogram;
-use crate::trace::{StageId, StallCause, StallTable, Tracer};
+use crate::trace::{PipeStage, StageId, StallCause, StallTable, Tracer};
 use crate::wb::{WbKind, WriteBuffer};
 use ede_core::ordering::InstTiming;
 use ede_core::{EnforcementPoint, InFlightEde, SpeculativeEdm};
@@ -299,7 +298,6 @@ pub struct Core<M> {
     rob_peak: usize,
     iq_peak: usize,
     wb_peak: usize,
-    observer: Option<PipeObserver>,
     tracer: Option<Tracer>,
     /// EDE source edges decoded so far (occurrence index for the
     /// `DropOneEdep` fault).
@@ -368,7 +366,6 @@ impl<M: MemPort> Core<M> {
             rob_peak: 0,
             iq_peak: 0,
             wb_peak: 0,
-            observer: None,
             tracer: None,
             edep_edge_count: 0,
             moved: false,
@@ -467,12 +464,6 @@ impl<M: MemPort> Core<M> {
         }
     }
 
-    /// Attaches a pipeline-event observer (see [`crate::ptrace`]); events
-    /// are delivered synchronously as the machine simulates.
-    pub fn set_observer(&mut self, observer: PipeObserver) {
-        self.observer = Some(observer);
-    }
-
     /// Attaches an event tracer (see [`crate::trace`]). With no tracer
     /// attached the machine records only the attribution counters — no
     /// event is allocated or buffered.
@@ -493,13 +484,6 @@ impl<M: MemPort> Core<M> {
     fn emit(&mut self, id: InstId, stage: PipeStage) {
         if let Some(tr) = &mut self.tracer {
             tr.stage(self.now, id, stage);
-        }
-        if let Some(obs) = &mut self.observer {
-            obs(PipeEvent {
-                cycle: self.now,
-                id,
-                stage,
-            });
         }
     }
 
@@ -630,8 +614,8 @@ impl<M: MemPort> Core<M> {
             self.iq.len() as u32,
             self.wbuf.len() as u32,
         );
-        if let Some(tr) = &mut self.tracer {
-            let every = tr.config().sample_every.max(1);
+        if let Some(tr) = self.tracer.as_mut().filter(|t| t.config().sample_every > 0) {
+            let every = tr.config().sample_every;
             let mut c = (self.now + 1).next_multiple_of(every);
             while c <= target {
                 tr.stall(c, StageId::Retire, causes[0]);
@@ -1735,23 +1719,26 @@ mod tests {
     #[test]
     fn fast_forward_respects_sampling_in_synthesized_trace() {
         // With sample_every > 1 the synthesized quiet-span events must
-        // appear only at sampled cycles, exactly as per-cycle ticking
-        // would emit them.
-        let mut outs = Vec::new();
-        for fast in [true, false] {
-            let mut cfg = CpuConfig::a72();
-            cfg.fast_forward = fast;
-            let mem = FixedLatencyMem::new(LOAD_LAT, ACK_LAT);
-            let mut core = Core::new(cfg, idle_heavy_trace(), mem);
-            core.set_tracer(Tracer::new(crate::trace::TracerConfig {
-                capacity: 1 << 16,
-                sample_every: 7,
-            }));
-            core.run(1_000_000).unwrap();
-            let tr = core.take_tracer().unwrap();
-            outs.push((tr.events().copied().collect::<Vec<_>>(), tr.dropped()));
+        // appear only at sampled cycles, and with sample_every 0 not at
+        // all, exactly as per-cycle ticking would emit them.
+        let sampled = crate::trace::TracerConfig {
+            capacity: 1 << 16,
+            sample_every: 7,
+        };
+        for tracer in [sampled, crate::trace::TracerConfig::STAGES] {
+            let mut outs = Vec::new();
+            for fast in [true, false] {
+                let mut cfg = CpuConfig::a72();
+                cfg.fast_forward = fast;
+                let mem = FixedLatencyMem::new(LOAD_LAT, ACK_LAT);
+                let mut core = Core::new(cfg, idle_heavy_trace(), mem);
+                core.set_tracer(Tracer::new(tracer));
+                core.run(1_000_000).unwrap();
+                let tr = core.take_tracer().unwrap();
+                outs.push((tr.events().copied().collect::<Vec<_>>(), tr.dropped()));
+            }
+            assert_eq!(outs[0], outs[1], "{tracer:?}");
         }
-        assert_eq!(outs[0], outs[1]);
     }
 
     #[test]

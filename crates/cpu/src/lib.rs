@@ -23,6 +23,13 @@
 //! younger instructions and restores the speculative EDM from the
 //! non-speculative copy, exercising §V-A1.
 //!
+//! A core has one optional event sink, the [`Tracer`] attached with
+//! [`Core::set_tracer`]: every [`PipeStage`] transition of every
+//! instruction, plus stall, occupancy and quiet samples every
+//! `sample_every` cycles (never, when `sample_every` is 0).
+//! [`TracerConfig::STAGES`] records the complete stage stream and
+//! nothing else.
+//!
 //! # Example
 //!
 //! ```
@@ -49,7 +56,6 @@
 pub mod config;
 pub mod core;
 pub mod port;
-pub mod ptrace;
 pub mod stats;
 pub mod trace;
 pub mod wb;
@@ -59,5 +65,5 @@ pub use config::{CpuConfig, FaultInjection};
 pub use port::{FixedLatencyMem, MemPort};
 pub use stats::IssueHistogram;
 pub use trace::{
-    StageId, StallCause, StallTable, TraceEvent, TraceEventKind, Tracer, TracerConfig,
+    PipeStage, StageId, StallCause, StallTable, TraceEvent, TraceEventKind, Tracer, TracerConfig,
 };

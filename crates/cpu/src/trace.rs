@@ -13,11 +13,16 @@
 //! * [`StallTable`] — per-stage busy/cause counters, recorded exactly
 //!   once per stage per [`Core::tick`](crate::Core::tick), so
 //!   conservation holds *by construction*.
-//! * [`Tracer`] — an optional bounded ring of [`TraceEvent`]s (stage
-//!   transitions, stall samples, occupancy samples) with a sampling
-//!   knob. Attribution counters are always on (a handful of array
-//!   increments per cycle); the ring is `Option`-gated and allocates
-//!   nothing unless attached, so the untraced path stays unchanged.
+//! * [`Tracer`] — the core's one optional event sink: a bounded ring of
+//!   [`TraceEvent`]s. Stage transitions ([`PipeStage`]) are the
+//!   semantic stream and are never sampled away; stall, occupancy and
+//!   quiet samples are recorded every `sample_every` cycles, or not at
+//!   all when `sample_every` is 0. [`TracerConfig::STAGES`] keeps every
+//!   stage event and nothing else — the stream the conformance checker,
+//!   the Chrome timeline and `pipeview` read. Attribution counters are
+//!   always on (a handful of array increments per cycle); the ring is
+//!   `Option`-gated and allocates nothing unless attached, so the
+//!   untraced path stays unchanged.
 //!
 //! # Example
 //!
@@ -33,10 +38,43 @@
 //! assert!(t.conserved(2));
 //! ```
 
-use crate::ptrace::PipeStage;
 use ede_isa::InstId;
 use std::collections::VecDeque;
 use std::fmt;
+
+/// A pipeline transition of one instruction.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum PipeStage {
+    /// Entered the ROB/issue queue.
+    Dispatch,
+    /// Left the issue queue for a functional unit or the memory system.
+    Issue,
+    /// Result produced (writeback).
+    Executed,
+    /// Left the ROB.
+    Retire,
+    /// Write-buffer entry pushed to the memory system.
+    Drain,
+    /// Complete in the EDE sense.
+    Complete,
+    /// Squashed by a misprediction (the instruction will re-dispatch).
+    Squash,
+}
+
+impl fmt::Display for PipeStage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            PipeStage::Dispatch => "dispatch",
+            PipeStage::Issue => "issue",
+            PipeStage::Executed => "executed",
+            PipeStage::Retire => "retire",
+            PipeStage::Drain => "drain",
+            PipeStage::Complete => "complete",
+            PipeStage::Squash => "squash",
+        };
+        f.write_str(s)
+    }
+}
 
 /// A pipeline stage that receives per-cycle stall attribution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -326,9 +364,18 @@ pub struct TracerConfig {
     /// counted), so the tail of a run is always retained.
     pub capacity: usize,
     /// Record sampled kinds (stalls, occupancy, quiet) only every this
-    /// many cycles; 1 = every cycle, 0 behaves as 1. Stage transitions
-    /// are never sampled away — they are the semantic event stream.
+    /// many cycles; 1 = every cycle, 0 = never. Stage transitions are
+    /// never sampled away — they are the semantic event stream.
     pub sample_every: u64,
+}
+
+impl TracerConfig {
+    /// Every stage transition of a run and nothing else: unbounded, so
+    /// nothing is dropped, and no sampled kinds.
+    pub const STAGES: TracerConfig = TracerConfig {
+        capacity: usize::MAX,
+        sample_every: 0,
+    };
 }
 
 impl Default for TracerConfig {
@@ -353,19 +400,22 @@ impl Tracer {
     /// An empty tracer with the given knobs.
     pub fn new(cfg: TracerConfig) -> Tracer {
         Tracer {
-            ring: VecDeque::with_capacity(cfg.capacity.min(1 << 16)),
+            ring: VecDeque::new(),
             cfg,
             dropped: 0,
         }
     }
 
     fn sampled(&self, cycle: u64) -> bool {
-        let every = self.cfg.sample_every.max(1);
-        cycle.is_multiple_of(every)
+        self.cfg.sample_every != 0 && cycle.is_multiple_of(self.cfg.sample_every)
     }
 
     /// Pushes an event, evicting the oldest if the ring is full.
     pub fn push(&mut self, ev: TraceEvent) {
+        if self.cfg.capacity == 0 {
+            self.dropped += 1;
+            return;
+        }
         if self.ring.len() >= self.cfg.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -410,6 +460,28 @@ impl Tracer {
     /// The buffered events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring.iter()
+    }
+
+    /// The buffered stage transitions as `(cycle, id, stage)`, oldest
+    /// first.
+    pub fn stages(&self) -> impl Iterator<Item = (u64, InstId, PipeStage)> + '_ {
+        self.ring.iter().filter_map(|e| match e.kind {
+            TraceEventKind::Stage { id, stage } => Some((e.cycle, id, stage)),
+            _ => None,
+        })
+    }
+
+    /// The buffered stage transitions of instructions `0..n`, grouped
+    /// by instruction: entry `i` holds instruction `i`'s `(cycle, stage)`
+    /// pairs, oldest first.
+    pub fn stages_by_inst(&self, n: usize) -> Vec<Vec<(u64, PipeStage)>> {
+        let mut by_inst = vec![Vec::new(); n];
+        for (cycle, id, stage) in self.stages() {
+            if let Some(evs) = by_inst.get_mut(id.index()) {
+                evs.push((cycle, stage));
+            }
+        }
+        by_inst
     }
 
     /// Buffered event count.
@@ -482,40 +554,63 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut tr = Tracer::new(TracerConfig {
-            capacity: 2,
-            sample_every: 1,
-        });
-        for c in 0..5u64 {
-            tr.push(TraceEvent {
-                cycle: c,
-                kind: TraceEventKind::Quiet { streak: 0 },
+        for (capacity, kept) in [(2, 2usize), (0, 0)] {
+            let mut tr = Tracer::new(TracerConfig {
+                capacity,
+                sample_every: 1,
             });
+            for c in 0..5u64 {
+                tr.push(TraceEvent {
+                    cycle: c,
+                    kind: TraceEventKind::Quiet { streak: 0 },
+                });
+            }
+            assert_eq!(tr.len(), kept, "capacity {capacity}");
+            assert_eq!(tr.dropped(), 5 - kept as u64, "capacity {capacity}");
+            let oldest = tr.events().next().map(|e| e.cycle);
+            assert_eq!(oldest, (kept > 0).then_some(5 - kept as u64), "capacity {capacity}");
         }
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.dropped(), 3);
-        assert_eq!(tr.events().next().unwrap().cycle, 3);
+    }
+
+    #[test]
+    fn per_instruction_filter() {
+        let mut tr = Tracer::new(TracerConfig::default());
+        tr.stage(1, InstId(0), PipeStage::Dispatch);
+        tr.stall(1, StageId::Issue, StallCause::Idle);
+        tr.stage(1, InstId(1), PipeStage::Dispatch);
+        tr.stage(2, InstId(0), PipeStage::Issue);
+        tr.stage(3, InstId(5), PipeStage::Issue);
+        let by_inst = tr.stages_by_inst(2);
+        assert_eq!(by_inst[0], [(1, PipeStage::Dispatch), (2, PipeStage::Issue)]);
+        assert_eq!(by_inst[1], [(1, PipeStage::Dispatch)]);
+    }
+
+    #[test]
+    fn display_names() {
+        assert_eq!(PipeStage::Drain.to_string(), "drain");
     }
 
     #[test]
     fn sampling_thins_stall_events_only() {
-        let mut tr = Tracer::new(TracerConfig {
+        let every_10 = TracerConfig {
             capacity: 1000,
             sample_every: 10,
-        });
-        for c in 1..=100u64 {
-            tr.stall(c, StageId::Issue, StallCause::Idle);
-            tr.stage(c, InstId(0), PipeStage::Issue);
+        };
+        for (cfg, sampled) in [(every_10, 10), (TracerConfig::STAGES, 0)] {
+            let mut tr = Tracer::new(cfg);
+            for c in 1..=100u64 {
+                tr.stall(c, StageId::Issue, StallCause::Idle);
+                tr.occupancy(c, 1, 1, 1);
+                tr.quiet(c, c);
+                tr.stage(c, InstId(0), PipeStage::Issue);
+            }
+            let stalls = tr
+                .events()
+                .filter(|e| matches!(e.kind, TraceEventKind::Stall { .. }))
+                .count();
+            assert_eq!(stalls, sampled, "{cfg:?}");
+            assert_eq!(tr.len(), 3 * sampled + 100, "{cfg:?}");
+            assert_eq!(tr.stages().count(), 100, "{cfg:?}");
         }
-        let stalls = tr
-            .events()
-            .filter(|e| matches!(e.kind, TraceEventKind::Stall { .. }))
-            .count();
-        let stages = tr
-            .events()
-            .filter(|e| matches!(e.kind, TraceEventKind::Stage { .. }))
-            .count();
-        assert_eq!(stalls, 10);
-        assert_eq!(stages, 100);
     }
 }

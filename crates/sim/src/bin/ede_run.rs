@@ -10,9 +10,8 @@
 //! `--metrics` writes the `ede.metrics.v1` document for the run;
 //! `--chrome` writes a `chrome://tracing` timeline.
 
-use ede_cpu::TracerConfig;
 use ede_isa::{asm, disasm, ArchConfig};
-use ede_sim::runner::{raw_output, run_program_observed};
+use ede_sim::runner::{raw_output, run_program_traced};
 use ede_sim::{chrome_trace_json, metrics_json, SimConfig};
 use std::io::Read as _;
 
@@ -74,17 +73,11 @@ fn main() {
     print!("{}", disasm::listing(&program));
 
     let sim = SimConfig::a72();
-    let (r, rec, _) = run_program_observed(
-        &name,
-        raw_output(program.clone()),
-        arch,
-        &sim,
-        TracerConfig::default(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("simulation failed: {e}");
-        std::process::exit(1);
-    });
+    let (r, tracer) = run_program_traced(&name, raw_output(program.clone()), arch, &sim)
+        .unwrap_or_else(|e| {
+            eprintln!("simulation failed: {e}");
+            std::process::exit(1);
+        });
     println!("\ncycles: {}   retired: {}   IPC: {:.2}", r.cycles, r.retired, r.ipc());
     if let Some(path) = &metrics_path {
         std::fs::write(path, metrics_json(&r)).unwrap_or_else(|e| {
@@ -94,7 +87,7 @@ fn main() {
         eprintln!("metrics written to {path}");
     }
     if let Some(path) = &chrome_path {
-        std::fs::write(path, chrome_trace_json(&r, &rec)).unwrap_or_else(|e| {
+        std::fs::write(path, chrome_trace_json(&r, &tracer)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });

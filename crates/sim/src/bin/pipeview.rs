@@ -5,14 +5,11 @@
 //! cargo run --release -p ede-sim --bin pipeview -- program.s [B|SU|IQ|WB|U] [width]
 //! ```
 
-use ede_cpu::ptrace::{render_pipeview, PipeRecorder};
-use ede_cpu::{Core, CoreError};
+use ede_cpu::{PipeStage, Tracer};
 use ede_isa::{asm, ArchConfig, Program};
-use ede_mem::MemSystem;
-use ede_sim::SimConfig;
-use std::cell::RefCell;
+use ede_sim::{raw_output, run_program_traced, SimConfig, SimError};
+use std::fmt::Write as _;
 use std::io::Read as _;
-use std::rc::Rc;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -55,21 +52,72 @@ pub fn pipeview(
     program: &Program,
     arch: ArchConfig,
     width: usize,
-) -> Result<String, CoreError> {
-    let sim = SimConfig::a72();
-    let rec = Rc::new(RefCell::new(PipeRecorder::new()));
-    let sink = Rc::clone(&rec);
-    let mem = MemSystem::new(sim.mem.clone());
-    let mut core = Core::new(sim.cpu_for(arch), program.clone(), mem);
-    core.set_observer(Box::new(move |ev| sink.borrow_mut().push(ev)));
-    let stats = core.run(sim.max_cycles)?;
-    drop(core);
-    let rec = Rc::try_unwrap(rec).ok().expect("observer dropped").into_inner();
-
+) -> Result<String, SimError> {
+    let (result, tracer) =
+        run_program_traced(name, raw_output(program.clone()), arch, &SimConfig::a72())?;
     Ok(format!(
         "== {name} on {arch} hardware — {} cycles ==\n\
          D dispatch, I issue, X executed, R retire, W drain, C complete, ~ squash\n\n{}",
-        stats.cycles,
-        render_pipeview(program, &rec, width)
+        result.cycles,
+        render_pipeview(program, &tracer, width)
     ))
+}
+
+/// Renders the stage events as a gem5 `O3PipeView`-style lane chart: one
+/// row per instruction, one column per cycle bucket, with stage letters
+/// `D` (dispatch), `I` (issue), `X` (executed), `R` (retire), `W` (drain)
+/// and `C` (complete); `=` fills the instruction's lifetime and `~` marks
+/// squashed incarnations. Cycles are bucketed to fit `width` columns.
+fn render_pipeview(program: &Program, tracer: &Tracer, width: usize) -> String {
+    let width = width.max(10);
+    let max_cycle = tracer.stages().map(|(cycle, _, _)| cycle).max().unwrap_or(1).max(1);
+    let scale = |cycle: u64| -> usize {
+        ((cycle.saturating_sub(1)) as usize * (width - 1) / max_cycle as usize).min(width - 1)
+    };
+    let letter = |s: PipeStage| match s {
+        PipeStage::Dispatch => 'D',
+        PipeStage::Issue => 'I',
+        PipeStage::Executed => 'X',
+        PipeStage::Retire => 'R',
+        PipeStage::Drain => 'W',
+        PipeStage::Complete => 'C',
+        PipeStage::Squash => '~',
+    };
+    let mut out = String::new();
+    let _ = writeln!(out, "cycles 1..{max_cycle} mapped onto {width} columns");
+    for ((id, inst), evs) in program.iter().zip(tracer.stages_by_inst(program.len())) {
+        if evs.is_empty() {
+            continue;
+        }
+        let mut lane = vec![' '; width];
+        // The final incarnation's events follow its last squash.
+        let finals = match evs.iter().rposition(|&(_, s)| s == PipeStage::Squash) {
+            Some(i) => &evs[i + 1..],
+            None => &evs[..],
+        };
+        // Fill the final incarnation's lifetime with '='.
+        if let (Some(first), Some(last)) = (finals.first(), finals.last()) {
+            for c in lane.iter_mut().take(scale(last.0) + 1).skip(scale(first.0)) {
+                *c = '=';
+            }
+        }
+        // Squashed incarnations appear as '~'.
+        for &(cycle, stage) in &evs {
+            if stage == PipeStage::Squash {
+                lane[scale(cycle)] = '~';
+            }
+        }
+        for &(cycle, stage) in finals {
+            lane[scale(cycle)] = letter(stage);
+        }
+        let text: String = lane.into_iter().collect();
+        let _ = writeln!(
+            out,
+            "{:>5} |{}| {}",
+            id.to_string(),
+            text,
+            ede_isa::disasm::Disasm(inst)
+        );
+    }
+    out
 }

@@ -19,8 +19,7 @@
 //! per stage), which CI runs against live `trace` output.
 
 use crate::runner::RunResult;
-use ede_cpu::ptrace::{PipeRecorder, PipeStage};
-use ede_cpu::{StageId, StallCause};
+use ede_cpu::{PipeStage, StageId, StallCause, Tracer};
 use ede_util::obs::{json, json_escape};
 use std::fmt::Write as _;
 
@@ -59,12 +58,15 @@ pub fn metrics_json(r: &RunResult) -> String {
     out
 }
 
-/// Renders a Chrome-trace-format timeline of the run's pipeline events.
+/// Renders a Chrome-trace-format timeline of the run's pipeline events:
+/// the stage transitions buffered in `tracer` (complete when it was
+/// built from [`TracerConfig::STAGES`](ede_cpu::TracerConfig::STAGES))
+/// and the persists in the run's trace.
 ///
 /// Load the output in `chrome://tracing` or Perfetto. Cycles map to
 /// microseconds (`ts`/`dur`); each instruction is one `tid`, stage spans
 /// are `X` duration events, squashes and persists are `i` instants.
-pub fn chrome_trace_json(r: &RunResult, rec: &PipeRecorder) -> String {
+pub fn chrome_trace_json(r: &RunResult, tracer: &Tracer) -> String {
     let mut out = String::new();
     out.push_str("{\"traceEvents\": [\n");
     let mut first = true;
@@ -75,24 +77,24 @@ pub fn chrome_trace_json(r: &RunResult, rec: &PipeRecorder) -> String {
         *first = false;
         out.push_str(&line);
     };
-    for (id, inst) in r.output.program.iter() {
-        let evs = rec.of(id);
+    let program = &r.output.program;
+    for ((id, inst), evs) in program.iter().zip(tracer.stages_by_inst(program.len())) {
         if evs.is_empty() {
             continue;
         }
         let name = json_escape(&ede_isa::disasm::Disasm(inst).to_string());
         // Each squash ends an incarnation; spans never cross one.
         for w in evs.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a.stage == PipeStage::Squash {
+            let ((a_cycle, a_stage), (b_cycle, b_stage)) = (w[0], w[1]);
+            if a_stage == PipeStage::Squash {
                 continue;
             }
-            if b.stage == PipeStage::Squash {
+            if b_stage == PipeStage::Squash {
                 push(
                     format!(
                         "  {{\"name\": \"squash\", \"cat\": \"pipeline\", \"ph\": \"i\", \
                          \"ts\": {}, \"pid\": 1, \"tid\": {}, \"s\": \"t\"}}",
-                        b.cycle, id.0
+                        b_cycle, id.0
                     ),
                     &mut out,
                     &mut first,
@@ -103,9 +105,9 @@ pub fn chrome_trace_json(r: &RunResult, rec: &PipeRecorder) -> String {
                 format!(
                     "  {{\"name\": {name}, \"cat\": \"stage:{}\", \"ph\": \"X\", \
                      \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
-                    a.stage,
-                    a.cycle,
-                    b.cycle - a.cycle,
+                    a_stage,
+                    a_cycle,
+                    b_cycle - a_cycle,
                     id.0
                 ),
                 &mut out,
@@ -204,7 +206,7 @@ pub fn validate_metrics_json(s: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::runner::{raw_output, run_program, run_program_observed};
+    use crate::runner::{raw_output, run_program, run_program_observed, run_program_traced};
     use ede_cpu::TracerConfig;
     use ede_isa::{ArchConfig, TraceBuilder};
 
@@ -241,7 +243,7 @@ mod tests {
         b.cvap(0x1_0000_0000);
         b.dsb_sy();
         b.store(0x1_0000_0400, 9);
-        let (traced, _, _) = run_program_observed(
+        let (traced, _) = run_program_observed(
             "unit",
             raw_output(b.finish()),
             ArchConfig::WriteBuffer,
@@ -258,15 +260,14 @@ mod tests {
         b.store(0x1_0000_0000, 7);
         b.cvap(0x1_0000_0000);
         b.dsb_sy();
-        let (r, rec, _) = run_program_observed(
+        let (r, tracer) = run_program_traced(
             "unit",
             raw_output(b.finish()),
             ArchConfig::Baseline,
             &SimConfig::a72(),
-            TracerConfig::default(),
         )
         .unwrap();
-        let doc = chrome_trace_json(&r, &rec);
+        let doc = chrome_trace_json(&r, &tracer);
         let parsed = json::parse(&doc).expect("valid JSON");
         let events = parsed
             .get("traceEvents")

@@ -4,15 +4,12 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use ede_core::ordering::{self, InstTiming, OrderRelaxation, Violation};
 use ede_cpu::core::StallStats;
-use ede_cpu::ptrace::{PipeObserver, PipeRecorder};
 use ede_cpu::{Core, IssueHistogram, StallTable, Tracer, TracerConfig};
 use ede_isa::{ArchConfig, InstId, Program};
 use ede_mem::{MemStats, MemSystem, PersistTrace};
 use ede_nvm::{check_crash_consistency, CheckFailure, TxOutput};
 use ede_util::obs::Registry;
 use ede_workloads::{Workload, WorkloadParams};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Everything one simulation produced.
 #[derive(Clone, Debug)]
@@ -139,14 +136,16 @@ pub fn run_program(
     arch: ArchConfig,
     sim: &SimConfig,
 ) -> Result<RunResult, SimError> {
-    run_program_inner(name, output, arch, sim, None, None).map(|(r, _)| r)
+    run_program_inner(name, output, arch, sim, None).map(|(r, _)| r)
 }
 
-/// Simulates a program with pipeline-event tracing attached: the returned
-/// [`PipeRecorder`] holds every dispatch/issue/retire/drain/complete
-/// transition. This is the conformance checker's window into the
-/// pipeline's committed order (`ede-check` uses it to cross-check retire
-/// order and stage monotonicity against the persist trace).
+/// Simulates a program with [`TracerConfig::STAGES`] attached: the
+/// returned [`Tracer`] holds every dispatch/issue/executed/retire/drain/
+/// complete/squash transition of the run and nothing else, with nothing
+/// dropped. This is the conformance checker's window into the pipeline's
+/// committed order (`ede-check` reads retire order and stage
+/// monotonicity from it), and the stream the Chrome timeline and
+/// `pipeview` render.
 ///
 /// # Errors
 ///
@@ -158,24 +157,13 @@ pub fn run_program_traced(
     output: TxOutput,
     arch: ArchConfig,
     sim: &SimConfig,
-) -> Result<(RunResult, PipeRecorder), SimError> {
-    let rec = Rc::new(RefCell::new(PipeRecorder::new()));
-    let sink = Rc::clone(&rec);
-    let observer: PipeObserver = Box::new(move |ev| sink.borrow_mut().push(ev));
-    let (result, _) = run_program_inner(name, output, arch, sim, Some(observer), None)?;
-    // The core (and with it the observer closure) is dropped inside
-    // `run_program_inner`, so ours is the only strong reference left.
-    let rec = Rc::try_unwrap(rec)
-        .ok()
-        .expect("observer closure outlived the core")
-        .into_inner();
-    Ok((result, rec))
+) -> Result<(RunResult, Tracer), SimError> {
+    run_program_observed(name, output, arch, sim, TracerConfig::STAGES)
 }
 
-/// Simulates a program with both the pipeline recorder and the bounded
-/// event [`Tracer`] attached — the full observability bundle behind
-/// `ede-sim trace`: the recorder yields the per-instruction stage
-/// timeline, the tracer the sampled stall/occupancy event ring.
+/// Simulates a program with a [`Tracer`] built from `tracer` attached —
+/// the observability bundle behind `ede-sim trace`: stage transitions
+/// plus the sampled stall/occupancy/quiet events, in one ring.
 ///
 /// # Errors
 ///
@@ -188,17 +176,9 @@ pub fn run_program_observed(
     arch: ArchConfig,
     sim: &SimConfig,
     tracer: TracerConfig,
-) -> Result<(RunResult, PipeRecorder, Tracer), SimError> {
-    let rec = Rc::new(RefCell::new(PipeRecorder::new()));
-    let sink = Rc::clone(&rec);
-    let observer: PipeObserver = Box::new(move |ev| sink.borrow_mut().push(ev));
-    let (result, tr) =
-        run_program_inner(name, output, arch, sim, Some(observer), Some(tracer))?;
-    let rec = Rc::try_unwrap(rec)
-        .ok()
-        .expect("observer closure outlived the core")
-        .into_inner();
-    Ok((result, rec, tr.expect("tracer was attached")))
+) -> Result<(RunResult, Tracer), SimError> {
+    let (result, tr) = run_program_inner(name, output, arch, sim, Some(tracer))?;
+    Ok((result, tr.expect("tracer was attached")))
 }
 
 fn run_program_inner(
@@ -206,7 +186,6 @@ fn run_program_inner(
     output: TxOutput,
     arch: ArchConfig,
     sim: &SimConfig,
-    observer: Option<PipeObserver>,
     tracer: Option<TracerConfig>,
 ) -> Result<(RunResult, Option<Tracer>), SimError> {
     if sim.max_cycles == 0 {
@@ -227,9 +206,6 @@ fn run_program_inner(
     }
     let mem = MemSystem::new(sim.mem.clone());
     let mut core = Core::new(sim.cpu_for(arch), output.program.clone(), mem);
-    if let Some(obs) = observer {
-        core.set_observer(obs);
-    }
     if let Some(cfg) = tracer {
         core.set_tracer(Tracer::new(cfg));
     }
@@ -255,7 +231,7 @@ fn run_program_inner(
     let nvm_occupancy = mem.persist_buffer().occupancy_histogram().to_vec();
 
     // Assemble the per-run metrics registry from every layer. The
-    // registry never depends on whether a tracer/observer was attached,
+    // registry never depends on whether a tracer was attached,
     // so traced and untraced runs of the same program produce identical
     // metrics documents.
     let mut metrics = Registry::new();
@@ -301,6 +277,7 @@ pub fn raw_output(program: Program) -> TxOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ede_cpu::PipeStage;
     use ede_workloads::update::Update;
 
     fn small_params() -> WorkloadParams {
@@ -407,15 +384,20 @@ mod tests {
         b.store(0x1_0000_0000, 1);
         b.cvap(0x1_0000_0000);
         b.dsb_sy();
-        let (r, rec) = run_program_traced(
+        let (r, tracer) = run_program_traced(
             "raw",
             raw_output(b.finish()),
             ArchConfig::WriteBuffer,
             &SimConfig::a72(),
         )
         .unwrap();
-        rec.check_stage_order().expect("stage order holds");
-        let retired = rec.retire_order();
+        assert_eq!(tracer.dropped(), 0);
+        assert_eq!(tracer.len(), tracer.stages().count(), "stage events only");
+        let retired: Vec<InstId> = tracer
+            .stages()
+            .filter(|&(_, _, stage)| stage == PipeStage::Retire)
+            .map(|(_, id, _)| id)
+            .collect();
         assert_eq!(retired.len() as u64, r.retired);
         assert!(retired.windows(2).all(|w| w[0] < w[1]));
     }

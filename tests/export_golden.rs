@@ -15,9 +15,8 @@
 //! ```
 
 use ede_check::litmus;
-use ede_cpu::TracerConfig;
 use ede_isa::ArchConfig;
-use ede_sim::{chrome_trace_json, raw_output, run_program_observed, SimConfig};
+use ede_sim::{chrome_trace_json, raw_output, run_program_traced, SimConfig};
 use ede_util::diff::unified_diff;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -48,15 +47,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 fn chrome(name: &str, arch: ArchConfig) -> String {
     let program = litmus::program(name).expect(name);
-    let (result, rec, _) = run_program_observed(
-        name,
-        raw_output(program),
-        arch,
-        &SimConfig::a72(),
-        TracerConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("{name} on {arch}: {e}"));
-    chrome_trace_json(&result, &rec)
+    let (result, tracer) = run_program_traced(name, raw_output(program), arch, &SimConfig::a72())
+        .unwrap_or_else(|e| panic!("{name} on {arch}: {e}"));
+    chrome_trace_json(&result, &tracer)
 }
 
 fn lane_chart(name: &str, arch: ArchConfig) -> String {

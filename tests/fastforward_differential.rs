@@ -86,8 +86,7 @@ fn result_diffs(fast: &RunResult, reference: &RunResult) -> Vec<String> {
     diffs
 }
 
-/// Runs `program` on `arch` under both paths with tracer and observer
-/// attached, and asserts every observable identical. Returns the
+/// Runs `program` on `arch` under both paths with a tracer attached, and asserts every observable identical. Returns the
 /// outcome diffs (empty = identical) so property bodies can shrink.
 fn observed_diffs(program: &Program, arch: ArchConfig) -> Vec<String> {
     let run = |ff: bool| {
@@ -100,7 +99,7 @@ fn observed_diffs(program: &Program, arch: ArchConfig) -> Vec<String> {
         )
     };
     match (run(true), run(false)) {
-        (Ok((fr, frec, ftr)), Ok((rr, rrec, rtr))) => {
+        (Ok((fr, ftr)), Ok((rr, rtr))) => {
             let mut diffs = result_diffs(&fr, &rr);
             if ftr.dropped() != rtr.dropped() {
                 diffs.push(format!(
@@ -118,7 +117,7 @@ fn observed_diffs(program: &Program, arch: ArchConfig) -> Vec<String> {
                     re.len()
                 ));
             }
-            if chrome_trace_json(&fr, &frec) != chrome_trace_json(&rr, &rrec) {
+            if chrome_trace_json(&fr, &ftr) != chrome_trace_json(&rr, &rtr) {
                 diffs.push("chrome timelines differ".to_string());
             }
             if litmus::render_events(program, ftr.events())

@@ -99,7 +99,7 @@ fn failing_fuzz_report_is_identical_across_job_counts() {
 fn trace_artifacts_are_byte_identical_across_repeats() {
     let render = |arch: ArchConfig| {
         let program = litmus::program("join").unwrap();
-        let (r, rec, tracer) = run_program_observed(
+        let (r, tracer) = run_program_observed(
             "join",
             raw_output(program.clone()),
             arch,
@@ -109,7 +109,7 @@ fn trace_artifacts_are_byte_identical_across_repeats() {
         .unwrap();
         (
             metrics_json(&r),
-            chrome_trace_json(&r, &rec),
+            chrome_trace_json(&r, &tracer),
             litmus::render_events(&program, tracer.events()),
         )
     };

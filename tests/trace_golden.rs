@@ -38,7 +38,7 @@ fn live_trace_on(name: &str, arch: ArchConfig, fast_forward: bool) -> String {
     };
     let mut sim = SimConfig::a72();
     sim.cpu.fast_forward = fast_forward;
-    let (result, _, tracer) = run_program_observed(
+    let (result, tracer) = run_program_observed(
         name,
         raw_output(program.clone()),
         arch,
