@@ -49,7 +49,7 @@ use ede_nvm::recovery::NvmImage;
 use ede_nvm::redo::RedoTxWriter;
 use ede_nvm::triage::{log_slots, recover, Protocol, TriageReport};
 use ede_nvm::Layout;
-use ede_sim::{run_program, SimConfig};
+use ede_sim::run_program;
 use ede_util::check::{minimize, shrinkable_vec};
 use ede_util::progress;
 use ede_util::rng::{mix64, SmallRng, SplitMix64};
@@ -422,14 +422,6 @@ fn redo_case_program(seed: u64, arch: ArchConfig) -> ede_nvm::TxOutput {
     tx.finish()
 }
 
-fn corrupt_sim(fast_forward: bool) -> SimConfig {
-    let mut sim = SimConfig::a72();
-    sim.max_cycles = 2_000_000;
-    sim.cpu.watchdog_cycles = 50_000;
-    sim.cpu.fast_forward = fast_forward;
-    sim
-}
-
 /// Everything one case needs besides the corruption itself — built once
 /// and reused across shrink iterations, so shrinking never re-runs the
 /// simulator.
@@ -452,7 +444,6 @@ fn gen_ops(
     kind: CorruptionKind,
     rng: &mut SmallRng,
     image: &NvmImage,
-    _layout: &Layout,
 ) -> Vec<CorruptOp> {
     // HashMap iteration order is arbitrary: sort for determinism.
     let mut addrs: Vec<u64> = image.keys().copied().collect();
@@ -657,7 +648,7 @@ fn build_case(case_seed: u64, kind: CorruptionKind, arch: ArchConfig, ff: bool) 
     } else {
         (Protocol::Redo, redo_case_program(case_seed, arch))
     };
-    let result = run_program("corrupt", out, arch, &corrupt_sim(ff))
+    let result = run_program("corrupt", out, arch, &crate::inject::inject_sim(None, ff))
         .expect("corruption-probe programs complete");
     let layout = result.output.layout;
     let mut cycles: Vec<u64> = result.trace.persists.iter().map(|p| p.cycle).collect();
@@ -674,7 +665,7 @@ fn build_case(case_seed: u64, kind: CorruptionKind, arch: ArchConfig, ff: bool) 
     }
     let mut golden = pristine.clone();
     let golden_report = recover(&mut golden, &layout, protocol);
-    let ops = gen_ops(kind, &mut rng, &pristine, &layout);
+    let ops = gen_ops(kind, &mut rng, &pristine);
     CaseContext {
         protocol,
         layout,

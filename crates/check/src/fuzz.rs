@@ -142,11 +142,12 @@ pub struct FuzzReport {
     pub quarantined: Vec<CaseOutcome>,
 }
 
-/// The simulation configuration cases run under: A72 tables with a cycle
-/// budget small enough that a deadlocked candidate fails fast during
-/// shrinking yet generous for any generated program (which retires in
-/// tens of thousands of cycles at worst).
-fn fuzz_sim(fault: Option<FaultInjection>, fast_forward: bool) -> SimConfig {
+/// The simulation configuration cases run under (and explore's
+/// implementation cross-checks): A72 tables with a cycle budget small
+/// enough that a deadlocked candidate fails fast during shrinking yet
+/// generous for any generated program (which retires in tens of
+/// thousands of cycles at worst).
+pub(crate) fn fuzz_sim(fault: Option<FaultInjection>, fast_forward: bool) -> SimConfig {
     let mut sim = SimConfig::a72();
     sim.max_cycles = 2_000_000;
     // Pipeline faults are read by the core, memory-system faults by the

@@ -312,11 +312,12 @@ impl InjectReport {
     }
 }
 
-/// The simulation configuration probe cases run under: A72 tables, a
-/// cycle budget generous for any probe program, and a watchdog tight
-/// enough that a fault-induced hang is diagnosed well under the budget
-/// (the longest legitimate stall is a few media-write latencies).
-fn inject_sim(fault: Option<FaultInjection>, fast_forward: bool) -> SimConfig {
+/// The simulation configuration probe cases (and corrupt's fault-free
+/// transaction programs) run under: A72 tables, a cycle budget generous
+/// for any probe program, and a watchdog tight enough that a
+/// fault-induced hang is diagnosed well under the budget (the longest
+/// legitimate stall is a few media-write latencies).
+pub(crate) fn inject_sim(fault: Option<FaultInjection>, fast_forward: bool) -> SimConfig {
     let mut sim = SimConfig::a72();
     sim.max_cycles = 2_000_000;
     sim.cpu.watchdog_cycles = 50_000;

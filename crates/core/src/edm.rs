@@ -64,16 +64,6 @@ impl Edm {
         }
     }
 
-    /// Clears every entry bound to an instruction younger than `id`
-    /// (used when squashing without a full checkpoint).
-    pub fn clear_younger_than(&mut self, id: InstId) {
-        for entry in &mut self.entries {
-            if matches!(entry, Some(e) if *e > id) {
-                *entry = None;
-            }
-        }
-    }
-
     /// Number of live (bound) entries.
     pub fn live_entries(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()
@@ -111,9 +101,8 @@ impl ConsumedDeps {
 ///
 /// On a pipeline squash the speculative copy is overwritten with the
 /// non-speculative copy — the same technique used for register map
-/// checkpointing. [`SpeculativeEdm::checkpoint`] /
-/// [`SpeculativeEdm::restore`] additionally support multiple outstanding
-/// checkpoints, the straightforward extension the paper notes.
+/// checkpointing — and the pipeline replays the definitions of older,
+/// un-retired producers ([`SpeculativeEdm::replay_spec`]).
 ///
 /// # Example
 ///
@@ -157,9 +146,9 @@ impl SpeculativeEdm {
     /// the instruction consumes, then record the key it produces.
     ///
     /// `WAIT_KEY` both consumes and produces its key; note that its full
-    /// "wait for *all* older producers" semantics additionally requires
-    /// [`InFlightEde`](crate::InFlightEde) — the EDM alone only yields the
-    /// most recent producer.
+    /// "wait for *all* older producers" semantics additionally needs the
+    /// pipeline's record of every incomplete producer of the key — the
+    /// EDM alone only yields the most recent one.
     pub fn decode(&mut self, inst: &Inst, id: InstId) -> ConsumedDeps {
         let mut deps = ConsumedDeps::default();
         match inst.op {
@@ -173,7 +162,8 @@ impl SpeculativeEdm {
                 self.spec.define(key, id);
             }
             Op::WaitAllKeys => {
-                // Consumes "everything"; tracked by InFlightEde, not the EDM.
+                // Consumes "everything": the pipeline tracks every
+                // incomplete EDE instruction; the EDM has nothing to add.
             }
             _ => {
                 deps.src1 = self.spec.lookup(inst.edks.use_);
@@ -225,35 +215,6 @@ impl SpeculativeEdm {
             Op::WaitKey { key } => self.spec.define(key, id),
             Op::WaitAllKeys => {}
             _ => self.spec.define(inst.edks.def, id),
-        }
-    }
-
-    /// Takes a checkpoint of the speculative map (multi-checkpoint
-    /// support).
-    pub fn checkpoint(&self) -> Edm {
-        self.spec.clone()
-    }
-
-    /// Restores the speculative map from a checkpoint taken earlier.
-    pub fn restore(&mut self, checkpoint: Edm) {
-        self.spec = checkpoint;
-    }
-
-    /// Drops speculative bindings whose producer fails `keep` (used after
-    /// a checkpoint restore to clear producers that completed while the
-    /// checkpoint was live).
-    pub fn retain_spec(&mut self, keep: impl Fn(InstId) -> bool) {
-        self.spec.retain(keep);
-    }
-}
-
-impl Edm {
-    /// Clears entries whose bound instruction fails `keep`.
-    pub fn retain(&mut self, keep: impl Fn(InstId) -> bool) {
-        for entry in &mut self.entries {
-            if matches!(entry, Some(id) if !keep(*id)) {
-                *entry = None;
-            }
         }
     }
 }
@@ -313,16 +274,6 @@ mod tests {
         // Instruction 1 completes late; its entry was already overwritten.
         edm.clear_matching(InstId(1));
         assert_eq!(edm.lookup(k(1)), Some(InstId(2)));
-    }
-
-    #[test]
-    fn clear_younger() {
-        let mut edm = Edm::new();
-        edm.define(k(1), InstId(5));
-        edm.define(k(2), InstId(10));
-        edm.clear_younger_than(InstId(7));
-        assert_eq!(edm.lookup(k(1)), Some(InstId(5)));
-        assert_eq!(edm.lookup(k(2)), None);
     }
 
     #[test]
@@ -419,17 +370,6 @@ mod tests {
         // Later consumers now link to the WAIT_KEY.
         let deps2 = edm.decode(&consumer(k(4)), InstId(2));
         assert_eq!(deps2.sources(), vec![InstId(1)]);
-    }
-
-    #[test]
-    fn checkpoints_roundtrip() {
-        let mut edm = SpeculativeEdm::new();
-        edm.decode(&producer(k(1)), InstId(0));
-        let cp = edm.checkpoint();
-        edm.decode(&producer(k(1)), InstId(1));
-        assert_eq!(edm.spec().lookup(k(1)), Some(InstId(1)));
-        edm.restore(cp);
-        assert_eq!(edm.spec().lookup(k(1)), Some(InstId(0)));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //!
 //! * [`Edm`] / [`SpeculativeEdm`] — the Execution Dependence Map, the
 //!   fifteen-entry key→instruction map consulted at decode (§IV-A1), with
-//!   the speculative/non-speculative checkpointing scheme of §V-A1.
-//! * [`InFlightEde`] — ordered tracking of incomplete EDE instructions,
-//!   subsuming the per-key and global counters the WB design uses for
-//!   `WAIT_KEY` / `WAIT_ALL_KEYS` (§V-D).
+//!   the speculative/non-speculative copies of §V-A1. The per-key and
+//!   global in-flight counts behind `WAIT_KEY` / `WAIT_ALL_KEYS` (§V-D)
+//!   are pipeline state: `ede-cpu`'s in-flight window keeps them.
 //! * [`EnforcementPoint`] — where the hardware enforces execution
 //!   dependences: the issue queue (*IQ*, §V-B1) or the write buffer
 //!   (*WB*, §V-B3).
@@ -58,8 +57,6 @@ pub mod edm;
 pub mod keyalloc;
 pub mod ordering;
 pub mod policy;
-pub mod tracker;
 
 pub use edm::{ConsumedDeps, Edm, SpeculativeEdm};
 pub use policy::EnforcementPoint;
-pub use tracker::InFlightEde;

@@ -1,9 +1,9 @@
-//! Property tests for the Execution Dependence Map and the in-flight
-//! tracker (ported from proptest to the in-repo `ede_util::check`
-//! harness; historical proptest regression entries are the named
-//! `regression_*` tests at the bottom).
+//! Property tests for the Execution Dependence Map (ported from
+//! proptest to the in-repo `ede_util::check` harness; historical
+//! proptest regression entries are the named `regression_*` tests at
+//! the bottom).
 
-use ede_core::{Edm, InFlightEde, SpeculativeEdm};
+use ede_core::{Edm, SpeculativeEdm};
 use ede_isa::{Edk, EdkPair, Inst, InstId, Op, Reg};
 use ede_util::check::{self, any, CaseResult, Just, Strategy};
 use ede_util::{prop_assert, prop_assert_eq, prop_oneof, property};
@@ -125,58 +125,9 @@ fn edm_state_machine_impl(ops: &[EdmOp]) -> CaseResult {
     Ok(())
 }
 
-/// Tracker counters equal a straightforward reference model.
-fn tracker_matches_reference_impl(ops: &[(u8, u8)]) -> CaseResult {
-    let mut t = InFlightEde::new();
-    let mut reference: Vec<(u8, InstId)> = Vec::new(); // (key, id) live producers
-    let mut next = 0u64;
-    let mut live: Vec<(Inst, InstId)> = Vec::new();
-    for &(action, key) in ops {
-        match action {
-            0 => {
-                let id = InstId(next);
-                next += 1;
-                let inst = producer(key);
-                t.insert(&inst, id);
-                reference.push((key, id));
-                live.push((inst, id));
-            }
-            1 => {
-                if let Some((inst, id)) = live.pop() {
-                    t.complete(&inst, id);
-                    reference.retain(|&(_, rid)| rid != id);
-                }
-            }
-            _ => {
-                // Squash everything younger than half of the ids.
-                let cut = InstId(next / 2);
-                t.squash_younger(cut);
-                reference.retain(|&(_, rid)| rid <= cut);
-                live.retain(|&(_, rid)| rid <= cut);
-            }
-        }
-        for k in 1u8..16 {
-            let expect = reference.iter().filter(|&&(rk, _)| rk == k).count();
-            prop_assert_eq!(t.count(Edk::new(k).expect("key")), expect);
-        }
-        prop_assert_eq!(t.total(), reference.len());
-        // has_producer_before agrees with the reference.
-        let probe = InstId(next);
-        for k in 1u8..16 {
-            let expect = reference.iter().any(|&(rk, rid)| rk == k && rid < probe);
-            prop_assert_eq!(t.has_producer_before(Edk::new(k).expect("key"), probe), expect);
-        }
-    }
-    Ok(())
-}
-
 property! {
     fn edm_state_machine(ops in check::vec(op_strategy(), 1..80)) {
         edm_state_machine_impl(&ops)?;
-    }
-
-    fn tracker_matches_reference(ops in check::vec((0u8..3, 1u8..16), 1..100)) {
-        tracker_matches_reference_impl(&ops)?;
     }
 }
 

@@ -52,13 +52,6 @@ pub struct CpuConfig {
     /// Where EDE dependences are enforced; `None` for non-EDE
     /// configurations (their traces contain no EDE instructions).
     pub enforcement: Option<EnforcementPoint>,
-    /// EDM squash-recovery scheme (§V-A1): `false` restores the
-    /// speculative map from the non-speculative copy and replays the
-    /// un-retired prefix (the paper's baseline scheme); `true` keeps a
-    /// per-branch checkpoint of the speculative map and restores it
-    /// directly. Both produce identical timing (an equivalence the test
-    /// suite asserts); they differ in hardware cost.
-    pub edm_branch_checkpoints: bool,
     /// Deliberate pipeline bug for conformance-checker self-tests; `None`
     /// (always, outside `ede-check`) models the hardware faithfully.
     pub fault: Option<FaultInjection>,
@@ -97,7 +90,6 @@ impl CpuConfig {
             wb_drain_per_cycle: 2,
             mispredict_penalty: 15,
             enforcement: None,
-            edm_branch_checkpoints: false,
             fault: None,
             watchdog_cycles: 500_000,
             fast_forward: true,

@@ -5,13 +5,14 @@ use crate::port::MemPort;
 use crate::stats::IssueHistogram;
 use crate::trace::{PipeStage, StageId, StallCause, StallTable, Tracer};
 use crate::wb::{WbKind, WriteBuffer};
+use crate::window::{Class, Window};
 use ede_core::ordering::InstTiming;
-use ede_core::{EnforcementPoint, InFlightEde, SpeculativeEdm};
+use ede_core::{EnforcementPoint, SpeculativeEdm};
 use ede_isa::{Edk, Inst, InstId, InstKind, Op, Program, Reg};
 use ede_mem::{ReqId, ReqKind};
 use ede_util::obs::Log2Histogram;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
 /// Cycles in which dispatch made no progress, by cause (diagnostics).
@@ -275,19 +276,11 @@ pub struct Core<M> {
     edep_waiters: HashMap<InstId, Vec<(InstId, u32)>>,
 
     edm: SpeculativeEdm,
-    tracker: InFlightEde,
-    incomplete: BTreeSet<InstId>,
-    incomplete_mem: BTreeSet<InstId>,
-    incomplete_stores: BTreeSet<InstId>,
-    live_dmbs: BTreeSet<InstId>,
-    live_stbars: BTreeSet<InstId>,
-    live_wait_alls: BTreeSet<InstId>,
+    /// Every dispatched, incomplete instruction, by class.
+    window: Window,
     dispatch_block: Option<InstId>,
 
-    store_map: HashMap<u64, Vec<InstId>>,
     req_map: HashMap<ReqId, (InstId, u32)>,
-    /// Per-branch EDM checkpoints (only with `edm_branch_checkpoints`).
-    edm_checkpoints: Vec<(InstId, ede_core::Edm)>,
     fu_done: BinaryHeap<Reverse<(u64, u64, u32)>>, // (cycle, id, epoch)
 
     issue_hist: IssueHistogram,
@@ -328,6 +321,7 @@ impl<M: MemPort> Core<M> {
         if cfg.fault == Some(FaultInjection::ReorderWriteBuffer) {
             wbuf.set_reorder_same_line(true);
         }
+        let window = Window::new(&program);
         Core {
             cfg,
             program,
@@ -346,17 +340,9 @@ impl<M: MemPort> Core<M> {
             reg_waiters: HashMap::new(),
             edep_waiters: HashMap::new(),
             edm: SpeculativeEdm::new(),
-            tracker: InFlightEde::new(),
-            incomplete: BTreeSet::new(),
-            incomplete_mem: BTreeSet::new(),
-            incomplete_stores: BTreeSet::new(),
-            live_dmbs: BTreeSet::new(),
-            live_stbars: BTreeSet::new(),
-            live_wait_alls: BTreeSet::new(),
+            window,
             dispatch_block: None,
-            store_map: HashMap::new(),
             req_map: HashMap::new(),
-            edm_checkpoints: Vec::new(),
             fu_done: BinaryHeap::new(),
             issue_hist: IssueHistogram::new(issue_width),
             retired: 0,
@@ -383,7 +369,7 @@ impl<M: MemPort> Core<M> {
     fn progress_signature(&self) -> (u64, usize, usize, usize) {
         (
             self.retired,
-            self.incomplete.len(),
+            self.window.len(Class::Any),
             self.wbuf.len(),
             self.fetch_ptr,
         )
@@ -401,10 +387,10 @@ impl<M: MemPort> Core<M> {
             let (stage, cause) = match inst.op {
                 Op::DsbSy if executed => (
                     "retire",
-                    match self.incomplete.range(..id).next() {
-                        Some(&w) => WaitCause::OlderIncomplete(w),
-                        None => WaitCause::Unknown,
-                    },
+                    self.window
+                        .older(Class::Any, id)
+                        .next()
+                        .map_or(WaitCause::Unknown, WaitCause::OlderIncomplete),
                 ),
                 Op::WaitKey { key } if wb_mode && executed => ("retire", WaitCause::EdeKey(key)),
                 Op::WaitAllKeys if wb_mode && executed => ("retire", WaitCause::AllKeys),
@@ -424,7 +410,7 @@ impl<M: MemPort> Core<M> {
                         slot.edep_srcs
                             .iter()
                             .flatten()
-                            .find(|s| self.incomplete.contains(s))
+                            .find(|&&s| self.window.contains(s))
                             .map(|&s| WaitCause::Producer(s))
                             .unwrap_or(WaitCause::Unknown),
                     ),
@@ -432,7 +418,7 @@ impl<M: MemPort> Core<M> {
                 },
             };
             (Some(id), op_name(&inst.op), stage, cause)
-        } else if let Some(&id) = self.incomplete.first() {
+        } else if let Some(id) = self.window.iter(Class::Any).next() {
             // Nothing left in the ROB: the hang is a retired entry that
             // never completed — a write-buffer resident blocked on a
             // source tag, or one whose memory response never arrived.
@@ -491,17 +477,13 @@ impl<M: MemPort> Core<M> {
         &self.program[id]
     }
 
-    fn is_mem_op(kind: InstKind) -> bool {
-        matches!(kind, InstKind::Load | InstKind::Store | InstKind::Writeback)
-    }
-
     /// Whether the whole trace has drained from the machine.
     pub fn finished(&self) -> bool {
         self.fetch_ptr >= self.program.len()
             && self.fetch_q.is_empty()
             && self.rob.is_empty()
             && self.wbuf.is_empty()
-            && self.incomplete.is_empty()
+            && self.window.len(Class::Any) == 0
     }
 
     /// Runs until the trace finishes or `max_cycles` elapse.
@@ -757,34 +739,9 @@ impl<M: MemPort> Core<M> {
             self.slots[id.index()].timing.effect = self.now;
         }
         self.emit(id, PipeStage::Complete);
-        self.incomplete.remove(&id);
-        self.incomplete_mem.remove(&id);
-
-        let inst = self.program[id].clone();
+        self.window.complete(id);
         self.edm.complete(id);
-        self.tracker.complete(&inst, id);
         self.wbuf.clear_src(id);
-
-        match inst.op {
-            Op::Str { addr, .. } => self.unmap_store(addr, id),
-            Op::Stp { addr, .. } => {
-                self.unmap_store(addr, id);
-                self.unmap_store(addr + 8, id);
-            }
-            Op::DmbSy => {
-                self.live_dmbs.remove(&id);
-            }
-            Op::DmbSt => {
-                self.live_stbars.remove(&id);
-            }
-            Op::WaitAllKeys => {
-                self.live_wait_alls.remove(&id);
-            }
-            _ => {}
-        }
-        if matches!(inst.kind(), InstKind::Store) {
-            self.incomplete_stores.remove(&id);
-        }
 
         // Wake IQ-mode execution-dependence waiters.
         if let Some(waiters) = self.edep_waiters.remove(&id) {
@@ -793,15 +750,6 @@ impl<M: MemPort> Core<M> {
                 if ws.epoch == epoch && ws.edep_pending > 0 {
                     ws.edep_pending -= 1;
                 }
-            }
-        }
-    }
-
-    fn unmap_store(&mut self, addr: u64, id: InstId) {
-        if let Some(v) = self.store_map.get_mut(&addr) {
-            v.retain(|&s| s != id);
-            if v.is_empty() {
-                self.store_map.remove(&addr);
             }
         }
     }
@@ -886,8 +834,6 @@ impl<M: MemPort> Core<M> {
                     self.complete_inst(id);
                     if mispredicted {
                         self.squash(id);
-                    } else {
-                        self.edm_checkpoints.retain(|&(b, _)| b != id);
                     }
                 }
                 Op::Join { .. } | Op::WaitKey { .. } | Op::WaitAllKeys => {
@@ -911,31 +857,22 @@ impl<M: MemPort> Core<M> {
         }
     }
 
+    /// Completes every executed `DMB SY` with no older incomplete memory
+    /// op, then every executed `DMB ST` with no older store still short
+    /// of global visibility.
     fn check_dmb_sy(&mut self) {
-        let ready: Vec<InstId> = self
-            .live_dmbs
-            .iter()
-            .copied()
-            .filter(|&d| {
-                self.slots[d.index()].state >= State::Executed
-                    && self.incomplete_mem.range(..d).next().is_none()
-            })
-            .collect();
-        for d in ready {
-            self.complete_inst(d);
-        }
-        // DMB ST completes when every older store is globally visible.
-        let ready: Vec<InstId> = self
-            .live_stbars
-            .iter()
-            .copied()
-            .filter(|&d| {
-                self.slots[d.index()].state >= State::Executed
-                    && self.incomplete_stores.range(..d).next().is_none()
-            })
-            .collect();
-        for d in ready {
-            self.complete_inst(d);
+        for (barrier, waits_on) in [(Class::DmbSy, Class::Mem), (Class::DmbSt, Class::Store)] {
+            let ready: Vec<InstId> = self
+                .window
+                .iter(barrier)
+                .filter(|&d| {
+                    self.slots[d.index()].state >= State::Executed
+                        && !self.window.has_older(waits_on, d)
+                })
+                .collect();
+            for d in ready {
+                self.complete_inst(d);
+            }
         }
     }
 
@@ -971,7 +908,7 @@ impl<M: MemPort> Core<M> {
                     // (WeakDsb fault: retire without waiting — the
                     // conformance checker must flag the resulting runs.)
                     if self.cfg.fault != Some(FaultInjection::WeakDsb)
-                        && self.incomplete.range(..id).next().is_some()
+                        && self.window.has_older(Class::Any, id)
                     {
                         block = Some(StallCause::DsbDrain);
                         break;
@@ -984,7 +921,7 @@ impl<M: MemPort> Core<M> {
                     }
                 }
                 Op::WaitKey { key } if wb_mode => {
-                    if !drop_edeps && self.tracker.has_producer_before(key, id) {
+                    if !drop_edeps && self.window.has_older(Class::Producer(key), id) {
                         block = Some(StallCause::EdkWait);
                         break;
                     }
@@ -993,7 +930,7 @@ impl<M: MemPort> Core<M> {
                     self.complete_inst(id);
                 }
                 Op::WaitAllKeys if wb_mode => {
-                    if !drop_edeps && self.tracker.has_any_before(id) {
+                    if !drop_edeps && self.window.has_older(Class::Ede, id) {
                         block = Some(StallCause::EdkWait);
                         break;
                     }
@@ -1106,16 +1043,9 @@ impl<M: MemPort> Core<M> {
         if !wb_mode {
             return [None, None];
         }
-        let slot = &self.slots[id.index()];
-        let mut out = [None, None];
-        for (i, src) in slot.edep_srcs.iter().enumerate() {
-            if let Some(s) = src {
-                if self.incomplete.contains(s) {
-                    out[i] = Some(*s);
-                }
-            }
-        }
-        out
+        self.slots[id.index()]
+            .edep_srcs
+            .map(|src| src.filter(|&s| self.window.contains(s)))
     }
 
     // ---- write buffer ----------------------------------------------------
@@ -1199,11 +1129,10 @@ impl<M: MemPort> Core<M> {
             return Err(StallCause::RegWait);
         }
         let inst = self.inst(id).clone();
-        let kind = inst.kind();
         let drop_edeps = self.cfg.fault == Some(FaultInjection::DropEdeps);
 
         // DMB SY: younger memory operations wait at issue.
-        if Self::is_mem_op(kind) && self.live_dmbs.range(..id).next().is_some() {
+        if self.window.is(Class::Mem, id) && self.window.has_older(Class::DmbSy, id) {
             return Err(StallCause::Barrier);
         }
 
@@ -1212,7 +1141,7 @@ impl<M: MemPort> Core<M> {
                 // DMB ST is an LSQ barrier (gem5 semantics): younger
                 // memory instructions — loads included — wait until it
                 // completes. Only DC CVAP sails past it (SU's unsafety).
-                if self.live_stbars.range(..id).next().is_some() {
+                if self.window.has_older(Class::DmbSt, id) {
                     return Err(StallCause::Barrier);
                 }
                 // EDE consumer loads block at issue under both policies
@@ -1221,11 +1150,17 @@ impl<M: MemPort> Core<M> {
                 if slot.edep_pending > 0 {
                     return Err(StallCause::EdkWait);
                 }
-                // Store-to-load handling against in-flight stores.
-                if let Some(&producer) = self
-                    .store_map
-                    .get(&addr)
-                    .and_then(|v| v.iter().rev().find(|&&s| s < id))
+                // Store-to-load handling against the youngest older
+                // in-flight store to this address.
+                if let Some(producer) = self
+                    .window
+                    .older(Class::Store, id)
+                    .rev()
+                    .find(|&s| match self.program[s].op {
+                        Op::Str { addr: a, .. } => a == addr,
+                        Op::Stp { addr: a, .. } => a == addr || a + 8 == addr,
+                        _ => false,
+                    })
                 {
                     if self.slots[producer.index()].state >= State::Executed {
                         // Forward from the store queue / write buffer.
@@ -1257,7 +1192,7 @@ impl<M: MemPort> Core<M> {
                 // DMB ST: younger stores wait for older stores to become
                 // visible (the gem5 LSQ-barrier behavior; DC CVAP is *not*
                 // ordered — SU's unsafety).
-                if self.live_stbars.range(..id).next().is_some() {
+                if self.window.has_older(Class::DmbSt, id) {
                     return Err(StallCause::Barrier);
                 }
                 if iq_mode && slot.edep_pending > 0 {
@@ -1269,7 +1204,7 @@ impl<M: MemPort> Core<M> {
                 // The LSQ barrier delays a younger CVAP's *issue* like any
                 // memory op, but never its persist completion — ordering
                 // of the persist itself is exactly what DMB ST lacks.
-                if self.live_stbars.range(..id).next().is_some() {
+                if self.window.has_older(Class::DmbSt, id) {
                     return Err(StallCause::Barrier);
                 }
                 if iq_mode && slot.edep_pending > 0 {
@@ -1284,13 +1219,13 @@ impl<M: MemPort> Core<M> {
                 self.execute_simple(id)
             }
             Op::WaitKey { key } => {
-                if iq_mode && !drop_edeps && self.tracker.has_producer_before(key, id) {
+                if iq_mode && !drop_edeps && self.window.has_older(Class::Producer(key), id) {
                     return Err(StallCause::EdkWait);
                 }
                 self.execute_simple(id)
             }
             Op::WaitAllKeys => {
-                if iq_mode && !drop_edeps && self.tracker.has_any_before(id) {
+                if iq_mode && !drop_edeps && self.window.has_older(Class::Ede, id) {
                     return Err(StallCause::EdkWait);
                 }
                 self.execute_simple(id)
@@ -1395,11 +1330,11 @@ impl<M: MemPort> Core<M> {
             let mut srcs: Vec<InstId> = deps
                 .sources()
                 .into_iter()
-                .filter(|s| self.incomplete.contains(s))
+                .filter(|&s| self.window.contains(s))
                 .collect();
             // An incomplete older WAIT_ALL_KEYS blocks younger consumers.
             if inst.is_edk_consumer() && !matches!(inst.op, Op::WaitKey { .. } | Op::WaitAllKeys) {
-                if let Some(&w) = self.live_wait_alls.range(..id).next_back() {
+                if let Some(w) = self.window.youngest_older(Class::WaitAll, id) {
                     let issue_blocked = match enforcement {
                         Some(EnforcementPoint::IssueQueue) | None => true,
                         // Under WB, stores are held by the WAIT's retire
@@ -1444,46 +1379,14 @@ impl<M: MemPort> Core<M> {
                 }
             }
 
-            if inst.is_ede() {
-                self.tracker.insert(&inst, id);
-            }
-            self.incomplete.insert(id);
-            if Self::is_mem_op(kind) {
-                self.incomplete_mem.insert(id);
-            }
-            match inst.op {
-                Op::DmbSy => {
-                    self.live_dmbs.insert(id);
-                }
-                Op::DmbSt => {
-                    self.live_stbars.insert(id);
-                }
-                Op::WaitAllKeys => {
-                    self.live_wait_alls.insert(id);
-                }
-                Op::DsbSy => {
-                    self.dispatch_block = Some(id);
-                }
-                Op::Str { addr, .. } => {
-                    self.store_map.entry(addr).or_default().push(id);
-                }
-                Op::Stp { addr, .. } => {
-                    self.store_map.entry(addr).or_default().push(id);
-                    self.store_map.entry(addr + 8).or_default().push(id);
-                }
-                _ => {}
-            }
-            if kind == InstKind::Store {
-                self.incomplete_stores.insert(id);
+            self.window.insert(id);
+            if inst.op == Op::DsbSy {
+                self.dispatch_block = Some(id);
             }
             match kind {
                 InstKind::Load => self.lq_used += 1,
                 InstKind::Store | InstKind::Writeback => self.sq_used += 1,
                 _ => {}
-            }
-
-            if self.cfg.edm_branch_checkpoints && kind == InstKind::Branch {
-                self.edm_checkpoints.push((id, self.edm.checkpoint()));
             }
 
             self.rob.push_back(id);
@@ -1524,33 +1427,11 @@ impl<M: MemPort> Core<M> {
                 break;
             }
             self.rob.pop_back();
-            let inst = self.inst(id).clone();
-            let kind = inst.kind();
-            match kind {
+            match self.inst(id).kind() {
                 InstKind::Load => self.lq_used -= 1,
                 InstKind::Store | InstKind::Writeback => self.sq_used -= 1,
                 _ => {}
             }
-            match inst.op {
-                Op::Str { addr, .. } => self.unmap_store(addr, id),
-                Op::Stp { addr, .. } => {
-                    self.unmap_store(addr, id);
-                    self.unmap_store(addr + 8, id);
-                }
-                Op::DmbSy => {
-                    self.live_dmbs.remove(&id);
-                }
-                Op::DmbSt => {
-                    self.live_stbars.remove(&id);
-                }
-                Op::WaitAllKeys => {
-                    self.live_wait_alls.remove(&id);
-                }
-                _ => {}
-            }
-            self.incomplete.remove(&id);
-            self.incomplete_mem.remove(&id);
-            self.incomplete_stores.remove(&id);
             let slot = &mut self.slots[id.index()];
             slot.state = State::NotDispatched;
             // Invalidate in-flight FU/memory events for the squashed
@@ -1561,41 +1442,17 @@ impl<M: MemPort> Core<M> {
         self.iq.retain(|&i| i <= branch);
         self.fetch_q.clear();
         self.scoreboard.retain(|_, &mut p| p <= branch);
-        let checkpoint = if self.cfg.edm_branch_checkpoints {
-            let found = self
-                .edm_checkpoints
-                .iter()
-                .find(|&&(b, _)| b == branch)
-                .map(|(_, cp)| cp.clone());
-            self.edm_checkpoints.retain(|&(b, _)| b < branch);
-            found
-        } else {
-            None
-        };
-        match checkpoint {
-            Some(cp) => {
-                // §V-A1's multi-checkpoint variant: restore the
-                // speculative map captured at the branch, then clear
-                // producers that completed while it was live.
-                self.edm.restore(cp);
-                let incomplete = &self.incomplete;
-                self.edm.retain_spec(|id| incomplete.contains(&id));
-            }
-            None => {
-                self.edm.squash();
-                // Repair: older un-retired producers live in the ROB but
-                // not in the non-speculative map; replay their key
-                // definitions in order.
-                for idx in 0..self.rob.len() {
-                    let id = self.rob[idx];
-                    if self.slots[id.index()].state < State::Complete {
-                        let inst = self.program[id].clone();
-                        self.edm.replay_spec(&inst, id);
-                    }
-                }
+        self.window.squash_younger(branch);
+        // §V-A1: restore the speculative EDM from the non-speculative
+        // copy, then repair it. Older un-retired producers live in the
+        // ROB but not in the non-speculative map; replay their key
+        // definitions in order.
+        self.edm.squash();
+        for &id in &self.rob {
+            if self.slots[id.index()].state < State::Complete {
+                self.edm.replay_spec(&self.program[id], id);
             }
         }
-        self.tracker.squash_younger(branch);
         if matches!(self.dispatch_block, Some(d) if d > branch) {
             self.dispatch_block = None;
         }

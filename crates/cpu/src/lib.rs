@@ -59,6 +59,7 @@ pub mod port;
 pub mod stats;
 pub mod trace;
 pub mod wb;
+mod window;
 
 pub use crate::core::{Core, CoreError, RunStats};
 pub use config::{CpuConfig, FaultInjection};

@@ -11,7 +11,7 @@ use ede_core::EnforcementPoint;
 use ede_cpu::{Core, CpuConfig, FixedLatencyMem};
 use ede_isa::{Edk, EdkPair, Program, TraceBuilder};
 use ede_mem::{MemConfig, MemSystem};
-use ede_util::check::{self, any, CaseResult, Just, Strategy};
+use ede_util::check::{self, any, Just, Strategy};
 use ede_util::{prop_assert_eq, prop_oneof, property};
 
 #[derive(Clone, Copy, Debug)]
@@ -152,33 +152,6 @@ fn all_points_hold(steps: &[Step], full_mem: bool) {
     }
 }
 
-/// §V-A1: the two squash-recovery schemes (non-speculative restore +
-/// ROB replay vs. per-branch checkpoints) are timing-equivalent.
-fn checkpoint_schemes_equivalent_impl(steps: &[Step]) -> CaseResult {
-    let program = build(steps);
-    for enforcement in [
-        Some(EnforcementPoint::IssueQueue),
-        Some(EnforcementPoint::WriteBuffer),
-    ] {
-        let mut a_cfg = CpuConfig::a72();
-        a_cfg.enforcement = enforcement;
-        let mut b_cfg = a_cfg.clone();
-        b_cfg.edm_branch_checkpoints = true;
-        let a = Core::new(a_cfg, program.clone(), FixedLatencyMem::new(7, 40))
-            .run(5_000_000)
-            .expect("replay scheme terminates");
-        let b = Core::new(b_cfg, program.clone(), FixedLatencyMem::new(7, 40))
-            .run(5_000_000)
-            .expect("checkpoint scheme terminates");
-        prop_assert_eq!(a.cycles, b.cycles, "{:?}: schemes diverge", enforcement);
-        prop_assert_eq!(a.squashes, b.squashes);
-        for (i, (ta, tb)) in a.timings.iter().zip(&b.timings).enumerate() {
-            prop_assert_eq!(ta, tb, "instruction {} timing diverged", i);
-        }
-    }
-    Ok(())
-}
-
 property! {
     #![cases(64)]
 
@@ -192,12 +165,6 @@ property! {
         steps in check::vec(step_strategy(), 1..40)
     ) {
         all_points_hold(&steps, true);
-    }
-
-    fn checkpoint_schemes_are_equivalent(
-        steps in check::vec(step_strategy(), 1..50)
-    ) {
-        checkpoint_schemes_equivalent_impl(&steps)?;
     }
 
     fn tiny_queues_still_make_progress(
@@ -237,5 +204,4 @@ fn regression_store_key0_then_wait_all() {
     ];
     all_points_hold(&steps, false);
     all_points_hold(&steps, true);
-    checkpoint_schemes_equivalent_impl(&steps).expect("schemes agree on the regression");
 }

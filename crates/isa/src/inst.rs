@@ -132,7 +132,7 @@ pub enum Op {
     /// producers and consumers complete (§IV-B2).
     WaitAllKeys,
     /// A conditional branch, trace-resolved. `mispredicted` branches
-    /// trigger a pipeline squash (and an EDM checkpoint restore) when they
+    /// trigger a pipeline squash (and an EDM repair) when they
     /// execute; the front end then re-fetches the correct (same) path.
     Branch {
         /// Whether the branch direction was mispredicted at fetch.

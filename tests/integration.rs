@@ -132,7 +132,7 @@ fn mispredictions_squash_and_recover_with_ede_state() {
         let r = run_workload(standard_suite()[2].as_ref(), &params, arch, &sim).unwrap();
         assert!(r.squashes > 10, "{arch}: expected many squashes");
         let v = r.ordering_violations();
-        assert!(v.is_empty(), "{arch}: EDM checkpointing broke deps: {v:?}");
+        assert!(v.is_empty(), "{arch}: EDM squash repair broke deps: {v:?}");
     }
 }
 
