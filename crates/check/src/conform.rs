@@ -89,49 +89,73 @@ pub fn check_run(result: &RunResult, tracer: &Tracer, golden: &GoldenRun) -> Vec
         ));
     }
 
+    let outputs = RunOutputs::of(result);
+
     // 4. Same-address coherence: store-visibility value sequences.
-    let mut pipe_seqs: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for se in &result.trace.stores {
-        pipe_seqs.entry(se.addr).or_default().push(se.value[0]);
-        if se.width == 16 {
-            pipe_seqs.entry(se.addr + 8).or_default().push(se.value[1]);
-        }
-    }
     let gold_seqs = golden.value_seqs();
-    if pipe_seqs != gold_seqs {
-        let addr = first_difference(&pipe_seqs, &gold_seqs);
+    if outputs.store_seqs != gold_seqs {
+        let addr = first_difference(&outputs.store_seqs, &gold_seqs);
         diffs.push(format!(
             "store coherence at {addr:#x}: pipeline saw {:?}, golden order is {:?}",
-            pipe_seqs.get(&addr).unwrap_or(&Vec::new()),
+            outputs.store_seqs.get(&addr).unwrap_or(&Vec::new()),
             gold_seqs.get(&addr).unwrap_or(&Vec::new()),
         ));
     }
 
     // 5. Per-line persist counts.
-    let mut pipe_persists: BTreeMap<u64, usize> = BTreeMap::new();
-    for pe in &result.trace.persists {
-        *pipe_persists.entry(pe.line).or_default() += 1;
-    }
     let gold_persists = golden.persist_counts();
-    if pipe_persists != gold_persists {
+    if outputs.persist_counts != gold_persists {
         diffs.push(format!(
-            "persist counts: pipeline {pipe_persists:?}, golden {gold_persists:?}"
+            "persist counts: pipeline {:?}, golden {gold_persists:?}",
+            outputs.persist_counts
         ));
     }
 
     // 6. Final NVM image.
-    let image: BTreeMap<u64, u64> =
-        nvm_image_at(&result.trace, result.trace.horizon(), 64).into_iter().collect();
-    if image != golden.nvm_image {
-        let addr = first_difference(&image, &golden.nvm_image);
+    if outputs.image != golden.nvm_image {
+        let addr = first_difference(&outputs.image, &golden.nvm_image);
         diffs.push(format!(
             "NVM image at {addr:#x}: pipeline {:?}, golden {:?}",
-            image.get(&addr),
+            outputs.image.get(&addr),
             golden.nvm_image.get(&addr),
         ));
     }
 
     diffs
+}
+
+/// A run's architectural outputs: what axioms 4–6 compare against the
+/// golden model, and what the fault-injection campaign compares between
+/// a faulty and a fault-free run to call a fault tolerated. Cycle
+/// timestamps are deliberately absent.
+#[derive(PartialEq, Eq, Debug)]
+pub(crate) struct RunOutputs {
+    /// Per-word-address store-visibility value sequences.
+    pub store_seqs: BTreeMap<u64, Vec<u64>>,
+    /// Persist events per 64-byte line.
+    pub persist_counts: BTreeMap<u64, usize>,
+    /// The NVM image the trace leaves at its horizon.
+    pub image: BTreeMap<u64, u64>,
+}
+
+impl RunOutputs {
+    pub(crate) fn of(result: &RunResult) -> RunOutputs {
+        let mut store_seqs: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for se in &result.trace.stores {
+            store_seqs.entry(se.addr).or_default().push(se.value[0]);
+            if se.width == 16 {
+                store_seqs.entry(se.addr + 8).or_default().push(se.value[1]);
+            }
+        }
+        let mut persist_counts: BTreeMap<u64, usize> = BTreeMap::new();
+        for pe in &result.trace.persists {
+            *persist_counts.entry(pe.line).or_default() += 1;
+        }
+        let image = nvm_image_at(&result.trace, result.trace.horizon(), 64)
+            .into_iter()
+            .collect();
+        RunOutputs { store_seqs, persist_counts, image }
+    }
 }
 
 /// Instruction ids in the order they retired. Retirement is unique per

@@ -955,6 +955,65 @@ mod tests {
         );
     }
 
+    /// Cases (by seed) on B and WB that draw `protocol` and whose crash
+    /// image holds log slot 0, so damage to the log lands on live words.
+    fn cases_with_a_logged_slot(protocol: Protocol) -> Vec<CaseContext> {
+        let slot = Layout::standard().slot_addr(0);
+        let cases: Vec<CaseContext> = [ArchConfig::Baseline, ArchConfig::WriteBuffer]
+            .into_iter()
+            .flat_map(|arch| {
+                (0u64..64)
+                    .map(move |seed| {
+                        build_case(seed, CorruptionKind::BitFlip { count: 1 }, arch, true)
+                    })
+                    .filter(|ctx| {
+                        ctx.protocol == protocol
+                            && (0..8u64).any(|w| ctx.pristine.contains_key(&(slot + 8 * w)))
+                    })
+                    .take(3)
+            })
+            .collect();
+        assert_eq!(cases.len(), 6, "{protocol:?}");
+        cases
+    }
+
+    #[test]
+    fn log_slot_bit_flips_hold_the_contract() {
+        for protocol in [Protocol::Undo, Protocol::Redo] {
+            for ctx in cases_with_a_logged_slot(protocol) {
+                let slots = ctx.layout.slot_addr(0)..ctx.layout.slot_addr(2);
+                let words: Vec<(u64, u64)> = ctx
+                    .pristine
+                    .iter()
+                    .filter(|(a, _)| slots.contains(a))
+                    .map(|(&a, &v)| (a, v))
+                    .collect();
+                assert!(!words.is_empty());
+                for (addr, value) in words {
+                    for bit in [0, 31, 32, 63] {
+                        let ops = [CorruptOp::Write { addr, value: value ^ (1u64 << bit) }];
+                        let verdict = evaluate(&ctx, &ops);
+                        assert_eq!(verdict, None, "{protocol:?}: bit {bit} of {addr:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lost_lines_hold_the_contract() {
+        for protocol in [Protocol::Undo, Protocol::Redo] {
+            for ctx in cases_with_a_logged_slot(protocol) {
+                for line in [ctx.layout.heap_base, ctx.layout.slot_addr(0), ctx.layout.log_header] {
+                    let line = line & !63;
+                    let ops: Vec<CorruptOp> =
+                        (0..8u64).map(|w| CorruptOp::Erase { addr: line + 8 * w }).collect();
+                    assert_eq!(evaluate(&ctx, &ops), None, "{protocol:?}: line {line:#x} lost");
+                }
+            }
+        }
+    }
+
     #[test]
     fn shrinking_reduces_to_the_essential_op() {
         // A wipe of the whole twin line violates nothing by itself, but

@@ -15,10 +15,11 @@ use crate::campaign::{self, Campaign, Plan};
 use crate::conform::check_run;
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig};
+use crate::inject::inject_sim;
 use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
 use ede_cpu::FaultInjection;
 use ede_isa::{ArchConfig, Program};
-use ede_sim::{raw_output, run_program, run_program_traced, SimConfig};
+use ede_sim::{raw_output, run_program, run_program_traced};
 use ede_util::check::{minimize, Strategy};
 use ede_util::obs::Registry;
 use ede_util::pool::Pool;
@@ -142,22 +143,6 @@ pub struct FuzzReport {
     pub quarantined: Vec<CaseOutcome>,
 }
 
-/// The simulation configuration cases run under (and explore's
-/// implementation cross-checks): A72 tables with a cycle budget small
-/// enough that a deadlocked candidate fails fast during shrinking yet
-/// generous for any generated program (which retires in tens of
-/// thousands of cycles at worst).
-pub(crate) fn fuzz_sim(fault: Option<FaultInjection>, fast_forward: bool) -> SimConfig {
-    let mut sim = SimConfig::a72();
-    sim.max_cycles = 2_000_000;
-    // Pipeline faults are read by the core, memory-system faults by the
-    // controller; setting both lets one flag inject either layer.
-    sim.cpu.fault = fault;
-    sim.mem.fault = fault;
-    sim.cpu.fast_forward = fast_forward;
-    sim
-}
-
 /// Checks one command list on one architecture; returns conformance
 /// diffs (empty = conformant). Runs with fast-forwarding on (the
 /// default); [`diff_case_ff`] selects the path explicitly.
@@ -179,7 +164,7 @@ pub fn diff_case_ff(
         // A generator bug, not a pipeline bug — still a failure.
         Err(e) => return vec![format!("golden model rejected the program: {e}")],
     };
-    let sim = fuzz_sim(fault, fast_forward);
+    let sim = inject_sim(fault, fast_forward);
     match run_program_traced("fuzz", raw_output(program), arch, &sim) {
         Ok((result, tracer)) => check_run(&result, &tracer, &golden),
         Err(e) => vec![format!("pipeline did not complete: {e:?}")],
@@ -207,7 +192,7 @@ pub fn campaign_metrics(opts: &FuzzOptions, cases_run: u32, sample: u32) -> Regi
     let n = cases_run.min(sample);
     let mut seeds = SplitMix64::new(mix64(opts.seed));
     let strat = cmds_strategy(opts.max_cmds);
-    let sim = fuzz_sim(opts.fault, opts.fast_forward);
+    let sim = inject_sim(opts.fault, opts.fast_forward);
     let mut runs = 0u64;
     for _case in 0..n {
         let case_seed = seeds.next_u64();

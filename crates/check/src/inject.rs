@@ -1,18 +1,19 @@
 //! The fault-injection campaign engine.
 //!
 //! `ede-sim fuzz` answers "does the pipeline conform?"; this module
-//! answers the dual question: **if the pipeline (or the memory system,
-//! or the media) were broken, would the checkers notice?** For every
-//! fault in the [`FaultInjection`] taxonomy and every architecture in
-//! the sweep, the campaign runs seeded probe programs with the fault
-//! injected and classifies each case:
+//! answers the dual question: **if the pipeline (or the memory system)
+//! were broken, would the checkers notice?** For every fault in the
+//! [`FaultInjection`] taxonomy and every architecture in the sweep, the
+//! campaign runs seeded probe programs with the fault injected and
+//! classifies each case:
 //!
 //! * **detected** — a detector fired: a conformance axiom diff, the
 //!   pipeline watchdog's deadlock diagnosis, the cycle-budget limit, or
 //!   a [`CrashChecker`] failure-atomicity violation;
 //! * **tolerated** — no detector fired *and* the run's architectural
 //!   outputs (per-address store sequences, per-line persist counts, the
-//!   final NVM image) are identical to a fault-free run of the same
+//!   final NVM image — what conformance axioms 4–6 compare, computed by
+//!   the same code) are identical to a fault-free run of the same
 //!   program, i.e. the fault provably did not corrupt anything this
 //!   case could observe (a `drop-persist` fault on a program with no
 //!   persists, say);
@@ -28,9 +29,9 @@
 //! instant is replayed through recovery — this is what catches
 //! `early-clean-ack`, which perturbs no architectural output but leaves
 //! crash images where the commit marker is durable before the data.
-//! Media faults run only the crash probe, with the corruption applied
-//! to each reconstructed crash image through
-//! [`CrashChecker::check_all_images_mutated`].
+//! Damage to crash images at rest is not injected here: the `corrupt`
+//! campaign ([`crate::corrupt`]) owns it, under a triage contract that
+//! can fail.
 //!
 //! Outcomes are aggregated into a per-cell detection-coverage matrix
 //! ([`InjectReport::to_json`]) and the campaign passes only when no
@@ -40,20 +41,17 @@
 //! (with a shrunk reproducer) when corruption goes unobserved.
 
 use crate::campaign::{self, Campaign, Plan, Record};
-use crate::conform::check_run;
+use crate::conform::{check_run, RunOutputs};
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig};
 use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
 use ede_isa::{ArchConfig, Program};
-use ede_mem::trace::nvm_image_at;
 use ede_mem::{FaultInjection, FaultLayer};
-use ede_nvm::recovery::NvmImage;
 use ede_nvm::{CrashChecker, Layout, TxOutput, TxWriter};
-use ede_sim::{raw_output, run_program, run_program_traced, RunResult, SimConfig};
+use ede_sim::{raw_output, run_program, run_program_traced, SimConfig};
 use ede_util::check::{minimize, Strategy};
 use ede_util::progress;
 use ede_util::rng::{mix64, SmallRng, SplitMix64};
-use std::collections::BTreeMap;
 
 /// Campaign parameters.
 #[derive(Clone, Debug)]
@@ -264,7 +262,6 @@ impl InjectReport {
             let layer = match c.fault.layer() {
                 FaultLayer::Pipeline => "pipeline",
                 FaultLayer::MemorySystem => "memory-system",
-                FaultLayer::Media => "media",
             };
             s.push_str(&format!(
                 "    {{\"fault\": \"{}\", \"layer\": \"{}\", \"arch\": \"{}\", \
@@ -312,11 +309,14 @@ impl InjectReport {
     }
 }
 
-/// The simulation configuration probe cases (and corrupt's fault-free
-/// transaction programs) run under: A72 tables, a cycle budget generous
-/// for any probe program, and a watchdog tight enough that a
-/// fault-induced hang is diagnosed well under the budget (the longest
-/// legitimate stall is a few media-write latencies).
+/// The simulation configuration every campaign runs its programs under
+/// (inject's probes, fuzz cases, explore's implementation cross-checks
+/// and corrupt's fault-free transaction programs): A72 tables, a cycle
+/// budget generous for any generated program, and a watchdog tight
+/// enough that a fault-induced hang is diagnosed well under the budget
+/// (the longest legitimate stall is a few media-write latencies).
+/// Pipeline faults are read by the core, memory-system faults by the
+/// controller; setting both lets one option inject either layer.
 pub(crate) fn inject_sim(fault: Option<FaultInjection>, fast_forward: bool) -> SimConfig {
     let mut sim = SimConfig::a72();
     sim.max_cycles = 2_000_000;
@@ -327,40 +327,12 @@ pub(crate) fn inject_sim(fault: Option<FaultInjection>, fast_forward: bool) -> S
     sim
 }
 
-/// The architectural outputs two runs of the same program must agree on
-/// if a fault is to count as tolerated: per-address store-visibility
-/// sequences, per-line persist counts, and the final NVM image. Cycle
-/// timestamps are deliberately excluded — a fault that only shifts
-/// timing corrupts nothing these can observe, and the crash probe
-/// covers the one hazard timing shifts create (persist reordering
-/// across a crash).
-type Projection = (
-    BTreeMap<u64, Vec<u64>>,
-    BTreeMap<u64, usize>,
-    BTreeMap<u64, u64>,
-);
-
-fn projection(result: &RunResult) -> Projection {
-    let mut store_seqs: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for se in &result.trace.stores {
-        store_seqs.entry(se.addr).or_default().push(se.value[0]);
-        if se.width == 16 {
-            store_seqs.entry(se.addr + 8).or_default().push(se.value[1]);
-        }
-    }
-    let mut persist_counts: BTreeMap<u64, usize> = BTreeMap::new();
-    for pe in &result.trace.persists {
-        *persist_counts.entry(pe.line).or_default() += 1;
-    }
-    let image = nvm_image_at(&result.trace, result.trace.horizon(), 64)
-        .into_iter()
-        .collect();
-    (store_seqs, persist_counts, image)
-}
-
 /// Runs one conformance-probe case: the generated program with the
 /// fault injected, checked by the axioms (when enabled) and compared
-/// against a fault-free run of the same program.
+/// against a fault-free run of the same program. Cycle timestamps are
+/// not compared: a fault that only shifts timing corrupts nothing the
+/// [`RunOutputs`] observe, and the crash probe covers the one hazard
+/// timing shifts create (persist reordering across a crash).
 fn conformance_case(
     cmds: &[Cmd],
     arch: ArchConfig,
@@ -381,7 +353,7 @@ fn conformance_case(
             }
             let clean = run_program("inject", raw_output(program), arch, &inject_sim(None, ff))
                 .expect("fault-free probe programs complete");
-            if projection(&result) == projection(&clean) {
+            if RunOutputs::of(&result) == RunOutputs::of(&clean) {
                 Outcome::Tolerated
             } else {
                 Outcome::Silent
@@ -413,78 +385,26 @@ pub(crate) fn tx_case_program(seed: u64, arch: ArchConfig) -> TxOutput {
     tx.finish()
 }
 
-/// The media corruption a fault applies to each reconstructed crash
-/// image, derived deterministically from the case seed. Corruptions
-/// target words the crash actually persisted (a torn write or stuck
-/// line needs a write to tear or lose); which word is seed-chosen.
-fn media_mutate(fault: FaultInjection, seed: u64, layout: &Layout, image: &mut NvmImage) {
-    let mut rng = SmallRng::seed_from_u64(mix64(seed ^ 0xFA01));
-    match fault {
-        FaultInjection::BitFlipLogEntry => {
-            let slot = layout.slot_addr(rng.gen_range(0u64..2));
-            let word = slot + 8 * rng.gen_range(0u64..4);
-            let bit = rng.gen_range(0u32..64);
-            if let Some(v) = image.get_mut(&word) {
-                *v ^= 1u64 << bit;
-            }
-        }
-        FaultInjection::TornWordWrite => {
-            // The word whose tearing matters is the commit marker: its id
-            // and checksum halves must never be trusted separately. Which
-            // half reached the media is seed-chosen.
-            let keep = if rng.gen_bool(0.5) { 0xFFFF_FFFFu64 } else { !0xFFFF_FFFFu64 };
-            if let Some(v) = image.get_mut(&layout.log_header) {
-                *v &= keep;
-            }
-        }
-        FaultInjection::StuckLine => {
-            let line = match rng.gen_range(0u32..3) {
-                0 => layout.heap_base,
-                1 => layout.slot_addr(0),
-                _ => layout.log_header,
-            } & !63;
-            // The line never accepted writes: it reads as pre-run media.
-            image.retain(|a, _| a & !63 != line);
-        }
-        _ => {}
-    }
-}
-
-/// Runs one crash-probe case: a transactional program (with the fault
-/// injected into the memory system, unless it is a media fault) whose
-/// every reachable crash image is recovered and checked — media faults
-/// corrupt each image first.
+/// Runs one crash-probe case: a transactional program with the fault
+/// injected into the memory system, whose every reachable crash image is
+/// recovered and checked.
 fn crash_case(case_seed: u64, arch: ArchConfig, fault: FaultInjection, detectors: bool, ff: bool) -> Outcome {
     let out = tx_case_program(case_seed, arch);
-    let sim_fault = if fault.is_media() { None } else { Some(fault) };
-    match run_program("inject-crash", out, arch, &inject_sim(sim_fault, ff)) {
+    match run_program("inject-crash", out, arch, &inject_sim(Some(fault), ff)) {
         Err(e) if e.is_deadlock() => Outcome::Watchdog,
         Err(_) => Outcome::CycleLimit,
-        Ok(result) => {
-            if !detectors {
-                return Outcome::Tolerated;
-            }
-            let layout = result.output.layout;
-            let checker = CrashChecker::new(&result.output);
-            let verdict = if fault.is_media() {
-                checker.check_all_images_mutated(&result.trace, &|_, image| {
-                    media_mutate(fault, case_seed, &layout, image);
-                })
-            } else {
-                checker.check_all_images(&result.trace)
-            };
-            match verdict {
-                Err(_) => Outcome::CrashChecker,
-                Ok(()) => Outcome::Tolerated,
-            }
-        }
+        Ok(_) if !detectors => Outcome::Tolerated,
+        Ok(result) => match CrashChecker::new(&result.output).check_all_images(&result.trace) {
+            Err(_) => Outcome::CrashChecker,
+            Ok(()) => Outcome::Tolerated,
+        },
     }
 }
 
 /// Classifies one case of one cell. Precedence: a conformance-probe
-/// detection wins outright; otherwise the crash probe (where the fault's
-/// layer warrants one) may still detect; a conformance-probe silent
-/// corruption stands only if no probe detected the fault.
+/// detection wins outright; otherwise the crash probe (memory-system
+/// faults only) may still detect; a conformance-probe silent corruption
+/// stands only if no probe detected the fault.
 fn run_case(
     cmds: &[Cmd],
     case_seed: u64,
@@ -493,22 +413,17 @@ fn run_case(
     detectors: bool,
     ff: bool,
 ) -> Outcome {
-    let conf = match fault.layer() {
-        FaultLayer::Media => None,
-        _ => Some(conformance_case(cmds, arch, fault, detectors, ff)),
-    };
-    if let Some(o @ (Outcome::Conformance | Outcome::Watchdog | Outcome::CycleLimit)) = conf {
-        return o;
+    let conf = conformance_case(cmds, arch, fault, detectors, ff);
+    if matches!(conf, Outcome::Conformance | Outcome::Watchdog | Outcome::CycleLimit) {
+        return conf;
     }
-    let crash = match fault.layer() {
-        FaultLayer::Pipeline => None,
-        _ => Some(crash_case(case_seed, arch, fault, detectors, ff)),
-    };
-    match (conf, crash) {
-        (_, Some(o @ (Outcome::Watchdog | Outcome::CycleLimit | Outcome::CrashChecker))) => o,
-        (Some(Outcome::Silent), _) => Outcome::Silent,
-        _ => Outcome::Tolerated,
+    if fault.layer() == FaultLayer::MemorySystem {
+        let crash = crash_case(case_seed, arch, fault, detectors, ff);
+        if matches!(crash, Outcome::Watchdog | Outcome::CycleLimit | Outcome::CrashChecker) {
+            return crash;
+        }
     }
+    conf
 }
 
 /// The per-case seed stream for cell `cell_index` — the master stream
@@ -743,23 +658,6 @@ mod tests {
         });
         assert!(report.all_covered(), "{report:?}");
         assert!(report.cells[0].watchdog > 0, "{report:?}");
-    }
-
-    #[test]
-    fn media_faults_reach_the_crash_checker() {
-        let report = inject(&InjectOptions {
-            cases: 3,
-            faults: vec![
-                FaultInjection::BitFlipLogEntry,
-                FaultInjection::TornWordWrite,
-                FaultInjection::StuckLine,
-            ],
-            archs: vec![ArchConfig::Baseline],
-            ..InjectOptions::default()
-        });
-        assert!(report.all_covered(), "{report:?}");
-        let caught: u32 = report.cells.iter().map(|c| c.crash_checker).sum();
-        assert!(caught > 0, "some corruption must cost data: {report:?}");
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn sim() -> SimConfig {
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 
-/// Every sampled crash prefix of every fuzzed transaction recovers
+/// Every crash prefix of every fuzzed transaction recovers
 /// consistently on the crash-safe configurations.
 #[test]
 fn crash_safe_configs_survive_fuzzed_transactions() {
@@ -64,7 +64,7 @@ fn crash_safe_configs_survive_fuzzed_transactions() {
         for arch in ArchConfig::ALL.into_iter().filter(|a| a.is_crash_safe()) {
             let out = random_tx_output(arch, seed);
             let r = run_program("crash-fuzz", out, arch, &sim()).expect("run completes");
-            r.crash_consistent_sampled(48).unwrap_or_else(|e| {
+            r.crash_consistent().unwrap_or_else(|e| {
                 panic!("seed {seed} on {arch}: crash inconsistency {e:?}")
             });
         }
@@ -82,14 +82,14 @@ fn unsafe_configs_yield_a_counterexample() {
         for arch in [ArchConfig::StoreBarrierUnsafe, ArchConfig::Unsafe] {
             let out = random_tx_output(arch, seed);
             let r = run_program("crash-fuzz", out, arch, &sim()).expect("run completes");
-            if r.crash_consistent_sampled(48).is_err() {
+            if r.crash_consistent().is_err() {
                 counterexamples += 1;
             }
         }
     }
     assert!(
         counterexamples > 0,
-        "SU and U passed every sampled crash prefix — checker is vacuous"
+        "SU and U passed every crash prefix — checker is vacuous"
     );
 }
 

@@ -4,8 +4,8 @@ use ede_core::EnforcementPoint;
 
 // The taxonomy is shared with the memory system: one enum, defined in
 // `ede-mem` (the lowest crate both injection sites see), covers
-// pipeline, memory-system, and media faults. The pipeline reacts only
-// to its own variants and ignores the rest.
+// pipeline and memory-system faults. The pipeline reacts only to its
+// own variants and ignores the rest.
 pub use ede_mem::fault::{FaultInjection, FaultLayer};
 
 /// Out-of-order core parameters.

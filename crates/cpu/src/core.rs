@@ -15,21 +15,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
-/// Cycles in which dispatch made no progress, by cause (diagnostics).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct StallStats {
-    /// Dispatch blocked behind a `DSB SY`.
-    pub dsb: u64,
-    /// Reorder buffer full.
-    pub rob: u64,
-    /// Issue queue full.
-    pub iq: u64,
-    /// Load or store queue full.
-    pub lsq: u64,
-    /// Nothing fetched (front-end empty or refilling after a squash).
-    pub frontend: u64,
-}
-
 /// Result of a completed run.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunStats {
@@ -44,10 +29,6 @@ pub struct RunStats {
     pub timings: Vec<InstTiming>,
     /// Pipeline squashes taken (mispredicted branches).
     pub squashes: u64,
-    /// Zero-dispatch cycle counts by cause (a view of
-    /// [`attribution`](Self::attribution)'s dispatch stage, kept for the
-    /// existing API).
-    pub stalls: StallStats,
     /// Per-stage cycle attribution: every cycle is busy or carries one
     /// typed [`StallCause`], so `cycles == busy + Σ causes` per stage.
     pub attribution: StallTable,
@@ -625,20 +606,12 @@ impl<M: MemPort> Core<M> {
     /// The statistics accumulated so far (what [`run`](Self::run) returns
     /// on success).
     pub fn stats(&self) -> RunStats {
-        let d = self.attribution.stage(StageId::Dispatch);
         RunStats {
             cycles: self.now,
             retired: self.retired,
             issue_hist: self.issue_hist.clone(),
             timings: self.slots.iter().map(|s| s.timing).collect(),
             squashes: self.squashes,
-            stalls: StallStats {
-                dsb: d.cause(StallCause::DsbDispatch),
-                rob: d.cause(StallCause::RobFull),
-                iq: d.cause(StallCause::IqFull),
-                lsq: d.cause(StallCause::LsqFull),
-                frontend: d.cause(StallCause::FrontendEmpty),
-            },
             attribution: self.attribution,
             max_quiet_streak: self.max_quiet_streak,
             quiet_hist: self.quiet_hist.clone(),
@@ -1944,7 +1917,6 @@ mod tests {
 
     #[test]
     fn stall_attribution_conserves_cycles() {
-        use crate::trace::{StageId, StallCause};
         for (prog, enf) in [
             (two_update_trace(false, true), None),
             (
@@ -1963,11 +1935,6 @@ mod tests {
                 stats.cycles,
                 stats.attribution
             );
-            // The legacy dispatch counters are a view of the table.
-            let d = stats.attribution.stage(StageId::Dispatch);
-            assert_eq!(stats.stalls.dsb, d.cause(StallCause::DsbDispatch));
-            assert_eq!(stats.stalls.rob, d.cause(StallCause::RobFull));
-            assert_eq!(stats.stalls.frontend, d.cause(StallCause::FrontendEmpty));
         }
     }
 

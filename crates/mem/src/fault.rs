@@ -3,17 +3,19 @@
 //! Every deliberately broken behavior the checker self-tests against
 //! lives in one enum, [`FaultInjection`], shared by the pipeline model
 //! (`ede-cpu`), the memory system ([`MemSystem`](crate::MemSystem)), and
-//! the campaign driver (`ede-check`). Faults split into three layers:
+//! the campaign driver (`ede-check`). Faults split into two layers:
 //!
 //! * **pipeline** faults break ordering enforcement inside the core
 //!   (dropped execution dependences, weakened fences, write-buffer
 //!   reordering);
 //! * **memory-system** faults break the persistence path between the
 //!   core and the media (lost, duplicated, early-acknowledged or torn
-//!   persists, a clean request that never completes);
-//! * **media** faults corrupt the post-crash NVM image itself (bit
-//!   flips, torn word writes, stuck lines) and are applied by the crash
-//!   checker to reconstructed images, not by the timing simulation.
+//!   persists, a clean request that never completes).
+//!
+//! Damage to the crash image at rest (bit flips, torn words, lost
+//! lines) is not a fault here: `ede-check`'s `corrupt` campaign applies
+//! it to reconstructed images and holds recovery triage to its
+//! contract.
 //!
 //! Each variant is deterministic: the same configuration and seed always
 //! injects the same fault at the same point. Parameterized variants
@@ -27,8 +29,6 @@ pub enum FaultLayer {
     Pipeline,
     /// Broken persistence path in the memory system.
     MemorySystem,
-    /// Corruption of the post-crash NVM image (applied by the checker).
-    Media,
 }
 
 /// A deliberate bug injected into the simulation, for checker
@@ -79,23 +79,12 @@ pub enum FaultInjection {
         /// Which cvap request to swallow (0-based).
         nth: u32,
     },
-    /// Media: flip one bit of one undo-log entry word in the crash
-    /// image (entry/word/bit chosen deterministically from the campaign
-    /// seed). Recovery must reject the entry by checksum.
-    BitFlipLogEntry,
-    /// Media: one word of the crash image is torn — only its low 32
-    /// bits were written, the high half is stale. A torn log *header*
-    /// must decode as "no transaction committed".
-    TornWordWrite,
-    /// Media: one line of the crash image is stuck at its pre-crash
-    /// contents — every word the crash persisted on it reverts.
-    StuckLine,
 }
 
 impl FaultInjection {
     /// Every variant, with parameterized variants at their first
     /// occurrence (`nth: 0`) — the canonical sweep set.
-    pub const ALL: [FaultInjection; 12] = [
+    pub const ALL: [FaultInjection; 9] = [
         FaultInjection::DropEdeps,
         FaultInjection::WeakDsb,
         FaultInjection::DropOneEdep { nth: 0 },
@@ -105,9 +94,6 @@ impl FaultInjection {
         FaultInjection::DuplicatePersist,
         FaultInjection::TornStp,
         FaultInjection::StuckCvap { nth: 0 },
-        FaultInjection::BitFlipLogEntry,
-        FaultInjection::TornWordWrite,
-        FaultInjection::StuckLine,
     ];
 
     /// The stable kebab-case name (CLI flag value, JSON key).
@@ -122,9 +108,6 @@ impl FaultInjection {
             FaultInjection::DuplicatePersist => "duplicate-persist",
             FaultInjection::TornStp => "torn-stp",
             FaultInjection::StuckCvap { .. } => "stuck-cvap",
-            FaultInjection::BitFlipLogEntry => "bit-flip-log-entry",
-            FaultInjection::TornWordWrite => "torn-word-write",
-            FaultInjection::StuckLine => "stuck-line",
         }
     }
 
@@ -146,9 +129,6 @@ impl FaultInjection {
             "duplicate-persist" => FaultInjection::DuplicatePersist,
             "torn-stp" => FaultInjection::TornStp,
             "stuck-cvap" => FaultInjection::StuckCvap { nth },
-            "bit-flip-log-entry" => FaultInjection::BitFlipLogEntry,
-            "torn-word-write" => FaultInjection::TornWordWrite,
-            "stuck-line" => FaultInjection::StuckLine,
             _ => return None,
         };
         // Reject a `:N` suffix on variants that take no parameter.
@@ -180,16 +160,7 @@ impl FaultInjection {
             | FaultInjection::DuplicatePersist
             | FaultInjection::TornStp
             | FaultInjection::StuckCvap { .. } => FaultLayer::MemorySystem,
-            FaultInjection::BitFlipLogEntry
-            | FaultInjection::TornWordWrite
-            | FaultInjection::StuckLine => FaultLayer::Media,
         }
-    }
-
-    /// Whether the fault is applied to reconstructed crash images by the
-    /// checker (rather than injected into the timing simulation).
-    pub fn is_media(self) -> bool {
-        self.layer() == FaultLayer::Media
     }
 }
 
@@ -221,7 +192,7 @@ mod tests {
 
     #[test]
     fn every_layer_populated() {
-        for layer in [FaultLayer::Pipeline, FaultLayer::MemorySystem, FaultLayer::Media] {
+        for layer in [FaultLayer::Pipeline, FaultLayer::MemorySystem] {
             assert!(
                 FaultInjection::ALL.iter().any(|f| f.layer() == layer),
                 "{layer:?} has no faults"

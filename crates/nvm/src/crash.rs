@@ -179,28 +179,7 @@ impl CrashChecker {
     ///
     /// The first [`CheckFailure`] found.
     pub fn check_at(&self, trace: &PersistTrace, cycle: u64) -> Result<u64, CheckFailure> {
-        self.check_at_mutated(trace, cycle, &|_| {})
-    }
-
-    /// Like [`check_at`](Self::check_at), but applies `mutate` to the
-    /// reconstructed crash image *before* recovery runs — the
-    /// fault-injection campaign's hook for media faults (bit flips, torn
-    /// words, stuck lines). A corruption recovery cannot mask surfaces
-    /// as a [`ConsistencyError`]; one it rejects or that lands on unused
-    /// words leaves the verdict unchanged.
-    ///
-    /// # Errors
-    ///
-    /// The first [`CheckFailure`] found.
-    pub fn check_at_mutated(
-        &self,
-        trace: &PersistTrace,
-        cycle: u64,
-        mutate: &dyn Fn(&mut NvmImage),
-    ) -> Result<u64, CheckFailure> {
-        let mut image: NvmImage = nvm_image_at(trace, cycle, 64);
-        mutate(&mut image);
-        self.check_image(image)
+        self.check_image(nvm_image_at(trace, cycle, 64))
     }
 
     /// Runs recovery over an arbitrary crash image and checks failure
@@ -263,55 +242,14 @@ impl CrashChecker {
     ///
     /// The first violating `(cycle, error)` pair, in cycle order.
     pub fn check_all_images(&self, trace: &PersistTrace) -> Result<(), (u64, CheckFailure)> {
-        self.check_all_images_mutated(trace, &|_, _| {})
-    }
-
-    /// [`check_all_images`](Self::check_all_images) with a per-instant
-    /// media-corruption hook: `mutate(cycle, image)` runs on each
-    /// reconstructed image before recovery.
-    ///
-    /// # Errors
-    ///
-    /// The first violating `(cycle, error)` pair, in cycle order.
-    pub fn check_all_images_mutated(
-        &self,
-        trace: &PersistTrace,
-        mutate: &(dyn Fn(u64, &mut NvmImage) + Sync),
-    ) -> Result<(), (u64, CheckFailure)> {
         let cycles = trace.persist_cycles();
         ede_util::pool::par_map_indexed(self.jobs, &cycles, |_, &c| {
-            self.check_at_mutated(trace, c, &|image| mutate(c, image))
-                .map_err(|e| (c, e))
+            self.check_at(trace, c).map_err(|e| (c, e))
         })
         .into_iter()
         .collect::<Result<Vec<u64>, _>>()
         .map(|_| ())
     }
-}
-
-/// Convenience: checks crash consistency at `samples` evenly spaced
-/// instants between `from` and the trace horizon.
-///
-/// # Errors
-///
-/// The first violating `(cycle, error)` pair.
-pub fn check_crash_consistency(
-    out: &TxOutput,
-    trace: &PersistTrace,
-    from: u64,
-    samples: u64,
-) -> Result<(), (u64, CheckFailure)> {
-    let checker = CrashChecker::new(out);
-    let horizon = trace.horizon().max(from + 1);
-    let step = ((horizon - from) / samples.max(1)).max(1);
-    let mut cycle = from;
-    while cycle <= horizon {
-        if let Err(e) = checker.check_at(trace, cycle) {
-            return Err((cycle, e));
-        }
-        cycle += step;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -455,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn media_mutation_hook_feeds_recovery() {
+    fn mutated_image_feeds_recovery() {
         let (out, a) = simple_output();
         let layout = out.layout;
         let slot = layout.slot_addr(0);
@@ -470,21 +408,16 @@ mod tests {
             (layout.log_header, header_word(1), true),
         ]);
         let checker = CrashChecker::new(&out);
+        let image = nvm_image_at(&trace, trace.horizon(), 64);
         // Corrupting a word no transaction tracks is tolerated.
-        checker
-            .check_all_images_mutated(&trace, &|_, image| {
-                image.insert(layout.heap_base + 0x800, 0xDEAD);
-            })
-            .expect("untracked corruption is tolerated");
+        let mut untracked = image.clone();
+        untracked.insert(layout.heap_base + 0x800, 0xDEAD);
+        assert_eq!(checker.check_image(untracked), Ok(1), "untracked corruption is tolerated");
         // Corrupting the data word itself is detected.
-        let err = checker
-            .check_all_images_mutated(&trace, &|_, image| {
-                if let Some(w) = image.get_mut(&a) {
-                    *w ^= 1;
-                }
-            })
-            .expect_err("corrupted data word must surface");
-        assert_eq!(err.1.inconsistency().expect("a violation").addr, a);
+        let mut flipped = image;
+        *flipped.get_mut(&a).expect("the data word persisted") ^= 1;
+        let err = checker.check_image(flipped).expect_err("corrupted data word must surface");
+        assert_eq!(err.inconsistency().expect("a violation").addr, a);
     }
 
     #[test]

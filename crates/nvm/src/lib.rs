@@ -63,7 +63,7 @@ pub mod triage;
 mod writer;
 
 pub use codegen::{TxOutput, TxRecord, TxWriter};
-pub use crash::{check_crash_consistency, CheckFailure, ConsistencyError, CrashChecker};
+pub use crash::{CheckFailure, ConsistencyError, CrashChecker};
 pub use triage::{Protocol, RecoveryOutcome, RegionClass, RegionReport, TriageReport};
 pub use heap::BumpHeap;
 pub use layout::Layout;

@@ -3,11 +3,10 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
 use ede_core::ordering::{self, InstTiming, OrderRelaxation, Violation};
-use ede_cpu::core::StallStats;
 use ede_cpu::{Core, IssueHistogram, StallTable, Tracer, TracerConfig};
 use ede_isa::{ArchConfig, InstId, Program};
 use ede_mem::{MemStats, MemSystem, PersistTrace};
-use ede_nvm::{check_crash_consistency, CheckFailure, TxOutput};
+use ede_nvm::{CheckFailure, CrashChecker, TxOutput};
 use ede_util::obs::Registry;
 use ede_workloads::{Workload, WorkloadParams};
 
@@ -26,8 +25,6 @@ pub struct RunResult {
     pub retired: u64,
     /// Pipeline squashes.
     pub squashes: u64,
-    /// Zero-dispatch cycles by cause (diagnostics).
-    pub stalls: StallStats,
     /// Issue-width histogram (Figure 11).
     pub issue_hist: IssueHistogram,
     /// Persist-buffer occupancy histogram sampled at media writes
@@ -66,28 +63,16 @@ impl RunResult {
         ordering::check(&self.output.program, &self.timings, OrderRelaxation::NONE)
     }
 
-    /// Checks failure atomicity at `samples` crash instants spread over
-    /// the transaction phase.
+    /// Checks failure atomicity at every distinct crash image the run
+    /// could leave behind ([`CrashChecker::check_all_images`], undo
+    /// recovery).
     ///
     /// # Errors
     ///
-    /// The first violating `(cycle, error)` pair — expected for the
-    /// crash-unsafe configurations.
-    pub fn crash_consistent_sampled(
-        &self,
-        samples: u64,
-    ) -> Result<(), (u64, CheckFailure)> {
-        let from = self.tx_phase_start_cycle();
-        check_crash_consistency(&self.output, &self.trace, from, samples)
-    }
-
-    /// Checks failure atomicity at 64 sampled crash instants.
-    ///
-    /// # Errors
-    ///
-    /// See [`crash_consistent_sampled`](Self::crash_consistent_sampled).
+    /// The first violating `(cycle, error)` pair, in cycle order —
+    /// expected for the crash-unsafe configurations.
     pub fn crash_consistent(&self) -> Result<(), (u64, CheckFailure)> {
-        self.crash_consistent_sampled(64)
+        CrashChecker::new(&self.output).check_all_images(&self.trace)
     }
 
     /// The cycle at which the transaction phase starts: when the last
@@ -247,7 +232,6 @@ fn run_program_inner(
         tx_cycles: 0,
         retired: stats.retired,
         squashes: stats.squashes,
-        stalls: stats.stalls,
         issue_hist: stats.issue_hist,
         nvm_occupancy,
         mem_stats,

@@ -52,11 +52,12 @@ cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     fuzz --seed 7 --cases 100 --jobs 4 2>/dev/null > "$out_dir/jobs4.out"
 diff "$out_dir/jobs1.out" "$out_dir/jobs4.out"
 
-# Fault-injection smoke: the full 12-fault taxonomy against B/IQ/WB at a
-# small per-cell budget. Exit 0 asserts every fault was detected (axioms,
-# crash checker, or watchdog) or provably tolerated — a silent corruption
-# fails the campaign. The nightly job runs the same sweep with a bigger
-# budget (see .github/workflows/ci.yml).
+# Fault-injection smoke: the nine pipeline and memory-system faults
+# against B/IQ/WB at a small per-cell budget. Exit 0 asserts every fault
+# was detected (axioms, crash checker, or watchdog) or provably
+# tolerated — a silent corruption fails the campaign. The nightly job
+# runs the same sweep with a bigger budget (see .github/workflows/ci.yml);
+# at-rest media damage is the corrupt campaign's (corrupt-nightly there).
 echo "==> inject smoke (seed 1, 2 cases/cell, 2 workers)"
 cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     inject --seed 1 --cases 2 --jobs 2 2>/dev/null > "$out_dir/inject.json"

@@ -28,7 +28,7 @@ fn assert_identical(a: &RunResult, b: &RunResult) {
     assert_eq!(a.tx_cycles, b.tx_cycles, "tx-phase cycles diverged");
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.squashes, b.squashes);
-    assert_eq!(a.stalls, b.stalls);
+    assert_eq!(a.attribution, b.attribution);
     assert_eq!(a.issue_hist, b.issue_hist);
     assert_eq!(a.nvm_occupancy, b.nvm_occupancy);
     assert_eq!(a.mem_stats, b.mem_stats);

@@ -70,7 +70,6 @@ fn result_diffs(fast: &RunResult, reference: &RunResult) -> Vec<String> {
     field!(tx_cycles);
     field!(retired);
     field!(squashes);
-    field!(stalls);
     field!(issue_hist);
     field!(nvm_occupancy);
     field!(mem_stats);
