@@ -20,8 +20,9 @@
 //! Every store drain and every persist (buffer insertion or coalescing
 //! merge, plus dirty NVM evictions) is also recorded in a
 //! [`PersistTrace`], from which [`trace::nvm_image_at`] reconstructs the
-//! exact NVM contents at any crash instant — the substrate for the
-//! crash-consistency test suite.
+//! exact NVM contents at any crash instant, and [`trace::ImageCursor`]
+//! those at a rising sequence of instants in one pass — the substrate for
+//! the crash-consistency test suite.
 //!
 //! # Example
 //!

@@ -9,9 +9,11 @@
 //!   `DC CVAP` or a dirty NVM eviction).
 //!
 //! Replaying both streams up to an arbitrary crash instant yields the
-//! exact NVM contents a power failure at that instant would leave behind;
-//! [`nvm_image_at`] does exactly that. The `ede-nvm` crate runs undo-log
-//! recovery over the resulting image to test crash consistency.
+//! exact NVM contents a power failure at that instant would leave behind.
+//! [`ImageCursor`] is the one replay: it moves forward through the trace,
+//! so a sweep over every crash instant takes one pass, and
+//! [`nvm_image_at`] is a cursor moved once. The `ede-nvm` crate runs
+//! recovery over the resulting images to test crash consistency.
 
 use std::collections::HashMap;
 
@@ -89,6 +91,10 @@ impl PersistTrace {
 /// cycle, matching the simulator's intra-cycle ordering (a persist
 /// admission snapshots the line as of that cycle's visible stores).
 ///
+/// This is one [`ImageCursor`] moved once, so it replays the trace from
+/// cycle 0; a sweep over ascending crash cycles should move one cursor
+/// instead.
+///
 /// # Example
 ///
 /// ```
@@ -102,43 +108,104 @@ impl PersistTrace {
 /// assert_eq!(nvm_image_at(&t, 20, 64)[&0x1000], 42); // persisted at 20
 /// ```
 pub fn nvm_image_at(trace: &PersistTrace, crash_cycle: u64, line_bytes: u64) -> HashMap<u64, u64> {
-    // Volatile view: word address → value, updated by stores.
-    let mut volatile: HashMap<u64, u64> = HashMap::new();
-    // Persistent image.
-    let mut image: HashMap<u64, u64> = HashMap::new();
+    let mut cursor = ImageCursor::new(trace, line_bytes);
+    cursor.advance_to(crash_cycle);
+    cursor.image
+}
 
-    let mut si = 0;
-    let mut pi = 0;
-    let stores = &trace.stores;
-    let persists = &trace.persists;
-    loop {
-        let s = stores.get(si).filter(|e| e.cycle <= crash_cycle);
-        let p = persists.get(pi).filter(|e| e.cycle <= crash_cycle);
-        let take_store = match (s, p) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(se), Some(pe)) => se.cycle <= pe.cycle,
-        };
-        if take_store {
-            let se = s.expect("store present");
-            volatile.insert(se.addr, se.value[0]);
-            if se.width == 16 {
-                volatile.insert(se.addr + 8, se.value[1]);
-            }
-            si += 1;
-        } else {
-            let pe = p.expect("persist present");
-            for off in (0..line_bytes).step_by(8) {
-                let w = pe.line + off;
-                if let Some(&v) = volatile.get(&w) {
-                    image.insert(w, v);
-                }
-            }
-            pi += 1;
+/// A forward cursor over a [`PersistTrace`]: it replays the store and
+/// persist events in order and holds the NVM image a crash at the last
+/// cycle it was moved to leaves behind, with the same semantics as
+/// [`nvm_image_at`]. Moving it through ascending crash cycles costs one
+/// pass over the trace in total.
+///
+/// # Example
+///
+/// ```
+/// use ede_mem::trace::{ImageCursor, PersistEvent, PersistTrace, StoreEvent};
+///
+/// let mut t = PersistTrace::default();
+/// t.record_store(StoreEvent { cycle: 10, addr: 0x1000, width: 8, value: [42, 0] });
+/// t.record_persist(PersistEvent { cycle: 20, line: 0x1000 });
+///
+/// let mut cursor = ImageCursor::new(&t, 64);
+/// assert!(cursor.advance_to(15).is_empty());
+/// assert_eq!(cursor.advance_to(20)[&0x1000], 42);
+/// ```
+#[derive(Debug)]
+pub struct ImageCursor<'t> {
+    trace: &'t PersistTrace,
+    line_bytes: u64,
+    /// Stores and persists applied so far.
+    stores: usize,
+    persists: usize,
+    /// The last crash cycle moved to.
+    at: Option<u64>,
+    /// Volatile view: word address → value, updated by stores.
+    volatile: HashMap<u64, u64>,
+    /// Persistent image.
+    image: HashMap<u64, u64>,
+}
+
+impl<'t> ImageCursor<'t> {
+    /// A cursor before every event of `trace`, persisting `line_bytes`
+    /// per persist event.
+    pub fn new(trace: &'t PersistTrace, line_bytes: u64) -> ImageCursor<'t> {
+        ImageCursor {
+            trace,
+            line_bytes,
+            stores: 0,
+            persists: 0,
+            at: None,
+            volatile: HashMap::new(),
+            image: HashMap::new(),
         }
     }
-    image
+
+    /// Applies every event at or before `crash_cycle` not applied yet and
+    /// returns the crash image at `crash_cycle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `crash_cycle` is earlier than a cycle the cursor was
+    /// already moved to: it only moves forward.
+    pub fn advance_to(&mut self, crash_cycle: u64) -> &HashMap<u64, u64> {
+        assert!(
+            self.at.is_none_or(|at| at <= crash_cycle),
+            "image cursor moved back from cycle {:?} to {crash_cycle}",
+            self.at
+        );
+        self.at = Some(crash_cycle);
+        let (stores, persists) = (&self.trace.stores, &self.trace.persists);
+        loop {
+            let s = stores.get(self.stores).filter(|e| e.cycle <= crash_cycle);
+            let p = persists.get(self.persists).filter(|e| e.cycle <= crash_cycle);
+            let take_store = match (s, p) {
+                (None, None) => break,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some(se), Some(pe)) => se.cycle <= pe.cycle,
+            };
+            if take_store {
+                let se = s.expect("store present");
+                self.volatile.insert(se.addr, se.value[0]);
+                if se.width == 16 {
+                    self.volatile.insert(se.addr + 8, se.value[1]);
+                }
+                self.stores += 1;
+            } else {
+                let pe = p.expect("persist present");
+                for off in (0..self.line_bytes).step_by(8) {
+                    let w = pe.line + off;
+                    if let Some(&v) = self.volatile.get(&w) {
+                        self.image.insert(w, v);
+                    }
+                }
+                self.persists += 1;
+            }
+        }
+        &self.image
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +299,15 @@ mod tests {
         // one past the horizon.
         assert_eq!(t.persist_cycles(), vec![0, 10, 20, 21]);
         assert_eq!(PersistTrace::default().persist_cycles(), vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "moved back")]
+    fn cursor_only_moves_forward() {
+        let t = PersistTrace::default();
+        let mut cursor = ImageCursor::new(&t, 64);
+        cursor.advance_to(10);
+        cursor.advance_to(9);
     }
 
     #[test]

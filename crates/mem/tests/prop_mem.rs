@@ -1,7 +1,7 @@
 //! Property tests for the memory hierarchy and the persist buffer.
 
 use ede_mem::nvm::PersistBuffer;
-use ede_mem::trace::nvm_image_at;
+use ede_mem::trace::{nvm_image_at, ImageCursor};
 use ede_mem::{MemConfig, MemSystem, ReqKind};
 use ede_util::check::{self, any, Just, Strategy};
 use ede_util::{prop_assert, prop_assert_eq, prop_oneof, property};
@@ -142,6 +142,33 @@ property! {
                 .rfind(|s| s.addr == waddr && s.cycle <= p)
                 .map(|s| s.value[0]);
             prop_assert_eq!(Some(wval), expect);
+        }
+    }
+
+    /// One cursor moved forward through every persist cycle holds, at each
+    /// of them, the image a fresh replay from cycle 0 reconstructs. Events
+    /// share cycles, stores are 8 or 16 bytes wide, and persists cover two
+    /// lines.
+    fn cursor_matches_replay_at_every_persist_cycle(
+        events in check::vec((0u8..4, 0u8..16, any::<u64>(), any::<bool>()), 1..60)
+    ) {
+        use ede_mem::trace::{PersistEvent, PersistTrace, StoreEvent};
+        let mut t = PersistTrace::default();
+        let mut cycle = 0;
+        for (step, slot, value, pair) in events {
+            // Steps of 0 put several events in one cycle; 3 is a persist.
+            cycle += u64::from(step % 3);
+            let addr = 0x1_0000_0000 + u64::from(slot & !1) * 8;
+            if step == 3 {
+                t.record_persist(PersistEvent { cycle, line: addr & !63 });
+            } else {
+                let width = if pair { 16 } else { 8 };
+                t.record_store(StoreEvent { cycle, addr, width, value: [value, !value] });
+            }
+        }
+        let mut cursor = ImageCursor::new(&t, 64);
+        for c in t.persist_cycles() {
+            prop_assert_eq!(cursor.advance_to(c), &nvm_image_at(&t, c, 64), "cycle {}", c);
         }
     }
 }

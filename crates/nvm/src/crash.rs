@@ -11,15 +11,23 @@
 //! For the crash-safe configurations (B, IQ, WB) this holds at every
 //! instant; for SU and U the test suite demonstrates crash points where
 //! it fails.
+//!
+//! A check costs what the run persisted and recovery wrote, not the size
+//! of the preloaded pool: recovery sees the image over the pool words it
+//! reads (the superblock lines and the log slots), the write sets are
+//! compared against their values after the committed prefix, and every
+//! other word the recovered image holds against its preloaded value (see
+//! [`CrashChecker::check_image`]). A sweep over every crash instant
+//! replays the trace once, through one forward [`ImageCursor`].
 
 use crate::codegen::{TxOutput, TxRecord};
 use crate::layout::Layout;
 use crate::recovery::NvmImage;
 use crate::triage::{self, Protocol, RecoveryOutcome};
-use ede_mem::trace::nvm_image_at;
+use ede_mem::trace::{nvm_image_at, ImageCursor};
 use ede_mem::PersistTrace;
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A failure-atomicity violation found at a crash point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -97,13 +105,100 @@ impl From<ConsistencyError> for CheckFailure {
 }
 
 /// Checks crash consistency of one simulated run.
+///
+/// Everything that does not depend on the crash image is computed once,
+/// in [`with_protocol`](Self::with_protocol): the write-set addresses,
+/// each one's value after every committed prefix, and the preloaded pool
+/// words recovery reads. A check then costs what the image holds and the
+/// write set, not the size of the pool.
 #[derive(Clone, Debug)]
 pub struct CrashChecker {
     protocol: Protocol,
     layout: Layout,
-    initial: HashMap<u64, u64>,
-    records: Vec<TxRecord>,
-    jobs: usize,
+    /// Transactions in the record: the most a crash image can commit.
+    transactions: u64,
+    written: WriteHistory,
+    /// The pool words inside the superblock lines and the log-slot region
+    /// (the only pool words [`triage::recover`] reads), by address.
+    recovery_base: Vec<(u64, u64)>,
+    /// The preloaded pool, as the writer emitted it.
+    pool: Vec<(u64, u64)>,
+    /// `pool` by address, built on the first lookup outside the recovery
+    /// base: CoW tree pointers, and words the run persisted or recovery
+    /// wrote outside the write sets.
+    pool_index: OnceLock<Vec<(u64, u64)>>,
+}
+
+/// Every address the transactions write, and the value it holds after
+/// each committed prefix.
+#[derive(Clone, Debug, Default)]
+struct WriteHistory {
+    /// The write-set addresses, ascending.
+    addrs: Vec<u64>,
+    /// `values[starts[i]..starts[i + 1]]` are `(k, value)` pairs, `k`
+    /// ascending from 0: address `i` holds `value` after every prefix of
+    /// at least `k` committed transactions. The `k = 0` value is the first
+    /// write's pre-image, which the writers read from the preloaded pool.
+    starts: Vec<usize>,
+    values: Vec<(u64, u64)>,
+}
+
+impl WriteHistory {
+    fn new(records: &[TxRecord]) -> WriteHistory {
+        let mut writes: Vec<(u64, u64, u64, u64)> = records
+            .iter()
+            .zip(1u64..)
+            .flat_map(|(r, k)| r.writes.iter().map(move |&(a, old, new)| (a, k, old, new)))
+            .collect();
+        // Stable: a transaction's writes to one address stay in program
+        // order, so its last write wins.
+        writes.sort_by_key(|&(a, k, _, _)| (a, k));
+        let mut h = WriteHistory::default();
+        for (a, k, old, new) in writes {
+            if h.addrs.last() != Some(&a) {
+                h.addrs.push(a);
+                h.starts.push(h.values.len());
+                h.values.push((0, old));
+            }
+            match h.values.last_mut() {
+                Some(last) if last.0 == k => last.1 = new,
+                _ => h.values.push((k, new)),
+            }
+        }
+        h.starts.push(h.values.len());
+        h
+    }
+
+    /// The `(k, value)` history of write-set address `i`.
+    fn history(&self, i: usize) -> &[(u64, u64)] {
+        &self.values[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// The value write-set address `i` holds after `k` committed
+    /// transactions.
+    fn after(&self, i: usize, k: u64) -> u64 {
+        let h = self.history(i);
+        h[h.partition_point(|&(from, _)| from <= k) - 1].1
+    }
+}
+
+/// `words` by address, the last value of a repeated address kept — the
+/// pool a writer that preloads one word twice leaves behind.
+fn by_address(words: impl Iterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+    let mut words: Vec<(u64, u64)> = words.collect();
+    words.sort_by_key(|&(a, _)| a);
+    words.dedup_by(|next, kept| next.0 == kept.0 && {
+        kept.1 = next.1;
+        true
+    });
+    words
+}
+
+fn lookup(words: &[(u64, u64)], addr: u64) -> Option<u64> {
+    words
+        .binary_search_by_key(&addr, |&(a, _)| a)
+        .ok()
+        .map(|i| words[i].1)
 }
 
 impl CrashChecker {
@@ -119,54 +214,42 @@ impl CrashChecker {
     /// [`CowTxWriter`](crate::cow::CowTxWriter) output, whose records
     /// carry logical addresses read through the recovered root.
     pub fn with_protocol(out: &TxOutput, protocol: Protocol) -> CrashChecker {
-        CrashChecker {
+        let layout = out.layout;
+        let mut checker = CrashChecker {
             protocol,
-            layout: out.layout,
-            initial: out.init_writes.iter().copied().collect(),
-            records: out.records.clone(),
-            jobs: 1,
-        }
-    }
-
-    /// Sets the worker threads [`check_all_images`](Self::check_all_images)
-    /// spreads its crash instants over: 0 = auto (`EDE_JOBS` or the host
-    /// parallelism), 1 = sequential (the default — callers that already
-    /// run inside a worker pool should keep it). The verdict is identical
-    /// for every value.
-    pub fn with_jobs(mut self, jobs: usize) -> CrashChecker {
-        self.jobs = jobs;
-        self
-    }
-
-    /// The value every tracked address should hold after the first `k`
-    /// transactions, and the tracked addresses in check order. Undo and
-    /// redo track physical words, starting from the preloaded pool; CoW
-    /// tracks the logical words the transactions wrote, starting from
-    /// zero.
-    fn expected_after(&self, k: u64) -> (HashMap<u64, u64>, Vec<u64>) {
-        let writes = || {
-            self.records
+            layout,
+            transactions: out.records.len() as u64,
+            written: WriteHistory::new(&out.records),
+            recovery_base: Vec::new(),
+            pool: out.init_writes.clone(),
+            pool_index: OnceLock::new(),
+        };
+        checker.recovery_base = by_address(
+            out.init_writes
                 .iter()
-                .flat_map(|r| r.writes.iter().map(|&(a, _, _)| a))
-        };
-        let (mut m, addrs) = match self.protocol {
-            Protocol::Cow(_) => {
-                let mut addrs: Vec<u64> = writes().collect();
-                addrs.sort_unstable();
-                addrs.dedup();
-                (HashMap::new(), addrs)
-            }
-            _ => (
-                self.initial.clone(),
-                self.initial.keys().copied().chain(writes()).collect(),
-            ),
-        };
-        for r in self.records.iter().take(k as usize) {
-            for &(a, _, new) in &r.writes {
-                m.insert(a, new);
-            }
+                .copied()
+                .filter(|&(a, _)| checker.in_recovery_base(a)),
+        );
+        checker
+    }
+
+    /// Whether `addr` lies in a superblock line of the protocol or in the
+    /// log-slot region.
+    fn in_recovery_base(&self, addr: u64) -> bool {
+        let (primary, twin) = self.protocol.superblock(&self.layout);
+        let slots = self.layout.log_base..self.layout.log_base + self.layout.log_slots * 64;
+        addr & !63 == primary || addr & !63 == twin || slots.contains(&addr)
+    }
+
+    /// The preloaded value of `addr`, if the pool holds it.
+    fn pool_value(&self, addr: u64) -> Option<u64> {
+        if self.in_recovery_base(addr) {
+            return lookup(&self.recovery_base, addr);
         }
-        (m, addrs)
+        let index = self
+            .pool_index
+            .get_or_init(|| by_address(self.pool.iter().copied()));
+        lookup(index, addr)
     }
 
     /// Simulates a crash at `cycle`, runs recovery, and checks failure
@@ -177,7 +260,7 @@ impl CrashChecker {
     ///
     /// # Errors
     ///
-    /// The first [`CheckFailure`] found.
+    /// The [`CheckFailure`] [`check_image`](Self::check_image) reports.
     pub fn check_at(&self, trace: &PersistTrace, cycle: u64) -> Result<u64, CheckFailure> {
         self.check_image(nvm_image_at(trace, cycle, 64))
     }
@@ -188,17 +271,28 @@ impl CrashChecker {
     /// directly on model-enumerated images that no single simulation run
     /// produced. Returns the committed transaction count on success.
     ///
+    /// Recovery sees the image over the preloaded pool; it reads only the
+    /// superblock lines and the log slots, so only the pool words there
+    /// are merged in. After recovery:
+    ///
+    /// * every write-set address must hold its value after the committed
+    ///   prefix (under CoW, read through the recovered root, with the pool
+    ///   under the words the image does not hold);
+    /// * under undo and redo, every other word the recovered image holds
+    ///   (persisted by the run or written by recovery) must still hold its
+    ///   preloaded value, if it has one.
+    ///
+    /// Words neither preloaded nor written by a transaction are not
+    /// checked.
+    ///
     /// # Errors
     ///
-    /// The first [`CheckFailure`] found: [`CheckFailure::Unrecoverable`]
-    /// when recovery refuses the image (at-rest corruption destroyed
-    /// every copy of a marker), otherwise the first
-    /// [`CheckFailure::Inconsistent`] violation.
+    /// [`CheckFailure::Unrecoverable`] when recovery refuses the image
+    /// (at-rest corruption destroyed every copy of a marker), otherwise
+    /// the [`CheckFailure::Inconsistent`] violation at the lowest
+    /// mismatching address.
     pub fn check_image(&self, mut image: NvmImage) -> Result<u64, CheckFailure> {
-        // The at-rest media holds the preloaded pool contents wherever
-        // the run never persisted; merge them so recovery sees what a
-        // real device would.
-        for (&a, &v) in &self.initial {
+        for &(a, v) in &self.recovery_base {
             image.entry(a).or_insert(v);
         }
         let report = triage::recover(&mut image, &self.layout, self.protocol);
@@ -206,49 +300,73 @@ impl CrashChecker {
             return Err(CheckFailure::Unrecoverable { diagnosis });
         }
         let committed = report.committed;
-        let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-        let read = |a: u64| match self.protocol {
-            Protocol::Cow(meta) => rd(meta.physical(rd(meta.root_line), a, rd)),
-            _ => rd(a),
+        let k = committed.min(self.transactions);
+        let error = |addr, expected, found| ConsistencyError {
+            addr,
+            expected,
+            found,
+            committed_txid: committed,
         };
-        let (expected, addrs) = self.expected_after(committed.min(self.records.len() as u64));
-        for addr in addrs {
-            let want = expected.get(&addr).copied().unwrap_or(0);
-            let got = read(addr);
-            if want != got {
-                return Err(ConsistencyError {
-                    addr,
-                    expected: want,
-                    found: got,
-                    committed_txid: committed,
-                }
-                .into());
+        let written = &self.written;
+        let first = match self.protocol {
+            Protocol::Cow(meta) => {
+                let rd = |a: u64| {
+                    let held = image.get(&a).copied();
+                    held.or_else(|| self.pool_value(a)).unwrap_or(0)
+                };
+                let root = rd(meta.root_line);
+                written.addrs.iter().enumerate().find_map(|(i, &addr)| {
+                    let (want, got) = (written.after(i, k), rd(meta.physical(root, addr, rd)));
+                    (want != got).then(|| error(addr, want, got))
+                })
             }
+            _ => {
+                // A write-set word the image does not hold reads its
+                // preloaded value: its first write's pre-image.
+                let mut first = written.addrs.iter().enumerate().find_map(|(i, &addr)| {
+                    let want = written.after(i, k);
+                    let got = image.get(&addr).copied().unwrap_or(written.history(i)[0].1);
+                    (want != got).then(|| error(addr, want, got))
+                });
+                // Every other word the image holds was persisted by the run
+                // or written by recovery; only one below the lowest
+                // mismatch so far can change the verdict.
+                for (&addr, &got) in &image {
+                    if first.is_some_and(|e| e.addr < addr)
+                        || written.addrs.binary_search(&addr).is_ok()
+                    {
+                        continue;
+                    }
+                    if let Some(want) = self.pool_value(addr).filter(|&want| want != got) {
+                        first = Some(error(addr, want, got));
+                    }
+                }
+                first
+            }
+        };
+        match first {
+            Some(e) => Err(e.into()),
+            None => Ok(committed),
         }
-        Ok(committed)
     }
 
     /// Exhaustively checks every distinct crash image the run could leave
     /// behind. The NVM image only changes at persist events, so checking
     /// at each persist cycle (plus the instants just before the first and
-    /// after the last) covers *every* possible crash instant.
-    ///
-    /// The instants are independent, so they fan out across
-    /// [`with_jobs`](Self::with_jobs) workers; outcomes are merged in
-    /// cycle order, so the reported violation is the earliest-cycle one
-    /// for every job count.
+    /// after the last) covers *every* possible crash instant. One
+    /// [`ImageCursor`] walks the trace forward, so the sweep replays it
+    /// once.
     ///
     /// # Errors
     ///
-    /// The first violating `(cycle, error)` pair, in cycle order.
+    /// The earliest violating `(cycle, error)` pair.
     pub fn check_all_images(&self, trace: &PersistTrace) -> Result<(), (u64, CheckFailure)> {
-        let cycles = trace.persist_cycles();
-        ede_util::pool::par_map_indexed(self.jobs, &cycles, |_, &c| {
-            self.check_at(trace, c).map_err(|e| (c, e))
-        })
-        .into_iter()
-        .collect::<Result<Vec<u64>, _>>()
-        .map(|_| ())
+        let mut cursor = ImageCursor::new(trace, 64);
+        for cycle in trace.persist_cycles() {
+            let image = cursor.advance_to(cycle).clone();
+            self.check_image(image).map_err(|e| (cycle, e))?;
+        }
+        Ok(())
     }
 }
 
@@ -361,10 +479,11 @@ mod tests {
     }
 
     #[test]
-    fn check_all_images_verdict_is_identical_for_every_job_count() {
+    fn check_all_images_reports_the_first_cycle_check_at_fails() {
         let (out, a) = simple_output();
-        // Data persisted with no log entry: a violation exists.
-        let trace = synthetic_trace(&[(a, 5, true), (a, 6, true)]);
+        // Data persisted with no log entry, then re-persisted: every image
+        // from the first data persist on is torn.
+        let trace = synthetic_trace(&[(a, 5, true), (a, 6, true), (a, 7, true)]);
         // A CoW run whose root switch persisted before its shadow block:
         // a torn tree under the CoW protocol.
         let mut cow = crate::cow::CowTxWriter::new(Layout::standard(), ArchConfig::Unsafe, 8);
@@ -383,13 +502,80 @@ mod tests {
             (&cow_out, Protocol::Cow(meta), &cow_trace),
         ] {
             let checker = CrashChecker::with_protocol(out, protocol);
-            let base = checker.check_all_images(trace);
-            assert!(base.is_err(), "{protocol:?}");
-            for jobs in [2, 4] {
-                let r = checker.clone().with_jobs(jobs).check_all_images(trace);
-                assert_eq!(r, base, "{protocol:?}, jobs {jobs}");
-            }
+            let first = trace
+                .persist_cycles()
+                .into_iter()
+                .find_map(|c| checker.check_at(trace, c).err().map(|e| (c, e)))
+                .expect("a torn image");
+            assert_eq!(checker.check_all_images(trace), Err(first), "{protocol:?}");
         }
+        // A run every image of which recovers passes the sweep.
+        let clean = synthetic_trace(&[(a, 5, true)]);
+        assert_eq!(CrashChecker::new(&out).check_all_images(&clean), Ok(()));
+    }
+
+    /// A run with three preloaded words at `base`, `base + 8` and
+    /// `base + 16`, one transaction writing only the middle one.
+    fn three_word_output() -> (TxOutput, u64) {
+        let mut tx = TxWriter::new(Layout::standard(), ArchConfig::Baseline);
+        let base = tx.heap_alloc(24, 64);
+        for i in 0..3 {
+            tx.write_init(base + i * 8, 10 + i);
+        }
+        tx.finish_init();
+        tx.begin_tx();
+        tx.write(base + 8, 99);
+        tx.commit_tx();
+        (tx.finish(), base)
+    }
+
+    #[test]
+    fn persisted_wrong_value_outside_the_write_sets_is_reported() {
+        let (out, base) = three_word_output();
+        // The run stores a wrong value to a preloaded word no transaction
+        // writes, and persists it.
+        let trace = synthetic_trace(&[(base + 16, 77, true)]);
+        let err = CrashChecker::new(&out)
+            .check_at(&trace, trace.horizon())
+            .expect_err("a persisted wrong preloaded word must surface");
+        let e = *err.inconsistency().expect("a consistency violation");
+        assert_eq!((e.addr, e.expected, e.found), (base + 16, 12, 77));
+        // Persisting its preloaded value again is fine.
+        let trace = synthetic_trace(&[(base + 16, 12, true)]);
+        assert_eq!(CrashChecker::new(&out).check_at(&trace, trace.horizon()), Ok(0));
+    }
+
+    #[test]
+    fn the_lowest_mismatching_address_is_reported() {
+        let (out, base) = three_word_output();
+        // Three mismatches: the write-set word (no log entry persisted)
+        // and both preloaded neighbours outside the write set.
+        let trace = synthetic_trace(&[
+            (base, 1, false),
+            (base + 8, 2, false),
+            (base + 16, 3, true),
+        ]);
+        let image = nvm_image_at(&trace, trace.horizon(), 64);
+        assert_eq!(image.len(), 3);
+        let want = ConsistencyError {
+            addr: base,
+            expected: 10,
+            found: 1,
+            committed_txid: 0,
+        };
+        // Each fresh map iterates the image in its own order; the verdict
+        // must not depend on it.
+        for _ in 0..8 {
+            let fresh: NvmImage = image.iter().map(|(&a, &v)| (a, v)).collect();
+            assert_eq!(
+                CrashChecker::new(&out).check_image(fresh),
+                Err(CheckFailure::Inconsistent(want))
+            );
+        }
+        let mut two = image.clone();
+        two.remove(&base);
+        let err = CrashChecker::new(&out).check_image(two).unwrap_err();
+        assert_eq!(err.inconsistency().map(|e| e.addr), Some(base + 8));
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Property tests for undo logging and recovery.
 
-use ede_isa::ArchConfig;
+use ede_isa::{ArchConfig, Op};
+use ede_mem::trace::{nvm_image_at, PersistEvent, PersistTrace, StoreEvent};
+use ede_nvm::cow::CowTxWriter;
 use ede_nvm::log::{
     checksum, decode_entry, header_word, resolve_marker, LogEntry, MAGIC, OFF_ADDR, OFF_CSUM,
     OFF_MAGIC, OFF_OLD, OFF_TXID,
 };
 use ede_nvm::recovery::NvmImage;
-use ede_nvm::redo::OFF_APPLIED;
+use ede_nvm::redo::{RedoTxWriter, OFF_APPLIED};
 use ede_nvm::triage::{recover, Protocol, RecoveryOutcome};
-use ede_nvm::{CrashChecker, Layout, TxWriter};
+use ede_nvm::{CheckFailure, ConsistencyError, CrashChecker, Layout, TxOutput, TxWriter};
 use ede_util::check::{self, any};
 use ede_util::{prop_assert, prop_assert_eq, prop_assume, property};
+use std::collections::HashMap;
 
 /// Undo or redo recovery the slow way: resolve the markers, probe every
 /// slot of the array, select and order the entries, apply them.
@@ -35,6 +38,134 @@ fn every_slot_reference(image: &NvmImage, layout: &Layout, protocol: Protocol) -
         out.insert(e.addr, e.old);
     }
     (committed, out)
+}
+
+/// The crash check before it kept its per-image work to the words a run
+/// touched: merge the whole preloaded pool into the image, recover, then
+/// compare every preloaded word and every written word against the
+/// committed prefix (under CoW, the written logical words, read through
+/// the recovered root). Reports the lowest mismatching address.
+fn merge_everything_check(
+    out: &TxOutput,
+    protocol: Protocol,
+    mut image: NvmImage,
+) -> Result<u64, CheckFailure> {
+    let initial: HashMap<u64, u64> = out.init_writes.iter().copied().collect();
+    for (&a, &v) in &initial {
+        image.entry(a).or_insert(v);
+    }
+    let report = recover(&mut image, &out.layout, protocol);
+    if let RecoveryOutcome::Unrecoverable { diagnosis } = report.outcome {
+        return Err(CheckFailure::Unrecoverable { diagnosis });
+    }
+    let committed = report.committed;
+    let writes = out.records.iter().flat_map(|r| r.writes.iter().map(|&(a, _, _)| a));
+    let (mut expected, mut addrs): (HashMap<u64, u64>, Vec<u64>) = match protocol {
+        Protocol::Cow(_) => (HashMap::new(), writes.collect()),
+        _ => (initial.clone(), initial.keys().copied().chain(writes).collect()),
+    };
+    for r in out.records.iter().take(committed as usize) {
+        for &(a, _, new) in &r.writes {
+            expected.insert(a, new);
+        }
+    }
+    addrs.sort_unstable();
+    addrs.dedup();
+    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+    let read = |a: u64| match protocol {
+        Protocol::Cow(meta) => rd(meta.physical(rd(meta.root_line), a, rd)),
+        _ => rd(a),
+    };
+    for addr in addrs {
+        let want = expected.get(&addr).copied().unwrap_or(0);
+        let got = read(addr);
+        if want != got {
+            return Err(ConsistencyError {
+                addr,
+                expected: want,
+                found: got,
+                committed_txid: committed,
+            }
+            .into());
+        }
+    }
+    Ok(committed)
+}
+
+/// A random run of `protocol` (0 undo, 1 redo, 2 CoW): a 16-word heap
+/// array with `init` preloaded (undo and redo; CoW preloads its tree),
+/// then one transaction per entry of `txs`, each writing `(word, value)`
+/// pairs (CoW: word `w` is logical slot `w / 8 % 8`, word `w % 8`).
+fn random_output(
+    protocol: u64,
+    init: &[(u64, u64)],
+    txs: &[Vec<(u64, u64)>],
+) -> (TxOutput, Protocol) {
+    let layout = Layout::standard();
+    let arch = ArchConfig::Baseline;
+    if protocol == 2 {
+        let mut tx = CowTxWriter::new(layout, arch, 8);
+        tx.finish_init();
+        for batch in txs {
+            tx.begin_tx();
+            for &(w, v) in batch {
+                tx.write(w / 8 % 8, w % 8, v);
+            }
+            tx.commit_tx();
+        }
+        let (out, meta) = tx.finish();
+        return (out, Protocol::Cow(meta));
+    }
+    macro_rules! run {
+        ($tx:expr, $protocol:expr) => {{
+            let mut tx = $tx;
+            let base = tx.heap_alloc(16 * 8, 64);
+            for &(w, v) in init {
+                tx.write_init(base + w % 16 * 8, v);
+            }
+            tx.finish_init();
+            for batch in txs {
+                tx.begin_tx();
+                for &(w, v) in batch {
+                    tx.write(base + w % 16 * 8, v);
+                }
+                tx.commit_tx();
+            }
+            (tx.finish(), $protocol)
+        }};
+    }
+    if protocol == 0 {
+        run!(TxWriter::new(layout, arch), Protocol::Undo)
+    } else {
+        run!(RedoTxWriter::new(layout, arch), Protocol::Redo)
+    }
+}
+
+/// The run as an in-order machine executes it, one instruction per
+/// cycle, with the persists whose bit is set in `dropped` (persist `i`
+/// reads bit `i % 64`) lost, as if they had not landed yet.
+fn in_order_trace(out: &TxOutput, dropped: u64) -> PersistTrace {
+    let mut t = PersistTrace::default();
+    let mut persists = 0;
+    for (id, inst) in out.program.iter() {
+        let cycle = id.index() as u64;
+        match inst.op {
+            Op::Str { addr, value, .. } => {
+                t.record_store(StoreEvent { cycle, addr, width: 8, value: [value, 0] });
+            }
+            Op::Stp { addr, values, .. } => {
+                t.record_store(StoreEvent { cycle, addr, width: 16, value: values });
+            }
+            Op::DcCvap { addr, .. } => {
+                if dropped >> (persists % 64) & 1 == 0 {
+                    t.record_persist(PersistEvent { cycle, line: addr & !63 });
+                }
+                persists += 1;
+            }
+            _ => {}
+        }
+    }
+    t
 }
 
 property! {
@@ -227,5 +358,45 @@ property! {
         });
         corrupted.record_persist(PersistEvent { cycle: cycle + 1, line: addr & !63 });
         prop_assert!(checker.check_at(&corrupted, cycle + 1).is_err());
+    }
+
+    /// The checker gives the same verdict as the merge-everything check
+    /// on crash images of random undo, redo and CoW runs: any prefix of an
+    /// in-order persist trace, some persists lost, and stray words written
+    /// over preloaded and unpreloaded addresses alike.
+    fn check_image_matches_the_merge_everything_check(
+        run in (0u64..3, check::vec((0u64..16, any::<u64>()), 0..10)),
+        txs in check::vec(check::vec((0u64..64, 1u64..1000), 1..4), 1..4),
+        crash in (0u64..1000, any::<u64>(), 0u64..3),
+        strays in check::vec((any::<u64>(), any::<u64>()), 0..4)
+    ) {
+        let (protocol, init) = run;
+        let (out, protocol) = random_output(protocol, &init, &txs);
+        let (at, mask, lossy) = crash;
+        let trace = in_order_trace(&out, if lossy == 0 { 0 } else { mask & mask.rotate_left(17) });
+        let cycle = trace.horizon() * at / 999;
+        let mut image = nvm_image_at(&trace, cycle, 64);
+        // Stray words: a preloaded word, a word the run stored, or one
+        // past the heap array no one wrote; half keep the value memory
+        // holds there, half take a random one.
+        let mut preloaded: Vec<u64> = out.init_writes.iter().map(|&(a, _)| a).collect();
+        preloaded.sort_unstable();
+        let mut stored: Vec<u64> = out.memory.iter().map(|(&a, _)| a).collect();
+        stored.sort_unstable();
+        for (pick, value) in strays {
+            let addr = match pick % 3 {
+                0 => preloaded[(pick / 3) as usize % preloaded.len()],
+                1 => stored[(pick / 3) as usize % stored.len()],
+                _ => out.layout.heap_base + 0x10_0000 + (pick / 3) % 8 * 8,
+            };
+            let value = if value % 2 == 0 { out.memory.read(addr) } else { value };
+            image.insert(addr, value);
+        }
+        let checker = CrashChecker::with_protocol(&out, protocol);
+        prop_assert_eq!(
+            checker.check_image(image.clone()),
+            merge_everything_check(&out, protocol, image),
+            "{:?} at cycle {}", protocol, cycle
+        );
     }
 }

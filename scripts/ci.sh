@@ -25,6 +25,20 @@ EDE_JOBS=2 cargo test --workspace -q --offline
 echo "==> cargo test ede-benchmark (standalone package)"
 cargo test --offline --release --manifest-path ede-benchmark/Cargo.toml
 
+# The benchmark at its full sizes: every workload, untraced and traced,
+# must exit 0. A run fails when a unit fails its check, when a sample's
+# digest drifts, or (traced) when the benchmark's own loop takes more
+# than 5 % of the traced wall; the package tests above reach those gates
+# only at their small test sizes.
+echo "==> ede-benchmark smoke (every workload at full sizes, --trace 0 and 1)"
+for workload in fig9 crash-sweep fuzz corrupt; do
+    for trace in 0 1; do
+        cargo run --offline --release -q --manifest-path ede-benchmark/Cargo.toml \
+            --bin ede-benchmark -- --workload "$workload" --seconds 0 --trace "$trace" \
+            > /dev/null
+    done
+done
+
 # Lint when the toolchain ships clippy (optional component; skipped
 # silently where absent so the gate stays runnable on minimal installs).
 if cargo clippy --version >/dev/null 2>&1; then
