@@ -9,7 +9,7 @@
 //!
 //! 1. **Pipeline sanity** — stage transitions are monotone per
 //!    instruction ([`check_stage_order`]) and retirement is exactly
-//!    program order ([`retire_order`]). Both read the tracer's stage
+//!    program order (`retire_order`). Both read the tracer's stage
 //!    events; a stream that dropped events fails the check rather than
 //!    passing on what is left.
 //! 2. **Execution dependences** (§IV) — no consumer takes effect before
@@ -161,7 +161,7 @@ impl RunOutputs {
 /// Instruction ids in the order they retired. Retirement is unique per
 /// instruction (squash precedes retire), so this is the committed
 /// architectural order — [`check_run`] asserts it is program order.
-pub fn retire_order(tracer: &Tracer) -> Vec<InstId> {
+fn retire_order(tracer: &Tracer) -> Vec<InstId> {
     tracer
         .stages()
         .filter(|&(_, _, stage)| stage == PipeStage::Retire)

@@ -173,7 +173,7 @@ pub fn diff_case_ff(
 
 /// Formats one per-worker progress report. Kept as a plain function so
 /// the CLI tests can pin the exact shape the fuzzer emits on stderr.
-pub fn progress_line(worker: usize, done: u32, total: u32, violations: u32) -> String {
+fn progress_line(worker: usize, done: u32, total: u32, violations: u32) -> String {
     format!("fuzz: worker {worker}: {done}/{total} cases, {violations} violations")
 }
 

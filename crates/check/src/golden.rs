@@ -164,7 +164,7 @@ pub fn run(program: &Program, cfg: &GoldenConfig) -> Result<GoldenRun, GoldenErr
 /// # Errors
 ///
 /// See [`run`].
-pub fn run_with_memory(
+fn run_with_memory(
     program: &Program,
     cfg: &GoldenConfig,
     init: impl IntoIterator<Item = (u64, u64)>,

@@ -252,17 +252,6 @@ pub fn render_events<'a>(
     out
 }
 
-/// `true` when the stream contains at least one stall of this cause —
-/// handy for asserting a litmus program exercises the path it names.
-pub fn has_stall<'a>(
-    events: impl IntoIterator<Item = &'a TraceEvent>,
-    cause: StallCause,
-) -> bool {
-    events.into_iter().any(|ev| {
-        matches!(ev.kind, TraceEventKind::Stall { cause: c, .. } if c == cause)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +320,10 @@ mod tests {
         )
         .unwrap();
         assert!(
-            has_stall(tr.events(), StallCause::EdkWait),
+            tr.events().any(|ev| matches!(
+                ev.kind,
+                TraceEventKind::Stall { cause: StallCause::EdkWait, .. }
+            )),
             "no EDK-key wait observed:\n{}",
             render_events(&p, tr.events())
         );

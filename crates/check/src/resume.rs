@@ -197,7 +197,7 @@ impl Checkpoint {
     }
 
     /// Units recorded done, quarantined included.
-    pub fn done_units(&self) -> u64 {
+    fn done_units(&self) -> u64 {
         self.done.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
@@ -492,7 +492,7 @@ impl RuntimeOptions {
     ///
     /// When the environment variable is set but not a number — a
     /// misconfigured CI job must fail loudly, not run unbounded.
-    pub fn effective_deadline(&self) -> Option<u64> {
+    fn effective_deadline(&self) -> Option<u64> {
         self.max_wall_secs.or_else(|| {
             std::env::var(DEADLINE_ENV).ok().map(|v| {
                 v.parse()

@@ -63,11 +63,6 @@ impl Edm {
             }
         }
     }
-
-    /// Number of live (bound) entries.
-    pub fn live_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
 }
 
 /// The execution dependences an instruction was found to consume at
@@ -255,7 +250,7 @@ mod tests {
         let mut edm = Edm::new();
         edm.define(Edk::ZERO, InstId(3));
         assert_eq!(edm.lookup(Edk::ZERO), None);
-        assert_eq!(edm.live_entries(), 0);
+        assert!(edm.entries.iter().all(Option::is_none));
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //!   master invariant in the simulator's property tests.
 //! * [`depgraph`] — the persist partial order closing the same edges,
 //!   enumerated by the exhaustive explorer.
-//! * [`calling_convention`] — caller-/callee-saved key classes and the
-//!   static checks of §IX-B (Figure 13).
 //!
 //! # Example
 //!
@@ -51,10 +49,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calling_convention;
 pub mod depgraph;
 pub mod edm;
-pub mod keyalloc;
 pub mod ordering;
 pub mod policy;
 

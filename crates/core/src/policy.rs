@@ -44,12 +44,6 @@ impl EnforcementPoint {
             _ => None,
         }
     }
-
-    /// Whether a consumer store/writeback may *issue* before its producer
-    /// completes under this policy.
-    pub fn allows_early_issue(self) -> bool {
-        matches!(self, EnforcementPoint::WriteBuffer)
-    }
 }
 
 impl fmt::Display for EnforcementPoint {
@@ -77,12 +71,6 @@ mod tests {
             EnforcementPoint::for_arch(ArchConfig::WriteBuffer),
             Some(EnforcementPoint::WriteBuffer)
         );
-    }
-
-    #[test]
-    fn early_issue() {
-        assert!(!EnforcementPoint::IssueQueue.allows_early_issue());
-        assert!(EnforcementPoint::WriteBuffer.allows_early_issue());
     }
 
     #[test]

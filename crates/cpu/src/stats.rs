@@ -64,12 +64,6 @@ impl IssueHistogram {
         }
     }
 
-    /// Fraction of cycles that issued at least one instruction ("active
-    /// cycles" in §VII-B).
-    pub fn active_fraction(&self) -> f64 {
-        1.0 - self.fraction(0)
-    }
-
     /// Mean instructions issued per *active* cycle.
     pub fn mean_issued_when_active(&self) -> f64 {
         let active: u64 = self.counts.iter().skip(1).sum();
@@ -119,7 +113,7 @@ mod tests {
         }
         h.record(2);
         h.record(4);
-        assert!((h.active_fraction() - 0.25).abs() < 1e-12);
+        assert!((h.fraction(0) - 0.75).abs() < 1e-12);
         assert!((h.mean_issued_when_active() - 3.0).abs() < 1e-12);
     }
 

@@ -145,19 +145,6 @@ impl TraceBuilder {
         dst
     }
 
-    /// `add dst, base, #off` into a fresh pinned register (pointer
-    /// arithmetic off an existing base).
-    pub fn lea_offset(&mut self, base: Reg, off: u64) -> Reg {
-        let dst = self.alloc();
-        self.pinned[dst.index() as usize] = true;
-        self.program.push(Inst::plain(Op::Add {
-            dst,
-            lhs: base,
-            imm: off,
-        }));
-        dst
-    }
-
     // ---- loads ----------------------------------------------------------
 
     /// `ldr dst, [base]`: loads `value` (trace-resolved) from `addr`.

@@ -4,27 +4,6 @@ use crate::edk::{Edk, EdkPair};
 use crate::reg::Reg;
 use crate::VAddr;
 
-/// Width of a memory access, in bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum MemWidth {
-    /// A single 64-bit word (`LDR`/`STR`).
-    W8,
-    /// A 16-byte pair (`STP`); always 16-byte aligned, so it never splits a
-    /// cache line (the property Figure 4 relies on to persist a log entry
-    /// with a single `DC CVAP`).
-    W16,
-}
-
-impl MemWidth {
-    /// The access width in bytes.
-    pub fn bytes(self) -> u64 {
-        match self {
-            MemWidth::W8 => 8,
-            MemWidth::W16 => 16,
-        }
-    }
-}
-
 /// The operation performed by an [`Inst`].
 ///
 /// Memory operations carry their *resolved* virtual address and data values:
@@ -167,18 +146,6 @@ pub enum InstKind {
     Nop,
 }
 
-/// The kind of memory access an instruction performs, with its resolved
-/// address. Returned by [`Inst::mem_access`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MemAccess {
-    /// Resolved virtual address.
-    pub addr: VAddr,
-    /// Access width.
-    pub width: MemWidth,
-    /// `true` for stores and writebacks, `false` for loads.
-    pub is_write: bool,
-}
-
 /// A fully-described trace instruction: an operation plus its EDE key pair.
 ///
 /// # Example
@@ -271,36 +238,6 @@ impl Inst {
             Op::DcCvap { base, .. } => [Some(base), None, None],
         };
         SrcRegs { raw, next: 0 }
-    }
-
-    /// The memory access this instruction performs, if any.
-    ///
-    /// `DC CVAP` is reported as a write of the full line-cleaning request;
-    /// its width is nominal (the memory system operates on whole lines).
-    pub fn mem_access(&self) -> Option<MemAccess> {
-        match self.op {
-            Op::Ldr { addr, .. } => Some(MemAccess {
-                addr,
-                width: MemWidth::W8,
-                is_write: false,
-            }),
-            Op::Str { addr, .. } => Some(MemAccess {
-                addr,
-                width: MemWidth::W8,
-                is_write: true,
-            }),
-            Op::Stp { addr, .. } => Some(MemAccess {
-                addr,
-                width: MemWidth::W16,
-                is_write: true,
-            }),
-            Op::DcCvap { addr, .. } => Some(MemAccess {
-                addr,
-                width: MemWidth::W8,
-                is_write: true,
-            }),
-            _ => None,
-        }
     }
 
     /// Whether this instruction is a dependence producer (defines a live
@@ -433,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn stp_reports_three_sources_and_16_bytes() {
+    fn stp_reports_three_sources() {
         let i = Inst::plain(Op::Stp {
             src1: x(0),
             src2: x(1),
@@ -442,9 +379,6 @@ mod tests {
             values: [1, 2],
         });
         assert_eq!(i.src_regs().count(), 3);
-        let a = i.mem_access().unwrap();
-        assert_eq!(a.width.bytes(), 16);
-        assert!(a.is_write);
     }
 
     #[test]
@@ -518,14 +452,5 @@ mod tests {
             imm: 8,
         });
         assert!(plain_alu.edks_permitted());
-    }
-
-    #[test]
-    fn fences_and_controls_have_no_mem_access() {
-        assert!(Inst::plain(Op::DsbSy).mem_access().is_none());
-        assert!(Inst::plain(Op::WaitAllKeys).mem_access().is_none());
-        assert!(Inst::plain(Op::Branch { mispredicted: false })
-            .mem_access()
-            .is_none());
     }
 }

@@ -54,7 +54,7 @@ pub mod reg;
 pub use arch::ArchConfig;
 pub use builder::TraceBuilder;
 pub use edk::{Edk, EdkPair, NUM_EDKS};
-pub use inst::{Inst, InstKind, MemWidth, Op};
+pub use inst::{Inst, InstKind, Op};
 pub use program::{InstId, Program};
 pub use reg::Reg;
 

@@ -89,13 +89,6 @@ impl Cache {
         self.sets[set].iter().any(|l| l.tag == tag)
     }
 
-    /// Whether the line containing `addr` is present and dirty.
-    pub fn is_dirty(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.sets[set].iter().any(|l| l.tag == tag && l.dirty)
-    }
-
     /// Looks up `addr`; on a hit, refreshes LRU and returns `true`.
     pub fn access(&mut self, addr: u64) -> bool {
         let set = self.set_of(addr);
@@ -168,19 +161,6 @@ impl Cache {
         }
     }
 
-    /// Removes the line containing `addr`, returning its dirtiness.
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let pos = self.sets[set].iter().position(|l| l.tag == tag)?;
-        Some(self.sets[set].remove(pos).dirty)
-    }
-
-    /// Total lines currently resident.
-    pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
     /// The line-aligned address for `addr` at this cache's line size.
     pub fn align(&self, addr: u64) -> u64 {
         self.line_addr(addr)
@@ -190,6 +170,13 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the line containing `addr` is present and dirty.
+    fn is_dirty(c: &Cache, addr: u64) -> bool {
+        let set = c.set_of(addr);
+        let tag = c.tag_of(addr);
+        c.sets[set].iter().any(|l| l.tag == tag && l.dirty)
+    }
 
     fn small() -> Cache {
         // 4 sets × 2 ways × 64 B = 512 B.
@@ -245,10 +232,10 @@ mod tests {
         let mut c = small();
         c.fill(0x40, false);
         assert!(c.fill(0x40, true).is_none());
-        assert!(c.is_dirty(0x40));
+        assert!(is_dirty(&c, 0x40));
         // Refilling clean does not clear dirtiness.
         assert!(c.fill(0x40, false).is_none());
-        assert!(c.is_dirty(0x40));
+        assert!(is_dirty(&c, 0x40));
     }
 
     #[test]
@@ -257,17 +244,8 @@ mod tests {
         c.fill(0x40, true);
         assert!(c.clean_line(0x40));
         assert!(c.contains(0x40));
-        assert!(!c.is_dirty(0x40));
+        assert!(!is_dirty(&c, 0x40));
         assert!(!c.clean_line(0x80)); // absent line
-    }
-
-    #[test]
-    fn invalidate() {
-        let mut c = small();
-        c.fill(0x40, true);
-        assert_eq!(c.invalidate(0x40), Some(true));
-        assert!(!c.contains(0x40));
-        assert_eq!(c.invalidate(0x40), None);
     }
 
     #[test]
@@ -285,15 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_count() {
-        let mut c = small();
-        assert_eq!(c.resident_lines(), 0);
-        c.fill(0x00, false);
-        c.fill(0x40, false);
-        assert_eq!(c.resident_lines(), 2);
-    }
-
-    #[test]
     fn table1_l1_shape_works() {
         let c = Cache::new(
             &CacheConfig {
@@ -303,7 +272,7 @@ mod tests {
             },
             64,
         );
-        assert_eq!(c.resident_lines(), 0);
+        assert!(!c.contains(0x12345));
         assert_eq!(c.align(0x12345), 0x12340);
     }
 }

@@ -140,11 +140,6 @@ impl MemConfig {
         addr >= self.nvm_base && addr < self.nvm_base + self.nvm_size
     }
 
-    /// Whether `addr` falls in the DRAM range.
-    pub fn is_dram(&self, addr: u64) -> bool {
-        addr >= self.dram_base && addr < self.dram_base + self.dram_size
-    }
-
     /// The cache-line-aligned address containing `addr`.
     pub fn line_of(&self, addr: u64) -> u64 {
         addr & !(self.line_bytes - 1)
@@ -178,7 +173,7 @@ mod tests {
     fn address_ranges_disjoint() {
         let cfg = MemConfig::a72_hybrid();
         assert!(cfg.dram_base + cfg.dram_size <= cfg.nvm_base);
-        assert!(cfg.is_dram(0x1000));
+        assert!((cfg.dram_base..cfg.dram_base + cfg.dram_size).contains(&0x1000));
         assert!(!cfg.is_nvm(0x1000));
         assert!(cfg.is_nvm(cfg.nvm_base + 0x1000));
     }

@@ -139,7 +139,7 @@ impl FaultInjection {
     }
 
     /// Whether the variant carries an `nth` occurrence parameter.
-    pub fn takes_nth(self) -> bool {
+    fn takes_nth(self) -> bool {
         matches!(
             self,
             FaultInjection::DropOneEdep { .. }

@@ -416,11 +416,6 @@ impl MemSystem {
         &self.stats
     }
 
-    /// Times the configured fault injection actually fired.
-    pub fn fault_hits(&self) -> u64 {
-        self.fault_hits
-    }
-
     /// Reports the system's counters into a metrics registry under
     /// `mem.*`: cache/device traffic, persist-stream event counts,
     /// fault-injection hits, and persist-buffer depth/throughput.

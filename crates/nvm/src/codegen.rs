@@ -7,7 +7,6 @@
 //! maintaining the functional memory state and the per-transaction write
 //! record the crash checker needs.
 
-use crate::heap::BumpHeap;
 use crate::layout::Layout;
 use crate::log::header_word;
 use crate::memory::SimMemory;
@@ -80,7 +79,6 @@ impl TxOutput {
 #[derive(Debug)]
 pub struct TxWriter {
     core: WriterCore,
-    vheap: BumpHeap,
     logged: HashSet<u64>,
     silent: bool,
     tx_phase_start: Option<InstId>,
@@ -92,16 +90,10 @@ impl TxWriter {
     pub fn new(layout: Layout, arch: ArchConfig) -> TxWriter {
         TxWriter {
             core: WriterCore::with_log(layout, arch),
-            vheap: BumpHeap::new(layout.dram_scratch + 64, 1 << 28),
             logged: HashSet::new(),
             silent: false,
             tx_phase_start: None,
         }
-    }
-
-    /// Instructions emitted so far.
-    pub fn trace_len(&self) -> usize {
-        self.core.emit.len()
     }
 
     // ---- allocation ------------------------------------------------------
@@ -113,15 +105,6 @@ impl TxWriter {
     /// Panics when the heap is exhausted.
     pub fn heap_alloc(&mut self, size: u64, align: u64) -> VAddr {
         self.core.heap_alloc(size, align)
-    }
-
-    /// Allocates volatile (DRAM) scratch space.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scratch region is exhausted.
-    pub fn volatile_alloc(&mut self, size: u64, align: u64) -> VAddr {
-        self.vheap.alloc(size, align).expect("scratch exhausted")
     }
 
     // ---- initialization phase ---------------------------------------------
@@ -173,16 +156,6 @@ impl TxWriter {
         let value = self.core.mem.read(addr);
         if !self.silent {
             self.core.emit.load(addr, value);
-        }
-        value
-    }
-
-    /// Reads through an already-materialized base register (cheaper inner
-    /// loops for workloads that keep a node pointer live).
-    pub fn read_via(&mut self, base: ede_isa::Reg, addr: VAddr) -> u64 {
-        let value = self.core.mem.read(addr);
-        if !self.silent {
-            self.core.emit.load_from(base, addr, value);
         }
         value
     }
@@ -252,14 +225,6 @@ impl TxWriter {
         self.emit_update_value(addr, new, consumer_key);
         self.core.record(addr, old, new);
         self.core.mem.write(addr, new);
-    }
-
-    /// An unlogged volatile write (DRAM scratch).
-    pub fn write_volatile(&mut self, addr: VAddr, value: u64) {
-        self.core.mem.write(addr, value);
-        if !self.silent {
-            self.core.emit.store(addr, value);
-        }
     }
 
     /// `log_value` (Figure 2a / 7a): reserve a slot, store the entry,
@@ -453,12 +418,12 @@ mod tests {
         tx.write_init(a, 0);
         tx.finish_init();
         tx.begin_tx();
-        let before = tx.trace_len();
+        let before = tx.core.emit.len();
         tx.write(a, 1);
-        let first = tx.trace_len() - before;
-        let mid = tx.trace_len();
+        let first = tx.core.emit.len() - before;
+        let mid = tx.core.emit.len();
         tx.write(a, 2);
-        let second = tx.trace_len() - mid;
+        let second = tx.core.emit.len() - mid;
         tx.commit_tx();
         let _ = tx.finish();
         assert!(second < first, "second write must skip log_value");

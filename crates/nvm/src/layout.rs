@@ -74,11 +74,6 @@ impl Layout {
     pub fn slot_addr(&self, i: u64) -> u64 {
         self.log_base + (i % self.log_slots) * 64
     }
-
-    /// Whether `addr` lies inside the undo-log region (header included).
-    pub fn in_log(&self, addr: u64) -> bool {
-        addr >= self.log_header && addr < self.heap_base
-    }
 }
 
 impl Default for Layout {
@@ -109,15 +104,5 @@ mod tests {
         let l = Layout::standard();
         assert_eq!(l.slot_addr(l.log_slots), l.slot_addr(0));
         assert_eq!(l.slot_addr(l.log_slots + 3), l.slot_addr(3));
-    }
-
-    #[test]
-    fn in_log_classification() {
-        let l = Layout::standard();
-        assert!(l.in_log(l.log_header));
-        assert!(l.in_log(l.slot_addr(100)));
-        assert!(l.in_log(l.log_header_twin));
-        assert!(!l.in_log(l.heap_base));
-        assert!(!l.in_log(l.dram_scratch));
     }
 }

@@ -69,9 +69,8 @@ impl Fig9 {
 /// `cfg.jobs` pool workers with **no early abort**: every cell runs, and
 /// each cell's outcome — a result or a typed [`SimError`] — is recorded
 /// in cell order. A deadlocked or over-budget cell costs one `Err`
-/// entry, not the sweep; fault-injection campaigns and robustness sweeps
-/// consume this directly.
-pub fn run_cells_recorded(
+/// entry, not the sweep.
+fn run_cells_recorded(
     cfg: &ExperimentConfig,
     suite: &[Box<dyn Workload>],
     cells: &[(usize, ArchConfig)],

@@ -632,90 +632,6 @@ where
     }
 }
 
-/// Runs `body` against `cfg.cases` generated inputs across `jobs` pool
-/// workers (0 = auto, 1 = identical to [`run`]) — the opt-in parallel
-/// case runner.
-///
-/// Strategies hold `Rc` internals and cannot cross threads, so each
-/// worker builds its own instance via `strat_fn`; per-case seeds come
-/// from the same `SplitMix64` stream as [`run`], partitioned by index
-/// with O(1) jumps, so every worker count generates the same cases.
-/// Two deliberate semantic differences from [`run`]:
-///
-/// * the case budget counts **seed indices**, not passing cases: inputs
-///   rejected by [`prop_assume!`](crate::prop_assume) are skipped, not
-///   redrawn (the runner panics if more than half the budget is
-///   rejected);
-/// * on any failure the whole property is **replayed sequentially**, so
-///   the shrunk counterexample and the failure report are byte-identical
-///   to a `jobs = 1` run.
-///
-/// # Panics
-///
-/// Panics (failing the test) on the first property violation, with the
-/// sequential runner's canonical report.
-pub fn run_parallel<S, SF, F>(name: &str, cfg: &Config, jobs: usize, strat_fn: SF, body: F)
-where
-    S: Strategy,
-    S::Value: Send,
-    SF: Fn() -> S + Sync,
-    F: Fn(S::Value) -> CaseResult + Sync,
-{
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let pool = crate::pool::Pool::new(jobs);
-    let workers = pool.jobs().min(cfg.cases.max(1) as usize) as u32;
-    if workers <= 1 {
-        return run(name, cfg, &strat_fn(), body);
-    }
-    install_quiet_hook();
-    let failed = AtomicBool::new(false);
-    let rejected = AtomicU64::new(0);
-    let chunk = cfg.cases.div_ceil(workers);
-    pool.run(workers as usize, |w| {
-        let lo = w as u32 * chunk;
-        let hi = (lo + chunk).min(cfg.cases);
-        let strat = strat_fn();
-        let mut seeds = SplitMix64::new(mix64(cfg.seed));
-        seeds.jump(u64::from(lo));
-        for _ in lo..hi {
-            if failed.load(Ordering::Acquire) {
-                break;
-            }
-            let mut rng = SmallRng::seed_from_u64(seeds.next_u64());
-            let sh = strat.generate(&mut rng);
-            match run_case(&body, sh.value) {
-                Ok(()) => {}
-                Err(CaseError::Reject) => {
-                    rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(CaseError::Fail(_)) => {
-                    failed.store(true, Ordering::Release);
-                    break;
-                }
-            }
-        }
-    });
-    if failed.load(Ordering::Acquire) {
-        // Re-derive the canonical (sequential) report: the sequential
-        // scan visits a superset of the parallel seed indices, so it
-        // finds the same — or an earlier — failing case and panics with
-        // the byte-identical `jobs = 1` report.
-        run(name, cfg, &strat_fn(), body);
-        panic!(
-            "property '{name}' failed under the parallel runner but passed sequential \
-             replay — the body is nondeterministic"
-        );
-    }
-    let rejected = rejected.load(Ordering::Relaxed);
-    assert!(
-        rejected * 2 <= u64::from(cfg.cases),
-        "property '{name}': {rejected} of {} inputs rejected by prop_assume! — \
-         generator and precondition are incompatible",
-        cfg.cases
-    );
-}
-
 fn shrink<S, F>(
     cfg: &Config,
     body: &F,
@@ -1105,63 +1021,6 @@ mod tests {
             });
         });
         assert!(msg.contains("panic: plain assert 50"), "shrunk to 50:\n{msg}");
-    }
-
-    #[test]
-    fn parallel_runner_runs_every_case_on_pass() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let cfg = Config {
-            cases: 64,
-            seed: 5,
-            max_shrink_iters: 64,
-        };
-        let hits = AtomicU32::new(0);
-        run_parallel("par_pass", &cfg, 4, || (0u8..10,), |(v,)| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            prop_assert!(v < 10);
-            Ok(())
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn parallel_runner_failure_report_is_canonical() {
-        // The parallel runner must fail with the byte-identical report a
-        // sequential run produces (same minimal input, same replay line).
-        let cfg = Config {
-            cases: 200,
-            seed: 99,
-            max_shrink_iters: 2048,
-        };
-        let body = |(xs,): (Vec<u32>,)| {
-            prop_assert!(xs.len() < 3, "len {}", xs.len());
-            Ok(())
-        };
-        let seq_msg = expect_failure(|| {
-            run("par_shrink_demo", &cfg, &(vec(0u32..100, 0..20),), body);
-        });
-        for jobs in [2, 4, 7] {
-            let par_msg = expect_failure(|| {
-                run_parallel("par_shrink_demo", &cfg, jobs, || (vec(0u32..100, 0..20),), body);
-            });
-            assert_eq!(seq_msg, par_msg, "jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_runner_flags_incompatible_precondition() {
-        let cfg = Config {
-            cases: 40,
-            seed: 3,
-            max_shrink_iters: 16,
-        };
-        let msg = expect_failure(|| {
-            run_parallel("par_reject", &cfg, 4, || (1u8..100,), |(v,)| {
-                prop_assume!(v == 1);
-                Ok(())
-            });
-        });
-        assert!(msg.contains("incompatible"), "got: {msg}");
     }
 
     property! {

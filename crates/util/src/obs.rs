@@ -76,7 +76,7 @@ impl Log2Histogram {
     }
 
     /// The bucket index a value falls into.
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -85,7 +85,7 @@ impl Log2Histogram {
     }
 
     /// The inclusive lower bound of bucket `i`.
-    pub fn bucket_floor(i: usize) -> u64 {
+    fn bucket_floor(i: usize) -> u64 {
         if i == 0 {
             0
         } else {
@@ -166,7 +166,7 @@ impl Log2Histogram {
     }
 
     /// Non-empty buckets as `(bucket_index, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -218,22 +218,6 @@ impl Registry {
         {
             Metric::Counter(c) => *c += by,
             other => panic!("metric {name} is a {}, not a counter", kind_name(other)),
-        }
-    }
-
-    /// Sets the gauge `name` to `value`, overwriting.
-    ///
-    /// # Panics
-    ///
-    /// If `name` already holds a non-gauge metric.
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Gauge(value))
-        {
-            Metric::Gauge(g) => *g = value,
-            other => panic!("metric {name} is a {}, not a gauge", kind_name(other)),
         }
     }
 
@@ -292,14 +276,6 @@ impl Registry {
     pub fn counter(&self, name: &str) -> u64 {
         match self.metrics.get(name) {
             Some(Metric::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
-    /// The gauge `name`, 0 when absent.
-    pub fn gauge(&self, name: &str) -> i64 {
-        match self.metrics.get(name) {
-            Some(Metric::Gauge(g)) => *g,
             _ => 0,
         }
     }
@@ -603,8 +579,7 @@ pub mod json {
     /// # Errors
     ///
     /// A human-readable description with the byte offset of the problem
-    /// (the stringified [`ParseError`]; use [`try_parse`] for the typed
-    /// form).
+    /// (the stringified [`ParseError`]).
     pub fn parse(input: &str) -> Result<Json, String> {
         try_parse(input).map_err(|e| e.to_string())
     }
@@ -615,7 +590,7 @@ pub mod json {
     ///
     /// [`ParseError::TooDeep`] when nesting exceeds [`MAX_DEPTH`];
     /// [`ParseError::Invalid`] for every other malformation.
-    pub fn try_parse(input: &str) -> Result<Json, ParseError> {
+    pub(super) fn try_parse(input: &str) -> Result<Json, ParseError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
         let value = parse_value(bytes, &mut pos, 0)?;
@@ -937,12 +912,12 @@ mod tests {
         let mut reg = Registry::new();
         reg.inc("a", 2);
         reg.inc("a", 3);
-        reg.set_gauge("g", -4);
+        reg.set_gauge_max("g", -4);
         reg.set_gauge_max("g", 7);
         reg.set_gauge_max("g", 5);
         reg.observe("h", 9);
         assert_eq!(reg.counter("a"), 5);
-        assert_eq!(reg.gauge("g"), 7);
+        assert_eq!(reg.metrics.get("g"), Some(&Metric::Gauge(7)));
         assert_eq!(reg.histogram("h").unwrap().count(), 1);
         assert_eq!(reg.counter("missing"), 0);
         assert_eq!(reg.len(), 3);
@@ -952,11 +927,11 @@ mod tests {
     fn merge_is_commutative() {
         let mut a = Registry::new();
         a.inc("c", 1);
-        a.set_gauge("g", 10);
+        a.set_gauge_max("g", 10);
         a.observe("h", 2);
         let mut b = Registry::new();
         b.inc("c", 4);
-        b.set_gauge("g", 3);
+        b.set_gauge_max("g", 3);
         b.observe("h", 100);
         b.inc("only_b", 1);
 
@@ -966,7 +941,7 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.counter("c"), 5);
-        assert_eq!(ab.gauge("g"), 10);
+        assert_eq!(ab.metrics.get("g"), Some(&Metric::Gauge(10)));
         assert_eq!(ab.histogram("h").unwrap().count(), 2);
         assert_eq!(ab.counter("only_b"), 1);
     }
@@ -986,7 +961,7 @@ mod tests {
         let mut reg = Registry::new();
         reg.observe("z.hist", 5);
         reg.inc("a.counter", 1);
-        reg.set_gauge("m.gauge", -2);
+        reg.set_gauge_max("m.gauge", -2);
         let doc = reg.to_json();
         // Name order, not insertion order.
         let a = doc.find("a.counter").unwrap();

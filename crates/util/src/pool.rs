@@ -3,22 +3,22 @@
 //!
 //! Every sweep and fuzz campaign in this workspace is a list of fully
 //! independent jobs (workload × configuration cells, seeded fuzz cases,
-//! property-test cases). [`Pool::run`] fans such a list out over
+//! campaign units). [`Pool::run`] fans such a list out over
 //! `std::thread::scope` workers and reassembles the results **in
 //! submission order**, so the output of a parallel run is bit-identical
 //! to a sequential one — the determinism contract every caller's tests
 //! rely on (see DESIGN.md "Parallel execution").
 //!
 //! * **Job count** — explicit, or 0 for auto: the `EDE_JOBS` environment
-//!   variable if set, else the host parallelism ([`resolve_jobs`]).
+//!   variable if set, else the host parallelism (`resolve_jobs`).
 //! * **Work distribution** — an atomic cursor hands indices to workers
 //!   dynamically; results travel back over an mpsc channel tagged with
 //!   their index, so scheduling never affects output order.
-//! * **Panic handling** — selected per call by [`PoolPolicy`]:
-//!   [`PoolPolicy::Propagate`] (the [`Pool::run`] default) poisons the
+//! * **Panic handling** — selected per call by `PoolPolicy`:
+//!   `PoolPolicy::Propagate` ([`Pool::run`]) poisons the
 //!   pool on the first panic (no new jobs start) and re-raises the panic
 //!   with the **lowest job index** on the caller, annotated with the
-//!   unit and worker indices. [`PoolPolicy::Quarantine`]
+//!   unit and worker indices. `PoolPolicy::Quarantine`
 //!   ([`Pool::run_quarantined`]) `catch_unwind`s every work item
 //!   instead: panics become [`UnitPanic`] values in the result vector,
 //!   the pool is never poisoned, and every remaining unit still runs —
@@ -52,7 +52,7 @@ use std::sync::mpsc;
 ///
 /// Panics if `EDE_JOBS` is set but is not a non-negative integer, so a
 /// typo in CI never silently serializes (or over-subscribes) a campaign.
-pub fn resolve_jobs(requested: usize) -> usize {
+fn resolve_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
@@ -77,7 +77,7 @@ fn auto_jobs(env_jobs: Option<&str>) -> usize {
 
 /// How a pool call treats a panicking work item.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PoolPolicy {
+enum PoolPolicy {
     /// Poison the pool on the first panic and re-raise the panic with
     /// the lowest unit index on the caller (the classic fail-fast
     /// behavior of [`Pool::run`]).
@@ -127,8 +127,8 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Creates a pool with `jobs` workers (0 = auto, see
-    /// [`resolve_jobs`]).
+    /// Creates a pool with `jobs` workers (0 = auto: `EDE_JOBS`, else
+    /// the host parallelism).
     pub fn new(jobs: usize) -> Pool {
         Pool {
             jobs: resolve_jobs(jobs),
@@ -182,7 +182,7 @@ impl Pool {
     /// panic policy. Under [`PoolPolicy::Propagate`] the returned vector
     /// contains only `Ok` entries (the lowest-index panic is re-raised
     /// instead of returned).
-    pub fn run_policy<T, F>(&self, n: usize, policy: PoolPolicy, f: F) -> Vec<Result<T, UnitPanic>>
+    fn run_policy<T, F>(&self, n: usize, policy: PoolPolicy, f: F) -> Vec<Result<T, UnitPanic>>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,

@@ -96,11 +96,6 @@ impl SmallRng {
         result
     }
 
-    /// Returns the next 32 random bits (upper half of a 64-bit step).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Samples a uniformly distributed value of type `T`.
     ///
     /// Integers cover their whole domain; `f64` is uniform in `[0, 1)`
@@ -137,15 +132,6 @@ impl SmallRng {
         for i in (1..slice.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             slice.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element, or `None` if `slice` is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len() as u64) as usize])
         }
     }
 
@@ -357,13 +343,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_fill_bytes() {
+    fn fill_bytes_randomizes_the_buffer() {
         let mut rng = SmallRng::seed_from_u64(6);
-        assert_eq!(rng.choose::<u8>(&[]), None);
-        let xs = [1u8, 2, 3];
-        for _ in 0..20 {
-            assert!(xs.contains(rng.choose(&xs).expect("nonempty")));
-        }
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0), "13 zero bytes is 2^-104");

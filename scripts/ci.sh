@@ -9,11 +9,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every `pub fn` under crates/*/src must be named in some other file;
+# a function only its own file uses is deleted or made private (see the
+# script header for the allowlist rules).
+echo "==> unused pub fn scan"
+scripts/unused_pub.sh
+
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
-# EDE_JOBS=2 exercises the parallel fan-out (figure sweeps, fuzz scans,
-# property-case runners) even on single-core runners; every output is
+# EDE_JOBS=2 exercises the parallel fan-out (figure sweeps and campaign
+# scans) even on single-core runners; every output is
 # bit-identical to a sequential run by the pool's determinism contract
 # (see DESIGN.md "Parallel execution").
 echo "==> cargo test --offline (EDE_JOBS=2)"

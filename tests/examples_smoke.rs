@@ -18,7 +18,7 @@ mod quickstart;
 
 // The `main` wrappers below are entry points for `cargo run --example`,
 // not for this harness — only `run()` is called here (and `main` is a
-// one-line `run()` call, so exercising all six would double the suite's
+// one-line `run()` call, so exercising all five would double the suite's
 // runtime for no extra coverage; `example_mains_still_run` keeps one).
 #[path = "../examples/undo_logging.rs"]
 #[allow(dead_code)]
@@ -35,10 +35,6 @@ mod hazard_pointer;
 #[path = "../examples/crash_recovery.rs"]
 #[allow(dead_code)]
 mod crash_recovery;
-
-#[path = "../examples/key_virtualization.rs"]
-#[allow(dead_code)]
-mod key_virtualization;
 
 /// Every example result must be substantive and fully explained.
 fn assert_nontrivial(example: &str, results: &[RunResult]) {
@@ -90,11 +86,6 @@ fn hazard_pointer_runs() {
 #[test]
 fn crash_recovery_runs() {
     assert_nontrivial("crash_recovery", &crash_recovery::run());
-}
-
-#[test]
-fn key_virtualization_runs() {
-    assert_nontrivial("key_virtualization", &key_virtualization::run());
 }
 
 /// The thin `main` wrappers stay exercised too (they are the
