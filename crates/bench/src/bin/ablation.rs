@@ -28,15 +28,22 @@ fn main() {
             .expect("run completes")
             .tx_cycles
     };
-    println!("ablations, {} ops — tx-phase cycles per variant\n", cfg.params.ops);
+    println!(
+        "ablations, {} ops — tx-phase cycles per variant\n",
+        cfg.params.ops
+    );
 
     // 1 (§V-B): the enforcement point. The same EDE trace on IQ vs WB
     // hardware isolates the issue-queue-stall vs write-buffer-stall
     // difference of Figure 8.
     table(
         "ablation_enforcement",
-        [ArchConfig::IssueQueue, ArchConfig::WriteBuffer]
-            .map(|arch| (format!("btree/{}", arch.label()), tx_cycles(&BTree, arch, &|_| {}))),
+        [ArchConfig::IssueQueue, ArchConfig::WriteBuffer].map(|arch| {
+            (
+                format!("btree/{}", arch.label()),
+                tx_cycles(&BTree, arch, &|_| {}),
+            )
+        }),
     );
 
     // 2: persist-buffer write coalescing. A one-cache-line NVM device
@@ -45,7 +52,9 @@ fn main() {
     table(
         "ablation_coalescing",
         [("256B-line", 256u64), ("64B-line", 64)].map(|(label, line)| {
-            let cycles = tx_cycles(&Update, ArchConfig::Unsafe, &|s| s.mem.nvm_line_bytes = line);
+            let cycles = tx_cycles(&Update, ArchConfig::Unsafe, &|s| {
+                s.mem.nvm_line_bytes = line
+            });
             (format!("update-U/{label}"), cycles)
         }),
     );
@@ -55,7 +64,9 @@ fn main() {
     table(
         "ablation_media_writers",
         [2usize, 6, 16].map(|writers| {
-            let cycles = tx_cycles(&Update, ArchConfig::Unsafe, &|s| s.mem.media_writers = writers);
+            let cycles = tx_cycles(&Update, ArchConfig::Unsafe, &|s| {
+                s.mem.media_writers = writers
+            });
             (format!("update-U/{writers}w"), cycles)
         }),
     );
@@ -65,7 +76,9 @@ fn main() {
     table(
         "ablation_wb_depth",
         [4usize, 16, 64].map(|entries| {
-            let cycles = tx_cycles(&BTree, ArchConfig::WriteBuffer, &|s| s.cpu.wb_entries = entries);
+            let cycles = tx_cycles(&BTree, ArchConfig::WriteBuffer, &|s| {
+                s.cpu.wb_entries = entries
+            });
             (format!("btree-WB/{entries}e"), cycles)
         }),
     );
@@ -76,8 +89,9 @@ fn main() {
     table(
         "ablation_prefetch",
         [0usize, 2].map(|depth| {
-            let cycles =
-                tx_cycles(&Update, ArchConfig::Baseline, &|s| s.mem.prefetch_next_lines = depth);
+            let cycles = tx_cycles(&Update, ArchConfig::Baseline, &|s| {
+                s.mem.prefetch_next_lines = depth
+            });
             (format!("update-B/{depth}lines"), cycles)
         }),
     );

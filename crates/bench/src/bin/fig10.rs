@@ -8,7 +8,10 @@ use ede_sim::{experiment::fig10, report};
 
 fn main() {
     let cfg = ede_bench::experiment_from_env();
-    eprintln!("running fig10: {} ops per app (EDE_OPS to change)…", cfg.params.ops);
+    eprintln!(
+        "running fig10: {} ops per app (EDE_OPS to change)…",
+        cfg.params.ops
+    );
     let f = fig10(&cfg).expect("runs complete");
     if std::env::var("EDE_JSON").is_ok() {
         println!("{}", report::fig10_json(&f));
@@ -23,7 +26,9 @@ fn main() {
     for app in apps {
         println!("  {app}:");
         for arch in ArchConfig::ALL {
-            let Some(cell) = f.cell(&app, arch) else { continue };
+            let Some(cell) = f.cell(&app, arch) else {
+                continue;
+            };
             let total: u64 = cell.histogram.iter().sum();
             if total == 0 {
                 println!("    {:3}  (no samples)", arch.label());

@@ -7,7 +7,10 @@ use ede_sim::{experiment::fig11, report};
 
 fn main() {
     let cfg = ede_bench::experiment_from_env();
-    eprintln!("running fig11: {} ops per app (EDE_OPS to change)…", cfg.params.ops);
+    eprintln!(
+        "running fig11: {} ops per app (EDE_OPS to change)…",
+        cfg.params.ops
+    );
     let f = fig11(&cfg).expect("runs complete");
     if std::env::var("EDE_JSON").is_ok() {
         println!("{}", report::fig11_json(&f));

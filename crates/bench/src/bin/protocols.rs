@@ -8,8 +8,8 @@ use ede_nvm::cow::cow_update_kernel;
 use ede_nvm::redo::redo_update_kernel;
 use ede_nvm::triage::Protocol;
 use ede_nvm::CrashChecker;
-use ede_sim::runner::run_program;
 use ede_sim::run_workload;
+use ede_sim::runner::run_program;
 use ede_workloads::update::Update;
 
 fn dsbs(p: &Program) -> usize {
@@ -24,9 +24,7 @@ fn main() {
     let elems = cfg.params.array_elems;
     eprintln!("running undo vs redo vs CoW on the update kernel: {ops} ops…");
 
-    println!(
-        "update kernel, {ops} ops — cycles / DSB count / crash-safe (✓ or ✗)\n"
-    );
+    println!("update kernel, {ops} ops — cycles / DSB count / crash-safe (✓ or ✗)\n");
     println!(
         "  {:4} {:>16} {:>16} {:>16}",
         "cfg", "undo logging", "redo logging", "copy-on-write"

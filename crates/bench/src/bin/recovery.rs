@@ -23,8 +23,7 @@ fn main() {
     let mut params = cfg.params;
     params.ops = params.ops.min(300);
     eprintln!("running a baseline run to crash ({} ops)…", params.ops);
-    let r = run_workload(&Update, &params, ArchConfig::Baseline, &cfg.sim)
-        .expect("run completes");
+    let r = run_workload(&Update, &params, ArchConfig::Baseline, &cfg.sim).expect("run completes");
 
     // Crash in the middle of the transaction phase; merge the initial
     // pool contents exactly as the crash checker does (the superblock
@@ -46,8 +45,13 @@ fn main() {
         l.log_slots = slots;
         let trace = recovery_trace(&pristine, &l);
         let insts = trace.len();
-        let rr = run_program("recovery", raw_output(trace), ArchConfig::Baseline, &cfg.sim)
-            .expect("recovery runs");
+        let rr = run_program(
+            "recovery",
+            raw_output(trace),
+            ArchConfig::Baseline,
+            &cfg.sim,
+        )
+        .expect("recovery runs");
         println!("  {:>9} {:>12} {:>12}", slots, insts, rr.cycles);
     }
 }

@@ -16,8 +16,7 @@ fn main() {
     );
     for w in standard_suite() {
         for arch in ArchConfig::ALL {
-            let r = run_workload(w.as_ref(), &cfg.params, arch, &cfg.sim)
-                .expect("run completes");
+            let r = run_workload(w.as_ref(), &cfg.params, arch, &cfg.sim).expect("run completes");
             let d = r.attribution.stage(StageId::Dispatch);
             println!(
                 "{:8} {:3} {:>9} {:>6.2} {:>8} {:>8} {:>8} {:>8} {:>7} {:>6.1}% {:>7}",

@@ -679,7 +679,10 @@ fn run_trace(args: &[String]) -> Option<ExitCode> {
         }
     }
     let program = litmus::program(&name).or_else(|| {
-        eprintln!("unknown litmus program {name:?} (have: {})", litmus::NAMES.join(", "));
+        eprintln!(
+            "unknown litmus program {name:?} (have: {})",
+            litmus::NAMES.join(", ")
+        );
         None
     })?;
     let mut sim = SimConfig::a72();
@@ -696,7 +699,10 @@ fn run_trace(args: &[String]) -> Option<ExitCode> {
         std::process::exit(1);
     });
     if !quiet {
-        println!("== {name} on {arch}: {} cycles, {} retired ==", result.cycles, result.retired);
+        println!(
+            "== {name} on {arch}: {} cycles, {} retired ==",
+            result.cycles, result.retired
+        );
         print!("{}", litmus::render_events(&program, tracer.events()));
     }
     if let Some(path) = &metrics_path {

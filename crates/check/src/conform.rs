@@ -63,7 +63,10 @@ pub fn check_run(result: &RunResult, tracer: &Tracer, golden: &GoldenRun) -> Vec
             diffs.push(format!("stage order: {e}"));
         }
         let retired = retire_order(tracer);
-        let in_program_order = retired.iter().zip(retired.iter().skip(1)).all(|(a, b)| a < b);
+        let in_program_order = retired
+            .iter()
+            .zip(retired.iter().skip(1))
+            .all(|(a, b)| a < b);
         if retired.len() != program.len() || !in_program_order {
             diffs.push(format!(
                 "retirement: {} events (program has {}), in order: {}",
@@ -154,7 +157,11 @@ impl RunOutputs {
         let image = nvm_image_at(&result.trace, result.trace.horizon(), 64)
             .into_iter()
             .collect();
-        RunOutputs { store_seqs, persist_counts, image }
+        RunOutputs {
+            store_seqs,
+            persist_counts,
+            image,
+        }
     }
 }
 
@@ -194,7 +201,11 @@ fn retire_order(tracer: &Tracer) -> Vec<InstId> {
 /// assert!(check_stage_order(&tracer).is_ok());
 /// ```
 pub fn check_stage_order(tracer: &Tracer) -> Result<(), String> {
-    let n = tracer.stages().map(|(_, id, _)| id.index() + 1).max().unwrap_or(0);
+    let n = tracer
+        .stages()
+        .map(|(_, id, _)| id.index() + 1)
+        .max()
+        .unwrap_or(0);
     // Keep only each instruction's final incarnation: drop everything
     // at or before its last Squash event.
     let mut last_squash: Vec<Option<usize>> = vec![None; n];
@@ -248,7 +259,13 @@ mod tests {
     fn stream(events: &[(u64, u64, PipeStage)]) -> Tracer {
         let mut tracer = Tracer::new(TracerConfig::STAGES);
         for &(cycle, id, stage) in events {
-            tracer.push(TraceEvent { cycle, kind: TraceEventKind::Stage { id: InstId(id), stage } });
+            tracer.push(TraceEvent {
+                cycle,
+                kind: TraceEventKind::Stage {
+                    id: InstId(id),
+                    stage,
+                },
+            });
         }
         tracer
     }
@@ -270,7 +287,11 @@ mod tests {
 
     #[test]
     fn clean_run_has_no_diffs() {
-        for arch in [ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
+        for arch in [
+            ArchConfig::Baseline,
+            ArchConfig::IssueQueue,
+            ArchConfig::WriteBuffer,
+        ] {
             let (result, tracer, golden) = clean_case(arch);
             let diffs = check_run(&result, &tracer, &golden);
             assert!(diffs.is_empty(), "{arch}: {diffs:?}");
@@ -322,7 +343,13 @@ mod tests {
             (3, 0, PipeStage::Retire),
         ]);
         assert_eq!(retire_order(&tracer), vec![InstId(1), InstId(0)]);
-        assert_eq!(tracer.stages().filter(|&(_, _, s)| s == PipeStage::Dispatch).count(), 1);
+        assert_eq!(
+            tracer
+                .stages()
+                .filter(|&(_, _, s)| s == PipeStage::Dispatch)
+                .count(),
+            1
+        );
     }
 
     #[test]
@@ -330,19 +357,34 @@ mod tests {
         let (result, tracer, golden) = clean_case(ArchConfig::WriteBuffer);
         let mut swapped = Tracer::new(TracerConfig::STAGES);
         let mut retires = tracer.events().filter(|e| {
-            matches!(e.kind, TraceEventKind::Stage { stage: PipeStage::Retire, .. })
+            matches!(
+                e.kind,
+                TraceEventKind::Stage {
+                    stage: PipeStage::Retire,
+                    ..
+                }
+            )
         });
         let (first, second) = (*retires.next().unwrap(), *retires.next().unwrap());
         for ev in tracer.events() {
             // Swap which instruction each of the first two retirements names.
             swapped.push(match *ev {
-                e if e == first => TraceEvent { kind: second.kind, ..e },
-                e if e == second => TraceEvent { kind: first.kind, ..e },
+                e if e == first => TraceEvent {
+                    kind: second.kind,
+                    ..e
+                },
+                e if e == second => TraceEvent {
+                    kind: first.kind,
+                    ..e
+                },
                 e => e,
             });
         }
         let diffs = check_run(&result, &swapped, &golden);
-        assert!(diffs.iter().any(|d| d.contains("in order: false")), "{diffs:?}");
+        assert!(
+            diffs.iter().any(|d| d.contains("in order: false")),
+            "{diffs:?}"
+        );
     }
 
     #[test]

@@ -134,8 +134,12 @@ impl CorruptionKind {
             None => (s, None),
         };
         Some(match name {
-            "bit-flip" => CorruptionKind::BitFlip { count: count.unwrap_or(1) },
-            "torn-word" => CorruptionKind::TornWord { count: count.unwrap_or(1) },
+            "bit-flip" => CorruptionKind::BitFlip {
+                count: count.unwrap_or(1),
+            },
+            "torn-word" => CorruptionKind::TornWord {
+                count: count.unwrap_or(1),
+            },
             other => {
                 if count.is_some() {
                     return None; // only the countable kinds take :N
@@ -215,7 +219,11 @@ impl Default for CorruptOptions {
         CorruptOptions {
             seed: 0,
             cases: 3,
-            archs: vec![ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer],
+            archs: vec![
+                ArchConfig::Baseline,
+                ArchConfig::IssueQueue,
+                ArchConfig::WriteBuffer,
+            ],
             kinds: CorruptionKind::ALL.to_vec(),
             jobs: 0,
             max_shrink_iters: 4096,
@@ -235,8 +243,16 @@ pub fn fingerprint(opts: &CorruptOptions) -> String {
          max_shrink_iters={} fast_forward={} self_test_panic={:?}",
         opts.seed,
         opts.cases,
-        opts.archs.iter().map(|a| a.label()).collect::<Vec<_>>().join(","),
-        opts.kinds.iter().map(|k| k.spec()).collect::<Vec<_>>().join(","),
+        opts.archs
+            .iter()
+            .map(|a| a.label())
+            .collect::<Vec<_>>()
+            .join(","),
+        opts.kinds
+            .iter()
+            .map(|k| k.spec())
+            .collect::<Vec<_>>()
+            .join(","),
         opts.max_shrink_iters,
         opts.fast_forward,
         opts.self_test_panic,
@@ -283,11 +299,7 @@ const COUNTERS: [&str; 6] = [
 impl CellReport {
     /// Total cases the cell ran.
     pub fn total(&self) -> u32 {
-        self.clean
-            + self.rolled_back
-            + self.repaired_torn
-            + self.quarantined
-            + self.unrecoverable
+        self.clean + self.rolled_back + self.repaired_torn + self.quarantined + self.unrecoverable
     }
 
     /// The counters, in [`COUNTERS`] order.
@@ -374,7 +386,10 @@ impl CorruptReport {
         }
         s.push_str("  ],\n");
         s.push_str(&campaign::runtime_json(self.interrupted, &self.quarantined));
-        s.push_str(&format!("  \"contract_holds\": {}\n", self.contract_holds()));
+        s.push_str(&format!(
+            "  \"contract_holds\": {}\n",
+            self.contract_holds()
+        ));
         s.push('}');
         s
     }
@@ -440,11 +455,7 @@ struct CaseContext {
 /// Lowers one corruption kind to a concrete op list against `image`.
 /// Targets only addresses the image holds (and, for wipes, the rest of
 /// their 64-byte lines), so damage always lands where it can matter.
-fn gen_ops(
-    kind: CorruptionKind,
-    rng: &mut SmallRng,
-    image: &NvmImage,
-) -> Vec<CorruptOp> {
+fn gen_ops(kind: CorruptionKind, rng: &mut SmallRng, image: &NvmImage) -> Vec<CorruptOp> {
     // HashMap iteration order is arbitrary: sort for determinism.
     let mut addrs: Vec<u64> = image.keys().copied().collect();
     addrs.sort_unstable();
@@ -452,21 +463,32 @@ fn gen_ops(
         return Vec::new();
     }
     let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-    let pick = |rng: &mut SmallRng, addrs: &[u64]| addrs[rng.gen_range(0..addrs.len() as u64) as usize];
+    let pick =
+        |rng: &mut SmallRng, addrs: &[u64]| addrs[rng.gen_range(0..addrs.len() as u64) as usize];
     let mut ops = Vec::new();
     match kind {
         CorruptionKind::BitFlip { count } => {
             for _ in 0..count {
                 let addr = pick(rng, &addrs);
                 let bit = rng.gen_range(0u64..64);
-                ops.push(CorruptOp::Write { addr, value: rd(addr) ^ (1u64 << bit) });
+                ops.push(CorruptOp::Write {
+                    addr,
+                    value: rd(addr) ^ (1u64 << bit),
+                });
             }
         }
         CorruptionKind::TornWord { count } => {
             for _ in 0..count {
                 let addr = pick(rng, &addrs);
-                let keep = if rng.gen_bool(0.5) { 0xFFFF_FFFFu64 } else { !0xFFFF_FFFFu64 };
-                ops.push(CorruptOp::Write { addr, value: rd(addr) & keep });
+                let keep = if rng.gen_bool(0.5) {
+                    0xFFFF_FFFFu64
+                } else {
+                    !0xFFFF_FFFFu64
+                };
+                ops.push(CorruptOp::Write {
+                    addr,
+                    value: rd(addr) & keep,
+                });
             }
         }
         CorruptionKind::SectorTear => {
@@ -488,7 +510,10 @@ fn gen_ops(
             let dst = pick(rng, &lines);
             for w in 0..8u64 {
                 ops.push(match image.get(&(src + w * 8)) {
-                    Some(&v) => CorruptOp::Write { addr: dst + w * 8, value: v },
+                    Some(&v) => CorruptOp::Write {
+                        addr: dst + w * 8,
+                        value: v,
+                    },
                     None => CorruptOp::Erase { addr: dst + w * 8 },
                 });
             }
@@ -496,13 +521,19 @@ fn gen_ops(
         CorruptionKind::WipeZero => {
             let line = pick(rng, &addrs) & !63;
             for w in 0..8u64 {
-                ops.push(CorruptOp::Write { addr: line + w * 8, value: 0 });
+                ops.push(CorruptOp::Write {
+                    addr: line + w * 8,
+                    value: 0,
+                });
             }
         }
         CorruptionKind::WipeOnes => {
             let line = pick(rng, &addrs) & !63;
             for w in 0..8u64 {
-                ops.push(CorruptOp::Write { addr: line + w * 8, value: u64::MAX });
+                ops.push(CorruptOp::Write {
+                    addr: line + w * 8,
+                    value: u64::MAX,
+                });
             }
         }
     }
@@ -544,8 +575,7 @@ fn witness_destroyed(
     dirty: &BTreeSet<u64>,
 ) -> bool {
     log_slots(pristine, layout).iter().any(|s| {
-        s.entry.is_some_and(|e| e.addr == addr)
-            && dirty.range(s.addr..s.addr + 64).next().is_some()
+        s.entry.is_some_and(|e| e.addr == addr) && dirty.range(s.addr..s.addr + 64).next().is_some()
     })
 }
 
@@ -644,7 +674,10 @@ fn evaluate(ctx: &CaseContext, ops: &[CorruptOp]) -> Option<String> {
 fn build_case(case_seed: u64, kind: CorruptionKind, arch: ArchConfig, ff: bool) -> CaseContext {
     let mut rng = SmallRng::seed_from_u64(mix64(case_seed ^ 0xC0_44_0F));
     let (protocol, out) = if rng.gen_bool(0.5) {
-        (Protocol::Undo, crate::inject::tx_case_program(case_seed, arch))
+        (
+            Protocol::Undo,
+            crate::inject::tx_case_program(case_seed, arch),
+        )
     } else {
         (Protocol::Redo, redo_case_program(case_seed, arch))
     };
@@ -932,7 +965,12 @@ mod tests {
     fn torn_superblock_case_lands_in_repaired_torn() {
         // A torn primary commit marker, by hand: the twin heals it and
         // the repaired image equals golden recovery exactly.
-        let ctx = build_case(7, CorruptionKind::TornWord { count: 1 }, ArchConfig::Baseline, true);
+        let ctx = build_case(
+            7,
+            CorruptionKind::TornWord { count: 1 },
+            ArchConfig::Baseline,
+            true,
+        );
         let marker = ctx.pristine[&ctx.layout.log_header];
         let ops = vec![CorruptOp::Write {
             addr: ctx.layout.log_header,
@@ -949,8 +987,7 @@ mod tests {
         );
         assert_eq!(report.committed, ctx.golden_report.committed);
         assert_eq!(
-            recovered[&ctx.layout.log_header],
-            ctx.golden[&ctx.layout.log_header],
+            recovered[&ctx.layout.log_header], ctx.golden[&ctx.layout.log_header],
             "the torn marker was healed to the golden value"
         );
     }
@@ -991,7 +1028,10 @@ mod tests {
                 assert!(!words.is_empty());
                 for (addr, value) in words {
                     for bit in [0, 31, 32, 63] {
-                        let ops = [CorruptOp::Write { addr, value: value ^ (1u64 << bit) }];
+                        let ops = [CorruptOp::Write {
+                            addr,
+                            value: value ^ (1u64 << bit),
+                        }];
                         let verdict = evaluate(&ctx, &ops);
                         assert_eq!(verdict, None, "{protocol:?}: bit {bit} of {addr:#x}");
                     }
@@ -1004,11 +1044,20 @@ mod tests {
     fn lost_lines_hold_the_contract() {
         for protocol in [Protocol::Undo, Protocol::Redo] {
             for ctx in cases_with_a_logged_slot(protocol) {
-                for line in [ctx.layout.heap_base, ctx.layout.slot_addr(0), ctx.layout.log_header] {
+                for line in [
+                    ctx.layout.heap_base,
+                    ctx.layout.slot_addr(0),
+                    ctx.layout.log_header,
+                ] {
                     let line = line & !63;
-                    let ops: Vec<CorruptOp> =
-                        (0..8u64).map(|w| CorruptOp::Erase { addr: line + 8 * w }).collect();
-                    assert_eq!(evaluate(&ctx, &ops), None, "{protocol:?}: line {line:#x} lost");
+                    let ops: Vec<CorruptOp> = (0..8u64)
+                        .map(|w| CorruptOp::Erase { addr: line + 8 * w })
+                        .collect();
+                    assert_eq!(
+                        evaluate(&ctx, &ops),
+                        None,
+                        "{protocol:?}: line {line:#x} lost"
+                    );
                 }
             }
         }
@@ -1021,7 +1070,10 @@ mod tests {
         // exactly that one op.
         let layout = Layout::standard();
         let ops: Vec<CorruptOp> = (0..8u64)
-            .map(|w| CorruptOp::Write { addr: layout.log_header_twin + w * 8, value: 0 })
+            .map(|w| CorruptOp::Write {
+                addr: layout.log_header_twin + w * 8,
+                value: 0,
+            })
             .collect();
         let (minimal, steps) = minimize(shrinkable_vec(ops, 0), 4096, |ops| {
             ops.iter().any(|op| op.addr() == layout.log_header_twin)
@@ -1035,14 +1087,20 @@ mod tests {
     fn report_is_identical_for_every_job_count() {
         let opts = CorruptOptions {
             cases: 1,
-            kinds: vec![CorruptionKind::BitFlip { count: 1 }, CorruptionKind::WipeOnes],
+            kinds: vec![
+                CorruptionKind::BitFlip { count: 1 },
+                CorruptionKind::WipeOnes,
+            ],
             archs: vec![ArchConfig::Baseline, ArchConfig::WriteBuffer],
             jobs: 1,
             ..CorruptOptions::default()
         };
         let base = corrupt(&opts);
         for jobs in [2, 4] {
-            let report = corrupt(&CorruptOptions { jobs, ..opts.clone() });
+            let report = corrupt(&CorruptOptions {
+                jobs,
+                ..opts.clone()
+            });
             assert_eq!(report, base, "jobs {jobs}");
             assert_eq!(report.to_json(), base.to_json(), "jobs {jobs}");
         }

@@ -287,7 +287,13 @@ mod tests {
         let mut values: Vec<u64> = g
             .stores
             .iter()
-            .flat_map(|&(_, _, v, w)| if w == 16 { vec![v[0], v[1]] } else { vec![v[0]] })
+            .flat_map(|&(_, _, v, w)| {
+                if w == 16 {
+                    vec![v[0], v[1]]
+                } else {
+                    vec![v[0]]
+                }
+            })
             .collect();
         values.sort_unstable();
         values.dedup();

@@ -83,15 +83,30 @@ pub enum GoldenError {
 impl fmt::Display for GoldenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GoldenError::LoadMismatch { id, addr, trace, model } => write!(
+            GoldenError::LoadMismatch {
+                id,
+                addr,
+                trace,
+                model,
+            } => write!(
                 f,
                 "{id}: load of {addr:#x} resolved to {trace} but sequential memory holds {model}"
             ),
-            GoldenError::BaseMismatch { id, reg, model, addr } => write!(
+            GoldenError::BaseMismatch {
+                id,
+                reg,
+                model,
+                addr,
+            } => write!(
                 f,
                 "{id}: base {reg} holds {model:#x} but the resolved address is {addr:#x}"
             ),
-            GoldenError::SrcMismatch { id, reg, model, value } => write!(
+            GoldenError::SrcMismatch {
+                id,
+                reg,
+                model,
+                value,
+            } => write!(
                 f,
                 "{id}: source {reg} holds {model} but the resolved store value is {value}"
             ),
@@ -181,11 +196,22 @@ fn run_with_memory(
     let mut stored: BTreeSet<u64> = BTreeSet::new();
     let line_of = |addr: u64| addr & !(cfg.line_bytes - 1);
 
-    let read = |regs: &[u64; 32], r: Reg| if r.is_zero() { 0 } else { regs[r.index() as usize] };
+    let read = |regs: &[u64; 32], r: Reg| {
+        if r.is_zero() {
+            0
+        } else {
+            regs[r.index() as usize]
+        }
+    };
     let check_base = |regs: &[u64; 32], id: InstId, reg: Reg, addr: u64| {
         let model = read(regs, reg);
         if cfg.strict_registers && model != addr {
-            return Err(GoldenError::BaseMismatch { id, reg, model, addr });
+            return Err(GoldenError::BaseMismatch {
+                id,
+                reg,
+                model,
+                addr,
+            });
         }
         Ok(())
     };
@@ -204,11 +230,21 @@ fn run_with_memory(
                 }
             }
             Op::Cmp { .. } => {} // flags feed the trace-resolved branch
-            Op::Ldr { dst, base, addr, value } => {
+            Op::Ldr {
+                dst,
+                base,
+                addr,
+                value,
+            } => {
                 check_base(&g.regs, id, base, addr)?;
                 match g.mem.get(&addr) {
                     Some(&model) if model != value => {
-                        return Err(GoldenError::LoadMismatch { id, addr, trace: value, model });
+                        return Err(GoldenError::LoadMismatch {
+                            id,
+                            addr,
+                            trace: value,
+                            model,
+                        });
                     }
                     Some(_) => {}
                     // First touch: the trace value *is* initial memory.
@@ -220,11 +256,21 @@ fn run_with_memory(
                     g.regs[dst.index() as usize] = value;
                 }
             }
-            Op::Str { src, base, addr, value } => {
+            Op::Str {
+                src,
+                base,
+                addr,
+                value,
+            } => {
                 check_base(&g.regs, id, base, addr)?;
                 let model = read(&g.regs, src);
                 if cfg.strict_registers && model != value {
-                    return Err(GoldenError::SrcMismatch { id, reg: src, model, value });
+                    return Err(GoldenError::SrcMismatch {
+                        id,
+                        reg: src,
+                        model,
+                        value,
+                    });
                 }
                 g.mem.insert(addr, value);
                 stored.insert(addr);
@@ -233,12 +279,23 @@ fn run_with_memory(
                 }
                 g.stores.push((id, addr, [value, 0], 8));
             }
-            Op::Stp { src1, src2, base, addr, values } => {
+            Op::Stp {
+                src1,
+                src2,
+                base,
+                addr,
+                values,
+            } => {
                 check_base(&g.regs, id, base, addr)?;
                 for (src, v) in [(src1, values[0]), (src2, values[1])] {
                     let model = read(&g.regs, src);
                     if cfg.strict_registers && model != v {
-                        return Err(GoldenError::SrcMismatch { id, reg: src, model, value: v });
+                        return Err(GoldenError::SrcMismatch {
+                            id,
+                            reg: src,
+                            model,
+                            value: v,
+                        });
                     }
                 }
                 g.mem.insert(addr, values[0]);
@@ -342,7 +399,14 @@ mod tests {
         b.load(NVM, 42);
         b.load(NVM, 43); // inconsistent
         let err = run(&b.finish(), &GoldenConfig::default()).unwrap_err();
-        assert!(matches!(err, GoldenError::LoadMismatch { trace: 43, model: 42, .. }));
+        assert!(matches!(
+            err,
+            GoldenError::LoadMismatch {
+                trace: 43,
+                model: 42,
+                ..
+            }
+        ));
     }
 
     #[test]

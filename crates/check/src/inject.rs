@@ -101,7 +101,11 @@ impl Default for InjectOptions {
             seed: 0,
             cases: 3,
             max_cmds: 25,
-            archs: vec![ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer],
+            archs: vec![
+                ArchConfig::Baseline,
+                ArchConfig::IssueQueue,
+                ArchConfig::WriteBuffer,
+            ],
             faults: FaultInjection::ALL.to_vec(),
             jobs: 0,
             max_shrink_iters: 4096,
@@ -124,7 +128,11 @@ pub fn fingerprint(opts: &InjectOptions) -> String {
         opts.seed,
         opts.cases,
         opts.max_cmds,
-        opts.archs.iter().map(|a| a.label()).collect::<Vec<_>>().join(","),
+        opts.archs
+            .iter()
+            .map(|a| a.label())
+            .collect::<Vec<_>>()
+            .join(","),
         opts.faults,
         opts.max_shrink_iters,
         opts.detectors_enabled,
@@ -256,7 +264,10 @@ impl InjectReport {
         s.push_str("{\n");
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!("  \"cases_per_cell\": {},\n", self.cases));
-        s.push_str(&format!("  \"detectors_enabled\": {},\n", self.detectors_enabled));
+        s.push_str(&format!(
+            "  \"detectors_enabled\": {},\n",
+            self.detectors_enabled
+        ));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let layer = match c.fault.layer() {
@@ -343,7 +354,12 @@ fn conformance_case(
     let program = concretize(cmds);
     let golden = golden::run(&program, &GoldenConfig::default())
         .expect("the generator only emits programs the golden model accepts");
-    let faulty = run_program_traced("inject", raw_output(program.clone()), arch, &inject_sim(Some(fault), ff));
+    let faulty = run_program_traced(
+        "inject",
+        raw_output(program.clone()),
+        arch,
+        &inject_sim(Some(fault), ff),
+    );
     match faulty {
         Err(e) if e.is_deadlock() => Outcome::Watchdog,
         Err(_) => Outcome::CycleLimit,
@@ -388,7 +404,13 @@ pub(crate) fn tx_case_program(seed: u64, arch: ArchConfig) -> TxOutput {
 /// Runs one crash-probe case: a transactional program with the fault
 /// injected into the memory system, whose every reachable crash image is
 /// recovered and checked.
-fn crash_case(case_seed: u64, arch: ArchConfig, fault: FaultInjection, detectors: bool, ff: bool) -> Outcome {
+fn crash_case(
+    case_seed: u64,
+    arch: ArchConfig,
+    fault: FaultInjection,
+    detectors: bool,
+    ff: bool,
+) -> Outcome {
     let out = tx_case_program(case_seed, arch);
     match run_program("inject-crash", out, arch, &inject_sim(Some(fault), ff)) {
         Err(e) if e.is_deadlock() => Outcome::Watchdog,
@@ -414,12 +436,18 @@ fn run_case(
     ff: bool,
 ) -> Outcome {
     let conf = conformance_case(cmds, arch, fault, detectors, ff);
-    if matches!(conf, Outcome::Conformance | Outcome::Watchdog | Outcome::CycleLimit) {
+    if matches!(
+        conf,
+        Outcome::Conformance | Outcome::Watchdog | Outcome::CycleLimit
+    ) {
         return conf;
     }
     if fault.layer() == FaultLayer::MemorySystem {
         let crash = crash_case(case_seed, arch, fault, detectors, ff);
-        if matches!(crash, Outcome::Watchdog | Outcome::CycleLimit | Outcome::CrashChecker) {
+        if matches!(
+            crash,
+            Outcome::Watchdog | Outcome::CycleLimit | Outcome::CrashChecker
+        ) {
             return crash;
         }
     }
@@ -435,7 +463,12 @@ fn cell_seeds(opts: &InjectOptions, cell_index: usize) -> SplitMix64 {
     seeds
 }
 
-fn run_cell(opts: &InjectOptions, cell_index: usize, fault: FaultInjection, arch: ArchConfig) -> CellReport {
+fn run_cell(
+    opts: &InjectOptions,
+    cell_index: usize,
+    fault: FaultInjection,
+    arch: ArchConfig,
+) -> CellReport {
     let mut seeds = cell_seeds(opts, cell_index);
     let strat = cmds_strategy(opts.max_cmds);
     let mut report = CellReport {
@@ -453,7 +486,14 @@ fn run_cell(opts: &InjectOptions, cell_index: usize, fault: FaultInjection, arch
         let case_seed = seeds.next_u64();
         let mut rng = SmallRng::seed_from_u64(case_seed);
         let sh = strat.generate(&mut rng);
-        match run_case(&sh.value, case_seed, fault, arch, opts.detectors_enabled, opts.fast_forward) {
+        match run_case(
+            &sh.value,
+            case_seed,
+            fault,
+            arch,
+            opts.detectors_enabled,
+            opts.fast_forward,
+        ) {
             Outcome::Conformance => report.conformance += 1,
             Outcome::Watchdog => report.watchdog += 1,
             Outcome::CycleLimit => report.cycle_limit += 1,
@@ -691,7 +731,10 @@ mod tests {
         };
         let base = inject(&opts);
         for jobs in [2, 4] {
-            let report = inject(&InjectOptions { jobs, ..opts.clone() });
+            let report = inject(&InjectOptions {
+                jobs,
+                ..opts.clone()
+            });
             assert_eq!(report, base, "jobs {jobs}");
             assert_eq!(report.to_json(), base.to_json(), "jobs {jobs}");
         }

@@ -86,9 +86,7 @@ pub use explore::{
 pub use fuzz::{fuzz, fuzz_campaign, FuzzFailure, FuzzOptions, FuzzReport};
 pub use gen::{cmd_strategy, cmds_strategy, concretize, Cmd};
 pub use golden::{GoldenConfig, GoldenError, GoldenRun};
-pub use inject::{
-    inject, inject_campaign, CellReport, InjectFailure, InjectOptions, InjectReport,
-};
+pub use inject::{inject, inject_campaign, CellReport, InjectFailure, InjectOptions, InjectReport};
 pub use resume::{
     CampaignDriver, CampaignEnd, CaseOutcome, Checkpoint, ResumeError, RuntimeOptions,
 };

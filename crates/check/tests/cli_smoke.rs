@@ -29,13 +29,28 @@ fn ede_sim(args: &[&str]) -> Output {
 #[test]
 fn fuzz_smoke_run_succeeds_with_jobs() {
     let out = ede_sim(&[
-        "fuzz", "--seed", "0", "--cases", "50", "--max-cmds", "20", "--jobs", "4",
+        "fuzz",
+        "--seed",
+        "0",
+        "--cases",
+        "50",
+        "--max-cmds",
+        "20",
+        "--jobs",
+        "4",
     ]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     let mut lines = stdout.lines();
     let header = lines.next().expect("header line");
-    assert!(header.starts_with("fuzz: seed 0x0, 50 cases"), "header: {header}");
+    assert!(
+        header.starts_with("fuzz: seed 0x0, 50 cases"),
+        "header: {header}"
+    );
     assert_eq!(
         lines.next().expect("summary line"),
         "ok: 50 cases, zero conformance diffs"
@@ -48,8 +63,17 @@ fn fuzz_smoke_run_succeeds_with_jobs() {
 #[test]
 fn progress_lines_go_to_stderr_in_the_documented_shape() {
     let out = ede_sim(&[
-        "fuzz", "--seed", "0", "--cases", "40", "--max-cmds", "15", "--jobs", "2",
-        "--progress", "10",
+        "fuzz",
+        "--seed",
+        "0",
+        "--cases",
+        "40",
+        "--max-cmds",
+        "15",
+        "--jobs",
+        "2",
+        "--progress",
+        "10",
     ]);
     assert!(out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
@@ -57,7 +81,10 @@ fn progress_lines_go_to_stderr_in_the_documented_shape() {
     for worker in 0..2 {
         for done in [10, 20] {
             let expected = format!("fuzz: worker {worker}: {done}/20 cases, 0 violations");
-            assert!(stderr.contains(&expected), "missing {expected:?} in:\n{stderr}");
+            assert!(
+                stderr.contains(&expected),
+                "missing {expected:?} in:\n{stderr}"
+            );
         }
     }
     // Progress never leaks onto stdout.
@@ -69,7 +96,15 @@ fn progress_lines_go_to_stderr_in_the_documented_shape() {
 fn stdout_is_byte_identical_across_job_counts() {
     let run = |jobs: &str| {
         let out = ede_sim(&[
-            "fuzz", "--seed", "7", "--cases", "30", "--max-cmds", "20", "--jobs", jobs,
+            "fuzz",
+            "--seed",
+            "7",
+            "--cases",
+            "30",
+            "--max-cmds",
+            "20",
+            "--jobs",
+            jobs,
         ]);
         assert!(out.status.success(), "jobs {jobs}");
         out.stdout
@@ -83,7 +118,15 @@ fn stdout_is_byte_identical_across_job_counts() {
 fn injected_fault_exits_2_with_identical_stdout_across_jobs() {
     let run = |jobs: &str| {
         let out = ede_sim(&[
-            "fuzz", "--seed", "0", "--cases", "40", "--fault", "drop-edeps", "--jobs", jobs,
+            "fuzz",
+            "--seed",
+            "0",
+            "--cases",
+            "40",
+            "--fault",
+            "drop-edeps",
+            "--jobs",
+            jobs,
         ]);
         assert_eq!(out.status.code(), Some(2), "jobs {jobs}");
         out.stdout
@@ -103,7 +146,11 @@ fn no_fast_forward_flag_leaves_fuzz_stdout_identical() {
         let mut args = vec!["fuzz", "--seed", "3", "--cases", "20", "--max-cmds", "15"];
         args.extend_from_slice(extra);
         let out = ede_sim(&args);
-        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         out.stdout
     };
     assert_eq!(run(&["--no-fast-forward"]), run(&[]));
@@ -116,8 +163,15 @@ fn no_fast_forward_flag_leaves_inject_stdout_identical_across_jobs() {
     // print the identical campaign report.
     let run = |extra: &[&str]| {
         let mut args = vec![
-            "inject", "--seed", "1", "--cases", "1", "--max-cmds", "12",
-            "--fault", "drop-edeps,weak-dsb",
+            "inject",
+            "--seed",
+            "1",
+            "--cases",
+            "1",
+            "--max-cmds",
+            "12",
+            "--fault",
+            "drop-edeps,weak-dsb",
         ];
         args.extend_from_slice(extra);
         let out = ede_sim(&args);
@@ -140,7 +194,11 @@ fn no_fast_forward_flag_leaves_inject_stdout_identical_across_jobs() {
 #[test]
 fn explore_proves_the_catalog_and_prints_the_ledger() {
     let out = ede_sim(&["explore", "--litmus", "hazard", "--jobs", "1"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
         stdout.starts_with("{\n  \"format\": \"ede.explore.v1\","),
@@ -162,8 +220,14 @@ fn explore_counterexample_exits_2_with_a_reproducer() {
     let out = ede_sim(&["explore", "--litmus", "hazard", "--fault", "drop-edeps"]);
     assert_eq!(out.status.code(), Some(2));
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"verdict\": \"counterexample\""), "stdout: {stdout}");
-    assert!(stdout.contains("COUNTEREXAMPLE: hazard/"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("\"verdict\": \"counterexample\""),
+        "stdout: {stdout}"
+    );
+    assert!(
+        stdout.contains("COUNTEREXAMPLE: hazard/"),
+        "stdout: {stdout}"
+    );
     assert!(stdout.contains("commands: ["), "stdout: {stdout}");
 }
 
@@ -173,7 +237,11 @@ fn explore_stdout_is_byte_identical_across_jobs_and_paths() {
         let mut args = vec!["explore", "--seed", "5", "--cases", "3", "--max-cmds", "8"];
         args.extend_from_slice(extra);
         let out = ede_sim(&args);
-        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         out.stdout
     };
     let sequential = run(&["--jobs", "1"]);
@@ -185,13 +253,25 @@ fn explore_stdout_is_byte_identical_across_jobs_and_paths() {
 #[test]
 fn explore_budget_exhaustion_exits_2_and_reports_truncation() {
     let out = ede_sim(&[
-        "explore", "--litmus", "two_update", "--arch", "B", "--max-states", "2",
+        "explore",
+        "--litmus",
+        "two_update",
+        "--arch",
+        "B",
+        "--max-states",
+        "2",
     ]);
     assert_eq!(out.status.code(), Some(2));
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"verdict\": \"budget-exhausted\""), "stdout: {stdout}");
+    assert!(
+        stdout.contains("\"verdict\": \"budget-exhausted\""),
+        "stdout: {stdout}"
+    );
     assert!(stdout.contains("\"truncated\": true"), "stdout: {stdout}");
-    assert!(stdout.contains("BUDGET EXHAUSTED: two_update/B"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("BUDGET EXHAUSTED: two_update/B"),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]
@@ -203,16 +283,33 @@ fn explore_rejects_unknown_idioms_and_unmodelable_faults() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("no static ordering model"));
     assert_eq!(ede_sim(&["explore", "--max-states"]).status.code(), Some(1));
-    assert_eq!(ede_sim(&["explore", "--max-states", "x"]).status.code(), Some(1));
+    assert_eq!(
+        ede_sim(&["explore", "--max-states", "x"]).status.code(),
+        Some(1)
+    );
 }
 
 #[test]
 fn trace_accepts_no_fast_forward() {
     let fast = ede_sim(&["trace", "--litmus", "hazard", "--arch", "WB"]);
-    assert!(fast.status.success(), "stderr: {}", String::from_utf8_lossy(&fast.stderr));
-    let reference = ede_sim(&["trace", "--litmus", "hazard", "--arch", "WB", "--no-fast-forward"]);
+    assert!(
+        fast.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&fast.stderr)
+    );
+    let reference = ede_sim(&[
+        "trace",
+        "--litmus",
+        "hazard",
+        "--arch",
+        "WB",
+        "--no-fast-forward",
+    ]);
     assert!(reference.status.success());
-    assert_eq!(fast.stdout, reference.stdout, "trace output differs between paths");
+    assert_eq!(
+        fast.stdout, reference.stdout,
+        "trace output differs between paths"
+    );
 }
 
 #[test]
@@ -220,14 +317,23 @@ fn bad_usage_exits_1() {
     assert_eq!(ede_sim(&["fuzz", "--jobs"]).status.code(), Some(1));
     assert_eq!(ede_sim(&["fuzz", "--jobs", "x"]).status.code(), Some(1));
     assert_eq!(ede_sim(&["frobnicate"]).status.code(), Some(1));
-    assert_eq!(ede_sim(&["fuzz", "--checkpoint-every", "x"]).status.code(), Some(1));
-    assert_eq!(ede_sim(&["explore", "--max-wall-secs"]).status.code(), Some(1));
+    assert_eq!(
+        ede_sim(&["fuzz", "--checkpoint-every", "x"]).status.code(),
+        Some(1)
+    );
+    assert_eq!(
+        ede_sim(&["explore", "--max-wall-secs"]).status.code(),
+        Some(1)
+    );
 }
 
 fn checkpoint_path(tag: &str) -> String {
     let dir = std::env::temp_dir().join(format!("ede-cli-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{tag}.json")).to_str().expect("utf-8 path").to_string()
+    dir.join(format!("{tag}.json"))
+        .to_str()
+        .expect("utf-8 path")
+        .to_string()
 }
 
 #[test]
@@ -242,7 +348,14 @@ fn interrupted_fuzz_resumes_to_byte_identical_stdout() {
     let clean = run(&["--jobs", "1"]);
     assert!(clean.status.success());
     let interrupted = run(&[
-        "--jobs", "1", "--checkpoint", &cp, "--checkpoint-every", "1", "--stop-after", "5",
+        "--jobs",
+        "1",
+        "--checkpoint",
+        &cp,
+        "--checkpoint-every",
+        "1",
+        "--stop-after",
+        "5",
     ]);
     assert_eq!(interrupted.status.code(), Some(3), "deadline exit code");
     let stdout = String::from_utf8(interrupted.stdout).unwrap();
@@ -256,30 +369,63 @@ fn interrupted_fuzz_resumes_to_byte_identical_stdout() {
     // exact stdout of the run that never stopped.
     let resumed = run(&["--jobs", "4", "--resume", &cp]);
     assert!(resumed.status.success());
-    assert_eq!(resumed.stdout, clean.stdout, "resumed stdout must match clean run");
+    assert_eq!(
+        resumed.stdout, clean.stdout,
+        "resumed stdout must match clean run"
+    );
 }
 
 #[test]
 fn resume_with_changed_options_is_a_typed_exit_2() {
     let cp = checkpoint_path("fuzz-mismatch");
     let seeded = ede_sim(&[
-        "fuzz", "--seed", "0", "--cases", "10", "--max-cmds", "12",
-        "--checkpoint", &cp, "--checkpoint-every", "1", "--stop-after", "2",
+        "fuzz",
+        "--seed",
+        "0",
+        "--cases",
+        "10",
+        "--max-cmds",
+        "12",
+        "--checkpoint",
+        &cp,
+        "--checkpoint-every",
+        "1",
+        "--stop-after",
+        "2",
     ]);
     assert_eq!(seeded.status.code(), Some(3));
     let mismatched = ede_sim(&[
-        "fuzz", "--seed", "1", "--cases", "10", "--max-cmds", "12", "--resume", &cp,
+        "fuzz",
+        "--seed",
+        "1",
+        "--cases",
+        "10",
+        "--max-cmds",
+        "12",
+        "--resume",
+        &cp,
     ]);
     assert_eq!(mismatched.status.code(), Some(2));
     let stderr = String::from_utf8(mismatched.stderr).unwrap();
     assert!(stderr.contains("fingerprint mismatch"), "stderr: {stderr}");
-    assert!(stderr.contains("resume with the original options"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("resume with the original options"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
 fn harness_panics_are_quarantined_and_counted_against_the_budget() {
     let base = [
-        "fuzz", "--seed", "0", "--cases", "12", "--max-cmds", "12", "--self-test-panic", "5",
+        "fuzz",
+        "--seed",
+        "0",
+        "--cases",
+        "12",
+        "--max-cmds",
+        "12",
+        "--self-test-panic",
+        "5",
     ];
     let strict = ede_sim(&base);
     assert_eq!(strict.status.code(), Some(2), "default budget 0");
@@ -292,10 +438,20 @@ fn harness_panics_are_quarantined_and_counted_against_the_budget() {
     let mut lenient = base.to_vec();
     lenient.extend_from_slice(&["--max-quarantined", "1"]);
     let lenient = ede_sim(&lenient);
-    assert_eq!(lenient.status.code(), Some(0), "budget 1 tolerates one panic");
+    assert_eq!(
+        lenient.status.code(),
+        Some(0),
+        "budget 1 tolerates one panic"
+    );
     let stdout = String::from_utf8(lenient.stdout).unwrap();
-    assert!(stdout.contains("quarantined: 1 harness panic(s)"), "stdout: {stdout}");
-    assert!(stdout.ends_with("ok: 12 cases, zero conformance diffs\n"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("quarantined: 1 harness panic(s)"),
+        "stdout: {stdout}"
+    );
+    assert!(
+        stdout.ends_with("ok: 12 cases, zero conformance diffs\n"),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]
@@ -317,7 +473,10 @@ fn env_deadline_zero_interrupts_every_campaign_with_exit_3() {
             .expect("spawn ede-sim");
         assert_eq!(out.status.code(), Some(3), "{sub} under a zero deadline");
         let stdout = String::from_utf8(out.stdout).unwrap();
-        assert!(stdout.contains("INTERRUPTED: 0 of "), "{sub} stdout: {stdout}");
+        assert!(
+            stdout.contains("INTERRUPTED: 0 of "),
+            "{sub} stdout: {stdout}"
+        );
     }
 }
 
@@ -336,7 +495,10 @@ const JOBS_ONLY: [&[&str]; 2] = [&["--jobs", "1"], &["--jobs", "4"]];
 const SEQUENTIAL: [&[&str]; 2] = [&["--jobs", "1"], &["--jobs", "1", "--no-fast-forward"]];
 
 fn cli_golden_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/cli"))
+    PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/cli"
+    ))
 }
 
 fn blessing() -> bool {
@@ -361,7 +523,9 @@ fn pinned_run(args: &[&str], cp: &Path, deadline_zero: bool) -> String {
     let out = cmd.output().expect("spawn ede-sim");
     format!(
         "exit {}\n{}",
-        out.status.code().map_or("signal".to_string(), |c| c.to_string()),
+        out.status
+            .code()
+            .map_or("signal".to_string(), |c| c.to_string()),
         String::from_utf8(out.stdout).expect("utf-8 stdout"),
     )
 }
@@ -398,7 +562,13 @@ struct Scenario<'a> {
 /// `base` is a small clean run; `panic_unit` a unit the self-test
 /// panic hits; `changed` differs from `base` in one fingerprinted
 /// option; `failure` (when the CLI can provoke one) fails the campaign.
-fn pin_campaign(sub: &str, base: &[&str], panic_unit: &str, changed: &[&str], failure: Option<&[&str]>) {
+fn pin_campaign(
+    sub: &str,
+    base: &[&str],
+    panic_unit: &str,
+    changed: &[&str],
+    failure: Option<&[&str]>,
+) {
     let dir = cli_golden_dir();
     let fixture = dir.join(format!("{sub}.checkpoint.json"));
     let tmp = std::env::temp_dir().join(format!("ede-cli-pin-{sub}-{}", std::process::id()));
@@ -411,8 +581,20 @@ fn pin_campaign(sub: &str, base: &[&str], panic_unit: &str, changed: &[&str], fa
         v
     };
     let mut scenarios = vec![
-        Scenario { golden: "clean", args: with(&[]), deadline_zero: false, variants: &JOBS_AND_PATHS, from_checkpoint: false },
-        Scenario { golden: "deadline", args: with(&[]), deadline_zero: true, variants: &JOBS_AND_PATHS, from_checkpoint: false },
+        Scenario {
+            golden: "clean",
+            args: with(&[]),
+            deadline_zero: false,
+            variants: &JOBS_AND_PATHS,
+            from_checkpoint: false,
+        },
+        Scenario {
+            golden: "deadline",
+            args: with(&[]),
+            deadline_zero: true,
+            variants: &JOBS_AND_PATHS,
+            from_checkpoint: false,
+        },
         Scenario {
             golden: "panic-budget-0",
             args: [with(&["--self-test-panic"]), vec![panic_unit]].concat(),
@@ -422,20 +604,37 @@ fn pin_campaign(sub: &str, base: &[&str], panic_unit: &str, changed: &[&str], fa
         },
         Scenario {
             golden: "panic-budget-1",
-            args: [with(&["--self-test-panic"]), vec![panic_unit, "--max-quarantined", "1"]].concat(),
+            args: [
+                with(&["--self-test-panic"]),
+                vec![panic_unit, "--max-quarantined", "1"],
+            ]
+            .concat(),
             deadline_zero: false,
             variants: &JOBS_AND_PATHS,
             from_checkpoint: false,
         },
         Scenario {
             golden: "interrupted",
-            args: with(&["--checkpoint", "{cp}", "--checkpoint-every", "1", "--stop-after", "2"]),
+            args: with(&[
+                "--checkpoint",
+                "{cp}",
+                "--checkpoint-every",
+                "1",
+                "--stop-after",
+                "2",
+            ]),
             deadline_zero: false,
             variants: &SEQUENTIAL,
             from_checkpoint: false,
         },
         // A checkpoint written mid-run resumes to the clean stdout.
-        Scenario { golden: "clean", args: with(&["--resume", "{cp}"]), deadline_zero: false, variants: &JOBS_ONLY, from_checkpoint: true },
+        Scenario {
+            golden: "clean",
+            args: with(&["--resume", "{cp}"]),
+            deadline_zero: false,
+            variants: &JOBS_ONLY,
+            from_checkpoint: true,
+        },
         Scenario {
             golden: "resume-changed",
             args: [vec![sub], changed.to_vec(), vec!["--resume", "{cp}"]].concat(),
@@ -443,7 +642,13 @@ fn pin_campaign(sub: &str, base: &[&str], panic_unit: &str, changed: &[&str], fa
             variants: &JOBS_ONLY,
             from_checkpoint: true,
         },
-        Scenario { golden: "unknown-flag", args: vec![sub, "--bogus", "1"], deadline_zero: false, variants: &JOBS_AND_PATHS, from_checkpoint: false },
+        Scenario {
+            golden: "unknown-flag",
+            args: vec![sub, "--bogus", "1"],
+            deadline_zero: false,
+            variants: &JOBS_AND_PATHS,
+            from_checkpoint: false,
+        },
     ];
     if let Some(failure) = failure {
         scenarios.push(Scenario {
@@ -501,12 +706,39 @@ fn fuzz_branches_are_pinned() {
 fn inject_branches_are_pinned() {
     pin_campaign(
         "inject",
-        &["--seed", "1", "--cases", "1", "--max-cmds", "12", "--fault", "drop-edeps,weak-dsb"],
+        &[
+            "--seed",
+            "1",
+            "--cases",
+            "1",
+            "--max-cmds",
+            "12",
+            "--fault",
+            "drop-edeps,weak-dsb",
+        ],
         "1",
-        &["--seed", "2", "--cases", "1", "--max-cmds", "12", "--fault", "drop-edeps,weak-dsb"],
+        &[
+            "--seed",
+            "2",
+            "--cases",
+            "1",
+            "--max-cmds",
+            "12",
+            "--fault",
+            "drop-edeps,weak-dsb",
+        ],
         Some(&[
-            "--seed", "1", "--cases", "2", "--max-cmds", "20", "--fault", "torn-stp", "--arch",
-            "B", "--disable-detectors",
+            "--seed",
+            "1",
+            "--cases",
+            "2",
+            "--max-cmds",
+            "20",
+            "--fault",
+            "torn-stp",
+            "--arch",
+            "B",
+            "--disable-detectors",
         ]),
     );
 }
@@ -518,7 +750,14 @@ fn explore_branches_are_pinned() {
         &["--litmus", "hazard,join"],
         "1",
         &["--litmus", "hazard,join", "--seed", "1"],
-        Some(&["--litmus", "hazard", "--arch", "WB", "--fault", "drop-edeps"]),
+        Some(&[
+            "--litmus",
+            "hazard",
+            "--arch",
+            "WB",
+            "--fault",
+            "drop-edeps",
+        ]),
     );
 }
 
@@ -528,9 +767,27 @@ fn corrupt_branches_are_pinned() {
     // build, so corrupt pins every branch but the failure one.
     pin_campaign(
         "corrupt",
-        &["--seed", "2", "--cases", "1", "--kind", "torn-word,wipe-zero", "--arch", "B,WB"],
+        &[
+            "--seed",
+            "2",
+            "--cases",
+            "1",
+            "--kind",
+            "torn-word,wipe-zero",
+            "--arch",
+            "B,WB",
+        ],
         "1",
-        &["--seed", "3", "--cases", "1", "--kind", "torn-word,wipe-zero", "--arch", "B,WB"],
+        &[
+            "--seed",
+            "3",
+            "--cases",
+            "1",
+            "--kind",
+            "torn-word,wipe-zero",
+            "--arch",
+            "B,WB",
+        ],
         None,
     );
 }
@@ -549,8 +806,26 @@ fn each_subcommand_rejects_the_flags_it_does_not_take() {
         &["inject", "--litmus", "hazard"][..],
         &["fuzz", "--progress"][..],
     ] {
-        assert_eq!(ede_sim(args).status.code(), Some(1), "`ede-sim {}`", args.join(" "));
+        assert_eq!(
+            ede_sim(args).status.code(),
+            Some(1),
+            "`ede-sim {}`",
+            args.join(" ")
+        );
     }
-    let out = ede_sim(&["explore", "--litmus", "hazard", "--arch", "B", "--progress", "--jobs", "1"]);
-    assert_eq!(out.status.code(), Some(0), "explore --progress is a bare flag");
+    let out = ede_sim(&[
+        "explore",
+        "--litmus",
+        "hazard",
+        "--arch",
+        "B",
+        "--progress",
+        "--jobs",
+        "1",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "explore --progress is a bare flag"
+    );
 }

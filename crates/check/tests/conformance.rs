@@ -17,8 +17,11 @@ use ede_sim::{raw_output, run_program, SimConfig};
 use ede_util::check::Strategy;
 use ede_util::rng::SmallRng;
 
-const CRASH_SAFE: [ArchConfig; 3] =
-    [ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer];
+const CRASH_SAFE: [ArchConfig; 3] = [
+    ArchConfig::Baseline,
+    ArchConfig::IssueQueue,
+    ArchConfig::WriteBuffer,
+];
 
 /// Asserts the command list conforms on every crash-safe configuration.
 fn assert_conforms(cmds: &[Cmd]) {
@@ -30,7 +33,9 @@ fn assert_conforms(cmds: &[Cmd]) {
 
 /// Asserts at least one crash-safe configuration fails under the fault.
 fn assert_fault_caught(cmds: &[Cmd], fault: FaultInjection) {
-    let caught = CRASH_SAFE.iter().any(|&arch| !diff_case(cmds, arch, Some(fault)).is_empty());
+    let caught = CRASH_SAFE
+        .iter()
+        .any(|&arch| !diff_case(cmds, arch, Some(fault)).is_empty());
     assert!(caught, "injected {fault:?} went undetected on {cmds:?}");
 }
 
@@ -103,9 +108,17 @@ fn regression_key_reuse_latest_producer() {
 /// a `JOIN` over two of them and a global wait.
 #[test]
 fn regression_key_exhaustion_join() {
-    let mut cmds: Vec<Cmd> =
-        (1..16).map(|key| Cmd::Cvap { slot: key % 12, key }).collect();
-    cmds.push(Cmd::Join { def: 1, use1: 14, use2: 15 });
+    let mut cmds: Vec<Cmd> = (1..16)
+        .map(|key| Cmd::Cvap {
+            slot: key % 12,
+            key,
+        })
+        .collect();
+    cmds.push(Cmd::Join {
+        def: 1,
+        use1: 14,
+        use2: 15,
+    });
     cmds.push(Cmd::Store { slot: 0, key: 1 });
     cmds.push(Cmd::WaitAllKeys);
     assert_conforms(&cmds);
@@ -165,7 +178,9 @@ fn injected_bug_shrinks_to_tiny_reproducer() {
             fault: Some(fault),
             ..FuzzOptions::default()
         });
-        let failure = report.failure.unwrap_or_else(|| panic!("{fault:?} undetected"));
+        let failure = report
+            .failure
+            .unwrap_or_else(|| panic!("{fault:?} undetected"));
         assert!(
             failure.program.len() <= 10,
             "{fault:?}: minimal program has {} instructions",

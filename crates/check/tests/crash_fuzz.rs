@@ -64,9 +64,8 @@ fn crash_safe_configs_survive_fuzzed_transactions() {
         for arch in ArchConfig::ALL.into_iter().filter(|a| a.is_crash_safe()) {
             let out = random_tx_output(arch, seed);
             let r = run_program("crash-fuzz", out, arch, &sim()).expect("run completes");
-            r.crash_consistent().unwrap_or_else(|e| {
-                panic!("seed {seed} on {arch}: crash inconsistency {e:?}")
-            });
+            r.crash_consistent()
+                .unwrap_or_else(|e| panic!("seed {seed} on {arch}: crash inconsistency {e:?}"));
         }
     }
 }

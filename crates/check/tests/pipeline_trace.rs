@@ -17,7 +17,10 @@ fn traced_run(program: ede_isa::Program, cfg: CpuConfig) -> (ede_cpu::RunStats, 
 
 /// The cycle of `id`'s first `stage` event.
 fn first(tracer: &Tracer, id: InstId, stage: PipeStage) -> Option<u64> {
-    tracer.stages().find(|&(_, i, s)| i == id && s == stage).map(|(cycle, _, _)| cycle)
+    tracer
+        .stages()
+        .find(|&(_, i, s)| i == id && s == stage)
+        .map(|(cycle, _, _)| cycle)
 }
 
 fn count(tracer: &Tracer, stage: PipeStage) -> usize {
@@ -47,7 +50,11 @@ fn stage_ordering_holds_on_ede_run() {
             assert!(first(&tracer, id, PipeStage::Complete).is_some(), "{id}");
         }
         // Stores and cvaps drained through the write buffer.
-        assert_eq!(count(&tracer, PipeStage::Drain), 16, "8 stores + 8 cvaps drain");
+        assert_eq!(
+            count(&tracer, PipeStage::Drain),
+            16,
+            "8 stores + 8 cvaps drain"
+        );
     }
 }
 
@@ -64,7 +71,10 @@ fn squashes_are_traced_and_ordering_still_holds() {
     let p = b.finish();
     let (stats, tracer) = traced_run(p.clone(), CpuConfig::a72());
     assert_eq!(stats.squashes, 6);
-    assert!(count(&tracer, PipeStage::Squash) > 0, "younger instructions were in flight");
+    assert!(
+        count(&tracer, PipeStage::Squash) > 0,
+        "younger instructions were in flight"
+    );
     check_stage_order(&tracer).expect("ordering with squashes");
 }
 

@@ -110,8 +110,8 @@ fn edm_state_machine_impl(ops: &[EdmOp]) -> CaseResult {
             EdmOp::Squash => {
                 edm.squash();
                 decoded.clear(); // squashed instructions never retire
-                // After a squash, the speculative map equals the
-                // non-speculative map.
+                                 // After a squash, the speculative map equals the
+                                 // non-speculative map.
                 for k in Edk::live_keys() {
                     prop_assert_eq!(edm.spec().lookup(k), edm.nonspec().lookup(k));
                 }

@@ -32,8 +32,11 @@ enum Step {
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
-        (0u8..12, 0u8..16, 0u8..16)
-            .prop_map(|(a, key_def, key_use)| Step::Store { a, key_def, key_use }),
+        (0u8..12, 0u8..16, 0u8..16).prop_map(|(a, key_def, key_use)| Step::Store {
+            a,
+            key_def,
+            key_use
+        }),
         (0u8..12).prop_map(|a| Step::Stp { a }),
         (0u8..12, 0u8..16).prop_map(|(a, key_use)| Step::Load { a, key_use }),
         (0u8..12, 0u8..16).prop_map(|(a, key_def)| Step::Cvap { a, key_def }),
@@ -51,7 +54,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 fn addr(a: u8) -> u64 {
     // Half DRAM, half NVM; distinct 16-byte-aligned slots across a few
     // cache lines so same-line and cross-line interactions both occur.
-    let base = if a.is_multiple_of(2) { 0x4000 } else { 0x1_0000_0000 };
+    let base = if a.is_multiple_of(2) {
+        0x4000
+    } else {
+        0x1_0000_0000
+    };
     base + u64::from(a / 2) * 48 * 16
 }
 
@@ -63,9 +70,18 @@ fn build(steps: &[Step]) -> Program {
     let mut b = TraceBuilder::new();
     for (i, s) in steps.iter().enumerate() {
         match *s {
-            Step::Store { a, key_def, key_use } => {
+            Step::Store {
+                a,
+                key_def,
+                key_use,
+            } => {
                 let base = b.lea(addr(a));
-                b.store_to_edk(base, addr(a), i as u64, EdkPair::new(k(key_def), k(key_use)));
+                b.store_to_edk(
+                    base,
+                    addr(a),
+                    i as u64,
+                    EdkPair::new(k(key_def), k(key_use)),
+                );
                 b.release(base);
             }
             Step::Stp { a } => {
@@ -128,7 +144,11 @@ fn check_run(program: &Program, enforcement: Option<EnforcementPoint>, full_mem:
             .run(5_000_000)
             .expect("no deadlock with fixed-latency memory")
     };
-    assert_eq!(stats.retired, program.len() as u64, "all instructions retire");
+    assert_eq!(
+        stats.retired,
+        program.len() as u64,
+        "all instructions retire"
+    );
     let v = check(program, &stats.timings, OrderRelaxation::NONE);
     assert!(v.is_empty(), "ordering axioms violated: {v:?}");
 }

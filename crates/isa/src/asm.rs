@@ -73,7 +73,11 @@ fn parse_u64(line: usize, s: &str) -> Result<u64, AsmError> {
 }
 
 fn parse_reg(line: usize, s: &str) -> Result<Reg, AsmError> {
-    let s = s.trim().trim_start_matches('[').trim_end_matches(']').trim_end_matches(',');
+    let s = s
+        .trim()
+        .trim_start_matches('[')
+        .trim_end_matches(']')
+        .trim_end_matches(',');
     if s.eq_ignore_ascii_case("xzr") {
         return Ok(Reg::XZR);
     }
@@ -113,7 +117,10 @@ fn split_keys(line: usize, rest: &str) -> Result<(EdkPair, String), AsmError> {
             return err(line, "key pair must be (def, use)");
         }
         let pair = EdkPair::new(parse_key(line, keys[0])?, parse_key(line, keys[1])?);
-        let after = inner[close + 1..].trim_start_matches(',').trim().to_string();
+        let after = inner[close + 1..]
+            .trim_start_matches(',')
+            .trim()
+            .to_string();
         Ok((pair, after))
     } else {
         Ok((EdkPair::NONE, rest.to_string()))
@@ -146,11 +153,10 @@ fn split_notes(line: usize, text: &str) -> Result<(String, Notes), AsmError> {
 }
 
 fn need_addr(line: usize, n: &Notes) -> Result<u64, AsmError> {
-    n.addr
-        .ok_or_else(|| AsmError {
-            line,
-            message: "memory instruction needs @addr=".into(),
-        })
+    n.addr.ok_or_else(|| AsmError {
+        line,
+        message: "memory instruction needs @addr=".into(),
+    })
 }
 
 /// Assembles source text into a program.
@@ -371,9 +377,7 @@ pub fn listing_annotated(program: &Program) -> String {
     for (_, inst) in program.iter() {
         let _ = write!(out, "{}", Disasm(inst));
         match inst.op {
-            Op::Ldr { addr, value, .. } | Op::Str {
-                addr, value, ..
-            } => {
+            Op::Ldr { addr, value, .. } | Op::Str { addr, value, .. } => {
                 let _ = write!(out, " @addr={addr:#x} @val={value:#x}");
             }
             Op::Stp { addr, values, .. } => {

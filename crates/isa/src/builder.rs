@@ -226,7 +226,11 @@ impl TraceBuilder {
         values: [u64; 2],
         edks: EdkPair,
     ) -> InstId {
-        assert_eq!(addr % 16, 0, "STP address {addr:#x} must be 16-byte aligned");
+        assert_eq!(
+            addr % 16,
+            0,
+            "STP address {addr:#x} must be 16-byte aligned"
+        );
         let src1 = self.mov_imm(values[0]);
         let src2 = self.mov_imm(values[1]);
         self.program.push(Inst::with_edks(
@@ -297,10 +301,8 @@ impl TraceBuilder {
 
     /// `JOIN (def, use1, use2)`.
     pub fn join(&mut self, def: Edk, use1: Edk, use2: Edk) -> InstId {
-        self.program.push(Inst::with_edks(
-            Op::Join { use2 },
-            EdkPair::new(def, use1),
-        ))
+        self.program
+            .push(Inst::with_edks(Op::Join { use2 }, EdkPair::new(def, use1)))
     }
 
     /// `WAIT_KEY (key)`.
@@ -319,8 +321,7 @@ impl TraceBuilder {
     /// (trace-resolved) misprediction outcome.
     pub fn cmp_branch(&mut self, lhs: Reg, rhs: Reg, mispredicted: bool) -> InstId {
         self.program.push(Inst::plain(Op::Cmp { lhs, rhs }));
-        self.program
-            .push(Inst::plain(Op::Branch { mispredicted }))
+        self.program.push(Inst::plain(Op::Branch { mispredicted }))
     }
 
     /// Emits `n` dependent `add` instructions (a serial compute chain), as
@@ -398,9 +399,17 @@ mod tests {
         b.store_consuming(0x1_0000_1000, 6, k);
         let p = b.finish();
         assert!(p.iter().all(|(_, i)| i.kind() != InstKind::FenceFull));
-        let cvap = p.iter().find(|(_, i)| i.kind() == InstKind::Writeback).unwrap().1;
+        let cvap = p
+            .iter()
+            .find(|(_, i)| i.kind() == InstKind::Writeback)
+            .unwrap()
+            .1;
         assert!(cvap.is_edk_producer());
-        let store = p.iter().find(|(_, i)| i.kind() == InstKind::Store).unwrap().1;
+        let store = p
+            .iter()
+            .find(|(_, i)| i.kind() == InstKind::Store)
+            .unwrap()
+            .1;
         assert!(store.is_edk_consumer());
     }
 

@@ -44,11 +44,9 @@ impl fmt::Display for Disasm<'_> {
             Op::DsbSy => write!(f, "dsb sy"),
             Op::DmbSt => write!(f, "dmb st"),
             Op::DmbSy => write!(f, "dmb sy"),
-            Op::Join { use2 } => write!(
-                f,
-                "join ({}, {}, {})",
-                inst.edks.def, inst.edks.use_, use2
-            ),
+            Op::Join { use2 } => {
+                write!(f, "join ({}, {}, {})", inst.edks.def, inst.edks.use_, use2)
+            }
             Op::WaitKey { key } => write!(f, "wait_key ({key})"),
             Op::WaitAllKeys => write!(f, "wait_all_keys"),
             Op::Branch { mispredicted } => {
@@ -108,7 +106,10 @@ mod tests {
     #[test]
     fn cvap_producer_matches_figure7() {
         let i = Inst::with_edks(
-            Op::DcCvap { base: x(0), addr: 0 },
+            Op::DcCvap {
+                base: x(0),
+                addr: 0,
+            },
             EdkPair::producer(Edk::new(1).unwrap()),
         );
         assert_eq!(Disasm(&i).to_string(), "dc cvap (1, 0), x0");

@@ -246,9 +246,7 @@ pub fn encode(inst: &Inst) -> Encoded {
     let op = (s.opcode as u32) << 26;
     let word = match s.opcode {
         Opcode::Mov => op | (reg_bits(s.rd) << 21) | u32::from(s.imm12),
-        Opcode::Add => {
-            op | (reg_bits(s.rd) << 21) | (reg_bits(s.rn) << 16) | u32::from(s.imm12)
-        }
+        Opcode::Add => op | (reg_bits(s.rd) << 21) | (reg_bits(s.rn) << 16) | u32::from(s.imm12),
         Opcode::Cmp => op | (reg_bits(s.rd) << 21) | (reg_bits(s.rn) << 16),
         Opcode::Ldr | Opcode::Str | Opcode::DcCvap => {
             op | (reg_bits(s.rd) << 21)
@@ -380,23 +378,52 @@ mod tests {
     #[test]
     fn all_opcodes_roundtrip() {
         let samples = vec![
-            Inst::plain(Op::Mov { dst: x(5), imm: 0x123 }),
-            Inst::plain(Op::Add { dst: x(1), lhs: x(2), imm: 0xfff }),
-            Inst::plain(Op::Cmp { lhs: x(7), rhs: x(8) }),
+            Inst::plain(Op::Mov {
+                dst: x(5),
+                imm: 0x123,
+            }),
+            Inst::plain(Op::Add {
+                dst: x(1),
+                lhs: x(2),
+                imm: 0xfff,
+            }),
+            Inst::plain(Op::Cmp {
+                lhs: x(7),
+                rhs: x(8),
+            }),
             Inst::with_edks(
-                Op::Ldr { dst: x(9), base: x(10), addr: 0, value: 0 },
+                Op::Ldr {
+                    dst: x(9),
+                    base: x(10),
+                    addr: 0,
+                    value: 0,
+                },
                 EdkPair::consumer(k(5)),
             ),
             Inst::with_edks(
-                Op::Str { src: x(3), base: x(0), addr: 0, value: 0 },
+                Op::Str {
+                    src: x(3),
+                    base: x(0),
+                    addr: 0,
+                    value: 0,
+                },
                 EdkPair::new(k(2), k(1)),
             ),
             Inst::with_edks(
-                Op::Stp { src1: x(11), src2: x(12), base: x(13), addr: 0, values: [0, 0] },
+                Op::Stp {
+                    src1: x(11),
+                    src2: x(12),
+                    base: x(13),
+                    addr: 0,
+                    values: [0, 0],
+                },
                 EdkPair::producer(k(15)),
             ),
             Inst::with_edks(
-                Op::DcCvap { base: x(4), addr: 0 },
+                Op::DcCvap {
+                    base: x(4),
+                    addr: 0,
+                },
                 EdkPair::producer(k(1)),
             ),
             Inst::plain(Op::DsbSy),
@@ -415,7 +442,10 @@ mod tests {
 
     #[test]
     fn immediates_truncate_to_12_bits() {
-        let i = Inst::plain(Op::Mov { dst: x(1), imm: 0x1_2345 });
+        let i = Inst::plain(Op::Mov {
+            dst: x(1),
+            imm: 0x1_2345,
+        });
         let s = decode(encode(&i)).expect("valid word");
         assert_eq!(s.imm12, 0x345);
     }
@@ -423,14 +453,29 @@ mod tests {
     #[test]
     fn distinct_instructions_encode_distinctly() {
         let a = encode(&Inst::with_edks(
-            Op::Str { src: x(3), base: x(0), addr: 0, value: 0 },
+            Op::Str {
+                src: x(3),
+                base: x(0),
+                addr: 0,
+                value: 0,
+            },
             EdkPair::consumer(k(1)),
         ));
         let b = encode(&Inst::with_edks(
-            Op::Str { src: x(3), base: x(0), addr: 0, value: 0 },
+            Op::Str {
+                src: x(3),
+                base: x(0),
+                addr: 0,
+                value: 0,
+            },
             EdkPair::consumer(k(2)),
         ));
-        let c = encode(&Inst::plain(Op::Str { src: x(3), base: x(0), addr: 0, value: 0 }));
+        let c = encode(&Inst::plain(Op::Str {
+            src: x(3),
+            base: x(0),
+            addr: 0,
+            value: 0,
+        }));
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
@@ -439,10 +484,7 @@ mod tests {
     #[test]
     fn bad_opcode_rejected() {
         assert_eq!(decode(Encoded(0)), Err(DecodeError::BadOpcode(0)));
-        assert_eq!(
-            decode(Encoded(63 << 26)),
-            Err(DecodeError::BadOpcode(63))
-        );
+        assert_eq!(decode(Encoded(63 << 26)), Err(DecodeError::BadOpcode(63)));
     }
 
     #[test]
@@ -455,7 +497,12 @@ mod tests {
 
     #[test]
     fn zero_register_encodes_as_31() {
-        let i = Inst::plain(Op::Str { src: Reg::XZR, base: x(0), addr: 0, value: 0 });
+        let i = Inst::plain(Op::Str {
+            src: Reg::XZR,
+            base: x(0),
+            addr: 0,
+            value: 0,
+        });
         let s = decode(encode(&i)).expect("valid");
         assert_eq!(s.rd, None);
         assert_eq!(s.rn, Some(x(0)));

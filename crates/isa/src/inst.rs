@@ -320,12 +320,19 @@ mod tests {
 
     #[test]
     fn kinds() {
-        assert_eq!(Inst::plain(Op::Mov { dst: x(1), imm: 4 }).kind(), InstKind::Alu);
+        assert_eq!(
+            Inst::plain(Op::Mov { dst: x(1), imm: 4 }).kind(),
+            InstKind::Alu
+        );
         assert_eq!(Inst::plain(Op::DsbSy).kind(), InstKind::FenceFull);
         assert_eq!(Inst::plain(Op::DmbSt).kind(), InstKind::FenceStore);
         assert_eq!(Inst::plain(Op::WaitAllKeys).kind(), InstKind::EdeControl);
         assert_eq!(
-            Inst::plain(Op::DcCvap { base: x(2), addr: 0x40 }).kind(),
+            Inst::plain(Op::DcCvap {
+                base: x(2),
+                addr: 0x40
+            })
+            .kind(),
             InstKind::Writeback
         );
     }
@@ -385,7 +392,10 @@ mod tests {
     fn producer_consumer_classification() {
         let k = Edk::new(2).unwrap();
         let p = Inst::with_edks(
-            Op::DcCvap { base: x(0), addr: 0 },
+            Op::DcCvap {
+                base: x(0),
+                addr: 0,
+            },
             EdkPair::producer(k),
         );
         assert!(p.is_edk_producer());

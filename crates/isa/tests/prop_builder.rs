@@ -36,7 +36,10 @@ fn action_strategy() -> impl Strategy<Value = Action> {
             addr_idx: a,
             value: v
         }),
-        (0u8..16, 0u8..16).prop_map(|(a, k)| Action::Cvap { addr_idx: a, key: k }),
+        (0u8..16, 0u8..16).prop_map(|(a, k)| Action::Cvap {
+            addr_idx: a,
+            key: k
+        }),
         Just(Action::Dsb),
         Just(Action::DmbSt),
         Just(Action::DmbSy),
@@ -65,7 +68,11 @@ fn build(actions: &[Action]) -> ede_isa::Program {
     let mut b = TraceBuilder::new();
     for a in actions {
         match *a {
-            Action::Store { addr_idx, value, key: k } => {
+            Action::Store {
+                addr_idx,
+                value,
+                key: k,
+            } => {
                 let base = b.lea(addr(addr_idx));
                 b.store_to_edk(base, addr(addr_idx), value, EdkPair::consumer(key(k)));
                 b.release(base);

@@ -179,7 +179,9 @@ impl<'t> ImageCursor<'t> {
         let (stores, persists) = (&self.trace.stores, &self.trace.persists);
         loop {
             let s = stores.get(self.stores).filter(|e| e.cycle <= crash_cycle);
-            let p = persists.get(self.persists).filter(|e| e.cycle <= crash_cycle);
+            let p = persists
+                .get(self.persists)
+                .filter(|e| e.cycle <= crash_cycle);
             let take_store = match (s, p) {
                 (None, None) => break,
                 (Some(_), None) => true,
@@ -235,7 +237,10 @@ mod tests {
         t.record_store(st(5, 0x100, 1));
         t.record_store(st(6, 0x108, 2));
         t.record_store(st(7, 0x140, 3)); // different line
-        t.record_persist(PersistEvent { cycle: 10, line: 0x100 });
+        t.record_persist(PersistEvent {
+            cycle: 10,
+            line: 0x100,
+        });
         let img = nvm_image_at(&t, 10, 64);
         assert_eq!(img.get(&0x100), Some(&1));
         assert_eq!(img.get(&0x108), Some(&2));
@@ -246,7 +251,10 @@ mod tests {
     fn later_store_not_included_in_earlier_persist() {
         let mut t = PersistTrace::default();
         t.record_store(st(5, 0x100, 1));
-        t.record_persist(PersistEvent { cycle: 10, line: 0x100 });
+        t.record_persist(PersistEvent {
+            cycle: 10,
+            line: 0x100,
+        });
         t.record_store(st(15, 0x100, 2));
         // Crash after the second store but before any re-persist.
         let img = nvm_image_at(&t, 20, 64);
@@ -257,9 +265,15 @@ mod tests {
     fn repersist_updates_image() {
         let mut t = PersistTrace::default();
         t.record_store(st(5, 0x100, 1));
-        t.record_persist(PersistEvent { cycle: 10, line: 0x100 });
+        t.record_persist(PersistEvent {
+            cycle: 10,
+            line: 0x100,
+        });
         t.record_store(st(15, 0x100, 2));
-        t.record_persist(PersistEvent { cycle: 20, line: 0x100 });
+        t.record_persist(PersistEvent {
+            cycle: 20,
+            line: 0x100,
+        });
         assert_eq!(nvm_image_at(&t, 19, 64).get(&0x100), Some(&1));
         assert_eq!(nvm_image_at(&t, 20, 64).get(&0x100), Some(&2));
     }
@@ -268,7 +282,10 @@ mod tests {
     fn same_cycle_store_then_persist() {
         let mut t = PersistTrace::default();
         t.record_store(st(10, 0x100, 7));
-        t.record_persist(PersistEvent { cycle: 10, line: 0x100 });
+        t.record_persist(PersistEvent {
+            cycle: 10,
+            line: 0x100,
+        });
         assert_eq!(nvm_image_at(&t, 10, 64).get(&0x100), Some(&7));
     }
 
@@ -281,7 +298,10 @@ mod tests {
             width: 16,
             value: [11, 22],
         });
-        t.record_persist(PersistEvent { cycle: 2, line: 0x200 });
+        t.record_persist(PersistEvent {
+            cycle: 2,
+            line: 0x200,
+        });
         let img = nvm_image_at(&t, 2, 64);
         assert_eq!(img.get(&0x200), Some(&11));
         assert_eq!(img.get(&0x208), Some(&22));
@@ -291,10 +311,19 @@ mod tests {
     fn persist_cycles_cover_every_distinct_image() {
         let mut t = PersistTrace::default();
         t.record_store(st(5, 0x100, 1));
-        t.record_persist(PersistEvent { cycle: 10, line: 0x100 });
-        t.record_persist(PersistEvent { cycle: 10, line: 0x140 });
+        t.record_persist(PersistEvent {
+            cycle: 10,
+            line: 0x100,
+        });
+        t.record_persist(PersistEvent {
+            cycle: 10,
+            line: 0x140,
+        });
         t.record_store(st(15, 0x100, 2));
-        t.record_persist(PersistEvent { cycle: 20, line: 0x100 });
+        t.record_persist(PersistEvent {
+            cycle: 20,
+            line: 0x100,
+        });
         // 0 (empty), 10 (dedup of the two same-cycle persists), 20, and
         // one past the horizon.
         assert_eq!(t.persist_cycles(), vec![0, 10, 20, 21]);
@@ -314,7 +343,10 @@ mod tests {
     fn crash_before_everything_is_empty() {
         let mut t = PersistTrace::default();
         t.record_store(st(10, 0x100, 1));
-        t.record_persist(PersistEvent { cycle: 11, line: 0x100 });
+        t.record_persist(PersistEvent {
+            cycle: 11,
+            line: 0x100,
+        });
         assert!(nvm_image_at(&t, 9, 64).is_empty());
         assert_eq!(t.horizon(), 11);
     }

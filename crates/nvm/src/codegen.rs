@@ -346,10 +346,14 @@ mod tests {
     fn ede_configs_have_no_tx_phase_fences() {
         for arch in [ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
             let p = one_tx_program(arch);
-            assert_eq!(count_kind(&p, InstKind::FenceFull), 0, "no fences under EDE");
+            assert_eq!(
+                count_kind(&p, InstKind::FenceFull),
+                0,
+                "no fences under EDE"
+            );
             assert_eq!(count_kind(&p, InstKind::FenceStore), 0);
             assert!(count_kind(&p, InstKind::EdeControl) >= 2); // wait_all + wait_key
-            // The log cvap produces a key; the data store consumes it.
+                                                                // The log cvap produces a key; the data store consumes it.
             let deps = ede_core::ordering::execution_deps(&p);
             assert!(!deps.is_empty());
         }
@@ -397,7 +401,9 @@ mod tests {
             assert_eq!(out.memory.read(l.log_header + OFF_MAGIC), MAGIC);
             assert_eq!(out.memory.read(l.log_header_twin + OFF_MAGIC), MAGIC);
             assert!(out.init_writes.contains(&(l.log_header + OFF_MAGIC, MAGIC)));
-            assert!(out.init_writes.contains(&(l.log_header_twin + OFF_MAGIC, MAGIC)));
+            assert!(out
+                .init_writes
+                .contains(&(l.log_header_twin + OFF_MAGIC, MAGIC)));
             // Commit lands the same marker in both copies, and the twin
             // persist is ordered before the primary store.
             assert_eq!(out.memory.read(l.log_header), header_word(1));

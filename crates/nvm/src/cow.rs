@@ -75,7 +75,10 @@ fn root_checksum(root: u64, txid: u64) -> u64 {
 ///
 /// Panics if `txid` does not fit in 32 bits.
 pub fn root_word(root: u64, txid: u64) -> u64 {
-    assert!(txid <= u64::from(u32::MAX), "transaction ids fit in 32 bits");
+    assert!(
+        txid <= u64::from(u32::MAX),
+        "transaction ids fit in 32 bits"
+    );
     (root_checksum(root, txid) << 32) | txid
 }
 
@@ -178,7 +181,11 @@ impl CowTxWriter {
 
         CowTxWriter {
             core,
-            meta: CowMeta { root_line, root_twin, slots },
+            meta: CowMeta {
+                root_line,
+                root_twin,
+                slots,
+            },
             shadows: BTreeMap::new(),
             leaf_shadows: BTreeMap::new(),
         }
@@ -470,15 +477,19 @@ mod tests {
 
     #[test]
     fn checker_passes_fully_persisted_image() {
-        let (out, meta) =
-            cow_update_kernel(ArchConfig::Baseline, 30, 10, 32, 11);
+        let (out, meta) = cow_update_kernel(ArchConfig::Baseline, 30, 10, 32, 11);
         let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
         // Synthesize an in-order, everything-persisted trace.
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
         let mut cycle = 1;
         for (&a, &v) in out.memory.iter() {
-            trace.record_store(StoreEvent { cycle, addr: a, width: 8, value: [v, 0] });
+            trace.record_store(StoreEvent {
+                cycle,
+                addr: a,
+                width: 8,
+                value: [v, 0],
+            });
             cycle += 1;
         }
         let lines: std::collections::BTreeSet<u64> =
@@ -487,7 +498,9 @@ mod tests {
             trace.record_persist(PersistEvent { cycle, line });
             cycle += 1;
         }
-        let committed = checker.check_at(&trace, cycle).unwrap_or_else(|v| panic!("{v}"));
+        let committed = checker
+            .check_at(&trace, cycle)
+            .unwrap_or_else(|v| panic!("{v}"));
         assert_eq!(committed, out.records.len() as u64);
     }
 
@@ -508,7 +521,10 @@ mod tests {
             width: 16,
             value: [new_root, root_word(new_root, 1)],
         });
-        trace.record_persist(PersistEvent { cycle: 2, line: meta.root_line });
+        trace.record_persist(PersistEvent {
+            cycle: 2,
+            line: meta.root_line,
+        });
         let err = checker
             .check_at(&trace, 2)
             .expect_err("torn tree must be detected");
@@ -599,7 +615,12 @@ mod tests {
         let mut trace = PersistTrace::default();
         let mut cycle = 1;
         for (&a, &v) in out.memory.iter() {
-            trace.record_store(StoreEvent { cycle, addr: a, width: 8, value: [v, 0] });
+            trace.record_store(StoreEvent {
+                cycle,
+                addr: a,
+                width: 8,
+                value: [v, 0],
+            });
             cycle += 1;
         }
         // Tear the primary marker: its checksum half never landed.

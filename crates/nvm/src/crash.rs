@@ -187,9 +187,11 @@ impl WriteHistory {
 fn by_address(words: impl Iterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
     let mut words: Vec<(u64, u64)> = words.collect();
     words.sort_by_key(|&(a, _)| a);
-    words.dedup_by(|next, kept| next.0 == kept.0 && {
-        kept.1 = next.1;
-        true
+    words.dedup_by(|next, kept| {
+        next.0 == kept.0 && {
+            kept.1 = next.1;
+            true
+        }
     });
     words
 }
@@ -420,13 +422,13 @@ mod tests {
         use crate::log::{checksum, header_word, OFF_ADDR, OFF_TXID};
         // Proper order: init, log entry, data, commit header.
         let trace = synthetic_trace(&[
-            (a, 5, true),                         // init value persisted
+            (a, 5, true), // init value persisted
             (slot + OFF_ADDR, a, false),
             (slot + OFF_ADDR + 8, 5, false),
             (slot + OFF_TXID, 1, false),
             (slot + OFF_TXID + 8, checksum(a, 5, 1), true), // entry persisted
-            (a, 6, true),                         // data persisted
-            (layout.log_header, header_word(1), true), // commit persisted
+            (a, 6, true),                                   // data persisted
+            (layout.log_header, header_word(1), true),      // commit persisted
         ]);
         let checker = CrashChecker::new(&out);
         // Every instant from after init persist to the end is consistent.
@@ -542,7 +544,10 @@ mod tests {
         assert_eq!((e.addr, e.expected, e.found), (base + 16, 12, 77));
         // Persisting its preloaded value again is fine.
         let trace = synthetic_trace(&[(base + 16, 12, true)]);
-        assert_eq!(CrashChecker::new(&out).check_at(&trace, trace.horizon()), Ok(0));
+        assert_eq!(
+            CrashChecker::new(&out).check_at(&trace, trace.horizon()),
+            Ok(0)
+        );
     }
 
     #[test]
@@ -550,11 +555,8 @@ mod tests {
         let (out, base) = three_word_output();
         // Three mismatches: the write-set word (no log entry persisted)
         // and both preloaded neighbours outside the write set.
-        let trace = synthetic_trace(&[
-            (base, 1, false),
-            (base + 8, 2, false),
-            (base + 16, 3, true),
-        ]);
+        let trace =
+            synthetic_trace(&[(base, 1, false), (base + 8, 2, false), (base + 16, 3, true)]);
         let image = nvm_image_at(&trace, trace.horizon(), 64);
         assert_eq!(image.len(), 3);
         let want = ConsistencyError {
@@ -598,11 +600,17 @@ mod tests {
         // Corrupting a word no transaction tracks is tolerated.
         let mut untracked = image.clone();
         untracked.insert(layout.heap_base + 0x800, 0xDEAD);
-        assert_eq!(checker.check_image(untracked), Ok(1), "untracked corruption is tolerated");
+        assert_eq!(
+            checker.check_image(untracked),
+            Ok(1),
+            "untracked corruption is tolerated"
+        );
         // Corrupting the data word itself is detected.
         let mut flipped = image;
         *flipped.get_mut(&a).expect("the data word persisted") ^= 1;
-        let err = checker.check_image(flipped).expect_err("corrupted data word must surface");
+        let err = checker
+            .check_image(flipped)
+            .expect_err("corrupted data word must surface");
         assert_eq!(err.inconsistency().expect("a violation").addr, a);
     }
 
@@ -637,10 +645,7 @@ mod tests {
         // written (reads fresh): the classic single-copy crash state
         // stays an ordinary "nothing committed" rollback, not a typed
         // refusal.
-        let trace = synthetic_trace(&[
-            (a, 5, true),
-            (layout.log_header, header_word(1) ^ 1, true),
-        ]);
+        let trace = synthetic_trace(&[(a, 5, true), (layout.log_header, header_word(1) ^ 1, true)]);
         let checker = CrashChecker::new(&out);
         assert_eq!(checker.check_at(&trace, trace.horizon()), Ok(0));
     }

@@ -64,7 +64,7 @@ mod writer;
 
 pub use codegen::{TxOutput, TxRecord, TxWriter};
 pub use crash::{CheckFailure, ConsistencyError, CrashChecker};
-pub use triage::{Protocol, RecoveryOutcome, RegionClass, RegionReport, TriageReport};
 pub use heap::BumpHeap;
 pub use layout::Layout;
 pub use memory::SimMemory;
+pub use triage::{Protocol, RecoveryOutcome, RegionClass, RegionReport, TriageReport};

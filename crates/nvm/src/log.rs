@@ -82,10 +82,7 @@ impl LogEntry {
 /// ```
 pub fn checksum(addr: u64, old: u64, txid: u64) -> u64 {
     const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-    addr.rotate_left(13)
-        ^ old.rotate_left(31)
-        ^ txid.wrapping_mul(GOLDEN)
-        ^ 0xEDE0_EDE0_EDE0_EDE0
+    addr.rotate_left(13) ^ old.rotate_left(31) ^ txid.wrapping_mul(GOLDEN) ^ 0xEDE0_EDE0_EDE0_EDE0
 }
 
 fn header_checksum(txid: u64) -> u64 {
@@ -113,7 +110,10 @@ fn header_checksum(txid: u64) -> u64 {
 /// Panics if `txid` does not fit in 32 bits (the framework's ids are
 /// small consecutive integers).
 pub fn header_word(txid: u64) -> u64 {
-    assert!(txid <= u64::from(u32::MAX), "transaction ids fit in 32 bits");
+    assert!(
+        txid <= u64::from(u32::MAX),
+        "transaction ids fit in 32 bits"
+    );
     (header_checksum(txid) << 32) | txid
 }
 

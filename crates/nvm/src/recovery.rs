@@ -164,8 +164,14 @@ mod tests {
         *image.get_mut(&old_word).unwrap() ^= 1 << 17;
         image.insert(layout.heap_base, 99);
         let r = undo(&mut image, &layout);
-        assert!(matches!(r.outcome, RecoveryOutcome::Quarantined { entries: 1, .. }));
-        assert_eq!(image[&layout.heap_base], 99, "no rollback to a corrupt pre-image");
+        assert!(matches!(
+            r.outcome,
+            RecoveryOutcome::Quarantined { entries: 1, .. }
+        ));
+        assert_eq!(
+            image[&layout.heap_base], 99,
+            "no rollback to a corrupt pre-image"
+        );
     }
 
     #[test]
@@ -212,7 +218,10 @@ mod tests {
         image.insert(s + OFF_CSUM, 12345); // wrong
         image.insert(layout.heap_base, 99);
         let r = undo(&mut image, &layout);
-        assert!(matches!(r.outcome, RecoveryOutcome::Quarantined { entries: 1, .. }));
+        assert!(matches!(
+            r.outcome,
+            RecoveryOutcome::Quarantined { entries: 1, .. }
+        ));
         assert_eq!(image[&layout.heap_base], 99);
     }
 }

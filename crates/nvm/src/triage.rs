@@ -146,7 +146,10 @@ impl fmt::Display for RecoveryOutcome {
                 write!(f, "rolled back {entries} entries")
             }
             RecoveryOutcome::RepairedTorn { entries } => {
-                write!(f, "repaired torn superblock, then processed {entries} entries")
+                write!(
+                    f,
+                    "repaired torn superblock, then processed {entries} entries"
+                )
             }
             RecoveryOutcome::Quarantined { entries, reason } => {
                 write!(f, "quarantined {entries} regions: {reason}")
@@ -231,7 +234,9 @@ impl TriageReport {
 
     /// The region containing byte `addr`, if any.
     pub fn region_covering(&self, addr: u64) -> Option<&RegionReport> {
-        self.regions.iter().find(|r| r.start <= addr && addr < r.end)
+        self.regions
+            .iter()
+            .find(|r| r.start <= addr && addr < r.end)
     }
 }
 
@@ -338,7 +343,10 @@ fn select_entries(
 ) -> (u64, Vec<LogEntry>) {
     let marker = |off: u64| {
         let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-        resolve_marker(rd(layout.log_header + off), rd(layout.log_header_twin + off))
+        resolve_marker(
+            rd(layout.log_header + off),
+            rd(layout.log_header_twin + off),
+        )
     };
     let committed = marker(0);
     let entries = slots.iter().filter_map(|s| s.entry);
@@ -591,21 +599,15 @@ fn build_report(
             diagnosis: diagnosis.clone(),
         }
     } else if !sb.quarantine.is_empty() || slot_quarantined > 0 {
-        let reason = sb
-            .quarantine
-            .first()
-            .cloned()
-            .unwrap_or_else(|| {
-                regions
-                    .iter()
-                    .find(|r| r.class == RegionClass::Quarantined)
-                    .map(|r| r.detail.clone())
-                    .unwrap_or_else(|| "quarantined log content".into())
-            });
+        let reason = sb.quarantine.first().cloned().unwrap_or_else(|| {
+            regions
+                .iter()
+                .find(|r| r.class == RegionClass::Quarantined)
+                .map(|r| r.detail.clone())
+                .unwrap_or_else(|| "quarantined log content".into())
+        });
         RecoveryOutcome::Quarantined {
-            entries: sb.quarantined_primary.len()
-                + sb.quarantined_twin.len()
-                + slot_quarantined,
+            entries: sb.quarantined_primary.len() + sb.quarantined_twin.len() + slot_quarantined,
             reason,
         }
     } else if !sb.heals.is_empty() {
@@ -710,7 +712,15 @@ pub fn recover(image: &mut NvmImage, layout: &Layout, protocol: Protocol) -> Tri
     for e in &entries {
         image.insert(e.addr, e.old);
     }
-    build_report(image, layout, &sb, offsets, &slots, committed, entries.len())
+    build_report(
+        image,
+        layout,
+        &sb,
+        offsets,
+        &slots,
+        committed,
+        entries.len(),
+    )
 }
 
 /// CoW recovery: validates the packed `(root ptr, marker)` pairs on the
@@ -747,8 +757,7 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
             );
             (
                 RecoveryOutcome::Unrecoverable {
-                    diagnosis: "both root-line copies fail validation — no tree to walk"
-                        .into(),
+                    diagnosis: "both root-line copies fail validation — no tree to walk".into(),
                 },
                 0,
             )
@@ -766,7 +775,11 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
             (RecoveryOutcome::RepairedTorn { entries: 1 }, b)
         }
         (Some(a), None) => {
-            push(meta.root_line, RegionClass::Valid, "primary root line".into());
+            push(
+                meta.root_line,
+                RegionClass::Valid,
+                "primary root line".into(),
+            );
             push(
                 meta.root_twin,
                 RegionClass::Quarantined,
@@ -783,7 +796,11 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
             )
         }
         (Some(a), Some(b)) if a > b => {
-            push(meta.root_line, RegionClass::Valid, "primary root line".into());
+            push(
+                meta.root_line,
+                RegionClass::Valid,
+                "primary root line".into(),
+            );
             push(
                 meta.root_twin,
                 RegionClass::Quarantined,
@@ -801,7 +818,11 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
             )
         }
         (Some(a), Some(b)) => {
-            push(meta.root_line, RegionClass::Valid, "primary root line".into());
+            push(
+                meta.root_line,
+                RegionClass::Valid,
+                "primary root line".into(),
+            );
             push(meta.root_twin, RegionClass::Valid, "twin root line".into());
             if b > a {
                 // Crash between the twin and primary switches: roll the
@@ -828,8 +849,7 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
             start: lo,
             end: hi + 8,
             class: RegionClass::Unprotected,
-            detail: "CoW tree (pointers and data blocks carry no per-block integrity)"
-                .into(),
+            detail: "CoW tree (pointers and data blocks carry no per-block integrity)".into(),
         });
     }
     TriageReport {

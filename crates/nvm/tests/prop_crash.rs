@@ -19,8 +19,12 @@ use std::collections::HashMap;
 /// slot of the array, select and order the entries, apply them.
 fn every_slot_reference(image: &NvmImage, layout: &Layout, protocol: Protocol) -> (u64, NvmImage) {
     let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-    let marker =
-        |off: u64| resolve_marker(rd(layout.log_header + off), rd(layout.log_header_twin + off));
+    let marker = |off: u64| {
+        resolve_marker(
+            rd(layout.log_header + off),
+            rd(layout.log_header_twin + off),
+        )
+    };
     let (committed, applied) = (marker(0), marker(OFF_APPLIED));
     let mut entries: Vec<LogEntry> = (0..layout.log_slots)
         .filter_map(|i| decode_entry(layout.slot_addr(i), rd))
@@ -59,10 +63,16 @@ fn merge_everything_check(
         return Err(CheckFailure::Unrecoverable { diagnosis });
     }
     let committed = report.committed;
-    let writes = out.records.iter().flat_map(|r| r.writes.iter().map(|&(a, _, _)| a));
+    let writes = out
+        .records
+        .iter()
+        .flat_map(|r| r.writes.iter().map(|&(a, _, _)| a));
     let (mut expected, mut addrs): (HashMap<u64, u64>, Vec<u64>) = match protocol {
         Protocol::Cow(_) => (HashMap::new(), writes.collect()),
-        _ => (initial.clone(), initial.keys().copied().chain(writes).collect()),
+        _ => (
+            initial.clone(),
+            initial.keys().copied().chain(writes).collect(),
+        ),
     };
     for r in out.records.iter().take(committed as usize) {
         for &(a, _, new) in &r.writes {
@@ -151,14 +161,27 @@ fn in_order_trace(out: &TxOutput, dropped: u64) -> PersistTrace {
         let cycle = id.index() as u64;
         match inst.op {
             Op::Str { addr, value, .. } => {
-                t.record_store(StoreEvent { cycle, addr, width: 8, value: [value, 0] });
+                t.record_store(StoreEvent {
+                    cycle,
+                    addr,
+                    width: 8,
+                    value: [value, 0],
+                });
             }
             Op::Stp { addr, values, .. } => {
-                t.record_store(StoreEvent { cycle, addr, width: 16, value: values });
+                t.record_store(StoreEvent {
+                    cycle,
+                    addr,
+                    width: 16,
+                    value: values,
+                });
             }
             Op::DcCvap { addr, .. } => {
                 if dropped >> (persists % 64) & 1 == 0 {
-                    t.record_persist(PersistEvent { cycle, line: addr & !63 });
+                    t.record_persist(PersistEvent {
+                        cycle,
+                        line: addr & !63,
+                    });
                 }
                 persists += 1;
             }

@@ -42,9 +42,7 @@ fn main() {
     let (source, name) = match positional.first().map(String::as_str) {
         None | Some("-") => {
             let mut s = String::new();
-            std::io::stdin()
-                .read_to_string(&mut s)
-                .expect("read stdin");
+            std::io::stdin().read_to_string(&mut s).expect("read stdin");
             (s, "<stdin>".to_string())
         }
         Some(path) => (
@@ -69,7 +67,10 @@ fn main() {
         eprintln!("{name}: {e}");
         std::process::exit(1);
     });
-    println!("== {name} ({} instructions, {arch} hardware) ==", program.len());
+    println!(
+        "== {name} ({} instructions, {arch} hardware) ==",
+        program.len()
+    );
     print!("{}", disasm::listing(&program));
 
     let sim = SimConfig::a72();
@@ -78,7 +79,12 @@ fn main() {
             eprintln!("simulation failed: {e}");
             std::process::exit(1);
         });
-    println!("\ncycles: {}   retired: {}   IPC: {:.2}", r.cycles, r.retired, r.ipc());
+    println!(
+        "\ncycles: {}   retired: {}   IPC: {:.2}",
+        r.cycles,
+        r.retired,
+        r.ipc()
+    );
     if let Some(path) = &metrics_path {
         std::fs::write(path, metrics_json(&r)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
@@ -102,7 +108,10 @@ fn main() {
         if v.is_empty() {
             println!("execution dependences: all honored");
         } else {
-            println!("execution dependences: {} VIOLATIONS (hardware bug!)", v.len());
+            println!(
+                "execution dependences: {} VIOLATIONS (hardware bug!)",
+                v.len()
+            );
             std::process::exit(2);
         }
     }

@@ -70,7 +70,12 @@ pub fn pipeview(
 /// squashed incarnations. Cycles are bucketed to fit `width` columns.
 fn render_pipeview(program: &Program, tracer: &Tracer, width: usize) -> String {
     let width = width.max(10);
-    let max_cycle = tracer.stages().map(|(cycle, _, _)| cycle).max().unwrap_or(1).max(1);
+    let max_cycle = tracer
+        .stages()
+        .map(|(cycle, _, _)| cycle)
+        .max()
+        .unwrap_or(1)
+        .max(1);
     let scale = |cycle: u64| -> usize {
         ((cycle.saturating_sub(1)) as usize * (width - 1) / max_cycle as usize).min(width - 1)
     };

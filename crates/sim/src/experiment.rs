@@ -2,8 +2,8 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::runner::{run_workload, RunResult};
 use crate::geomean;
+use crate::runner::{run_workload, RunResult};
 use ede_isa::ArchConfig;
 use ede_workloads::{standard_suite, Workload, WorkloadParams};
 
@@ -114,10 +114,7 @@ pub fn fig9(cfg: &ExperimentConfig) -> Result<Fig9, SimError> {
 /// # Errors
 ///
 /// Propagates the first [`SimError`] in cell order if any run fails.
-pub fn fig9_with(
-    cfg: &ExperimentConfig,
-    suite: &[Box<dyn Workload>],
-) -> Result<Fig9, SimError> {
+pub fn fig9_with(cfg: &ExperimentConfig, suite: &[Box<dyn Workload>]) -> Result<Fig9, SimError> {
     let results = run_cells(cfg, suite, &cells_workload_major(suite.len()))?;
     let mut rows = Vec::new();
     for (wi, w) in suite.iter().enumerate() {
@@ -140,10 +137,7 @@ pub fn fig9_with(
         let xs: Vec<f64> = rows.iter().map(|r| r.normalized[i]).collect();
         *g = geomean(&xs);
     }
-    Ok(Fig9 {
-        rows,
-        geomean: geo,
-    })
+    Ok(Fig9 { rows, geomean: geo })
 }
 
 /// Multi-seed aggregate of Figure 9: mean and sample standard deviation
@@ -186,11 +180,7 @@ pub fn fig9_seeds(
         let m = per_seed.iter().map(|r| r[i]).sum::<f64>() / n;
         mean[i] = m;
         if per_seed.len() > 1 {
-            let var = per_seed
-                .iter()
-                .map(|r| (r[i] - m).powi(2))
-                .sum::<f64>()
-                / (n - 1.0);
+            let var = per_seed.iter().map(|r| (r[i] - m).powi(2)).sum::<f64>() / (n - 1.0);
             stdev[i] = var.sqrt();
         }
     }
@@ -241,9 +231,7 @@ pub struct Fig10 {
 impl Fig10 {
     /// The cell for a given application/configuration.
     pub fn cell(&self, app: &str, arch: ArchConfig) -> Option<&Fig10Cell> {
-        self.cells
-            .iter()
-            .find(|c| c.app == app && c.arch == arch)
+        self.cells.iter().find(|c| c.app == app && c.arch == arch)
     }
 
     /// Mean occupancy per configuration across all applications.
@@ -276,10 +264,7 @@ pub fn fig10(cfg: &ExperimentConfig) -> Result<Fig10, SimError> {
 /// # Errors
 ///
 /// Propagates the first [`SimError`] in cell order if any run fails.
-pub fn fig10_with(
-    cfg: &ExperimentConfig,
-    suite: &[Box<dyn Workload>],
-) -> Result<Fig10, SimError> {
+pub fn fig10_with(cfg: &ExperimentConfig, suite: &[Box<dyn Workload>]) -> Result<Fig10, SimError> {
     let grid = cells_workload_major(suite.len());
     let results = run_cells(cfg, suite, &grid)?;
     let cells = grid
@@ -337,10 +322,7 @@ pub fn fig11(cfg: &ExperimentConfig) -> Result<Fig11, SimError> {
 /// # Errors
 ///
 /// Propagates the first [`SimError`] in cell order if any run fails.
-pub fn fig11_with(
-    cfg: &ExperimentConfig,
-    suite: &[Box<dyn Workload>],
-) -> Result<Fig11, SimError> {
+pub fn fig11_with(cfg: &ExperimentConfig, suite: &[Box<dyn Workload>]) -> Result<Fig11, SimError> {
     let width = cfg.sim.cpu.issue_width;
     // Arch-major cell order: this figure aggregates per configuration.
     let grid: Vec<(usize, ArchConfig)> = ArchConfig::ALL

@@ -33,7 +33,9 @@ pub mod runner;
 
 pub use config::SimConfig;
 pub use error::SimError;
-pub use experiment::{fig10, fig11, fig9, fig9_seeds, ExperimentConfig, Fig10, Fig11, Fig9, Fig9Seeds};
+pub use experiment::{
+    fig10, fig11, fig9, fig9_seeds, ExperimentConfig, Fig10, Fig11, Fig9, Fig9Seeds,
+};
 pub use metrics::{chrome_trace_json, metrics_json, validate_metrics_json, METRICS_SCHEMA};
 pub use runner::{
     raw_output, run_program, run_program_observed, run_program_traced, run_workload, RunResult,

@@ -50,7 +50,11 @@ pub fn metrics_json(r: &RunResult) -> String {
             let _ = write!(out, ", {}: {}", json_escape(cause.label()), cycles);
         }
         let _ = write!(out, ", \"total\": {}}}", s.total());
-        out.push_str(if si + 1 < StageId::ALL.len() { ",\n" } else { "\n" });
+        out.push_str(if si + 1 < StageId::ALL.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("  },\n");
     let _ = writeln!(out, "  \"registry\": {}", r.metrics.to_json());

@@ -125,10 +125,7 @@ pub fn fig10(f: &Fig10) -> String {
     for app in apps {
         let _ = write!(s, "  {app:8}");
         for arch in ArchConfig::ALL {
-            let m = f
-                .cell(app, arch)
-                .map(|c| c.mean_occupancy())
-                .unwrap_or(0.0);
+            let m = f.cell(app, arch).map(|c| c.mean_occupancy()).unwrap_or(0.0);
             let _ = write!(s, " {m:>7.1}");
         }
         let _ = writeln!(s);

@@ -391,8 +391,7 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
     type Value = Vec<S::Value>;
     fn generate(&self, rng: &mut SmallRng) -> Shrinkable<Vec<S::Value>> {
         let n = rng.gen_range(self.len.clone());
-        let elems: Vec<Shrinkable<S::Value>> =
-            (0..n).map(|_| self.element.generate(rng)).collect();
+        let elems: Vec<Shrinkable<S::Value>> = (0..n).map(|_| self.element.generate(rng)).collect();
         vec_shrinkable(elems, self.len.start)
     }
 }
@@ -456,7 +455,12 @@ macro_rules! tuple_zip {
     };
     ($a:ident, $b:ident, $c:ident, $d:ident) => {
         zip2(zip2($a, $b), zip2($c, $d)).map(Rc::new(|v: &((_, _), (_, _))| {
-            (v.0 .0.clone(), v.0 .1.clone(), v.1 .0.clone(), v.1 .1.clone())
+            (
+                v.0 .0.clone(),
+                v.0 .1.clone(),
+                v.1 .0.clone(),
+                v.1 .1.clone(),
+            )
         }))
     };
 }
@@ -808,7 +812,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             l != r,
             "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($left), stringify!($right), l
+            stringify!($left),
+            stringify!($right),
+            l
         );
     }};
 }
@@ -1020,7 +1026,10 @@ mod tests {
                 Ok(())
             });
         });
-        assert!(msg.contains("panic: plain assert 50"), "shrunk to 50:\n{msg}");
+        assert!(
+            msg.contains("panic: plain assert 50"),
+            "shrunk to 50:\n{msg}"
+        );
     }
 
     property! {

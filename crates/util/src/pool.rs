@@ -413,7 +413,11 @@ mod tests {
     #[test]
     fn par_map_indexed_matches_serial_map() {
         let items: Vec<u64> = (0..50).map(|i| i * 7).collect();
-        let serial: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x + i as u64).collect();
+        let serial: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x + i as u64)
+            .collect();
         for jobs in [1, 3, 4, 13] {
             assert_eq!(
                 par_map_indexed(jobs, &items, |i, &x| x + i as u64),
@@ -508,7 +512,13 @@ mod tests {
         });
         let up = results[1].as_ref().expect_err("unit 1 panicked");
         assert_eq!(up.message, "42 (u32)");
-        assert_eq!(up.describe(3), format!("parallel job 1 of 3 panicked on worker {}: 42 (u32)", up.worker));
+        assert_eq!(
+            up.describe(3),
+            format!(
+                "parallel job 1 of 3 panicked on worker {}: 42 (u32)",
+                up.worker
+            )
+        );
     }
 
     #[test]
@@ -572,8 +582,11 @@ mod tests {
         let (out, truncated) = par_frontier(1, vec![(0u64, 0u32)], usize::MAX, tree_step(2));
         // Layers: [0], [1, 2], [3, 4, 5, 6] — outputs carry the global
         // entry index `step` observed.
-        let expect: Vec<(usize, u64)> =
-            [0u64, 1, 2, 3, 4, 5, 6].iter().enumerate().map(|(i, &v)| (i, v)).collect();
+        let expect: Vec<(usize, u64)> = [0u64, 1, 2, 3, 4, 5, 6]
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i, v))
+            .collect();
         assert_eq!(out, expect);
         assert!(!truncated);
     }
@@ -605,8 +618,7 @@ mod tests {
 
     #[test]
     fn par_frontier_empty_seeds_and_zero_budget() {
-        let (out, truncated) =
-            par_frontier(2, Vec::<(u64, u32)>::new(), usize::MAX, tree_step(3));
+        let (out, truncated) = par_frontier(2, Vec::<(u64, u32)>::new(), usize::MAX, tree_step(3));
         assert!(out.is_empty());
         assert!(!truncated);
         let (out, truncated) = par_frontier(2, vec![(0u64, 0u32)], 0, tree_step(3));

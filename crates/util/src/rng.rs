@@ -82,10 +82,7 @@ impl SmallRng {
     /// Returns the next 64 random bits (xoshiro256++ step).
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -110,14 +107,8 @@ impl SmallRng {
     ///
     /// Panics if the range is empty.
     pub fn gen_range<T: UniformInt>(&mut self, range: core::ops::Range<T>) -> T {
-        assert!(
-            range.start < range.end,
-            "gen_range called with empty range"
-        );
-        T::from_offset(
-            &range.start,
-            self.below(T::span(&range.start, &range.end)),
-        )
+        assert!(range.start < range.end, "gen_range called with empty range");
+        T::from_offset(&range.start, self.below(T::span(&range.start, &range.end)))
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).

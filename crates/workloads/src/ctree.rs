@@ -127,8 +127,8 @@ impl Builder<'_> {
         // node goes.
         let diff = (63 - (key ^ leaf_key).leading_zeros()) as u64;
         let crit = 63 - diff; // bit index from the MSB
-        // Re-walk from the root to the insertion point: the first edge
-        // whose node is a leaf or has a bit index greater than `crit`.
+                              // Re-walk from the root to the insertion point: the first edge
+                              // whose node is a leaf or has a bit index greater than `crit`.
         let mut slot = root_ptr;
         loop {
             let cur = self.tx.read(slot);
@@ -441,8 +441,14 @@ mod tests {
         }
         b.tx.commit_tx();
         let out = tx.finish();
-        assert_eq!(lookup(&out.memory, root_ptr, 0x8000_0000_0000_0000), Some(10));
-        assert_eq!(lookup(&out.memory, root_ptr, 0x8000_0000_0000_0001), Some(11));
+        assert_eq!(
+            lookup(&out.memory, root_ptr, 0x8000_0000_0000_0000),
+            Some(10)
+        );
+        assert_eq!(
+            lookup(&out.memory, root_ptr, 0x8000_0000_0000_0001),
+            Some(11)
+        );
         assert_eq!(lookup(&out.memory, root_ptr, 0), Some(12));
         assert_eq!(lookup(&out.memory, root_ptr, 1), Some(13));
         assert_eq!(lookup(&out.memory, root_ptr, 2), None);

@@ -277,9 +277,7 @@ mod tests {
             let ede = w.generate(&params(), ArchConfig::WriteBuffer).program;
             let fences = |p: &ede_isa::Program| {
                 p.iter()
-                    .filter(|(_, i)| {
-                        matches!(i.kind(), InstKind::FenceMem | InstKind::FenceStore)
-                    })
+                    .filter(|(_, i)| matches!(i.kind(), InstKind::FenceMem | InstKind::FenceStore))
                     .count()
             };
             assert!(fences(&fenced) >= 20, "{}", w.name());

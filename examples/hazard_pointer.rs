@@ -87,12 +87,18 @@ pub fn run() -> Vec<RunResult> {
     let sim = SimConfig::a72();
     let base = run_program("hazard-dmb", raw_output(fenced), ArchConfig::Baseline, &sim)
         .expect("fenced run completes");
-    println!("\nDMB SY version:  {:>7} cycles for {rounds} rounds", base.cycles);
+    println!(
+        "\nDMB SY version:  {:>7} cycles for {rounds} rounds",
+        base.cycles
+    );
     let mut results = Vec::new();
     for arch in [ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
         let r = run_program("hazard-ede", raw_output(ede.clone()), arch, &sim)
             .expect("EDE run completes");
-        assert!(r.ordering_violations().is_empty(), "announcement ordering broken");
+        assert!(
+            r.ordering_violations().is_empty(),
+            "announcement ordering broken"
+        );
         println!(
             "EDE, {arch} hardware: {:>7} cycles  ({:.0}% faster, ordering verified)",
             r.cycles,

@@ -69,9 +69,21 @@ pub fn run() -> Vec<RunResult> {
          log persist (dc cvap of the slot) to complete before its data\n\
          store becomes visible — and nothing else."
     );
-    let fenced = show("B: DSB between log and data", update_programs(false), ArchConfig::Baseline);
-    let iq = show("IQ: EDE at the issue queue", update_programs(true), ArchConfig::IssueQueue);
-    let wb = show("WB: EDE at the write buffer", update_programs(true), ArchConfig::WriteBuffer);
+    let fenced = show(
+        "B: DSB between log and data",
+        update_programs(false),
+        ArchConfig::Baseline,
+    );
+    let iq = show(
+        "IQ: EDE at the issue queue",
+        update_programs(true),
+        ArchConfig::IssueQueue,
+    );
+    let wb = show(
+        "WB: EDE at the write buffer",
+        update_programs(true),
+        ArchConfig::WriteBuffer,
+    );
 
     println!(
         "\nsummary: B {} cycles, IQ {} cycles, WB {} cycles",

@@ -30,7 +30,10 @@ fn safe_configs_survive_every_crash_point() {
             let r = run_workload(w.as_ref(), &params(), arch, &sim).unwrap();
             let checker = CrashChecker::new(&r.output);
             checker.check_all_images(&r.trace).unwrap_or_else(|(c, e)| {
-                panic!("{} on {arch}: crash at cycle {c} unrecoverable: {e}", w.name())
+                panic!(
+                    "{} on {arch}: crash at cycle {c} unrecoverable: {e}",
+                    w.name()
+                )
             });
         }
     }

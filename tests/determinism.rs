@@ -34,7 +34,10 @@ fn assert_identical(a: &RunResult, b: &RunResult) {
     assert_eq!(a.mem_stats, b.mem_stats);
     assert_eq!(a.timings, b.timings, "per-instruction timings diverged");
     assert_eq!(a.trace.stores, b.trace.stores, "store events diverged");
-    assert_eq!(a.trace.persists, b.trace.persists, "persist events diverged");
+    assert_eq!(
+        a.trace.persists, b.trace.persists,
+        "persist events diverged"
+    );
     assert_eq!(
         a.output.program.len(),
         b.output.program.len(),

@@ -72,7 +72,11 @@ fn every_litmus_idiom_is_proved_on_every_arch() {
     // The sweep covers the whole catalog — a new idiom without coverage
     // (or a stale BREAKING_FAULT entry) fails here.
     let swept: Vec<&str> = BREAKING_FAULT.iter().map(|&(n, _)| n).collect();
-    assert_eq!(litmus::NAMES, *swept, "litmus catalog changed: update BREAKING_FAULT");
+    assert_eq!(
+        litmus::NAMES,
+        *swept,
+        "litmus catalog changed: update BREAKING_FAULT"
+    );
 }
 
 #[test]
@@ -121,8 +125,14 @@ fn every_idiom_yields_a_shrunk_counterexample_under_its_breaking_fault() {
             fault.label()
         );
         let cx = c.counterexample.as_ref().expect("counterexample recorded");
-        assert!(!cx.cmds.is_empty(), "{name}: reproducer must survive shrinking");
-        assert_ne!(cx.missing, 0, "{name}: a mandated predecessor must be missing");
+        assert!(
+            !cx.cmds.is_empty(),
+            "{name}: reproducer must survive shrinking"
+        );
+        assert_ne!(
+            cx.missing, 0,
+            "{name}: a mandated predecessor must be missing"
+        );
         assert!(
             explore::reproduces(&cx.cmds, Some(fault), opts.max_events),
             "{name}: shrunk reproducer {:?} no longer fails the oracle",
@@ -221,7 +231,11 @@ fn reproduces_rejects_unmodelable_faults_and_clean_programs() {
     // A fenced program is no reproducer at all without a fault...
     assert!(!explore::reproduces(&clean, None, 16));
     // ...is one under the fence-voiding fault...
-    assert!(explore::reproduces(&clean, Some(FaultInjection::WeakDsb), 16));
+    assert!(explore::reproduces(
+        &clean,
+        Some(FaultInjection::WeakDsb),
+        16
+    ));
     // ...and timing-dependent faults have no static model to fail.
     assert!(!explore::reproduces(
         &clean,

@@ -26,7 +26,11 @@ use std::path::PathBuf;
 #[path = "../crates/sim/src/bin/pipeview.rs"]
 mod pipeview;
 
-const ARCHS: [ArchConfig; 3] = [ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer];
+const ARCHS: [ArchConfig; 3] = [
+    ArchConfig::Baseline,
+    ArchConfig::IssueQueue,
+    ArchConfig::WriteBuffer,
+];
 
 /// Lane-chart width, the `pipeview` default.
 const WIDTH: usize = 72;
@@ -63,7 +67,10 @@ fn chrome_and_pipeview_digests_are_pinned() {
     let mut table = String::from("# litmus arch export fnv1a64 len\n");
     for name in litmus::NAMES {
         for arch in ARCHS {
-            for (export, text) in [("chrome", chrome(name, arch)), ("pipeview", lane_chart(name, arch))] {
+            for (export, text) in [
+                ("chrome", chrome(name, arch)),
+                ("pipeview", lane_chart(name, arch)),
+            ] {
                 let _ = writeln!(
                     table,
                     "{name} {} {export} {:016x} {}",

@@ -224,8 +224,13 @@ fn dropped_persist_outcome_is_identical_on_both_paths() {
     for ff in [true, false] {
         let mut sim = sim(ff);
         sim.mem.fault = Some(FaultInjection::DropPersist { nth: 0 });
-        let r = run_program("drop", raw_output(program.clone()), ArchConfig::Baseline, &sim)
-            .expect("drop-persist does not hang");
+        let r = run_program(
+            "drop",
+            raw_output(program.clone()),
+            ArchConfig::Baseline,
+            &sim,
+        )
+        .expect("drop-persist does not hang");
         results.push(r);
     }
     let diffs = result_diffs(&results[0], &results[1]);

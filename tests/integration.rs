@@ -153,7 +153,11 @@ fn stats_are_internally_consistent() {
     assert!(m.l1_hits <= m.loads + m.store_drains);
     // Persist trace is cycle-sorted.
     assert!(r.trace.stores.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    assert!(r.trace.persists.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+    assert!(r
+        .trace
+        .persists
+        .windows(2)
+        .all(|w| w[0].cycle <= w[1].cycle));
     // Occupancy histogram bounded by buffer capacity.
     assert_eq!(r.nvm_occupancy.len(), sim.mem.persist_slots + 1);
 }

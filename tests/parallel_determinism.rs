@@ -87,7 +87,11 @@ fn failing_fuzz_report_is_identical_across_job_counts() {
     let failure = baseline.failure.as_ref().expect("fault must be caught");
     assert!(!failure.cmds.is_empty());
     for jobs in JOB_COUNTS {
-        assert_eq!(fuzz(&opts(jobs)), baseline, "failure diverged at jobs {jobs}");
+        assert_eq!(
+            fuzz(&opts(jobs)),
+            baseline,
+            "failure diverged at jobs {jobs}"
+        );
     }
 }
 
@@ -113,10 +117,18 @@ fn trace_artifacts_are_byte_identical_across_repeats() {
             litmus::render_events(&program, tracer.events()),
         )
     };
-    for arch in [ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer] {
+    for arch in [
+        ArchConfig::Baseline,
+        ArchConfig::IssueQueue,
+        ArchConfig::WriteBuffer,
+    ] {
         let baseline = render(arch);
         for rep in 0..2 {
-            assert_eq!(render(arch), baseline, "run diverged on {arch} repeat {rep}");
+            assert_eq!(
+                render(arch),
+                baseline,
+                "run diverged on {arch} repeat {rep}"
+            );
         }
     }
 }

@@ -184,7 +184,10 @@ fn torn_single_header_is_always_repaired_from_the_twin() {
                     report.outcome
                 );
                 assert_eq!(report.committed, golden_report.committed);
-                assert_eq!(recovered, golden, "{arch}: repaired image must equal golden");
+                assert_eq!(
+                    recovered, golden,
+                    "{arch}: repaired image must equal golden"
+                );
                 let sb = report.region_covering(layout.log_header).unwrap();
                 assert_eq!(sb.class, RegionClass::Repaired);
             }
@@ -302,7 +305,9 @@ fn scrub_reports_byte_ranges_without_mutating() {
     for region in &r.regions {
         assert!(region.start < region.end, "{region:?}");
     }
-    let hit = r.region_covering(bad_slot + 40).expect("garbage word covered");
+    let hit = r
+        .region_covering(bad_slot + 40)
+        .expect("garbage word covered");
     assert_eq!(hit.class, RegionClass::Quarantined);
     assert_eq!((hit.start, hit.end), (bad_slot, bad_slot + 64));
     assert!(hit.detail.contains("slot 3"), "{}", hit.detail);

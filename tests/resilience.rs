@@ -10,8 +10,8 @@ use ede_check::{
     corrupt_campaign, explore_campaign, inject_campaign, CaseOutcome, CorruptOptions,
     CorruptionKind, ExploreOptions, InjectOptions, RuntimeOptions, Source,
 };
-use ede_isa::ArchConfig;
 use ede_cpu::FaultInjection;
+use ede_isa::ArchConfig;
 use std::path::PathBuf;
 use std::sync::Once;
 
@@ -85,10 +85,16 @@ fn fuzz_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         };
         let clean = fuzz(&base);
         let (interrupt, resume) = interrupt_then_resume(&format!("fuzz-{jobs}-{fast_forward}"), 9);
-        let interrupted = fuzz_campaign(&FuzzOptions { runtime: interrupt, ..base.clone() })
-            .expect("interrupted run");
+        let interrupted = fuzz_campaign(&FuzzOptions {
+            runtime: interrupt,
+            ..base.clone()
+        })
+        .expect("interrupted run");
         assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
-        assert!(interrupted.cases_run < base.cases, "interrupt truncated the scan");
+        assert!(
+            interrupted.cases_run < base.cases,
+            "interrupt truncated the scan"
+        );
         let resumed = fuzz_campaign(&FuzzOptions {
             jobs: resume_jobs(jobs),
             runtime: resume,
@@ -106,7 +112,12 @@ fn fuzz_interrupt_and_resume_is_invisible_on_the_whole_grid() {
 
 #[test]
 fn fuzz_survives_a_chain_of_interruptions() {
-    let base = FuzzOptions { cases: 20, max_cmds: 12, jobs: 2, ..FuzzOptions::default() };
+    let base = FuzzOptions {
+        cases: 20,
+        max_cmds: 12,
+        jobs: 2,
+        ..FuzzOptions::default()
+    };
     let clean = fuzz(&base);
     let path = temp_checkpoint("fuzz-chain");
     // Three partial legs, each resuming the last, then a final full leg.
@@ -153,10 +164,16 @@ fn inject_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         let clean = inject_campaign(&base).expect("clean run");
         let (interrupt, resume) =
             interrupt_then_resume(&format!("inject-{jobs}-{fast_forward}"), 2);
-        let interrupted = inject_campaign(&InjectOptions { runtime: interrupt, ..base.clone() })
-            .expect("interrupted run");
+        let interrupted = inject_campaign(&InjectOptions {
+            runtime: interrupt,
+            ..base.clone()
+        })
+        .expect("interrupted run");
         assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
-        assert!(interrupted.cells.len() < clean.cells.len(), "truncated matrix");
+        assert!(
+            interrupted.cells.len() < clean.cells.len(),
+            "truncated matrix"
+        );
         assert!(interrupted.to_json().contains("\"interrupted\": true"));
         let resumed = inject_campaign(&InjectOptions {
             jobs: resume_jobs(jobs),
@@ -165,7 +182,11 @@ fn inject_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         })
         .expect("resumed run");
         assert_eq!(resumed, clean, "jobs={jobs} ff={fast_forward}");
-        assert_eq!(resumed.to_json(), clean.to_json(), "jobs={jobs} ff={fast_forward}");
+        assert_eq!(
+            resumed.to_json(),
+            clean.to_json(),
+            "jobs={jobs} ff={fast_forward}"
+        );
         assert_eq!(
             resumed.metrics().to_json(),
             clean.metrics().to_json(),
@@ -186,10 +207,16 @@ fn explore_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         let clean = explore_campaign(&base).expect("clean run");
         let (interrupt, resume) =
             interrupt_then_resume(&format!("explore-{jobs}-{fast_forward}"), 2);
-        let interrupted = explore_campaign(&ExploreOptions { runtime: interrupt, ..base.clone() })
-            .expect("interrupted run");
+        let interrupted = explore_campaign(&ExploreOptions {
+            runtime: interrupt,
+            ..base.clone()
+        })
+        .expect("interrupted run");
         assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
-        assert!(interrupted.cells.len() < interrupted.planned_cells, "truncated ledger");
+        assert!(
+            interrupted.cells.len() < interrupted.planned_cells,
+            "truncated ledger"
+        );
         let resumed = explore_campaign(&ExploreOptions {
             jobs: resume_jobs(jobs),
             runtime: resume,
@@ -197,7 +224,11 @@ fn explore_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         })
         .expect("resumed run");
         assert_eq!(resumed, clean, "jobs={jobs} ff={fast_forward}");
-        assert_eq!(resumed.to_json(), clean.to_json(), "jobs={jobs} ff={fast_forward}");
+        assert_eq!(
+            resumed.to_json(),
+            clean.to_json(),
+            "jobs={jobs} ff={fast_forward}"
+        );
     }
 }
 
@@ -211,7 +242,11 @@ fn corrupt_interrupt_and_resume_is_invisible_on_the_whole_grid() {
                 CorruptionKind::WipeZero,
                 CorruptionKind::Truncate,
             ],
-            archs: vec![ArchConfig::Baseline, ArchConfig::IssueQueue, ArchConfig::WriteBuffer],
+            archs: vec![
+                ArchConfig::Baseline,
+                ArchConfig::IssueQueue,
+                ArchConfig::WriteBuffer,
+            ],
             jobs,
             fast_forward,
             ..CorruptOptions::default()
@@ -219,10 +254,16 @@ fn corrupt_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         let clean = corrupt_campaign(&base).expect("clean run");
         let (interrupt, resume) =
             interrupt_then_resume(&format!("corrupt-{jobs}-{fast_forward}"), 2);
-        let interrupted = corrupt_campaign(&CorruptOptions { runtime: interrupt, ..base.clone() })
-            .expect("interrupted run");
+        let interrupted = corrupt_campaign(&CorruptOptions {
+            runtime: interrupt,
+            ..base.clone()
+        })
+        .expect("interrupted run");
         assert!(interrupted.interrupted, "jobs={jobs} ff={fast_forward}");
-        assert!(interrupted.cells.len() < clean.cells.len(), "truncated matrix");
+        assert!(
+            interrupted.cells.len() < clean.cells.len(),
+            "truncated matrix"
+        );
         assert!(interrupted.to_json().contains("\"interrupted\": true"));
         let resumed = corrupt_campaign(&CorruptOptions {
             jobs: resume_jobs(jobs),
@@ -231,7 +272,11 @@ fn corrupt_interrupt_and_resume_is_invisible_on_the_whole_grid() {
         })
         .expect("resumed run");
         assert_eq!(resumed, clean, "jobs={jobs} ff={fast_forward}");
-        assert_eq!(resumed.to_json(), clean.to_json(), "jobs={jobs} ff={fast_forward}");
+        assert_eq!(
+            resumed.to_json(),
+            clean.to_json(),
+            "jobs={jobs} ff={fast_forward}"
+        );
         assert_eq!(
             resumed.metrics().to_json(),
             clean.metrics().to_json(),
@@ -259,7 +304,10 @@ fn quarantine_records_are_jobs_invariant() {
         }]
     );
     assert!(sequential.failure.is_none() && !sequential.interrupted);
-    let parallel = fuzz(&FuzzOptions { jobs: 4, ..base.clone() });
+    let parallel = fuzz(&FuzzOptions {
+        jobs: 4,
+        ..base.clone()
+    });
     assert_eq!(parallel, sequential, "quarantine must not leak scheduling");
 }
 
@@ -302,14 +350,27 @@ fn quarantine_records_survive_interrupt_and_resume() {
         ..FuzzOptions::default()
     };
     let clean = fuzz(&base);
-    assert_eq!(clean.quarantined.len(), 1, "self-test panic must quarantine");
+    assert_eq!(
+        clean.quarantined.len(),
+        1,
+        "self-test panic must quarantine"
+    );
     let (interrupt, resume) = interrupt_then_resume("fuzz-quarantine", 6);
-    let interrupted = fuzz_campaign(&FuzzOptions { runtime: interrupt, ..base.clone() })
-        .expect("interrupted run");
+    let interrupted = fuzz_campaign(&FuzzOptions {
+        runtime: interrupt,
+        ..base.clone()
+    })
+    .expect("interrupted run");
     assert!(interrupted.interrupted);
-    let resumed =
-        fuzz_campaign(&FuzzOptions { runtime: resume, ..base.clone() }).expect("resumed run");
-    assert_eq!(resumed, clean, "the quarantine record must ride the checkpoint");
+    let resumed = fuzz_campaign(&FuzzOptions {
+        runtime: resume,
+        ..base.clone()
+    })
+    .expect("resumed run");
+    assert_eq!(
+        resumed, clean,
+        "the quarantine record must ride the checkpoint"
+    );
 }
 
 #[test]

@@ -38,14 +38,8 @@ fn live_trace_on(name: &str, arch: ArchConfig, fast_forward: bool) -> String {
     };
     let mut sim = SimConfig::a72();
     sim.cpu.fast_forward = fast_forward;
-    let (result, tracer) = run_program_observed(
-        name,
-        raw_output(program.clone()),
-        arch,
-        &sim,
-        cfg,
-    )
-    .unwrap_or_else(|e| panic!("{name} on {arch}: {e}"));
+    let (result, tracer) = run_program_observed(name, raw_output(program.clone()), arch, &sim, cfg)
+        .unwrap_or_else(|e| panic!("{name} on {arch}: {e}"));
     assert_eq!(tracer.dropped(), 0, "{name} on {arch}: ring overflowed");
     format!(
         "# {name} on {} — {} cycles, {} retired, {} persists\n{}",
