@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// Cache-line size used to match stores to the persist events of their
 /// line, matching the cache hierarchy's 64-byte lines.
-pub const LINE_BYTES: u64 = 64;
+const LINE_BYTES: u64 = 64;
 
 /// Hard cap on persist events a [`PersistDag`] can model: predecessor sets
 /// are `u64` bitmasks, so programs with more persists than this are

@@ -82,12 +82,14 @@ impl ConsumedDeps {
         self.src1.is_none() && self.src2.is_none()
     }
 
-    /// The dependence sources, oldest first.
-    pub fn sources(&self) -> Vec<InstId> {
-        let mut v: Vec<InstId> = [self.src1, self.src2].into_iter().flatten().collect();
-        v.sort();
-        v.dedup();
-        v
+    /// The distinct dependence sources, oldest first.
+    pub fn sources(&self) -> impl Iterator<Item = InstId> {
+        let (older, younger) = match (self.src1, self.src2) {
+            (Some(a), Some(b)) if b < a => (Some(b), Some(a)),
+            (Some(a), Some(b)) if a == b => (Some(a), None),
+            (a, b) => (a, b),
+        };
+        older.into_iter().chain(younger)
     }
 }
 
@@ -246,6 +248,17 @@ mod tests {
     }
 
     #[test]
+    fn sources_are_distinct_and_oldest_first() {
+        let deps = |src1, src2| ConsumedDeps { src1, src2 }.sources().collect::<Vec<_>>();
+        let (a, b) = (InstId(1), InstId(3));
+        assert_eq!(deps(Some(b), Some(a)), [a, b]);
+        assert_eq!(deps(Some(a), Some(b)), [a, b]);
+        assert_eq!(deps(Some(a), Some(a)), [a]);
+        assert_eq!(deps(None, Some(b)), [b]);
+        assert_eq!(deps(None, None), []);
+    }
+
+    #[test]
     fn zero_key_is_inert() {
         let mut edm = Edm::new();
         edm.define(Edk::ZERO, InstId(3));
@@ -339,7 +352,7 @@ mod tests {
         edm.decode(&producer(k(2)), InstId(3)); // will be squashed
         edm.squash();
         let deps = edm.decode(&consumer(k(2)), InstId(4));
-        assert_eq!(deps.sources(), vec![InstId(0)]);
+        assert_eq!(deps.sources().collect::<Vec<_>>(), [InstId(0)]);
     }
 
     #[test]
@@ -349,10 +362,10 @@ mod tests {
         edm.decode(&producer(k(2)), InstId(1));
         let join = Inst::with_edks(Op::Join { use2: k(2) }, EdkPair::new(k(3), k(1)));
         let deps = edm.decode(&join, InstId(2));
-        assert_eq!(deps.sources(), vec![InstId(0), InstId(1)]);
+        assert_eq!(deps.sources().collect::<Vec<_>>(), [InstId(0), InstId(1)]);
         // JOIN is itself a producer of key 3.
         let deps2 = edm.decode(&consumer(k(3)), InstId(3));
-        assert_eq!(deps2.sources(), vec![InstId(2)]);
+        assert_eq!(deps2.sources().collect::<Vec<_>>(), [InstId(2)]);
     }
 
     #[test]
@@ -361,10 +374,10 @@ mod tests {
         edm.decode(&producer(k(4)), InstId(0));
         let w = Inst::plain(Op::WaitKey { key: k(4) });
         let deps = edm.decode(&w, InstId(1));
-        assert_eq!(deps.sources(), vec![InstId(0)]);
+        assert_eq!(deps.sources().collect::<Vec<_>>(), [InstId(0)]);
         // Later consumers now link to the WAIT_KEY.
         let deps2 = edm.decode(&consumer(k(4)), InstId(2));
-        assert_eq!(deps2.sources(), vec![InstId(1)]);
+        assert_eq!(deps2.sources().collect::<Vec<_>>(), [InstId(1)]);
     }
 
     #[test]

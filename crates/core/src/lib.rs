@@ -43,7 +43,7 @@
 //! let d0 = edm.decode(&cvap, InstId(0));
 //! assert!(d0.is_empty());                       // nothing to wait for
 //! let d1 = edm.decode(&store, InstId(1));
-//! assert_eq!(d1.sources(), vec![InstId(0)]);    // store waits on the cvap
+//! assert_eq!(d1.sources().collect::<Vec<_>>(), [InstId(0)]);    // store waits on the cvap
 //! ```
 
 #![forbid(unsafe_code)]

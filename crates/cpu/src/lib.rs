@@ -58,6 +58,7 @@ pub mod core;
 pub mod port;
 pub mod stats;
 pub mod trace;
+mod wakeup;
 pub mod wb;
 mod window;
 

@@ -1,0 +1,139 @@
+//! Wakeup lists: for each producer, the dispatched instructions waiting
+//! on it (a register value or an execution dependence), and the map from
+//! memory requests to the instructions that sent them.
+//!
+//! Both are keyed by dense integers ([`InstId`], `ReqId`), so they hash
+//! with one multiply ([`IdHasher`]) instead of SipHash. Their storage is
+//! bounded by the in-flight window: a producer's list is dropped when it
+//! wakes and its edges go back to a free list for the next dispatch.
+
+use ede_isa::InstId;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative hasher for integer keys. Multiplying by an odd
+/// constant is a bijection on the low bits a table indexes by, so
+/// consecutive ids never collide there, and it mixes every input bit into
+/// the high bits the table tags its entries with.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` over integer keys, hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// End of a list.
+const NIL: u32 = u32::MAX;
+
+/// One waiter on one producer: the waiter, the epoch of the incarnation
+/// that waited, and the next edge of the producer's list.
+#[derive(Clone, Copy)]
+struct Edge {
+    waiter: InstId,
+    epoch: u32,
+    next: u32,
+}
+
+/// Every producer's waiters, as linked lists in one edge pool.
+pub(crate) struct Wakeups {
+    /// The newest edge of each producer with waiters.
+    heads: IdMap<InstId, u32>,
+    edges: Vec<Edge>,
+    /// Freed edges, chained through `next`.
+    free: u32,
+}
+
+impl Wakeups {
+    pub(crate) fn new() -> Wakeups {
+        Wakeups {
+            heads: IdMap::default(),
+            edges: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Records that incarnation `epoch` of `waiter` waits on `producer`.
+    pub(crate) fn push(&mut self, producer: InstId, waiter: InstId, epoch: u32) {
+        let head = self.heads.entry(producer).or_insert(NIL);
+        let edge = Edge {
+            waiter,
+            epoch,
+            next: *head,
+        };
+        *head = if self.free == NIL {
+            self.edges.push(edge);
+            (self.edges.len() - 1) as u32
+        } else {
+            let at = self.free;
+            self.free = self.edges[at as usize].next;
+            self.edges[at as usize] = edge;
+            at
+        };
+    }
+
+    /// Empties `producer`'s list, calling `wake(waiter, epoch)` for each
+    /// entry, newest first. An entry whose waiter has since been squashed
+    /// carries that incarnation's epoch; `wake` must ignore it.
+    pub(crate) fn wake(&mut self, producer: InstId, mut wake: impl FnMut(InstId, u32)) {
+        let Some(mut at) = self.heads.remove(&producer) else {
+            return;
+        };
+        while at != NIL {
+            let edge = self.edges[at as usize];
+            wake(edge.waiter, edge.epoch);
+            self.edges[at as usize].next = self.free;
+            self.free = at;
+            at = edge.next;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn woken(w: &mut Wakeups, producer: u64) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        w.wake(InstId(producer), |id, epoch| out.push((id.0, epoch)));
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn wake_returns_each_waiter_once_and_empties_the_list() {
+        let mut w = Wakeups::new();
+        w.push(InstId(1), InstId(4), 1);
+        w.push(InstId(1), InstId(5), 2);
+        w.push(InstId(2), InstId(5), 2);
+        assert_eq!(woken(&mut w, 1), [(4, 1), (5, 2)]);
+        assert_eq!(woken(&mut w, 1), []);
+        assert_eq!(woken(&mut w, 2), [(5, 2)]);
+    }
+
+    #[test]
+    fn freed_edges_are_reused() {
+        let mut w = Wakeups::new();
+        for round in 0..100u64 {
+            for waiter in 0..8 {
+                w.push(InstId(round), InstId(round + 1 + waiter), 0);
+            }
+            assert_eq!(woken(&mut w, round).len(), 8);
+        }
+        assert_eq!(w.edges.len(), 8);
+    }
+}

@@ -5,15 +5,14 @@
 //! older instruction of some class still incomplete? — so one index
 //! answers all of them; each [`Class`] names the rules that read it.
 //! The `Ede` and `Producer` classes are the WB design's overall and
-//! per-key counters of outstanding EDE instructions (§V-D) as ordered
-//! sets, which also answer the IQ design's program-order question.
+//! per-key counters of outstanding EDE instructions (§V-D) as sorted
+//! lists, which also answer the IQ design's program-order question.
 //!
 //! The window changes at exactly three points: [`insert`](Window::insert)
 //! at dispatch, [`complete`](Window::complete) at completion and
 //! [`squash_younger`](Window::squash_younger) at a squash.
 
 use ede_isa::{Edk, Inst, InstId, InstKind, Op, Program, NUM_EDKS};
-use std::collections::BTreeSet;
 
 /// An instruction class the window indexes, and the rules that read it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,11 +94,27 @@ fn class_mask(inst: &Inst) -> u32 {
 }
 
 /// The in-flight index (see the [module documentation](self)).
+///
+/// Dispatch runs in program order and a squash drops everything younger
+/// than its cut before the refetch, so every insert is younger than every
+/// member: each class is a sorted `Vec` that grows at its end, loses a
+/// completed member by binary search and is truncated by a squash.
 pub(crate) struct Window {
     /// Class mask per program instruction, computed once.
     masks: Vec<u32>,
-    /// Incomplete members, per class.
-    sets: [BTreeSet<InstId>; CLASSES],
+    /// Incomplete members, per class, oldest first.
+    sets: [Vec<InstId>; CLASSES],
+}
+
+/// The classes in `mask`, as indices into [`Window::sets`].
+fn classes_in(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let c = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            c
+        })
+    })
 }
 
 impl Window {
@@ -111,36 +126,37 @@ impl Window {
         }
     }
 
-    /// The sets `id` belongs to.
-    fn sets_of(&mut self, id: InstId) -> impl Iterator<Item = &mut BTreeSet<InstId>> {
-        let mask = self.masks[id.index()];
-        self.sets
-            .iter_mut()
-            .enumerate()
-            .filter(move |&(c, _)| mask & (1 << c) != 0)
-            .map(|(_, set)| set)
-    }
-
     /// Enters a dispatched instruction into every class it belongs to.
     pub(crate) fn insert(&mut self, id: InstId) {
-        for set in self.sets_of(id) {
-            set.insert(id);
+        for c in classes_in(self.masks[id.index()]) {
+            let set = &mut self.sets[c];
+            debug_assert!(set.last().is_none_or(|&last| last < id));
+            set.push(id);
         }
     }
 
     /// Removes a completed instruction from every class.
     pub(crate) fn complete(&mut self, id: InstId) {
-        for set in self.sets_of(id) {
-            set.remove(&id);
+        for c in classes_in(self.masks[id.index()]) {
+            let set = &mut self.sets[c];
+            if let Ok(at) = set.binary_search(&id) {
+                set.remove(at);
+            }
         }
     }
 
     /// Drops every instruction younger than `id` (a squash at `id`).
     pub(crate) fn squash_younger(&mut self, id: InstId) {
-        let first_younger = InstId(id.0 + 1);
         for set in &mut self.sets {
-            set.split_off(&first_younger);
+            let keep = set.partition_point(|&m| m <= id);
+            set.truncate(keep);
         }
+    }
+
+    /// [`older`](Self::older) as a slice.
+    fn older_slice(&self, class: Class, id: InstId) -> &[InstId] {
+        let set = &self.sets[class.index()];
+        &set[..set.partition_point(|&m| m < id)]
     }
 
     /// The incomplete members of `class` older than `id`, oldest first.
@@ -149,17 +165,17 @@ impl Window {
         class: Class,
         id: InstId,
     ) -> impl DoubleEndedIterator<Item = InstId> + '_ {
-        self.sets[class.index()].range(..id).copied()
+        self.older_slice(class, id).iter().copied()
     }
 
     /// Whether any incomplete member of `class` is older than `id`.
     pub(crate) fn has_older(&self, class: Class, id: InstId) -> bool {
-        self.older(class, id).next().is_some()
+        self.sets[class.index()].first().is_some_and(|&m| m < id)
     }
 
     /// The youngest incomplete member of `class` older than `id`.
     pub(crate) fn youngest_older(&self, class: Class, id: InstId) -> Option<InstId> {
-        self.older(class, id).next_back()
+        self.older_slice(class, id).last().copied()
     }
 
     /// Every incomplete member of `class`, oldest first.
@@ -174,7 +190,7 @@ impl Window {
 
     /// Whether `id` is dispatched and incomplete.
     pub(crate) fn contains(&self, id: InstId) -> bool {
-        self.sets[Class::Any.index()].contains(&id)
+        self.sets[Class::Any.index()].binary_search(&id).is_ok()
     }
 
     /// Number of incomplete members of `class`.
