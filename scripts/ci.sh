@@ -9,10 +9,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Every `pub fn` under crates/*/src must be named in some other file;
-# a function only its own file uses is deleted or made private (see the
-# script header for the allowlist rules).
-echo "==> unused pub fn scan"
+# Formatting: the workspace and the standalone benchmark package must
+# both be in rustfmt's default style.
+echo "==> cargo fmt --check"
+cargo fmt --all -- --check
+cargo fmt --manifest-path ede-benchmark/Cargo.toml -- --check
+
+# Every `pub fn`, `pub const` and `pub static` under crates/*/src must be
+# named in some other file; an item only its own file uses is deleted or
+# made private (see the script header for the allowlist rules).
+echo "==> unused pub item scan"
 scripts/unused_pub.sh
 
 echo "==> cargo build --release --offline"

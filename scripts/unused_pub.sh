@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Unused-public-function gate. For every `pub fn` and `pub(crate) fn`
-# declared under crates/*/src, the function's name must appear (as a
-# whole word) in some other .rs file under crates/, tests/, examples/ or
-# ede-benchmark/src. A name that only its own file mentions is either
-# dead code or needlessly public: delete it, or drop the `pub`.
+# Unused-public-item gate. For every `pub fn`, `pub const` and
+# `pub static` (or `pub(crate)` one) declared under crates/*/src, the
+# item's name must appear (as a whole word) in some other .rs file under
+# crates/, tests/, examples/ or ede-benchmark/src. A name that only its
+# own file mentions is either dead code or needlessly public: delete it,
+# or drop the `pub`.
 #
 # The scan is textual, so it cannot see a user outside those trees. Such
 # a name goes in scripts/unused_pub.allow, one per line, followed by a
@@ -28,10 +29,15 @@ find crates tests examples ede-benchmark/src -name '*.rs' -not -path '*/target/*
     | sort > "$tmp/files"
 grep '^crates/[^/]*/src/' "$tmp/files" > "$tmp/sources"
 
-# One "file name" pair per declaration.
+# One "file name" pair per declaration: functions (`const fn` and
+# `unsafe fn` included), then constants and statics (`NAME:`).
+vis='^[[:space:]]*pub\(([[:space:]]*crate[[:space:]]*)\)\{0,1\}[[:space:]]\{1,\}'
+name='\([A-Za-z_][A-Za-z0-9_]*\)'
 while read -r file; do
-    sed -n 's/^[[:space:]]*pub\(([[:space:]]*crate[[:space:]]*)\)\{0,1\}[[:space:]]\{1,\}\(const[[:space:]]\{1,\}\)\{0,1\}\(unsafe[[:space:]]\{1,\}\)\{0,1\}fn[[:space:]]\{1,\}\([A-Za-z_][A-Za-z0-9_]*\).*/\4/p' "$file" \
-        | sort -u | sed "s|^|$file |"
+    sed -n \
+        -e "s/${vis}\\(const[[:space:]]\\{1,\\}\\)\\{0,1\\}\\(unsafe[[:space:]]\\{1,\\}\\)\\{0,1\\}fn[[:space:]]\\{1,\\}${name}.*/\\4/p" \
+        -e "s/${vis}\\(const\\|static\\)[[:space:]]\\{1,\\}\\(mut[[:space:]]\\{1,\\}\\)\\{0,1\\}${name}[[:space:]]*:.*/\\4/p" \
+        "$file" | sort -u | sed "s|^|$file |"
 done < "$tmp/sources" > "$tmp/decls"
 
 : > "$tmp/flagged"
@@ -63,12 +69,12 @@ fi
 
 while read -r name file; do
     if ! grep -q -x -F "$name" "$tmp/allowed"; then
-        echo "unused_pub: $file: pub fn $name is not named in any other file" >&2
+        echo "unused_pub: $file: pub item $name is not named in any other file" >&2
         status=1
     fi
 done < "$tmp/flagged"
 
 if [ "$status" -eq 0 ]; then
-    echo "unused_pub: $(wc -l < "$tmp/decls") public functions scanned, none unused"
+    echo "unused_pub: $(wc -l < "$tmp/decls") public functions, constants and statics scanned, none unused"
 fi
 exit "$status"
