@@ -39,7 +39,7 @@
 //! let mut now = 0;
 //! while done.is_empty() {
 //!     now += 1;
-//!     done = mem.tick(now);
+//!     mem.tick(now, &mut done);
 //! }
 //! assert_eq!(done[0].id, id);
 //! ```

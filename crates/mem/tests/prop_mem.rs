@@ -2,7 +2,7 @@
 
 use ede_mem::nvm::PersistBuffer;
 use ede_mem::trace::{nvm_image_at, ImageCursor};
-use ede_mem::{MemConfig, MemSystem, ReqKind};
+use ede_mem::{MemConfig, MemResp, MemSystem, ReqKind};
 use ede_util::check::{self, any, Just, Strategy};
 use ede_util::{prop_assert, prop_assert_eq, prop_oneof, property};
 use std::collections::HashSet;
@@ -11,6 +11,12 @@ use std::collections::HashSet;
 enum BufOp {
     Insert { line: u8 },
     Drain,
+}
+
+fn tick(mem: &mut MemSystem, now: u64) -> Vec<MemResp> {
+    let mut resps = Vec::new();
+    mem.tick(now, &mut resps);
+    resps
 }
 
 fn buf_op() -> impl Strategy<Value = BufOp> {
@@ -80,7 +86,7 @@ property! {
             // Tick a little to free MSHRs, then submit.
             for _ in 0..3 {
                 now += 1;
-                for r in mem.tick(now) {
+                for r in tick(&mut mem, now) {
                     prop_assert!(pending.remove(&r.id.0), "duplicate response");
                 }
             }
@@ -102,7 +108,7 @@ property! {
         let mut guard = 0u64;
         while !pending.is_empty() || !mem.idle() {
             now += 1;
-            for r in mem.tick(now) {
+            for r in tick(&mut mem, now) {
                 prop_assert!(pending.remove(&r.id.0), "duplicate response");
             }
             guard += 1;
