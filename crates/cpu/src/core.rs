@@ -4,13 +4,14 @@ use crate::config::{CpuConfig, FaultInjection};
 use crate::port::MemPort;
 use crate::stats::IssueHistogram;
 use crate::trace::{PipeStage, StageId, StallCause, StallTable, Tracer};
-use crate::wakeup::{IdMap, Wakeups};
+use crate::wakeup::Wakeups;
 use crate::wb::{WbKind, WriteBuffer};
 use crate::window::{Class, Window};
 use ede_core::ordering::InstTiming;
 use ede_core::{EnforcementPoint, SpeculativeEdm};
 use ede_isa::{Edk, Inst, InstId, InstKind, Op, Program};
 use ede_mem::{MemResp, ReqId, ReqKind};
+use ede_util::idmap::IdMap;
 use ede_util::obs::Log2Histogram;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

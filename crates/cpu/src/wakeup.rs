@@ -3,39 +3,12 @@
 //! memory requests to the instructions that sent them.
 //!
 //! Both are keyed by dense integers ([`InstId`], `ReqId`), so they hash
-//! with one multiply ([`IdHasher`]) instead of SipHash. Their storage is
+//! with one multiply ([`IdMap`]) instead of SipHash. Their storage is
 //! bounded by the in-flight window: a producer's list is dropped when it
 //! wakes and its edges go back to a free list for the next dispatch.
 
 use ede_isa::InstId;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A multiplicative hasher for integer keys. Multiplying by an odd
-/// constant is a bijection on the low bits a table indexes by, so
-/// consecutive ids never collide there, and it mixes every input bit into
-/// the high bits the table tags its entries with.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` over integer keys, hashed by [`IdHasher`].
-pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+use ede_util::idmap::IdMap;
 
 /// End of a list.
 const NIL: u32 = u32::MAX;

@@ -483,7 +483,7 @@ mod tests {
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
         let mut cycle = 1;
-        for (&a, &v) in out.memory.iter() {
+        for (a, v) in out.memory.iter() {
             trace.record_store(StoreEvent {
                 cycle,
                 addr: a,
@@ -493,7 +493,7 @@ mod tests {
             cycle += 1;
         }
         let lines: std::collections::BTreeSet<u64> =
-            out.memory.iter().map(|(&a, _)| a & !63).collect();
+            out.memory.iter().map(|(a, _)| a & !63).collect();
         for line in lines {
             trace.record_persist(PersistEvent { cycle, line });
             cycle += 1;
@@ -614,7 +614,7 @@ mod tests {
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
         let mut cycle = 1;
-        for (&a, &v) in out.memory.iter() {
+        for (a, v) in out.memory.iter() {
             trace.record_store(StoreEvent {
                 cycle,
                 addr: a,
@@ -633,7 +633,7 @@ mod tests {
         });
         cycle += 1;
         let lines: std::collections::BTreeSet<u64> =
-            out.memory.iter().map(|(&a, _)| a & !63).collect();
+            out.memory.iter().map(|(a, _)| a & !63).collect();
         for line in lines {
             trace.record_persist(PersistEvent { cycle, line });
             cycle += 1;

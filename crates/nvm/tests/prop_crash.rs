@@ -322,7 +322,7 @@ property! {
 
         // Build a fully-persisted image: every functional word written
         // during the run, persisted at the end.
-        let mut image: NvmImage = out.memory.iter().map(|(&a, &v)| (a, v)).collect();
+        let mut image: NvmImage = out.memory.iter().collect();
         let r = recover(&mut image, &layout, Protocol::Undo);
         prop_assert_eq!(r.committed, out.records.len() as u64);
         prop_assert_eq!(r.outcome, RecoveryOutcome::Clean, "all transactions committed");
@@ -358,12 +358,12 @@ property! {
         use ede_mem::trace::{PersistEvent, PersistTrace, StoreEvent};
         let mut trace = PersistTrace::default();
         let mut cycle = 1;
-        for (&addr, &v) in out.memory.iter() {
+        for (addr, v) in out.memory.iter() {
             trace.record_store(StoreEvent { cycle, addr, width: 8, value: [v, 0] });
             cycle += 1;
         }
         let lines: std::collections::BTreeSet<u64> =
-            out.memory.iter().map(|(&a, _)| a & !63).collect();
+            out.memory.iter().map(|(a, _)| a & !63).collect();
         for line in lines {
             trace.record_persist(PersistEvent { cycle, line });
             cycle += 1;
@@ -404,8 +404,7 @@ property! {
         // holds there, half take a random one.
         let mut preloaded: Vec<u64> = out.init_writes.iter().map(|&(a, _)| a).collect();
         preloaded.sort_unstable();
-        let mut stored: Vec<u64> = out.memory.iter().map(|(&a, _)| a).collect();
-        stored.sort_unstable();
+        let stored: Vec<u64> = out.memory.iter().map(|(a, _)| a).collect();
         for (pick, value) in strays {
             let addr = match pick % 3 {
                 0 => preloaded[(pick / 3) as usize % preloaded.len()],

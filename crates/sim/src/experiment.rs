@@ -67,29 +67,36 @@ impl Fig9 {
 
 /// Runs a list of independent workload × configuration cells across
 /// `cfg.jobs` pool workers with **no early abort**: every cell runs, and
-/// each cell's outcome — a result or a typed [`SimError`] — is recorded
-/// in cell order. A deadlocked or over-budget cell costs one `Err`
-/// entry, not the sweep.
-fn run_cells_recorded(
+/// each cell's outcome — what `keep` takes from its result, or a typed
+/// [`SimError`] — is recorded in cell order. A deadlocked or over-budget
+/// cell costs one `Err` entry, not the sweep.
+///
+/// `keep` runs inside the worker, so a cell's [`RunResult`] (program,
+/// timings, trace, pool contents) is dropped there and only the numbers
+/// its figure reads outlive the cell.
+fn sweep_recorded<T: Send>(
     cfg: &ExperimentConfig,
     suite: &[Box<dyn Workload>],
     cells: &[(usize, ArchConfig)],
-) -> Vec<Result<RunResult, SimError>> {
+    keep: impl Fn(RunResult) -> T + Sync,
+) -> Vec<Result<T, SimError>> {
     ede_util::pool::par_map_indexed(cfg.jobs, cells, |_, &(wi, arch)| {
-        run_workload(suite[wi].as_ref(), &cfg.params, arch, &cfg.sim)
+        run_workload(suite[wi].as_ref(), &cfg.params, arch, &cfg.sim).map(&keep)
     })
 }
 
-/// Runs a list of independent workload × configuration cells across
-/// `cfg.jobs` pool workers, returning results in cell order. The first
+/// [`sweep_recorded`], returning the kept values in cell order. The first
 /// error **in cell order** is propagated (not the first to complete), so
 /// error behavior is as deterministic as the success path.
-fn run_cells(
+fn sweep<T: Send>(
     cfg: &ExperimentConfig,
     suite: &[Box<dyn Workload>],
     cells: &[(usize, ArchConfig)],
-) -> Result<Vec<RunResult>, SimError> {
-    run_cells_recorded(cfg, suite, cells).into_iter().collect()
+    keep: impl Fn(RunResult) -> T + Sync,
+) -> Result<Vec<T>, SimError> {
+    sweep_recorded(cfg, suite, cells, keep)
+        .into_iter()
+        .collect()
 }
 
 /// Workload-major cell order: all five configurations of workload 0,
@@ -115,16 +122,18 @@ pub fn fig9(cfg: &ExperimentConfig) -> Result<Fig9, SimError> {
 ///
 /// Propagates the first [`SimError`] in cell order if any run fails.
 pub fn fig9_with(cfg: &ExperimentConfig, suite: &[Box<dyn Workload>]) -> Result<Fig9, SimError> {
-    let results = run_cells(cfg, suite, &cells_workload_major(suite.len()))?;
+    let tx_cycles = sweep(cfg, suite, &cells_workload_major(suite.len()), |r| {
+        r.tx_cycles
+    })?;
     let mut rows = Vec::new();
     for (wi, w) in suite.iter().enumerate() {
-        let runs = &results[wi * 5..wi * 5 + 5];
-        let base = runs[0].tx_cycles.max(1);
+        let runs = &tx_cycles[wi * 5..wi * 5 + 5];
+        let base = runs[0].max(1);
         let mut cycles = [0u64; 5];
         let mut normalized = [0f64; 5];
-        for (i, r) in runs.iter().enumerate() {
-            cycles[i] = r.tx_cycles;
-            normalized[i] = r.tx_cycles as f64 / base as f64;
+        for (i, &c) in runs.iter().enumerate() {
+            cycles[i] = c;
+            normalized[i] = c as f64 / base as f64;
         }
         rows.push(Fig9Row {
             app: w.name().to_string(),
@@ -266,14 +275,14 @@ pub fn fig10(cfg: &ExperimentConfig) -> Result<Fig10, SimError> {
 /// Propagates the first [`SimError`] in cell order if any run fails.
 pub fn fig10_with(cfg: &ExperimentConfig, suite: &[Box<dyn Workload>]) -> Result<Fig10, SimError> {
     let grid = cells_workload_major(suite.len());
-    let results = run_cells(cfg, suite, &grid)?;
+    let histograms = sweep(cfg, suite, &grid, |r| r.nvm_occupancy)?;
     let cells = grid
         .iter()
-        .zip(results)
-        .map(|(&(wi, arch), r)| Fig10Cell {
+        .zip(histograms)
+        .map(|(&(wi, arch), histogram)| Fig10Cell {
             app: suite[wi].name().to_string(),
             arch,
-            histogram: r.nvm_occupancy,
+            histogram,
         })
         .collect();
     Ok(Fig10 { cells })
@@ -329,17 +338,20 @@ pub fn fig11_with(cfg: &ExperimentConfig, suite: &[Box<dyn Workload>]) -> Result
         .iter()
         .flat_map(|&arch| (0..suite.len()).map(move |wi| (wi, arch)))
         .collect();
-    let results = run_cells(cfg, suite, &grid)?;
+    let results = sweep(cfg, suite, &grid, |r| {
+        let ipc = r.ipc();
+        (r.issue_hist, ipc)
+    })?;
     let mut rows = Vec::new();
     for (ai, arch) in ArchConfig::ALL.into_iter().enumerate() {
         let runs = &results[ai * suite.len()..(ai + 1) * suite.len()];
         let mut counts = vec![0u64; width + 1];
         let mut ipcs = Vec::new();
-        for r in runs {
-            for (n, c) in r.issue_hist.counts().iter().enumerate() {
+        for (hist, ipc) in runs {
+            for (n, c) in hist.counts().iter().enumerate() {
                 counts[n] += c;
             }
-            ipcs.push(r.ipc());
+            ipcs.push(*ipc);
         }
         let total: u64 = counts.iter().sum();
         let issue_fractions = counts
@@ -365,6 +377,15 @@ pub fn fig11_with(cfg: &ExperimentConfig, suite: &[Box<dyn Workload>]) -> Result
 mod tests {
     use super::*;
     use ede_workloads::update::Update;
+
+    /// The recorded sweep with each cell's whole result kept.
+    fn run_cells_recorded(
+        cfg: &ExperimentConfig,
+        suite: &[Box<dyn Workload>],
+        cells: &[(usize, ArchConfig)],
+    ) -> Vec<Result<RunResult, SimError>> {
+        sweep_recorded(cfg, suite, cells, |r| r)
+    }
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig {

@@ -188,7 +188,7 @@ pub trait Strategy {
 
 /// A shared by-reference mapping function, as stored by [`Map`] and
 /// threaded through [`Shrinkable::map`].
-pub type MapFn<T, U> = Rc<dyn Fn(&T) -> U>;
+type MapFn<T, U> = Rc<dyn Fn(&T) -> U>;
 
 /// See [`Strategy::prop_map`].
 pub struct Map<S: Strategy, U> {

@@ -19,6 +19,8 @@
 //!   histograms) with byte-stable JSON serialization, deterministic
 //!   merging, and a strict JSON parser for shape validation;
 //! * [`diff`] — line-oriented unified diffs for snapshot tests;
+//! * [`idmap`] — a `HashMap` for dense integer keys that hashes with one
+//!   multiply instead of SipHash;
 //! * [`progress`] — a line-buffered, mutex-serialized writer so
 //!   concurrent campaign workers emit whole progress lines on stderr.
 //!
@@ -31,6 +33,7 @@
 
 pub mod check;
 pub mod diff;
+pub mod idmap;
 pub mod obs;
 pub mod pool;
 pub mod progress;

@@ -15,9 +15,10 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 cargo fmt --manifest-path ede-benchmark/Cargo.toml -- --check
 
-# Every `pub fn`, `pub const` and `pub static` under crates/*/src must be
-# named in some other file; an item only its own file uses is deleted or
-# made private (see the script header for the allowlist rules).
+# Every `pub fn`, `pub const`, `pub static`, `pub type` and `pub trait`
+# under crates/*/src must be named in some other file; an item only its
+# own file uses is deleted or made private (see the script header for
+# the allowlist rules).
 echo "==> unused pub item scan"
 scripts/unused_pub.sh
 

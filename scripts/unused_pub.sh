@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Unused-public-item gate. For every `pub fn`, `pub const` and
-# `pub static` (or `pub(crate)` one) declared under crates/*/src, the
-# item's name must appear (as a whole word) in some other .rs file under
-# crates/, tests/, examples/ or ede-benchmark/src. A name that only its
-# own file mentions is either dead code or needlessly public: delete it,
-# or drop the `pub`.
+# Unused-public-item gate. For every `pub fn`, `pub const`,
+# `pub static`, `pub type` and `pub trait` (or `pub(crate)` one)
+# declared under crates/*/src, the item's name must appear (as a whole
+# word) in some other .rs file under crates/, tests/, examples/ or
+# ede-benchmark/src. A name that only its own file mentions is either
+# dead code or needlessly public: delete it, or drop the `pub`.
 #
 # The scan is textual, so it cannot see a user outside those trees. Such
 # a name goes in scripts/unused_pub.allow, one per line, followed by a
@@ -30,13 +30,17 @@ find crates tests examples ede-benchmark/src -name '*.rs' -not -path '*/target/*
 grep '^crates/[^/]*/src/' "$tmp/files" > "$tmp/sources"
 
 # One "file name" pair per declaration: functions (`const fn` and
-# `unsafe fn` included), then constants and statics (`NAME:`).
+# `unsafe fn` included), constants and statics (`NAME:`), type aliases,
+# and traits (`unsafe trait` included). Structs and enums are not
+# scanned: many are named only as the return type of a public function.
 vis='^[[:space:]]*pub\(([[:space:]]*crate[[:space:]]*)\)\{0,1\}[[:space:]]\{1,\}'
 name='\([A-Za-z_][A-Za-z0-9_]*\)'
 while read -r file; do
     sed -n \
         -e "s/${vis}\\(const[[:space:]]\\{1,\\}\\)\\{0,1\\}\\(unsafe[[:space:]]\\{1,\\}\\)\\{0,1\\}fn[[:space:]]\\{1,\\}${name}.*/\\4/p" \
         -e "s/${vis}\\(const\\|static\\)[[:space:]]\\{1,\\}\\(mut[[:space:]]\\{1,\\}\\)\\{0,1\\}${name}[[:space:]]*:.*/\\4/p" \
+        -e "s/${vis}type[[:space:]]\\{1,\\}${name}.*/\\2/p" \
+        -e "s/${vis}\\(unsafe[[:space:]]\\{1,\\}\\)\\{0,1\\}trait[[:space:]]\\{1,\\}${name}.*/\\3/p" \
         "$file" | sort -u | sed "s|^|$file |"
 done < "$tmp/sources" > "$tmp/decls"
 
@@ -75,6 +79,6 @@ while read -r name file; do
 done < "$tmp/flagged"
 
 if [ "$status" -eq 0 ]; then
-    echo "unused_pub: $(wc -l < "$tmp/decls") public functions, constants and statics scanned, none unused"
+    echo "unused_pub: $(wc -l < "$tmp/decls") public functions, constants, statics, types and traits scanned, none unused"
 fi
 exit "$status"

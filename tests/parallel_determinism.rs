@@ -8,8 +8,8 @@ use ede_check::fuzz::{campaign_metrics, fuzz, FuzzOptions};
 use ede_check::litmus;
 use ede_cpu::{FaultInjection, TracerConfig};
 use ede_isa::ArchConfig;
-use ede_sim::experiment::{fig10_with, fig9_with, ExperimentConfig};
-use ede_sim::report::{fig10_json, fig9_json};
+use ede_sim::experiment::{fig10_with, fig11_with, fig9_with, ExperimentConfig};
+use ede_sim::report::{fig10_json, fig11_json, fig9_json};
 use ede_sim::{chrome_trace_json, metrics_json, raw_output, run_program_observed, SimConfig};
 use ede_util::pool;
 use ede_workloads::{btree::BTree, update::Update, Workload, WorkloadParams};
@@ -49,6 +49,15 @@ fn fig10_serialization_is_bit_identical_across_job_counts() {
     for jobs in JOB_COUNTS {
         let json = fig10_json(&fig10_with(&cfg(jobs), &suite()).unwrap());
         assert_eq!(json, baseline, "fig10 diverged at jobs {jobs}");
+    }
+}
+
+#[test]
+fn fig11_serialization_is_bit_identical_across_job_counts() {
+    let baseline = fig11_json(&fig11_with(&cfg(1), &suite()).unwrap());
+    for jobs in JOB_COUNTS {
+        let json = fig11_json(&fig11_with(&cfg(jobs), &suite()).unwrap());
+        assert_eq!(json, baseline, "fig11 diverged at jobs {jobs}");
     }
 }
 
