@@ -30,7 +30,7 @@ fn main() {
     // magic rides in as an init write).
     let crash = r.tx_phase_start_cycle() + r.tx_cycles / 2;
     let mut pristine = nvm_image_at(&r.trace, crash, 64);
-    for &(a, v) in &r.output.init_writes {
+    for &(a, v) in r.output.init_writes.iter() {
         pristine.entry(a).or_insert(v);
     }
     println!(

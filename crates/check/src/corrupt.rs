@@ -693,7 +693,7 @@ fn build_case(case_seed: u64, kind: CorruptionKind, arch: ArchConfig, ff: bool) 
         cycles[rng.gen_range(0..cycles.len() as u64) as usize]
     };
     let mut pristine = nvm_image_at(&result.trace, crash, 64);
-    for &(a, v) in &result.output.init_writes {
+    for &(a, v) in result.output.init_writes.iter() {
         pristine.entry(a).or_insert(v);
     }
     let mut golden = pristine.clone();

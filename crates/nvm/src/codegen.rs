@@ -13,6 +13,7 @@ use crate::memory::SimMemory;
 use crate::writer::WriterCore;
 use ede_isa::{ArchConfig, Edk, InstId, Program, VAddr};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// What one transaction did: `(addr, old, new)` per write, in order.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -35,8 +36,10 @@ pub struct TxOutput {
     /// The address-space layout used.
     pub layout: Layout,
     /// The pool's initial contents (preloaded before the measured phase,
-    /// like an existing PMDK pool file).
-    pub init_writes: Vec<(u64, u64)>,
+    /// like an existing PMDK pool file). Shared, so a
+    /// [`CrashChecker`](crate::CrashChecker) keeps the pool without
+    /// copying it.
+    pub init_writes: Arc<Vec<(u64, u64)>>,
     /// Trace position of the first transactional instruction. The
     /// transaction phase starts when the instruction before it completes
     /// (at cycle 0 when there is none); crash checks are meaningful from

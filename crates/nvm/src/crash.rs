@@ -27,7 +27,7 @@ use crate::triage::{self, Protocol, RecoveryOutcome};
 use ede_mem::trace::{nvm_image_at, ImageCursor};
 use ede_mem::PersistTrace;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A failure-atomicity violation found at a crash point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,8 +121,9 @@ pub struct CrashChecker {
     /// The pool words inside the superblock lines and the log-slot region
     /// (the only pool words [`triage::recover`] reads), by address.
     recovery_base: Vec<(u64, u64)>,
-    /// The preloaded pool, as the writer emitted it.
-    pool: Vec<(u64, u64)>,
+    /// The preloaded pool, as the writer emitted it (shared with the
+    /// [`TxOutput`], not copied).
+    pool: Arc<Vec<(u64, u64)>>,
     /// `pool` by address, built on the first lookup outside the recovery
     /// base: CoW tree pointers, and words the run persisted or recovery
     /// wrote outside the write sets.
@@ -223,7 +224,7 @@ impl CrashChecker {
             transactions: out.records.len() as u64,
             written: WriteHistory::new(&out.records),
             recovery_base: Vec::new(),
-            pool: out.init_writes.clone(),
+            pool: Arc::clone(&out.init_writes),
             pool_index: OnceLock::new(),
         };
         checker.recovery_base = by_address(

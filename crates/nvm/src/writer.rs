@@ -10,6 +10,7 @@ use crate::log::{checksum, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID};
 use crate::lowering::{Lowering, Marker};
 use crate::memory::SimMemory;
 use ede_isa::{ArchConfig, Edk, InstId, Reg, VAddr};
+use std::sync::Arc;
 
 #[derive(Debug)]
 pub(crate) struct WriterCore {
@@ -172,7 +173,7 @@ impl WriterCore {
             records: self.records,
             memory: self.mem,
             layout: self.layout,
-            init_writes,
+            init_writes: Arc::new(init_writes),
             tx_phase_start,
         }
     }

@@ -259,7 +259,7 @@ pub fn raw_output(program: Program) -> TxOutput {
         records: Vec::new(),
         memory: ede_nvm::SimMemory::new(),
         layout: ede_nvm::Layout::standard(),
-        init_writes: Vec::new(),
+        init_writes: Default::default(),
         tx_phase_start: None,
     }
 }

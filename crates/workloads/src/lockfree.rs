@@ -26,7 +26,7 @@ fn raw_output(program: ede_isa::Program) -> TxOutput {
         records: Vec::new(),
         memory: SimMemory::new(),
         layout: Layout::standard(),
-        init_writes: Vec::new(),
+        init_writes: Default::default(),
         tx_phase_start: None,
     }
 }

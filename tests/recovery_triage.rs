@@ -50,7 +50,7 @@ fn crash_images(arch: ArchConfig, n: usize) -> (Layout, Vec<NvmImage>) {
         .map(|i| {
             let c = cycles[(i * (cycles.len() - 1)) / n.max(1)];
             let mut image = nvm_image_at(&r.trace, c, 64);
-            for &(a, v) in &r.output.init_writes {
+            for &(a, v) in r.output.init_writes.iter() {
                 image.entry(a).or_insert(v);
             }
             image
