@@ -403,7 +403,7 @@ impl CorruptReport {
         for c in &self.cells {
             let cell = format!("corrupt.{}.{}", c.kind.label(), c.arch.label());
             for (outcome, n) in COUNTERS.into_iter().zip(c.counts()) {
-                reg.inc(&format!("{cell}.{outcome}"), u64::from(n));
+                reg.inc(format!("{cell}.{outcome}"), u64::from(n));
             }
         }
         reg.inc("corrupt.cells", self.cells.len() as u64);

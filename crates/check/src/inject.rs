@@ -307,7 +307,7 @@ impl InjectReport {
         for c in &self.cells {
             let cell = format!("inject.{}.{}", c.fault.label(), c.arch.label());
             for (outcome, n) in COUNTERS.into_iter().zip(c.counts()) {
-                reg.inc(&format!("{cell}.{outcome}"), u64::from(n));
+                reg.inc(format!("{cell}.{outcome}"), u64::from(n));
             }
         }
         reg.inc("inject.cells", self.cells.len() as u64);

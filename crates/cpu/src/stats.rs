@@ -1,5 +1,7 @@
 //! Pipeline statistics.
 
+use ede_util::obs::IndexedNames;
+
 /// Histogram of instructions issued per cycle — the measurement behind
 /// Figure 11.
 ///
@@ -89,10 +91,13 @@ impl IssueHistogram {
     /// `cpu.issue.width_<n>` counters.
     pub fn report(&self, reg: &mut ede_util::obs::Registry) {
         for (n, &c) in self.counts.iter().enumerate() {
-            reg.inc(&format!("cpu.issue.width_{n}"), c);
+            reg.inc(WIDTH_NAMES.get(n), c);
         }
     }
 }
+
+/// `cpu.issue.width_<n>`, tabled up to the A72's issue width of 8.
+static WIDTH_NAMES: IndexedNames = IndexedNames::new("cpu.issue.width_", 9);
 
 #[cfg(test)]
 mod tests {
@@ -115,6 +120,13 @@ mod tests {
         h.record(4);
         assert!((h.fraction(0) - 0.75).abs() < 1e-12);
         assert!((h.mean_issued_when_active() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn width_names_are_their_format_spelling() {
+        for n in 0..32 {
+            assert_eq!(WIDTH_NAMES.get(n), format!("cpu.issue.width_{n}"));
+        }
     }
 
     #[test]

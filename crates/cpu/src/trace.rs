@@ -41,6 +41,7 @@
 use ede_isa::InstId;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::LazyLock;
 
 /// A pipeline transition of one instruction.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -194,11 +195,10 @@ impl StallCause {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL): the declaration order, which
+    /// `ALL` follows.
     fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("cause is in ALL")
+        self as usize
     }
 }
 
@@ -303,18 +303,33 @@ impl StallTable {
     /// Reports every counter into a metrics registry under
     /// `cpu.stall.<stage>.busy` / `cpu.stall.<stage>.<cause>`.
     pub fn report(&self, reg: &mut ede_util::obs::Registry) {
-        for stage in StageId::ALL {
+        let counts = StageId::ALL.iter().flat_map(|&stage| {
             let s = self.stage(stage);
-            reg.inc(&format!("cpu.stall.{}.busy", stage.label()), s.busy);
-            for (cause, cycles) in s.breakdown() {
-                reg.inc(
-                    &format!("cpu.stall.{}.{}", stage.label(), cause.label()),
-                    cycles,
-                );
-            }
+            std::iter::once(s.busy).chain(s.causes)
+        });
+        for (name, cycles) in STALL_NAMES.iter().zip(counts) {
+            reg.inc(name.as_str(), cycles);
         }
     }
 }
+
+/// The names [`StallTable::report`] uses, in its order: per stage of
+/// [`StageId::ALL`], `cpu.stall.<stage>.busy` then
+/// `cpu.stall.<stage>.<cause>` per cause of [`StallCause::ALL`].
+/// Formatted once per process, not once per run.
+static STALL_NAMES: LazyLock<Vec<String>> = LazyLock::new(|| {
+    StageId::ALL
+        .iter()
+        .flat_map(|stage| {
+            let stage = stage.label();
+            std::iter::once(format!("cpu.stall.{stage}.busy")).chain(
+                StallCause::ALL
+                    .iter()
+                    .map(move |cause| format!("cpu.stall.{stage}.{}", cause.label())),
+            )
+        })
+        .collect()
+});
 
 /// One entry in the [`Tracer`] ring.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -549,6 +564,25 @@ mod tests {
         assert_eq!(reg.counter("cpu.stall.issue.edk_wait"), 1);
         // Every stage × cause key exists, zeros included.
         assert_eq!(reg.len(), StageId::ALL.len() * (StallCause::COUNT + 1));
+    }
+
+    #[test]
+    fn stall_names_are_their_format_spelling() {
+        let mut want = Vec::new();
+        for stage in StageId::ALL {
+            want.push(format!("cpu.stall.{}.busy", stage.label()));
+            for cause in StallCause::ALL {
+                want.push(format!("cpu.stall.{}.{}", stage.label(), cause.label()));
+            }
+        }
+        assert_eq!(*STALL_NAMES, want);
+    }
+
+    #[test]
+    fn cause_index_is_its_position_in_all() {
+        for (i, cause) in StallCause::ALL.into_iter().enumerate() {
+            assert_eq!(cause.index(), i, "{cause}");
+        }
     }
 
     #[test]

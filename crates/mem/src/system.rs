@@ -6,6 +6,7 @@ use crate::fault::FaultInjection;
 use crate::nvm::{InsertOutcome, PersistBuffer};
 use crate::stats::MemStats;
 use crate::trace::{PersistEvent, PersistTrace, StoreEvent};
+use ede_util::obs::IndexedNames;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -107,6 +108,10 @@ pub struct MemSystem {
 /// Token marking persist-buffer writes with no waiting requester
 /// (dirty-eviction writebacks).
 const EVICTION_TOKEN: u64 = u64::MAX;
+
+/// `mem.pb.occupancy_hist.<n>`, tabled up to the default 128 persist
+/// slots.
+static OCCUPANCY_NAMES: IndexedNames = IndexedNames::new("mem.pb.occupancy_hist.", 129);
 
 impl MemSystem {
     /// Builds the system from a configuration.
@@ -437,7 +442,7 @@ impl MemSystem {
         reg.set_gauge_max("mem.pb.queued", self.buffer.queued() as i64);
         for (n, &c) in self.buffer.occupancy_histogram().iter().enumerate() {
             if c > 0 {
-                reg.inc(&format!("mem.pb.occupancy_hist.{n}"), c);
+                reg.inc(OCCUPANCY_NAMES.get(n), c);
             }
         }
     }
@@ -465,6 +470,13 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn occupancy_names_are_their_format_spelling() {
+        for n in 0..300 {
+            assert_eq!(OCCUPANCY_NAMES.get(n), format!("mem.pb.occupancy_hist.{n}"));
+        }
+    }
 
     fn tick(mem: &mut MemSystem, now: u64) -> Vec<MemResp> {
         let mut resps = Vec::new();

@@ -41,8 +41,11 @@
 //! assert_eq!(reg.counter("cpu.cycles"), 100);
 //! ```
 
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Number of buckets in a [`Log2Histogram`]: bucket 0 holds the value 0,
 /// bucket `k` (1 ≤ k ≤ 64) holds values in `[2^(k-1), 2^k)`.
@@ -192,10 +195,13 @@ pub enum Metric {
 ///
 /// Names are dotted paths by convention (`cpu.stall.retire.wb_full`);
 /// the [`BTreeMap`] keeps serialization order independent of insertion
-/// order.
+/// order. Keys are `Cow<'static, str>`: a `&'static str` name (a literal,
+/// or an entry of a name table built once per process) is stored without
+/// allocating and an owned `String` is moved in, so a registry built once
+/// per simulated run need not format its names.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Registry {
-    metrics: BTreeMap<String, Metric>,
+    metrics: BTreeMap<Cow<'static, str>, Metric>,
 }
 
 impl Registry {
@@ -204,20 +210,34 @@ impl Registry {
         Registry::default()
     }
 
+    /// The metric `name`, created by `init` when absent.
+    ///
+    /// # Panics
+    ///
+    /// If `name` already holds a metric of another kind than `kind`.
+    fn slot(&mut self, name: Cow<'static, str>, kind: &str, init: fn() -> Metric) -> &mut Metric {
+        match self.metrics.entry(name) {
+            Entry::Vacant(v) => v.insert(init()),
+            Entry::Occupied(o) => {
+                let found = kind_name(o.get());
+                if found != kind {
+                    panic!("metric {} is a {found}, not a {kind}", o.key());
+                }
+                o.into_mut()
+            }
+        }
+    }
+
     /// Adds `by` to the counter `name` (created at zero).
     ///
     /// # Panics
     ///
     /// If `name` already holds a non-counter metric — a name collision is
     /// a programming error, not a runtime condition.
-    pub fn inc(&mut self, name: &str, by: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+    pub fn inc(&mut self, name: impl Into<Cow<'static, str>>, by: u64) {
+        match self.slot(name.into(), "counter", || Metric::Counter(0)) {
             Metric::Counter(c) => *c += by,
-            other => panic!("metric {name} is a {}, not a counter", kind_name(other)),
+            _ => unreachable!("slot checked the kind"),
         }
     }
 
@@ -226,14 +246,11 @@ impl Registry {
     /// # Panics
     ///
     /// If `name` already holds a non-gauge metric.
-    pub fn set_gauge_max(&mut self, name: &str, value: i64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Gauge(value))
-        {
+    pub fn set_gauge_max(&mut self, name: impl Into<Cow<'static, str>>, value: i64) {
+        // Created at the minimum, so the first reading sets it.
+        match self.slot(name.into(), "gauge", || Metric::Gauge(i64::MIN)) {
             Metric::Gauge(g) => *g = (*g).max(value),
-            other => panic!("metric {name} is a {}, not a gauge", kind_name(other)),
+            _ => unreachable!("slot checked the kind"),
         }
     }
 
@@ -242,14 +259,10 @@ impl Registry {
     /// # Panics
     ///
     /// If `name` already holds a non-histogram metric.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Box::new(Log2Histogram::new())))
-        {
+    pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
+        match self.slot(name.into(), "histogram", empty_histogram) {
             Metric::Histogram(h) => h.record(value),
-            other => panic!("metric {name} is a {}, not a histogram", kind_name(other)),
+            _ => unreachable!("slot checked the kind"),
         }
     }
 
@@ -261,14 +274,10 @@ impl Registry {
     /// # Panics
     ///
     /// If `name` already holds a non-histogram metric.
-    pub fn merge_histogram(&mut self, name: &str, h: &Log2Histogram) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Box::new(Log2Histogram::new())))
-        {
+    pub fn merge_histogram(&mut self, name: impl Into<Cow<'static, str>>, h: &Log2Histogram) {
+        match self.slot(name.into(), "histogram", empty_histogram) {
             Metric::Histogram(own) => own.merge(h),
-            other => panic!("metric {name} is a {}, not a histogram", kind_name(other)),
+            _ => unreachable!("slot checked the kind"),
         }
     }
 
@@ -295,7 +304,7 @@ impl Registry {
 
     /// Iterates `(name, metric)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.metrics.iter().map(|(k, v)| (k.as_ref(), v))
     }
 
     /// Number of metrics registered.
@@ -319,21 +328,7 @@ impl Registry {
     /// registries.
     pub fn merge(&mut self, other: &Registry) {
         for (name, metric) in &other.metrics {
-            match (
-                self.metrics
-                    .entry(name.clone())
-                    .or_insert_with(|| empty_like(metric)),
-                metric,
-            ) {
-                (Metric::Counter(a), Metric::Counter(b)) => *a += b,
-                (Metric::Gauge(a), Metric::Gauge(b)) => *a = (*a).max(*b),
-                (Metric::Histogram(a), Metric::Histogram(b)) => a.merge(b),
-                (a, b) => panic!(
-                    "metric {name}: cannot merge a {} into a {}",
-                    kind_name(b),
-                    kind_name(a)
-                ),
-            }
+            self.merge_one(name.clone(), metric);
         }
     }
 
@@ -341,13 +336,29 @@ impl Registry {
     /// with `prefix` and a dot — for aggregating per-configuration
     /// registries side by side (`B.cpu.cycles`, `WB.cpu.cycles`).
     pub fn merge_prefixed(&mut self, other: &Registry, prefix: &str) {
-        let mut prefixed = Registry::new();
         for (name, metric) in &other.metrics {
-            prefixed
-                .metrics
-                .insert(format!("{prefix}.{name}"), metric.clone());
+            self.merge_one(Cow::Owned(format!("{prefix}.{name}")), metric);
         }
-        self.merge(&prefixed);
+    }
+
+    /// Folds one metric into the entry `name` (see [`merge`](Self::merge)).
+    fn merge_one(&mut self, name: Cow<'static, str>, metric: &Metric) {
+        let mut own = match self.metrics.entry(name) {
+            Entry::Vacant(v) => {
+                v.insert(metric.clone());
+                return;
+            }
+            Entry::Occupied(o) => o,
+        };
+        match (own.get_mut(), metric) {
+            (Metric::Counter(a), Metric::Counter(b)) => *a += b,
+            (Metric::Gauge(a), Metric::Gauge(b)) => *a = (*a).max(*b),
+            (Metric::Histogram(a), Metric::Histogram(b)) => a.merge(b),
+            (a, b) => {
+                let (into, from) = (kind_name(a), kind_name(b));
+                panic!("metric {}: cannot merge a {from} into a {into}", own.key())
+            }
+        }
     }
 
     /// Serializes the registry as one stable JSON object: keys in name
@@ -390,6 +401,49 @@ impl Registry {
     }
 }
 
+/// A family of metric names `<prefix><n>` (`cpu.issue.width_3`,
+/// `mem.pb.occupancy_hist.12`) for a per-run report to hand a
+/// [`Registry`] without formatting them per run: the names for `n <
+/// len` are formatted once per process, on first use; a name past the
+/// table is formatted on each call.
+///
+/// ```
+/// use ede_util::obs::IndexedNames;
+///
+/// static WIDTHS: IndexedNames = IndexedNames::new("cpu.issue.width_", 9);
+/// assert_eq!(WIDTHS.get(3), "cpu.issue.width_3");
+/// assert_eq!(WIDTHS.get(12), "cpu.issue.width_12");
+/// ```
+pub struct IndexedNames {
+    prefix: &'static str,
+    len: usize,
+    names: OnceLock<Vec<String>>,
+}
+
+impl IndexedNames {
+    /// A table of the names `<prefix>0` to `<prefix>{len - 1}`.
+    pub const fn new(prefix: &'static str, len: usize) -> IndexedNames {
+        IndexedNames {
+            prefix,
+            len,
+            names: OnceLock::new(),
+        }
+    }
+
+    /// The name `<prefix><n>`.
+    pub fn get(&'static self, n: usize) -> Cow<'static, str> {
+        let names = self.names.get_or_init(|| {
+            (0..self.len)
+                .map(|i| format!("{}{i}", self.prefix))
+                .collect()
+        });
+        match names.get(n) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("{}{n}", self.prefix)),
+        }
+    }
+}
+
 fn kind_name(m: &Metric) -> &'static str {
     match m {
         Metric::Counter(_) => "counter",
@@ -398,12 +452,8 @@ fn kind_name(m: &Metric) -> &'static str {
     }
 }
 
-fn empty_like(m: &Metric) -> Metric {
-    match m {
-        Metric::Counter(_) => Metric::Counter(0),
-        Metric::Gauge(g) => Metric::Gauge(*g),
-        Metric::Histogram(_) => Metric::Histogram(Box::new(Log2Histogram::new())),
-    }
+fn empty_histogram() -> Metric {
+    Metric::Histogram(Box::new(Log2Histogram::new()))
 }
 
 /// Escapes a string for JSON output (quotes included).

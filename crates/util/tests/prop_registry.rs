@@ -1,0 +1,313 @@
+//! Property test: `obs::Registry` against a reference model, a
+//! `BTreeMap<String, Metric>` that folds every recording in as a
+//! one-metric merge.
+//!
+//! Random sequences of `inc`, `set_gauge_max`, `observe`,
+//! `merge_histogram`, `merge` and `merge_prefixed` run on both, with
+//! names drawn from a small pool (so kinds collide) and passed either as
+//! `&'static str` or as an owned `String`. After every step the two must
+//! agree on `iter`, `len`, `counter`, `to_json` and on whether the step
+//! panicked with a kind collision.
+
+use ede_util::check::{self, CaseResult, Strategy};
+use ede_util::obs::{Log2Histogram, Metric, Registry};
+use ede_util::{prop_assert, prop_assert_eq, prop_oneof, property};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
+
+/// The name pool. `B.a`/`WB.a` also arise from prefixing `a`, so a
+/// prefixed merge can land on a directly recorded name.
+const NAMES: [&str; 6] = ["a", "a.b", "b", "B.a", "B.b", "WB.a"];
+
+const PREFIXES: [&str; 2] = ["B", "WB"];
+
+/// A pool name, passed as `&'static str` or as an owned `String`.
+#[derive(Clone, Copy, Debug)]
+struct Name {
+    idx: usize,
+    owned: bool,
+}
+
+#[derive(Clone, Debug)]
+enum Record {
+    Inc(Name, u64),
+    Gauge(Name, i64),
+    Observe(Name, u64),
+    MergeHistogram(Name, Vec<u64>),
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    Record(Record),
+    /// `merge` of a registry built from these recordings.
+    Merge(Vec<Record>),
+    /// `merge_prefixed` of a registry built from these recordings.
+    MergePrefixed(usize, Vec<Record>),
+}
+
+fn name_strategy() -> impl Strategy<Value = Name> {
+    (0..NAMES.len(), check::any::<bool>()).prop_map(|(idx, owned)| Name { idx, owned })
+}
+
+fn record_strategy() -> impl Strategy<Value = Record> {
+    prop_oneof![
+        (name_strategy(), 0u64..1000).prop_map(|(n, by)| Record::Inc(n, by)),
+        (name_strategy(), 0u64..2000).prop_map(|(n, v)| Record::Gauge(n, v as i64 - 1000)),
+        (name_strategy(), 0u64..1 << 40).prop_map(|(n, v)| Record::Observe(n, v)),
+        (name_strategy(), check::vec(0u64..5000, 0..4))
+            .prop_map(|(n, vs)| Record::MergeHistogram(n, vs)),
+    ]
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => record_strategy().prop_map(Op::Record),
+        1 => check::vec(record_strategy(), 0..5).prop_map(Op::Merge),
+        1 => (0..PREFIXES.len(), check::vec(record_strategy(), 0..5))
+            .prop_map(|(p, rs)| Op::MergePrefixed(p, rs)),
+    ]
+}
+
+type Model = BTreeMap<String, Metric>;
+
+fn histogram_of(samples: &[u64]) -> Log2Histogram {
+    let mut h = Log2Histogram::new();
+    for &v in samples {
+        h.record(v);
+    }
+    h
+}
+
+/// Folds `metric` into the model entry `name`; `false` on a kind
+/// collision, which leaves the model unchanged.
+fn model_fold(m: &mut Model, name: &str, metric: Metric) -> bool {
+    let Some(own) = m.get_mut(name) else {
+        m.insert(name.to_string(), metric);
+        return true;
+    };
+    match (own, metric) {
+        (Metric::Counter(a), Metric::Counter(b)) => *a += b,
+        (Metric::Gauge(a), Metric::Gauge(b)) => *a = (*a).max(b),
+        (Metric::Histogram(a), Metric::Histogram(b)) => a.merge(&b),
+        _ => return false,
+    }
+    true
+}
+
+/// One recording on the model: `Err(name)` when it collides.
+fn model_record(m: &mut Model, r: &Record) -> Result<(), String> {
+    let (name, metric) = match r {
+        Record::Inc(n, by) => (n, Metric::Counter(*by)),
+        Record::Gauge(n, v) => (n, Metric::Gauge(*v)),
+        Record::Observe(n, v) => (n, Metric::Histogram(Box::new(histogram_of(&[*v])))),
+        Record::MergeHistogram(n, vs) => (n, Metric::Histogram(Box::new(histogram_of(vs)))),
+    };
+    let name = NAMES[name.idx];
+    if model_fold(m, name, metric) {
+        Ok(())
+    } else {
+        Err(name.to_string())
+    }
+}
+
+/// `merge`/`merge_prefixed` on the model: entries in name order, up to
+/// the first collision.
+fn model_merge(m: &mut Model, other: &Model, prefix: Option<&str>) -> Result<(), String> {
+    for (name, metric) in other {
+        let name = match prefix {
+            Some(p) => format!("{p}.{name}"),
+            None => name.clone(),
+        };
+        if !model_fold(m, &name, metric.clone()) {
+            return Err(name);
+        }
+    }
+    Ok(())
+}
+
+/// Calls `$call` with `$name` bound to the pool name as a `&'static
+/// str` or as an owned `String`.
+macro_rules! with_name {
+    ($n:expr, |$name:ident| $call:expr) => {
+        if $n.owned {
+            let $name = NAMES[$n.idx].to_string();
+            $call
+        } else {
+            let $name = NAMES[$n.idx];
+            $call
+        }
+    };
+}
+
+fn real_record(reg: &mut Registry, r: &Record) {
+    match r {
+        Record::Inc(n, by) => with_name!(n, |name| reg.inc(name, *by)),
+        Record::Gauge(n, v) => with_name!(n, |name| reg.set_gauge_max(name, *v)),
+        Record::Observe(n, v) => with_name!(n, |name| reg.observe(name, *v)),
+        Record::MergeHistogram(n, vs) => {
+            let h = histogram_of(vs);
+            with_name!(n, |name| reg.merge_histogram(name, &h))
+        }
+    }
+}
+
+thread_local! {
+    static QUIET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f`, returning its panic message if it panicked. The expected
+/// collision panics are kept out of the test log.
+fn panic_of(f: impl FnOnce()) -> Option<String> {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(Cell::get) {
+                default(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(true));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(false));
+    result.err().map(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    })
+}
+
+/// The JSON document `Registry::to_json` must produce for `m`.
+fn model_json(m: &Model) -> String {
+    let entries: Vec<String> = m
+        .iter()
+        .map(|(name, metric)| {
+            let body = match metric {
+                Metric::Counter(c) => format!("{{\"type\": \"counter\", \"value\": {c}}}"),
+                Metric::Gauge(g) => format!("{{\"type\": \"gauge\", \"value\": {g}}}"),
+                Metric::Histogram(h) => {
+                    let buckets: Vec<String> = (0..65)
+                        .filter(|&i| h.bucket(i) > 0)
+                        .map(|i| {
+                            let floor = if i == 0 { 0 } else { 1u64 << (i - 1) };
+                            format!("[{floor}, {}]", h.bucket(i))
+                        })
+                        .collect();
+                    format!(
+                        "{{\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
+                        h.count(),
+                        h.sum(),
+                        buckets.join(", ")
+                    )
+                }
+            };
+            format!("\"{name}\": {body}")
+        })
+        .collect();
+    format!("{{{}}}", entries.join(", "))
+}
+
+fn agree(reg: &Registry, m: &Model) -> CaseResult {
+    let real: Vec<(String, Metric)> = reg
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect();
+    let model: Vec<(String, Metric)> = m.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    prop_assert_eq!(real, model);
+    prop_assert_eq!(reg.len(), m.len());
+    prop_assert_eq!(reg.is_empty(), m.is_empty());
+    for name in NAMES.iter().chain(&["B.a.b", "WB.B.a", "missing"]) {
+        let want = match m.get(*name) {
+            Some(Metric::Counter(c)) => *c,
+            _ => 0,
+        };
+        prop_assert_eq!(reg.counter(name), want, "counter {}", name);
+    }
+    prop_assert_eq!(reg.to_json(), model_json(m));
+    prop_assert!(reg.clone() == *reg);
+    Ok(())
+}
+
+/// Applies `step` to the registry (catching a panic) and `model` to the
+/// model; the two must agree on whether, and on which name, it
+/// collided.
+fn step(
+    reg: &mut Registry,
+    m: &mut Model,
+    real: impl FnOnce(&mut Registry),
+    model: impl FnOnce(&mut Model) -> Result<(), String>,
+) -> CaseResult {
+    let panicked = panic_of(|| real(reg));
+    match (panicked, model(m)) {
+        (None, Ok(())) => Ok(()),
+        (Some(msg), Err(name)) => {
+            prop_assert!(
+                msg.starts_with(&format!("metric {name}")),
+                "panic `{msg}` does not name `{name}`"
+            );
+            Ok(())
+        }
+        (p, m) => Err(check::CaseError::fail(format!(
+            "registry panicked: {p:?}, model collided: {m:?}"
+        ))),
+    }
+}
+
+/// Builds the operand of a merge on both sides.
+fn build(records: &[Record]) -> Result<(Registry, Model), check::CaseError> {
+    let (mut reg, mut m) = (Registry::new(), Model::new());
+    for r in records {
+        step(
+            &mut reg,
+            &mut m,
+            |reg| real_record(reg, r),
+            |m| model_record(m, r),
+        )?;
+    }
+    Ok((reg, m))
+}
+
+fn registry_matches_model_impl(ops: &[Op]) -> CaseResult {
+    let (mut reg, mut m) = (Registry::new(), Model::new());
+    for op in ops {
+        match op {
+            Op::Record(r) => step(
+                &mut reg,
+                &mut m,
+                |reg| real_record(reg, r),
+                |m| model_record(m, r),
+            )?,
+            Op::Merge(records) => {
+                let (other, other_m) = build(records)?;
+                step(
+                    &mut reg,
+                    &mut m,
+                    |reg| reg.merge(&other),
+                    |m| model_merge(m, &other_m, None),
+                )?;
+            }
+            Op::MergePrefixed(p, records) => {
+                let (other, other_m) = build(records)?;
+                let prefix = PREFIXES[*p];
+                step(
+                    &mut reg,
+                    &mut m,
+                    |reg| reg.merge_prefixed(&other, prefix),
+                    |m| model_merge(m, &other_m, Some(prefix)),
+                )?;
+            }
+        }
+        agree(&reg, &m)?;
+    }
+    Ok(())
+}
+
+property! {
+    fn registry_matches_model(ops in check::vec(op_strategy(), 0..24)) {
+        registry_matches_model_impl(&ops)?;
+    }
+}
