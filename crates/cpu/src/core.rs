@@ -13,8 +13,7 @@ use ede_isa::{Edk, Inst, InstId, InstKind, Op, Program};
 use ede_mem::{MemResp, ReqId, ReqKind};
 use ede_util::idmap::IdMap;
 use ede_util::obs::Log2Histogram;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Result of a completed run.
@@ -272,7 +271,11 @@ pub struct Core<M> {
     dispatch_block: Option<InstId>,
 
     req_map: IdMap<ReqId, (InstId, u32)>,
-    fu_done: BinaryHeap<Reverse<(u64, u64, u32)>>, // (cycle, id, epoch)
+    /// Pending functional-unit results as `(cycle, id, epoch)`. Every
+    /// latency is one or two cycles, so the list stays a few entries long.
+    fu_done: Vec<(u64, u64, u32)>,
+    /// Executed barriers ready to complete this tick (reused).
+    barriers_ready: Vec<InstId>,
     /// Memory responses of the current tick (reused across ticks).
     resps: Vec<MemResp>,
     /// Write-buffer entries finished or drainable this tick (reused).
@@ -333,13 +336,14 @@ impl<M: MemPort> Core<M> {
             slots: vec![Slot::default(); n],
             timings: vec![InstTiming::default(); n],
             scoreboard: [None; 32],
-            reg_waiters: Wakeups::new(),
-            edep_waiters: Wakeups::new(),
+            reg_waiters: Wakeups::new(n),
+            edep_waiters: Wakeups::new(n),
             edm: SpeculativeEdm::new(),
             window,
             dispatch_block: None,
             req_map: IdMap::default(),
-            fu_done: BinaryHeap::new(),
+            fu_done: Vec::new(),
+            barriers_ready: Vec::new(),
             resps: Vec::new(),
             wb_ready: Vec::new(),
             issue_hist: IssueHistogram::new(issue_width),
@@ -386,8 +390,9 @@ impl<M: MemPort> Core<M> {
                 Op::DsbSy if executed => (
                     "retire",
                     self.window
-                        .older(Class::Any, id)
+                        .iter(Class::Any)
                         .next()
+                        .filter(|&m| m < id)
                         .map_or(WaitCause::Unknown, WaitCause::OlderIncomplete),
                 ),
                 Op::WaitKey { key } if wb_mode && executed => ("retire", WaitCause::EdeKey(key)),
@@ -553,7 +558,7 @@ impl<M: MemPort> Core<M> {
     /// fetch resuming after a squash.
     fn next_wake_cycle(&self) -> Option<u64> {
         let mut next = self.mem.next_event_cycle();
-        if let Some(&Reverse((cycle, _, _))) = self.fu_done.peek() {
+        if let Some(cycle) = self.fu_done.iter().map(|&(cycle, _, _)| cycle).min() {
             next = Some(next.map_or(cycle, |n| n.min(cycle)));
         }
         if self.fetch_resume > self.now
@@ -728,7 +733,10 @@ impl<M: MemPort> Core<M> {
         }
         self.emit(id, PipeStage::Complete);
         self.window.complete(id);
-        self.edm.complete(id);
+        // Only an instruction that defines a key can be bound in the EDM.
+        if self.window.is_producer(id) {
+            self.edm.complete(id);
+        }
         self.wbuf.clear_src(id);
 
         // Wake IQ-mode execution-dependence waiters.
@@ -790,15 +798,20 @@ impl<M: MemPort> Core<M> {
         });
     }
 
+    /// Handles every functional-unit result due by now, in `(cycle, id,
+    /// epoch)` order. Nothing handled here issues, so the list does not
+    /// change while it is walked.
     fn handle_fu_completions(&mut self) {
-        while let Some(&Reverse((cycle, raw, epoch))) = self.fu_done.peek() {
-            if cycle > self.now {
-                break;
-            }
-            // A pop — even of a stale (squashed-epoch) entry — changes
-            // what future ticks will see, so it counts as activity.
+        self.fu_done.sort_unstable();
+        let now = self.now;
+        let due = self.fu_done.partition_point(|&(cycle, _, _)| cycle <= now);
+        // Taking a result — even a stale (squashed-epoch) one — changes
+        // what future ticks will see, so it counts as activity.
+        if due > 0 {
             self.moved = true;
-            self.fu_done.pop();
+        }
+        for at in 0..due {
+            let (_, raw, epoch) = self.fu_done[at];
             let id = InstId(raw);
             if self.slots[id.index()].epoch != epoch {
                 continue;
@@ -844,25 +857,25 @@ impl<M: MemPort> Core<M> {
                 }
             }
         }
+        self.fu_done.drain(..due);
     }
 
     /// Completes every executed `DMB SY` with no older incomplete memory
     /// op, then every executed `DMB ST` with no older store still short
     /// of global visibility.
     fn check_dmb_sy(&mut self) {
+        let mut ready = std::mem::take(&mut self.barriers_ready);
         for (barrier, waits_on) in [(Class::DmbSy, Class::Mem), (Class::DmbSt, Class::Store)] {
-            let ready: Vec<InstId> = self
-                .window
-                .iter(barrier)
-                .filter(|&d| {
-                    self.slots[d.index()].state >= State::Executed
-                        && !self.window.has_older(waits_on, d)
-                })
-                .collect();
-            for d in ready {
+            ready.clear();
+            ready.extend(self.window.iter(barrier).filter(|&d| {
+                self.slots[d.index()].state >= State::Executed
+                    && !self.window.has_older(waits_on, d)
+            }));
+            for &d in &ready {
                 self.complete_inst(d);
             }
         }
+        self.barriers_ready = ready;
     }
 
     // ---- retire ----------------------------------------------------------
@@ -1047,7 +1060,12 @@ impl<M: MemPort> Core<M> {
         }
         let line = 64;
         let mut drained = 0;
-        self.wbuf.drainable(line, &mut ready);
+        // Nothing drains while memory refuses requests, so skip the scan.
+        if self.mem.can_accept() {
+            self.wbuf.drainable(line, &mut ready);
+        } else {
+            ready.clear();
+        }
         for &id in &ready {
             if drained >= self.cfg.wb_drain_per_cycle || !self.mem.can_accept() {
                 break;
@@ -1146,8 +1164,7 @@ impl<M: MemPort> Core<M> {
                 // in-flight store to this address.
                 if let Some(producer) =
                     self.window
-                        .older(Class::Store, id)
-                        .rev()
+                        .older_rev(Class::Store, id)
                         .find(|&s| match self.program[s].op {
                             Op::Str { addr: a, .. } => a == addr,
                             Op::Stp { addr: a, .. } => a == addr || a + 8 == addr,
@@ -1158,11 +1175,8 @@ impl<M: MemPort> Core<M> {
                         // Forward from the store queue / write buffer.
                         self.slots[id.index()].state = State::Executing;
                         self.timings[id.index()].effect = self.now;
-                        self.fu_done.push(Reverse((
-                            self.now + 2,
-                            id.0,
-                            self.slots[id.index()].epoch,
-                        )));
+                        self.fu_done
+                            .push((self.now + 2, id.0, self.slots[id.index()].epoch));
                         return Ok(());
                     }
                     return Err(StallCause::MemBusy); // store data not ready yet
@@ -1229,7 +1243,7 @@ impl<M: MemPort> Core<M> {
     fn execute_simple(&mut self, id: InstId) -> Result<(), StallCause> {
         let slot = &mut self.slots[id.index()];
         slot.state = State::Executing;
-        self.fu_done.push(Reverse((self.now + 1, id.0, slot.epoch)));
+        self.fu_done.push((self.now + 1, id.0, slot.epoch));
         Ok(())
     }
 
@@ -1597,6 +1611,41 @@ mod tests {
         let (f, r) = (fast.unwrap(), reference.unwrap());
         assert_eq!(f.quiet_hist, r.quiet_hist);
         assert_eq!(f.max_quiet_streak, r.max_quiet_streak);
+    }
+
+    #[test]
+    fn due_fu_results_are_handled_in_id_order_and_stale_ones_skipped() {
+        let mut b = TraceBuilder::new();
+        for _ in 0..4 {
+            b.nop();
+        }
+        let mem = FixedLatencyMem::new(LOAD_LAT, ACK_LAT);
+        let mut core = Core::new(CpuConfig::a72(), b.finish(), mem);
+        core.set_tracer(Tracer::new(crate::trace::TracerConfig::default()));
+        for slot in &mut core.slots[..3] {
+            (slot.state, slot.epoch) = (State::Executing, 1);
+        }
+        // Due results pushed out of id order; id 1's is from a squashed
+        // incarnation, and id 3's is not due yet.
+        core.fu_done = vec![(1, 2, 1), (2, 3, 1), (1, 1, 0), (1, 0, 1)];
+        core.now = 1;
+        core.handle_fu_completions();
+        let executed: Vec<u64> = core
+            .take_tracer()
+            .unwrap()
+            .events()
+            .filter_map(|e| match e.kind {
+                crate::trace::TraceEventKind::Stage {
+                    id,
+                    stage: PipeStage::Executed,
+                } => Some(id.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(executed, [0, 2]);
+        assert_eq!(core.slots[1].state, State::Executing);
+        assert_eq!(core.fu_done, [(2, 3, 1)]);
+        assert!(core.moved);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! on it (a register value or an execution dependence), and the map from
 //! memory requests to the instructions that sent them.
 //!
-//! Both are keyed by dense integers ([`InstId`], `ReqId`), so they hash
-//! with one multiply ([`IdMap`]) instead of SipHash. Their storage is
-//! bounded by the in-flight window: a producer's list is dropped when it
-//! wakes and its edges go back to a free list for the next dispatch.
+//! A producer's list head is indexed by its [`InstId`], like the core's
+//! per-instruction slots; the request map, keyed by `ReqId`, hashes with
+//! one multiply (`IdMap`). The edges are bounded by the in-flight window:
+//! a producer's list is dropped when it wakes and its edges go back to a
+//! free list for the next dispatch.
 
 use ede_isa::InstId;
-use ede_util::idmap::IdMap;
 
 /// End of a list.
 const NIL: u32 = u32::MAX;
@@ -24,17 +24,19 @@ struct Edge {
 
 /// Every producer's waiters, as linked lists in one edge pool.
 pub(crate) struct Wakeups {
-    /// The newest edge of each producer with waiters.
-    heads: IdMap<InstId, u32>,
+    /// The newest edge of each producer, by program index (`NIL` when it
+    /// has no waiters).
+    heads: Vec<u32>,
     edges: Vec<Edge>,
     /// Freed edges, chained through `next`.
     free: u32,
 }
 
 impl Wakeups {
-    pub(crate) fn new() -> Wakeups {
+    /// Lists for the producers of a program of `len` instructions.
+    pub(crate) fn new(len: usize) -> Wakeups {
         Wakeups {
-            heads: IdMap::default(),
+            heads: vec![NIL; len],
             edges: Vec::new(),
             free: NIL,
         }
@@ -42,7 +44,7 @@ impl Wakeups {
 
     /// Records that incarnation `epoch` of `waiter` waits on `producer`.
     pub(crate) fn push(&mut self, producer: InstId, waiter: InstId, epoch: u32) {
-        let head = self.heads.entry(producer).or_insert(NIL);
+        let head = &mut self.heads[producer.index()];
         let edge = Edge {
             waiter,
             epoch,
@@ -63,9 +65,7 @@ impl Wakeups {
     /// entry, newest first. An entry whose waiter has since been squashed
     /// carries that incarnation's epoch; `wake` must ignore it.
     pub(crate) fn wake(&mut self, producer: InstId, mut wake: impl FnMut(InstId, u32)) {
-        let Some(mut at) = self.heads.remove(&producer) else {
-            return;
-        };
+        let mut at = std::mem::replace(&mut self.heads[producer.index()], NIL);
         while at != NIL {
             let edge = self.edges[at as usize];
             wake(edge.waiter, edge.epoch);
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn wake_returns_each_waiter_once_and_empties_the_list() {
-        let mut w = Wakeups::new();
+        let mut w = Wakeups::new(8);
         w.push(InstId(1), InstId(4), 1);
         w.push(InstId(1), InstId(5), 2);
         w.push(InstId(2), InstId(5), 2);
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn freed_edges_are_reused() {
-        let mut w = Wakeups::new();
+        let mut w = Wakeups::new(100);
         for round in 0..100u64 {
             for waiter in 0..8 {
                 w.push(InstId(round), InstId(round + 1 + waiter), 0);

@@ -75,6 +75,11 @@ pub struct WbEntry {
 /// The write buffer: a bounded, program-ordered queue with out-of-order
 /// drain subject to the ordering rules above.
 ///
+/// The drain-eligible list is cached and recomputed only after a change
+/// that can alter it: a push, a cleared tag, a drain start or a removal.
+/// A count of live tags lets [`clear_src`](Self::clear_src) return at
+/// once when no entry waits on anything.
+///
 /// # Example
 ///
 /// ```
@@ -101,6 +106,14 @@ pub struct WriteBuffer {
     entries: Vec<WbEntry>,
     capacity: usize,
     reorder_same_line: bool,
+    /// `srcID` tags still set, over every entry.
+    live_tags: usize,
+    /// The drain-eligible entries as of the last scan, in buffer order.
+    drain: Vec<InstId>,
+    /// The line shift `drain` was computed with, if it is still current.
+    drain_shift: Option<u32>,
+    /// The lines of the memory entries a scan has passed (reused).
+    lines: Vec<u64>,
 }
 
 impl WriteBuffer {
@@ -110,6 +123,10 @@ impl WriteBuffer {
             entries: Vec::new(),
             capacity,
             reorder_same_line: false,
+            live_tags: 0,
+            drain: Vec::new(),
+            drain_shift: None,
+            lines: Vec::new(),
         }
     }
 
@@ -119,6 +136,7 @@ impl WriteBuffer {
     /// this.
     pub fn set_reorder_same_line(&mut self, on: bool) {
         self.reorder_same_line = on;
+        self.drain_shift = None;
     }
 
     /// Whether another entry fits.
@@ -144,6 +162,8 @@ impl WriteBuffer {
     /// [`has_space`](Self::has_space) before retiring the instruction).
     pub fn push(&mut self, id: InstId, kind: WbKind, srcs: [Option<InstId>; 2]) {
         assert!(self.has_space(), "write buffer overflow");
+        self.live_tags += srcs.iter().flatten().count();
+        self.drain_shift = None;
         self.entries.push(WbEntry {
             id,
             kind,
@@ -156,10 +176,15 @@ impl WriteBuffer {
     /// paper performs when an entry is pushed to memory or otherwise
     /// completes.
     pub fn clear_src(&mut self, producer: InstId) {
+        if self.live_tags == 0 {
+            return;
+        }
         for e in &mut self.entries {
             for s in &mut e.srcs {
                 if *s == Some(producer) {
                     *s = None;
+                    self.live_tags -= 1;
+                    self.drain_shift = None;
                 }
             }
         }
@@ -177,36 +202,46 @@ impl WriteBuffer {
     /// # Panics
     ///
     /// Panics if `line_bytes` is not a power of two.
-    pub fn drainable(&self, line_bytes: u64, out: &mut Vec<InstId>) {
+    pub fn drainable(&mut self, line_bytes: u64, out: &mut Vec<InstId>) {
         assert!(
             line_bytes.is_power_of_two(),
             "line size {line_bytes} is not a power of two"
         );
         let shift = line_bytes.trailing_zeros();
-        let line_of = |e: &WbEntry| e.kind.addr().map(|a| a >> shift);
+        if self.drain_shift != Some(shift) {
+            self.scan(shift);
+        }
         out.clear();
+        out.extend_from_slice(&self.drain);
+    }
+
+    /// Recomputes the drain-eligible list for lines of `1 << shift` bytes.
+    fn scan(&mut self, shift: u32) {
+        // The lines of every older memory entry, draining or not: an
+        // entry may not overtake any of them.
+        self.lines.clear();
         let mut barrier_seen = false;
-        for (i, e) in self.entries.iter().enumerate() {
-            match e.kind {
+        self.drain.clear();
+        for e in &self.entries {
+            let addr = match e.kind {
                 WbKind::StBarrier => {
                     barrier_seen = true;
                     continue;
                 }
                 WbKind::Join => continue,
-                WbKind::Store { .. } | WbKind::Cvap { .. } => {}
+                WbKind::Store { addr, .. } | WbKind::Cvap { addr } => addr,
+            };
+            let line = addr >> shift;
+            let blocked = e.state != WbState::Waiting
+                || !Self::srcs_clear(e)
+                || (barrier_seen && e.kind.is_store())
+                || (!self.reorder_same_line && self.lines.contains(&line));
+            if !blocked {
+                self.drain.push(e.id);
             }
-            if e.state != WbState::Waiting || !Self::srcs_clear(e) {
-                continue;
-            }
-            if barrier_seen && e.kind.is_store() {
-                continue;
-            }
-            let line = line_of(e);
-            if !self.reorder_same_line && self.entries[..i].iter().any(|o| line_of(o) == line) {
-                continue;
-            }
-            out.push(e.id);
+            self.lines.push(line);
         }
+        self.drain_shift = Some(shift);
     }
 
     /// Marks an entry as draining (request sent to memory).
@@ -221,6 +256,7 @@ impl WriteBuffer {
             .find(|e| e.id == id)
             .expect("unknown write-buffer entry");
         e.state = WbState::Draining;
+        self.drain_shift = None;
     }
 
     /// Removes a completed memory entry (its drain response arrived).
@@ -234,7 +270,9 @@ impl WriteBuffer {
             .iter()
             .position(|e| e.id == id)
             .expect("unknown write-buffer entry");
-        self.entries.remove(pos);
+        let e = self.entries.remove(pos);
+        self.live_tags -= e.srcs.iter().flatten().count();
+        self.drain_shift = None;
     }
 
     /// Removes the control entries that have become complete — `JOIN`s
@@ -261,7 +299,12 @@ impl WriteBuffer {
                 }
             }
             match idx {
-                Some(i) => finished.push(self.entries.remove(i).id),
+                Some(i) => {
+                    let e = self.entries.remove(i);
+                    self.live_tags -= e.srcs.iter().flatten().count();
+                    self.drain_shift = None;
+                    finished.push(e.id);
+                }
                 None => break,
             }
         }
@@ -277,7 +320,7 @@ impl WriteBuffer {
 mod tests {
     use super::*;
 
-    fn drainable(wb: &WriteBuffer) -> Vec<InstId> {
+    fn drainable(wb: &mut WriteBuffer) -> Vec<InstId> {
         let mut out = vec![InstId(99)];
         wb.drainable(64, &mut out);
         out
@@ -318,7 +361,7 @@ mod tests {
         wb.push(InstId(0), store(0x000), [Some(InstId(9)), None]);
         wb.push(InstId(1), store(0x100), [None, None]);
         // Entry 0 is blocked on a srcID, entry 1 is free: out-of-order OK.
-        assert_eq!(drainable(&wb), vec![InstId(1)]);
+        assert_eq!(drainable(&mut wb), vec![InstId(1)]);
     }
 
     #[test]
@@ -326,12 +369,12 @@ mod tests {
         let mut wb = WriteBuffer::new(4);
         wb.push(InstId(0), store(0x40), [None, None]);
         wb.push(InstId(1), WbKind::Cvap { addr: 0x48 }, [None, None]);
-        assert_eq!(drainable(&wb), vec![InstId(0)]);
+        assert_eq!(drainable(&mut wb), vec![InstId(0)]);
         wb.mark_draining(InstId(0));
         // Still blocked: the older store hasn't completed.
-        assert_eq!(drainable(&wb), Vec::<InstId>::new());
+        assert_eq!(drainable(&mut wb), Vec::<InstId>::new());
         wb.complete(InstId(0));
-        assert_eq!(drainable(&wb), vec![InstId(1)]);
+        assert_eq!(drainable(&mut wb), vec![InstId(1)]);
     }
 
     #[test]
@@ -342,12 +385,12 @@ mod tests {
         wb.push(InstId(2), store(0x100), [None, None]);
         wb.push(InstId(3), WbKind::Cvap { addr: 0x200 }, [None, None]);
         // The younger store is held; the CVAP sails past (SU's unsafety).
-        assert_eq!(drainable(&wb), vec![InstId(0), InstId(3)]);
+        assert_eq!(drainable(&mut wb), vec![InstId(0), InstId(3)]);
         wb.mark_draining(InstId(0));
         wb.complete(InstId(0));
         // Barrier token now completes, releasing the younger store.
         assert_eq!(finished(&mut wb), vec![InstId(1)]);
-        assert!(drainable(&wb).contains(&InstId(2)));
+        assert!(drainable(&mut wb).contains(&InstId(2)));
     }
 
     #[test]
@@ -357,7 +400,7 @@ mod tests {
         wb.push(InstId(0), store(0x40), [None, None]);
         wb.push(InstId(1), WbKind::Cvap { addr: 0x48 }, [None, None]);
         // The faulty buffer lets the CVAP overtake its own store.
-        assert_eq!(drainable(&wb), vec![InstId(0), InstId(1)]);
+        assert_eq!(drainable(&mut wb), vec![InstId(0), InstId(1)]);
     }
 
     #[test]
@@ -380,9 +423,9 @@ mod tests {
             WbKind::Cvap { addr: 0x40 },
             [Some(InstId(1)), None],
         );
-        assert!(drainable(&wb).is_empty());
+        assert!(drainable(&mut wb).is_empty());
         wb.clear_src(InstId(1));
-        assert_eq!(drainable(&wb), vec![InstId(3)]);
+        assert_eq!(drainable(&mut wb), vec![InstId(3)]);
     }
 
     #[test]

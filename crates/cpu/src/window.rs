@@ -5,8 +5,9 @@
 //! older instruction of some class still incomplete? — so one index
 //! answers all of them; each [`Class`] names the rules that read it.
 //! The `Ede` and `Producer` classes are the WB design's overall and
-//! per-key counters of outstanding EDE instructions (§V-D) as sorted
-//! lists, which also answer the IQ design's program-order question.
+//! per-key counters of outstanding EDE instructions (§V-D), kept as
+//! bitmaps with member counts, which also answer the IQ design's
+//! program-order question.
 //!
 //! The window changes at exactly three points: [`insert`](Window::insert)
 //! at dispatch, [`complete`](Window::complete) at completion and
@@ -93,17 +94,106 @@ fn class_mask(inst: &Inst) -> u32 {
     mask
 }
 
+/// The classes that name a key: every producer class.
+const PRODUCERS: u32 = ((1 << CLASSES) - 1) & !((1 << FIXED) - 1);
+
+/// One class's incomplete members: a bitmap over program indices, the
+/// member count, and the oldest member (meaningful while `len > 0`).
+#[derive(Default)]
+struct Set {
+    bits: Vec<u64>,
+    len: usize,
+    oldest: usize,
+}
+
+impl Set {
+    fn has(&self, i: usize) -> bool {
+        self.len > 0 && self.bits[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn insert(&mut self, i: usize) {
+        debug_assert!(self.len == 0 || self.oldest < i);
+        if self.len == 0 {
+            self.oldest = i;
+        }
+        self.bits[i / 64] |= 1 << (i % 64);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, i: usize) {
+        if !self.has(i) {
+            return;
+        }
+        self.bits[i / 64] &= !(1 << (i % 64));
+        self.len -= 1;
+        if self.len > 0 && i == self.oldest {
+            self.oldest = self.first_from(i + 1);
+        }
+    }
+
+    /// The oldest member at or above `i`; one must exist.
+    fn first_from(&self, i: usize) -> usize {
+        let mut w = i / 64;
+        let mut word = self.bits[w] & (!0 << (i % 64));
+        while word == 0 {
+            w += 1;
+            word = self.bits[w];
+        }
+        w * 64 + word.trailing_zeros() as usize
+    }
+
+    /// The youngest member below `i`, if any.
+    fn last_below(&self, i: usize) -> Option<usize> {
+        if self.len == 0 || self.oldest >= i {
+            return None;
+        }
+        // A probe past the program starts at its last word; `oldest` is a
+        // member below `i`, so the scan stops at its word.
+        let i = i.min(self.bits.len() * 64);
+        let mut w = (i - 1) / 64;
+        let mut word = self.bits[w] & (!0 >> (63 - (i - 1) % 64));
+        while word == 0 {
+            w -= 1;
+            word = self.bits[w];
+        }
+        Some(w * 64 + 63 - word.leading_zeros() as usize)
+    }
+
+    /// Drops every member in `from..end`; no member lies at or above `end`.
+    fn clear_from(&mut self, from: usize, end: usize) {
+        if self.len == 0 || from >= end {
+            return;
+        }
+        let first = from / 64;
+        for w in first..=(end - 1) / 64 {
+            let keep = if w == first {
+                (1 << (from % 64)) - 1
+            } else {
+                0
+            };
+            self.len -= (self.bits[w] & !keep).count_ones() as usize;
+            self.bits[w] &= keep;
+        }
+    }
+}
+
 /// The in-flight index (see the [module documentation](self)).
 ///
 /// Dispatch runs in program order and a squash drops everything younger
 /// than its cut before the refetch, so every insert is younger than every
-/// member: each class is a sorted `Vec` that grows at its end, loses a
-/// completed member by binary search and is truncated by a squash.
+/// member. Each class is a bitmap over program indices with its member
+/// count and oldest member: membership, completion and the "any older
+/// member?" test are O(1), the youngest older member is a backward word
+/// scan, and a squash clears the words above its cut.
 pub(crate) struct Window {
     /// Class mask per program instruction, computed once.
     masks: Vec<u32>,
-    /// Incomplete members, per class, oldest first.
-    sets: [Vec<InstId>; CLASSES],
+    /// Incomplete members, per class. Only the classes the program uses
+    /// have a bitmap.
+    sets: [Set; CLASSES],
+    /// One past the youngest instruction inserted since the last squash:
+    /// no class has a member at or above it.
+    end: usize,
 }
 
 /// The classes in `mask`, as indices into [`Window::sets`].
@@ -120,67 +210,79 @@ fn classes_in(mut mask: u32) -> impl Iterator<Item = usize> {
 impl Window {
     /// An empty window over `program`'s instructions.
     pub(crate) fn new(program: &Program) -> Window {
+        let masks: Vec<u32> = program.iter().map(|(_, inst)| class_mask(inst)).collect();
+        let mut sets: [Set; CLASSES] = Default::default();
+        let words = masks.len().div_ceil(64);
+        for c in classes_in(masks.iter().fold(0, |all, &m| all | m)) {
+            sets[c].bits = vec![0; words];
+        }
         Window {
-            masks: program.iter().map(|(_, inst)| class_mask(inst)).collect(),
-            sets: Default::default(),
+            masks,
+            sets,
+            end: 0,
         }
     }
 
     /// Enters a dispatched instruction into every class it belongs to.
     pub(crate) fn insert(&mut self, id: InstId) {
-        for c in classes_in(self.masks[id.index()]) {
-            let set = &mut self.sets[c];
-            debug_assert!(set.last().is_none_or(|&last| last < id));
-            set.push(id);
+        let i = id.index();
+        for c in classes_in(self.masks[i]) {
+            self.sets[c].insert(i);
         }
+        self.end = self.end.max(i + 1);
     }
 
     /// Removes a completed instruction from every class.
     pub(crate) fn complete(&mut self, id: InstId) {
-        for c in classes_in(self.masks[id.index()]) {
-            let set = &mut self.sets[c];
-            if let Ok(at) = set.binary_search(&id) {
-                set.remove(at);
-            }
+        let i = id.index();
+        for c in classes_in(self.masks[i]) {
+            self.sets[c].remove(i);
         }
     }
 
     /// Drops every instruction younger than `id` (a squash at `id`).
     pub(crate) fn squash_younger(&mut self, id: InstId) {
+        let from = id.index() + 1;
         for set in &mut self.sets {
-            let keep = set.partition_point(|&m| m <= id);
-            set.truncate(keep);
+            set.clear_from(from, self.end);
         }
+        self.end = self.end.min(from);
     }
 
-    /// [`older`](Self::older) as a slice.
-    fn older_slice(&self, class: Class, id: InstId) -> &[InstId] {
+    /// The incomplete members of `class` older than `id`, youngest first.
+    pub(crate) fn older_rev(&self, class: Class, id: InstId) -> impl Iterator<Item = InstId> + '_ {
         let set = &self.sets[class.index()];
-        &set[..set.partition_point(|&m| m < id)]
-    }
-
-    /// The incomplete members of `class` older than `id`, oldest first.
-    pub(crate) fn older(
-        &self,
-        class: Class,
-        id: InstId,
-    ) -> impl DoubleEndedIterator<Item = InstId> + '_ {
-        self.older_slice(class, id).iter().copied()
+        let mut below = id.index();
+        std::iter::from_fn(move || {
+            let m = set.last_below(below)?;
+            below = m;
+            Some(InstId(m as u64))
+        })
     }
 
     /// Whether any incomplete member of `class` is older than `id`.
     pub(crate) fn has_older(&self, class: Class, id: InstId) -> bool {
-        self.sets[class.index()].first().is_some_and(|&m| m < id)
+        let set = &self.sets[class.index()];
+        set.len > 0 && set.oldest < id.index()
     }
 
     /// The youngest incomplete member of `class` older than `id`.
     pub(crate) fn youngest_older(&self, class: Class, id: InstId) -> Option<InstId> {
-        self.older_slice(class, id).last().copied()
+        self.older_rev(class, id).next()
     }
 
     /// Every incomplete member of `class`, oldest first.
     pub(crate) fn iter(&self, class: Class) -> impl Iterator<Item = InstId> + '_ {
-        self.sets[class.index()].iter().copied()
+        let set = &self.sets[class.index()];
+        let (mut at, mut left) = (set.oldest, set.len);
+        std::iter::from_fn(move || {
+            // Counting the members down stops the scan at the youngest.
+            (left > 0).then(|| {
+                let m = set.first_from(at);
+                (at, left) = (m + 1, left - 1);
+                InstId(m as u64)
+            })
+        })
     }
 
     /// Whether instruction `id` belongs to `class`, in flight or not.
@@ -188,14 +290,19 @@ impl Window {
         self.masks[id.index()] & class.bit() != 0
     }
 
+    /// Whether instruction `id` produces a key, so the EDM may bind it.
+    pub(crate) fn is_producer(&self, id: InstId) -> bool {
+        self.masks[id.index()] & PRODUCERS != 0
+    }
+
     /// Whether `id` is dispatched and incomplete.
     pub(crate) fn contains(&self, id: InstId) -> bool {
-        self.sets[Class::Any.index()].binary_search(&id).is_ok()
+        self.sets[Class::Any.index()].has(id.index())
     }
 
     /// Number of incomplete members of `class`.
     pub(crate) fn len(&self, class: Class) -> usize {
-        self.sets[class.index()].len()
+        self.sets[class.index()].len
     }
 }
 
@@ -412,39 +519,89 @@ mod tests {
             .chain((0..16).map(|n| Producer(Edk::new(n).unwrap())))
     }
 
+    /// The reference's answers for one class at one probe: the members
+    /// older than `probe`, youngest first (all of them when `full`).
+    fn check_probe(
+        w: &Window,
+        class: Class,
+        members: &[InstId],
+        probe: InstId,
+        full: bool,
+    ) -> check::CaseResult {
+        let older = &members[..members.partition_point(|&m| m < probe)];
+        if full {
+            prop_assert_eq!(
+                w.older_rev(class, probe).collect::<Vec<_>>(),
+                older.iter().rev().copied().collect::<Vec<_>>(),
+                "{:?} below {:?}",
+                class,
+                probe
+            );
+        }
+        prop_assert_eq!(w.youngest_older(class, probe), older.last().copied());
+        prop_assert_eq!(w.has_older(class, probe), !older.is_empty());
+        Ok(())
+    }
+
     /// Random dispatch / complete / squash sequences over random
     /// instructions: every query equals a brute-force scan of the live
     /// list. Dispatch runs in program order and a squash refetches from
-    /// just past its cut, as the pipeline does.
+    /// just past its cut, as the pipeline does. Most squashes cut near
+    /// the youngest dispatch, as a mispredicted branch does, so the
+    /// window grows across the bitmaps' 64-bit word boundaries.
     fn matches_reference_impl(insts: &[(u8, u8)], actions: &[(u8, u8)]) -> check::CaseResult {
         let insts: Vec<Inst> = insts.iter().map(|&(c, key)| inst_of(c, key)).collect();
         let mut w = Window::new(&insts.iter().cloned().collect());
+        for class in all_classes() {
+            for (i, inst) in insts.iter().enumerate() {
+                prop_assert_eq!(w.is(class, InstId(i as u64)), member(class, inst));
+            }
+        }
+        for (i, inst) in insts.iter().enumerate() {
+            let producer =
+                all_classes().any(|c| matches!(c, Class::Producer(_)) && member(c, inst));
+            prop_assert_eq!(w.is_producer(InstId(i as u64)), producer);
+        }
         let mut live: Vec<InstId> = Vec::new();
         let mut next = 0u64;
-        for &(action, pick) in actions {
-            match action % 4 {
-                0 | 1 => {
+        for (step, &(action, pick)) in actions.iter().enumerate() {
+            let mut touched = None;
+            match action % 16 {
+                0..=10 => {
                     if (next as usize) < insts.len() {
                         w.insert(InstId(next));
                         live.push(InstId(next));
+                        touched = Some(InstId(next));
                         next += 1;
                     }
                 }
-                2 => {
+                11..=14 => {
                     if !live.is_empty() {
                         let id = live.remove(usize::from(pick) % live.len());
                         w.complete(id);
+                        touched = Some(id);
                     }
                 }
                 _ => {
                     if next > 0 {
-                        let cut = InstId(u64::from(pick) % next);
+                        // Mostly a few instructions deep; one in eight
+                        // anywhere.
+                        let depth = if pick < 224 {
+                            u64::from(pick % 8).min(next - 1)
+                        } else {
+                            u64::from(pick) % next
+                        };
+                        let cut = InstId(next - 1 - depth);
                         w.squash_younger(cut);
                         live.retain(|&id| id <= cut);
                         next = cut.0 + 1;
+                        touched = Some(cut);
                     }
                 }
             }
+            // Every probe after the last action; a few cheap ones (the
+            // ends, each member's neighbours and the touched id) before.
+            let last = step + 1 == actions.len();
             for class in all_classes() {
                 // `live` stays in program order: dispatch appends past
                 // every live id.
@@ -460,19 +617,27 @@ mod tests {
                     class
                 );
                 prop_assert_eq!(w.len(class), members.len());
-                for (i, inst) in insts.iter().enumerate() {
-                    prop_assert_eq!(w.is(class, InstId(i as u64)), member(class, inst));
+                if last {
+                    for probe in (0..=next + 1).map(InstId) {
+                        check_probe(&w, class, &members, probe, true)?;
+                    }
+                    continue;
                 }
-                for probe in (0..=next).map(InstId) {
-                    let older: Vec<InstId> =
-                        members.iter().copied().filter(|&m| m < probe).collect();
-                    prop_assert_eq!(w.older(class, probe).collect::<Vec<_>>(), older.clone());
-                    prop_assert_eq!(w.youngest_older(class, probe), older.last().copied());
-                    prop_assert_eq!(w.has_older(class, probe), !older.is_empty());
+                let ends = [InstId(0), InstId(next)];
+                for probe in ends.into_iter().chain(touched) {
+                    check_probe(&w, class, &members, probe, true)?;
+                }
+                for m in &members {
+                    check_probe(&w, class, &members, *m, false)?;
+                    check_probe(&w, class, &members, InstId(m.0 + 1), false)?;
                 }
             }
-            for id in (0..insts.len() as u64).map(InstId) {
-                prop_assert_eq!(w.contains(id), live.contains(&id));
+            let mut is_live = vec![false; insts.len()];
+            for id in &live {
+                is_live[id.index()] = true;
+            }
+            for (i, &live) in is_live.iter().enumerate() {
+                prop_assert_eq!(w.contains(InstId(i as u64)), live);
             }
         }
         Ok(())
@@ -480,8 +645,8 @@ mod tests {
 
     property! {
         fn window_matches_reference(
-            insts in check::vec((0u8..13, 0u8..16), 1..40),
-            actions in check::vec((0u8..4, check::any::<u8>()), 1..120)
+            insts in check::vec((0u8..13, 0u8..16), 1..200),
+            actions in check::vec((0u8..16, check::any::<u8>()), 1..400)
         ) {
             matches_reference_impl(&insts, &actions)?;
         }

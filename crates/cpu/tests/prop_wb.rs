@@ -1,6 +1,6 @@
 //! Property tests for the post-retirement write buffer's ordering rules.
 
-use ede_cpu::wb::{WbKind, WriteBuffer};
+use ede_cpu::wb::{WbEntry, WbKind, WriteBuffer};
 use ede_isa::InstId;
 use ede_util::check::{self, CaseResult, Just, Strategy};
 use ede_util::{prop_assert, prop_assert_eq, prop_oneof, property};
@@ -130,7 +130,109 @@ fn drains_and_respects_rules_impl(entries: &[Entry]) -> CaseResult {
     Ok(())
 }
 
+/// The drain rule written out as a fresh O(n²) scan: memory entries
+/// with clear tags that are not draining, not stores behind a `DMB ST`
+/// token, and (unless `reorder`) with no older entry on their line.
+fn reference_drainable(entries: &[WbEntry], draining: &[InstId], reorder: bool) -> Vec<InstId> {
+    let line_of = |e: &WbEntry| e.kind.addr().map(|a| a / 64);
+    let mut out = Vec::new();
+    let mut barrier_seen = false;
+    for (i, e) in entries.iter().enumerate() {
+        match e.kind {
+            WbKind::StBarrier => {
+                barrier_seen = true;
+                continue;
+            }
+            WbKind::Join => continue,
+            WbKind::Store { .. } | WbKind::Cvap { .. } => {}
+        }
+        if draining.contains(&e.id) || e.srcs.iter().any(Option::is_some) {
+            continue;
+        }
+        if barrier_seen && matches!(e.kind, WbKind::Store { .. }) {
+            continue;
+        }
+        let line = line_of(e);
+        if !reorder && entries[..i].iter().any(|o| line_of(o) == line) {
+            continue;
+        }
+        out.push(e.id);
+    }
+    out
+}
+
+/// Random pushes, tag clears, drain starts, completions and control
+/// removals: after every one the cached drain list equals a fresh scan.
+fn cached_drain_list_matches_fresh_scan_impl(ops: &[(u8, u8, u8)], reorder: bool) -> CaseResult {
+    let mut wb = WriteBuffer::new(16);
+    wb.set_reorder_same_line(reorder);
+    let mut draining: Vec<InstId> = Vec::new();
+    let mut next = 0u64;
+    let (mut cached, mut finished) = (Vec::new(), Vec::new());
+    // Tags name six producers, so clears often hit several entries.
+    let tag = |b: u8| (!b.is_multiple_of(3)).then(|| InstId(1000 + u64::from(b % 6)));
+    for &(op, a, b) in ops {
+        let entries = wb.entries();
+        match op % 6 {
+            0 | 1 if wb.has_space() => {
+                let addr = 0x1_0000_0000 + u64::from(a % 5) * 64 + u64::from(a % 2) * 8;
+                let kind = match a % 8 {
+                    0..=3 => WbKind::Store {
+                        addr,
+                        width: 8,
+                        value: [1, 0],
+                    },
+                    4 | 5 => WbKind::Cvap { addr },
+                    6 => WbKind::Join,
+                    _ => WbKind::StBarrier,
+                };
+                let srcs = match kind {
+                    WbKind::StBarrier => [None, None],
+                    WbKind::Join => [tag(b), tag(b / 6)],
+                    _ => [tag(b), None],
+                };
+                wb.push(InstId(next), kind, srcs);
+                next += 1;
+            }
+            2 => wb.clear_src(InstId(1000 + u64::from(a % 6))),
+            3 => {
+                // Start draining a waiting memory entry, eligible or not.
+                let waiting: Vec<InstId> = entries
+                    .iter()
+                    .filter(|e| e.kind.addr().is_some() && !draining.contains(&e.id))
+                    .map(|e| e.id)
+                    .collect();
+                if !waiting.is_empty() {
+                    let id = waiting[usize::from(a) % waiting.len()];
+                    wb.mark_draining(id);
+                    draining.push(id);
+                }
+            }
+            4 => {
+                if !draining.is_empty() {
+                    let id = draining.remove(usize::from(a) % draining.len());
+                    wb.complete(id);
+                }
+            }
+            _ => wb.take_finished_controls(&mut finished),
+        }
+        wb.drainable(64, &mut cached);
+        prop_assert_eq!(
+            &cached,
+            &reference_drainable(wb.entries(), &draining, reorder)
+        );
+    }
+    Ok(())
+}
+
 property! {
+    fn cached_drain_list_matches_fresh_scan(
+        ops in check::vec((0u8..6, check::any::<u8>(), check::any::<u8>()), 1..200),
+        reorder in check::any::<bool>()
+    ) {
+        cached_drain_list_matches_fresh_scan_impl(&ops, reorder)?;
+    }
+
     fn buffer_always_drains_and_respects_rules(
         entries in check::vec(entry_strategy(), 1..24)
     ) {

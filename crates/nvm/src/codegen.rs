@@ -124,6 +124,17 @@ impl TxWriter {
         self.core.write_init(addr, value);
     }
 
+    /// [`write_init`](Self::write_init) of word `i` of the `len` words
+    /// from `base` with `value(i)`, the preload record sized once up
+    /// front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after `finish_init`.
+    pub fn write_init_words(&mut self, base: VAddr, len: u64, value: impl Fn(u64) -> u64) {
+        self.core.write_init_words(base, len, value);
+    }
+
     /// Closes the pre-population phase and opens the measured transaction
     /// phase.
     pub fn finish_init(&mut self) {

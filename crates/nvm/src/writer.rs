@@ -72,6 +72,18 @@ impl WriterCore {
         self.init_writes.push((addr, value));
     }
 
+    /// Preloads word `i` of the `len` words from `base` with `value(i)`,
+    /// sizing the preload record once for them and for the log magic
+    /// words `finish` appends, so a large array never regrows it.
+    pub(crate) fn write_init_words(&mut self, base: VAddr, len: u64, value: impl Fn(u64) -> u64) {
+        let magic = if self.has_log { 2 } else { 0 };
+        let words = usize::try_from(len).expect("preload fits in memory");
+        self.init_writes.reserve_exact(words + magic);
+        for i in 0..len {
+            self.write_init(base + i * 8, value(i));
+        }
+    }
+
     pub(crate) fn finish_init(&mut self) {
         assert!(!self.init_finished, "finish_init called twice");
         self.init_finished = true;

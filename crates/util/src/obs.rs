@@ -17,11 +17,10 @@
 //! metrics always serialize to the same string, which is what lets CI
 //! diff metrics documents across `--jobs` values.
 //!
-//! [`Registry::merge`] folds one registry into another (counters add,
-//! gauges high-water, histograms add bucket-wise); the operation is
-//! commutative and associative over disjoint recordings, so parallel
-//! workers can aggregate per-case registries in case order and reproduce
-//! a sequential run's document exactly.
+//! [`Registry::merge_prefixed`] folds one registry into another under a
+//! name prefix (counters add, gauges high-water, histograms add
+//! bucket-wise); the operation is commutative and associative over
+//! disjoint recordings.
 //!
 //! The [`json`] submodule is a strict parser for the JSON subset this
 //! workspace emits — the in-repo shape checker used by
@@ -317,31 +316,25 @@ impl Registry {
         self.metrics.is_empty()
     }
 
-    /// Folds `other` into `self`: counters add, gauges take the maximum
-    /// (high-water), histograms add bucket-wise. Commutative, so parallel
-    /// per-case registries merged in any order agree with a sequential
-    /// aggregation.
+    /// Folds `other` into `self` with every incoming name prefixed by
+    /// `prefix` and a dot — for aggregating per-configuration registries
+    /// side by side (`B.cpu.cycles`, `WB.cpu.cycles`). Counters add,
+    /// gauges take the maximum (high-water), histograms add bucket-wise.
+    /// Commutative, so parallel per-case registries merged in any order
+    /// agree with a sequential aggregation.
     ///
     /// # Panics
     ///
     /// If the same name holds different metric kinds in the two
     /// registries.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, metric) in &other.metrics {
-            self.merge_one(name.clone(), metric);
-        }
-    }
-
-    /// Like [`merge`](Self::merge), but every incoming name is prefixed
-    /// with `prefix` and a dot — for aggregating per-configuration
-    /// registries side by side (`B.cpu.cycles`, `WB.cpu.cycles`).
     pub fn merge_prefixed(&mut self, other: &Registry, prefix: &str) {
         for (name, metric) in &other.metrics {
             self.merge_one(Cow::Owned(format!("{prefix}.{name}")), metric);
         }
     }
 
-    /// Folds one metric into the entry `name` (see [`merge`](Self::merge)).
+    /// Folds one metric into the entry `name` (see
+    /// [`merge_prefixed`](Self::merge_prefixed)).
     fn merge_one(&mut self, name: Cow<'static, str>, metric: &Metric) {
         let mut own = match self.metrics.entry(name) {
             Entry::Vacant(v) => {
@@ -979,15 +972,16 @@ mod tests {
         b.observe("h", 100);
         b.inc("only_b", 1);
 
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
+        let (mut ab, mut ba) = (Registry::new(), Registry::new());
+        ab.merge_prefixed(&a, "x");
+        ab.merge_prefixed(&b, "x");
+        ba.merge_prefixed(&b, "x");
+        ba.merge_prefixed(&a, "x");
         assert_eq!(ab, ba);
-        assert_eq!(ab.counter("c"), 5);
-        assert_eq!(ab.metrics.get("g"), Some(&Metric::Gauge(10)));
-        assert_eq!(ab.histogram("h").unwrap().count(), 2);
-        assert_eq!(ab.counter("only_b"), 1);
+        assert_eq!(ab.counter("x.c"), 5);
+        assert_eq!(ab.metrics.get("x.g"), Some(&Metric::Gauge(10)));
+        assert_eq!(ab.histogram("x.h").unwrap().count(), 2);
+        assert_eq!(ab.counter("x.only_b"), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! one-metric merge.
 //!
 //! Random sequences of `inc`, `set_gauge_max`, `observe`,
-//! `merge_histogram`, `merge` and `merge_prefixed` run on both, with
+//! `merge_histogram` and `merge_prefixed` run on both, with
 //! names drawn from a small pool (so kinds collide) and passed either as
 //! `&'static str` or as an owned `String`. After every step the two must
 //! agree on `iter`, `len`, `counter`, `to_json` and on whether the step
@@ -41,8 +41,6 @@ enum Record {
 #[derive(Clone, Debug)]
 enum Op {
     Record(Record),
-    /// `merge` of a registry built from these recordings.
-    Merge(Vec<Record>),
     /// `merge_prefixed` of a registry built from these recordings.
     MergePrefixed(usize, Vec<Record>),
 }
@@ -64,8 +62,7 @@ fn record_strategy() -> impl Strategy<Value = Record> {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => record_strategy().prop_map(Op::Record),
-        1 => check::vec(record_strategy(), 0..5).prop_map(Op::Merge),
-        1 => (0..PREFIXES.len(), check::vec(record_strategy(), 0..5))
+        2 => (0..PREFIXES.len(), check::vec(record_strategy(), 0..5))
             .prop_map(|(p, rs)| Op::MergePrefixed(p, rs)),
     ]
 }
@@ -112,14 +109,11 @@ fn model_record(m: &mut Model, r: &Record) -> Result<(), String> {
     }
 }
 
-/// `merge`/`merge_prefixed` on the model: entries in name order, up to
-/// the first collision.
-fn model_merge(m: &mut Model, other: &Model, prefix: Option<&str>) -> Result<(), String> {
+/// `merge_prefixed` on the model: entries in name order, up to the
+/// first collision.
+fn model_merge(m: &mut Model, other: &Model, prefix: &str) -> Result<(), String> {
     for (name, metric) in other {
-        let name = match prefix {
-            Some(p) => format!("{p}.{name}"),
-            None => name.clone(),
-        };
+        let name = format!("{prefix}.{name}");
         if !model_fold(m, &name, metric.clone()) {
             return Err(name);
         }
@@ -281,15 +275,6 @@ fn registry_matches_model_impl(ops: &[Op]) -> CaseResult {
                 |reg| real_record(reg, r),
                 |m| model_record(m, r),
             )?,
-            Op::Merge(records) => {
-                let (other, other_m) = build(records)?;
-                step(
-                    &mut reg,
-                    &mut m,
-                    |reg| reg.merge(&other),
-                    |m| model_merge(m, &other_m, None),
-                )?;
-            }
             Op::MergePrefixed(p, records) => {
                 let (other, other_m) = build(records)?;
                 let prefix = PREFIXES[*p];
@@ -297,7 +282,7 @@ fn registry_matches_model_impl(ops: &[Op]) -> CaseResult {
                     &mut reg,
                     &mut m,
                     |reg| reg.merge_prefixed(&other, prefix),
-                    |m| model_merge(m, &other_m, Some(prefix)),
+                    |m| model_merge(m, &other_m, prefix),
                 )?;
             }
         }

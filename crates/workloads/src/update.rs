@@ -24,9 +24,7 @@ impl Workload for Update {
         let sampler = crate::IndexSampler::new(params);
         let mut tx = TxWriter::new(Layout::standard(), arch);
         let base = tx.heap_alloc(params.array_elems * 8, 64);
-        for i in 0..params.array_elems {
-            tx.write_init(base + i * 8, i);
-        }
+        tx.write_init_words(base, params.array_elems, |i| i);
         tx.finish_init();
 
         let mut in_tx = 0usize;
