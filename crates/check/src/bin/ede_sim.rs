@@ -79,13 +79,15 @@
 //! and fast-forwards past completed units, so the resumed run's final
 //! stdout, report, and metrics are byte-identical to an uninterrupted
 //! one. `--max-wall-secs N` (or the `EDE_DEADLINE_SECS` environment
-//! variable) stops the campaign gracefully — valid checkpoint, truncated
-//! but well-formed report, exit code 3. A worker panic is quarantined
-//! per unit instead of aborting the sweep: the payload is recorded in
-//! the report's `quarantined` section and the total is counted against
-//! `--max-quarantined` (default 0). `--stop-after N` (interrupt after N
-//! fresh units) and `--self-test-panic N` (panic deliberately on unit N)
-//! are deterministic test hooks for exactly that machinery.
+//! variable) stops the campaign gracefully once N seconds have passed
+//! since it started — valid checkpoint, truncated but well-formed
+//! report, exit code 3. A worker panic is quarantined per unit instead
+//! of aborting the sweep: the unit and its payload are recorded as one
+//! `HarnessPanic` in the report's `quarantined` section and the total
+//! is counted against `--max-quarantined` (default 0). `--stop-after N`
+//! (interrupt after N fresh units) and `--self-test-panic N` (panic
+//! deliberately on unit N) are deterministic test hooks for exactly
+//! that machinery.
 //!
 //! Exit status: 0 when the run passes, 2 when a (shrunk) counterexample,
 //! silent corruption, invalid metrics document, checkpoint fingerprint
@@ -107,7 +109,7 @@ use ede_check::fuzz::{campaign_metrics, fuzz_campaign, FuzzOptions};
 use ede_check::inject::{inject_campaign, InjectOptions};
 use ede_check::litmus;
 use ede_check::{
-    explore_campaign, CaseOutcome, ExploreError, ExploreOptions, RuntimeOptions, Source,
+    explore_campaign, ExploreError, ExploreOptions, HarnessPanic, RuntimeOptions, Source,
 };
 use ede_cpu::{FaultInjection, TracerConfig};
 use ede_isa::ArchConfig;
@@ -180,10 +182,6 @@ fn set_list<T>(slot: &mut Vec<T>, value: &str, item: impl Fn(&str) -> Option<T>)
         .is_some()
 }
 
-fn parse_arch(label: &str) -> Option<ArchConfig> {
-    ArchConfig::ALL.into_iter().find(|a| a.label() == label)
-}
-
 /// The option fields every campaign subcommand shares, borrowed from
 /// its options struct (all four name them alike).
 struct Shared<'a> {
@@ -242,7 +240,7 @@ fn parse_campaign(
                 "--cases" if shared.cases.is_some() => {
                     shared.cases.as_deref_mut().is_some_and(|c| set(c, value))
                 }
-                "--arch" => set_list(shared.archs, value, parse_arch),
+                "--arch" => set_list(shared.archs, value, ArchConfig::parse),
                 "--shrink-iters" => set(shared.shrink_iters, value),
                 "--jobs" => set(shared.jobs, value),
                 "--self-test-panic" => set_some(shared.self_test_panic, value),
@@ -286,7 +284,7 @@ struct Verdict<'a> {
     done: usize,
     total: usize,
     noun: &'a str,
-    quarantined: &'a [CaseOutcome],
+    quarantined: &'a [HarnessPanic],
 }
 
 /// The one exit ladder. Prints the quarantined harness panics, then:
@@ -301,9 +299,7 @@ fn exit_ladder(
     on_ok: impl FnOnce(),
 ) -> ExitCode {
     for q in v.quarantined {
-        if let CaseOutcome::HarnessPanic { payload, case } = q {
-            println!("quarantined case {case}: {payload}");
-        }
+        println!("quarantined case {}: {}", q.unit, q.payload);
     }
     if !v.quarantined.is_empty() {
         println!("quarantined: {} harness panic(s)", v.quarantined.len());
@@ -672,7 +668,7 @@ fn run_trace(args: &[String]) -> Option<ExitCode> {
         let value = it.next()?;
         match flag.as_str() {
             "--litmus" => name = value.clone(),
-            "--arch" => arch = ArchConfig::ALL.into_iter().find(|a| a.label() == value)?,
+            "--arch" => arch = ArchConfig::parse(value)?,
             "--metrics" => metrics_path = Some(value.clone()),
             "--chrome" => chrome_path = Some(value.clone()),
             _ => return None,

@@ -3,7 +3,9 @@
 //! units — and [`run`] is the single place the resilient-runtime
 //! protocol lives:
 //!
-//! 1. build the [`CampaignDriver`] (loading and validating `--resume`);
+//! 1. build the run's private progress record, a [`CampaignDriver`]
+//!    around the campaign's [`Checkpoint`](crate::resume::Checkpoint)
+//!    (loading and validating `--resume`);
 //! 2. restore resumed unit payloads up front, so a corrupt payload fails
 //!    the session before any compute;
 //! 3. fan the units out through [`Pool::run_quarantined`], skipping units
@@ -18,7 +20,7 @@
 //! options fingerprint, its unit count, how to run one unit, and how a
 //! finished unit is checkpointed and restored.
 
-use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
+use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_util::obs::{json, json_escape};
 use ede_util::pool::Pool;
 use std::collections::BTreeMap;
@@ -99,7 +101,7 @@ pub struct Sweep<U> {
     /// The earliest failing unit the driver recorded.
     pub earliest_failure: Option<u64>,
     /// Quarantined harness panics, in unit order.
-    pub quarantined: Vec<CaseOutcome>,
+    pub quarantined: Vec<HarnessPanic>,
 }
 
 /// Runs `campaign` under the resilient runtime (see the module docs).
@@ -120,13 +122,12 @@ pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
         plan.runtime,
     )?;
     let mut restored = BTreeMap::new();
-    for i in 0..n {
-        if let Some(data) = driver.payload(i as u64) {
-            let unit = campaign
-                .decode(i, &data)
-                .map_err(|detail| ResumeError::Corrupt { detail })?;
-            restored.insert(i, unit);
-        }
+    for (i, data) in driver.payloads() {
+        let i = i as usize;
+        let unit = campaign
+            .decode(i, &data)
+            .map_err(|detail| ResumeError::Corrupt { detail })?;
+        restored.insert(i, unit);
     }
     let outcomes = Pool::new(plan.jobs).run_quarantined(n, |i| {
         if driver.is_done(i as u64) || driver.interrupted() {
@@ -161,13 +162,14 @@ pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
             }
         }
     }
-    let end = driver.finish()?;
+    let interrupted = driver.interrupted() && covered < n as u64;
+    let checkpoint = driver.finish()?;
     Ok(Sweep {
         units,
         covered,
-        interrupted: end.interrupted && covered < n as u64,
-        earliest_failure: driver.earliest_failure(),
-        quarantined: end.quarantined,
+        interrupted,
+        earliest_failure: checkpoint.earliest_failure,
+        quarantined: checkpoint.quarantined,
     })
 }
 
@@ -176,7 +178,7 @@ pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
 /// emitted only when set, so a completed clean report is byte-identical
 /// to one from a session that never checkpointed — the resume
 /// byte-identity contract and the CI diffs rely on it.
-pub fn runtime_json(interrupted: bool, quarantined: &[CaseOutcome]) -> String {
+pub fn runtime_json(interrupted: bool, quarantined: &[HarnessPanic]) -> String {
     let mut s = String::new();
     if interrupted {
         s.push_str("  \"interrupted\": true,\n");
@@ -184,12 +186,12 @@ pub fn runtime_json(interrupted: bool, quarantined: &[CaseOutcome]) -> String {
     if !quarantined.is_empty() {
         let entries: Vec<String> = quarantined
             .iter()
-            .filter_map(|q| match q {
-                CaseOutcome::HarnessPanic { payload, case } => Some(format!(
-                    "{{\"cell\": {case}, \"payload\": {}}}",
-                    json_escape(payload)
-                )),
-                _ => None,
+            .map(|q| {
+                format!(
+                    "{{\"cell\": {}, \"payload\": {}}}",
+                    q.unit,
+                    json_escape(&q.payload)
+                )
             })
             .collect();
         s.push_str(&format!("  \"quarantined\": [{}],\n", entries.join(", ")));

@@ -11,8 +11,8 @@
 //! every case:
 //!
 //! * **no panic** — triage must classify arbitrary damage, never crash
-//!   on it. Harness panics are quarantined per cell
-//!   ([`CaseOutcome::HarnessPanic`]) and the CLI budget for them is 0.
+//!   on it. Harness panics are quarantined per cell ([`HarnessPanic`]
+//!   records) and the CLI budget for them is 0.
 //! * **no silent wrong image** — whenever triage makes a *strong claim*
 //!   ([`RecoveryOutcome::is_strong_claim`]: `Clean`, `RolledBack`,
 //!   `RepairedTorn`), the recovered image is checked differentially
@@ -42,7 +42,7 @@
 //! checkpoint/resume, wall-clock deadline, panic quarantine).
 
 use crate::campaign::{self, Campaign, Plan, Record};
-use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
+use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_isa::ArchConfig;
 use ede_mem::trace::nvm_image_at;
 use ede_nvm::recovery::NvmImage;
@@ -350,7 +350,7 @@ pub struct CorruptReport {
     pub interrupted: bool,
     /// Harness panics caught and quarantined instead of aborting the
     /// sweep, in cell order.
-    pub quarantined: Vec<CaseOutcome>,
+    pub quarantined: Vec<HarnessPanic>,
 }
 
 impl CorruptReport {
@@ -1141,9 +1141,9 @@ mod tests {
         assert_eq!(report.cells.len(), 1);
         assert_eq!(
             report.quarantined,
-            vec![CaseOutcome::HarnessPanic {
+            vec![HarnessPanic {
+                unit: 0,
                 payload: "deliberate harness panic at cell 0".to_string(),
-                case: 0,
             }]
         );
         assert!(!report.interrupted);

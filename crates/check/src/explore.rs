@@ -62,7 +62,7 @@ use crate::campaign::{self, Campaign, Plan, Record};
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig, GoldenRun};
 use crate::litmus;
-use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
+use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_core::depgraph::{PersistDag, MAX_PERSIST_EVENTS};
 use ede_core::ordering::OrderRelaxation;
 use ede_isa::{ArchConfig, InstId, Program};
@@ -310,8 +310,8 @@ pub struct ExploreReport {
     /// Whether the deadline tripped before every cell completed.
     pub interrupted: bool,
     /// Harness panics caught and quarantined instead of aborting the
-    /// sweep ([`CaseOutcome::HarnessPanic`] entries, in cell order).
-    pub quarantined: Vec<CaseOutcome>,
+    /// sweep ([`HarnessPanic`] records, in cell order).
+    pub quarantined: Vec<HarnessPanic>,
 }
 
 impl ExploreReport {
@@ -1300,9 +1300,9 @@ mod tests {
         assert!(!report.interrupted);
         assert_eq!(
             report.quarantined,
-            vec![CaseOutcome::HarnessPanic {
+            vec![HarnessPanic {
+                unit: 1,
                 payload: "deliberate harness panic at cell 1".to_string(),
-                case: 1,
             }]
         );
         assert!(report.to_json().contains("\"quarantined\": [{\"cell\": 1,"));

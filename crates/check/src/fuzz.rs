@@ -16,7 +16,7 @@ use crate::conform::check_run;
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig, GoldenRun};
 use crate::inject::inject_sim;
-use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
+use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_cpu::FaultInjection;
 use ede_isa::{ArchConfig, Program};
 use ede_sim::{raw_output, run_program, run_program_traced, SimConfig};
@@ -147,8 +147,8 @@ pub struct FuzzReport {
     /// a checkpoint (when configured) holds the progress so far.
     pub interrupted: bool,
     /// Harness panics caught and quarantined instead of aborting the
-    /// scan ([`CaseOutcome::HarnessPanic`] entries, in case order).
-    pub quarantined: Vec<CaseOutcome>,
+    /// scan ([`HarnessPanic`] records, in case order).
+    pub quarantined: Vec<HarnessPanic>,
 }
 
 /// Checks one command list on one architecture; returns conformance
@@ -485,9 +485,9 @@ mod tests {
         assert_eq!(report.cases_run, 6);
         assert_eq!(
             report.quarantined,
-            vec![CaseOutcome::HarnessPanic {
+            vec![HarnessPanic {
+                unit: 2,
                 payload: "deliberate harness panic at case 2".to_string(),
-                case: 2,
             }]
         );
     }

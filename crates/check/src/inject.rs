@@ -44,7 +44,7 @@ use crate::campaign::{self, Campaign, Plan, Record};
 use crate::conform::{check_run, RunOutputs};
 use crate::gen::{cmds_strategy, concretize, Cmd};
 use crate::golden::{self, GoldenConfig};
-use crate::resume::{CampaignDriver, CaseOutcome, ResumeError, RuntimeOptions};
+use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_isa::{ArchConfig, Program};
 use ede_mem::{FaultInjection, FaultLayer};
 use ede_nvm::{CrashChecker, Layout, TxOutput, TxWriter};
@@ -247,8 +247,8 @@ pub struct InjectReport {
     /// Whether the deadline tripped before every cell completed.
     pub interrupted: bool,
     /// Harness panics caught and quarantined instead of aborting the
-    /// sweep ([`CaseOutcome::HarnessPanic`] entries, in cell order).
-    pub quarantined: Vec<CaseOutcome>,
+    /// sweep ([`HarnessPanic`] records, in cell order).
+    pub quarantined: Vec<HarnessPanic>,
 }
 
 impl InjectReport {
@@ -777,9 +777,9 @@ mod tests {
         assert_eq!(report.cells.len(), 1);
         assert_eq!(
             report.quarantined,
-            vec![CaseOutcome::HarnessPanic {
+            vec![HarnessPanic {
+                unit: 0,
                 payload: "deliberate harness panic at cell 0".to_string(),
-                case: 0,
             }]
         );
         assert!(!report.interrupted);

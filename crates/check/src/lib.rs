@@ -47,10 +47,12 @@
 //!   campaign subcommands: versioned `ede.checkpoint.v1` documents
 //!   flushed atomically at a configurable cadence, fingerprint-checked
 //!   `--resume` with byte-identical final output, per-unit panic
-//!   quarantine, and graceful `--max-wall-secs` deadline shutdown
-//!   (exit code 3). Fuzz, inject, explore, and corrupt each implement
-//!   one `Campaign` trait over it, and one runner (`campaign::run`)
-//!   owns the resume / quarantine / assembly protocol for all four.
+//!   quarantine ([`HarnessPanic`] records), and graceful
+//!   `--max-wall-secs` deadline shutdown (exit code 3). Fuzz, inject,
+//!   explore, and corrupt each implement one `Campaign` trait over it,
+//!   and one runner (`campaign::run`) owns the resume / quarantine /
+//!   assembly protocol for all four; its only progress record is the
+//!   [`Checkpoint`] it flushes.
 //!
 //! # Example
 //!
@@ -87,6 +89,4 @@ pub use fuzz::{fuzz, fuzz_campaign, FuzzFailure, FuzzOptions, FuzzReport};
 pub use gen::{cmd_strategy, cmds_strategy, concretize, Cmd};
 pub use golden::{GoldenConfig, GoldenError, GoldenRun};
 pub use inject::{inject, inject_campaign, CellReport, InjectFailure, InjectOptions, InjectReport};
-pub use resume::{
-    CampaignDriver, CampaignEnd, CaseOutcome, Checkpoint, ResumeError, RuntimeOptions,
-};
+pub use resume::{Checkpoint, HarnessPanic, ResumeError, RuntimeOptions};

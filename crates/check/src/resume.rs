@@ -9,10 +9,12 @@
 //! [`crate::campaign::run`]):
 //!
 //! * **Checkpointing** — a versioned [`CHECKPOINT_FORMAT`] document
-//!   records the campaign kind, an options [fingerprint], the master
-//!   seed, a per-unit completion bitmap, accumulated counters, the
-//!   earliest-failure state, and any quarantined harness panics. The
-//!   document is written atomically (write-temp + rename) every
+//!   records the campaign kind, an options fingerprint (every option
+//!   that can change output; never `jobs` or [`RuntimeOptions`]), the
+//!   master seed, a per-unit completion bitmap, accumulated counters,
+//!   the earliest-failure state, and any quarantined harness panics.
+//!   The runner edits one [`Checkpoint`] as units finish and writes
+//!   that same value atomically (write-temp + rename) every
 //!   `--checkpoint-every N` completed units and on graceful shutdown.
 //!   Because every campaign derives its per-unit PRNG position with
 //!   `SplitMix64::jump(unit)` from the master seed, the bitmap alone
@@ -24,23 +26,21 @@
 //!   final stdout, ledgers, and metrics are byte-identical to the same
 //!   campaign run uninterrupted.
 //! * **Quarantine** — harness panics surfaced by
-//!   [`ede_util::pool::Pool::run_quarantined`] become typed
-//!   [`CaseOutcome::HarnessPanic`] values, recorded in the campaign
+//!   [`ede_util::pool::Pool::run_quarantined`] become
+//!   [`HarnessPanic`] records, kept in the checkpoint and the campaign
 //!   report's `quarantined` section and counted against a
 //!   `--max-quarantined` budget instead of aborting the sweep.
-//! * **Deadline** — a `--max-wall-secs` monitor thread (or the
-//!   `EDE_DEADLINE_SECS` environment variable) trips a shared flag
-//!   that workers poll between units, producing a valid checkpoint and
-//!   a truncated-but-well-formed report marked `interrupted` with
-//!   distinct exit code 3.
-//!
-//! [fingerprint]: CampaignDriver::new
+//! * **Wall-clock budget** — `--max-wall-secs` (or the
+//!   `EDE_DEADLINE_SECS` environment variable) fixes a deadline instant
+//!   when the campaign starts; workers compare the clock against it
+//!   between units, and the campaign ends with a valid checkpoint and a
+//!   truncated-but-well-formed report marked `interrupted`, exit code 3.
 
 use ede_util::obs::{json, json_escape};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// The checkpoint document's format tag; bumped on any schema change.
 const CHECKPOINT_FORMAT: &str = "ede.checkpoint.v1";
@@ -49,21 +49,16 @@ const CHECKPOINT_FORMAT: &str = "ede.checkpoint.v1";
 /// given (CI sets it so timeouts become resumable checkpoints).
 const DEADLINE_ENV: &str = "EDE_DEADLINE_SECS";
 
-/// How one campaign work unit (a fuzz case or a matrix cell) ended.
+/// A quarantined harness panic: the harness panicked while running a
+/// unit, and the panic was caught and recorded instead of aborting the
+/// sweep. The checkpoint, the runner and the campaign reports all keep
+/// quarantined units as these records, in unit order.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum CaseOutcome {
-    /// The unit ran to completion.
-    Completed,
-    /// The unit was skipped because the deadline tripped first.
-    Interrupted,
-    /// The harness itself panicked while running the unit; the panic
-    /// was caught and quarantined rather than aborting the sweep.
-    HarnessPanic {
-        /// The downcast panic payload (message text).
-        payload: String,
-        /// The unit index the panic occurred on.
-        case: u64,
-    },
+pub struct HarnessPanic {
+    /// The unit (fuzz case or matrix cell) the panic occurred on.
+    pub unit: u64,
+    /// The downcast panic payload (message text).
+    pub payload: String,
 }
 
 /// A typed failure loading, validating, or persisting a checkpoint.
@@ -153,8 +148,8 @@ pub struct Checkpoint {
     pub done: Vec<u64>,
     /// The earliest failing unit found so far, if any.
     pub earliest_failure: Option<u64>,
-    /// Quarantined harness panics: `(unit, payload)` in unit order.
-    pub quarantined: Vec<(u64, String)>,
+    /// Quarantined harness panics, in unit order.
+    pub quarantined: Vec<HarnessPanic>,
     /// Per-unit result payloads campaigns need back on resume (the
     /// inject, explore, and corrupt cells), `(unit, serialized)` in
     /// unit order.
@@ -249,13 +244,14 @@ impl Checkpoint {
             }
         ));
         s.push_str("  \"quarantined\": [");
-        for (i, (unit, payload)) in self.quarantined.iter().enumerate() {
+        for (i, q) in self.quarantined.iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
             s.push_str(&format!(
-                "{{\"unit\": {unit}, \"payload\": {}}}",
-                json_escape(payload)
+                "{{\"unit\": {}, \"payload\": {}}}",
+                q.unit,
+                json_escape(&q.payload)
             ));
         }
         s.push_str("],\n");
@@ -309,7 +305,10 @@ impl Checkpoint {
             Some(json::Json::Null) => None,
             Some(v) => Some(hex_value(v, "earliest_failure")?),
         };
-        let quarantined = unit_string_pairs(&doc, "quarantined", "payload")?;
+        let quarantined = unit_string_pairs(&doc, "quarantined", "payload")?
+            .into_iter()
+            .map(|(unit, payload)| HarnessPanic { unit, payload })
+            .collect();
         let payloads = unit_string_pairs(&doc, "payloads", "data")?;
         let cp = Checkpoint {
             kind,
@@ -353,12 +352,11 @@ impl Checkpoint {
                 return corrupt(format!("earliest_failure {u} out of range"));
             }
         }
-        for (section, pairs) in [
-            ("quarantined", &self.quarantined),
-            ("payloads", &self.payloads),
-        ] {
+        let quarantined: Vec<u64> = self.quarantined.iter().map(|q| q.unit).collect();
+        let payloads: Vec<u64> = self.payloads.iter().map(|&(u, _)| u).collect();
+        for (section, units) in [("quarantined", quarantined), ("payloads", payloads)] {
             let mut prev = None;
-            for &(unit, _) in pairs {
+            for unit in units {
                 if unit >= self.total_units {
                     return corrupt(format!("{section} unit {unit} out of range"));
                 }
@@ -374,15 +372,16 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Writes the document atomically: the temp sibling `<path>.tmp`
-    /// is written and fsynced into place by `rename`, so a crash
-    /// mid-flush leaves either the previous checkpoint or the new one,
-    /// never a torn file.
+    /// Writes the document to the temp sibling `<path>.tmp`, then
+    /// `rename`s it over `path`, so a process killed mid-flush leaves
+    /// either the previous checkpoint or the new one, never a torn
+    /// file. Nothing is fsynced: the guarantee covers a killed
+    /// process, not a power loss.
     ///
     /// # Errors
     ///
     /// [`ResumeError::Io`] with the failing path.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), ResumeError> {
+    fn write_atomic(&self, path: &Path) -> Result<(), ResumeError> {
         let io = |p: &Path, e: std::io::Error| ResumeError::Io {
             path: p.display().to_string(),
             detail: e.to_string(),
@@ -516,96 +515,22 @@ impl RuntimeOptions {
     }
 }
 
-/// The graceful-shutdown flag and its wall-clock monitor thread.
-/// Workers poll [`Deadline::tripped`] between units; nothing is ever
-/// killed mid-unit, so the completion bitmap stays exact.
-#[derive(Debug)]
-pub struct Deadline {
-    tripped: Arc<AtomicBool>,
-    cancel: Arc<AtomicBool>,
-    monitor: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Deadline {
-    /// Starts the monitor. `None` never trips on its own; `Some(0)`
-    /// trips immediately (the deterministic-interrupt test hook);
-    /// `Some(s)` trips after `s` seconds of wall clock.
-    pub fn start(secs: Option<u64>) -> Deadline {
-        let tripped = Arc::new(AtomicBool::new(secs == Some(0)));
-        let cancel = Arc::new(AtomicBool::new(false));
-        let monitor = match secs {
-            Some(s) if s > 0 => {
-                let tripped = Arc::clone(&tripped);
-                let cancel = Arc::clone(&cancel);
-                Some(std::thread::spawn(move || {
-                    let start = std::time::Instant::now();
-                    while !cancel.load(Ordering::Relaxed) {
-                        if start.elapsed().as_secs() >= s {
-                            tripped.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(25));
-                    }
-                }))
-            }
-            _ => None,
-        };
-        Deadline {
-            tripped,
-            cancel,
-            monitor,
-        }
-    }
-
-    /// Whether the deadline has tripped.
-    pub fn tripped(&self) -> bool {
-        self.tripped.load(Ordering::Relaxed)
-    }
-
-    /// Trips the deadline programmatically (the `--stop-after` hook).
-    pub fn trip(&self) {
-        self.tripped.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for Deadline {
-    fn drop(&mut self) {
-        self.cancel.store(true, Ordering::Relaxed);
-        if let Some(m) = self.monitor.take() {
-            let _ = m.join();
-        }
-    }
-}
-
-/// What [`CampaignDriver::finish`] hands back to the campaign.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CampaignEnd {
-    /// Whether the deadline tripped before every unit completed.
-    pub interrupted: bool,
-    /// Units that ran to successful completion, resumed ones included.
-    pub completed: u64,
-    /// Units restored from the resume checkpoint.
-    pub resumed: u64,
-    /// Quarantined harness panics, in unit order
-    /// ([`CaseOutcome::HarnessPanic`] entries).
-    pub quarantined: Vec<CaseOutcome>,
-}
-
-struct DriverState {
-    done: Vec<u64>,
-    completed: u64,
+/// The driver's mutable state: the checkpoint document itself, plus
+/// the session counters the document does not carry.
+struct Progress {
+    checkpoint: Checkpoint,
+    /// Units this session completed (what `--stop-after` counts).
     fresh: u64,
-    earliest_failure: Option<u64>,
-    quarantined: BTreeMap<u64, String>,
-    payloads: BTreeMap<u64, String>,
+    /// Units marked done since the last flush.
     since_flush: u64,
+    /// The first flush error, held until [`CampaignDriver::finish`].
     flush_error: Option<ResumeError>,
 }
 
-/// The shared campaign-side runtime: tracks per-unit completion,
-/// flushes checkpoints at the configured cadence, exposes the deadline
-/// flag, and validates a resume checkpoint against this session's
-/// options fingerprint.
+/// [`crate::campaign::run`]'s progress record: marks units done in the
+/// campaign's [`Checkpoint`], flushes it at the configured cadence,
+/// answers the deadline, and validates a resume checkpoint against this
+/// session's options fingerprint.
 ///
 /// The fingerprint is a canonical rendering of every option that can
 /// change a campaign's output (seed, budgets, architectures, faults,
@@ -613,17 +538,16 @@ struct DriverState {
 /// `jobs`, progress settings, and [`RuntimeOptions`] — those never
 /// change a byte of output, so a checkpoint may be resumed under a
 /// different worker count or cadence.
-pub struct CampaignDriver {
-    kind: &'static str,
-    fingerprint: String,
-    master_seed: u64,
-    total_units: u64,
+pub(crate) struct CampaignDriver {
     path: Option<PathBuf>,
     every: u64,
     stop_after: Option<u64>,
-    deadline: Deadline,
-    resumed: u64,
-    state: Mutex<DriverState>,
+    /// When the wall-clock budget runs out (already past for a zero
+    /// budget); `None` never does.
+    deadline: Option<Instant>,
+    /// Set by the `--stop-after` hook.
+    stopped: AtomicBool,
+    progress: Mutex<Progress>,
 }
 
 impl CampaignDriver {
@@ -636,24 +560,14 @@ impl CampaignDriver {
     /// [`ResumeError::Kind`] / [`ResumeError::Fingerprint`] /
     /// [`ResumeError::Corrupt`] when it belongs to a different
     /// campaign, different options, or a different unit count.
-    pub fn new(
+    pub(crate) fn new(
         kind: &'static str,
         fingerprint: String,
         master_seed: u64,
         total_units: u64,
         runtime: &RuntimeOptions,
     ) -> Result<CampaignDriver, ResumeError> {
-        let mut state = DriverState {
-            done: vec![0; words_for(total_units)],
-            completed: 0,
-            fresh: 0,
-            earliest_failure: None,
-            quarantined: BTreeMap::new(),
-            payloads: BTreeMap::new(),
-            since_flush: 0,
-            flush_error: None,
-        };
-        let mut resumed = 0;
+        let mut checkpoint = Checkpoint::new(kind, &fingerprint, master_seed, total_units);
         if let Some(path) = &runtime.resume_from {
             let cp = Checkpoint::load(path)?;
             if cp.kind != kind {
@@ -681,165 +595,132 @@ impl CampaignDriver {
                     detail: "master seed disagrees with the fingerprint".to_string(),
                 });
             }
-            resumed = cp.completed();
-            state.completed = resumed;
-            state.done = cp.done;
-            state.earliest_failure = cp.earliest_failure;
-            state.quarantined = cp.quarantined.into_iter().collect();
-            state.payloads = cp.payloads.into_iter().collect();
+            checkpoint = cp;
         }
         Ok(CampaignDriver {
-            kind,
-            fingerprint,
-            master_seed,
-            total_units,
             path: runtime
                 .checkpoint_path
                 .clone()
                 .or_else(|| runtime.resume_from.clone()),
             every: runtime.checkpoint_every,
             stop_after: runtime.stop_after_units,
-            deadline: Deadline::start(runtime.effective_deadline()),
-            resumed,
-            state: Mutex::new(state),
+            // A budget too large to add to the clock never runs out.
+            deadline: runtime
+                .effective_deadline()
+                .and_then(|secs| Instant::now().checked_add(Duration::from_secs(secs))),
+            stopped: AtomicBool::new(false),
+            progress: Mutex::new(Progress {
+                checkpoint,
+                fresh: 0,
+                since_flush: 0,
+                flush_error: None,
+            }),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, DriverState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Progress> {
+        self.progress.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Whether the deadline has tripped; workers poll this between
-    /// units and skip everything not yet started.
-    pub fn interrupted(&self) -> bool {
-        self.deadline.tripped()
+    /// Whether the deadline has passed or `--stop-after` has fired;
+    /// workers poll this between units and skip everything not yet
+    /// started, so nothing is killed mid-unit and the bitmap stays
+    /// exact.
+    pub(crate) fn interrupted(&self) -> bool {
+        self.stopped.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Whether `unit` already completed (this run or a resumed one).
-    pub fn is_done(&self, unit: u64) -> bool {
-        let st = self.lock();
-        st.done[(unit / 64) as usize] & (1u64 << (unit % 64)) != 0
+    pub(crate) fn is_done(&self, unit: u64) -> bool {
+        self.lock().checkpoint.is_done(unit)
     }
 
-    /// Units restored from the resume checkpoint.
-    pub fn resumed_units(&self) -> u64 {
-        self.resumed
-    }
-
-    /// The stored result payload for a completed unit, if any.
-    pub fn payload(&self, unit: u64) -> Option<String> {
-        self.lock().payloads.get(&unit).cloned()
+    /// The result payloads restored from the resume checkpoint,
+    /// `(unit, serialized)` in unit order.
+    pub(crate) fn payloads(&self) -> Vec<(u64, String)> {
+        self.lock().checkpoint.payloads.clone()
     }
 
     /// The earliest failing unit recorded so far.
-    pub fn earliest_failure(&self) -> Option<u64> {
-        self.lock().earliest_failure
+    pub(crate) fn earliest_failure(&self) -> Option<u64> {
+        self.lock().checkpoint.earliest_failure
     }
 
     /// Records a failing unit (the earliest across workers wins).
-    pub fn record_failure(&self, unit: u64) {
-        let mut st = self.lock();
-        st.earliest_failure = Some(st.earliest_failure.map_or(unit, |e| e.min(unit)));
+    pub(crate) fn record_failure(&self, unit: u64) {
+        let cp = &mut self.lock().checkpoint;
+        cp.earliest_failure = Some(cp.earliest_failure.map_or(unit, |e| e.min(unit)));
     }
 
     /// Records unit `unit` successfully completed, with an optional
     /// result payload to restore on resume, flushing the checkpoint at
-    /// the configured cadence. Trips the deadline when the
-    /// `stop_after_units` test hook count is reached.
-    pub fn complete(&self, unit: u64, payload: Option<String>) {
-        let mut st = self.lock();
-        let (w, bit) = ((unit / 64) as usize, 1u64 << (unit % 64));
-        if st.done[w] & bit != 0 {
+    /// the configured cadence. Fires the `--stop-after` hook when its
+    /// count of fresh units is reached.
+    pub(crate) fn complete(&self, unit: u64, payload: Option<String>) {
+        let mut p = self.lock();
+        if p.checkpoint.is_done(unit) {
             return;
         }
-        st.done[w] |= bit;
-        st.completed += 1;
-        st.fresh += 1;
-        if let Some(p) = payload {
-            st.payloads.insert(unit, p);
+        p.checkpoint.mark_done(unit);
+        if let Some(data) = payload {
+            let payloads = &mut p.checkpoint.payloads;
+            payloads.insert(payloads.partition_point(|&(u, _)| u < unit), (unit, data));
         }
-        if self.stop_after == Some(st.fresh) {
-            self.deadline.trip();
+        p.fresh += 1;
+        if self.stop_after == Some(p.fresh) {
+            self.stopped.store(true, Ordering::Relaxed);
         }
-        self.bump_flush(&mut st);
+        self.bump_flush(&mut p);
     }
 
     /// Records unit `unit` quarantined: the harness panicked on it, the
     /// payload is kept, and the unit is marked done so a resumed run
     /// does not re-run a deterministic panic.
-    pub fn quarantine(&self, unit: u64, payload: String) {
-        let mut st = self.lock();
-        let (w, bit) = ((unit / 64) as usize, 1u64 << (unit % 64));
-        if st.done[w] & bit != 0 {
+    pub(crate) fn quarantine(&self, unit: u64, payload: String) {
+        let mut p = self.lock();
+        if p.checkpoint.is_done(unit) {
             return;
         }
-        st.done[w] |= bit;
-        st.quarantined.insert(unit, payload);
-        self.bump_flush(&mut st);
+        p.checkpoint.mark_done(unit);
+        let quarantined = &mut p.checkpoint.quarantined;
+        quarantined.insert(
+            quarantined.partition_point(|q| q.unit < unit),
+            HarnessPanic { unit, payload },
+        );
+        self.bump_flush(&mut p);
     }
 
-    fn bump_flush(&self, st: &mut DriverState) {
-        st.since_flush += 1;
-        if self.path.is_some() && self.every > 0 && st.since_flush >= self.every {
-            self.flush(st);
+    fn bump_flush(&self, p: &mut Progress) {
+        p.since_flush += 1;
+        if self.every > 0 && p.since_flush >= self.every {
+            self.flush(p);
         }
     }
 
-    fn flush(&self, st: &mut DriverState) {
+    fn flush(&self, p: &mut Progress) {
         let Some(path) = &self.path else { return };
-        let cp = self.snapshot(st);
-        if let Err(e) = cp.write_atomic(path) {
-            st.flush_error.get_or_insert(e);
+        if let Err(e) = p.checkpoint.write_atomic(path) {
+            p.flush_error.get_or_insert(e);
         }
-        st.since_flush = 0;
+        p.since_flush = 0;
     }
 
-    fn snapshot(&self, st: &DriverState) -> Checkpoint {
-        Checkpoint {
-            kind: self.kind.to_string(),
-            fingerprint: self.fingerprint.clone(),
-            master_seed: self.master_seed,
-            total_units: self.total_units,
-            done: st.done.clone(),
-            earliest_failure: st.earliest_failure,
-            quarantined: st
-                .quarantined
-                .iter()
-                .map(|(&u, p)| (u, p.clone()))
-                .collect(),
-            payloads: st.payloads.iter().map(|(&u, p)| (u, p.clone())).collect(),
-        }
-    }
-
-    /// Flushes the final checkpoint (graceful shutdown) and returns the
-    /// campaign's runtime outcome.
+    /// Flushes the final checkpoint (graceful shutdown) and hands it
+    /// back: the campaign's completion bitmap, earliest failure and
+    /// quarantined panics.
     ///
     /// # Errors
     ///
     /// The first [`ResumeError::Io`] any flush hit — surfaced here
     /// rather than mid-sweep so a transient disk error never aborts
     /// compute work, but a campaign whose checkpoint is stale says so.
-    pub fn finish(&self) -> Result<CampaignEnd, ResumeError> {
-        let mut st = self.lock();
-        if self.path.is_some() {
-            self.flush(&mut st);
-        }
-        if let Some(e) = st.flush_error.take() {
-            return Err(e);
-        }
-        Ok(CampaignEnd {
-            interrupted: self.deadline.tripped(),
-            completed: st.completed,
-            resumed: self.resumed,
-            quarantined: st
-                .quarantined
-                .iter()
-                .map(|(&case, payload)| CaseOutcome::HarnessPanic {
-                    payload: payload.clone(),
-                    case,
-                })
-                .collect(),
-        })
+    pub(crate) fn finish(self) -> Result<Checkpoint, ResumeError> {
+        self.flush(&mut self.lock());
+        let p = self
+            .progress
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner());
+        p.flush_error.map_or(Ok(p.checkpoint), Err)
     }
 }
 
@@ -853,7 +734,10 @@ mod tests {
             cp.mark_done(u);
         }
         cp.earliest_failure = Some(63);
-        cp.quarantined = vec![(5, "boom \"quoted\"\nnewline".to_string())];
+        cp.quarantined = vec![HarnessPanic {
+            unit: 5,
+            payload: "boom \"quoted\"\nnewline".to_string(),
+        }];
         cp.payloads = vec![(64, "{\"cells\": 1}".to_string())];
         cp
     }
@@ -912,13 +796,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn driver(runtime: &RuntimeOptions) -> CampaignDriver {
+        CampaignDriver::new("fuzz", "fp".to_string(), 0, 10, runtime).expect("new")
+    }
+
     #[test]
     fn zero_deadline_trips_immediately_and_none_never_does() {
-        assert!(Deadline::start(Some(0)).tripped());
-        let d = Deadline::start(None);
-        assert!(!d.tripped());
-        d.trip();
-        assert!(d.tripped());
+        let zero = RuntimeOptions {
+            max_wall_secs: Some(0),
+            ..RuntimeOptions::default()
+        };
+        assert!(driver(&zero).interrupted());
+        assert!(!driver(&RuntimeOptions::default()).interrupted());
+    }
+
+    #[test]
+    fn wall_clock_deadline_trips_once_its_budget_passes() {
+        let budget = |secs| RuntimeOptions {
+            max_wall_secs: Some(secs),
+            ..RuntimeOptions::default()
+        };
+        let one = driver(&budget(1));
+        let none = driver(&RuntimeOptions::default());
+        // A budget too large to add to the clock never runs out.
+        let huge = driver(&budget(u64::MAX));
+        assert!(!one.interrupted());
+        std::thread::sleep(Duration::from_millis(1200));
+        assert!(one.interrupted());
+        assert!(!none.interrupted() && !huge.interrupted());
     }
 
     #[test]
@@ -927,14 +832,12 @@ mod tests {
             stop_after_units: Some(2),
             ..RuntimeOptions::default()
         };
-        let driver = CampaignDriver::new("fuzz", "fp".to_string(), 0, 10, &runtime).expect("new");
+        let driver = driver(&runtime);
         driver.complete(0, None);
         assert!(!driver.interrupted());
         driver.complete(1, None);
         assert!(driver.interrupted());
-        let end = driver.finish().expect("finish");
-        assert!(end.interrupted);
-        assert_eq!(end.completed, 2);
+        assert_eq!(driver.finish().expect("finish").completed(), 2);
     }
 
     #[test]
@@ -942,26 +845,35 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ede-resume-drv-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("cp.json");
-        Checkpoint::new("fuzz", "fp-a", 3, 10)
-            .write_atomic(&path)
-            .expect("write");
+        let mut cp = Checkpoint::new("fuzz", "fp-a", 3, 10);
+        cp.mark_done(0);
+        cp.write_atomic(&path).expect("write");
         let runtime = RuntimeOptions {
             resume_from: Some(path.clone()),
             ..RuntimeOptions::default()
         };
-        assert!(matches!(
-            CampaignDriver::new("inject", "fp-a".to_string(), 3, 10, &runtime),
-            Err(ResumeError::Kind { .. })
-        ));
-        assert!(matches!(
-            CampaignDriver::new("fuzz", "fp-b".to_string(), 3, 10, &runtime),
-            Err(ResumeError::Fingerprint { .. })
-        ));
+        match CampaignDriver::new("inject", "fp-a".to_string(), 3, 10, &runtime) {
+            Err(ResumeError::Kind { expected, found }) => {
+                assert_eq!((expected.as_str(), found.as_str()), ("inject", "fuzz"));
+            }
+            Err(other) => panic!("expected Kind error, got {other:?}"),
+            Ok(_) => panic!("expected Kind error, got a driver"),
+        }
+        match CampaignDriver::new("fuzz", "fp-b".to_string(), 3, 10, &runtime) {
+            Err(ResumeError::Fingerprint { expected, found }) => {
+                assert_eq!((expected.as_str(), found.as_str()), ("fp-b", "fp-a"));
+            }
+            Err(other) => panic!("expected Fingerprint error, got {other:?}"),
+            Ok(_) => panic!("expected Fingerprint error, got a driver"),
+        }
         assert!(matches!(
             CampaignDriver::new("fuzz", "fp-a".to_string(), 3, 12, &runtime),
             Err(ResumeError::Corrupt { .. })
         ));
-        assert!(CampaignDriver::new("fuzz", "fp-a".to_string(), 3, 10, &runtime).is_ok());
+        // The matching driver resumes and sees the completed unit.
+        let driver = CampaignDriver::new("fuzz", "fp-a".to_string(), 3, 10, &runtime)
+            .expect("matching options resume");
+        assert!(driver.is_done(0) && !driver.is_done(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -980,14 +892,15 @@ mod tests {
         driver.quarantine(2, "panicked at unit 2".to_string());
         driver.record_failure(3);
         let end = driver.finish().expect("finish");
-        assert_eq!(end.completed, 1);
+        assert_eq!(end.completed(), 1);
         assert_eq!(
             end.quarantined,
-            vec![CaseOutcome::HarnessPanic {
+            vec![HarnessPanic {
+                unit: 2,
                 payload: "panicked at unit 2".to_string(),
-                case: 2
             }]
         );
+        assert_eq!(Checkpoint::load(&path).expect("flushed"), end);
 
         let resumed_runtime = RuntimeOptions {
             resume_from: Some(path.clone()),
@@ -995,17 +908,19 @@ mod tests {
         };
         let driver2 = CampaignDriver::new("inject", "fp".to_string(), 9, 4, &resumed_runtime)
             .expect("resume");
-        assert_eq!(driver2.resumed_units(), 1);
         assert!(driver2.is_done(0) && driver2.is_done(2));
         assert!(!driver2.is_done(1) && !driver2.is_done(3));
-        assert_eq!(driver2.payload(0), Some("{\"c\": 0}".to_string()));
+        assert_eq!(driver2.payloads(), vec![(0, "{\"c\": 0}".to_string())]);
         assert_eq!(driver2.earliest_failure(), Some(3));
-        driver2.complete(1, None);
-        driver2.complete(3, None);
+        driver2.complete(3, Some("{\"c\": 3}".to_string()));
+        driver2.complete(1, Some("{\"c\": 1}".to_string()));
+        assert!(!driver2.interrupted());
         let end2 = driver2.finish().expect("finish resumed");
-        assert!(!end2.interrupted);
-        assert_eq!(end2.completed, 3);
+        assert_eq!(end2.completed(), 3);
         assert_eq!(end2.quarantined.len(), 1);
+        // Payloads stay in unit order whatever order units finish in.
+        let units: Vec<u64> = end2.payloads.iter().map(|&(u, _)| u).collect();
+        assert_eq!(units, [0, 1, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

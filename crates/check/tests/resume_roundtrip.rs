@@ -1,11 +1,14 @@
 //! Property tests for the `ede.checkpoint.v1` document: randomly
 //! generated checkpoints must survive a serialize → parse round trip
 //! bit-for-bit, and every mismatch axis (format tag, campaign kind,
-//! options fingerprint) must be rejected with the right typed error.
+//! options fingerprint, tampered document) must be rejected with the
+//! right typed error.
 
-use ede_check::{CampaignDriver, Checkpoint, ResumeError, RuntimeOptions};
+use ede_check::{
+    fuzz, fuzz_campaign, inject_campaign, Checkpoint, FuzzOptions, HarnessPanic, InjectOptions,
+    ResumeError, RuntimeOptions,
+};
 use ede_util::rng::SplitMix64;
-use std::path::PathBuf;
 
 /// Strings with every escaping hazard the document writer must handle:
 /// quotes, backslashes, control characters, multi-byte UTF-8.
@@ -38,7 +41,10 @@ fn random_checkpoint(rng: &mut SplitMix64) -> Checkpoint {
     for unit in 0..total {
         if cp.is_done(unit) && rng.next_u64().is_multiple_of(11) {
             let payload = NASTY[(rng.next_u64() % NASTY.len() as u64) as usize];
-            cp.quarantined.push((unit, payload.to_string()));
+            cp.quarantined.push(HarnessPanic {
+                unit,
+                payload: payload.to_string(),
+            });
         }
         if cp.is_done(unit) && rng.next_u64().is_multiple_of(7) {
             let data = NASTY[(rng.next_u64() % NASTY.len() as u64) as usize];
@@ -80,34 +86,64 @@ fn kind_and_fingerprint_mismatches_are_typed_errors() {
     let dir = std::env::temp_dir().join(format!("ede-rt-mismatch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("cp.json");
-    let mut cp = Checkpoint::new("fuzz", "seed=0 cases=8", 0, 8);
-    cp.mark_done(0);
-    cp.write_atomic(&path).expect("write");
+    // A fuzz checkpoint with exactly unit 0 done: one worker, stopped
+    // after its first unit.
+    let base = FuzzOptions {
+        cases: 8,
+        max_cmds: 10,
+        jobs: 1,
+        ..FuzzOptions::default()
+    };
+    let interrupted = fuzz(&FuzzOptions {
+        runtime: RuntimeOptions {
+            checkpoint_path: Some(path.clone()),
+            stop_after_units: Some(1),
+            ..RuntimeOptions::default()
+        },
+        ..base.clone()
+    });
+    assert!(interrupted.interrupted);
+    let cp = Checkpoint::load(&path).expect("load");
+    assert!(cp.is_done(0) && !cp.is_done(1));
+    assert_eq!(cp.completed(), 1);
 
-    let rt = |p: &PathBuf| RuntimeOptions {
-        resume_from: Some(p.clone()),
+    let resume = RuntimeOptions {
+        resume_from: Some(path.clone()),
         ..RuntimeOptions::default()
     };
-    match CampaignDriver::new("inject", "seed=0 cases=8".to_string(), 0, 8, &rt(&path)) {
+    match inject_campaign(&InjectOptions {
+        runtime: resume.clone(),
+        ..InjectOptions::default()
+    }) {
         Err(ResumeError::Kind { expected, found }) => {
             assert_eq!((expected.as_str(), found.as_str()), ("inject", "fuzz"));
         }
         Err(other) => panic!("expected Kind error, got {other:?}"),
-        Ok(_) => panic!("expected Kind error, got a driver"),
+        Ok(_) => panic!("expected Kind error, got a report"),
     }
-    match CampaignDriver::new("fuzz", "seed=1 cases=8".to_string(), 0, 8, &rt(&path)) {
+    let reseeded = FuzzOptions {
+        seed: 1,
+        runtime: resume.clone(),
+        ..base.clone()
+    };
+    match fuzz_campaign(&reseeded) {
         Err(ResumeError::Fingerprint { expected, found }) => {
-            assert_eq!(expected, "seed=1 cases=8");
-            assert_eq!(found, "seed=0 cases=8");
+            assert_eq!(expected, ede_check::fuzz::fingerprint(&reseeded));
+            assert_eq!(found, ede_check::fuzz::fingerprint(&base));
+            assert_eq!(found, cp.fingerprint);
         }
         Err(other) => panic!("expected Fingerprint error, got {other:?}"),
-        Ok(_) => panic!("expected Fingerprint error, got a driver"),
+        Ok(_) => panic!("expected Fingerprint error, got a report"),
     }
-    // The matching driver resumes and sees the completed unit.
-    let driver = CampaignDriver::new("fuzz", "seed=0 cases=8".to_string(), 0, 8, &rt(&path))
-        .expect("matching options resume");
-    assert!(driver.is_done(0) && !driver.is_done(1));
-    assert_eq!(driver.resumed_units(), 1);
+    // The matching campaign resumes from the completed unit and ends
+    // exactly where an uninterrupted run does.
+    let resumed = fuzz_campaign(&FuzzOptions {
+        runtime: resume,
+        ..base.clone()
+    })
+    .expect("matching options resume");
+    assert!(!resumed.interrupted);
+    assert_eq!(resumed, fuzz(&base));
     std::fs::remove_dir_all(&dir).ok();
 }
 

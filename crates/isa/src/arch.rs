@@ -19,6 +19,7 @@ use std::fmt;
 /// assert!(!ArchConfig::Unsafe.is_crash_safe());
 /// assert!(ArchConfig::WriteBuffer.uses_ede());
 /// assert_eq!(ArchConfig::StoreBarrierUnsafe.label(), "SU");
+/// assert_eq!(ArchConfig::parse("WB"), Some(ArchConfig::WriteBuffer));
 /// assert_eq!(ArchConfig::ALL.len(), 5);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -56,6 +57,11 @@ impl ArchConfig {
             ArchConfig::WriteBuffer => "WB",
             ArchConfig::Unsafe => "U",
         }
+    }
+
+    /// Parses a [`label`](ArchConfig::label); `None` for anything else.
+    pub fn parse(label: &str) -> Option<ArchConfig> {
+        ArchConfig::ALL.into_iter().find(|a| a.label() == label)
     }
 
     /// The configuration's descriptive name from Table III.
@@ -105,6 +111,11 @@ mod tests {
     fn labels_match_paper() {
         let labels: Vec<&str> = ArchConfig::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels, vec!["B", "SU", "IQ", "WB", "U"]);
+        for c in ArchConfig::ALL {
+            assert_eq!(ArchConfig::parse(c.label()), Some(c));
+        }
+        assert_eq!(ArchConfig::parse("wb"), None);
+        assert_eq!(ArchConfig::parse(""), None);
     }
 
     #[test]

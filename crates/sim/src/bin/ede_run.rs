@@ -15,10 +15,6 @@ use ede_sim::runner::{raw_output, run_program_traced};
 use ede_sim::{chrome_trace_json, metrics_json, SimConfig};
 use std::io::Read as _;
 
-fn arch_from(label: &str) -> Option<ArchConfig> {
-    ArchConfig::ALL.into_iter().find(|a| a.label() == label)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional: Vec<String> = Vec::new();
@@ -56,7 +52,7 @@ fn main() {
     let arch = positional
         .get(1)
         .map(|l| {
-            arch_from(l).unwrap_or_else(|| {
+            ArchConfig::parse(l).unwrap_or_else(|| {
                 eprintln!("unknown configuration `{l}` (use B, SU, IQ, WB or U)");
                 std::process::exit(1);
             })

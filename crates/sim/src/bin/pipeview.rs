@@ -27,11 +27,18 @@ fn main() {
             path.to_string(),
         ),
     };
-    let arch = args
-        .get(2)
-        .and_then(|l| ArchConfig::ALL.into_iter().find(|a| a.label() == l))
-        .unwrap_or(ArchConfig::WriteBuffer);
-    let width: usize = args.get(3).and_then(|w| w.parse().ok()).unwrap_or(72);
+    let arch = args.get(2).map_or(ArchConfig::WriteBuffer, |l| {
+        ArchConfig::parse(l).unwrap_or_else(|| {
+            eprintln!("unknown configuration `{l}` (use B, SU, IQ, WB or U)");
+            std::process::exit(1);
+        })
+    });
+    let width: usize = args.get(3).map_or(72, |w| {
+        w.parse().unwrap_or_else(|_| {
+            eprintln!("width `{w}` is not a number of columns");
+            std::process::exit(1);
+        })
+    });
 
     let program = asm::assemble(&source).unwrap_or_else(|e| {
         eprintln!("{name}: {e}");

@@ -37,7 +37,6 @@ pub mod rbtree;
 pub mod rtree;
 pub mod swap;
 pub mod update;
-pub mod zipf;
 
 use ede_isa::ArchConfig;
 use ede_nvm::TxOutput;
@@ -60,10 +59,6 @@ pub struct WorkloadParams {
     pub prepopulate: usize,
     /// Probability that an emitted conditional branch was mispredicted.
     pub mispredict_rate: f64,
-    /// Zipfian skew for the kernel workloads' index selection: `None` is
-    /// uniform (the paper's setting); `Some(theta)` concentrates accesses
-    /// on a hot set (θ ≈ 0.99 matches YCSB).
-    pub zipf_theta: Option<f64>,
 }
 
 impl Default for WorkloadParams {
@@ -75,30 +70,6 @@ impl Default for WorkloadParams {
             array_elems: 128 * 1024,
             prepopulate: 20_000,
             mispredict_rate: 0.02,
-            zipf_theta: None,
-        }
-    }
-}
-
-/// Index-sampling helper for the kernels: uniform or Zipfian per
-/// [`WorkloadParams::zipf_theta`].
-pub(crate) enum IndexSampler {
-    Uniform(u64),
-    Zipf(zipf::Zipf),
-}
-
-impl IndexSampler {
-    pub(crate) fn new(params: &WorkloadParams) -> IndexSampler {
-        match params.zipf_theta {
-            Some(theta) => IndexSampler::Zipf(zipf::Zipf::new(params.array_elems, theta)),
-            None => IndexSampler::Uniform(params.array_elems),
-        }
-    }
-
-    pub(crate) fn sample(&self, rng: &mut SmallRng) -> u64 {
-        match self {
-            IndexSampler::Uniform(n) => rng.gen_range(0..*n),
-            IndexSampler::Zipf(z) => z.sample(rng),
         }
     }
 }

@@ -20,7 +20,6 @@ impl Workload for Swap {
 
     fn generate(&self, params: &WorkloadParams, arch: ArchConfig) -> TxOutput {
         let mut rng = rng_for(params, 0x7377);
-        let sampler = crate::IndexSampler::new(params);
         let mut tx = TxWriter::new(Layout::standard(), arch);
         let base = tx.heap_alloc(params.array_elems * 8, 64);
         tx.write_init_words(base, params.array_elems, |i| i * 3 + 1);
@@ -31,8 +30,8 @@ impl Workload for Swap {
             if in_tx == 0 {
                 tx.begin_tx();
             }
-            let i = sampler.sample(&mut rng);
-            let mut j = sampler.sample(&mut rng);
+            let i = rng.gen_range(0..params.array_elems);
+            let mut j = rng.gen_range(0..params.array_elems);
             if j == i {
                 j = (j + 1) % params.array_elems;
             }

@@ -21,7 +21,6 @@ impl Workload for Update {
 
     fn generate(&self, params: &WorkloadParams, arch: ArchConfig) -> TxOutput {
         let mut rng = rng_for(params, 0x7570);
-        let sampler = crate::IndexSampler::new(params);
         let mut tx = TxWriter::new(Layout::standard(), arch);
         let base = tx.heap_alloc(params.array_elems * 8, 64);
         tx.write_init_words(base, params.array_elems, |i| i);
@@ -33,7 +32,7 @@ impl Workload for Update {
                 tx.begin_tx();
             }
             // Index computation, then the p_array[i] = v of Figure 1.
-            let idx = sampler.sample(&mut rng);
+            let idx = rng.gen_range(0..params.array_elems);
             let value: u64 = rng.gen();
             tx.compute(2);
             tx.write(base + idx * 8, value);

@@ -17,7 +17,6 @@ fn params(seed: u64, ops: usize, prepopulate: usize) -> WorkloadParams {
         array_elems: 64,
         prepopulate,
         mispredict_rate: 0.05,
-        zipf_theta: None,
     }
 }
 

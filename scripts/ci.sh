@@ -246,6 +246,28 @@ cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     corrupt --seed 2 --cases 2 --jobs 4 --resume "$out_dir/resil_corrupt_cp.json" \
     2>/dev/null > "$out_dir/resil_corrupt_res.json"
 diff "$out_dir/corrupt_j1.json" "$out_dir/resil_corrupt_res.json"
+# The wall-clock deadline: a million fuzz cases take minutes, so a
+# one-second budget must interrupt the run (exit 3) and leave a
+# checkpoint that a resumed run under the same budget accepts before it
+# is interrupted again.
+set +e
+cargo run --release --offline -q -p ede-check --bin ede-sim -- \
+    fuzz --seed 5 --cases 1000000 --jobs 2 --max-wall-secs 1 \
+    --checkpoint "$out_dir/resil_wall_cp.json" \
+    2>/dev/null > "$out_dir/resil_wall.out"
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "deadline run exited $rc, want 3" >&2; exit 1; }
+grep -q 'INTERRUPTED: ' "$out_dir/resil_wall.out"
+set +e
+cargo run --release --offline -q -p ede-check --bin ede-sim -- \
+    fuzz --seed 5 --cases 1000000 --jobs 2 --max-wall-secs 1 \
+    --resume "$out_dir/resil_wall_cp.json" \
+    2>/dev/null > "$out_dir/resil_wall_res.out"
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "resumed deadline run exited $rc, want 3" >&2; exit 1; }
+grep -q 'INTERRUPTED: ' "$out_dir/resil_wall_res.out"
 set +e
 cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     fuzz --seed 5 --cases 30 --jobs 2 --self-test-panic 7 \

@@ -16,7 +16,6 @@ fn run_once(seed: u64, arch: ArchConfig) -> RunResult {
         array_elems: 64,
         prepopulate: 32,
         mispredict_rate: 0.05,
-        zipf_theta: None,
     };
     run_workload(&Update, &params, arch, &SimConfig::a72()).expect("run completes")
 }

@@ -189,31 +189,6 @@ fn figure4_assembly_golden() {
 }
 
 #[test]
-fn zipfian_skew_improves_locality() {
-    use ede_workloads::update::Update;
-    let sim = SimConfig::a72();
-    let uniform = WorkloadParams {
-        ops: 300,
-        ops_per_tx: 100,
-        array_elems: 64 * 1024,
-        ..WorkloadParams::default()
-    };
-    let skewed = WorkloadParams {
-        zipf_theta: Some(1.2),
-        ..uniform
-    };
-    let u = run_workload(&Update, &uniform, ArchConfig::Baseline, &sim).unwrap();
-    let z = run_workload(&Update, &skewed, ArchConfig::Baseline, &sim).unwrap();
-    assert!(
-        z.mem_stats.l1_hit_rate() > u.mem_stats.l1_hit_rate(),
-        "hot-set access must hit more: {:.2} vs {:.2}",
-        z.mem_stats.l1_hit_rate(),
-        u.mem_stats.l1_hit_rate()
-    );
-    assert!(z.tx_cycles < u.tx_cycles, "locality must pay off");
-}
-
-#[test]
 fn deterministic_across_identical_runs() {
     let params = small_params();
     let sim = SimConfig::a72();

@@ -7,8 +7,8 @@
 
 use ede_check::fuzz::{campaign_metrics, fuzz, fuzz_campaign, FuzzOptions};
 use ede_check::{
-    corrupt_campaign, explore_campaign, inject_campaign, CaseOutcome, CorruptOptions,
-    CorruptionKind, ExploreOptions, InjectOptions, RuntimeOptions, Source,
+    corrupt_campaign, explore_campaign, inject_campaign, CorruptOptions, CorruptionKind,
+    ExploreOptions, HarnessPanic, InjectOptions, RuntimeOptions, Source,
 };
 use ede_cpu::FaultInjection;
 use ede_isa::ArchConfig;
@@ -298,9 +298,9 @@ fn quarantine_records_are_jobs_invariant() {
     let sequential = fuzz(&base);
     assert_eq!(
         sequential.quarantined,
-        vec![CaseOutcome::HarnessPanic {
+        vec![HarnessPanic {
+            unit: 4,
             payload: "deliberate harness panic at case 4".to_string(),
-            case: 4,
         }]
     );
     assert!(sequential.failure.is_none() && !sequential.interrupted);
@@ -331,9 +331,9 @@ fn self_test_panic_past_the_failure_cutoff_is_still_quarantined() {
     assert!(failure.case < 4, "failure at case {}", failure.case);
     assert_eq!(
         sequential.quarantined,
-        vec![CaseOutcome::HarnessPanic {
+        vec![HarnessPanic {
+            unit: 4,
             payload: "deliberate harness panic at case 4".to_string(),
-            case: 4,
         }]
     );
     assert_eq!(run(4), sequential);
