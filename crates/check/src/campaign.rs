@@ -129,8 +129,11 @@ pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
             .map_err(|detail| ResumeError::Corrupt { detail })?;
         restored.insert(i, unit);
     }
+    // Every resumed unit is skipped below, so it counts as covered here.
+    let mut covered = driver.done_units();
     let outcomes = Pool::new(plan.jobs).run_quarantined(n, |i| {
-        if driver.is_done(i as u64) || driver.interrupted() {
+        // The deadline first: past it, skipping a unit takes no lock.
+        if driver.interrupted() || driver.is_done(i as u64) {
             return None;
         }
         if plan.self_test_panic == Some(i as u32) {
@@ -143,7 +146,6 @@ pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
         Some(unit)
     });
     let mut units = Vec::new();
-    let mut covered = 0;
     for (i, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
             Ok(Some(unit)) => {
@@ -154,7 +156,6 @@ pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
                 if let Some(unit) = restored.remove(&i) {
                     units.push((i, unit));
                 }
-                covered += u64::from(driver.is_done(i as u64));
             }
             Err(up) => {
                 driver.quarantine(i as u64, up.message);

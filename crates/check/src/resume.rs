@@ -635,6 +635,12 @@ impl CampaignDriver {
         self.lock().checkpoint.is_done(unit)
     }
 
+    /// Units recorded done so far, quarantined included; before the
+    /// sweep starts, the ones the resume checkpoint brought.
+    pub(crate) fn done_units(&self) -> u64 {
+        self.lock().checkpoint.done_units()
+    }
+
     /// The result payloads restored from the resume checkpoint,
     /// `(unit, serialized)` in unit order.
     pub(crate) fn payloads(&self) -> Vec<(u64, String)> {

@@ -61,19 +61,20 @@ impl RunStats {
     /// totals, the full stall-attribution table, issue-width histogram,
     /// occupancy peaks, and watchdog-quiet high-water.
     pub fn report(&self, reg: &mut ede_util::obs::Registry) {
+        // In name order, so the registry only appends.
         reg.inc("cpu.cycles", self.cycles);
+        reg.set_gauge_max("cpu.iq.peak", self.iq_peak as i64);
+        self.issue_hist.report(reg);
         reg.inc("cpu.retired", self.retired);
+        reg.set_gauge_max("cpu.rob.peak", self.rob_peak as i64);
         reg.inc("cpu.squashes", self.squashes);
         self.attribution.report(reg);
-        self.issue_hist.report(reg);
-        reg.set_gauge_max("cpu.rob.peak", self.rob_peak as i64);
-        reg.set_gauge_max("cpu.iq.peak", self.iq_peak as i64);
-        reg.set_gauge_max("cpu.wb.peak", self.wb_peak as i64);
         reg.set_gauge_max(
             "cpu.watchdog.max_quiet_streak",
             self.max_quiet_streak as i64,
         );
         reg.merge_histogram("cpu.watchdog.quiet_streaks", &self.quiet_hist);
+        reg.set_gauge_max("cpu.wb.peak", self.wb_peak as i64);
     }
 }
 

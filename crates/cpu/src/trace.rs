@@ -301,34 +301,36 @@ impl StallTable {
     }
 
     /// Reports every counter into a metrics registry under
-    /// `cpu.stall.<stage>.busy` / `cpu.stall.<stage>.<cause>`.
+    /// `cpu.stall.<stage>.busy` / `cpu.stall.<stage>.<cause>`, in name
+    /// order.
     pub fn report(&self, reg: &mut ede_util::obs::Registry) {
-        let counts = StageId::ALL.iter().flat_map(|&stage| {
-            let s = self.stage(stage);
-            std::iter::once(s.busy).chain(s.causes)
-        });
-        for (name, cycles) in STALL_NAMES.iter().zip(counts) {
-            reg.inc(name.as_str(), cycles);
+        for (name, stage, cause) in STALL_NAMES.iter() {
+            let s = self.stage(*stage);
+            reg.inc(name.as_str(), cause.map_or(s.busy, |c| s.cause(c)));
         }
     }
 }
 
-/// The names [`StallTable::report`] uses, in its order: per stage of
-/// [`StageId::ALL`], `cpu.stall.<stage>.busy` then
-/// `cpu.stall.<stage>.<cause>` per cause of [`StallCause::ALL`].
-/// Formatted once per process, not once per run.
-static STALL_NAMES: LazyLock<Vec<String>> = LazyLock::new(|| {
-    StageId::ALL
-        .iter()
+/// The names [`StallTable::report`] uses, each with the cell it reads
+/// (`None` is the stage's busy count): `cpu.stall.<stage>.busy` and
+/// `cpu.stall.<stage>.<cause>` for every stage of [`StageId::ALL`] and
+/// cause of [`StallCause::ALL`]. Sorted by name, so a report appends to
+/// its registry (`dispatch.barrier` comes before `dispatch.busy`).
+/// Formatted and sorted once per process, not once per run.
+static STALL_NAMES: LazyLock<Vec<(String, StageId, Option<StallCause>)>> = LazyLock::new(|| {
+    let mut names: Vec<_> = StageId::ALL
+        .into_iter()
         .flat_map(|stage| {
-            let stage = stage.label();
-            std::iter::once(format!("cpu.stall.{stage}.busy")).chain(
-                StallCause::ALL
-                    .iter()
-                    .map(move |cause| format!("cpu.stall.{stage}.{}", cause.label())),
-            )
+            std::iter::once(None)
+                .chain(StallCause::ALL.map(Some))
+                .map(move |cause| {
+                    let label = cause.map_or("busy", StallCause::label);
+                    (format!("cpu.stall.{}.{label}", stage.label()), stage, cause)
+                })
         })
-        .collect()
+        .collect();
+    names.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    names
 });
 
 /// One entry in the [`Tracer`] ring.
@@ -575,7 +577,42 @@ mod tests {
                 want.push(format!("cpu.stall.{}.{}", stage.label(), cause.label()));
             }
         }
-        assert_eq!(*STALL_NAMES, want);
+        assert_eq!(want.len(), 45);
+        want.sort();
+        let names: Vec<&str> = STALL_NAMES.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, want);
+        // Strictly ascending: the table is its own sort, with no repeats.
+        assert!(names.windows(2).all(|w| w[0] < w[1]));
+        for (name, stage, cause) in STALL_NAMES.iter() {
+            let label = cause.map_or("busy", StallCause::label);
+            assert_eq!(*name, format!("cpu.stall.{}.{label}", stage.label()));
+        }
+    }
+
+    #[test]
+    fn every_stall_name_reads_back_its_own_cell() {
+        // A distinct count in every cell: a name wired to the wrong
+        // (stage, cause) reads back someone else's count.
+        let mut t = StallTable::default();
+        let mut want = Vec::new();
+        for (s, stage) in StageId::ALL.into_iter().enumerate() {
+            let busy = 1000 * (s as u64 + 1);
+            for _ in 0..busy {
+                t.record(stage, None);
+            }
+            want.push((format!("cpu.stall.{}.busy", stage.label()), busy));
+            for (c, cause) in StallCause::ALL.into_iter().enumerate() {
+                let cycles = busy + c as u64 + 1;
+                t.record_span(stage, cause, cycles);
+                want.push((format!("cpu.stall.{stage}.{cause}"), cycles));
+            }
+        }
+        let mut reg = ede_util::obs::Registry::new();
+        t.report(&mut reg);
+        assert_eq!(reg.len(), want.len());
+        for (name, cycles) in want {
+            assert_eq!(reg.counter(&name), cycles, "{name}");
+        }
     }
 
     #[test]

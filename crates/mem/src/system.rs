@@ -420,31 +420,33 @@ impl MemSystem {
     /// `mem.*`: cache/device traffic, persist-stream event counts,
     /// fault-injection hits, and persist-buffer depth/throughput.
     pub fn report(&self, reg: &mut ede_util::obs::Registry) {
+        // In name order, so the registry appends all but the occupancy
+        // buckets past 9 (`…occupancy_hist.10` sorts before `….2`).
         let s = &self.stats;
-        reg.inc("mem.loads", s.loads);
-        reg.inc("mem.store_drains", s.store_drains);
+        let (inserts, merges, media_writes) = self.buffer.counters();
         reg.inc("mem.cvaps", s.cvaps);
+        reg.inc("mem.dram_accesses", s.dram_accesses);
+        reg.inc("mem.fault_hits", self.fault_hits);
         reg.inc("mem.l1_hits", s.l1_hits);
         reg.inc("mem.l2_hits", s.l2_hits);
         reg.inc("mem.l3_hits", s.l3_hits);
-        reg.inc("mem.dram_accesses", s.dram_accesses);
-        reg.inc("mem.nvm_reads", s.nvm_reads);
+        reg.inc("mem.loads", s.loads);
         reg.inc("mem.nvm_evictions", s.nvm_evictions);
-        reg.inc("mem.prefetches", s.prefetches);
-        reg.inc("mem.fault_hits", self.fault_hits);
-        reg.inc("mem.persist_events", self.trace.persists.len() as u64);
-        reg.inc("mem.store_events", self.trace.stores.len() as u64);
-        let (inserts, merges, media_writes) = self.buffer.counters();
+        reg.inc("mem.nvm_reads", s.nvm_reads);
         reg.inc("mem.pb.inserts", inserts);
-        reg.inc("mem.pb.merges", merges);
         reg.inc("mem.pb.media_writes", media_writes);
+        reg.inc("mem.pb.merges", merges);
         reg.set_gauge_max("mem.pb.occupancy", self.buffer.occupancy() as i64);
-        reg.set_gauge_max("mem.pb.queued", self.buffer.queued() as i64);
         for (n, &c) in self.buffer.occupancy_histogram().iter().enumerate() {
             if c > 0 {
                 reg.inc(OCCUPANCY_NAMES.get(n), c);
             }
         }
+        reg.set_gauge_max("mem.pb.queued", self.buffer.queued() as i64);
+        reg.inc("mem.persist_events", self.trace.persists.len() as u64);
+        reg.inc("mem.prefetches", s.prefetches);
+        reg.inc("mem.store_drains", s.store_drains);
+        reg.inc("mem.store_events", self.trace.stores.len() as u64);
     }
 
     /// The persist buffer (for occupancy inspection).

@@ -52,16 +52,17 @@ impl TxOutput {
     /// `nvm.*`: transaction and logged-write counts, generated program
     /// length, and pool-initialization size.
     pub fn report(&self, reg: &mut ede_util::obs::Registry) {
-        reg.inc("nvm.transactions", self.records.len() as u64);
-        reg.inc(
-            "nvm.tx_writes",
-            self.records.iter().map(|r| r.writes.len() as u64).sum(),
-        );
-        reg.inc("nvm.program_len", self.program.len() as u64);
+        // In name order, so the registry only appends.
         reg.inc("nvm.init_writes", self.init_writes.len() as u64);
+        reg.inc("nvm.program_len", self.program.len() as u64);
+        reg.inc("nvm.transactions", self.records.len() as u64);
         reg.inc(
             "nvm.tx_phase_start",
             self.tx_phase_start.map(|i| i.0).unwrap_or(0),
+        );
+        reg.inc(
+            "nvm.tx_writes",
+            self.records.iter().map(|r| r.writes.len() as u64).sum(),
         );
     }
 }

@@ -11,11 +11,13 @@
 //!   buckets (cycle latencies, occupancy samples). Fixed buckets keep
 //!   merging exact and serialization stable.
 //!
-//! A [`Registry`] is an ordered name → metric map. Serialization
-//! ([`Registry::to_json`]) walks the map in key order and formats every
-//! number with `format!` — the output is **byte-stable**: the same
-//! metrics always serialize to the same string, which is what lets CI
-//! diff metrics documents across `--jobs` values.
+//! A [`Registry`] is an ordered name → metric map, held as one vector
+//! sorted by name: appending a name above the last costs one comparison,
+//! so the per-run reports emit their names in ascending order.
+//! Serialization ([`Registry::to_json`]) walks the entries in name order
+//! and formats every number with `format!` — the output is
+//! **byte-stable**: the same metrics always serialize to the same string,
+//! which is what lets CI diff metrics documents across `--jobs` values.
 //!
 //! [`Registry::merge_prefixed`] folds one registry into another under a
 //! name prefix (counters add, gauges high-water, histograms add
@@ -41,8 +43,6 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
@@ -192,15 +192,42 @@ pub enum Metric {
 
 /// An ordered name → metric map with stable JSON serialization.
 ///
-/// Names are dotted paths by convention (`cpu.stall.retire.wb_full`);
-/// the [`BTreeMap`] keeps serialization order independent of insertion
-/// order. Keys are `Cow<'static, str>`: a `&'static str` name (a literal,
-/// or an entry of a name table built once per process) is stored without
-/// allocating and an owned `String` is moved in, so a registry built once
-/// per simulated run need not format its names.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// Names are dotted paths by convention (`cpu.stall.retire.wb_full`).
+/// The metrics live in one vector sorted by name, so serialization order
+/// is independent of insertion order. A name above every name already
+/// held is appended after one comparison; any other name is found by
+/// binary search. A report that emits its names in ascending order
+/// therefore builds its registry almost entirely by appends. Keys are
+/// `Cow<'static, str>`: a `&'static str` name (a literal, or an entry of
+/// a name table built once per process) is stored without allocating and
+/// an owned `String` is moved in, so a registry built once per simulated
+/// run need not format its names.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Registry {
-    metrics: BTreeMap<Cow<'static, str>, Metric>,
+    /// `(name, metric)` pairs, strictly ascending by name.
+    metrics: Vec<(Cow<'static, str>, Metric)>,
+}
+
+/// Entries reserved by a registry's first insert: one simulated run
+/// reports about 90 metrics, so building its registry never regrows the
+/// vector.
+const FIRST_RESERVE: usize = 128;
+
+impl std::fmt::Debug for Registry {
+    /// `Registry { metrics: {name: metric, ...} }`, names in order.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Entries<'a>(&'a [(Cow<'static, str>, Metric)]);
+        impl std::fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(k, v)| (k, v)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Registry")
+            .field("metrics", &Entries(&self.metrics))
+            .finish()
+    }
 }
 
 impl Registry {
@@ -209,20 +236,42 @@ impl Registry {
         Registry::default()
     }
 
+    /// Where `name` is (`Ok`) or would be inserted (`Err`). A name above
+    /// the last one — the common case for a report emitting in name
+    /// order — costs one comparison.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        match self.metrics.last() {
+            None => Err(0),
+            Some((last, _)) if last.as_ref() < name => Err(self.metrics.len()),
+            Some(_) => self.metrics.binary_search_by(|(k, _)| k.as_ref().cmp(name)),
+        }
+    }
+
+    /// Inserts `(name, metric)` at `at`, the position [`find`](Self::find)
+    /// returned for `name`.
+    fn insert(&mut self, at: usize, name: Cow<'static, str>, metric: Metric) -> &mut Metric {
+        if self.metrics.capacity() == 0 {
+            self.metrics.reserve(FIRST_RESERVE);
+        }
+        self.metrics.insert(at, (name, metric));
+        &mut self.metrics[at].1
+    }
+
     /// The metric `name`, created by `init` when absent.
     ///
     /// # Panics
     ///
     /// If `name` already holds a metric of another kind than `kind`.
     fn slot(&mut self, name: Cow<'static, str>, kind: &str, init: fn() -> Metric) -> &mut Metric {
-        match self.metrics.entry(name) {
-            Entry::Vacant(v) => v.insert(init()),
-            Entry::Occupied(o) => {
-                let found = kind_name(o.get());
+        match self.find(&name) {
+            Err(at) => self.insert(at, name, init()),
+            Ok(at) => {
+                let (key, metric) = &mut self.metrics[at];
+                let found = kind_name(metric);
                 if found != kind {
-                    panic!("metric {} is a {found}, not a {kind}", o.key());
+                    panic!("metric {key} is a {found}, not a {kind}");
                 }
-                o.into_mut()
+                metric
             }
         }
     }
@@ -282,7 +331,7 @@ impl Registry {
 
     /// The counter `name`, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
-        match self.metrics.get(name) {
+        match self.get(name) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         }
@@ -290,7 +339,7 @@ impl Registry {
 
     /// The histogram `name`, if present.
     pub fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
-        match self.metrics.get(name) {
+        match self.get(name) {
             Some(Metric::Histogram(h)) => Some(h.as_ref()),
             _ => None,
         }
@@ -298,7 +347,7 @@ impl Registry {
 
     /// The raw metric `name`, if present.
     pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
+        self.find(name).ok().map(|at| &self.metrics[at].1)
     }
 
     /// Iterates `(name, metric)` in name order.
@@ -328,7 +377,7 @@ impl Registry {
     /// If the same name holds different metric kinds in the two
     /// registries.
     pub fn merge_prefixed(&mut self, other: &Registry, prefix: &str) {
-        for (name, metric) in &other.metrics {
+        for (name, metric) in other.iter() {
             self.merge_one(Cow::Owned(format!("{prefix}.{name}")), metric);
         }
     }
@@ -336,20 +385,21 @@ impl Registry {
     /// Folds one metric into the entry `name` (see
     /// [`merge_prefixed`](Self::merge_prefixed)).
     fn merge_one(&mut self, name: Cow<'static, str>, metric: &Metric) {
-        let mut own = match self.metrics.entry(name) {
-            Entry::Vacant(v) => {
-                v.insert(metric.clone());
+        let at = match self.find(&name) {
+            Err(at) => {
+                self.insert(at, name, metric.clone());
                 return;
             }
-            Entry::Occupied(o) => o,
+            Ok(at) => at,
         };
-        match (own.get_mut(), metric) {
+        let (key, own) = &mut self.metrics[at];
+        match (own, metric) {
             (Metric::Counter(a), Metric::Counter(b)) => *a += b,
             (Metric::Gauge(a), Metric::Gauge(b)) => *a = (*a).max(*b),
             (Metric::Histogram(a), Metric::Histogram(b)) => a.merge(b),
             (a, b) => {
                 let (into, from) = (kind_name(a), kind_name(b));
-                panic!("metric {}: cannot merge a {from} into a {into}", own.key())
+                panic!("metric {key}: cannot merge a {from} into a {into}")
             }
         }
     }
@@ -360,7 +410,7 @@ impl Registry {
     /// only non-empty buckets listed.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        for (i, (name, metric)) in self.metrics.iter().enumerate() {
+        for (i, (name, metric)) in self.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -954,10 +1004,22 @@ mod tests {
         reg.set_gauge_max("g", 5);
         reg.observe("h", 9);
         assert_eq!(reg.counter("a"), 5);
-        assert_eq!(reg.metrics.get("g"), Some(&Metric::Gauge(7)));
+        assert_eq!(reg.get("g"), Some(&Metric::Gauge(7)));
         assert_eq!(reg.histogram("h").unwrap().count(), 1);
         assert_eq!(reg.counter("missing"), 0);
         assert_eq!(reg.len(), 3);
+    }
+
+    #[test]
+    fn debug_prints_a_map_in_name_order() {
+        let mut reg = Registry::new();
+        reg.inc("b", 2);
+        reg.set_gauge_max("a", -1);
+        assert_eq!(
+            format!("{reg:?}"),
+            r#"Registry { metrics: {"a": Gauge(-1), "b": Counter(2)} }"#
+        );
+        assert_eq!(format!("{:?}", Registry::new()), "Registry { metrics: {} }");
     }
 
     #[test]
@@ -979,7 +1041,7 @@ mod tests {
         ba.merge_prefixed(&a, "x");
         assert_eq!(ab, ba);
         assert_eq!(ab.counter("x.c"), 5);
-        assert_eq!(ab.metrics.get("x.g"), Some(&Metric::Gauge(10)));
+        assert_eq!(ab.get("x.g"), Some(&Metric::Gauge(10)));
         assert_eq!(ab.histogram("x.h").unwrap().count(), 2);
         assert_eq!(ab.counter("x.only_b"), 1);
     }

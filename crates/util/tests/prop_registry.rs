@@ -5,9 +5,17 @@
 //! Random sequences of `inc`, `set_gauge_max`, `observe`,
 //! `merge_histogram` and `merge_prefixed` run on both, with
 //! names drawn from a small pool (so kinds collide) and passed either as
-//! `&'static str` or as an owned `String`. After every step the two must
-//! agree on `iter`, `len`, `counter`, `to_json` and on whether the step
-//! panicked with a kind collision.
+//! `&'static str` or as an owned `String`. Runs of `inc` over consecutive
+//! pool names, in ascending order (the registry's append path) or
+//! descending (each name lands before the one just inserted), ride along.
+//! After every step the two must agree on `iter`, `len`, `to_json`, on
+//! the lookups of every pool name and of absent names sorting before,
+//! between and after them, and on whether the step panicked with a kind
+//! collision.
+//!
+//! Two fixed cases pin the same paths without relying on the draw:
+//! ascending, descending and mixed insertion orders build one registry,
+//! and `merge_prefixed` lands its names between the ones already held.
 
 use ede_util::check::{self, CaseResult, Strategy};
 use ede_util::obs::{Log2Histogram, Metric, Registry};
@@ -17,9 +25,36 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
-/// The name pool. `B.a`/`WB.a` also arise from prefixing `a`, so a
-/// prefixed merge can land on a directly recorded name.
-const NAMES: [&str; 6] = ["a", "a.b", "b", "B.a", "B.b", "WB.a"];
+/// The name pool, in ascending order (an [`Op::Run`] walks it by
+/// index). `B.a`/`WB.a` also arise from prefixing `a`, so a prefixed
+/// merge can land on a directly recorded name; the `cpu.stall.*` pair
+/// shares a long prefix, as the simulator's names do.
+const NAMES: [&str; 8] = [
+    "B.a",
+    "B.b",
+    "WB.a",
+    "a",
+    "a.b",
+    "b",
+    "cpu.stall.dispatch.barrier",
+    "cpu.stall.dispatch.busy",
+];
+
+/// Names looked up after every step besides the pool: absent ones that
+/// sort before every pool name, between two of them, and after all, plus
+/// names only a prefixed merge creates.
+const PROBES: [&str; 10] = [
+    "",
+    "A",
+    "B.B.a",
+    "B.a.b",
+    "WB.",
+    "a.a",
+    "ab",
+    "cpu.stall.dispatch.bas",
+    "cpu.stall.dispatch.busz",
+    "missing",
+];
 
 const PREFIXES: [&str; 2] = ["B", "WB"];
 
@@ -41,6 +76,14 @@ enum Record {
 #[derive(Clone, Debug)]
 enum Op {
     Record(Record),
+    /// `inc` by `by` on the pool names `from..from + len`, in ascending
+    /// or descending order.
+    Run {
+        from: usize,
+        len: usize,
+        descending: bool,
+        by: u64,
+    },
     /// `merge_prefixed` of a registry built from these recordings.
     MergePrefixed(usize, Vec<Record>),
 }
@@ -62,6 +105,13 @@ fn record_strategy() -> impl Strategy<Value = Record> {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => record_strategy().prop_map(Op::Record),
+        2 => (0..NAMES.len(), 1..NAMES.len() + 1, check::any::<bool>(), 0u64..1000)
+            .prop_map(|(from, len, descending, by)| Op::Run {
+                from,
+                len: len.min(NAMES.len() - from),
+                descending,
+                by,
+            }),
         2 => (0..PREFIXES.len(), check::vec(record_strategy(), 0..5))
             .prop_map(|(p, rs)| Op::MergePrefixed(p, rs)),
     ]
@@ -214,12 +264,19 @@ fn agree(reg: &Registry, m: &Model) -> CaseResult {
     prop_assert_eq!(real, model);
     prop_assert_eq!(reg.len(), m.len());
     prop_assert_eq!(reg.is_empty(), m.is_empty());
-    for name in NAMES.iter().chain(&["B.a.b", "WB.B.a", "missing"]) {
-        let want = match m.get(*name) {
+    for name in NAMES.iter().chain(&PROBES) {
+        let want = m.get(*name);
+        prop_assert_eq!(reg.get(name), want, "get {}", name);
+        let counter = match want {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         };
-        prop_assert_eq!(reg.counter(name), want, "counter {}", name);
+        prop_assert_eq!(reg.counter(name), counter, "counter {}", name);
+        let histogram = match want {
+            Some(Metric::Histogram(h)) => Some(h.as_ref()),
+            _ => None,
+        };
+        prop_assert_eq!(reg.histogram(name), histogram, "histogram {}", name);
     }
     prop_assert_eq!(reg.to_json(), model_json(m));
     prop_assert!(reg.clone() == *reg);
@@ -275,6 +332,26 @@ fn registry_matches_model_impl(ops: &[Op]) -> CaseResult {
                 |reg| real_record(reg, r),
                 |m| model_record(m, r),
             )?,
+            &Op::Run {
+                from,
+                len,
+                descending,
+                by,
+            } => {
+                let mut idxs: Vec<usize> = (from..from + len).collect();
+                if descending {
+                    idxs.reverse();
+                }
+                for idx in idxs {
+                    let r = Record::Inc(Name { idx, owned: false }, by);
+                    step(
+                        &mut reg,
+                        &mut m,
+                        |reg| real_record(reg, &r),
+                        |m| model_record(m, &r),
+                    )?;
+                }
+            }
             Op::MergePrefixed(p, records) => {
                 let (other, other_m) = build(records)?;
                 let prefix = PREFIXES[*p];
@@ -295,4 +372,96 @@ property! {
     fn registry_matches_model(ops in check::vec(op_strategy(), 0..24)) {
         registry_matches_model_impl(&ops)?;
     }
+}
+
+#[test]
+fn name_pool_is_ascending() {
+    assert!(NAMES.windows(2).all(|w| w[0] < w[1]));
+}
+
+/// `n` names sharing a long prefix, ascending, each a distinct counter.
+fn stall_like(n: u64) -> Vec<(String, u64)> {
+    (0..n)
+        .map(|i| (format!("cpu.stall.dispatch.c{i:03}"), i + 1))
+        .collect()
+}
+
+#[test]
+fn insertion_order_never_shows() {
+    let names = stall_like(40);
+    let build = |order: &[usize]| {
+        let mut reg = Registry::new();
+        for &i in order {
+            let (name, v) = &names[i];
+            reg.inc(name.clone(), *v);
+        }
+        reg
+    };
+    // Appends only; then each name inserted before the last; then evens
+    // appended and odds dropped between them.
+    let ascending: Vec<usize> = (0..names.len()).collect();
+    let descending: Vec<usize> = ascending.iter().rev().copied().collect();
+    let mixed: Vec<usize> = (0..names.len())
+        .step_by(2)
+        .chain((1..names.len()).step_by(2).rev())
+        .collect();
+    let reg = build(&ascending);
+    assert_eq!(build(&descending), reg);
+    assert_eq!(build(&mixed), reg);
+    assert_eq!(build(&mixed).to_json(), reg.to_json());
+    let held: Vec<(String, Metric)> = reg
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect();
+    let want: Vec<(String, Metric)> = names
+        .iter()
+        .map(|(k, v)| (k.clone(), Metric::Counter(*v)))
+        .collect();
+    assert_eq!(held, want);
+    // Absent names before the first, between two, and after the last.
+    for absent in [
+        "cpu.stall.dispatch.b",
+        "cpu.stall.dispatch.c000a",
+        "cpu.stall.dispatch.c0205",
+        "cpu.stall.dispatch.c040",
+        "cpu.stall.z",
+    ] {
+        assert_eq!(reg.get(absent), None, "{absent}");
+        assert_eq!(reg.counter(absent), 0, "{absent}");
+        assert_eq!(reg.histogram(absent), None, "{absent}");
+    }
+    for (name, v) in &names {
+        assert_eq!(reg.counter(name), *v, "{name}");
+    }
+}
+
+#[test]
+fn merge_prefixed_lands_between_held_names() {
+    // Held `x.<n>` for even n, merged `<n>` for every n under prefix
+    // `x`: every odd name lands between two held ones, every even one
+    // adds onto a held counter, and `w.*` / `y.*` bracket them.
+    let mut reg = Registry::new();
+    reg.inc("w.first", 1);
+    for i in (0..20).step_by(2) {
+        reg.inc(format!("x.{i:02}"), 100);
+    }
+    reg.inc("y.last", 1);
+    let mut other = Registry::new();
+    for i in (0..20).rev() {
+        other.inc(format!("{i:02}"), i);
+    }
+    reg.merge_prefixed(&other, "x");
+    let mut want = vec![("w.first".to_string(), 1)];
+    want.extend((0..20).map(|i| (format!("x.{i:02}"), i + if i % 2 == 0 { 100 } else { 0 })));
+    want.push(("y.last".to_string(), 1));
+    let held: Vec<(String, u64)> = reg
+        .iter()
+        .map(|(k, v)| match v {
+            Metric::Counter(c) => (k.to_string(), *c),
+            other => panic!("{k} is not a counter: {other:?}"),
+        })
+        .collect();
+    assert_eq!(held, want);
+    assert_eq!(reg.counter("x.1"), 0);
+    assert_eq!(reg.counter("x.20"), 0);
 }

@@ -172,16 +172,21 @@ cargo run --release --offline -q -p ede-check --bin ede-sim -- \
 cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     validate-metrics "$out_dir/trace_metrics.json"
 
-# Campaign metrics must be byte-identical however many workers the fuzz
-# scan used (the registry comes from a sequential replay by construction).
+# Campaign metrics must be byte-identical however many workers the scan
+# used: fuzz's registry comes from a sequential replay by construction,
+# and inject's and corrupt's fold per-cell registries together with
+# `merge_prefixed`.
 echo "==> metrics determinism (--jobs 1 vs --jobs 4)"
-cargo run --release --offline -q -p ede-check --bin ede-sim -- \
-    fuzz --seed 7 --cases 40 --jobs 1 --metrics "$out_dir/metrics_j1.json" \
-    2>/dev/null > /dev/null
-cargo run --release --offline -q -p ede-check --bin ede-sim -- \
-    fuzz --seed 7 --cases 40 --jobs 4 --metrics "$out_dir/metrics_j4.json" \
-    2>/dev/null > /dev/null
-diff "$out_dir/metrics_j1.json" "$out_dir/metrics_j4.json"
+for run in "fuzz --seed 7 --cases 40" "inject --seed 1 --cases 2" \
+        "corrupt --seed 2 --cases 2"; do
+    set -- $run
+    for jobs in 1 4; do
+        cargo run --release --offline -q -p ede-check --bin ede-sim -- \
+            "$@" --jobs "$jobs" --metrics "$out_dir/metrics_$1_j$jobs.json" \
+            2>/dev/null > /dev/null
+    done
+    diff "$out_dir/metrics_$1_j1.json" "$out_dir/metrics_$1_j4.json"
+done
 
 # Fast-forward differential smoke: the quiescence-aware kernel (on by
 # default) must be observably invisible — one litmus program per arch,
