@@ -9,6 +9,7 @@ use crate::trace::{PersistEvent, PersistTrace, StoreEvent};
 use ede_util::obs::IndexedNames;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::LazyLock;
 
 /// Identifies one in-flight memory request.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -109,9 +110,24 @@ pub struct MemSystem {
 /// (dirty-eviction writebacks).
 const EVICTION_TOKEN: u64 = u64::MAX;
 
+/// Occupancy buckets tabled by name: one per depth of the default 128
+/// persist slots.
+const OCCUPANCY_BUCKETS: usize = 129;
+
 /// `mem.pb.occupancy_hist.<n>`, tabled up to the default 128 persist
 /// slots.
-static OCCUPANCY_NAMES: IndexedNames = IndexedNames::new("mem.pb.occupancy_hist.", 129);
+static OCCUPANCY_NAMES: IndexedNames =
+    IndexedNames::new("mem.pb.occupancy_hist.", OCCUPANCY_BUCKETS);
+
+/// The tabled occupancy buckets in the order of their names
+/// (`…occupancy_hist.10` sorts before `….2`), so [`MemSystem::report`]
+/// appends each to its registry. Sorted once per process, not once per
+/// run.
+static OCCUPANCY_ORDER: LazyLock<Vec<usize>> = LazyLock::new(|| {
+    let mut order: Vec<usize> = (0..OCCUPANCY_BUCKETS).collect();
+    order.sort_unstable_by_key(|&n| OCCUPANCY_NAMES.get(n));
+    order
+});
 
 impl MemSystem {
     /// Builds the system from a configuration.
@@ -420,8 +436,9 @@ impl MemSystem {
     /// `mem.*`: cache/device traffic, persist-stream event counts,
     /// fault-injection hits, and persist-buffer depth/throughput.
     pub fn report(&self, reg: &mut ede_util::obs::Registry) {
-        // In name order, so the registry appends all but the occupancy
-        // buckets past 9 (`…occupancy_hist.10` sorts before `….2`).
+        // In name order, so the registry appends every name. Only the
+        // buckets of a buffer over 128 slots, past the name table, follow
+        // in numeric order: still placed right, at the cost of an insert.
         let s = &self.stats;
         let (inserts, merges, media_writes) = self.buffer.counters();
         reg.inc("mem.cvaps", s.cvaps);
@@ -437,9 +454,11 @@ impl MemSystem {
         reg.inc("mem.pb.media_writes", media_writes);
         reg.inc("mem.pb.merges", merges);
         reg.set_gauge_max("mem.pb.occupancy", self.buffer.occupancy() as i64);
-        for (n, &c) in self.buffer.occupancy_histogram().iter().enumerate() {
-            if c > 0 {
-                reg.inc(OCCUPANCY_NAMES.get(n), c);
+        let hist = self.buffer.occupancy_histogram();
+        let tabled = OCCUPANCY_ORDER.iter().copied().filter(|&n| n < hist.len());
+        for n in tabled.chain(OCCUPANCY_BUCKETS..hist.len()) {
+            if hist[n] > 0 {
+                reg.inc(OCCUPANCY_NAMES.get(n), hist[n]);
             }
         }
         reg.set_gauge_max("mem.pb.queued", self.buffer.queued() as i64);
@@ -478,6 +497,19 @@ mod tests {
         for n in 0..300 {
             assert_eq!(OCCUPANCY_NAMES.get(n), format!("mem.pb.occupancy_hist.{n}"));
         }
+    }
+
+    #[test]
+    fn occupancy_order_is_every_tabled_bucket_in_name_order() {
+        let names: Vec<_> = OCCUPANCY_ORDER
+            .iter()
+            .map(|&n| OCCUPANCY_NAMES.get(n))
+            .collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]));
+        let mut buckets = OCCUPANCY_ORDER.clone();
+        buckets.sort_unstable();
+        assert_eq!(buckets, (0..OCCUPANCY_BUCKETS).collect::<Vec<_>>());
+        assert_eq!(&OCCUPANCY_ORDER[..4], &[0, 1, 10, 100]);
     }
 
     fn tick(mem: &mut MemSystem, now: u64) -> Vec<MemResp> {

@@ -15,7 +15,7 @@
 //! [`nvm_image_at`] is a cursor moved once. The `ede-nvm` crate runs
 //! recovery over the resulting images to test crash consistency.
 
-use std::collections::HashMap;
+use ede_util::idmap::WordMap;
 
 /// A store's data becoming visible in the (volatile) cache hierarchy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -85,7 +85,8 @@ impl PersistTrace {
 
 /// Reconstructs the NVM contents observable after a crash at
 /// `crash_cycle` (inclusive), as a map from 8-byte-aligned word address to
-/// value. Words never persisted are absent (read as their initial value).
+/// value ([`WordMap`]). Words never persisted are absent (read as their
+/// initial value).
 ///
 /// Stores at the crash cycle are applied before persists at the same
 /// cycle, matching the simulator's intra-cycle ordering (a persist
@@ -107,7 +108,7 @@ impl PersistTrace {
 /// assert!(nvm_image_at(&t, 15, 64).is_empty());      // visible but not persistent
 /// assert_eq!(nvm_image_at(&t, 20, 64)[&0x1000], 42); // persisted at 20
 /// ```
-pub fn nvm_image_at(trace: &PersistTrace, crash_cycle: u64, line_bytes: u64) -> HashMap<u64, u64> {
+pub fn nvm_image_at(trace: &PersistTrace, crash_cycle: u64, line_bytes: u64) -> WordMap {
     let mut cursor = ImageCursor::new(trace, line_bytes);
     cursor.advance_to(crash_cycle);
     cursor.image
@@ -142,9 +143,9 @@ pub struct ImageCursor<'t> {
     /// The last crash cycle moved to.
     at: Option<u64>,
     /// Volatile view: word address → value, updated by stores.
-    volatile: HashMap<u64, u64>,
+    volatile: WordMap,
     /// Persistent image.
-    image: HashMap<u64, u64>,
+    image: WordMap,
 }
 
 impl<'t> ImageCursor<'t> {
@@ -157,8 +158,8 @@ impl<'t> ImageCursor<'t> {
             stores: 0,
             persists: 0,
             at: None,
-            volatile: HashMap::new(),
-            image: HashMap::new(),
+            volatile: WordMap::default(),
+            image: WordMap::default(),
         }
     }
 
@@ -169,7 +170,7 @@ impl<'t> ImageCursor<'t> {
     ///
     /// Panics if `crash_cycle` is earlier than a cycle the cursor was
     /// already moved to: it only moves forward.
-    pub fn advance_to(&mut self, crash_cycle: u64) -> &HashMap<u64, u64> {
+    pub fn advance_to(&mut self, crash_cycle: u64) -> &WordMap {
         assert!(
             self.at.is_none_or(|at| at <= crash_cycle),
             "image cursor moved back from cycle {:?} to {crash_cycle}",

@@ -582,7 +582,7 @@ mod tests {
         };
         let layout = Layout::standard();
         let resolve = |primary: (u64, u64), twin: (u64, u64)| {
-            let mut image = NvmImage::new();
+            let mut image = NvmImage::default();
             for (line, (ptr, marker)) in [(meta.root_line, primary), (meta.root_twin, twin)] {
                 image.insert(line, ptr);
                 image.insert(line + 8, marker);

@@ -3,10 +3,10 @@
 //! Given a simulation's [`PersistTrace`] and the transaction record from
 //! the code generator, [`CrashChecker`] can simulate a power failure at
 //! any instant: reconstruct the NVM image, run the protocol's recovery
-//! ([`triage::recover`] — undo, redo or CoW), and check that the
-//! recovered state equals the functional state after exactly the
-//! committed prefix of transactions — failure atomicity *and* commit
-//! ordering in one predicate.
+//! ([`triage::replay`], the in-place half of [`triage::recover`] — undo,
+//! redo or CoW), and check that the recovered state equals the
+//! functional state after exactly the committed prefix of transactions
+//! — failure atomicity *and* commit ordering in one predicate.
 //!
 //! For the crash-safe configurations (B, IQ, WB) this holds at every
 //! instant; for SU and U the test suite demonstrates crash points where
@@ -17,13 +17,15 @@
 //! reads (the superblock lines and the log slots), the write sets are
 //! compared against their values after the committed prefix, and every
 //! other word the recovered image holds against its preloaded value (see
-//! [`CrashChecker::check_image`]). A sweep over every crash instant
-//! replays the trace once, through one forward [`ImageCursor`].
+//! [`CrashChecker::check_image`]). Recovery builds no triage report for
+//! a check, and the image is a word-hashed map ([`NvmImage`]). A sweep
+//! over every crash instant replays the trace once, through one forward
+//! [`ImageCursor`].
 
 use crate::codegen::{TxOutput, TxRecord};
 use crate::layout::Layout;
 use crate::recovery::NvmImage;
-use crate::triage::{self, Protocol, RecoveryOutcome};
+use crate::triage::{self, Protocol};
 use ede_mem::trace::{nvm_image_at, ImageCursor};
 use ede_mem::PersistTrace;
 use std::fmt;
@@ -64,7 +66,8 @@ pub enum CheckFailure {
     /// Recovery ran but the recovered state contradicts the committed
     /// prefix of transactions.
     Inconsistent(ConsistencyError),
-    /// Recovery refused the image ([`RecoveryOutcome::Unrecoverable`]):
+    /// Recovery refused the image
+    /// ([`RecoveryOutcome::Unrecoverable`](crate::triage::RecoveryOutcome::Unrecoverable)):
     /// every copy of a commit marker (or of the superblock magic) is
     /// destroyed, so there is no trustworthy committed id to recover
     /// toward and no consistency claim is possible either way.
@@ -106,11 +109,12 @@ impl From<ConsistencyError> for CheckFailure {
 
 /// Checks crash consistency of one simulated run.
 ///
-/// Everything that does not depend on the crash image is computed once,
-/// in [`with_protocol`](Self::with_protocol): the write-set addresses,
-/// each one's value after every committed prefix, and the preloaded pool
-/// words recovery reads. A check then costs what the image holds and the
-/// write set, not the size of the pool.
+/// Everything that does not depend on the crash image is computed once.
+/// [`with_protocol`](Self::with_protocol) builds the write-set addresses
+/// and each one's value after every committed prefix, so building a
+/// checker costs what the records hold. The first check picks the pool
+/// words recovery reads out of the preloaded pool. A check then costs
+/// what the image holds and the write set, not the size of the pool.
 #[derive(Clone, Debug)]
 pub struct CrashChecker {
     protocol: Protocol,
@@ -119,8 +123,9 @@ pub struct CrashChecker {
     transactions: u64,
     written: WriteHistory,
     /// The pool words inside the superblock lines and the log-slot region
-    /// (the only pool words [`triage::recover`] reads), by address.
-    recovery_base: Vec<(u64, u64)>,
+    /// (the only pool words [`triage::replay`] reads), by address. Built
+    /// on the first check.
+    recovery_base: OnceLock<Vec<(u64, u64)>>,
     /// The preloaded pool, as the writer emitted it (shared with the
     /// [`TxOutput`], not copied).
     pool: Arc<Vec<(u64, u64)>>,
@@ -217,23 +222,27 @@ impl CrashChecker {
     /// [`CowTxWriter`](crate::cow::CowTxWriter) output, whose records
     /// carry logical addresses read through the recovered root.
     pub fn with_protocol(out: &TxOutput, protocol: Protocol) -> CrashChecker {
-        let layout = out.layout;
-        let mut checker = CrashChecker {
+        CrashChecker {
             protocol,
-            layout,
+            layout: out.layout,
             transactions: out.records.len() as u64,
             written: WriteHistory::new(&out.records),
-            recovery_base: Vec::new(),
+            recovery_base: OnceLock::new(),
             pool: Arc::clone(&out.init_writes),
             pool_index: OnceLock::new(),
-        };
-        checker.recovery_base = by_address(
-            out.init_writes
-                .iter()
-                .copied()
-                .filter(|&(a, _)| checker.in_recovery_base(a)),
-        );
-        checker
+        }
+    }
+
+    /// The pool words recovery reads, by address.
+    fn recovery_base(&self) -> &[(u64, u64)] {
+        self.recovery_base.get_or_init(|| {
+            by_address(
+                self.pool
+                    .iter()
+                    .copied()
+                    .filter(|&(a, _)| self.in_recovery_base(a)),
+            )
+        })
     }
 
     /// Whether `addr` lies in a superblock line of the protocol or in the
@@ -247,7 +256,7 @@ impl CrashChecker {
     /// The preloaded value of `addr`, if the pool holds it.
     fn pool_value(&self, addr: u64) -> Option<u64> {
         if self.in_recovery_base(addr) {
-            return lookup(&self.recovery_base, addr);
+            return lookup(self.recovery_base(), addr);
         }
         let index = self
             .pool_index
@@ -276,7 +285,8 @@ impl CrashChecker {
     ///
     /// Recovery sees the image over the preloaded pool; it reads only the
     /// superblock lines and the log slots, so only the pool words there
-    /// are merged in. After recovery:
+    /// are merged in. Recovery runs as [`triage::replay`], which builds
+    /// no report. After recovery:
     ///
     /// * every write-set address must hold its value after the committed
     ///   prefix (under CoW, read through the recovered root, with the pool
@@ -295,14 +305,11 @@ impl CrashChecker {
     /// the [`CheckFailure::Inconsistent`] violation at the lowest
     /// mismatching address.
     pub fn check_image(&self, mut image: NvmImage) -> Result<u64, CheckFailure> {
-        for &(a, v) in &self.recovery_base {
+        for &(a, v) in self.recovery_base() {
             image.entry(a).or_insert(v);
         }
-        let report = triage::recover(&mut image, &self.layout, self.protocol);
-        if let RecoveryOutcome::Unrecoverable { diagnosis } = report.outcome {
-            return Err(CheckFailure::Unrecoverable { diagnosis });
-        }
-        let committed = report.committed;
+        let committed = triage::replay(&mut image, &self.layout, self.protocol)
+            .map_err(|diagnosis| CheckFailure::Unrecoverable { diagnosis })?;
         let k = committed.min(self.transactions);
         let error = |addr, expected, found| ConsistencyError {
             addr,
@@ -566,19 +573,54 @@ mod tests {
             found: 1,
             committed_txid: 0,
         };
-        // Each fresh map iterates the image in its own order; the verdict
-        // must not depend on it.
-        for _ in 0..8 {
-            let fresh: NvmImage = image.iter().map(|(&a, &v)| (a, v)).collect();
-            assert_eq!(
-                CrashChecker::new(&out).check_image(fresh),
-                Err(CheckFailure::Inconsistent(want))
-            );
-        }
+        assert_eq!(
+            CrashChecker::new(&out).check_image(image.clone()),
+            Err(CheckFailure::Inconsistent(want))
+        );
         let mut two = image.clone();
         two.remove(&base);
         let err = CrashChecker::new(&out).check_image(two).unwrap_err();
         assert_eq!(err.inconsistency().map(|e| e.addr), Some(base + 8));
+    }
+
+    #[test]
+    fn lowest_mismatch_does_not_depend_on_insertion_order() {
+        // 64 preloaded words; one transaction writes word 5.
+        let mut tx = TxWriter::new(Layout::standard(), ArchConfig::Baseline);
+        let base = tx.heap_alloc(64 * 8, 64);
+        for i in 0..64 {
+            tx.write_init(base + i * 8, i);
+        }
+        tx.finish_init();
+        tx.begin_tx();
+        tx.write(base + 5 * 8, 99);
+        tx.commit_tx();
+        let out = tx.finish();
+        // The damage: every word from word 3 on holds a wrong value. Word
+        // 3 is outside the write set, so the scan over the image finds it.
+        let words: Vec<(u64, u64)> = (3..64).map(|i| (base + i * 8, 1000 + i)).collect();
+        let ascending: NvmImage = words.iter().copied().collect();
+        let mut descending = NvmImage::with_capacity_and_hasher(1024, Default::default());
+        descending.extend(words.iter().rev().copied());
+        assert_eq!(ascending, descending);
+        assert_ne!(
+            ascending.keys().collect::<Vec<_>>(),
+            descending.keys().collect::<Vec<_>>(),
+            "the two images must iterate in different orders"
+        );
+        let want = ConsistencyError {
+            addr: base + 3 * 8,
+            expected: 3,
+            found: 1003,
+            committed_txid: 0,
+        };
+        let checker = CrashChecker::new(&out);
+        for image in [ascending, descending] {
+            assert_eq!(
+                checker.check_image(image),
+                Err(CheckFailure::Inconsistent(want))
+            );
+        }
     }
 
     #[test]
@@ -662,7 +704,7 @@ mod tests {
         }
         // An image where the data word raced ahead of its log entry is
         // rejected no matter how it was produced.
-        let mut torn = NvmImage::new();
+        let mut torn = NvmImage::default();
         torn.insert(a, 6);
         assert!(checker.check_image(torn).is_err());
     }

@@ -5,11 +5,11 @@
 
 use crate::layout::Layout;
 use crate::triage::{self, Protocol};
-use std::collections::HashMap;
 
 /// A reconstructed NVM image: 8-byte word address → value; absent words
-/// read as zero (fresh media).
-pub type NvmImage = HashMap<u64, u64>;
+/// read as zero (fresh media). Hashed by word address
+/// ([`ede_util::idmap::WordHasher`]), so build one with `default()`.
+pub type NvmImage = ede_util::idmap::WordMap;
 
 /// Emits undo recovery as an instruction trace over a crash image: scan
 /// every log slot (the dominant cost — four loads and a compare per

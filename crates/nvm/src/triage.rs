@@ -34,6 +34,15 @@
 //! slots that hold stored words ([`log_slots`]); CoW resolves its
 //! twin root lines. [`scrub`] reports the same verdict without
 //! modifying the image.
+//!
+//! Each protocol's recovery is one step sequence run in two stages: an
+//! in-place replay (superblock triage, slot walk, heals, the selected
+//! entries applied) and a report builder that classifies and describes
+//! every region of the replayed image. [`recover`] and [`scrub`] run
+//! both. [`replay`] runs only the first and returns the committed id or
+//! the unrecoverable diagnosis. The crash checker reads nothing else,
+//! and the report formats a detail per region, which costs about as
+//! much as the replay itself.
 
 use crate::cow::{decode_root, CowMeta};
 use crate::layout::Layout;
@@ -636,7 +645,7 @@ fn build_report(
 /// use ede_nvm::Layout;
 ///
 /// let layout = Layout::standard();
-/// let mut image = NvmImage::new();
+/// let mut image = NvmImage::default();
 /// for line in [layout.log_header, layout.log_header_twin] {
 ///     image.insert(line + OFF_MAGIC, MAGIC);
 ///     image.insert(line, header_word(1));
@@ -663,7 +672,9 @@ pub fn scrub(image: &NvmImage, layout: &Layout, protocol: Protocol) -> TriageRep
 /// committed-but-unapplied ones forward. CoW resolves its root line
 /// pair instead, healing a torn primary from the twin.
 ///
-/// An `Unrecoverable` image is left untouched.
+/// That replay is [`replay`]'s; `recover` then classifies every region
+/// of the replayed image into the report. An `Unrecoverable` image is
+/// left untouched.
 ///
 /// # Example
 ///
@@ -676,7 +687,7 @@ pub fn scrub(image: &NvmImage, layout: &Layout, protocol: Protocol) -> TriageRep
 /// use ede_nvm::Layout;
 ///
 /// let layout = Layout::standard();
-/// let mut image = NvmImage::new();
+/// let mut image = NvmImage::default();
 /// for line in [layout.log_header, layout.log_header_twin] {
 ///     image.insert(line + OFF_MAGIC, MAGIC);
 ///     image.insert(line, header_word(1)); // tx 1 committed
@@ -696,44 +707,153 @@ pub fn scrub(image: &NvmImage, layout: &Layout, protocol: Protocol) -> TriageRep
 /// assert_eq!(image[&addr], 7);
 /// ```
 pub fn recover(image: &mut NvmImage, layout: &Layout, protocol: Protocol) -> TriageReport {
-    if let Protocol::Cow(meta) = protocol {
-        return recover_cow(image, &meta);
-    }
-    let offsets = protocol.marker_offsets();
-    let sb = triage_superblock(image, layout, offsets);
-    let slots = log_slots(image, layout);
-    if sb.unrecoverable.is_some() {
-        return build_report(image, layout, &sb, offsets, &slots, 0, 0);
-    }
-    for &(a, v) in &sb.heals {
-        image.insert(a, v);
-    }
-    let (committed, entries) = select_entries(image, layout, protocol, &slots);
-    for e in &entries {
-        image.insert(e.addr, e.old);
-    }
-    build_report(
-        image,
-        layout,
-        &sb,
-        offsets,
-        &slots,
-        committed,
-        entries.len(),
-    )
+    replay_in_place(image, layout, protocol).report(image, layout)
 }
 
-/// CoW recovery: validates the packed `(root ptr, marker)` pairs on the
-/// primary and twin root lines ([`decode_root`]), heals a torn primary
-/// from the twin, and quarantines the sole-witness cases. CoW needs no
-/// log replay — recovery *is* resolving the root, which afterwards sits
-/// on the primary line.
-fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
-    let rd = |image: &NvmImage, a: u64| image.get(&a).copied().unwrap_or(0);
-    let p = (rd(image, meta.root_line), rd(image, meta.root_line + 8));
-    let t = (rd(image, meta.root_twin), rd(image, meta.root_twin + 8));
-    let dp = decode_root(p.0, p.1);
-    let dt = decode_root(t.0, t.1);
+/// [`recover`] without its report: the same in-place replay, returning
+/// the committed transaction id, or the diagnosis of an image
+/// [`recover`] finds [`RecoveryOutcome::Unrecoverable`] (left
+/// untouched). The image ends byte-equal to what [`recover`] leaves.
+/// The crash checker reads only these, so it skips classifying and
+/// describing every region.
+///
+/// # Errors
+///
+/// The diagnosis [`RecoveryOutcome::Unrecoverable`] carries.
+pub fn replay(image: &mut NvmImage, layout: &Layout, protocol: Protocol) -> Result<u64, String> {
+    replay_in_place(image, layout, protocol).verdict()
+}
+
+/// What the in-place replay read and did: everything the report is built
+/// from.
+enum Replayed {
+    /// Undo or redo: the superblock triage, the stored log slots, and the
+    /// committed id and count of entries applied (both 0 when the image
+    /// is unrecoverable).
+    Log {
+        marker_offsets: &'static [u64],
+        sb: SuperblockTriage,
+        slots: Vec<LogSlot>,
+        committed: u64,
+        entries: usize,
+    },
+    /// CoW: the `(root ptr, marker)` pairs of the primary and twin root
+    /// lines, decoded to their transaction ids where they validate.
+    Cow {
+        meta: CowMeta,
+        primary: Option<u64>,
+        twin: Option<u64>,
+    },
+}
+
+const COW_ROOTS_LOST: &str = "both root-line copies fail validation — no tree to walk";
+
+/// The one step sequence of [`recover`] and [`replay`]. Undo and redo
+/// triage the superblock, walk the stored slots, heal the superblock
+/// and apply the selected entries; an unrecoverable image is not
+/// modified. CoW heals the primary root line from the twin.
+fn replay_in_place(image: &mut NvmImage, layout: &Layout, protocol: Protocol) -> Replayed {
+    if let Protocol::Cow(meta) = protocol {
+        return replay_cow(image, meta);
+    }
+    let marker_offsets = protocol.marker_offsets();
+    let sb = triage_superblock(image, layout, marker_offsets);
+    let slots = log_slots(image, layout);
+    let (committed, entries) = if sb.unrecoverable.is_some() {
+        (0, 0)
+    } else {
+        for &(a, v) in &sb.heals {
+            image.insert(a, v);
+        }
+        let (committed, selected) = select_entries(image, layout, protocol, &slots);
+        for e in &selected {
+            image.insert(e.addr, e.old);
+        }
+        (committed, selected.len())
+    };
+    Replayed::Log {
+        marker_offsets,
+        sb,
+        slots,
+        committed,
+        entries,
+    }
+}
+
+/// CoW's replay: validates the packed `(root ptr, marker)` pairs on the
+/// primary and twin root lines ([`decode_root`]) and copies the twin's
+/// pair over the primary when it is torn, or one commit behind (a crash
+/// between the twin and primary switches). CoW needs no log replay —
+/// recovery *is* resolving the root, which afterwards sits on the
+/// primary line.
+fn replay_cow(image: &mut NvmImage, meta: CowMeta) -> Replayed {
+    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+    let twin_pair = (rd(meta.root_twin), rd(meta.root_twin + 8));
+    let primary = decode_root(rd(meta.root_line), rd(meta.root_line + 8));
+    let twin = decode_root(twin_pair.0, twin_pair.1);
+    // A torn primary (`None`) reads older than any twin that validates;
+    // the twin's pair is exact, by twin-first.
+    if twin > primary {
+        image.insert(meta.root_line, twin_pair.0);
+        image.insert(meta.root_line + 8, twin_pair.1);
+    }
+    Replayed::Cow {
+        meta,
+        primary,
+        twin,
+    }
+}
+
+impl Replayed {
+    /// The committed id, or why the image is refused.
+    fn verdict(self) -> Result<u64, String> {
+        match self {
+            Replayed::Log { sb, committed, .. } => match sb.unrecoverable {
+                Some(diagnosis) => Err(diagnosis),
+                None => Ok(committed),
+            },
+            // The newest root that validates wins.
+            Replayed::Cow { primary, twin, .. } => {
+                primary.max(twin).ok_or_else(|| COW_ROOTS_LOST.into())
+            }
+        }
+    }
+
+    /// The report [`recover`] returns, over the replayed image.
+    fn report(self, image: &NvmImage, layout: &Layout) -> TriageReport {
+        match self {
+            Replayed::Log {
+                marker_offsets,
+                sb,
+                slots,
+                committed,
+                entries,
+            } => build_report(
+                image,
+                layout,
+                &sb,
+                marker_offsets,
+                &slots,
+                committed,
+                entries,
+            ),
+            Replayed::Cow {
+                meta,
+                primary,
+                twin,
+            } => cow_report(image, &meta, primary, twin),
+        }
+    }
+}
+
+/// CoW's report: the two root lines classified (the sole-witness cases
+/// quarantined), and the tree as one unprotected span.
+fn cow_report(
+    image: &NvmImage,
+    meta: &CowMeta,
+    primary: Option<u64>,
+    twin: Option<u64>,
+) -> TriageReport {
     let mut regions = Vec::new();
     let mut push = |start: u64, class: RegionClass, detail: String| {
         regions.push(RegionReport {
@@ -743,7 +863,7 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
             detail,
         });
     };
-    let (outcome, committed) = match (dp, dt) {
+    let outcome = match (primary, twin) {
         (None, None) => {
             push(
                 meta.root_line,
@@ -755,26 +875,20 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
                 RegionClass::Quarantined,
                 "twin root line fails validation".into(),
             );
-            (
-                RecoveryOutcome::Unrecoverable {
-                    diagnosis: "both root-line copies fail validation — no tree to walk".into(),
-                },
-                0,
-            )
+            RecoveryOutcome::Unrecoverable {
+                diagnosis: COW_ROOTS_LOST.into(),
+            }
         }
         (None, Some(b)) => {
-            // Heal the torn primary from the twin (exact, by twin-first).
-            image.insert(meta.root_line, t.0);
-            image.insert(meta.root_line + 8, t.1);
             push(
                 meta.root_line,
                 RegionClass::Repaired,
                 format!("primary root line healed from the twin (tx {b})"),
             );
             push(meta.root_twin, RegionClass::Valid, "twin root line".into());
-            (RecoveryOutcome::RepairedTorn { entries: 1 }, b)
+            RecoveryOutcome::RepairedTorn { entries: 1 }
         }
-        (Some(a), None) => {
+        (Some(_), None) => {
             push(
                 meta.root_line,
                 RegionClass::Valid,
@@ -785,15 +899,12 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
                 RegionClass::Quarantined,
                 "twin root line lost — the sole repair witness is destroyed".into(),
             );
-            (
-                RecoveryOutcome::Quarantined {
-                    entries: 1,
-                    reason: "twin root line lost — a newer commit may have been \
-                             destroyed with it"
-                        .into(),
-                },
-                a,
-            )
+            RecoveryOutcome::Quarantined {
+                entries: 1,
+                reason: "twin root line lost — a newer commit may have been \
+                         destroyed with it"
+                    .into(),
+            }
         }
         (Some(a), Some(b)) if a > b => {
             push(
@@ -806,31 +917,22 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
                 RegionClass::Quarantined,
                 format!("twin (tx {b}) older than primary (tx {a})"),
             );
-            (
-                RecoveryOutcome::Quarantined {
-                    entries: 1,
-                    reason: format!(
-                        "primary root (tx {a}) newer than the twin (tx {b}) — \
-                         impossible under twin-first commit"
-                    ),
-                },
-                a,
-            )
+            RecoveryOutcome::Quarantined {
+                entries: 1,
+                reason: format!(
+                    "primary root (tx {a}) newer than the twin (tx {b}) — \
+                     impossible under twin-first commit"
+                ),
+            }
         }
-        (Some(a), Some(b)) => {
+        (Some(_), Some(_)) => {
             push(
                 meta.root_line,
                 RegionClass::Valid,
                 "primary root line".into(),
             );
             push(meta.root_twin, RegionClass::Valid, "twin root line".into());
-            if b > a {
-                // Crash between the twin and primary switches: roll the
-                // primary forward to the twin's (newer) pair.
-                image.insert(meta.root_line, t.0);
-                image.insert(meta.root_line + 8, t.1);
-            }
-            (RecoveryOutcome::Clean, a.max(b))
+            RecoveryOutcome::Clean
         }
     };
     let in_root_line = |a: u64| {
@@ -854,7 +956,7 @@ fn recover_cow(image: &mut NvmImage, meta: &CowMeta) -> TriageReport {
     }
     TriageReport {
         outcome,
-        committed,
+        committed: primary.max(twin).unwrap_or(0),
         regions: sort_regions(regions),
     }
 }
@@ -865,7 +967,7 @@ mod tests {
     use crate::log::{checksum, header_word, OFF_ADDR, OFF_CSUM, OFF_OLD, OFF_TXID};
 
     fn formatted_image(layout: &Layout) -> NvmImage {
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         for line in [layout.log_header, layout.log_header_twin] {
             image.insert(line + OFF_MAGIC, MAGIC);
         }
@@ -938,7 +1040,7 @@ mod tests {
     fn double_wipe_is_unrecoverable_and_untouched() {
         let layout = Layout::standard();
         // Magic never present on either line: zero-wiped (or foreign).
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         image.insert(layout.heap_base, 99);
         let before = image.clone();
@@ -1049,7 +1151,7 @@ mod tests {
             root_twin: 0x1_0000_1000,
             slots: 8,
         };
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(meta.root_line, 0x9000);
         image.insert(meta.root_line + 8, root_word(0x9000, 1));
         image.insert(meta.root_twin, 0x9400);
@@ -1088,7 +1190,7 @@ mod tests {
             root_twin: 0x1_0000_1000,
             slots: 8,
         };
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(meta.root_line, 0x9000);
         image.insert(meta.root_line + 8, 1); // torn: raw id half only
         image.insert(meta.root_twin, 0x9000);
@@ -1110,7 +1212,7 @@ mod tests {
             root_twin: 0x1_0000_1000,
             slots: 8,
         };
-        let mut image = NvmImage::new(); // zero everywhere: nothing validates
+        let mut image = NvmImage::default(); // zero everywhere: nothing validates
         let r = recover(&mut image, &Layout::standard(), Protocol::Cow(meta));
         assert!(matches!(r.outcome, RecoveryOutcome::Unrecoverable { .. }));
     }
@@ -1123,7 +1225,7 @@ mod tests {
             root_twin: 0x1_0000_1000,
             slots: 8,
         };
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         // Crash between the twin switch and the primary switch.
         image.insert(meta.root_line, 0x9000);
         image.insert(meta.root_line + 8, root_word(0x9000, 1));

@@ -2,14 +2,14 @@
 
 use ede_isa::{ArchConfig, Op};
 use ede_mem::trace::{nvm_image_at, PersistEvent, PersistTrace, StoreEvent};
-use ede_nvm::cow::CowTxWriter;
+use ede_nvm::cow::{decode_root, CowTxWriter};
 use ede_nvm::log::{
-    checksum, decode_entry, header_word, resolve_marker, LogEntry, MAGIC, OFF_ADDR, OFF_CSUM,
-    OFF_MAGIC, OFF_OLD, OFF_TXID,
+    checksum, classify_marker, decode_entry, header_word, resolve_marker, LogEntry, MarkerCopy,
+    MAGIC, OFF_ADDR, OFF_CSUM, OFF_MAGIC, OFF_OLD, OFF_TXID,
 };
 use ede_nvm::recovery::NvmImage;
 use ede_nvm::redo::{RedoTxWriter, OFF_APPLIED};
-use ede_nvm::triage::{recover, Protocol, RecoveryOutcome};
+use ede_nvm::triage::{recover, replay, Protocol, RecoveryOutcome};
 use ede_nvm::{CheckFailure, ConsistencyError, CrashChecker, Layout, TxOutput, TxWriter};
 use ede_util::check::{self, any};
 use ede_util::{prop_assert, prop_assert_eq, prop_assume, property};
@@ -42,6 +42,98 @@ fn every_slot_reference(image: &NvmImage, layout: &Layout, protocol: Protocol) -
         out.insert(e.addr, e.old);
     }
     (committed, out)
+}
+
+/// Recovery the slow way, superblock included, or `None` when recovery
+/// must refuse the image. A commit-point word pair heals the way the
+/// twin-first commit finishes: the primary copy takes the twin's words
+/// whenever the twin validates and is newer than the primary reads (a
+/// primary that fails validation reads older than any id). Undo and
+/// redo also restore a lost magic word from the surviving copy, refuse
+/// an image with no magic or with both copies of a marker corrupt, and
+/// then apply [`every_slot_reference`]; CoW refuses when neither root
+/// line validates.
+fn healing_reference(
+    image: &NvmImage,
+    layout: &Layout,
+    protocol: Protocol,
+) -> Option<(u64, NvmImage)> {
+    let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+    let mut healed = image.clone();
+    if let Protocol::Cow(meta) = protocol {
+        let root = |line: u64| decode_root(rd(line), rd(line + 8));
+        let (primary, twin) = (root(meta.root_line), root(meta.root_twin));
+        if twin > primary {
+            healed.insert(meta.root_line, rd(meta.root_twin));
+            healed.insert(meta.root_line + 8, rd(meta.root_twin + 8));
+        }
+        return Some((primary.max(twin)?, healed));
+    }
+    let (primary, twin) = (layout.log_header, layout.log_header_twin);
+    if rd(primary + OFF_MAGIC) != MAGIC && rd(twin + OFF_MAGIC) != MAGIC {
+        return None;
+    }
+    for line in [primary, twin] {
+        healed.insert(line + OFF_MAGIC, MAGIC);
+    }
+    let id = |word: u64| match classify_marker(word) {
+        MarkerCopy::Fresh => Some(0),
+        MarkerCopy::Valid(k) => Some(k),
+        MarkerCopy::Corrupt => None,
+    };
+    for &off in protocol.marker_offsets() {
+        let (p, t) = (rd(primary + off), rd(twin + off));
+        match (id(p), id(t)) {
+            (None, None) => return None,
+            (p_id, Some(t_id)) if t != 0 && Some(t_id) > p_id => {
+                healed.insert(primary + off, t);
+            }
+            _ => {}
+        }
+    }
+    Some(every_slot_reference(&healed, layout, protocol))
+}
+
+/// Damages `image` the way the corrupt campaign's damage kinds do, at
+/// `addr`: `kind` 0 flips a bit, 1 tears the word to one half, 2 erases
+/// its 512-byte sector, 3 truncates the image from it on, 4 copies
+/// another line over its line, 5 and 6 wipe its line to zeros and ones.
+/// `r` picks the bit, the half and the copied line.
+fn damage(image: &mut NvmImage, kind: u64, addr: u64, r: u64) {
+    let line = addr & !63;
+    match kind {
+        0 => *image.entry(addr).or_default() ^= 1 << (r % 64),
+        1 => {
+            let keep = if r & 1 == 0 {
+                0xFFFF_FFFF
+            } else {
+                !0xFFFF_FFFF
+            };
+            *image.entry(addr).or_default() &= keep;
+        }
+        2 => image.retain(|&a, _| a & !511 != addr & !511),
+        3 => image.retain(|&a, _| a < addr),
+        4 => {
+            let mut lines: Vec<u64> = image.keys().map(|&a| a & !63).collect();
+            lines.sort_unstable();
+            lines.dedup();
+            let Some(&src) = lines.get((r % lines.len().max(1) as u64) as usize) else {
+                return;
+            };
+            for w in (0..64).step_by(8) {
+                match image.get(&(src + w)).copied() {
+                    Some(v) => image.insert(line + w, v),
+                    None => image.remove(&(line + w)),
+                };
+            }
+        }
+        _ => {
+            let fill = if kind == 5 { 0 } else { u64::MAX };
+            for w in (0..64).step_by(8) {
+                image.insert(line + w, fill);
+            }
+        }
+    }
 }
 
 /// The crash check before it kept its per-image work to the words a run
@@ -234,7 +326,7 @@ property! {
     ) {
         let mut layout = Layout::standard();
         layout.log_slots = 16;
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         for line in [layout.log_header, layout.log_header_twin] {
             image.insert(line + OFF_MAGIC, MAGIC);
             if committed > 0 {
@@ -420,5 +512,68 @@ property! {
             merge_everything_check(&out, protocol, image),
             "{:?} at cycle {}", protocol, cycle
         );
+    }
+
+    /// The replay alone and `recover` agree on the committed id, the
+    /// unrecoverable diagnosis and the recovered image, for undo, redo
+    /// and CoW crash images with the preloaded pool merged in, clean and
+    /// damaged by the corrupt campaign's damage kinds (half the damage
+    /// aimed at the superblock lines); and both match recovery the slow
+    /// way ([`healing_reference`]).
+    fn replay_alone_agrees_with_recover(
+        run in (0u64..3, check::vec((0u64..16, any::<u64>()), 0..10)),
+        txs in check::vec(check::vec((0u64..64, 1u64..1000), 1..4), 1..4),
+        at in 0u64..1000,
+        hits in check::vec((0u64..7, any::<u64>(), any::<u64>()), 0..3)
+    ) {
+        let (protocol, init) = run;
+        let (out, protocol) = random_output(protocol, &init, &txs);
+        let trace = in_order_trace(&out, 0);
+        let mut image = nvm_image_at(&trace, trace.horizon() * at / 999, 64);
+        for &(a, v) in out.init_writes.iter() {
+            image.entry(a).or_insert(v);
+        }
+        let (primary, twin) = protocol.superblock(&out.layout);
+        for (kind, pick, r) in hits {
+            let addr = if pick % 2 == 0 {
+                let mut addrs: Vec<u64> = image.keys().copied().collect();
+                addrs.sort_unstable();
+                match addrs.get((pick / 2 % addrs.len().max(1) as u64) as usize) {
+                    Some(&a) => a,
+                    None => continue,
+                }
+            } else {
+                [primary, twin][(pick / 2 % 2) as usize] + pick / 4 % 8 * 8
+            };
+            damage(&mut image, kind, addr, r);
+        }
+        let mut replayed = image.clone();
+        let verdict = replay(&mut replayed, &out.layout, protocol);
+        let mut recovered = image.clone();
+        let report = recover(&mut recovered, &out.layout, protocol);
+        prop_assert_eq!(&replayed, &recovered, "{:?}", protocol);
+        match (&verdict, &report.outcome) {
+            (Err(d), RecoveryOutcome::Unrecoverable { diagnosis }) => prop_assert_eq!(d, diagnosis),
+            (Ok(committed), outcome) => {
+                prop_assert!(
+                    !matches!(outcome, RecoveryOutcome::Unrecoverable { .. }),
+                    "{:?}: replay accepted an image recover refuses", protocol
+                );
+                prop_assert_eq!(*committed, report.committed, "{:?}", protocol);
+            }
+            (Err(d), outcome) => {
+                prop_assert!(false, "{:?}: replay refused ({}) what recover calls {}", protocol, d, outcome)
+            }
+        }
+        match healing_reference(&image, &out.layout, protocol) {
+            Some((committed, want)) => {
+                prop_assert_eq!(verdict, Ok(committed), "{:?}", protocol);
+                prop_assert_eq!(&replayed, &want, "{:?}", protocol);
+            }
+            None => {
+                prop_assert!(verdict.is_err(), "{:?}: the image must be refused", protocol);
+                prop_assert_eq!(&replayed, &image, "{:?}: a refused image is untouched", protocol);
+            }
+        }
     }
 }

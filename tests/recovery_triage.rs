@@ -62,7 +62,7 @@ fn crash_images(arch: ArchConfig, n: usize) -> (Layout, Vec<NvmImage>) {
 /// A formatted-but-empty image: magic on both header lines, nothing
 /// committed, no entries — what a fresh pool file looks like.
 fn formatted(layout: &Layout) -> NvmImage {
-    let mut image = NvmImage::new();
+    let mut image = NvmImage::default();
     image.insert(layout.log_header + OFF_MAGIC, MAGIC);
     image.insert(layout.log_header_twin + OFF_MAGIC, MAGIC);
     image
