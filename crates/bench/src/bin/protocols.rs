@@ -6,8 +6,6 @@
 use ede_isa::{ArchConfig, InstKind, Program};
 use ede_nvm::cow::cow_update_kernel;
 use ede_nvm::redo::redo_update_kernel;
-use ede_nvm::triage::Protocol;
-use ede_nvm::CrashChecker;
 use ede_sim::run_workload;
 use ede_sim::runner::run_program;
 use ede_workloads::update::Update;
@@ -33,25 +31,21 @@ fn main() {
         let mut params = cfg.params;
         params.ops = ops;
         let undo = run_workload(&Update, &params, arch, &cfg.sim).expect("undo run");
-        let undo_safe = CrashChecker::new(&undo.output)
-            .check_all_images(&undo.trace)
-            .is_ok();
         let undo_dsbs = dsbs(&undo.output.program);
 
         let redo_out = redo_update_kernel(arch, ops, params.ops_per_tx, elems, params.seed);
         let redo_dsbs = dsbs(&redo_out.program);
         let redo = run_program("redo-update", redo_out, arch, &cfg.sim).expect("redo run");
-        let redo_safe = CrashChecker::with_protocol(&redo.output, Protocol::Redo)
-            .check_all_images(&redo.trace)
-            .is_ok();
 
         // CoW pools reach 512 slots; keep the tree shallow.
-        let (cow_out, meta) = cow_update_kernel(arch, ops, params.ops_per_tx, 512, params.seed);
+        let cow_out = cow_update_kernel(arch, ops, params.ops_per_tx, 512, params.seed);
         let cow_dsbs = dsbs(&cow_out.program);
         let cow = run_program("cow-update", cow_out, arch, &cfg.sim).expect("cow run");
-        let cow_safe = CrashChecker::with_protocol(&cow.output, Protocol::Cow(meta))
-            .check_all_images(&cow.trace)
-            .is_ok();
+
+        // Each output records its writer's protocol, so one check
+        // recovers all three.
+        let [undo_safe, redo_safe, cow_safe] =
+            [&undo, &redo, &cow].map(|r| r.crash_consistent().is_ok());
 
         let cell = |cycles: u64, d: usize, safe: bool| {
             format!("{cycles}/{d}/{}", if safe { "✓" } else { "✗" })

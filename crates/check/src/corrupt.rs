@@ -46,7 +46,6 @@ use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_isa::ArchConfig;
 use ede_mem::trace::nvm_image_at;
 use ede_nvm::recovery::NvmImage;
-use ede_nvm::redo::RedoTxWriter;
 use ede_nvm::triage::{log_slots, recover, Protocol, TriageReport};
 use ede_nvm::Layout;
 use ede_sim::run_program;
@@ -416,27 +415,6 @@ impl CorruptReport {
     }
 }
 
-/// The redo-protocol twin of [`crate::inject::tx_case_program`]: the
-/// same seeded three-transaction shape through [`RedoTxWriter`].
-fn redo_case_program(seed: u64, arch: ArchConfig) -> ede_nvm::TxOutput {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut tx = RedoTxWriter::new(Layout::standard(), arch);
-    let base = tx.heap_alloc(4 * 8, 8);
-    for i in 0..4u64 {
-        tx.write_init(base + i * 8, i + 1);
-    }
-    tx.finish_init();
-    for t in 0..3u64 {
-        tx.begin_tx();
-        for _ in 0..2 {
-            let word = base + 8 * rng.gen_range(0u64..4);
-            tx.write(word, 100 + t * 100 + rng.gen_range(0u64..90));
-        }
-        tx.commit_tx();
-    }
-    tx.finish()
-}
-
 /// Everything one case needs besides the corruption itself — built once
 /// and reused across shrink iterations, so shrinking never re-runs the
 /// simulator.
@@ -673,17 +651,12 @@ fn evaluate(ctx: &CaseContext, ops: &[CorruptOp]) -> Option<String> {
 /// and the seeded corruption ops.
 fn build_case(case_seed: u64, kind: CorruptionKind, arch: ArchConfig, ff: bool) -> CaseContext {
     let mut rng = SmallRng::seed_from_u64(mix64(case_seed ^ 0xC0_44_0F));
-    let (protocol, out) = if rng.gen_bool(0.5) {
-        (
-            Protocol::Undo,
-            crate::inject::tx_case_program(case_seed, arch),
-        )
-    } else {
-        (Protocol::Redo, redo_case_program(case_seed, arch))
-    };
+    // A fair coin picks undo (heads) or redo logging.
+    let redo = !rng.gen_bool(0.5);
+    let out = crate::inject::tx_case_program(case_seed, arch, redo);
     let result = run_program("corrupt", out, arch, &crate::inject::inject_sim(None, ff))
         .expect("corruption-probe programs complete");
-    let layout = result.output.layout;
+    let (layout, protocol) = (result.output.layout, result.output.protocol);
     let mut cycles: Vec<u64> = result.trace.persists.iter().map(|p| p.cycle).collect();
     cycles.sort_unstable();
     cycles.dedup();

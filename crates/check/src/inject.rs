@@ -47,6 +47,7 @@ use crate::golden::{self, GoldenConfig};
 use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_isa::{ArchConfig, Program};
 use ede_mem::{FaultInjection, FaultLayer};
+use ede_nvm::redo::RedoTxWriter;
 use ede_nvm::{CrashChecker, Layout, TxOutput, TxWriter};
 use ede_sim::{raw_output, run_program, run_program_traced, SimConfig};
 use ede_util::check::{minimize, Strategy};
@@ -381,24 +382,34 @@ fn conformance_case(
 /// The crash probe's transactional program: a handful of words, three
 /// transactions of seeded writes — enough slot reuse and commit-marker
 /// traffic that persist reordering or image corruption lands somewhere
-/// recovery must care about.
-pub(crate) fn tx_case_program(seed: u64, arch: ArchConfig) -> TxOutput {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut tx = TxWriter::new(Layout::standard(), arch);
-    let base = tx.heap_alloc(4 * 8, 8);
-    for i in 0..4u64 {
-        tx.write_init(base + i * 8, i + 1);
+/// recovery must care about. Written with undo logging, or with redo
+/// logging when `redo` is set; the seeded shape is the same.
+pub(crate) fn tx_case_program(seed: u64, arch: ArchConfig, redo: bool) -> TxOutput {
+    macro_rules! build {
+        ($tx:expr) => {{
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut tx = $tx;
+            let base = tx.heap_alloc(4 * 8, 8);
+            for i in 0..4u64 {
+                tx.write_init(base + i * 8, i + 1);
+            }
+            tx.finish_init();
+            for t in 0..3u64 {
+                tx.begin_tx();
+                for _ in 0..2 {
+                    let word = base + 8 * rng.gen_range(0u64..4);
+                    tx.write(word, 100 + t * 100 + rng.gen_range(0u64..90));
+                }
+                tx.commit_tx();
+            }
+            tx.finish()
+        }};
     }
-    tx.finish_init();
-    for t in 0..3u64 {
-        tx.begin_tx();
-        for _ in 0..2 {
-            let word = base + 8 * rng.gen_range(0u64..4);
-            tx.write(word, 100 + t * 100 + rng.gen_range(0u64..90));
-        }
-        tx.commit_tx();
+    if redo {
+        build!(RedoTxWriter::new(Layout::standard(), arch))
+    } else {
+        build!(TxWriter::new(Layout::standard(), arch))
     }
-    tx.finish()
 }
 
 /// Runs one crash-probe case: a transactional program with the fault
@@ -411,7 +422,7 @@ fn crash_case(
     detectors: bool,
     ff: bool,
 ) -> Outcome {
-    let out = tx_case_program(case_seed, arch);
+    let out = tx_case_program(case_seed, arch, false);
     match run_program("inject-crash", out, arch, &inject_sim(Some(fault), ff)) {
         Err(e) if e.is_deadlock() => Outcome::Watchdog,
         Err(_) => Outcome::CycleLimit,

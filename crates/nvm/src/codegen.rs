@@ -10,6 +10,7 @@
 use crate::layout::Layout;
 use crate::log::header_word;
 use crate::memory::SimMemory;
+use crate::triage::Protocol;
 use crate::writer::WriterCore;
 use ede_isa::{ArchConfig, Edk, InstId, Program, VAddr};
 use std::collections::HashSet;
@@ -45,6 +46,24 @@ pub struct TxOutput {
     /// (at cycle 0 when there is none); crash checks are meaningful from
     /// then on.
     pub tx_phase_start: Option<InstId>,
+    /// How a crash image of this run is recovered: the protocol of the
+    /// writer that built it ([`Protocol::Undo`] for a raw program).
+    /// [`CrashChecker::new`](crate::CrashChecker::new) recovers with it.
+    pub protocol: Protocol,
+}
+
+/// A [`TxOutput`] around a raw program with no transaction record (for
+/// microbenchmarks, examples and generated programs).
+pub fn raw_output(program: Program) -> TxOutput {
+    TxOutput {
+        program,
+        records: Vec::new(),
+        memory: SimMemory::new(),
+        layout: Layout::standard(),
+        init_writes: Default::default(),
+        tx_phase_start: None,
+        protocol: Protocol::Undo,
+    }
 }
 
 impl TxOutput {
@@ -309,7 +328,7 @@ impl TxWriter {
     ///
     /// Panics if a transaction is still open.
     pub fn finish(self) -> TxOutput {
-        self.core.finish(self.tx_phase_start)
+        self.core.finish(self.tx_phase_start, Protocol::Undo)
     }
 }
 
@@ -513,6 +532,45 @@ mod tests {
                 tx.write(a + i * 8, 2);
             }
             tx.commit_tx();
+        }
+    }
+
+    #[test]
+    fn each_writer_stamps_its_own_protocol() {
+        use crate::cow::{decode_root, CowTxWriter};
+        use crate::redo::RedoTxWriter;
+        let arch = ArchConfig::Baseline;
+        assert_eq!(one_tx(arch).protocol, Protocol::Undo);
+        assert_eq!(raw_output(Program::new()).protocol, Protocol::Undo);
+        let mut redo = RedoTxWriter::new(Layout::standard(), arch);
+        redo.finish_init();
+        assert_eq!(redo.finish().protocol, Protocol::Redo);
+
+        let mut cow = CowTxWriter::new(Layout::standard(), arch, 8);
+        cow.finish_init();
+        cow.begin_tx();
+        cow.write(0, 0, 7);
+        cow.commit_tx();
+        let out = cow.finish();
+        let Protocol::Cow(meta) = out.protocol else {
+            panic!("a CoW writer's output carries {:?}", out.protocol)
+        };
+        assert_eq!(meta.slots, 8);
+        // The recorded root lines are the ones the commit switched: the
+        // only 16-byte stores go to the twin, then the primary, and both
+        // lines end up holding a marker that commits transaction 1.
+        let stps: Vec<u64> = out
+            .program
+            .iter()
+            .filter_map(|(_, i)| match i.op {
+                ede_isa::Op::Stp { addr, .. } => Some(addr),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stps, [meta.root_twin, meta.root_line]);
+        for line in [meta.root_line, meta.root_twin] {
+            let root = out.memory.read(line);
+            assert_eq!(decode_root(root, out.memory.read(line + 8)), Some(1));
         }
     }
 }

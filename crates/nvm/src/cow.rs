@@ -36,6 +36,7 @@
 use crate::codegen::TxOutput;
 use crate::layout::Layout;
 use crate::lowering::Marker;
+use crate::triage::Protocol;
 use crate::writer::WriterCore;
 use ede_isa::ArchConfig;
 use std::collections::BTreeMap;
@@ -126,10 +127,10 @@ impl CowMeta {
 /// [`TxWriter`](crate::TxWriter).
 ///
 /// Logical addresses in the produced [`TxRecord`](crate::TxRecord)s are
-/// `slot * 64 + word * 8` in a virtual space; check crash images with
-/// [`CrashChecker::with_protocol`](crate::CrashChecker::with_protocol)
-/// and [`Protocol::Cow`](crate::triage::Protocol::Cow), which reads them
-/// through the recovered root.
+/// `slot * 64 + word * 8` in a virtual space. The output carries
+/// [`Protocol::Cow`] with the pool's [`CowMeta`], so
+/// [`CrashChecker::new`](crate::CrashChecker::new) reads them through
+/// the recovered root.
 #[derive(Debug)]
 pub struct CowTxWriter {
     core: WriterCore,
@@ -359,8 +360,8 @@ impl CowTxWriter {
     /// # Panics
     ///
     /// Panics with an open transaction.
-    pub fn finish(self) -> (TxOutput, CowMeta) {
-        (self.core.finish(None), self.meta)
+    pub fn finish(self) -> TxOutput {
+        self.core.finish(None, Protocol::Cow(self.meta))
     }
 }
 
@@ -382,7 +383,7 @@ pub fn cow_update_kernel(
     ops_per_tx: usize,
     slots: u64,
     seed: u64,
-) -> (TxOutput, CowMeta) {
+) -> TxOutput {
     use ede_util::rng::SmallRng;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut tx = CowTxWriter::new(Layout::standard(), arch, slots);
@@ -416,9 +417,17 @@ mod tests {
     use crate::CrashChecker;
     use ede_mem::PersistTrace;
 
+    /// The pool metadata a CoW writer's output carries.
+    fn meta_of(out: &TxOutput) -> CowMeta {
+        match out.protocol {
+            Protocol::Cow(meta) => meta,
+            p => panic!("a CoW writer's output carries {p:?}"),
+        }
+    }
+
     /// One transaction writing `value` to word 0 of slot 0 in an 8-slot
     /// pool.
-    fn one_write(arch: ArchConfig, value: u64) -> (TxOutput, CowMeta) {
+    fn one_write(arch: ArchConfig, value: u64) -> TxOutput {
         let mut tx = CowTxWriter::new(Layout::standard(), arch, 8);
         tx.finish_init();
         tx.begin_tx();
@@ -436,7 +445,8 @@ mod tests {
         tx.write(3, 1, 99);
         assert_eq!(tx.read(3, 1), 99, "shadow visible inside the tx");
         tx.commit_tx();
-        let (out, meta) = tx.finish();
+        let out = tx.finish();
+        let meta = meta_of(&out);
         // Resolve through the committed tree.
         let root = out.memory.read(meta.root_line);
         let leaf = out.memory.read(root);
@@ -459,14 +469,14 @@ mod tests {
         tx.begin_tx();
         tx.write(0, 0, 7);
         tx.commit_tx();
-        let (out, _) = tx.finish();
+        let out = tx.finish();
         assert_eq!(out.memory.read(old_block), 0, "live block never modified");
     }
 
     #[test]
     fn commit_emits_single_atomic_switch() {
-        let (out, meta) = one_write(ArchConfig::Baseline, 7);
-        let root_line = meta.root_line;
+        let out = one_write(ArchConfig::Baseline, 7);
+        let root_line = meta_of(&out).root_line;
         let stps_to_root = out
             .program
             .iter()
@@ -477,8 +487,8 @@ mod tests {
 
     #[test]
     fn checker_passes_fully_persisted_image() {
-        let (out, meta) = cow_update_kernel(ArchConfig::Baseline, 30, 10, 32, 11);
-        let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
+        let out = cow_update_kernel(ArchConfig::Baseline, 30, 10, 32, 11);
+        let checker = CrashChecker::new(&out);
         // Synthesize an in-order, everything-persisted trace.
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
@@ -508,8 +518,8 @@ mod tests {
     fn checker_detects_root_switch_before_shadows() {
         // Adversarial image: root switched but shadow blocks never
         // persisted — the violation CoW ordering must prevent.
-        let (out, meta) = one_write(ArchConfig::Unsafe, 42);
-        let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
+        let out = one_write(ArchConfig::Unsafe, 42);
+        let (meta, checker) = (meta_of(&out), CrashChecker::new(&out));
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
         // Only the root line's stores persist (a validating pair — the
@@ -536,14 +546,14 @@ mod tests {
     fn fence_counts_per_protocol() {
         // CoW baseline: three DSB clusters per commit (pre-switch, twin
         // marker, primary marker), none per write.
-        let (out, _) = cow_update_kernel(ArchConfig::Baseline, 30, 10, 32, 11);
+        let out = cow_update_kernel(ArchConfig::Baseline, 30, 10, 32, 11);
         let dsb = out
             .program
             .iter()
             .filter(|(_, i)| i.kind() == ede_isa::InstKind::FenceFull)
             .count();
         assert_eq!(dsb, 3 * 3, "three fences per transaction");
-        let (ede, _) = cow_update_kernel(ArchConfig::WriteBuffer, 30, 10, 32, 11);
+        let ede = cow_update_kernel(ArchConfig::WriteBuffer, 30, 10, 32, 11);
         let dsb_ede = ede
             .program
             .iter()
@@ -555,7 +565,8 @@ mod tests {
     #[test]
     fn twin_root_is_written_before_primary() {
         for arch in ArchConfig::ALL {
-            let (out, meta) = one_write(arch, 7);
+            let out = one_write(arch, 7);
+            let meta = meta_of(&out);
             crate::lowering::assert_twin_ordered_before_primary(
                 &out.program,
                 arch,
@@ -609,8 +620,8 @@ mod tests {
 
     #[test]
     fn checker_heals_torn_primary_root_from_twin() {
-        let (out, meta) = one_write(ArchConfig::Baseline, 42);
-        let checker = CrashChecker::with_protocol(&out, Protocol::Cow(meta));
+        let out = one_write(ArchConfig::Baseline, 42);
+        let (meta, checker) = (meta_of(&out), CrashChecker::new(&out));
         use ede_mem::trace::{PersistEvent, StoreEvent};
         let mut trace = PersistTrace::default();
         let mut cycle = 1;
@@ -648,8 +659,8 @@ mod tests {
     fn deterministic() {
         // Large enough that several shadows commit per transaction, so a
         // hash-ordered shadow set would reorder the persists between runs.
-        let (a, _) = cow_update_kernel(ArchConfig::Baseline, 200, 10, 512, 7);
-        let (b, _) = cow_update_kernel(ArchConfig::Baseline, 200, 10, 512, 7);
+        let a = cow_update_kernel(ArchConfig::Baseline, 200, 10, 512, 7);
+        let b = cow_update_kernel(ArchConfig::Baseline, 200, 10, 512, 7);
         assert_eq!(a.program, b.program);
         assert_eq!(a.records, b.records);
     }

@@ -2,9 +2,10 @@
 //!
 //! Given a simulation's [`PersistTrace`] and the transaction record from
 //! the code generator, [`CrashChecker`] can simulate a power failure at
-//! any instant: reconstruct the NVM image, run the protocol's recovery
-//! ([`triage::replay`], the in-place half of [`triage::recover`] — undo,
-//! redo or CoW), and check that the recovered state equals the
+//! any instant: reconstruct the NVM image, run the recovery of the
+//! protocol the writer recorded in its output ([`TxOutput::protocol`]:
+//! undo, redo or CoW, through [`triage::replay`], the in-place half of
+//! [`triage::recover`]), and check that the recovered state equals the
 //! functional state after exactly the committed prefix of transactions
 //! — failure atomicity *and* commit ordering in one predicate.
 //!
@@ -110,7 +111,7 @@ impl From<ConsistencyError> for CheckFailure {
 /// Checks crash consistency of one simulated run.
 ///
 /// Everything that does not depend on the crash image is computed once.
-/// [`with_protocol`](Self::with_protocol) builds the write-set addresses
+/// [`new`](Self::new) builds the write-set addresses
 /// and each one's value after every committed prefix, so building a
 /// checker costs what the records hold. The first check picks the pool
 /// words recovery reads out of the preloaded pool. A check then costs
@@ -210,20 +211,16 @@ fn lookup(words: &[(u64, u64)], addr: u64) -> Option<u64> {
 }
 
 impl CrashChecker {
-    /// Builds a checker from the code generator's output, using undo-log
-    /// recovery.
+    /// Builds a checker from the code generator's output, recovering
+    /// with the protocol the output records ([`TxOutput::protocol`]):
+    /// undo rollback for [`TxWriter`](crate::TxWriter) output, redo
+    /// replay for [`RedoTxWriter`](crate::redo::RedoTxWriter) output, or
+    /// CoW root resolution for [`CowTxWriter`](crate::cow::CowTxWriter)
+    /// output, whose records carry logical addresses read through the
+    /// recovered root.
     pub fn new(out: &TxOutput) -> CrashChecker {
-        CrashChecker::with_protocol(out, Protocol::Undo)
-    }
-
-    /// Builds a checker that recovers through `protocol`: redo replay
-    /// for [`RedoTxWriter`](crate::redo::RedoTxWriter) output, or CoW
-    /// root resolution for
-    /// [`CowTxWriter`](crate::cow::CowTxWriter) output, whose records
-    /// carry logical addresses read through the recovered root.
-    pub fn with_protocol(out: &TxOutput, protocol: Protocol) -> CrashChecker {
         CrashChecker {
-            protocol,
+            protocol: out.protocol,
             layout: out.layout,
             transactions: out.records.len() as u64,
             written: WriteHistory::new(&out.records),
@@ -501,23 +498,28 @@ mod tests {
         cow.begin_tx();
         cow.write(0, 0, 42);
         cow.commit_tx();
-        let (cow_out, meta) = cow.finish();
+        let cow_out = cow.finish();
+        let Protocol::Cow(meta) = cow_out.protocol else {
+            panic!("a CoW writer's output carries its pool metadata")
+        };
         let root = cow_out.memory.read(meta.root_line);
         let cow_trace = synthetic_trace(&[
             (meta.root_twin, root, false),
             (meta.root_twin + 8, crate::cow::root_word(root, 1), true),
         ]);
-        for (out, protocol, trace) in [
-            (&out, Protocol::Undo, &trace),
-            (&cow_out, Protocol::Cow(meta), &cow_trace),
-        ] {
-            let checker = CrashChecker::with_protocol(out, protocol);
+        for (out, trace) in [(&out, &trace), (&cow_out, &cow_trace)] {
+            let checker = CrashChecker::new(out);
             let first = trace
                 .persist_cycles()
                 .into_iter()
                 .find_map(|c| checker.check_at(trace, c).err().map(|e| (c, e)))
                 .expect("a torn image");
-            assert_eq!(checker.check_all_images(trace), Err(first), "{protocol:?}");
+            assert_eq!(
+                checker.check_all_images(trace),
+                Err(first),
+                "{:?}",
+                out.protocol
+            );
         }
         // A run every image of which recovers passes the sweep.
         let clean = synthetic_trace(&[(a, 5, true)]);

@@ -29,6 +29,7 @@
 use crate::codegen::TxOutput;
 use crate::layout::Layout;
 use crate::log::header_word;
+use crate::triage::Protocol;
 use crate::writer::WriterCore;
 use ede_isa::{ArchConfig, VAddr};
 use std::collections::HashMap;
@@ -43,9 +44,8 @@ pub const OFF_APPLIED: u64 = 8;
 /// Redo-logging counterpart of [`TxWriter`](crate::TxWriter): the same
 /// lifecycle, lowering per architecture configuration, producing the same
 /// [`TxOutput`] (so the crash checker and the simulator run unchanged —
-/// check it with
-/// [`CrashChecker::with_protocol`](crate::CrashChecker::with_protocol)
-/// and [`Protocol::Redo`](crate::triage::Protocol::Redo)).
+/// the output carries [`Protocol::Redo`], which
+/// [`CrashChecker::new`](crate::CrashChecker::new) recovers with).
 #[derive(Debug)]
 pub struct RedoTxWriter {
     core: WriterCore,
@@ -182,7 +182,7 @@ impl RedoTxWriter {
     ///
     /// Panics with an open transaction.
     pub fn finish(self) -> TxOutput {
-        self.core.finish(None)
+        self.core.finish(None, Protocol::Redo)
     }
 }
 

@@ -54,7 +54,8 @@ use crate::redo::OFF_APPLIED;
 use std::fmt;
 
 /// The failure-atomicity protocol that wrote an image (§II-A), which
-/// picks the recovery [`recover`] runs.
+/// picks the recovery [`recover`] runs. Each writer records its own in
+/// [`TxOutput::protocol`](crate::TxOutput::protocol).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Protocol {
     /// Undo logging: roll back entries newer than the committed marker.

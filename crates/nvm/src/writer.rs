@@ -9,6 +9,7 @@ use crate::layout::Layout;
 use crate::log::{checksum, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID};
 use crate::lowering::{Lowering, Marker};
 use crate::memory::SimMemory;
+use crate::triage::Protocol;
 use ede_isa::{ArchConfig, Edk, InstId, Reg, VAddr};
 use std::sync::Arc;
 
@@ -172,7 +173,7 @@ impl WriterCore {
         self.emit.store(self.layout.log_tail_ptr, 0);
     }
 
-    pub(crate) fn finish(self, tx_phase_start: Option<InstId>) -> TxOutput {
+    pub(crate) fn finish(self, tx_phase_start: Option<InstId>, protocol: Protocol) -> TxOutput {
         assert!(self.txid.is_none(), "transaction still open");
         let mut init_writes = self.init_writes;
         if self.has_log {
@@ -187,6 +188,7 @@ impl WriterCore {
             layout: self.layout,
             init_writes: Arc::new(init_writes),
             tx_phase_start,
+            protocol,
         }
     }
 }

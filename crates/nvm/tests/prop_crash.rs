@@ -141,11 +141,8 @@ fn damage(image: &mut NvmImage, kind: u64, addr: u64, r: u64) {
 /// compare every preloaded word and every written word against the
 /// committed prefix (under CoW, the written logical words, read through
 /// the recovered root). Reports the lowest mismatching address.
-fn merge_everything_check(
-    out: &TxOutput,
-    protocol: Protocol,
-    mut image: NvmImage,
-) -> Result<u64, CheckFailure> {
+fn merge_everything_check(out: &TxOutput, mut image: NvmImage) -> Result<u64, CheckFailure> {
+    let protocol = out.protocol;
     let initial: HashMap<u64, u64> = out.init_writes.iter().copied().collect();
     for (&a, &v) in &initial {
         image.entry(a).or_insert(v);
@@ -198,11 +195,7 @@ fn merge_everything_check(
 /// array with `init` preloaded (undo and redo; CoW preloads its tree),
 /// then one transaction per entry of `txs`, each writing `(word, value)`
 /// pairs (CoW: word `w` is logical slot `w / 8 % 8`, word `w % 8`).
-fn random_output(
-    protocol: u64,
-    init: &[(u64, u64)],
-    txs: &[Vec<(u64, u64)>],
-) -> (TxOutput, Protocol) {
+fn random_output(protocol: u64, init: &[(u64, u64)], txs: &[Vec<(u64, u64)>]) -> TxOutput {
     let layout = Layout::standard();
     let arch = ArchConfig::Baseline;
     if protocol == 2 {
@@ -215,11 +208,10 @@ fn random_output(
             }
             tx.commit_tx();
         }
-        let (out, meta) = tx.finish();
-        return (out, Protocol::Cow(meta));
+        return tx.finish();
     }
     macro_rules! run {
-        ($tx:expr, $protocol:expr) => {{
+        ($tx:expr) => {{
             let mut tx = $tx;
             let base = tx.heap_alloc(16 * 8, 64);
             for &(w, v) in init {
@@ -233,13 +225,13 @@ fn random_output(
                 }
                 tx.commit_tx();
             }
-            (tx.finish(), $protocol)
+            tx.finish()
         }};
     }
     if protocol == 0 {
-        run!(TxWriter::new(layout, arch), Protocol::Undo)
+        run!(TxWriter::new(layout, arch))
     } else {
-        run!(RedoTxWriter::new(layout, arch), Protocol::Redo)
+        run!(RedoTxWriter::new(layout, arch))
     }
 }
 
@@ -486,7 +478,8 @@ property! {
         strays in check::vec((any::<u64>(), any::<u64>()), 0..4)
     ) {
         let (protocol, init) = run;
-        let (out, protocol) = random_output(protocol, &init, &txs);
+        let out = random_output(protocol, &init, &txs);
+        let protocol = out.protocol;
         let (at, mask, lossy) = crash;
         let trace = in_order_trace(&out, if lossy == 0 { 0 } else { mask & mask.rotate_left(17) });
         let cycle = trace.horizon() * at / 999;
@@ -506,10 +499,9 @@ property! {
             let value = if value % 2 == 0 { out.memory.read(addr) } else { value };
             image.insert(addr, value);
         }
-        let checker = CrashChecker::with_protocol(&out, protocol);
         prop_assert_eq!(
-            checker.check_image(image.clone()),
-            merge_everything_check(&out, protocol, image),
+            CrashChecker::new(&out).check_image(image.clone()),
+            merge_everything_check(&out, image),
             "{:?} at cycle {}", protocol, cycle
         );
     }
@@ -527,7 +519,8 @@ property! {
         hits in check::vec((0u64..7, any::<u64>(), any::<u64>()), 0..3)
     ) {
         let (protocol, init) = run;
-        let (out, protocol) = random_output(protocol, &init, &txs);
+        let out = random_output(protocol, &init, &txs);
+        let protocol = out.protocol;
         let trace = in_order_trace(&out, 0);
         let mut image = nvm_image_at(&trace, trace.horizon() * at / 999, 64);
         for &(a, v) in out.init_writes.iter() {

@@ -4,11 +4,15 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use ede_core::ordering::{self, InstTiming, OrderRelaxation, Violation};
 use ede_cpu::{Core, IssueHistogram, StallTable, Tracer, TracerConfig};
-use ede_isa::{ArchConfig, InstId, Program};
+use ede_isa::{ArchConfig, InstId};
 use ede_mem::{MemStats, MemSystem, PersistTrace};
 use ede_nvm::{CheckFailure, CrashChecker, TxOutput};
 use ede_util::obs::Registry;
 use ede_workloads::{Workload, WorkloadParams};
+
+/// Builds a [`TxOutput`] wrapper around a raw program with no transaction
+/// record (for microbenchmarks and examples).
+pub use ede_nvm::codegen::raw_output;
 
 /// Everything one simulation produced.
 #[derive(Clone, Debug)]
@@ -64,8 +68,8 @@ impl RunResult {
     }
 
     /// Checks failure atomicity at every distinct crash image the run
-    /// could leave behind ([`CrashChecker::check_all_images`], undo
-    /// recovery).
+    /// could leave behind ([`CrashChecker::check_all_images`], recovering
+    /// with the protocol the run's [`TxOutput`] records).
     ///
     /// # Errors
     ///
@@ -249,19 +253,6 @@ fn run_program_inner(
     };
     result.tx_cycles = result.cycles.saturating_sub(result.tx_phase_start_cycle());
     Ok((result, tr))
-}
-
-/// Builds a [`TxOutput`] wrapper around a raw program with no transaction
-/// record (for microbenchmarks and examples).
-pub fn raw_output(program: Program) -> TxOutput {
-    TxOutput {
-        program,
-        records: Vec::new(),
-        memory: ede_nvm::SimMemory::new(),
-        layout: ede_nvm::Layout::standard(),
-        init_writes: Default::default(),
-        tx_phase_start: None,
-    }
 }
 
 #[cfg(test)]

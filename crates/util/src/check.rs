@@ -44,7 +44,7 @@
 //! ```
 
 use crate::rng::{mix64, SmallRng, SplitMix64, UniformInt};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -577,14 +577,10 @@ where
     QUIET_PANICS.with(|q| q.set(was_quiet));
     match result {
         Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            Err(CaseError::Fail(format!("panic: {msg}")))
-        }
+        Err(payload) => Err(CaseError::Fail(format!(
+            "panic: {}",
+            crate::pool::panic_message(payload.as_ref())
+        ))),
     }
 }
 
@@ -622,7 +618,18 @@ where
                 );
             }
             Err(CaseError::Fail(first_msg)) => {
-                let (minimal, msg, steps) = shrink::<S, F>(cfg, &body, sh, first_msg);
+                // The message of the last candidate that still failed.
+                let msg = RefCell::new(first_msg);
+                let (minimal, steps) = minimize(sh, cfg.max_shrink_iters, |v| {
+                    match run_case(&body, v.clone()) {
+                        Err(CaseError::Fail(m)) => {
+                            *msg.borrow_mut() = m;
+                            true
+                        }
+                        _ => false,
+                    }
+                });
+                let msg = msg.into_inner();
                 panic!(
                     "property '{name}' failed (case {case} of {cases}, base seed {seed:#x})\n\
                      minimal input (after {steps} shrink steps): {minimal:#?}\n\
@@ -634,37 +641,6 @@ where
             }
         }
     }
-}
-
-fn shrink<S, F>(
-    cfg: &Config,
-    body: &F,
-    failing: Shrinkable<S::Value>,
-    mut msg: String,
-) -> (S::Value, String, u32)
-where
-    S: Strategy + ?Sized,
-    F: Fn(S::Value) -> CaseResult,
-{
-    let mut best = failing;
-    let mut iters = 0u32;
-    let mut steps = 0u32;
-    'outer: loop {
-        for cand in best.shrinks() {
-            if iters >= cfg.max_shrink_iters {
-                break 'outer;
-            }
-            iters += 1;
-            if let Err(CaseError::Fail(m)) = run_case(body, cand.value.clone()) {
-                best = cand;
-                msg = m;
-                steps += 1;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (best.value, msg, steps)
 }
 
 /// Greedily minimizes a failing [`Shrinkable`]: repeatedly descends to the

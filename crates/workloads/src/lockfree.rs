@@ -18,18 +18,8 @@
 
 use crate::{mispredict, rng_for, Workload, WorkloadParams};
 use ede_isa::{ArchConfig, Edk, EdkPair, Inst, Op, TraceBuilder};
-use ede_nvm::{Layout, SimMemory, TxOutput};
-
-fn raw_output(program: ede_isa::Program) -> TxOutput {
-    TxOutput {
-        program,
-        records: Vec::new(),
-        memory: SimMemory::new(),
-        layout: Layout::standard(),
-        init_writes: Default::default(),
-        tx_phase_start: None,
-    }
-}
+use ede_nvm::codegen::raw_output;
+use ede_nvm::TxOutput;
 
 /// Ordering flavor a lock-free kernel should emit for a configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -85,6 +85,20 @@ cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     fuzz --seed 7 --cases 100 --jobs 4 2>/dev/null > "$out_dir/jobs4.out"
 diff "$out_dir/jobs1.out" "$out_dir/jobs4.out"
 
+# Crash safety under every protocol: the `protocols` bin runs the undo,
+# redo and CoW update kernels on all five configurations and checks every
+# crash image of each run with the recovery its writer recorded. B, IQ
+# and WB must be crash-safe (✓) in all three columns; the SU and U rows
+# are not asserted.
+echo "==> protocols (EDE_OPS=60): B/IQ/WB crash-safe under undo, redo and CoW"
+EDE_OPS=60 cargo run --release --offline -q -p ede-bench --bin protocols \
+    2>/dev/null > "$out_dir/protocols.out"
+for arch in B IQ WB; do
+    grep -Eq "^  $arch +[0-9]+/[0-9]+/✓ +[0-9]+/[0-9]+/✓ +[0-9]+/[0-9]+/✓$" \
+        "$out_dir/protocols.out" \
+        || { echo "protocols: $arch is not crash-safe under every protocol" >&2; exit 1; }
+done
+
 # Fault-injection smoke: the nine pipeline and memory-system faults
 # against B/IQ/WB at a small per-cell budget. Exit 0 asserts every fault
 # was detected (axioms, crash checker, or watchdog) or provably

@@ -8,8 +8,10 @@
 //! image a run can leave behind.
 
 use ede_isa::ArchConfig;
-use ede_nvm::{CheckFailure, CrashChecker, Protocol, TxOutput};
-use ede_sim::{run_program, run_workload, SimConfig};
+use ede_nvm::cow::cow_update_kernel;
+use ede_nvm::redo::redo_update_kernel;
+use ede_nvm::{CrashChecker, TxOutput};
+use ede_sim::{run_program, run_workload, RunResult, SimConfig};
 use ede_workloads::{standard_suite, update::Update, WorkloadParams};
 
 fn params() -> WorkloadParams {
@@ -143,31 +145,19 @@ fn recovery_rolls_back_partial_transactions() {
     );
 }
 
-/// Runs a protocol kernel's transactional program on `arch` and checks
+/// Runs a protocol kernel's transactional program on `arch`; the run's
+/// output records the kernel's protocol, so `crash_consistent` checks
 /// every crash image with that protocol's recovery.
-fn check_protocol_kernel(
-    name: &str,
-    arch: ArchConfig,
-    (out, protocol): (TxOutput, Protocol),
-) -> Result<(), (u64, CheckFailure)> {
-    let r = run_program(name, out, arch, &SimConfig::a72()).expect("run completes");
-    CrashChecker::with_protocol(&r.output, protocol).check_all_images(&r.trace)
-}
-
-fn redo_kernel(arch: ArchConfig, ops: usize, per_tx: usize, elems: u64) -> (TxOutput, Protocol) {
-    let out = ede_nvm::redo::redo_update_kernel(arch, ops, per_tx, elems, 7);
-    (out, Protocol::Redo)
-}
-
-fn cow_kernel(arch: ArchConfig, ops: usize, per_tx: usize) -> (TxOutput, Protocol) {
-    let (out, meta) = ede_nvm::cow::cow_update_kernel(arch, ops, per_tx, 64, 7);
-    (out, Protocol::Cow(meta))
+fn run_kernel(name: &str, arch: ArchConfig, out: TxOutput) -> RunResult {
+    run_program(name, out, arch, &SimConfig::a72()).expect("run completes")
 }
 
 #[test]
 fn redo_logging_is_crash_safe_on_safe_configs() {
     for arch in ArchConfig::ALL.into_iter().filter(|a| a.is_crash_safe()) {
-        check_protocol_kernel("redo", arch, redo_kernel(arch, 60, 20, 4096))
+        let out = redo_update_kernel(arch, 60, 20, 4096, 7);
+        run_kernel("redo", arch, out)
+            .crash_consistent()
             .unwrap_or_else(|(c, e)| panic!("redo on {arch}: crash at {c}: {e}"));
     }
 }
@@ -175,19 +165,25 @@ fn redo_logging_is_crash_safe_on_safe_configs() {
 #[test]
 fn redo_logging_unsafe_without_ordering() {
     let arch = ArchConfig::Unsafe;
-    check_protocol_kernel("redo-u", arch, redo_kernel(arch, 90, 30, 16 * 1024))
+    let out = redo_update_kernel(arch, 90, 30, 16 * 1024, 7);
+    run_kernel("redo-u", arch, out)
+        .crash_consistent()
         .expect_err("U redo must admit an unrecoverable crash point");
 }
 
 #[test]
 fn cow_is_crash_safe_on_safe_configs_and_torn_under_u() {
     for arch in ArchConfig::ALL.into_iter().filter(|a| a.is_crash_safe()) {
-        check_protocol_kernel("cow", arch, cow_kernel(arch, 40, 10))
+        let out = cow_update_kernel(arch, 40, 10, 64, 7);
+        run_kernel("cow", arch, out)
+            .crash_consistent()
             .unwrap_or_else(|(c, e)| panic!("cow on {arch}: crash at {c}: {e}"));
     }
     // Unsafe: the root switch may persist before the shadow blocks.
     let arch = ArchConfig::Unsafe;
-    check_protocol_kernel("cow-u", arch, cow_kernel(arch, 90, 30))
+    let out = cow_update_kernel(arch, 90, 30, 64, 7);
+    run_kernel("cow-u", arch, out)
+        .crash_consistent()
         .expect_err("U CoW must admit a torn tree");
 }
 

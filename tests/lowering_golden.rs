@@ -102,7 +102,7 @@ fn cow_tx(arch: ArchConfig) -> Program {
     assert_eq!(tx.read(0, 0), 7);
     tx.write(0, 1, 8);
     tx.commit_tx();
-    tx.finish().0.program
+    tx.finish().program
 }
 
 fn check_one_tx(protocol: &str, generate: fn(ArchConfig) -> Program) {
@@ -174,7 +174,7 @@ fn suite_and_kernel_digests_are_pinned() {
         row("redo_update_kernel", arch, &redo.program);
     }
     for arch in ArchConfig::ALL {
-        let (cow, _) = cow_update_kernel(arch, ops, per_tx, elems, params.seed);
+        let cow = cow_update_kernel(arch, ops, per_tx, elems, params.seed);
         row("cow_update_kernel", arch, &cow.program);
     }
     check_golden("digests.txt", &table);
