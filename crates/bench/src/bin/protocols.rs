@@ -61,7 +61,9 @@ fn main() {
     println!(
         "\nundo pays one ordering point per write; redo and CoW batch them per\n\
          transaction (at the cost of read indirection / table copies), so they\n\
-         narrow the fence gap EDE eliminates. EDE still removes what remains,\n\
-         and only the ordered configurations are crash-safe under any protocol."
+         narrow the fence gap EDE eliminates. EDE still removes what remains.\n\
+         U, which orders no persist, fails under every protocol. SU passes these\n\
+         timing runs; only `ede-sim explore --tx` shows it unsafe, by enumerating\n\
+         every persist order its model allows."
     );
 }

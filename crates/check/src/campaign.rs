@@ -8,11 +8,13 @@
 //!    (loading and validating `--resume`);
 //! 2. restore resumed unit payloads up front, so a corrupt payload fails
 //!    the session before any compute;
-//! 3. fan the units out through [`Pool::run_quarantined`], skipping units
-//!    already done or cut off by the deadline, firing the
-//!    `--self-test-panic` hook, and recording each finished unit;
-//! 4. assemble results in unit order, quarantining units whose harness
-//!    panicked;
+//! 3. stream the units through [`Pool::stream`], skipping units already
+//!    done, firing the `--self-test-panic` hook, and recording each
+//!    finished unit; the deadline (or `--stop-after`) stops the cursor,
+//!    so no unit is handed out after it;
+//! 4. take each result as the pool delivers it, in unit order: hand a
+//!    finished unit, fresh or restored, to the caller's fold, and
+//!    quarantine a unit whose harness panicked;
 //! 5. flush the final checkpoint and apply the interrupted rule: the
 //!    deadline tripped *and* some unit is still unaccounted for.
 //!
@@ -60,8 +62,8 @@ pub struct Plan<'a> {
 /// A resumable sweep over independent, index-addressed work units.
 ///
 /// Unit results must be a pure function of the unit index and the
-/// options, so the assembled report is identical for every worker
-/// count and across interrupt + resume.
+/// options, so the folded report is identical for every worker count
+/// and across interrupt + resume.
 pub trait Campaign: Sync {
     /// One finished unit's result.
     type Unit: Send;
@@ -87,12 +89,9 @@ pub trait Campaign: Sync {
     }
 }
 
-/// What [`run`] hands back to the campaign.
+/// What [`run`] hands back to the campaign besides the folded units.
 #[derive(Debug)]
-pub struct Sweep<U> {
-    /// Finished units in unit order, fresh and restored alike.
-    /// Quarantined, interrupted, and pending units are absent.
-    pub units: Vec<(usize, U)>,
+pub struct Sweep {
     /// Units accounted for: finished (this session or an earlier one)
     /// or quarantined.
     pub covered: u64,
@@ -104,14 +103,19 @@ pub struct Sweep<U> {
     pub quarantined: Vec<HarnessPanic>,
 }
 
-/// Runs `campaign` under the resilient runtime (see the module docs).
+/// Runs `campaign` under the resilient runtime (see the module docs),
+/// handing every finished unit, fresh or restored, to `fold` in unit
+/// order. Quarantined, interrupted, and pending units are not folded.
 ///
 /// # Errors
 ///
 /// A [`ResumeError`] when the resume checkpoint is missing, malformed,
 /// fingerprint-mismatched, or carries an undecodable payload, or when
 /// a checkpoint flush failed.
-pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
+pub fn run<C: Campaign>(
+    campaign: &C,
+    mut fold: impl FnMut(usize, C::Unit),
+) -> Result<Sweep, ResumeError> {
     let plan = campaign.plan();
     let n = plan.units;
     let driver = CampaignDriver::new(
@@ -131,42 +135,46 @@ pub fn run<C: Campaign>(campaign: &C) -> Result<Sweep<C::Unit>, ResumeError> {
     }
     // Every resumed unit is skipped below, so it counts as covered here.
     let mut covered = driver.done_units();
-    let outcomes = Pool::new(plan.jobs).run_quarantined(n, |i| {
-        // The deadline first: past it, skipping a unit takes no lock.
-        if driver.interrupted() || driver.is_done(i as u64) {
-            return None;
-        }
-        if plan.self_test_panic == Some(i as u32) {
-            panic!("deliberate harness panic at {} {i}", plan.noun);
-        }
-        let unit = campaign.run_unit(i, &driver)?;
-        if let Record::Done(payload) = campaign.record(&unit) {
-            driver.complete(i as u64, payload);
-        }
-        Some(unit)
-    });
-    let mut units = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
+    Pool::new(plan.jobs).stream(
+        n,
+        || driver.interrupted(),
+        |i| {
+            if driver.is_done(i as u64) {
+                return None;
+            }
+            if plan.self_test_panic == Some(i as u32) {
+                panic!("deliberate harness panic at {} {i}", plan.noun);
+            }
+            let unit = campaign.run_unit(i, &driver)?;
+            if let Record::Done(payload) = campaign.record(&unit) {
+                driver.complete(i as u64, payload);
+            }
+            Some(unit)
+        },
+        |i, outcome| match outcome {
             Ok(Some(unit)) => {
-                units.push((i, unit));
+                fold(i, unit);
                 covered += 1;
             }
             Ok(None) => {
                 if let Some(unit) = restored.remove(&i) {
-                    units.push((i, unit));
+                    fold(i, unit);
                 }
             }
             Err(up) => {
                 driver.quarantine(i as u64, up.message);
                 covered += 1;
             }
-        }
+        },
+    );
+    // The pool delivered a prefix of the units; restored units past
+    // where the deadline stopped it still belong to the report.
+    for (i, unit) in restored {
+        fold(i, unit);
     }
     let interrupted = driver.interrupted() && covered < n as u64;
     let checkpoint = driver.finish()?;
     Ok(Sweep {
-        units,
         covered,
         interrupted,
         earliest_failure: checkpoint.earliest_failure,
@@ -243,4 +251,110 @@ pub fn parse_counters(
         None => return Err(format!("cell payload lacks {first_key}")),
     };
     Ok((counters, first))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A campaign whose unit `i` is `i * 7`, checkpointed as a payload.
+    struct Counting {
+        units: usize,
+        jobs: usize,
+        runtime: RuntimeOptions,
+        ran: AtomicUsize,
+    }
+
+    impl Campaign for Counting {
+        type Unit = usize;
+
+        fn plan(&self) -> Plan<'_> {
+            Plan {
+                kind: "count",
+                noun: "unit",
+                fingerprint: "count".to_string(),
+                seed: 0,
+                units: self.units,
+                jobs: self.jobs,
+                runtime: &self.runtime,
+                self_test_panic: None,
+            }
+        }
+
+        fn run_unit(&self, unit: usize, _: &CampaignDriver) -> Option<usize> {
+            self.ran.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            Some(unit * 7)
+        }
+
+        fn record(&self, unit: &usize) -> Record {
+            Record::Done(Some(unit.to_string()))
+        }
+
+        fn decode(&self, _: usize, data: &str) -> Result<usize, String> {
+            data.parse().map_err(|e| format!("{e}"))
+        }
+    }
+
+    fn folded(campaign: &Counting) -> (Vec<(usize, usize)>, Sweep) {
+        let mut got = Vec::new();
+        let sweep = run(campaign, |i, u| got.push((i, u))).expect("campaign runs");
+        (got, sweep)
+    }
+
+    #[test]
+    fn a_stopped_sweep_reports_exactly_what_was_delivered() {
+        let (units, stop_after) = (500, 5);
+        for jobs in [1, 2, 3, 7] {
+            let dir = std::env::temp_dir()
+                .join(format!("ede-campaign-stop-{jobs}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            let cp = dir.join("cp.json");
+            let stopped = Counting {
+                units,
+                jobs,
+                runtime: RuntimeOptions {
+                    checkpoint_path: Some(cp.clone()),
+                    stop_after_units: Some(stop_after),
+                    ..RuntimeOptions::default()
+                },
+                ran: AtomicUsize::new(0),
+            };
+            let (got, sweep) = folded(&stopped);
+            let ran = stopped.ran.into_inner();
+            // Units in flight when the hook fired finish, and each worker
+            // may start one more before it sees the stop.
+            assert!(
+                ran >= stop_after as usize && ran <= stop_after as usize + 2 * jobs,
+                "jobs {jobs}: {ran} units ran"
+            );
+            let want: Vec<(usize, usize)> = (0..ran).map(|i| (i, i * 7)).collect();
+            assert_eq!(got, want, "jobs {jobs}");
+            assert_eq!(sweep.covered, ran as u64, "jobs {jobs}");
+            assert!(sweep.interrupted, "jobs {jobs}");
+            if jobs == 1 {
+                assert_eq!(ran, stop_after as usize);
+            }
+
+            // A resumed session whose deadline has already passed hands
+            // out no unit, yet folds every restored one in order.
+            let resumed = Counting {
+                units,
+                jobs,
+                runtime: RuntimeOptions {
+                    resume_from: Some(cp),
+                    max_wall_secs: Some(0),
+                    ..RuntimeOptions::default()
+                },
+                ran: AtomicUsize::new(0),
+            };
+            let (again, sweep) = folded(&resumed);
+            assert_eq!(resumed.ran.into_inner(), 0, "jobs {jobs}");
+            assert_eq!(again, want, "jobs {jobs}");
+            assert_eq!(sweep.covered, ran as u64, "jobs {jobs}");
+            assert!(sweep.interrupted, "jobs {jobs}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

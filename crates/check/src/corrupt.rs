@@ -821,15 +821,19 @@ pub fn corrupt(opts: &CorruptOptions) -> CorruptReport {
 /// A [`ResumeError`] when the resume checkpoint is missing, malformed,
 /// or fingerprint-mismatched, or when a checkpoint flush failed.
 pub fn corrupt_campaign(opts: &CorruptOptions) -> Result<CorruptReport, ResumeError> {
-    let sweep = campaign::run(opts)?;
-    let failure = sweep.units.iter().find_map(|(_, r)| {
-        r.first_violation
-            .map(|case| violation_failure(opts, r.kind, r.arch, case))
-    });
+    let (mut cells, mut failure) = (Vec::new(), None);
+    let sweep = campaign::run(opts, |_, r: CellReport| {
+        if failure.is_none() {
+            failure = r
+                .first_violation
+                .map(|case| violation_failure(opts, r.kind, r.arch, case));
+        }
+        cells.push(r);
+    })?;
     Ok(CorruptReport {
         seed: opts.seed,
         cases: opts.cases,
-        cells: sweep.units.into_iter().map(|(_, r)| r).collect(),
+        cells,
         failure,
         interrupted: sweep.interrupted,
         quarantined: sweep.quarantined,

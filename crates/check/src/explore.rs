@@ -1074,21 +1074,25 @@ pub fn explore_campaign(opts: &ExploreOptions) -> Result<ExploreReport, ExploreE
         (opts.jobs, 1)
     };
     let planned_cells = cells.len();
-    let sweep = campaign::run(&ExploreSweep {
-        opts,
-        specs,
-        cells,
-        relax,
-        cell_jobs,
-        frontier_jobs,
-    })
+    let mut done = Vec::new();
+    let sweep = campaign::run(
+        &ExploreSweep {
+            opts,
+            specs,
+            cells,
+            relax,
+            cell_jobs,
+            frontier_jobs,
+        },
+        |_, cell| done.push(cell),
+    )
     .map_err(ExploreError::Resume)?;
     Ok(ExploreReport {
         seed: opts.seed,
         fault: opts.fault,
         max_states: opts.max_states,
         max_events: opts.max_events,
-        cells: sweep.units.into_iter().map(|(_, c)| c).collect(),
+        cells: done,
         planned_cells,
         interrupted: sweep.interrupted,
         quarantined: sweep.quarantined,

@@ -44,9 +44,9 @@ pub struct FuzzOptions {
     pub max_shrink_iters: u32,
     /// Worker threads scanning the case range: 0 = auto (`EDE_JOBS` or
     /// the host parallelism), 1 = sequential. The report is bit-identical
-    /// for every value — the case range is partitioned into contiguous
-    /// chunks whose seed streams are `SplitMix64::jump`s of the same
-    /// master stream, and the *earliest* failing case always wins.
+    /// for every value — each case's seed is the master stream
+    /// `SplitMix64::jump`ed to the case index, and the *earliest* failing
+    /// case always wins.
     pub jobs: usize,
     /// Emit a per-worker progress line on stderr every this many cases
     /// (0 = silent). stdout is untouched, so parallel and sequential
@@ -299,7 +299,7 @@ pub fn fuzz_campaign(opts: &FuzzOptions) -> Result<FuzzReport, ResumeError> {
             .map(|_| (AtomicU32::new(0), AtomicU32::new(0)))
             .collect(),
     };
-    let sweep = campaign::run(&scan)?;
+    let sweep = campaign::run(&scan, |_, ()| {})?;
     if opts.progress_every > 0 {
         for w in 0..workers {
             scan.progress(w, scan.counters[w as usize].0.load(Ordering::Relaxed));

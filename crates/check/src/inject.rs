@@ -613,16 +613,20 @@ pub fn inject(opts: &InjectOptions) -> InjectReport {
 /// A [`ResumeError`] when the resume checkpoint is missing, malformed,
 /// or fingerprint-mismatched, or when a checkpoint flush failed.
 pub fn inject_campaign(opts: &InjectOptions) -> Result<InjectReport, ResumeError> {
-    let sweep = campaign::run(opts)?;
-    let failure = sweep.units.iter().find_map(|&(i, ref r)| {
-        r.first_silent
-            .map(|case| silent_failure(opts, i, r.fault, r.arch, case))
-    });
+    let (mut cells, mut failure) = (Vec::new(), None);
+    let sweep = campaign::run(opts, |i, r: CellReport| {
+        if failure.is_none() {
+            failure = r
+                .first_silent
+                .map(|case| silent_failure(opts, i, r.fault, r.arch, case));
+        }
+        cells.push(r);
+    })?;
     Ok(InjectReport {
         seed: opts.seed,
         cases: opts.cases,
         detectors_enabled: opts.detectors_enabled,
-        cells: sweep.units.into_iter().map(|(_, r)| r).collect(),
+        cells,
         failure,
         interrupted: sweep.interrupted,
         quarantined: sweep.quarantined,

@@ -51,7 +51,8 @@
 //!   `--max-wall-secs` deadline shutdown (exit code 3). Fuzz, inject,
 //!   explore, and corrupt each implement one `Campaign` trait over it,
 //!   and one runner (`campaign::run`) owns the resume / quarantine /
-//!   assembly protocol for all four; its only progress record is the
+//!   deadline protocol for all four, handing each finished unit to the
+//!   campaign's fold in unit order; its only progress record is the
 //!   [`Checkpoint`] it flushes.
 //!
 //! # Example

@@ -26,14 +26,14 @@
 //!   final stdout, ledgers, and metrics are byte-identical to the same
 //!   campaign run uninterrupted.
 //! * **Quarantine** — harness panics surfaced by
-//!   [`ede_util::pool::Pool::run_quarantined`] become
+//!   [`ede_util::pool::Pool::stream`] become
 //!   [`HarnessPanic`] records, kept in the checkpoint and the campaign
 //!   report's `quarantined` section and counted against a
 //!   `--max-quarantined` budget instead of aborting the sweep.
 //! * **Wall-clock budget** — `--max-wall-secs` (or the
 //!   `EDE_DEADLINE_SECS` environment variable) fixes a deadline instant
-//!   when the campaign starts; workers compare the clock against it
-//!   between units, and the campaign ends with a valid checkpoint and a
+//!   when the campaign starts; the pool stops handing out units once
+//!   the clock passes it, and the campaign ends with a valid checkpoint and a
 //!   truncated-but-well-formed report marked `interrupted`, exit code 3.
 
 use ede_util::obs::{json, json_escape};
@@ -623,9 +623,9 @@ impl CampaignDriver {
     }
 
     /// Whether the deadline has passed or `--stop-after` has fired;
-    /// workers poll this between units and skip everything not yet
-    /// started, so nothing is killed mid-unit and the bitmap stays
-    /// exact.
+    /// the pool's cursor asks before handing out each unit and hands
+    /// out none once it holds, so nothing is killed mid-unit and the
+    /// bitmap stays exact.
     pub(crate) fn interrupted(&self) -> bool {
         self.stopped.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }

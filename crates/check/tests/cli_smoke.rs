@@ -15,9 +15,11 @@
 //! git diff tests/golden/cli/   # review every changed line
 //! ```
 
-use ede_util::diff::unified_diff;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Output};
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
 
 fn ede_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ede-sim"))
@@ -493,17 +495,8 @@ const JOBS_AND_PATHS: [&[&str]; 4] = [
 const JOBS_ONLY: [&[&str]; 2] = [&["--jobs", "1"], &["--jobs", "4"]];
 /// `--stop-after` interrupts deterministically only on one worker.
 const SEQUENTIAL: [&[&str]; 2] = [&["--jobs", "1"], &["--jobs", "1", "--no-fast-forward"]];
-
-fn cli_golden_dir() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/cli"
-    ))
-}
-
-fn blessing() -> bool {
-    std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1")
-}
+/// The test target and filter that re-bless the pinned outputs.
+const PINNED: &str = "cli_smoke pinned";
 
 /// Runs `ede-sim` with `args` (`{cp}` replaced by `cp`) and renders the
 /// exit code and full stdout as one pinned text.
@@ -530,22 +523,6 @@ fn pinned_run(args: &[&str], cp: &Path, deadline_zero: bool) -> String {
     )
 }
 
-fn assert_matches_golden(golden: &Path, live: &str, what: &str) {
-    let want = std::fs::read_to_string(golden).unwrap_or_else(|e| {
-        panic!(
-            "missing pinned output {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
-             --test cli_smoke pinned` to create it",
-            golden.display()
-        )
-    });
-    assert!(
-        want == live,
-        "{what} differs from {}:\n{}",
-        golden.display(),
-        unified_diff(&want, live, "pinned", "live")
-    );
-}
-
 /// One pinned branch of a campaign subcommand.
 struct Scenario<'a> {
     /// Golden file stem under `tests/golden/cli/` (`<sub>.<golden>.txt`).
@@ -569,7 +546,7 @@ fn pin_campaign(
     changed: &[&str],
     failure: Option<&[&str]>,
 ) {
-    let dir = cli_golden_dir();
+    let dir = golden::path("cli");
     let fixture = dir.join(format!("{sub}.checkpoint.json"));
     let tmp = std::env::temp_dir().join(format!("ede-cli-pin-{sub}-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("temp dir");
@@ -660,7 +637,7 @@ fn pin_campaign(
         });
     }
     for sc in &scenarios {
-        let golden = dir.join(format!("{sub}.{}.txt", sc.golden));
+        let pinned = dir.join(format!("{sub}.{}.txt", sc.golden));
         for (i, variant) in sc.variants.iter().enumerate() {
             if sc.from_checkpoint {
                 std::fs::copy(&fixture, &cp).expect("seed the checkpoint fixture");
@@ -672,19 +649,23 @@ fn pin_campaign(
             let what = format!("`ede-sim {}`", args.join(" "));
             // The resumed run reproduces the clean golden; never bless it.
             let reproduces_clean = sc.from_checkpoint && sc.golden == "clean";
-            if i == 0 && blessing() && !reproduces_clean {
-                std::fs::create_dir_all(&dir).expect("create tests/golden/cli");
-                std::fs::write(&golden, &live).expect("bless pinned output");
+            if i == 0 && golden::blessing() && !reproduces_clean {
+                golden::bless(&pinned, &live);
                 if sc.golden == "interrupted" {
                     std::fs::copy(&cp, &fixture).expect("bless checkpoint fixture");
                 }
             }
-            assert_matches_golden(&golden, &live, &what);
+            golden::assert_matches(&pinned, &live, PINNED, &what);
             if sc.golden == "interrupted" && i == 0 {
                 // The document a sequential interrupt writes is pinned
                 // too: kind, fingerprint and bitmap are a resume format.
                 let written = std::fs::read_to_string(&cp).expect("checkpoint written");
-                assert_matches_golden(&fixture, &written, &format!("checkpoint of {what}"));
+                golden::assert_matches(
+                    &fixture,
+                    &written,
+                    PINNED,
+                    &format!("checkpoint of {what}"),
+                );
             }
         }
     }

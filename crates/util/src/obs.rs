@@ -864,12 +864,15 @@ pub mod json {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 character.
-                    let s = std::str::from_utf8(&b[*pos..])
-                        .map_err(|_| invalid(format!("invalid UTF-8 at byte {pos}")))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a character boundary
+                    // of the (valid UTF-8) input.
+                    let run = b[*pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .map_or(b.len(), |n| *pos + n);
+                    out.push_str(std::str::from_utf8(&b[*pos..run]).expect("input is a str"));
+                    *pos = run;
                 }
             }
         }

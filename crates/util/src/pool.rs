@@ -3,31 +3,29 @@
 //!
 //! Every sweep and fuzz campaign in this workspace is a list of fully
 //! independent jobs (workload × configuration cells, seeded fuzz cases,
-//! campaign units). [`Pool::run`] fans such a list out over
-//! `std::thread::scope` workers and reassembles the results **in
-//! submission order**, so the output of a parallel run is bit-identical
-//! to a sequential one — the determinism contract every caller's tests
-//! rely on (see DESIGN.md "Parallel execution").
+//! campaign units). [`Pool::stream`] runs such a list over
+//! `std::thread::scope` workers and hands the results to a sink on the
+//! caller's thread **in submission order**, so the output of a parallel
+//! run is bit-identical to a sequential one — the determinism contract
+//! every caller's tests rely on (see DESIGN.md "Parallel execution").
 //!
 //! * **Job count** — explicit, or 0 for auto: the `EDE_JOBS` environment
 //!   variable if set, else the host parallelism (`resolve_jobs`).
 //! * **Work distribution** — an atomic cursor hands indices to workers
-//!   dynamically; results travel back over an mpsc channel tagged with
-//!   their index, so scheduling never affects output order.
-//! * **Panic handling** — selected per call by `PoolPolicy`:
-//!   `PoolPolicy::Propagate` ([`Pool::run`]) poisons the
-//!   pool on the first panic (no new jobs start) and re-raises the panic
-//!   with the **lowest job index** on the caller, annotated with the
-//!   unit and worker indices. `PoolPolicy::Quarantine`
-//!   ([`Pool::run_quarantined`]) `catch_unwind`s every work item
-//!   instead: panics become [`UnitPanic`] values in the result vector,
-//!   the pool is never poisoned, and every remaining unit still runs —
-//!   the mode the resilient campaign runtime uses to survive harness
-//!   faults. In both modes the panic payload and unit index are
-//!   deterministic (indices are handed out in order and job bodies are
-//!   deterministic); the worker index is scheduling-dependent
-//!   diagnostics only, which is why campaign reports record the payload
-//!   and unit but never the worker.
+//!   dynamically until the caller's stop condition holds; results travel
+//!   back over an mpsc channel tagged with their index, and a reorder
+//!   buffer holds only those that finished ahead of a lower index still
+//!   running, so nothing is kept per planned job.
+//! * **Panic handling** — [`Pool::stream`] `catch_unwind`s every work
+//!   item: panics reach the sink as [`UnitPanic`] values and every
+//!   remaining unit still runs — the mode the resilient campaign runtime
+//!   uses to survive harness faults. [`Pool::run`] collects the stream
+//!   into a vector, stops the cursor on the first panic, and re-raises
+//!   the panic with the **lowest job index** on the caller. The panic
+//!   payload and unit index are deterministic (indices are handed out in
+//!   order and job bodies are deterministic); the worker index is
+//!   scheduling-dependent diagnostics only, which is why campaign
+//!   reports record the payload and unit but never the worker.
 //!
 //! # Example
 //!
@@ -40,7 +38,8 @@
 //! assert_eq!(squares, pool::par_map_indexed(1, &[1u64, 2, 3], |i, &x| x * x + i as u64));
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -73,19 +72,6 @@ fn auto_jobs(env_jobs: Option<&str>) -> usize {
     } else {
         std::thread::available_parallelism().map_or(1, usize::from)
     }
-}
-
-/// How a pool call treats a panicking work item.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PoolPolicy {
-    /// Poison the pool on the first panic and re-raise the panic with
-    /// the lowest unit index on the caller (the classic fail-fast
-    /// behavior of [`Pool::run`]).
-    Propagate,
-    /// `catch_unwind` every work item: a panic becomes an `Err(`
-    /// [`UnitPanic`] `)` in the result vector, the pool is not poisoned,
-    /// and every remaining unit still runs.
-    Quarantine,
 }
 
 /// A work item's panic, converted into data: which unit panicked, which
@@ -156,111 +142,87 @@ impl Pool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_policy(n, PoolPolicy::Propagate, f)
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(_) => unreachable!("Propagate re-raises before returning"),
+        // The poison: once a job panics, the cursor stops.
+        let poisoned = AtomicBool::new(false);
+        let mut out = Vec::with_capacity(n);
+        self.stream(
+            n,
+            || poisoned.load(Ordering::Relaxed),
+            |i| {
+                catch_unwind(AssertUnwindSafe(|| f(i))).unwrap_or_else(|payload| {
+                    poisoned.store(true, Ordering::Relaxed);
+                    resume_unwind(payload)
+                })
+            },
+            // Results arrive in index order, so the first `Err` is the
+            // lowest panicking job.
+            |_, r| match r {
+                Ok(v) => out.push(v),
+                Err(up) => panic!("{}", up.describe(n)),
+            },
+        );
+        out
+    }
+
+    /// The pool's one fan-out core: evaluates `f(0)`, `f(1)`, … and
+    /// hands each result to `sink` on the caller's thread **in index
+    /// order**. Every job runs under `catch_unwind`: a panicking one
+    /// arrives as `Err(UnitPanic)` and the rest still run.
+    ///
+    /// Once `stop()` holds, no further index is handed out; jobs already
+    /// started finish and are delivered, so `sink` sees a prefix `0..k`
+    /// of the indices, and at most one job per worker starts after the
+    /// condition first holds. A result waits in a reorder buffer only
+    /// while a lower index is still running.
+    pub fn stream<T, F, P, S>(&self, n: usize, stop: P, f: F, mut sink: S)
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        P: Fn() -> bool + Sync,
+        S: FnMut(usize, Result<T, UnitPanic>),
+    {
+        let attempt = |i: usize, worker: usize| {
+            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| UnitPanic {
+                unit: i,
+                worker,
+                message: panic_message(payload.as_ref()),
             })
-            .collect()
-    }
-
-    /// [`run`](Pool::run) with per-item panic isolation: every unit is
-    /// wrapped in `catch_unwind`, a panicking unit yields
-    /// `Err(UnitPanic)` in its slot, and the remaining units still run
-    /// to completion. The pool is never poisoned.
-    pub fn run_quarantined<T, F>(&self, n: usize, f: F) -> Vec<Result<T, UnitPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_policy(n, PoolPolicy::Quarantine, f)
-    }
-
-    /// The common fan-out core behind [`run`](Pool::run) and
-    /// [`run_quarantined`](Pool::run_quarantined), parameterized by the
-    /// panic policy. Under [`PoolPolicy::Propagate`] the returned vector
-    /// contains only `Ok` entries (the lowest-index panic is re-raised
-    /// instead of returned).
-    fn run_policy<T, F>(&self, n: usize, policy: PoolPolicy, f: F) -> Vec<Result<T, UnitPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
+        };
         let workers = self.jobs.min(n);
         if workers <= 1 {
-            return (0..n)
-                .map(|i| {
-                    catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| {
-                        let up = UnitPanic {
-                            unit: i,
-                            worker: 0,
-                            message: panic_message(payload.as_ref()),
-                        };
-                        if policy == PoolPolicy::Propagate {
-                            panic!("{}", up.describe(n));
-                        }
-                        up
-                    })
-                })
-                .collect();
+            for i in (0..n).take_while(|_| !stop()) {
+                sink(i, attempt(i, 0));
+            }
+            return;
         }
-        let next = AtomicUsize::new(0);
-        let poisoned = AtomicBool::new(false);
+        let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Result<T, UnitPanic>)>();
-        let f = &f;
-        let mut slots: Vec<Option<Result<T, UnitPanic>>> = Vec::new();
-        slots.resize_with(n, || None);
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let tx = tx.clone();
-                let next = &next;
-                let poisoned = &poisoned;
-                scope.spawn(move || loop {
-                    if poisoned.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| {
-                        if policy == PoolPolicy::Propagate {
-                            poisoned.store(true, Ordering::Release);
+                let (cursor, stop, attempt) = (&cursor, &stop, &attempt);
+                scope.spawn(move || {
+                    while !stop() {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n || tx.send((i, attempt(i, w))).is_err() {
+                            break;
                         }
-                        UnitPanic {
-                            unit: i,
-                            worker: w,
-                            message: panic_message(payload.as_ref()),
-                        }
-                    });
-                    if tx.send((i, out)).is_err() {
-                        break;
                     }
                 });
             }
             drop(tx);
-            for (i, result) in rx {
-                slots[i] = Some(result);
+            // Every handed-out index finishes and is sent, so the
+            // buffer always drains to a gapless prefix.
+            let mut next = 0;
+            let mut ahead = BTreeMap::new();
+            for (i, out) in rx {
+                ahead.insert(i, out);
+                while let Some(out) = ahead.remove(&next) {
+                    sink(next, out);
+                    next += 1;
+                }
             }
         });
-        let mut out = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(v)) => out.push(Ok(v)),
-                // Indices are handed out in order, so the first Err in
-                // index order is the lowest panicking job — and, under
-                // Propagate, every skipped (None) slot sits above it.
-                Some(Err(up)) => {
-                    if policy == PoolPolicy::Propagate {
-                        panic!("{}", up.describe(n));
-                    }
-                    out.push(Err(up));
-                }
-                None => unreachable!("job {i} skipped without an earlier panic"),
-            }
-        }
-        out
     }
 }
 
@@ -474,18 +436,30 @@ mod tests {
         );
     }
 
+    /// Everything [`Pool::stream`] hands its sink, in arrival order.
+    fn streamed<T: Send>(
+        jobs: usize,
+        n: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Vec<(usize, Result<T, UnitPanic>)> {
+        let mut got = Vec::new();
+        Pool::new(jobs).stream(n, || false, f, |i, r| got.push((i, r)));
+        got
+    }
+
     #[test]
     fn quarantine_converts_panics_to_data_in_order() {
         crate::check::install_quiet_hook();
         for jobs in [1, 2, 4] {
-            let results = Pool::new(jobs).run_quarantined(10, |i| {
+            let results = streamed(jobs, 10, |i| {
                 if i % 3 == 0 {
                     quiet_panic(format!("boom {i}"));
                 }
                 i * 2
             });
             assert_eq!(results.len(), 10, "jobs {jobs}");
-            for (i, r) in results.iter().enumerate() {
+            for (i, (unit, r)) in results.iter().enumerate() {
+                assert_eq!(*unit, i, "jobs {jobs}");
                 if i % 3 == 0 {
                     let up = r.as_ref().expect_err("unit must be quarantined");
                     assert_eq!(up.unit, i, "jobs {jobs}");
@@ -503,14 +477,14 @@ mod tests {
     #[test]
     fn primitive_panic_payloads_are_downcast() {
         crate::check::install_quiet_hook();
-        let results = Pool::new(2).run_quarantined(3, |i| {
+        let results = streamed(2, 3, |i| {
             if i == 1 {
                 crate::check::QUIET_PANICS.with(|q| q.set(true));
                 std::panic::panic_any(42u32);
             }
             i
         });
-        let up = results[1].as_ref().expect_err("unit 1 panicked");
+        let up = results[1].1.as_ref().expect_err("unit 1 panicked");
         assert_eq!(up.message, "42 (u32)");
         assert_eq!(
             up.describe(3),
@@ -519,6 +493,85 @@ mod tests {
                 up.worker
             )
         );
+    }
+
+    #[test]
+    fn stream_delivers_in_index_order_when_late_indices_finish_first() {
+        let n = 40;
+        for jobs in [1, 2, 3, 7] {
+            let pool = Pool::new(jobs);
+            let finished = AtomicUsize::new(0);
+            let finish_order = std::sync::Mutex::new(Vec::new());
+            let mut delivered = Vec::new();
+            pool.stream(
+                n,
+                || false,
+                |i| {
+                    // Unit 0 holds its worker until every later unit has
+                    // finished, so all of them wait in the reorder buffer.
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while i == 0
+                        && pool.jobs() > 1
+                        && finished.load(Ordering::Acquire) < n - 1
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    // Earlier indices also run longer than later ones.
+                    std::thread::sleep(std::time::Duration::from_micros(10 * (n - i) as u64));
+                    finish_order.lock().unwrap().push(i);
+                    finished.fetch_add(1, Ordering::Release);
+                    i * 3
+                },
+                |i, r| delivered.push((i, r.expect("no unit panics"))),
+            );
+            let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 3)).collect();
+            assert_eq!(delivered, want, "jobs {jobs}");
+            if jobs > 1 {
+                let order = finish_order.into_inner().unwrap();
+                assert_eq!(order.last(), Some(&0), "jobs {jobs}: unit 0 finished early");
+            }
+        }
+    }
+
+    #[test]
+    fn stop_condition_closes_the_cursor_within_one_unit_per_worker() {
+        let (n, trigger) = (1000, 10);
+        for jobs in [1, 2, 3, 7] {
+            let stop = AtomicBool::new(false);
+            let (ran, late) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut delivered = Vec::new();
+            Pool::new(jobs).stream(
+                n,
+                || stop.load(Ordering::Acquire),
+                |i| {
+                    if stop.load(Ordering::Acquire) {
+                        late.fetch_add(1, Ordering::Relaxed);
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    if i == trigger {
+                        stop.store(true, Ordering::Release);
+                    }
+                },
+                |i, r| {
+                    r.expect("no unit panics");
+                    delivered.push(i);
+                },
+            );
+            let (ran, late) = (ran.into_inner(), late.into_inner());
+            assert!(
+                late <= jobs,
+                "jobs {jobs}: {late} units started after the stop"
+            );
+            // Every unit that ran was delivered, as a gapless prefix.
+            let want: Vec<usize> = (0..ran).collect();
+            assert_eq!(delivered, want, "jobs {jobs}");
+            assert!(ran > trigger && ran < n, "jobs {jobs}: {ran} units ran");
+            if jobs == 1 {
+                assert_eq!(ran, trigger + 1, "inline: nothing runs after the stop");
+            }
+        }
     }
 
     #[test]

@@ -88,9 +88,10 @@ diff "$out_dir/jobs1.out" "$out_dir/jobs4.out"
 # Crash safety under every protocol: the `protocols` bin runs the undo,
 # redo and CoW update kernels on all five configurations and checks every
 # crash image of each run with the recovery its writer recorded. B, IQ
-# and WB must be crash-safe (✓) in all three columns; the SU and U rows
-# are not asserted.
-echo "==> protocols (EDE_OPS=60): B/IQ/WB crash-safe under undo, redo and CoW"
+# and WB must be crash-safe (✓) in all three columns, and U, which
+# orders no persist, must fail (✗) in all three. SU is not asserted: no
+# timing run shows it unsafe; only `explore --tx` does.
+echo "==> protocols (EDE_OPS=60): B/IQ/WB crash-safe and U unsafe under undo, redo and CoW"
 EDE_OPS=60 cargo run --release --offline -q -p ede-bench --bin protocols \
     2>/dev/null > "$out_dir/protocols.out"
 for arch in B IQ WB; do
@@ -98,6 +99,9 @@ for arch in B IQ WB; do
         "$out_dir/protocols.out" \
         || { echo "protocols: $arch is not crash-safe under every protocol" >&2; exit 1; }
 done
+grep -Eq "^  U +[0-9]+/[0-9]+/✗ +[0-9]+/[0-9]+/✗ +[0-9]+/[0-9]+/✗$" \
+    "$out_dir/protocols.out" \
+    || { echo "protocols: U is crash-safe under some protocol" >&2; exit 1; }
 
 # Fault-injection smoke: the nine pipeline and memory-system faults
 # against B/IQ/WB at a small per-cell budget. Exit 0 asserts every fault
@@ -271,28 +275,44 @@ cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     corrupt --seed 2 --cases 2 --jobs 4 --resume "$out_dir/resil_corrupt_cp.json" \
     2>/dev/null > "$out_dir/resil_corrupt_res.json"
 diff "$out_dir/corrupt_j1.json" "$out_dir/resil_corrupt_res.json"
-# The wall-clock deadline: a million fuzz cases take minutes, so a
+# The wall-clock deadline: four million fuzz cases take hours, so a
 # one-second budget must interrupt the run (exit 3) and leave a
 # checkpoint that a resumed run under the same budget accepts before it
-# is interrupted again.
-set +e
-cargo run --release --offline -q -p ede-check --bin ede-sim -- \
-    fuzz --seed 5 --cases 1000000 --jobs 2 --max-wall-secs 1 \
-    --checkpoint "$out_dir/resil_wall_cp.json" \
-    2>/dev/null > "$out_dir/resil_wall.out"
-rc=$?
-set -e
-[ "$rc" -eq 3 ] || { echo "deadline run exited $rc, want 3" >&2; exit 1; }
-grep -q 'INTERRUPTED: ' "$out_dir/resil_wall.out"
-set +e
-cargo run --release --offline -q -p ede-check --bin ede-sim -- \
-    fuzz --seed 5 --cases 1000000 --jobs 2 --max-wall-secs 1 \
-    --resume "$out_dir/resil_wall_cp.json" \
-    2>/dev/null > "$out_dir/resil_wall_res.out"
-rc=$?
-set -e
-[ "$rc" -eq 3 ] || { echo "resumed deadline run exited $rc, want 3" >&2; exit 1; }
-grep -q 'INTERRUPTED: ' "$out_dir/resil_wall_res.out"
+# is interrupted again. Both runs must stay bounded by their workers,
+# not by the planned case count: the binary runs directly (not under
+# `cargo run`) so `getrusage` sees it alone, its peak RSS must stay
+# under 32 MB and it must exit within 0.5 s of the budget.
+ede_sim="${CARGO_TARGET_DIR:-target}/release/ede-sim"
+# peak_run OUT CMD...: runs CMD with stdout in OUT, prints the child's
+# peak RSS in kB and its wall seconds, and exits with the child's code.
+peak_run() {
+    python3 -c '
+import resource, subprocess, sys, time
+start = time.monotonic()
+with open(sys.argv[1], "w") as out:
+    rc = subprocess.call(sys.argv[2:], stdout=out, stderr=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, round(time.monotonic() - start, 3))
+sys.exit(rc)' "$@"
+}
+# deadline_leg NAME FLAG: the deadline run, with FLAG (--checkpoint or
+# --resume) naming the one checkpoint both legs share.
+deadline_leg() {
+    set +e
+    peak=$(peak_run "$out_dir/resil_$1.out" "$ede_sim" \
+        fuzz --seed 5 --cases 4000000 --jobs 2 --max-wall-secs 1 \
+        "$2" "$out_dir/resil_wall_cp.json")
+    rc=$?
+    set -e
+    [ "$rc" -eq 3 ] || { echo "deadline run ($1) exited $rc, want 3" >&2; exit 1; }
+    grep -q 'INTERRUPTED: ' "$out_dir/resil_$1.out"
+    set -- "$1" $peak
+    echo "    deadline run ($1): peak RSS $2 kB, exit after $3 s"
+    [ "$2" -le 32768 ] || { echo "deadline run ($1) peaked at $2 kB, over 32 MB" >&2; exit 1; }
+    awk "BEGIN { exit !($3 <= 1.5) }" \
+        || { echo "deadline run ($1) took $3 s, over 1.5 s" >&2; exit 1; }
+}
+deadline_leg wall --checkpoint
+deadline_leg wall_res --resume
 set +e
 cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     fuzz --seed 5 --cases 30 --jobs 2 --self-test-panic 7 \

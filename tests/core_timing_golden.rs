@@ -24,11 +24,12 @@ use ede_cpu::StageId;
 use ede_isa::ArchConfig;
 use ede_sim::{raw_output, run_program, run_workload, RunResult, SimConfig};
 use ede_util::check::Strategy;
-use ede_util::diff::unified_diff;
 use ede_util::rng::SmallRng;
 use ede_workloads::{standard_suite, WorkloadParams};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+
+#[path = "support/golden.rs"]
+mod golden;
 
 const GEN_ARCHS: [ArchConfig; 3] = [
     ArchConfig::Baseline,
@@ -42,21 +43,9 @@ const GEN_PROGRAMS: u64 = 32;
 /// Longest generator program, in commands.
 const GEN_MAX_CMDS: usize = 40;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/core/digests.txt"
-    ))
-}
-
-/// FNV-1a, 64-bit, folded over a stream of words.
+/// FNV-1a, 64-bit, folded over a stream of words (little-endian).
 fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
-    words
-        .into_iter()
-        .flat_map(u64::to_le_bytes)
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    golden::fnv1a64(words.into_iter().flat_map(u64::to_le_bytes))
 }
 
 fn row(table: &mut String, name: &str, r: &RunResult) {
@@ -137,23 +126,10 @@ fn core_timing_digests_are_pinned() {
         }
     }
 
-    let path = golden_path();
-    if std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, &table).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
-             --test core_timing_golden` to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == table,
-        "core timing changed:\n{}\n\
-         (if the timing change is intentional, re-bless with EDE_BLESS=1)",
-        unified_diff(&golden, &table, "golden", "live"),
+    golden::check(
+        &golden::path("core/digests.txt"),
+        &table,
+        "core_timing_golden",
+        "core timing",
     );
 }

@@ -18,14 +18,9 @@
 //! ```
 
 use ede_check::explore::{explore, ExploreOptions};
-use ede_util::diff::unified_diff;
-use std::path::PathBuf;
 
-/// The snapshot directory, anchored to the repo root so the test works
-/// from any cargo invocation directory.
-fn golden_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
-}
+#[path = "support/golden.rs"]
+mod golden;
 
 /// The blessed configuration: the full catalog, default budgets, the
 /// crash-safe trio, fault-free.
@@ -42,24 +37,11 @@ fn catalog_ledger(jobs: usize, fast_forward: bool) -> String {
 #[test]
 fn catalog_ledger_matches_the_blessed_snapshot() {
     let live = catalog_ledger(1, true);
-    let path = golden_dir().join("explore_catalog.json");
-    if std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, &live).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
-             --test explore_golden` to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == live,
-        "explore ledger mismatch:\n{}\n\
-         (if the model change is intentional, re-bless with EDE_BLESS=1)",
-        unified_diff(&golden, &live, "golden", "live"),
+    golden::check(
+        &golden::path("explore_catalog.json"),
+        &live,
+        "explore_golden",
+        "the explore ledger",
     );
 }
 

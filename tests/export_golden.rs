@@ -17,9 +17,10 @@
 use ede_check::litmus;
 use ede_isa::ArchConfig;
 use ede_sim::{chrome_trace_json, raw_output, run_program_traced, SimConfig};
-use ede_util::diff::unified_diff;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+
+#[path = "support/golden.rs"]
+mod golden;
 
 /// The `pipeview` binary's renderer, compiled into this test.
 #[allow(dead_code)]
@@ -34,20 +35,6 @@ const ARCHS: [ArchConfig; 3] = [
 
 /// Lane-chart width, the `pipeview` default.
 const WIDTH: usize = 72;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/exports/digests.txt"
-    ))
-}
-
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn chrome(name: &str, arch: ArchConfig) -> String {
     let program = litmus::program(name).expect(name);
@@ -75,29 +62,16 @@ fn chrome_and_pipeview_digests_are_pinned() {
                     table,
                     "{name} {} {export} {:016x} {}",
                     arch.label(),
-                    fnv1a64(text.as_bytes()),
+                    golden::fnv1a64(text.bytes()),
                     text.len()
                 );
             }
         }
     }
-    let path = golden_path();
-    if std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, &table).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
-             --test export_golden` to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == table,
-        "export digests changed:\n{}\n\
-         (if the format change is intentional, re-bless with EDE_BLESS=1)",
-        unified_diff(&golden, &table, "golden", "live"),
+    golden::check(
+        &golden::path("exports/digests.txt"),
+        &table,
+        "export_golden",
+        "the export digests",
     );
 }

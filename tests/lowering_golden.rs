@@ -24,40 +24,21 @@ use ede_isa::{disasm, ArchConfig, Program};
 use ede_nvm::cow::{cow_update_kernel, CowTxWriter};
 use ede_nvm::redo::{redo_update_kernel, RedoTxWriter};
 use ede_nvm::{Layout, TxWriter};
-use ede_util::diff::unified_diff;
 use ede_workloads::lockfree::lockfree_suite;
 use ede_workloads::{extended_suite, WorkloadParams};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/lowering"
-    ))
-}
+#[path = "support/golden.rs"]
+mod golden;
 
-/// Compares `live` with the blessed file `name`, or rewrites the file
-/// under `EDE_BLESS=1`.
+/// Compares `live` with the blessed file `lowering/<name>`, or rewrites
+/// the file under `EDE_BLESS=1`.
 fn check_golden(name: &str, live: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(golden_dir()).expect("create tests/golden/lowering");
-        std::fs::write(&path, live).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
-             --test lowering_golden` to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == live,
-        "generated program changed for {name}:\n{}\n\
-         (if the code-generation change is intentional, re-bless with EDE_BLESS=1)",
-        unified_diff(&golden, live, "golden", "live"),
+    golden::check(
+        &golden::path(&format!("lowering/{name}")),
+        live,
+        "lowering_golden",
+        &format!("the generated program for {name}"),
     );
 }
 
@@ -133,13 +114,6 @@ fn cow_one_tx_listings_are_pinned() {
     check_one_tx("cow", cow_tx);
 }
 
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn suite_and_kernel_digests_are_pinned() {
     let params = WorkloadParams {
@@ -155,7 +129,7 @@ fn suite_and_kernel_digests_are_pinned() {
         params.ops, params.ops_per_tx, params.prepopulate, params.array_elems, params.seed
     );
     let mut row = |name: &str, arch: ArchConfig, program: &Program| {
-        let digest = fnv1a64(disasm::listing(program).as_bytes());
+        let digest = golden::fnv1a64(disasm::listing(program).bytes());
         let _ = writeln!(
             table,
             "{name} {} {digest:016x} {}",

@@ -29,31 +29,18 @@ use ede_check::{
 };
 use ede_isa::ArchConfig;
 use ede_sim::{metrics_json, run_workload, SimConfig};
-use ede_util::diff::unified_diff;
 use ede_workloads::{standard_suite, WorkloadParams};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/metrics/digests.txt"
-    ))
-}
-
-/// FNV-1a, 64-bit, over a document's bytes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+#[path = "support/golden.rs"]
+mod golden;
 
 fn row(table: &mut String, name: &str, doc: &str) {
     let _ = writeln!(
         table,
         "{name} {} {:016x}",
         doc.len(),
-        fnv1a64(doc.as_bytes())
+        golden::fnv1a64(doc.bytes())
     );
 }
 
@@ -131,23 +118,10 @@ fn metrics_documents_are_pinned() {
     .expect("explore runs");
     row(&mut table, "explore.metrics", &explored.metrics().to_json());
 
-    let path = golden_path();
-    if std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, &table).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
-             --test metrics_golden` to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == table,
-        "metrics documents changed:\n{}\n\
-         (if the change is intentional, re-bless with EDE_BLESS=1)",
-        unified_diff(&golden, &table, "golden", "live"),
+    golden::check(
+        &golden::path("metrics/digests.txt"),
+        &table,
+        "metrics_golden",
+        "the metrics documents",
     );
 }

@@ -18,13 +18,9 @@ use ede_cpu::TracerConfig;
 use ede_isa::ArchConfig;
 use ede_sim::{raw_output, run_program_observed, SimConfig};
 use ede_util::diff::unified_diff;
-use std::path::PathBuf;
 
-/// The snapshot directory, anchored to the repo root so the test works
-/// from any cargo invocation directory.
-fn golden_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
-}
+#[path = "support/golden.rs"]
+mod golden;
 
 /// Renders the live event stream for one (litmus, arch) pair, on the
 /// fast-forward or reference simulation path.
@@ -57,33 +53,19 @@ fn check_snapshot(name: &str, arch: ArchConfig) {
     // snapshots double as a differential fixture, no re-blessing needed
     // when toggling the kernel.
     let live = live_trace_on(name, arch, true);
-    let path = golden_dir().join(format!("{name}.{}.txt", arch.label()));
-    if std::env::var_os("EDE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, &live).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {} ({e}) — run `EDE_BLESS=1 cargo test -p ede-check \
-             --test trace_golden` to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == live,
-        "golden trace mismatch for {name} on {}:\n{}\n\
-         (if the pipeline change is intentional, re-bless with EDE_BLESS=1)",
-        arch.label(),
-        unified_diff(&golden, &live, "golden", "live"),
+    golden::check(
+        &golden::path(&format!("{name}.{}.txt", arch.label())),
+        &live,
+        "trace_golden",
+        &format!("the trace of {name} on {}", arch.label()),
     );
     let reference = live_trace_on(name, arch, false);
     assert!(
-        golden == reference,
+        live == reference,
         "reference-path trace mismatch for {name} on {}:\n{}\n\
          (the fast-forward kernel and the per-cycle path diverged)",
         arch.label(),
-        unified_diff(&golden, &reference, "golden", "reference"),
+        unified_diff(&live, &reference, "golden", "reference"),
     );
 }
 
