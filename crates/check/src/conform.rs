@@ -30,17 +30,25 @@
 //! 6. **Final NVM image** — replaying the trace to its horizon yields
 //!    exactly the golden model's persisted image.
 //!
+//! Axioms 4–6 compare the pipeline's `RunOutputs` with the golden
+//! run's: the golden model records its own store and persist events
+//! into a `PersistTrace`, and both traces are replayed by the same
+//! `ImageCursor`, so the line-capture rule is written once, in
+//! `ede_mem::trace`. An independent reference for that rule lives in
+//! `crates/mem/tests/prop_mem.rs`.
+//!
 //! Axioms 4–6 assume the program confines its stores to a footprint
 //! small enough that the simulated LLC never evicts a dirty NVM line
 //! (evictions persist without a `DC CVAP`, which sequential execution
 //! cannot predict). The fuzzer's generator guarantees this by
 //! construction ([`gen::SLOTS`](crate::gen::SLOTS)).
 
-use crate::golden::GoldenRun;
+use crate::golden::{GoldenRun, LINE_BYTES};
 use ede_core::ordering::{self, Axiom, OrderRelaxation};
 use ede_cpu::{PipeStage, Tracer};
 use ede_isa::InstId;
 use ede_mem::trace::nvm_image_at;
+use ede_mem::PersistTrace;
 use ede_sim::RunResult;
 use std::collections::BTreeMap;
 
@@ -92,45 +100,44 @@ pub fn check_run(result: &RunResult, tracer: &Tracer, golden: &GoldenRun) -> Vec
         ));
     }
 
-    let outputs = RunOutputs::of(result);
+    let outputs = RunOutputs::of(&result.trace);
+    let gold = RunOutputs::of(&golden.trace);
 
     // 4. Same-address coherence: store-visibility value sequences.
-    let gold_seqs = golden.value_seqs();
-    if outputs.store_seqs != gold_seqs {
-        let addr = first_difference(&outputs.store_seqs, &gold_seqs);
+    if outputs.store_seqs != gold.store_seqs {
+        let addr = first_difference(&outputs.store_seqs, &gold.store_seqs);
         diffs.push(format!(
             "store coherence at {addr:#x}: pipeline saw {:?}, golden order is {:?}",
             outputs.store_seqs.get(&addr).unwrap_or(&Vec::new()),
-            gold_seqs.get(&addr).unwrap_or(&Vec::new()),
+            gold.store_seqs.get(&addr).unwrap_or(&Vec::new()),
         ));
     }
 
     // 5. Per-line persist counts.
-    let gold_persists = golden.persist_counts();
-    if outputs.persist_counts != gold_persists {
+    if outputs.persist_counts != gold.persist_counts {
         diffs.push(format!(
-            "persist counts: pipeline {:?}, golden {gold_persists:?}",
-            outputs.persist_counts
+            "persist counts: pipeline {:?}, golden {:?}",
+            outputs.persist_counts, gold.persist_counts
         ));
     }
 
     // 6. Final NVM image.
-    if outputs.image != golden.nvm_image {
-        let addr = first_difference(&outputs.image, &golden.nvm_image);
+    if outputs.image != gold.image {
+        let addr = first_difference(&outputs.image, &gold.image);
         diffs.push(format!(
             "NVM image at {addr:#x}: pipeline {:?}, golden {:?}",
             outputs.image.get(&addr),
-            golden.nvm_image.get(&addr),
+            gold.image.get(&addr),
         ));
     }
 
     diffs
 }
 
-/// A run's architectural outputs: what axioms 4–6 compare against the
-/// golden model, and what the fault-injection campaign compares between
-/// a faulty and a fault-free run to call a fault tolerated. Cycle
-/// timestamps are deliberately absent.
+/// A trace's architectural outputs: what axioms 4–6 compare between a
+/// pipeline run and the golden run, and what the fault-injection
+/// campaign compares between a faulty and a fault-free run to call a
+/// fault tolerated. Cycle timestamps are deliberately absent.
 #[derive(PartialEq, Eq, Debug)]
 pub(crate) struct RunOutputs {
     /// Per-word-address store-visibility value sequences.
@@ -142,19 +149,16 @@ pub(crate) struct RunOutputs {
 }
 
 impl RunOutputs {
-    pub(crate) fn of(result: &RunResult) -> RunOutputs {
+    pub(crate) fn of(trace: &PersistTrace) -> RunOutputs {
         let mut store_seqs: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for se in &result.trace.stores {
-            store_seqs.entry(se.addr).or_default().push(se.value[0]);
-            if se.width == 16 {
-                store_seqs.entry(se.addr + 8).or_default().push(se.value[1]);
-            }
+        for (addr, value) in trace.stores.iter().flat_map(|se| se.words()) {
+            store_seqs.entry(addr).or_default().push(value);
         }
         let mut persist_counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for pe in &result.trace.persists {
+        for pe in &trace.persists {
             *persist_counts.entry(pe.line).or_default() += 1;
         }
-        let image = nvm_image_at(&result.trace, result.trace.horizon(), 64)
+        let image = nvm_image_at(trace, trace.horizon(), LINE_BYTES)
             .into_iter()
             .collect();
         RunOutputs {

@@ -60,13 +60,13 @@
 
 use crate::campaign::{self, Campaign, Plan, Record};
 use crate::gen::{cmds_strategy, concretize, Cmd};
-use crate::golden::{self, GoldenConfig, GoldenRun};
+use crate::golden::{self, GoldenConfig, GoldenRun, LINE_BYTES};
 use crate::litmus;
 use crate::resume::{CampaignDriver, HarnessPanic, ResumeError, RuntimeOptions};
 use ede_core::depgraph::{PersistDag, MAX_PERSIST_EVENTS};
 use ede_core::ordering::OrderRelaxation;
 use ede_isa::{ArchConfig, InstId, Program};
-use ede_mem::trace::nvm_image_at;
+use ede_mem::trace::{nvm_image_at, ImageCursor};
 use ede_mem::FaultInjection;
 use ede_nvm::CrashChecker;
 use ede_sim::{raw_output, run_program};
@@ -442,34 +442,25 @@ fn build_model(
     relax: OrderRelaxation,
     max_events: usize,
 ) -> Result<Model, usize> {
-    let events = golden.persist_order.clone();
+    let persists = &golden.trace.persists;
+    // The golden trace's cycle is the persisting `DC CVAP`'s id.
+    let events: Vec<(InstId, u64)> = persists.iter().map(|p| (InstId(p.cycle), p.line)).collect();
     if events.len() > max_events.min(MAX_PERSIST_EVENTS) {
         return Err(events.len());
     }
     let refdag = PersistDag::build(program, &events, OrderRelaxation::NONE)
         .expect("event count checked above");
     let relaxed = PersistDag::build(program, &events, relax).expect("event count checked above");
-    // Per-event line snapshots: replay the golden store sequence up to
-    // each event's program point and capture its line.
-    let mut mem = WordMap::default();
-    let mut snapshots = Vec::with_capacity(events.len());
-    let mut si = 0;
-    for &(id, line) in &events {
-        while si < golden.stores.len() && golden.stores[si].0 <= id {
-            let (_, addr, vals, width) = golden.stores[si];
-            mem.insert(addr, vals[0]);
-            if width == 16 {
-                mem.insert(addr + 8, vals[1]);
-            }
-            si += 1;
-        }
-        snapshots.push(
-            mem.iter()
-                .filter(|&(&a, _)| a & !63 == line)
-                .map(|(&a, &v)| (a, v))
-                .collect(),
-        );
-    }
+    // Per-event line snapshots: the golden trace replayed to each
+    // persist holds what that persist captured of its line.
+    let mut cursor = ImageCursor::new(&golden.trace, LINE_BYTES);
+    let snapshots = persists
+        .iter()
+        .map(|p| {
+            cursor.advance_to(p.cycle);
+            cursor.line_words(p.line).collect()
+        })
+        .collect();
     Ok(Model {
         events,
         refdag,
@@ -655,7 +646,7 @@ fn impl_check(
             "impl persist order violates the reference model: event {ev} before its predecessor {pred}",
         ));
     }
-    let impl_image = nvm_image_at(&result.trace, result.trace.horizon(), 64);
+    let impl_image = nvm_image_at(&result.trace, result.trace.horizon(), LINE_BYTES);
     let model_image = model.image(if model.events.is_empty() {
         0
     } else {
@@ -675,8 +666,9 @@ fn impl_check(
     }
     // The golden image restricted to persisted words must agree too —
     // a mismatch here is a model bug, not a pipeline bug.
+    let golden_image = nvm_image_at(&golden.trace, golden.trace.horizon(), LINE_BYTES);
     for (&a, &v) in &model_image {
-        if golden.nvm_image.get(&a) != Some(&v) {
+        if golden_image.get(&a) != Some(&v) {
             diffs.push(format!(
                 "model image at {a:#x} disagrees with the golden interpreter",
             ));
@@ -905,7 +897,6 @@ fn run_tx_cell(
     // stay authoritative.
     let golden_cfg = GoldenConfig {
         strict_registers: false,
-        ..GoldenConfig::default()
     };
     let golden = match golden::run(&out.program, &golden_cfg) {
         Ok(g) => g,

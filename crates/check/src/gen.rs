@@ -285,15 +285,10 @@ mod tests {
         let p = concretize(&cmds);
         let g = golden::run(&p, &GoldenConfig::default()).unwrap();
         let mut values: Vec<u64> = g
+            .trace
             .stores
             .iter()
-            .flat_map(|&(_, _, v, w)| {
-                if w == 16 {
-                    vec![v[0], v[1]]
-                } else {
-                    vec![v[0]]
-                }
-            })
+            .flat_map(|s| s.words().map(|(_, v)| v))
             .collect();
         values.sort_unstable();
         values.dedup();

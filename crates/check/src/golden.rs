@@ -9,19 +9,32 @@
 //! final state, per-address store sequences, or persist counts is a
 //! pipeline bug (or a generator bug, which the interpreter also flags by
 //! validating the trace-resolved values against its own dataflow).
+//!
+//! The interpreter records what it executes as a [`PersistTrace`], the
+//! same event record the memory system emits, with one instruction per
+//! cycle. It decides on its own which stores and persists happen and in
+//! which order; what a persist of a line makes durable is
+//! `ede_mem::trace`'s rule, so the golden side of conformance axioms 4–6
+//! is this trace replayed by the same [`ImageCursor`] that replays the
+//! pipeline's. `crates/mem/tests/prop_mem.rs` checks that replay against
+//! an independent reference.
+//!
+//! [`ImageCursor`]: ede_mem::trace::ImageCursor
 
 use ede_isa::{InstId, Op, Program, Reg};
+use ede_mem::trace::{PersistEvent, PersistTrace, StoreEvent};
+use ede_nvm::Layout;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Interpreter parameters: where NVM begins and the persist granularity.
-/// Defaults match `MemConfig::a72_hybrid` / `Layout::standard`.
+/// The persist granularity: one 64-byte cache line, as in
+/// `MemConfig::a72_hybrid`.
+pub(crate) const LINE_BYTES: u64 = 64;
+
+/// Interpreter parameters. NVM begins at `Layout::standard().nvm_base`
+/// and persists cover one 64-byte line.
 #[derive(Clone, Debug)]
 pub struct GoldenConfig {
-    /// First NVM address; stores below it are volatile-only.
-    pub nvm_base: u64,
-    /// Cache-line (persist) granularity in bytes.
-    pub line_bytes: u64,
     /// Whether to validate that base/source registers hold the resolved
     /// address/value of each memory instruction. True for `TraceBuilder`
     /// programs (where `lea` materializes exact addresses); disable for
@@ -33,8 +46,6 @@ pub struct GoldenConfig {
 impl Default for GoldenConfig {
     fn default() -> Self {
         GoldenConfig {
-            nvm_base: 0x1_0000_0000,
-            line_bytes: 64,
             strict_registers: true,
         }
     }
@@ -125,41 +136,12 @@ pub struct GoldenRun {
     /// touched before any store are *learned* from the trace (they
     /// represent initial memory) and thereafter enforced.
     pub mem: BTreeMap<u64, u64>,
-    /// Final persisted NVM image: word address → value, built by applying
-    /// each `DC CVAP` of a dirty NVM line in program order. Words never
-    /// persisted are absent.
-    pub nvm_image: BTreeMap<u64, u64>,
-    /// `DC CVAP` persists in program order: `(instruction, line)`. Clean
-    /// and non-NVM cvaps do not appear (they persist nothing).
-    pub persist_order: Vec<(InstId, u64)>,
-    /// Committed stores in program order: `(id, addr, values, width)`.
-    pub stores: Vec<(InstId, u64, [u64; 2], u8)>,
-}
-
-impl GoldenRun {
-    /// Per-word-address store value sequences, in program order. A
-    /// coherent pipeline must make same-address stores visible in exactly
-    /// this order (same-address coherence), whatever it does across
-    /// addresses.
-    pub fn value_seqs(&self) -> BTreeMap<u64, Vec<u64>> {
-        let mut seqs: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for &(_, addr, values, width) in &self.stores {
-            seqs.entry(addr).or_default().push(values[0]);
-            if width == 16 {
-                seqs.entry(addr + 8).or_default().push(values[1]);
-            }
-        }
-        seqs
-    }
-
-    /// Number of persist events per line.
-    pub fn persist_counts(&self) -> BTreeMap<u64, usize> {
-        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for &(_, line) in &self.persist_order {
-            *counts.entry(line).or_default() += 1;
-        }
-        counts
-    }
+    /// Every committed store and every `DC CVAP` of a dirty NVM line, in
+    /// program order, each stamped with its instruction's id as the
+    /// cycle. Clean and non-NVM cvaps persist nothing and do not appear.
+    /// Loads are not recorded, so a word that still holds initial memory
+    /// (learned from a load) stays out of every persist image.
+    pub trace: PersistTrace,
 }
 
 /// Interprets `program` sequentially from zeroed registers and empty
@@ -170,31 +152,20 @@ impl GoldenRun {
 /// The first trace inconsistency found (see [`GoldenError`]); a
 /// well-formed trace-resolved program never errors.
 pub fn run(program: &Program, cfg: &GoldenConfig) -> Result<GoldenRun, GoldenError> {
-    run_with_memory(program, cfg, std::iter::empty())
-}
-
-/// Interprets `program` with `init` pre-loaded into memory (for programs
-/// whose generator seeded memory outside the instruction stream).
-///
-/// # Errors
-///
-/// See [`run`].
-fn run_with_memory(
-    program: &Program,
-    cfg: &GoldenConfig,
-    init: impl IntoIterator<Item = (u64, u64)>,
-) -> Result<GoldenRun, GoldenError> {
+    let nvm_base = Layout::standard().nvm_base;
     let mut g = GoldenRun::default();
-    g.mem.extend(init);
     // Dirty NVM lines: written since their last cvap.
     let mut dirty: BTreeSet<u64> = BTreeSet::new();
-    // Words written by a store instruction. The persist image only
-    // covers these: a word that still holds initial memory (seeded or
-    // learned from a load) persists as "absent" — the reconstruction in
-    // `nvm_image_at` reports deltas from initial contents, and the
-    // golden image must speak the same language.
-    let mut stored: BTreeSet<u64> = BTreeSet::new();
-    let line_of = |addr: u64| addr & !(cfg.line_bytes - 1);
+    let line_of = |addr: u64| addr & !(LINE_BYTES - 1);
+    let commit = |g: &mut GoldenRun, dirty: &mut BTreeSet<u64>, ev: StoreEvent| {
+        for (w, v) in ev.words() {
+            g.mem.insert(w, v);
+            if ev.addr >= nvm_base {
+                dirty.insert(line_of(w));
+            }
+        }
+        g.trace.record_store(ev);
+    };
 
     let read = |regs: &[u64; 32], r: Reg| {
         if r.is_zero() {
@@ -272,12 +243,13 @@ fn run_with_memory(
                         value,
                     });
                 }
-                g.mem.insert(addr, value);
-                stored.insert(addr);
-                if addr >= cfg.nvm_base {
-                    dirty.insert(line_of(addr));
-                }
-                g.stores.push((id, addr, [value, 0], 8));
+                let ev = StoreEvent {
+                    cycle: id.0,
+                    addr,
+                    width: 8,
+                    value: [value, 0],
+                };
+                commit(&mut g, &mut dirty, ev);
             }
             Op::Stp {
                 src1,
@@ -298,31 +270,21 @@ fn run_with_memory(
                         });
                     }
                 }
-                g.mem.insert(addr, values[0]);
-                g.mem.insert(addr + 8, values[1]);
-                stored.insert(addr);
-                stored.insert(addr + 8);
-                if addr >= cfg.nvm_base {
-                    dirty.insert(line_of(addr));
-                    dirty.insert(line_of(addr + 8));
-                }
-                g.stores.push((id, addr, values, 16));
+                let ev = StoreEvent {
+                    cycle: id.0,
+                    addr,
+                    width: 16,
+                    value: values,
+                };
+                commit(&mut g, &mut dirty, ev);
             }
             Op::DcCvap { base, addr } => {
                 check_base(&g.regs, id, base, addr)?;
                 let line = line_of(addr);
                 // A clean or non-NVM line persists nothing (matches the
                 // memory system: no persist event is recorded).
-                if addr >= cfg.nvm_base && dirty.remove(&line) {
-                    g.persist_order.push((id, line));
-                    for off in (0..cfg.line_bytes).step_by(8) {
-                        let w = line + off;
-                        if stored.contains(&w) {
-                            if let Some(&v) = g.mem.get(&w) {
-                                g.nvm_image.insert(w, v);
-                            }
-                        }
-                    }
+                if addr >= nvm_base && dirty.remove(&line) {
+                    g.trace.record_persist(PersistEvent { cycle: id.0, line });
                 }
             }
             // Fences and EDE controls order execution; sequential
@@ -344,8 +306,15 @@ fn run_with_memory(
 mod tests {
     use super::*;
     use ede_isa::{Edk, TraceBuilder};
+    use ede_mem::trace::nvm_image_at;
+    use ede_util::idmap::WordMap;
 
     const NVM: u64 = 0x1_0000_0000;
+
+    /// The NVM image the golden run leaves when it completes.
+    fn image(g: &GoldenRun) -> WordMap {
+        nvm_image_at(&g.trace, g.trace.horizon(), LINE_BYTES)
+    }
 
     fn k(n: u8) -> Edk {
         Edk::new(n).unwrap()
@@ -359,11 +328,12 @@ mod tests {
         b.cvap_producing(NVM, k(1));
         b.store(NVM + 0x40, 9); // next line, never flushed
         let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-        assert_eq!(g.nvm_image.get(&NVM), Some(&7));
-        assert_eq!(g.nvm_image.get(&(NVM + 8)), Some(&8)); // same line
-        assert_eq!(g.nvm_image.get(&(NVM + 0x40)), None); // dirty, unflushed
-        assert_eq!(g.persist_order.len(), 1);
-        assert_eq!(g.stores.len(), 3);
+        let img = image(&g);
+        assert_eq!(img.get(&NVM), Some(&7));
+        assert_eq!(img.get(&(NVM + 8)), Some(&8)); // same line
+        assert_eq!(img.get(&(NVM + 0x40)), None); // dirty, unflushed
+        assert_eq!(g.trace.persists.len(), 1);
+        assert_eq!(g.trace.stores.len(), 3);
     }
 
     #[test]
@@ -373,7 +343,7 @@ mod tests {
         b.cvap(NVM);
         b.cvap(NVM); // second flush: the line is clean now
         let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-        assert_eq!(g.persist_order.len(), 1);
+        assert_eq!(g.trace.persists.len(), 1);
     }
 
     #[test]
@@ -382,8 +352,8 @@ mod tests {
         b.store(0x1000, 5);
         b.cvap(0x1000);
         let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-        assert!(g.persist_order.is_empty());
-        assert!(g.nvm_image.is_empty());
+        assert!(g.trace.persists.is_empty());
+        assert!(image(&g).is_empty());
         assert_eq!(g.mem.get(&0x1000), Some(&5));
     }
 
@@ -429,9 +399,10 @@ mod tests {
         b.store(NVM, 2);
         b.store(NVM + 8, 3);
         let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-        let seqs = g.value_seqs();
-        assert_eq!(seqs[&NVM], vec![1, 2]);
-        assert_eq!(seqs[&(NVM + 8)], vec![3]);
+        let stores = &g.trace.stores;
+        let words: Vec<(u64, u64)> = stores.iter().flat_map(|s| s.words()).collect();
+        assert_eq!(words, [(NVM, 1), (NVM, 2), (NVM + 8, 3)]);
+        assert!(stores.windows(2).all(|w| w[0].cycle < w[1].cycle));
     }
 
     #[test]
@@ -442,8 +413,9 @@ mod tests {
         b.release(base);
         b.cvap(NVM + 16);
         let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-        assert_eq!(g.nvm_image.get(&(NVM + 16)), Some(&4));
-        assert_eq!(g.nvm_image.get(&(NVM + 24)), Some(&5));
+        let img = image(&g);
+        assert_eq!(img.get(&(NVM + 16)), Some(&4));
+        assert_eq!(img.get(&(NVM + 24)), Some(&5));
     }
 
     #[test]
@@ -458,16 +430,8 @@ mod tests {
         b.store(NVM, 1);
         b.cvap(NVM);
         let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-        assert_eq!(g.nvm_image.get(&NVM), Some(&1));
-        assert_eq!(g.nvm_image.get(&(NVM + 8)), None);
-    }
-
-    #[test]
-    fn init_memory_is_respected() {
-        let mut b = TraceBuilder::new();
-        b.load(0x2000, 77);
-        let p = b.finish();
-        assert!(run_with_memory(&p, &GoldenConfig::default(), [(0x2000u64, 77u64)]).is_ok());
-        assert!(run_with_memory(&p, &GoldenConfig::default(), [(0x2000u64, 78u64)]).is_err());
+        let img = image(&g);
+        assert_eq!(img.get(&NVM), Some(&1));
+        assert_eq!(img.get(&(NVM + 8)), None);
     }
 }

@@ -370,7 +370,7 @@ fn conformance_case(
             }
             let clean = run_program("inject", raw_output(program), arch, &inject_sim(None, ff))
                 .expect("fault-free probe programs complete");
-            if RunOutputs::of(&result) == RunOutputs::of(&clean) {
+            if RunOutputs::of(&result.trace) == RunOutputs::of(&clean.trace) {
                 Outcome::Tolerated
             } else {
                 Outcome::Silent

@@ -8,8 +8,9 @@
 //! herd-like litmus conformance tooling:
 //!
 //! * [`golden`] — an architectural **in-order interpreter** for the full
-//!   `ede-isa` instruction set. It produces final register/memory state,
-//!   a sequential persist order, and the per-address store sequences a
+//!   `ede-isa` instruction set. It produces final register/memory state
+//!   and a `PersistTrace` of its stores and persists in program order:
+//!   the per-address store sequences and the persist order a
 //!   sequentially-executed program must exhibit.
 //! * [`gen`] — a seeded **litmus fuzzer** on `ede_util::check`: random
 //!   well-formed programs biased toward EDE key reuse, aliasing stores,

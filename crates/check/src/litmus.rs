@@ -309,7 +309,7 @@ mod tests {
             // Each idiom persists its flag line last in program order.
             let flag_line = slot_addr(SLOT_F) & !63;
             assert_eq!(
-                run.persist_order.last().map(|&(_, l)| l),
+                run.trace.persists.last().map(|p| p.line),
                 Some(flag_line),
                 "{name} must publish the flag"
             );

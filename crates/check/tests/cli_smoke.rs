@@ -684,6 +684,27 @@ fn fuzz_branches_are_pinned() {
 }
 
 #[test]
+fn fuzz_persist_faults_are_pinned() {
+    // One failure per conformance axiom 4–6, each a golden-model verdict:
+    // store coherence (torn-stp), persist counts (duplicate-persist) and
+    // the final NVM image (drop-persist).
+    let tmp = std::env::temp_dir();
+    for fault in ["torn-stp", "duplicate-persist", "drop-persist"] {
+        let args = [
+            "fuzz", "--seed", "0", "--cases", "50", "--jobs", "1", "--fault", fault,
+        ];
+        let live = pinned_run(&args, &tmp, false);
+        let pinned = golden::path(&format!("cli/fuzz.fault-{fault}.txt"));
+        golden::check(
+            &pinned,
+            &live,
+            PINNED,
+            &format!("`ede-sim {}`", args.join(" ")),
+        );
+    }
+}
+
+#[test]
 fn inject_branches_are_pinned() {
     pin_campaign(
         "inject",

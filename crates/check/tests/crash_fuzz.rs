@@ -102,7 +102,6 @@ fn unsafe_configs_yield_a_counterexample() {
 fn golden_model_matches_tx_functional_memory() {
     let cfg = GoldenConfig {
         strict_registers: false,
-        ..GoldenConfig::default()
     };
     let nvm_base = Layout::standard().nvm_base;
     for seed in SEEDS {

@@ -7,8 +7,10 @@
 
 use ede_check::fuzz::diff_case;
 use ede_check::gen::{slot_addr, Cmd, SLOTS, SLOT_BASE};
-use ede_check::golden::{run, GoldenConfig};
+use ede_check::golden::{run, GoldenConfig, GoldenRun};
 use ede_isa::{ArchConfig, TraceBuilder};
+use ede_mem::trace::nvm_image_at;
+use ede_util::idmap::WordMap;
 
 const NVM: u64 = 0x1_0000_0000;
 const TRIO: [ArchConfig; 3] = [
@@ -16,6 +18,11 @@ const TRIO: [ArchConfig; 3] = [
     ArchConfig::IssueQueue,
     ArchConfig::WriteBuffer,
 ];
+
+/// The NVM image the golden run leaves when it completes.
+fn image(g: &GoldenRun) -> WordMap {
+    nvm_image_at(&g.trace, g.trace.horizon(), 64)
+}
 
 fn assert_conformant(cmds: &[Cmd]) {
     for arch in TRIO {
@@ -36,11 +43,12 @@ fn stp_at_the_line_boundary_persists_per_line() {
     b.store(NVM + 64, 43); // line-1 head
     b.cvap(NVM); // flush line 0 only
     let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-    assert_eq!(g.persist_order.len(), 1);
-    assert_eq!(g.persist_order[0].1, NVM);
-    assert_eq!(g.nvm_image.get(&(NVM + 48)), Some(&41));
-    assert_eq!(g.nvm_image.get(&(NVM + 56)), Some(&42));
-    assert_eq!(g.nvm_image.get(&(NVM + 64)), None, "line 1 is unflushed");
+    assert_eq!(g.trace.persists.len(), 1);
+    assert_eq!(g.trace.persists[0].line, NVM);
+    let img = image(&g);
+    assert_eq!(img.get(&(NVM + 48)), Some(&41));
+    assert_eq!(img.get(&(NVM + 56)), Some(&42));
+    assert_eq!(img.get(&(NVM + 64)), None, "line 1 is unflushed");
 
     let mut b = TraceBuilder::new();
     let base = b.lea(NVM + 48);
@@ -49,10 +57,11 @@ fn stp_at_the_line_boundary_persists_per_line() {
     b.store(NVM + 64, 43);
     b.cvap(NVM + 64); // flush line 1 only
     let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-    assert_eq!(g.persist_order.len(), 1);
-    assert_eq!(g.persist_order[0].1, NVM + 64);
-    assert_eq!(g.nvm_image.get(&(NVM + 48)), None, "line 0 is unflushed");
-    assert_eq!(g.nvm_image.get(&(NVM + 64)), Some(&43));
+    assert_eq!(g.trace.persists.len(), 1);
+    assert_eq!(g.trace.persists[0].line, NVM + 64);
+    let img = image(&g);
+    assert_eq!(img.get(&(NVM + 48)), None, "line 0 is unflushed");
+    assert_eq!(img.get(&(NVM + 64)), Some(&43));
 }
 
 /// The generator's highest slots map to both edges of the window: slot 7
@@ -80,7 +89,7 @@ fn wait_all_keys_with_nothing_outstanding() {
     let mut b = TraceBuilder::new();
     b.wait_all_keys();
     let g = run(&b.finish(), &GoldenConfig::default()).unwrap();
-    assert!(g.stores.is_empty() && g.persist_order.is_empty());
+    assert_eq!(g.trace, Default::default());
 
     assert_conformant(&[Cmd::WaitAllKeys]);
     assert_conformant(&[Cmd::WaitAllKeys, Cmd::WaitAllKeys]);
@@ -117,6 +126,6 @@ fn key_exhaustion_recycling_conforms() {
     cmds.push(Cmd::WaitAllKeys);
 
     let g = run(&ede_check::gen::concretize(&cmds), &GoldenConfig::default()).unwrap();
-    assert_eq!(g.stores.len(), 60);
+    assert_eq!(g.trace.stores.len(), 60);
     assert_conformant(&cmds);
 }

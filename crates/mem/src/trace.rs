@@ -14,6 +14,11 @@
 //! so a sweep over every crash instant takes one pass, and
 //! [`nvm_image_at`] is a cursor moved once. The `ede-nvm` crate runs
 //! recovery over the resulting images to test crash consistency.
+//!
+//! The golden in-order model (`ede_check::golden`) records the same
+//! streams, one instruction per cycle, so what a persist makes durable
+//! is decided here alone: [`StoreEvent::words`] is what a store writes
+//! and the cursor's persist step is what a line persist captures.
 
 use ede_util::idmap::WordMap;
 
@@ -29,6 +34,22 @@ pub struct StoreEvent {
     /// The stored word(s): `value[0]` at `addr`, `value[1]` at `addr + 8`
     /// for 16-byte stores.
     pub value: [u64; 2],
+}
+
+impl StoreEvent {
+    /// The `(address, value)` words the store writes, in address order:
+    /// one for an 8-byte store, two for a 16-byte one.
+    ///
+    /// ```
+    /// use ede_mem::trace::StoreEvent;
+    ///
+    /// let stp = StoreEvent { cycle: 1, addr: 0x200, width: 16, value: [11, 22] };
+    /// assert_eq!(stp.words().collect::<Vec<_>>(), [(0x200, 11), (0x208, 22)]);
+    /// ```
+    pub fn words(self) -> impl Iterator<Item = (u64, u64)> {
+        let n = if self.width == 16 { 2 } else { 1 };
+        (0..n).map(move |i| (self.addr + 8 * i as u64, self.value[i]))
+    }
 }
 
 /// A 64-byte line's contents entering the persistent domain.
@@ -191,10 +212,7 @@ impl<'t> ImageCursor<'t> {
             };
             if take_store {
                 let se = s.expect("store present");
-                self.volatile.insert(se.addr, se.value[0]);
-                if se.width == 16 {
-                    self.volatile.insert(se.addr + 8, se.value[1]);
-                }
+                self.volatile.extend(se.words());
                 self.stores += 1;
             } else {
                 let pe = p.expect("persist present");
@@ -208,6 +226,14 @@ impl<'t> ImageCursor<'t> {
             }
         }
         &self.image
+    }
+
+    /// The words of `line` in the image: what the latest persist of that
+    /// line captured.
+    pub fn line_words(&self, line: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (line..line + self.line_bytes)
+            .step_by(8)
+            .filter_map(|w| self.image.get(&w).map(|&v| (w, v)))
     }
 }
 

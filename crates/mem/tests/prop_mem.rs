@@ -117,38 +117,54 @@ property! {
         prop_assert!(issued > 0);
     }
 
-    /// Image reconstruction: a word appears in the crash image only if it
-    /// was stored earlier and its line persisted afterwards; its value is
-    /// the latest store at-or-before the covering persist.
+    /// Image reconstruction against an independent reference. A word is
+    /// in the crash image exactly when some store wrote it and its line
+    /// persisted afterwards, at or before the crash; its value is the
+    /// latest store at or before the line's last such persist (a store
+    /// and a persist in the same cycle: the store first). The reference
+    /// decodes each store's width itself and searches backwards per word,
+    /// where `ImageCursor` replays forwards; 16-byte stores may straddle
+    /// the two lines.
     fn image_words_have_provenance(
-        events in check::vec((0u8..8, any::<u64>(), any::<bool>()), 1..60),
-        crash_at in 0u64..200
+        events in check::vec((0u8..3, 0u8..16, any::<u64>(), 0u8..3), 1..60),
+        crash_at in 0u64..80
     ) {
         use ede_mem::trace::{PersistEvent, PersistTrace, StoreEvent};
+        use std::collections::BTreeMap;
         let mut t = PersistTrace::default();
-        let mut cycle = 1;
-        for (slot, value, persist) in events {
-            let addr = 0x1_0000_0000 + u64::from(slot) * 8; // one shared line
-            t.record_store(StoreEvent { cycle, addr, width: 8, value: [value, 0] });
-            if persist {
-                t.record_persist(PersistEvent { cycle: cycle + 1, line: addr & !63 });
+        let mut cycle = 0;
+        for (step, slot, value, kind) in events {
+            // A step of 0 puts the event in the previous one's cycle.
+            cycle += u64::from(step);
+            let addr = 0x1_0000_0000 + u64::from(slot) * 8;
+            match kind {
+                0 => t.record_persist(PersistEvent { cycle, line: addr & !63 }),
+                1 => t.record_store(StoreEvent { cycle, addr, width: 8, value: [value, 0] }),
+                _ => t.record_store(StoreEvent { cycle, addr, width: 16, value: [value, !value] }),
             }
-            cycle += 2;
         }
-        let image = nvm_image_at(&t, crash_at, 64);
-        for (&waddr, &wval) in &image {
-            // Find the last persist of the covering line at/before crash.
-            let line = waddr & !63;
-            let p = t.persists.iter().filter(|p| p.line == line && p.cycle <= crash_at)
-                .map(|p| p.cycle).max();
-            prop_assert!(p.is_some(), "image word with no persist");
-            let p = p.expect("checked");
-            // The value must equal the latest store at/before that persist.
-            let expect = t.stores.iter()
-                .rfind(|s| s.addr == waddr && s.cycle <= p)
-                .map(|s| s.value[0]);
-            prop_assert_eq!(Some(wval), expect);
+        let written = |s: &StoreEvent, word: u64| {
+            if s.addr == word {
+                Some(s.value[0])
+            } else if s.width == 16 && s.addr + 8 == word {
+                Some(s.value[1])
+            } else {
+                None
+            }
+        };
+        let mut reference = BTreeMap::new();
+        for p in t.persists.iter().filter(|p| p.cycle <= crash_at) {
+            for word in (p.line..p.line + 64).step_by(8) {
+                let latest = t.stores.iter().rev()
+                    .filter(|s| s.cycle <= p.cycle)
+                    .find_map(|s| written(s, word));
+                if let Some(v) = latest {
+                    reference.insert(word, v);
+                }
+            }
         }
+        let image: BTreeMap<u64, u64> = nvm_image_at(&t, crash_at, 64).into_iter().collect();
+        prop_assert_eq!(image, reference, "crash at cycle {}", crash_at);
     }
 
     /// One cursor moved forward through every persist cycle holds, at each

@@ -30,7 +30,7 @@ fn slot(addr: u64) -> usize {
 ///
 /// Storage is paged: 64-word pages with a written-bitmap each, found
 /// through a map keyed by page number and hashed with one multiply. A
-/// read is one page lookup and an index; a write also tests one bit. So
+/// read is one page lookup and an index; a write also sets one bit. So
 /// preloading a large pool costs no SipHash insert per word, and a
 /// sparse one pays for 64 words around each word it writes, not more.
 ///
@@ -48,8 +48,6 @@ fn slot(addr: u64) -> usize {
 #[derive(Clone, Default)]
 pub struct SimMemory {
     pages: IdMap<u64, Box<Page>>,
-    /// Distinct words ever written.
-    len: usize,
 }
 
 impl SimMemory {
@@ -85,22 +83,8 @@ impl SimMemory {
             })
         });
         let i = slot(addr);
-        let bit = 1u64 << i;
-        if page.written & bit == 0 {
-            page.written |= bit;
-            self.len += 1;
-        }
+        page.written |= 1 << i;
         page.words[i] = value;
-    }
-
-    /// Number of distinct words ever written, explicit zeros included.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Iterates over the `(addr, value)` pair of every word ever written,
@@ -130,7 +114,7 @@ mod tests {
     fn default_zero() {
         let m = SimMemory::new();
         assert_eq!(m.read(0x1_0000_0000), 0);
-        assert!(m.is_empty());
+        assert_eq!(m.iter().next(), None);
     }
 
     #[test]
@@ -139,7 +123,7 @@ mod tests {
         m.write(0x100, 42);
         m.write(0x100, 43);
         assert_eq!(m.read(0x100), 43);
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.iter().collect::<Vec<_>>(), [(0x100, 43)]);
     }
 
     #[test]
@@ -149,11 +133,18 @@ mod tests {
             m.write(addr, 0);
         }
         m.write(0x2000, 5);
-        assert_eq!(m.len(), 5);
         assert_eq!(m.read(0x2000), 5);
         assert_eq!(m.read(0x2008), 0);
-        let addrs: Vec<u64> = m.iter().map(|(a, _)| a).collect();
-        assert_eq!(addrs, [0x8, 0x1ff8, 0x2000, 0x1000_0000, u64::MAX - 7]);
+        assert_eq!(
+            m.iter().collect::<Vec<_>>(),
+            [
+                (0x8, 0),
+                (0x1ff8, 0),
+                (0x2000, 5),
+                (0x1000_0000, 0),
+                (u64::MAX - 7, 0)
+            ]
+        );
     }
 
     #[test]

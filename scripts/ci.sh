@@ -90,7 +90,8 @@ diff "$out_dir/jobs1.out" "$out_dir/jobs4.out"
 # crash image of each run with the recovery its writer recorded. B, IQ
 # and WB must be crash-safe (✓) in all three columns, and U, which
 # orders no persist, must fail (✗) in all three. SU is not asserted: no
-# timing run shows it unsafe; only `explore --tx` does.
+# timing run shows it unsafe; only `explore --tx` does (the explore --tx
+# smoke below asserts that).
 echo "==> protocols (EDE_OPS=60): B/IQ/WB crash-safe and U unsafe under undo, redo and CoW"
 EDE_OPS=60 cargo run --release --offline -q -p ede-bench --bin protocols \
     2>/dev/null > "$out_dir/protocols.out"
@@ -154,6 +155,32 @@ if cargo run --release --offline -q -p ede-check --bin ede-sim -- \
     exit 1
 fi
 grep -q '"verdict": "counterexample"' "$out_dir/explore_cx.json"
+
+# Transactional explore smoke: two undo-logged transaction programs,
+# every crash state enumerated and recovered. B, IQ and WB must prove
+# all six cells (exit 0) with a ledger byte-identical across worker
+# counts; SU and U must each yield a counterexample in both cells
+# (exit 2), which is how SU's missing persist order is shown at all.
+echo "==> explore --tx smoke (B/IQ/WB proved, SU and U counterexamples)"
+for jobs in 1 4; do
+    cargo run --release --offline -q -p ede-check --bin ede-sim -- \
+        explore --tx 2 --seed 0 --arch B,IQ,WB --jobs "$jobs" \
+        2>/dev/null > "$out_dir/explore_tx_j$jobs.json"
+done
+diff "$out_dir/explore_tx_j1.json" "$out_dir/explore_tx_j4.json"
+grep -q '"verdicts": {"proved": 6, "counterexample": 0, "budget-exhausted": 0}' \
+    "$out_dir/explore_tx_j1.json"
+for arch in SU U; do
+    set +e
+    cargo run --release --offline -q -p ede-check --bin ede-sim -- \
+        explore --tx 2 --seed 0 --arch "$arch" \
+        2>/dev/null > "$out_dir/explore_tx_$arch.json"
+    rc=$?
+    set -e
+    [ "$rc" -eq 2 ] || { echo "explore --tx on $arch exited $rc, want 2" >&2; exit 1; }
+    grep -q '"verdicts": {"proved": 0, "counterexample": 2, "budget-exhausted": 0}' \
+        "$out_dir/explore_tx_$arch.json"
+done
 
 # Corruption-campaign smoke: one corruption kind per crash-safe
 # architecture through the recovery triage engine (exit 0 asserts the

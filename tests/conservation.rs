@@ -88,7 +88,7 @@ property! {
             // run performed (conformance axiom 5, re-stated as a count).
             prop_assert_eq!(
                 r.trace.persists.len(),
-                golden.persist_order.len(),
+                golden.trace.persists.len(),
                 "pipeline and golden persist counts disagree on {arch}"
             );
         }
