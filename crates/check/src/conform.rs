@@ -1,7 +1,7 @@
 //! The persist-order conformance checker.
 //!
 //! Given one pipeline run — its per-instruction timings, its
-//! [`PersistTrace`](ede_mem::PersistTrace), and its stage-event stream
+//! [`PersistTrace`], and its stage-event stream
 //! (the [`Tracer`] that [`run_program_traced`](ede_sim::run_program_traced)
 //! returns) — and the golden model's sequential execution of the same
 //! program, checks every EDE ordering axiom the paper's correctness

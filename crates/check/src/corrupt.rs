@@ -14,12 +14,12 @@
 //!   on it. Harness panics are quarantined per cell ([`HarnessPanic`]
 //!   records) and the CLI budget for them is 0.
 //! * **no silent wrong image** — whenever triage makes a *strong claim*
-//!   ([`RecoveryOutcome::is_strong_claim`]: `Clean`, `RolledBack`,
+//!   ([`RecoveryOutcome::is_strong_claim`](ede_nvm::RecoveryOutcome::is_strong_claim): `Clean`, `RolledBack`,
 //!   `RepairedTorn`), the recovered image is checked differentially
 //!   against recovery of the *uncorrupted* image: the resolved committed
 //!   id must match and every heap word must agree. Three principled
 //!   carve-outs apply: corrupted heap words (the heap is
-//!   [`RegionClass::Unprotected`] — triage explicitly does not vouch for
+//!   [`RegionClass::Unprotected`](ede_nvm::RegionClass::Unprotected) — triage explicitly does not vouch for
 //!   it), words whose only log witness was itself destroyed (an erased
 //!   slot is indistinguishable from an unused one; no single-copy
 //!   format can detect that), and damage to a **twin marker word** —

@@ -30,7 +30,7 @@
 //! `early-clean-ack`, which perturbs no architectural output but leaves
 //! crash images where the commit marker is durable before the data.
 //! Damage to crash images at rest is not injected here: the `corrupt`
-//! campaign ([`crate::corrupt`]) owns it, under a triage contract that
+//! campaign ([`crate::corrupt`](mod@crate::corrupt)) owns it, under a triage contract that
 //! can fail.
 //!
 //! Outcomes are aggregated into a per-cell detection-coverage matrix

@@ -21,23 +21,23 @@
 //!   axioms (declared execution dependences, `DSB`/`DMB` semantics,
 //!   same-address coherence) and diffs the final NVM image against the
 //!   golden model.
-//! * [`fuzz`] — the differential driver tying the three together across
+//! * [`fuzz`](mod@fuzz) — the differential driver tying the three together across
 //!   `ArchConfig`s, used by the `ede-sim fuzz` CLI and the CI smoke job.
 //! * [`litmus`] — named minimal persist-idiom programs (`two_update`,
 //!   `hazard`, `join`, …) and a snapshot-stable event-stream renderer,
 //!   shared by the golden-trace tests and the `ede-sim trace` CLI.
-//! * [`explore`] — the bounded-exhaustive model checker: enumerates
+//! * [`explore`](mod@explore) — the bounded-exhaustive model checker: enumerates
 //!   every admissible persist-order crash state (sleep-set pruned, with
 //!   explicit budgets) and proves the litmus idioms clean — or produces
 //!   a shrunk counterexample under an injected ordering fault
 //!   (`ede-sim explore`).
-//! * [`inject`] — the fault-injection campaign: sweeps the
+//! * [`inject`](mod@inject) — the fault-injection campaign: sweeps the
 //!   [`FaultInjection`](ede_mem::FaultInjection) taxonomy across
 //!   architectures and asserts every fault is detected (conformance
 //!   axioms, crash checker, or pipeline watchdog) or provably
 //!   tolerated, emitting a JSON detection-coverage matrix
 //!   (`ede-sim inject`).
-//! * [`corrupt`] — the at-rest corruption campaign: seeded byte-level
+//! * [`corrupt`](mod@corrupt) — the at-rest corruption campaign: seeded byte-level
 //!   damage (bit flips, torn words, sector tears, truncation,
 //!   duplicated regions, wipes) applied to crash images drawn from
 //!   simulated transaction programs, swept through

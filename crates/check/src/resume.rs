@@ -6,9 +6,9 @@
 //! wall-clock timeout used to discard every case already evaluated.
 //! This module treats the checker itself as a crash-prone process (the
 //! per-unit protocol that drives it lives once, in
-//! [`crate::campaign::run`]):
+//! `campaign::run`):
 //!
-//! * **Checkpointing** — a versioned [`CHECKPOINT_FORMAT`] document
+//! * **Checkpointing** — a versioned `CHECKPOINT_FORMAT` document
 //!   records the campaign kind, an options fingerprint (every option
 //!   that can change output; never `jobs` or [`RuntimeOptions`]), the
 //!   master seed, a per-unit completion bitmap, accumulated counters,

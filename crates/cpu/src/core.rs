@@ -313,17 +313,9 @@ pub struct Core<M> {
 impl<M: MemPort> Core<M> {
     /// Builds a core over `program` and `mem`.
     pub fn new(cfg: CpuConfig, program: Program, mem: M) -> Core<M> {
-        let n = program.len();
-        let issue_width = cfg.issue_width;
-        let wb_entries = cfg.wb_entries;
-        let mut wbuf = WriteBuffer::new(wb_entries);
-        if cfg.fault == Some(FaultInjection::ReorderWriteBuffer) {
-            wbuf.set_reorder_same_line(true);
-        }
-        let window = Window::new(&program);
-        Core {
-            cfg,
-            program,
+        let mut core = Core {
+            cfg: cfg.clone(),
+            program: Program::default(),
             mem,
             now: 0,
             fetch_ptr: 0,
@@ -333,21 +325,21 @@ impl<M: MemPort> Core<M> {
             iq: Vec::new(),
             lq_used: 0,
             sq_used: 0,
-            wbuf,
-            slots: vec![Slot::default(); n],
-            timings: vec![InstTiming::default(); n],
+            wbuf: WriteBuffer::new(0),
+            slots: Vec::new(),
+            timings: Vec::new(),
             scoreboard: [None; 32],
-            reg_waiters: Wakeups::new(n),
-            edep_waiters: Wakeups::new(n),
+            reg_waiters: Wakeups::new(0),
+            edep_waiters: Wakeups::new(0),
             edm: SpeculativeEdm::new(),
-            window,
+            window: Window::new(&Program::default()),
             dispatch_block: None,
             req_map: IdMap::default(),
             fu_done: Vec::new(),
             barriers_ready: Vec::new(),
             resps: Vec::new(),
             wb_ready: Vec::new(),
-            issue_hist: IssueHistogram::new(issue_width),
+            issue_hist: IssueHistogram::new(0),
             retired: 0,
             squashes: 0,
             attribution: StallTable::default(),
@@ -362,7 +354,104 @@ impl<M: MemPort> Core<M> {
             quiet_hist: Log2Histogram::new(),
             ff_spans: 0,
             ff_skipped: 0,
+        };
+        core.reload(cfg, program);
+        core
+    }
+
+    /// Returns the core to the state [`new`](Self::new) builds for `cfg`
+    /// and `program`, keeping the storage of its queues, tables and
+    /// histograms, and hands back the program it held. The tracer is
+    /// detached. The memory system is left as it is: its owner resets it
+    /// (through [`mem_mut`](Self::mem_mut)).
+    pub fn reload(&mut self, cfg: CpuConfig, program: Program) -> Program {
+        let Core {
+            cfg: own_cfg,
+            program: own_program,
+            mem: _,
+            now,
+            fetch_ptr,
+            fetch_resume,
+            fetch_q,
+            rob,
+            iq,
+            lq_used,
+            sq_used,
+            wbuf,
+            slots,
+            timings,
+            scoreboard,
+            reg_waiters,
+            edep_waiters,
+            edm,
+            window,
+            dispatch_block,
+            req_map,
+            fu_done,
+            barriers_ready,
+            resps,
+            wb_ready,
+            issue_hist,
+            retired,
+            squashes,
+            attribution,
+            max_quiet_streak,
+            rob_peak,
+            iq_peak,
+            wb_peak,
+            tracer,
+            edep_edge_count,
+            moved,
+            quiet_causes,
+            quiet_hist,
+            ff_spans,
+            ff_skipped,
+        } = self;
+        let n = program.len();
+        *now = 0;
+        *fetch_ptr = 0;
+        *fetch_resume = 0;
+        fetch_q.clear();
+        rob.clear();
+        iq.clear();
+        *lq_used = 0;
+        *sq_used = 0;
+        wbuf.reset(cfg.wb_entries);
+        if cfg.fault == Some(FaultInjection::ReorderWriteBuffer) {
+            wbuf.set_reorder_same_line(true);
         }
+        slots.clear();
+        slots.resize(n, Slot::default());
+        timings.clear();
+        timings.resize(n, InstTiming::default());
+        *scoreboard = [None; 32];
+        reg_waiters.reset(n);
+        edep_waiters.reset(n);
+        *edm = SpeculativeEdm::new();
+        window.reset(&program);
+        *dispatch_block = None;
+        req_map.clear();
+        fu_done.clear();
+        barriers_ready.clear();
+        resps.clear();
+        wb_ready.clear();
+        issue_hist.reset(cfg.issue_width);
+        *retired = 0;
+        *squashes = 0;
+        *attribution = StallTable::default();
+        *max_quiet_streak = 0;
+        *rob_peak = 0;
+        *iq_peak = 0;
+        *wb_peak = 0;
+        *tracer = None;
+        *edep_edge_count = 0;
+        *moved = false;
+        *quiet_causes = None;
+        *quiet_hist = Log2Histogram::new();
+        *ff_spans = 0;
+        *ff_skipped = 0;
+        *own_cfg = cfg;
+        std::mem::replace(own_program, program)
     }
 
     /// A cheap digest of everything the machine can make forward
@@ -642,16 +731,22 @@ impl<M: MemPort> Core<M> {
         }
     }
 
-    /// Consumes the core, returning the program it ran (so a caller that
-    /// handed its program over gets it back without a copy) and the
-    /// memory system (for persist-trace extraction).
-    pub fn into_parts(self) -> (Program, M) {
-        (self.program, self.mem)
+    /// Hands back the program the core ran (so a caller that handed its
+    /// program over gets it back without a copy), leaving an empty one
+    /// until the next [`reload`](Self::reload).
+    pub fn take_program(&mut self) -> Program {
+        std::mem::take(&mut self.program)
     }
 
     /// The memory system.
     pub fn mem(&self) -> &M {
         &self.mem
+    }
+
+    /// The memory system, to drain it, take its persist trace or reset
+    /// it.
+    pub fn mem_mut(&mut self) -> &mut M {
+        &mut self.mem
     }
 
     /// Advances the machine one cycle.

@@ -18,8 +18,9 @@ pub trait MemPort {
     ///
     /// The contract backing the core's fast-forward kernel: between the
     /// current cycle and the returned one, `tick` must deliver nothing
-    /// and every core-observable query (notably [`can_accept`]
-    /// (Self::can_accept)) must return the same answer every cycle, so
+    /// and every core-observable query (notably
+    /// [`can_accept`](Self::can_accept)) must return the same answer
+    /// every cycle, so
     /// a fully blocked core may skip its clock straight to this cycle.
     fn next_event_cycle(&self) -> Option<u64>;
 }

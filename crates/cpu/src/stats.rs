@@ -26,9 +26,16 @@ pub struct IssueHistogram {
 impl IssueHistogram {
     /// A histogram covering issue widths `0..=max_width`.
     pub fn new(max_width: usize) -> IssueHistogram {
-        IssueHistogram {
-            counts: vec![0; max_width + 1],
-        }
+        let mut h = IssueHistogram { counts: Vec::new() };
+        h.reset(max_width);
+        h
+    }
+
+    /// Zeroes the histogram and makes it cover `0..=max_width`.
+    pub fn reset(&mut self, max_width: usize) {
+        let IssueHistogram { counts } = self;
+        counts.clear();
+        counts.resize(max_width + 1, 0);
     }
 
     /// Records one cycle that issued `n` instructions.

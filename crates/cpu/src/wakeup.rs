@@ -35,11 +35,23 @@ pub(crate) struct Wakeups {
 impl Wakeups {
     /// Lists for the producers of a program of `len` instructions.
     pub(crate) fn new(len: usize) -> Wakeups {
-        Wakeups {
-            heads: vec![NIL; len],
+        let mut w = Wakeups {
+            heads: Vec::new(),
             edges: Vec::new(),
             free: NIL,
-        }
+        };
+        w.reset(len);
+        w
+    }
+
+    /// Empties every list and sizes the heads for `len` producers,
+    /// keeping the storage.
+    pub(crate) fn reset(&mut self, len: usize) {
+        let Wakeups { heads, edges, free } = self;
+        heads.clear();
+        heads.resize(len, NIL);
+        edges.clear();
+        *free = NIL;
     }
 
     /// Records that incarnation `epoch` of `waiter` waits on `producer`.

@@ -119,15 +119,38 @@ pub struct WriteBuffer {
 impl WriteBuffer {
     /// A buffer with `capacity` entries.
     pub fn new(capacity: usize) -> WriteBuffer {
-        WriteBuffer {
+        let mut wb = WriteBuffer {
             entries: Vec::new(),
-            capacity,
+            capacity: 0,
             reorder_same_line: false,
             live_tags: 0,
             drain: Vec::new(),
             drain_shift: None,
             lines: Vec::new(),
-        }
+        };
+        wb.reset(capacity);
+        wb
+    }
+
+    /// Empties the buffer and gives it `capacity` entries and the
+    /// program-order same-line drain rule, keeping its storage.
+    pub fn reset(&mut self, capacity: usize) {
+        let WriteBuffer {
+            entries,
+            capacity: cap,
+            reorder_same_line,
+            live_tags,
+            drain,
+            drain_shift,
+            lines,
+        } = self;
+        entries.clear();
+        *cap = capacity;
+        *reorder_same_line = false;
+        *live_tags = 0;
+        drain.clear();
+        *drain_shift = None;
+        lines.clear();
     }
 
     /// Fault injection (`ReorderWriteBuffer`): disable the same-line

@@ -210,17 +210,33 @@ fn classes_in(mut mask: u32) -> impl Iterator<Item = usize> {
 impl Window {
     /// An empty window over `program`'s instructions.
     pub(crate) fn new(program: &Program) -> Window {
-        let masks: Vec<u32> = program.iter().map(|(_, inst)| class_mask(inst)).collect();
-        let mut sets: [Set; CLASSES] = Default::default();
-        let words = masks.len().div_ceil(64);
-        for c in classes_in(masks.iter().fold(0, |all, &m| all | m)) {
-            sets[c].bits = vec![0; words];
-        }
-        Window {
-            masks,
-            sets,
+        let mut window = Window {
+            masks: Vec::new(),
+            sets: Default::default(),
             end: 0,
+        };
+        window.reset(program);
+        window
+    }
+
+    /// Empties the window and indexes `program`'s instructions, keeping
+    /// the storage of the masks and bitmaps.
+    pub(crate) fn reset(&mut self, program: &Program) {
+        let Window { masks, sets, end } = self;
+        masks.clear();
+        masks.extend(program.iter().map(|(_, inst)| class_mask(inst)));
+        let words = masks.len().div_ceil(64);
+        let used = masks.iter().fold(0, |all, &m| all | m);
+        for (c, set) in sets.iter_mut().enumerate() {
+            let Set { bits, len, oldest } = set;
+            bits.clear();
+            if used & 1 << c != 0 {
+                bits.resize(words, 0);
+            }
+            *len = 0;
+            *oldest = 0;
         }
+        *end = 0;
     }
 
     /// Enters a dispatched instruction into every class it belongs to.

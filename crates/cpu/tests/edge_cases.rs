@@ -207,8 +207,7 @@ fn cvap_to_dram_line_completes_without_persisting() {
     let mut core = Core::new(CpuConfig::a72(), p.clone(), mem);
     let stats = core.run(1_000_000).expect("terminates");
     assert_eq!(stats.retired, p.len() as u64);
-    let (_, mem) = core.into_parts();
-    let trace = mem.into_trace();
+    let trace = core.mem_mut().take_trace();
     assert!(trace.persists.is_empty(), "DRAM lines never persist");
 }
 

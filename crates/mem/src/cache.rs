@@ -46,6 +46,9 @@ pub struct Eviction {
 pub struct Cache {
     /// Per set: lines ordered most-recently-used first.
     sets: Vec<Vec<Line>>,
+    /// The sets filled since the last [`reset`](Self::reset), each once:
+    /// all a reset has to empty.
+    touched: Vec<u32>,
     ways: usize,
     line_bytes: u64,
     set_mask: u64,
@@ -59,15 +62,48 @@ impl Cache {
     ///
     /// Panics if the number of sets is not a power of two.
     pub fn new(cfg: &CacheConfig, line_bytes: u64) -> Cache {
-        let sets = cfg.sets(line_bytes);
-        assert!(sets.is_power_of_two(), "sets must be a power of two");
-        Cache {
-            sets: vec![Vec::new(); sets as usize],
-            ways: cfg.ways as usize,
-            line_bytes,
-            set_mask: sets - 1,
-            set_shift: line_bytes.trailing_zeros(),
+        let mut cache = Cache {
+            sets: Vec::new(),
+            touched: Vec::new(),
+            ways: 0,
+            line_bytes: 0,
+            set_mask: 0,
+            set_shift: 0,
+        };
+        cache.reset(cfg, line_bytes);
+        cache
+    }
+
+    /// Empties the cache and gives it `cfg`'s geometry, keeping the
+    /// storage of every set: only the sets filled since the last reset
+    /// are cleared, and the set table is resized only when the set count
+    /// changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of sets is not a power of two.
+    pub fn reset(&mut self, cfg: &CacheConfig, line_bytes: u64) {
+        let Cache {
+            sets,
+            touched,
+            ways,
+            line_bytes: bytes,
+            set_mask,
+            set_shift,
+        } = self;
+        let count = cfg.sets(line_bytes);
+        assert!(count.is_power_of_two(), "sets must be a power of two");
+        for set in touched.drain(..) {
+            sets[set as usize].clear();
         }
+        sets.resize_with(count as usize, Vec::new);
+        // Each set is listed at most once: sized once, the list never
+        // reallocates while a run fills the cache.
+        touched.reserve_exact(count as usize);
+        *ways = cfg.ways as usize;
+        *bytes = line_bytes;
+        *set_mask = count - 1;
+        *set_shift = line_bytes.trailing_zeros();
     }
 
     fn set_of(&self, addr: u64) -> usize {
@@ -126,6 +162,9 @@ impl Cache {
         } else {
             None
         };
+        if self.sets[set].is_empty() {
+            self.touched.push(set as u32);
+        }
         self.sets[set].insert(0, Line { tag, dirty });
         victim
     }

@@ -106,18 +106,48 @@ impl PersistBuffer {
     /// Creates a buffer with `capacity` slots drained by `media_writers`
     /// concurrent writers, coalescing at `nvm_line_bytes` granularity.
     pub fn new(capacity: usize, media_writers: usize, nvm_line_bytes: u64) -> PersistBuffer {
-        PersistBuffer {
-            capacity,
-            media_writers,
-            nvm_line_bytes,
+        let mut buffer = PersistBuffer {
+            capacity: 0,
+            media_writers: 0,
+            nvm_line_bytes: 0,
             slots: VecDeque::new(),
             pending: VecDeque::new(),
             busy_writers: 0,
-            occupancy_hist: vec![0; capacity + 1],
+            occupancy_hist: Vec::new(),
             inserts: 0,
             merges: 0,
             media_writes: 0,
-        }
+        };
+        buffer.reset(capacity, media_writers, nvm_line_bytes);
+        buffer
+    }
+
+    /// Empties the buffer, zeroes its counters and histogram and gives it
+    /// a new shape, keeping the storage of its queues.
+    pub fn reset(&mut self, capacity: usize, media_writers: usize, nvm_line_bytes: u64) {
+        let PersistBuffer {
+            capacity: slots_cap,
+            media_writers: writers,
+            nvm_line_bytes: line_bytes,
+            slots,
+            pending,
+            busy_writers,
+            occupancy_hist,
+            inserts,
+            merges,
+            media_writes,
+        } = self;
+        *slots_cap = capacity;
+        *writers = media_writers;
+        *line_bytes = nvm_line_bytes;
+        slots.clear();
+        pending.clear();
+        *busy_writers = 0;
+        occupancy_hist.clear();
+        occupancy_hist.resize(capacity + 1, 0);
+        *inserts = 0;
+        *merges = 0;
+        *media_writes = 0;
     }
 
     fn nvm_line_of(&self, addr: u64) -> u64 {

@@ -132,11 +132,11 @@ static OCCUPANCY_ORDER: LazyLock<Vec<usize>> = LazyLock::new(|| {
 impl MemSystem {
     /// Builds the system from a configuration.
     pub fn new(cfg: MemConfig) -> MemSystem {
-        MemSystem {
+        let mut mem = MemSystem {
             l1: Cache::new(&cfg.l1d, cfg.line_bytes),
             l2: Cache::new(&cfg.l2, cfg.line_bytes),
             l3: Cache::new(&cfg.l3, cfg.line_bytes),
-            buffer: PersistBuffer::new(cfg.persist_slots, cfg.media_writers, cfg.nvm_line_bytes),
+            buffer: PersistBuffer::new(0, 0, 0),
             events: BinaryHeap::new(),
             next_seq: 0,
             next_req: 0,
@@ -149,7 +149,52 @@ impl MemSystem {
             persist_count: 0,
             fault_hits: 0,
             cfg,
-        }
+        };
+        let cfg = mem.cfg.clone();
+        mem.reset(&cfg);
+        mem
+    }
+
+    /// Returns the system to the state [`new`](Self::new) builds for
+    /// `cfg`: empty caches, an empty persist buffer, no request in
+    /// flight, an empty trace and zeroed counters. Storage is kept, and a
+    /// cache is reshaped only when its geometry changes.
+    pub fn reset(&mut self, cfg: &MemConfig) {
+        let MemSystem {
+            cfg: own,
+            l1,
+            l2,
+            l3,
+            buffer,
+            events,
+            next_seq,
+            next_req,
+            outstanding,
+            waiting_cvaps,
+            next_token,
+            trace,
+            stats,
+            cvap_count,
+            persist_count,
+            fault_hits,
+        } = self;
+        l1.reset(&cfg.l1d, cfg.line_bytes);
+        l2.reset(&cfg.l2, cfg.line_bytes);
+        l3.reset(&cfg.l3, cfg.line_bytes);
+        buffer.reset(cfg.persist_slots, cfg.media_writers, cfg.nvm_line_bytes);
+        events.clear();
+        *next_seq = 0;
+        *next_req = 0;
+        *outstanding = 0;
+        waiting_cvaps.clear();
+        *next_token = 0;
+        trace.stores.clear();
+        trace.persists.clear();
+        *stats = MemStats::default();
+        *cvap_count = 0;
+        *persist_count = 0;
+        *fault_hits = 0;
+        own.clone_from(cfg);
     }
 
     /// Records a persist event, applying the persist-stream faults
@@ -418,8 +463,9 @@ impl MemSystem {
     /// media-write completion), if any is pending.
     ///
     /// Between scheduled events the system's externally observable state
-    /// is frozen: [`tick`](Self::tick) pops nothing, [`can_accept`]
-    /// (Self::can_accept) cannot change, and no persist is recorded.
+    /// is frozen: [`tick`](Self::tick) pops nothing,
+    /// [`can_accept`](Self::can_accept) cannot change, and no persist is
+    /// recorded.
     /// That freeze is what lets a caller that is itself quiescent jump
     /// its clock straight to this cycle (the fast-forward kernel in
     /// `ede-cpu`).
@@ -473,10 +519,11 @@ impl MemSystem {
         &self.buffer
     }
 
-    /// Finishes the run and extracts the persist trace, sorted by cycle
+    /// Finishes the run and hands over the persist trace, sorted by cycle
     /// (stores stably before persists recorded later at equal cycles).
-    pub fn into_trace(self) -> PersistTrace {
-        let mut t = self.trace;
+    /// The system's own trace is left empty.
+    pub fn take_trace(&mut self) -> PersistTrace {
+        let mut t = std::mem::take(&mut self.trace);
         t.stores.sort_by_key(|e| e.cycle);
         t.persists.sort_by_key(|e| e.cycle);
         t
@@ -586,7 +633,7 @@ mod tests {
         )
         .unwrap();
         run_until(&mut mem, 0, |r| !r.is_empty());
-        let t = mem.into_trace();
+        let t = mem.take_trace();
         assert_eq!(t.stores.len(), 1);
         assert_eq!(t.stores[0].addr, addr);
         assert_eq!(t.stores[0].value[0], 99);
@@ -611,7 +658,7 @@ mod tests {
         mem.try_access(ReqKind::Cvap, addr, t1).unwrap();
         let (t2, _) = run_until(&mut mem, t1, |r| !r.is_empty());
         assert_eq!(t2 - t1, c.controller_latency);
-        let trace = mem.into_trace();
+        let trace = mem.take_trace();
         assert_eq!(trace.persists.len(), 1);
         assert_eq!(trace.persists[0].line, c.line_of(addr));
         assert_eq!(trace.persists[0].cycle, t2);
@@ -625,7 +672,7 @@ mod tests {
         mem.try_access(ReqKind::Cvap, addr, 0).unwrap();
         let (t, _) = run_until(&mut mem, 0, |r| !r.is_empty());
         assert_eq!(t, c.controller_latency);
-        assert!(mem.into_trace().persists.is_empty());
+        assert!(mem.take_trace().persists.is_empty());
     }
 
     #[test]
@@ -647,7 +694,7 @@ mod tests {
         let (t2, _) = run_until(&mut mem, t1, |r| !r.is_empty());
         mem.try_access(ReqKind::Cvap, addr, t2).unwrap();
         run_until(&mut mem, t2, |r| !r.is_empty());
-        assert_eq!(mem.into_trace().persists.len(), 1);
+        assert_eq!(mem.take_trace().persists.len(), 1);
     }
 
     #[test]
@@ -692,7 +739,7 @@ mod tests {
             last_ack >= c.nvm_write_latency,
             "expected a delayed ack, got {last_ack}"
         );
-        let trace = mem.into_trace();
+        let trace = mem.take_trace();
         assert_eq!(trace.persists.len(), 3);
     }
 
@@ -786,7 +833,7 @@ mod tests {
         )
         .unwrap();
         run_until(&mut mem, 0, |r| !r.is_empty());
-        let t = mem.into_trace();
+        let t = mem.take_trace();
         assert_eq!(t.stores.len(), 1);
         assert_eq!(t.stores[0].width, 8);
         assert_eq!(t.stores[0].value, [11, 0]);
@@ -817,7 +864,7 @@ mod tests {
             assert!(tick(&mut mem, now).is_empty());
             assert!(now < t1 + 100_000);
         }
-        assert!(mem.into_trace().persists.is_empty());
+        assert!(mem.take_trace().persists.is_empty());
     }
 
     #[test]
@@ -827,7 +874,7 @@ mod tests {
         let mut mem = MemSystem::new(c.clone());
         let t2 = dirty_and_cvap(&mut mem, c.nvm_base + 0x100);
         assert!(t2 > 0, "the requester is still acknowledged");
-        assert!(mem.into_trace().persists.is_empty());
+        assert!(mem.take_trace().persists.is_empty());
     }
 
     #[test]
@@ -836,7 +883,7 @@ mod tests {
         c.fault = Some(FaultInjection::DuplicatePersist);
         let mut mem = MemSystem::new(c.clone());
         dirty_and_cvap(&mut mem, c.nvm_base + 0x100);
-        assert_eq!(mem.into_trace().persists.len(), 2);
+        assert_eq!(mem.take_trace().persists.len(), 2);
     }
 
     #[test]
@@ -845,7 +892,7 @@ mod tests {
         c.fault = Some(FaultInjection::EarlyCleanAck);
         let mut mem = MemSystem::new(c.clone());
         let ack = dirty_and_cvap(&mut mem, c.nvm_base + 0x100);
-        let trace = mem.into_trace();
+        let trace = mem.take_trace();
         assert_eq!(trace.persists.len(), 1);
         assert!(
             trace.persists[0].cycle > ack,

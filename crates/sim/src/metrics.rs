@@ -4,7 +4,7 @@
 //!
 //! * [`metrics_json`] — the `ede.metrics.v1` document: run identity,
 //!   headline totals, the full per-stage stall-attribution breakdown
-//!   (every [`StallCause`](ede_cpu::StallCause), zeros included, so the
+//!   (every [`StallCause`], zeros included, so the
 //!   byte layout never depends on which stalls occurred), and the raw
 //!   per-layer [`Registry`](ede_util::obs::Registry).
 //! * [`chrome_trace_json`] — a `chrome://tracing` / Perfetto timeline:

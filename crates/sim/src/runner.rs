@@ -9,6 +9,7 @@ use ede_mem::{MemStats, MemSystem, PersistTrace};
 use ede_nvm::{CheckFailure, CrashChecker, TxOutput};
 use ede_util::obs::Registry;
 use ede_workloads::{Workload, WorkloadParams};
+use std::cell::Cell;
 
 /// Builds a [`TxOutput`] wrapper around a raw program with no transaction
 /// record (for microbenchmarks and examples).
@@ -170,6 +171,22 @@ pub fn run_program_observed(
     Ok((result, tr.expect("tracer was attached")))
 }
 
+thread_local! {
+    /// This thread's machine, kept between runs so that a run resets a
+    /// core and memory system instead of building new ones. Empty while
+    /// a run holds it.
+    static MACHINE: Cell<Option<Core<MemSystem>>> = const { Cell::new(None) };
+}
+
+/// The longest program after which a thread keeps its machine. A kept
+/// machine holds tables sized to its last program and the cache lines
+/// that program touched, and holds them while the thread builds its
+/// next program. Campaign programs (fuzz, inject, corrupt, explore) run
+/// a few hundred instructions at most; a longer run costs far more than
+/// building a machine, and keeping a Table II application's machine
+/// would add its tables to the thread's peak memory, so it is dropped.
+const KEPT_MACHINE_MAX_INSTS: usize = 1024;
+
 fn run_program_inner(
     name: &str,
     mut output: TxOutput,
@@ -193,17 +210,44 @@ fn run_program_inner(
             });
         }
     }
-    let mem = MemSystem::new(sim.mem.clone());
     // The core runs the program in place and hands it back at the end.
     let program = std::mem::take(&mut output.program);
-    let mut core = Core::new(sim.cpu_for(arch), program, mem);
+    let keep = program.len() <= KEPT_MACHINE_MAX_INSTS;
+    let cpu = sim.cpu_for(arch);
+    let mut core = match MACHINE.take() {
+        Some(mut core) => {
+            core.mem_mut().reset(&sim.mem);
+            core.reload(cpu, program);
+            core
+        }
+        None => Core::new(cpu, program, MemSystem::new(sim.mem.clone())),
+    };
+    let result = simulate(&mut core, name, output, arch, sim, tracer);
+    // A run that panics never gets here, so the next run on this thread
+    // builds a fresh machine.
+    if keep {
+        MACHINE.set(Some(core));
+    }
+    result
+}
+
+/// Runs the program loaded into `core` and assembles its result, handing
+/// the program back into `output`.
+fn simulate(
+    core: &mut Core<MemSystem>,
+    name: &str,
+    mut output: TxOutput,
+    arch: ArchConfig,
+    sim: &SimConfig,
+    tracer: Option<TracerConfig>,
+) -> Result<(RunResult, Option<Tracer>), SimError> {
     if let Some(cfg) = tracer {
         core.set_tracer(Tracer::new(cfg));
     }
     let stats = core.run(sim.max_cycles)?;
     let tr = core.take_tracer();
-    let (program, mut mem) = core.into_parts();
-    output.program = program;
+    output.program = core.take_program();
+    let mem = core.mem_mut();
     // Drain in-flight media writes so the persist trace and the buffer
     // occupancy histogram cover the whole run. Between scheduled events
     // a tick is a no-op (the `next_event_cycle` freeze contract), so
@@ -233,7 +277,7 @@ fn run_program_inner(
     stats.report(&mut metrics);
     mem.report(&mut metrics);
     output.report(&mut metrics);
-    let trace = mem.into_trace();
+    let trace = mem.take_trace();
 
     let mut result = RunResult {
         workload: name.to_string(),

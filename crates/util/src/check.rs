@@ -3,11 +3,11 @@
 //! The workspace's randomized test suites were written against
 //! `proptest`, which this hermetic environment cannot resolve. This
 //! module provides the subset those suites actually use, built on the
-//! in-repo [`SmallRng`](crate::rng::SmallRng):
+//! in-repo [`SmallRng`]:
 //!
 //! * **Strategies** — composable value generators: integer ranges
 //!   (`1u8..16` is a strategy directly), [`any`], [`Just`], tuples,
-//!   [`vec`], weighted unions ([`prop_oneof!`](crate::prop_oneof)),
+//!   [`vec()`], weighted unions ([`prop_oneof!`](crate::prop_oneof)),
 //!   and [`Strategy::prop_map`];
 //! * **Shrinking** — every generated value carries a lazy rose tree of
 //!   simpler candidates ([`Shrinkable`]); on failure the runner
@@ -323,7 +323,7 @@ impl<T: Arbitrary> Strategy for AnyStrategy<T> {
 /// element as a leaf. This is how a *literal* failing input — a
 /// hand-written litmus command list, say — gets the same
 /// [`minimize`]-driven reduction a strategy-generated one inherits from
-/// [`vec`]; at most `min` elements survive removal.
+/// [`vec()`]; at most `min` elements survive removal.
 ///
 /// # Example
 ///
@@ -381,7 +381,7 @@ pub fn vec<S: Strategy>(element: S, len: core::ops::Range<usize>) -> VecStrategy
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S: Strategy> {
     element: S,
     len: core::ops::Range<usize>,

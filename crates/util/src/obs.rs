@@ -528,10 +528,10 @@ pub mod json {
     //! Full JSON (objects, arrays, strings with escapes, numbers, bools,
     //! null); numbers are held as `f64`, which is exact for every integer
     //! the simulator serializes below 2^53. The parser is hardened for
-    //! adversarial input: nesting beyond [`MAX_DEPTH`] is a typed
+    //! adversarial input: nesting beyond `MAX_DEPTH` is a typed
     //! [`ParseError::TooDeep`] instead of a stack overflow, and
     //! non-finite number literals (`1e999`) are rejected rather than
-    //! silently becoming `inf`. [`print`] renders a value back to a
+    //! silently becoming `inf`. [`print()`] renders a value back to a
     //! document [`parse`] reproduces exactly (`parse ∘ print` is the
     //! identity on finite values).
     //!
@@ -631,7 +631,7 @@ pub mod json {
     /// Why a document failed to parse.
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub enum ParseError {
-        /// Value nesting exceeded [`MAX_DEPTH`].
+        /// Value nesting exceeded `MAX_DEPTH`.
         TooDeep {
             /// The enforced limit.
             limit: usize,

@@ -39,8 +39,8 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Advances the stream by `n` steps in O(1), as if [`next_u64`]
-    /// (Self::next_u64) had been called `n` times and the results
+    /// Advances the stream by `n` steps in O(1), as if
+    /// [`next_u64`](Self::next_u64) had been called `n` times and the results
     /// discarded. SplitMix64's state is an arithmetic progression, so
     /// parallel workers can carve one master stream into disjoint
     /// per-worker substreams without replaying the prefix — the seed

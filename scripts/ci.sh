@@ -67,6 +67,11 @@ else
     echo "==> clippy not installed; skipping lint"
 fi
 
+# Rustdoc: every intra-doc link must resolve, and public documentation
+# must not link to private items.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # Conformance fuzz smoke: a fixed-seed differential run of the pipeline
 # against the golden in-order model on every crash-safe configuration.
 # Small enough for every push; the nightly job runs the same command with
