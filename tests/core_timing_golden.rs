@@ -12,6 +12,12 @@
 //! fuzzer programs on B, IQ and WB that together cover branches,
 //! `DMB ST`/`DMB SY`, `JOIN`, `WAIT_KEY` and `WAIT_ALL_KEYS`.
 //!
+//! `tests/golden/core/fig9_size.txt` pins the same columns for the six
+//! applications at the `ede-benchmark` fig9 sizes (ops 50, prepopulate
+//! 500, the default 128 Ki-word arrays), plus digests of each generated
+//! program's preload record and final functional memory, so the
+//! large-array preload path is pinned too.
+//!
 //! To regenerate after an *intentional* timing change:
 //!
 //! ```sh
@@ -22,6 +28,7 @@
 use ede_check::gen::{cmds_strategy, concretize, Cmd};
 use ede_cpu::StageId;
 use ede_isa::ArchConfig;
+use ede_nvm::TxOutput;
 use ede_sim::{raw_output, run_program, run_workload, RunResult, SimConfig};
 use ede_util::check::Strategy;
 use ede_util::rng::SmallRng;
@@ -49,6 +56,11 @@ fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 fn row(table: &mut String, name: &str, r: &RunResult) {
+    row_with(table, name, r, "");
+}
+
+/// A [`row`] with `extra` columns appended.
+fn row_with(table: &mut String, name: &str, r: &RunResult, extra: &str) {
     let timings = fnv1a64(r.timings.iter().flat_map(|t| [t.effect, t.complete]));
     let stalls = fnv1a64(StageId::ALL.iter().flat_map(|&s| {
         let st = r.attribution.stage(s);
@@ -57,7 +69,7 @@ fn row(table: &mut String, name: &str, r: &RunResult) {
     let persists = fnv1a64(r.trace.persists.iter().flat_map(|p| [p.cycle, p.line]));
     let _ = writeln!(
         table,
-        "{name} {} {} {} {timings:016x} {stalls:016x} {persists:016x}",
+        "{name} {} {} {} {timings:016x} {stalls:016x} {persists:016x}{extra}",
         r.arch.label(),
         r.cycles,
         r.squashes,
@@ -131,5 +143,53 @@ fn core_timing_digests_are_pinned() {
         &table,
         "core_timing_golden",
         "core timing",
+    );
+}
+
+/// Digests of a generated program's preload record and final functional
+/// memory, as two extra row columns.
+fn output_columns(output: &TxOutput) -> String {
+    let init = fnv1a64(output.init_writes.iter().flat_map(|&(a, v)| [a, v]));
+    let memory = fnv1a64(output.memory.iter().flat_map(|(a, v)| [a, v]));
+    format!(" {init:016x} {memory:016x}")
+}
+
+#[test]
+fn fig9_size_digests_are_pinned() {
+    let sim = SimConfig::a72();
+    let params = WorkloadParams {
+        ops: 50,
+        ops_per_tx: 100,
+        prepopulate: 500,
+        seed: 42,
+        ..WorkloadParams::default()
+    };
+    let mut table = format!(
+        "# fig9 size: apps at ops {} ops_per_tx {} prepopulate {} array_elems {} \
+         mispredict_rate {} seed {}\n\
+         # program arch cycles squashes fnv1a64(timings) fnv1a64(stalls) fnv1a64(persists) \
+         fnv1a64(init_writes) fnv1a64(memory)\n",
+        params.ops,
+        params.ops_per_tx,
+        params.prepopulate,
+        params.array_elems,
+        params.mispredict_rate,
+        params.seed,
+    );
+    for w in standard_suite() {
+        for arch in ArchConfig::ALL {
+            let output = w.generate(&params, arch);
+            let extra = output_columns(&output);
+            let r = run_program(w.name(), output, arch, &sim)
+                .unwrap_or_else(|e| panic!("{} on {arch}: {e}", w.name()));
+            row_with(&mut table, w.name(), &r, &extra);
+        }
+    }
+
+    golden::check(
+        &golden::path("core/fig9_size.txt"),
+        &table,
+        "core_timing_golden",
+        "fig9-size timing",
     );
 }
