@@ -846,6 +846,11 @@ impl<M: MemPort> Core<M> {
     }
 
     fn handle_mem_responses(&mut self) {
+        // `tick` pops only events due by now (the `next_event_cycle`
+        // freeze contract), so with none due it would deliver nothing.
+        if self.mem.next_event_cycle().is_none_or(|e| e > self.now) {
+            return;
+        }
         let mut resps = std::mem::take(&mut self.resps);
         resps.clear();
         self.mem.tick(self.now, &mut resps);
@@ -898,8 +903,11 @@ impl<M: MemPort> Core<M> {
     /// epoch)` order. Nothing handled here issues, so the list does not
     /// change while it is walked.
     fn handle_fu_completions(&mut self) {
-        self.fu_done.sort_unstable();
         let now = self.now;
+        if !self.fu_done.iter().any(|&(cycle, _, _)| cycle <= now) {
+            return;
+        }
+        self.fu_done.sort_unstable();
         let due = self.fu_done.partition_point(|&(cycle, _, _)| cycle <= now);
         // Taking a result — even a stale (squashed-epoch) one — changes
         // what future ticks will see, so it counts as activity.
@@ -960,6 +968,9 @@ impl<M: MemPort> Core<M> {
     /// op, then every executed `DMB ST` with no older store still short
     /// of global visibility.
     fn check_dmb_sy(&mut self) {
+        if self.window.len(Class::DmbSy) == 0 && self.window.len(Class::DmbSt) == 0 {
+            return;
+        }
         let mut ready = std::mem::take(&mut self.barriers_ready);
         for (barrier, waits_on) in [(Class::DmbSy, Class::Mem), (Class::DmbSt, Class::Store)] {
             ready.clear();
@@ -1149,6 +1160,9 @@ impl<M: MemPort> Core<M> {
     // ---- write buffer ----------------------------------------------------
 
     fn write_buffer_stage(&mut self) {
+        if self.wbuf.is_empty() {
+            return;
+        }
         let mut ready = std::mem::take(&mut self.wb_ready);
         self.wbuf.take_finished_controls(&mut ready);
         for &id in &ready {

@@ -50,6 +50,12 @@ impl WbKind {
     fn is_store(&self) -> bool {
         matches!(self, WbKind::Store { .. })
     }
+
+    /// Whether the entry is a control entry (`JOIN` or `DMB ST` token),
+    /// which leaves through [`WriteBuffer::take_finished_controls`].
+    fn is_control(&self) -> bool {
+        matches!(self, WbKind::Join | WbKind::StBarrier)
+    }
 }
 
 /// Drain state of an entry.
@@ -78,7 +84,9 @@ pub struct WbEntry {
 /// The drain-eligible list is cached and recomputed only after a change
 /// that can alter it: a push, a cleared tag, a drain start or a removal.
 /// A count of live tags lets [`clear_src`](Self::clear_src) return at
-/// once when no entry waits on anything.
+/// once when no entry waits on anything, and a count of control entries
+/// lets [`take_finished_controls`](Self::take_finished_controls) return
+/// at once when there are none.
 ///
 /// # Example
 ///
@@ -108,6 +116,8 @@ pub struct WriteBuffer {
     reorder_same_line: bool,
     /// `srcID` tags still set, over every entry.
     live_tags: usize,
+    /// `JOIN` and `DMB ST` entries in the buffer.
+    controls: usize,
     /// The drain-eligible entries as of the last scan, in buffer order.
     drain: Vec<InstId>,
     /// The line shift `drain` was computed with, if it is still current.
@@ -124,6 +134,7 @@ impl WriteBuffer {
             capacity: 0,
             reorder_same_line: false,
             live_tags: 0,
+            controls: 0,
             drain: Vec::new(),
             drain_shift: None,
             lines: Vec::new(),
@@ -140,6 +151,7 @@ impl WriteBuffer {
             capacity: cap,
             reorder_same_line,
             live_tags,
+            controls,
             drain,
             drain_shift,
             lines,
@@ -148,6 +160,7 @@ impl WriteBuffer {
         *cap = capacity;
         *reorder_same_line = false;
         *live_tags = 0;
+        *controls = 0;
         drain.clear();
         *drain_shift = None;
         lines.clear();
@@ -186,6 +199,7 @@ impl WriteBuffer {
     pub fn push(&mut self, id: InstId, kind: WbKind, srcs: [Option<InstId>; 2]) {
         assert!(self.has_space(), "write buffer overflow");
         self.live_tags += srcs.iter().flatten().count();
+        self.controls += usize::from(kind.is_control());
         self.drain_shift = None;
         self.entries.push(WbEntry {
             id,
@@ -293,9 +307,16 @@ impl WriteBuffer {
             .iter()
             .position(|e| e.id == id)
             .expect("unknown write-buffer entry");
+        self.remove(pos);
+    }
+
+    /// Removes the entry at `pos`, keeping the tag and control counts.
+    fn remove(&mut self, pos: usize) -> WbEntry {
         let e = self.entries.remove(pos);
         self.live_tags -= e.srcs.iter().flatten().count();
+        self.controls -= usize::from(e.kind.is_control());
         self.drain_shift = None;
+        e
     }
 
     /// Removes the control entries that have become complete — `JOIN`s
@@ -303,7 +324,12 @@ impl WriteBuffer {
     /// replaces `finished` with their IDs, in removal order.
     pub fn take_finished_controls(&mut self, finished: &mut Vec<InstId>) {
         finished.clear();
-        loop {
+        debug_assert_eq!(
+            self.controls,
+            self.entries.iter().filter(|e| e.kind.is_control()).count(),
+            "control count drifted from the entries"
+        );
+        while self.controls > 0 {
             let mut idx = None;
             for (i, e) in self.entries.iter().enumerate() {
                 match e.kind {
@@ -322,12 +348,7 @@ impl WriteBuffer {
                 }
             }
             match idx {
-                Some(i) => {
-                    let e = self.entries.remove(i);
-                    self.live_tags -= e.srcs.iter().flatten().count();
-                    self.drain_shift = None;
-                    finished.push(e.id);
-                }
+                Some(i) => finished.push(self.remove(i).id),
                 None => break,
             }
         }

@@ -161,8 +161,29 @@ fn reference_drainable(entries: &[WbEntry], draining: &[InstId], reorder: bool) 
     out
 }
 
+/// The control-removal rule written out as repeated full rescans: take
+/// the oldest `JOIN` with clear tags or `DMB ST` token with no older
+/// store, until none is left; returns the IDs in removal order and the
+/// entries that stay.
+fn reference_finished(entries: &[WbEntry]) -> (Vec<InstId>, Vec<WbEntry>) {
+    let mut left = entries.to_vec();
+    let mut done = Vec::new();
+    while let Some(i) = (0..left.len()).find(|&i| match left[i].kind {
+        WbKind::Join => left[i].srcs.iter().all(Option::is_none),
+        WbKind::StBarrier => !left[..i]
+            .iter()
+            .any(|o| matches!(o.kind, WbKind::Store { .. })),
+        _ => false,
+    }) {
+        done.push(left.remove(i).id);
+    }
+    (done, left)
+}
+
 /// Random pushes, tag clears, drain starts, completions and control
-/// removals: after every one the cached drain list equals a fresh scan.
+/// removals: after every one the cached drain list equals a fresh scan,
+/// and every control removal takes what a full rescan takes (so the
+/// buffer's count of control entries never lets it skip one).
 fn cached_drain_list_matches_fresh_scan_impl(ops: &[(u8, u8, u8)], reorder: bool) -> CaseResult {
     let mut wb = WriteBuffer::new(16);
     wb.set_reorder_same_line(reorder);
@@ -214,7 +235,12 @@ fn cached_drain_list_matches_fresh_scan_impl(ops: &[(u8, u8, u8)], reorder: bool
                     wb.complete(id);
                 }
             }
-            _ => wb.take_finished_controls(&mut finished),
+            _ => {
+                let (want, left) = reference_finished(entries);
+                wb.take_finished_controls(&mut finished);
+                prop_assert_eq!(&finished, &want);
+                prop_assert_eq!(wb.entries(), &left[..]);
+            }
         }
         wb.drainable(64, &mut cached);
         prop_assert_eq!(

@@ -59,5 +59,5 @@ pub use config::MemConfig;
 pub use fault::{FaultInjection, FaultLayer};
 pub use nvm::PersistBuffer;
 pub use stats::MemStats;
-pub use system::{MemResp, MemSystem, ReqId, ReqKind};
+pub use system::{DrainError, MemResp, MemSystem, ReqId, ReqKind};
 pub use trace::PersistTrace;

@@ -9,6 +9,7 @@ use crate::trace::{PersistEvent, PersistTrace, StoreEvent};
 use ede_util::obs::IndexedNames;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 use std::sync::LazyLock;
 
 /// Identifies one in-flight memory request.
@@ -43,6 +44,28 @@ pub struct MemResp {
     /// The cycle the response is delivered.
     pub cycle: u64,
 }
+
+/// A memory system that cannot go idle: requests are still counted
+/// outstanding, but no scheduled event is left to answer them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DrainError {
+    /// The cycle the drain stopped at.
+    pub at: u64,
+    /// Requests still counted outstanding.
+    pub outstanding: usize,
+}
+
+impl fmt::Display for DrainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "memory system stuck at cycle {}: {} requests outstanding and no event pending",
+            self.at, self.outstanding
+        )
+    }
+}
+
+impl std::error::Error for DrainError {}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EventKind {
@@ -457,6 +480,33 @@ impl MemSystem {
     /// Whether any request or media write is still in flight.
     pub fn idle(&self) -> bool {
         self.events.is_empty() && self.outstanding == 0
+    }
+
+    /// Runs the system on from cycle `now` until it is [`idle`](Self::idle),
+    /// discarding the responses (nothing waits for them any more). With
+    /// `jump` the clock moves from event to event, otherwise one cycle at
+    /// a time; both pop the same events at the same cycles, since between
+    /// events [`tick`](Self::tick) pops nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`DrainError`] when requests are still counted outstanding but no
+    /// event is pending: the count leaked, and the system would never go
+    /// idle.
+    pub fn drain(&mut self, mut now: u64, jump: bool) -> Result<(), DrainError> {
+        let mut resps = Vec::new();
+        while !self.idle() {
+            let Some(next) = self.next_event_cycle() else {
+                return Err(DrainError {
+                    at: now,
+                    outstanding: self.outstanding,
+                });
+            };
+            now = if jump { next.max(now + 1) } else { now + 1 };
+            self.tick(now, &mut resps);
+            resps.clear();
+        }
+        Ok(())
     }
 
     /// The cycle of the earliest scheduled event (response delivery or
@@ -900,6 +950,68 @@ mod tests {
             trace.persists[0].cycle,
             ack
         );
+    }
+
+    #[test]
+    fn drain_reports_a_leaked_outstanding_count() {
+        let c = cfg();
+        for jump in [false, true] {
+            let mut mem = MemSystem::new(c.clone());
+            let addr = c.nvm_base;
+            mem.try_access(
+                ReqKind::StoreDrain {
+                    value: [1, 0],
+                    width: 8,
+                },
+                addr,
+                0,
+            )
+            .unwrap();
+            // A request the count holds that no event will ever answer.
+            mem.outstanding += 1;
+            let err = mem.drain(0, jump).expect_err("a leaked count never drains");
+            assert_eq!(err.outstanding, 1);
+            assert!(mem.events.is_empty(), "the real response was delivered");
+            assert!(err.at > 0);
+            assert!(err.to_string().contains("1 requests outstanding"), "{err}");
+        }
+    }
+
+    #[test]
+    fn drain_matches_stepping_until_idle() {
+        let c = cfg();
+        let run = |jump: Option<bool>| {
+            let mut mem = MemSystem::new(c.clone());
+            let (t, addr) = (0, c.nvm_base + 0x100);
+            mem.try_access(
+                ReqKind::StoreDrain {
+                    value: [3, 0],
+                    width: 8,
+                },
+                addr,
+                t,
+            )
+            .unwrap();
+            mem.try_access(ReqKind::Cvap, addr, t + 1).unwrap();
+            match jump {
+                Some(jump) => mem.drain(t + 1, jump).expect("drains"),
+                None => {
+                    let mut now = t + 1;
+                    while !mem.idle() {
+                        now += 1;
+                        tick(&mut mem, now);
+                    }
+                }
+            }
+            (
+                mem.take_trace(),
+                mem.persist_buffer().occupancy_histogram().to_vec(),
+            )
+        };
+        let stepped = run(None);
+        assert!(!stepped.0.persists.is_empty());
+        assert_eq!(run(Some(false)), stepped);
+        assert_eq!(run(Some(true)), stepped);
     }
 
     #[test]

@@ -76,15 +76,44 @@ impl SimMemory {
     /// Panics on unaligned addresses.
     pub fn write(&mut self, addr: u64, value: u64) {
         assert_eq!(addr % 8, 0, "unaligned write at {addr:#x}");
-        let page = self.pages.entry(addr / PAGE_BYTES).or_insert_with(|| {
+        let page = self.page_mut(addr);
+        let i = slot(addr);
+        page.written |= 1 << i;
+        page.words[i] = value;
+    }
+
+    /// Writes `value(i)` to word `i` of the `len` words from `base`, in
+    /// ascending order: the same contents as `len` calls of
+    /// [`write`](Self::write), for one page lookup and one bitmap update
+    /// per page.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unaligned `base`.
+    pub fn write_words(&mut self, base: u64, len: u64, mut value: impl FnMut(u64) -> u64) {
+        assert_eq!(base % 8, 0, "unaligned write at {base:#x}");
+        let mut i = 0;
+        while i < len {
+            let addr = base + i * 8;
+            let first = slot(addr);
+            let n = (PAGE_WORDS - first).min(usize::try_from(len - i).unwrap_or(PAGE_WORDS));
+            let page = self.page_mut(addr);
+            for (k, word) in (i..).zip(&mut page.words[first..first + n]) {
+                *word = value(k);
+            }
+            page.written |= (u64::MAX >> (PAGE_WORDS - n)) << first;
+            i += n as u64;
+        }
+    }
+
+    /// The page holding `addr`, allocated zeroed on first use.
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        self.pages.entry(addr / PAGE_BYTES).or_insert_with(|| {
             Box::new(Page {
                 words: [0; PAGE_WORDS],
                 written: 0,
             })
-        });
-        let i = slot(addr);
-        page.written |= 1 << i;
-        page.words[i] = value;
+        })
     }
 
     /// Iterates over the `(addr, value)` pair of every word ever written,
@@ -145,6 +174,23 @@ mod tests {
                 (u64::MAX - 7, 0)
             ]
         );
+    }
+
+    #[test]
+    fn write_words_fills_across_pages_in_order() {
+        let mut m = SimMemory::new();
+        let mut seen = Vec::new();
+        m.write_words(0x1f0, 4, |i| {
+            seen.push(i);
+            i + 10
+        });
+        assert_eq!(seen, [0, 1, 2, 3]);
+        assert_eq!(
+            m.iter().collect::<Vec<_>>(),
+            [(0x1f0, 10), (0x1f8, 11), (0x200, 12), (0x208, 13)]
+        );
+        m.write_words(0x400, 0, |_| unreachable!("no words to write"));
+        assert_eq!(m.iter().count(), 4);
     }
 
     #[test]

@@ -74,15 +74,20 @@ impl WriterCore {
     }
 
     /// Preloads word `i` of the `len` words from `base` with `value(i)`,
-    /// sizing the preload record once for them and for the log magic
-    /// words `finish` appends, so a large array never regrows it.
+    /// a page at a time, sizing the preload record once for them and for
+    /// the log magic words `finish` appends, so a large array never
+    /// regrows it.
     pub(crate) fn write_init_words(&mut self, base: VAddr, len: u64, value: impl Fn(u64) -> u64) {
+        assert!(!self.init_finished, "init phase is over");
         let magic = if self.has_log { 2 } else { 0 };
         let words = usize::try_from(len).expect("preload fits in memory");
         self.init_writes.reserve_exact(words + magic);
-        for i in 0..len {
-            self.write_init(base + i * 8, value(i));
-        }
+        let init_writes = &mut self.init_writes;
+        self.mem.write_words(base, len, |i| {
+            let v = value(i);
+            init_writes.push((base + i * 8, v));
+            v
+        });
     }
 
     pub(crate) fn finish_init(&mut self) {

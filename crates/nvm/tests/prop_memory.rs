@@ -50,4 +50,37 @@ property! {
         let listed: HashMap<u64, u64> = listed.into_iter().collect();
         prop_assert_eq!(listed, model);
     }
+
+    /// A run of words written with `write_words` leaves the same memory
+    /// as the same words written one at a time: every `read` in and
+    /// around the run, and `iter`, agree, over memory that already holds
+    /// words. Bases sit on or near the first few page boundaries, so
+    /// runs start mid-page, end mid-page and span several pages.
+    fn write_words_matches_single_word_writes(
+        before in check::vec((addr(), value()), 0..8),
+        base in (0u64..4, 0u64..72).prop_map(|(page, w)| page * 512 + 8 * w),
+        len in 0u64..201,
+        mul in any::<u64>()
+    ) {
+        let value = |i: u64| i.wrapping_mul(mul) ^ (i >> 2);
+        let (mut bulk, mut single) = (SimMemory::new(), SimMemory::new());
+        for &(a, v) in &before {
+            bulk.write(a, v);
+            single.write(a, v);
+        }
+        let mut order = Vec::new();
+        bulk.write_words(base, len, |i| {
+            order.push(i);
+            value(i)
+        });
+        for i in 0..len {
+            single.write(base + 8 * i, value(i));
+        }
+        prop_assert_eq!(order, (0..len).collect::<Vec<_>>(), "values asked for out of order");
+        let lo = base.saturating_sub(64);
+        for a in (lo..base + 8 * len + 64).step_by(8) {
+            prop_assert_eq!(bulk.read(a), single.read(a), "read {:#x}", a);
+        }
+        prop_assert_eq!(bulk.iter().collect::<Vec<_>>(), single.iter().collect::<Vec<_>>());
+    }
 }

@@ -10,6 +10,7 @@
 use ede_cpu::core::WaitCause;
 use ede_cpu::CoreError;
 use ede_isa::InstId;
+use ede_mem::DrainError;
 use std::fmt;
 
 /// Why a simulation run (or an experiment built from runs) failed.
@@ -26,6 +27,10 @@ pub enum SimError {
         /// What was wrong with the request.
         message: String,
     },
+    /// The memory system could not go idle after the pipeline finished:
+    /// requests are counted outstanding with no event left to answer
+    /// them (a memory-system accounting fault).
+    Drain(DrainError),
     /// A correctness detector fired on the run's outputs — used by the
     /// fault-injection campaign, where a detected fault is the *expected*
     /// outcome and silence is the failure.
@@ -61,6 +66,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::Core(e) => write!(f, "{e}"),
             SimError::Config { message } => write!(f, "invalid run request: {message}"),
+            SimError::Drain(e) => write!(f, "{e}"),
             SimError::FaultDetected { detail } => write!(f, "fault detected: {detail}"),
         }
     }
@@ -70,6 +76,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Core(e) => Some(e),
+            SimError::Drain(e) => Some(e),
             _ => None,
         }
     }
@@ -78,6 +85,12 @@ impl std::error::Error for SimError {
 impl From<CoreError> for SimError {
     fn from(e: CoreError) -> SimError {
         SimError::Core(e)
+    }
+}
+
+impl From<DrainError> for SimError {
+    fn from(e: DrainError) -> SimError {
+        SimError::Drain(e)
     }
 }
 

@@ -249,23 +249,10 @@ fn simulate(
     output.program = core.take_program();
     let mem = core.mem_mut();
     // Drain in-flight media writes so the persist trace and the buffer
-    // occupancy histogram cover the whole run. Between scheduled events
-    // a tick is a no-op (the `next_event_cycle` freeze contract), so
-    // under fast-forward the loop jumps straight from event to event;
-    // persist-trace stamps use the event's own cycle either way.
-    let fast = sim.cpu.fast_forward;
-    let mut now = stats.cycles;
-    let mut resps = Vec::new();
-    while !mem.idle() {
-        now = if fast {
-            mem.next_event_cycle().map_or(now + 1, |e| e.max(now + 1))
-        } else {
-            now + 1
-        };
-        // Nothing waits for these responses any more.
-        mem.tick(now, &mut resps);
-        resps.clear();
-    }
+    // occupancy histogram cover the whole run. Under fast-forward the
+    // drain jumps from event to event; persist-trace stamps use the
+    // event's own cycle either way.
+    mem.drain(stats.cycles, sim.cpu.fast_forward)?;
     let mem_stats = *mem.stats();
     let nvm_occupancy = mem.persist_buffer().occupancy_histogram().to_vec();
 
