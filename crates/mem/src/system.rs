@@ -978,43 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_matches_stepping_until_idle() {
-        let c = cfg();
-        let run = |jump: Option<bool>| {
-            let mut mem = MemSystem::new(c.clone());
-            let (t, addr) = (0, c.nvm_base + 0x100);
-            mem.try_access(
-                ReqKind::StoreDrain {
-                    value: [3, 0],
-                    width: 8,
-                },
-                addr,
-                t,
-            )
-            .unwrap();
-            mem.try_access(ReqKind::Cvap, addr, t + 1).unwrap();
-            match jump {
-                Some(jump) => mem.drain(t + 1, jump).expect("drains"),
-                None => {
-                    let mut now = t + 1;
-                    while !mem.idle() {
-                        now += 1;
-                        tick(&mut mem, now);
-                    }
-                }
-            }
-            (
-                mem.take_trace(),
-                mem.persist_buffer().occupancy_histogram().to_vec(),
-            )
-        };
-        let stepped = run(None);
-        assert!(!stepped.0.persists.is_empty());
-        assert_eq!(run(Some(false)), stepped);
-        assert_eq!(run(Some(true)), stepped);
-    }
-
-    #[test]
     fn media_done_eventually_idles() {
         let c = cfg();
         let mut mem = MemSystem::new(c.clone());

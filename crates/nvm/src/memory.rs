@@ -177,23 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn write_words_fills_across_pages_in_order() {
-        let mut m = SimMemory::new();
-        let mut seen = Vec::new();
-        m.write_words(0x1f0, 4, |i| {
-            seen.push(i);
-            i + 10
-        });
-        assert_eq!(seen, [0, 1, 2, 3]);
-        assert_eq!(
-            m.iter().collect::<Vec<_>>(),
-            [(0x1f0, 10), (0x1f8, 11), (0x200, 12), (0x208, 13)]
-        );
-        m.write_words(0x400, 0, |_| unreachable!("no words to write"));
-        assert_eq!(m.iter().count(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "unaligned")]
     fn unaligned_read_panics() {
         SimMemory::new().read(0x41);

@@ -102,7 +102,8 @@ impl RunResult {
 ///
 /// [`SimError::Core`] if the run exceeds `sim.max_cycles` or the
 /// watchdog diagnoses a deadlock; [`SimError::Config`] for a malformed
-/// run request.
+/// run request; [`SimError::Drain`] if the memory system cannot go idle
+/// after the run.
 pub fn run_workload(
     workload: &dyn Workload,
     params: &WorkloadParams,
@@ -119,7 +120,8 @@ pub fn run_workload(
 ///
 /// [`SimError::Core`] if the run exceeds `sim.max_cycles` or the
 /// watchdog diagnoses a deadlock; [`SimError::Config`] for a malformed
-/// run request.
+/// run request; [`SimError::Drain`] if the memory system cannot go idle
+/// after the run.
 pub fn run_program(
     name: &str,
     output: TxOutput,
@@ -141,7 +143,8 @@ pub fn run_program(
 ///
 /// [`SimError::Core`] if the run exceeds `sim.max_cycles` or the
 /// watchdog diagnoses a deadlock; [`SimError::Config`] for a malformed
-/// run request.
+/// run request; [`SimError::Drain`] if the memory system cannot go idle
+/// after the run.
 pub fn run_program_traced(
     name: &str,
     output: TxOutput,
@@ -159,7 +162,8 @@ pub fn run_program_traced(
 ///
 /// [`SimError::Core`] if the run exceeds `sim.max_cycles` or the
 /// watchdog diagnoses a deadlock; [`SimError::Config`] for a malformed
-/// run request.
+/// run request; [`SimError::Drain`] if the memory system cannot go idle
+/// after the run.
 pub fn run_program_observed(
     name: &str,
     output: TxOutput,
